@@ -385,7 +385,7 @@ fn campaign_metrics(label: &str, jobs: u64, sites: u32, users: u32, out: &mut Ve
     };
     out.push(Metric {
         name,
-        unit: "jobs/s",
+        unit: "jobs/s".into(),
         value: f.get("jobs_per_sec").copied().unwrap_or(0.0),
     });
     let rss_kb = f.get("peak_rss_kb").copied().unwrap_or(f64::INFINITY);
@@ -394,7 +394,7 @@ fn campaign_metrics(label: &str, jobs: u64, sites: u32, users: u32, out: &mut Ve
             "100k" => "campaign_100k_jobs_per_gb_rss",
             _ => "campaign_1m_jobs_per_gb_rss",
         },
-        unit: "jobs/GB",
+        unit: "jobs/GB".into(),
         value: jobs as f64 / (rss_kb / 1_000_000.0),
     });
 }
@@ -442,92 +442,44 @@ fn flight_overhead_metric(out: &mut Vec<Metric>) {
     }
     out.push(Metric {
         name: "campaign_100k_flight_overhead_pct",
-        unit: "% wall vs plain",
+        unit: "% wall vs plain".into(),
         value: (flown_wall - plain_wall) / plain_wall * 100.0,
     });
 }
 
-/// The 8-cell sweep farm: honest speedup on whatever cores this host has
-/// (a 1-core container reports ~1x; the per-cell digests still must match
-/// a serial run, which tests/campaign.rs asserts).
+/// The 8-cell sweep farm: honest speedup on whatever cores this host has,
+/// recorded with the core count (the per-cell digests still must match a
+/// serial run, which tests/campaign.rs asserts).
 fn sweep_metric(out: &mut Vec<Metric>) {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if threads == 1 {
+    let value = if threads == 1 {
         // A 1-core host cannot overlap cells; running the sweep anyway
         // would record an honest-but-misleading ~1.0x that drifts with
-        // scheduler noise. Record exactly 1.0 and say why.
+        // scheduler noise. Record exactly 1.0; the unit says why.
         eprintln!("bench_baseline: sweep farm skipped (1 core), recording 1.0x");
-        out.push(Metric {
-            name: "sweep_8cell_speedup_x",
-            unit: "x (skipped: 1 core)",
-            value: 1.0,
-        });
-        return;
-    }
-    eprintln!("bench_baseline: sweep farm (8 cells, {threads} threads)...");
-    let Some(f) = run_campaign_child(&[
-        "--sweep",
-        "8",
-        "--threads",
-        &threads.to_string(),
-        "--jobs",
-        "2000",
-        "--sites",
-        "10",
-        "--users",
-        "50",
-    ]) else {
-        return;
+        1.0
+    } else {
+        eprintln!("bench_baseline: sweep farm (8 cells, {threads} threads)...");
+        let Some(f) = run_campaign_child(&[
+            "--sweep",
+            "8",
+            "--threads",
+            &threads.to_string(),
+            "--jobs",
+            "2000",
+            "--sites",
+            "10",
+            "--users",
+            "50",
+        ]) else {
+            return;
+        };
+        f.get("speedup").copied().unwrap_or(0.0)
     };
     out.push(Metric {
         name: "sweep_8cell_speedup_x",
-        unit: "x (serial-equivalent / wall)",
-        value: f.get("speedup").copied().unwrap_or(0.0),
-    });
-}
-
-/// Sharded-kernel cost: the same 100k-job campaign with `--shards 1` vs
-/// `--shards 4`, reported as wall-clock ratio (1-shard / 4-shard). The
-/// current executor commits events in one global `(time, seq)` order, so
-/// ~1.0x is the expected value — this metric exists to catch the
-/// coordination overhead regressing, and will show real speedup once
-/// shards execute concurrently. Same 1-core guard as the sweep.
-fn shard_speedup_metric(out: &mut Vec<Metric>) {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if threads == 1 {
-        eprintln!("bench_baseline: shard speedup skipped (1 core), recording 1.0x");
-        out.push(Metric {
-            name: "campaign_100k_shard_speedup_x",
-            unit: "x (skipped: 1 core)",
-            value: 1.0,
-        });
-        return;
-    }
-    eprintln!("bench_baseline: campaign 100k shard speedup (1 vs 4 shards)...");
-    let base = ["--jobs", "100000", "--sites", "50", "--users", "500"];
-    let wall = |shards: &str| -> Option<f64> {
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            let mut args = base.to_vec();
-            args.extend_from_slice(&["--shards", shards]);
-            let w = run_campaign_child(&args)?
-                .get("wall_secs")
-                .copied()
-                .unwrap_or(f64::INFINITY);
-            best = best.min(w);
-        }
-        Some(best)
-    };
-    let (Some(one), Some(four)) = (wall("1"), wall("4")) else {
-        return;
-    };
-    if four <= 0.0 {
-        return;
-    }
-    out.push(Metric {
-        name: "campaign_100k_shard_speedup_x",
-        unit: "x (1-shard wall / 4-shard wall)",
-        value: one / four,
+        unit: format!("x (serial-equivalent / wall) @ {threads} cores"),
+        value,
     });
 }
 
@@ -537,7 +489,7 @@ fn shard_speedup_metric(out: &mut Vec<Metric>) {
 
 struct Metric {
     name: &'static str,
-    unit: &'static str,
+    unit: String,
     value: f64,
 }
 
@@ -557,43 +509,42 @@ fn run_all(full: bool) -> Vec<Metric> {
     eprintln!("bench_baseline: sim_kernel timers...");
     out.push(Metric {
         name: "sim_kernel_timers_events_per_sec",
-        unit: "events/s",
+        unit: "events/s".into(),
         value: measure(3, 1_000_000, || timer_storm_events(1_000_000)),
     });
     eprintln!("bench_baseline: sim_kernel network...");
     out.push(Metric {
         name: "sim_kernel_network_events_per_sec",
-        unit: "events/s",
+        unit: "events/s".into(),
         value: measure(3, 500_000, || network_ring_events(500_000)),
     });
     eprintln!("bench_baseline: classads matchmaking...");
     out.push(Metric {
         name: "classads_match_ads_per_sec",
-        unit: "ads/s",
+        unit: "ads/s".into(),
         value: measure(3, 200 * 1000, || matchmake_sweep(200)),
     });
     eprintln!("bench_baseline: gram batch 200...");
     out.push(Metric {
         name: "gram_batch_200_jobs_per_sec",
-        unit: "jobs/s",
+        unit: "jobs/s".into(),
         value: measure(3, 200, || run_batch(200)),
     });
     eprintln!("bench_baseline: gram batch 10k...");
     out.push(Metric {
         name: "gram_batch_10k_jobs_per_sec",
-        unit: "jobs/s",
+        unit: "jobs/s".into(),
         value: measure(1, 10_000, || run_batch(10_000)),
     });
     eprintln!("bench_baseline: stage-in storm (flow mode)...");
     out.push(Metric {
         name: "stagein_storm_jobs_per_sec",
-        unit: "jobs/s",
+        unit: "jobs/s".into(),
         value: measure(1, 2_000, || run_stagein_storm(2_000)),
     });
     campaign_metrics("100k", 100_000, 50, 500, &mut out);
     flight_overhead_metric(&mut out);
     sweep_metric(&mut out);
-    shard_speedup_metric(&mut out);
     if full {
         // The million-job campaign takes a couple of minutes; measured for
         // --record (and --full) so BENCH_kernel.json carries the number,
@@ -639,12 +590,14 @@ fn find_number(obj: &str, key: &str) -> Option<f64> {
 
 fn fmt_opt(v: Option<f64>) -> String {
     match v {
+        // Ratios and percentages would round to nothing as integers.
+        Some(v) if v.abs() < 100.0 => format!("{v:.2}"),
         Some(v) => format!("{v:.0}"),
         None => "null".into(),
     }
 }
 
-fn write_json(path: &str, metrics: &[(String, &'static str, Recorded)]) {
+fn write_json(path: &str, metrics: &[(String, String, Recorded)]) {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"bench_baseline/v1\",\n");
     out.push_str(
@@ -728,7 +681,7 @@ fn main() {
                 std::process::exit(2);
             }
             let existing = std::fs::read_to_string(&path).unwrap_or_default();
-            let merged: Vec<(String, &'static str, Recorded)> = results
+            let merged: Vec<(String, String, Recorded)> = results
                 .iter()
                 .map(|m| {
                     let mut rec = parse_recorded(&existing, m.name);
@@ -737,7 +690,7 @@ fn main() {
                     } else {
                         rec.after = Some(m.value);
                     }
-                    (m.name.to_string(), m.unit, rec)
+                    (m.name.to_string(), m.unit.clone(), rec)
                 })
                 .collect();
             write_json(&path, &merged);

@@ -36,15 +36,14 @@ pub fn report(experiment: &str, claim: &str, table: &Table) {
 /// thread (simulations are single-threaded; replications are not).
 pub fn replicate<T: Send>(seeds: &[u64], f: impl Fn(u64) -> T + Sync) -> Vec<T> {
     let mut out: Vec<Option<T>> = seeds.iter().map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, &seed) in out.iter_mut().zip(seeds) {
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = Some(f(seed));
             });
         }
-    })
-    .expect("replication threads");
+    });
     out.into_iter()
         .map(|v| v.expect("thread filled slot"))
         .collect()

@@ -25,21 +25,6 @@ pub struct NodeId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CompId(pub u32);
 
-/// Identifies a kernel shard: one partition of the world's nodes with its
-/// own calendar queue, local clock, FIFO link state and cancelled-timer
-/// set. Every component id is shard-qualified through its node's shard
-/// assignment ([`crate::world::World::shard_of`]); the default world runs
-/// everything on shard 0.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ShardId(pub u32);
-
-/// The home shard: the agent side (schedd/gridmanager/broker) and any node
-/// not explicitly assigned elsewhere.
-impl ShardId {
-    /// Shard 0, where unassigned nodes live.
-    pub const HOME: ShardId = ShardId(0);
-}
-
 /// A component's full address: the node it runs on plus its instance id.
 ///
 /// Addresses are location-transparent endpoints: sending to an `Addr` routes
@@ -63,12 +48,6 @@ impl fmt::Debug for NodeId {
 impl fmt::Debug for CompId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "c{}", self.0)
-    }
-}
-
-impl fmt::Debug for ShardId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "s{}", self.0)
     }
 }
 
@@ -231,8 +210,6 @@ pub struct Ctx<'w> {
     /// That event's nearest observable causal ancestor (see
     /// [`crate::trace::TraceEvent::cause`]).
     pub(crate) event_cause: u64,
-    /// The shard this component's node is assigned to.
-    pub(crate) shard: ShardId,
 }
 
 impl<'w> Ctx<'w> {
@@ -252,13 +229,6 @@ impl<'w> Ctx<'w> {
     #[inline]
     pub fn node(&self) -> NodeId {
         self.self_addr.node
-    }
-
-    /// The kernel shard executing this handler (the shard its node is
-    /// assigned to). [`ShardId::HOME`] unless the world was partitioned.
-    #[inline]
-    pub fn shard(&self) -> ShardId {
-        self.shard
     }
 
     /// Send a message to `to` through the network model (latency, loss and

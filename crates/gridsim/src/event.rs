@@ -22,7 +22,7 @@
 //! the determinism tests assert byte-for-byte.
 
 use crate::component::{Addr, AnyMsg, NodeId, TimerId};
-use crate::time::{EventKey, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -228,17 +228,7 @@ impl EventQueue {
     /// (use [`NO_CAUSE`] for external stimuli).
     pub fn push(&mut self, time: SimTime, kind: EventKind, cause: u64) {
         let seq = self.next_seq;
-        self.push_with_seq(time, seq, kind, cause);
-    }
-
-    /// Schedule `kind` at `time` with an externally allocated sequence
-    /// number. The sharded kernel allocates one *global* seq stream across
-    /// every shard's queue so that cross-shard ties still break in push
-    /// order — the same total order a single queue would produce. The
-    /// internal counter is kept ahead of `seq` so mixing with
-    /// [`EventQueue::push`] stays sound.
-    pub fn push_with_seq(&mut self, time: SimTime, seq: u64, kind: EventKind, cause: u64) {
-        self.next_seq = self.next_seq.max(seq.saturating_add(1));
+        self.next_seq += 1;
         self.len += 1;
         let event = Event {
             time,
@@ -349,16 +339,8 @@ impl EventQueue {
 
     /// Time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|k| k.0)
-    }
-
-    /// `(time, seq)` of the earliest event without removing it — exactly
-    /// the key [`EventQueue::pop`] would return next. The shard coordinator
-    /// N-way merges queues by this key, so it must be precise under ties:
-    /// same-time events across shards fire in global push (seq) order.
-    pub fn peek_key(&self) -> Option<EventKey> {
         if let Some(event) = self.active.peek() {
-            return Some((event.time, event.seq));
+            return Some(event.time);
         }
         if self.len == 0 {
             return None;
@@ -376,7 +358,7 @@ impl EventQueue {
         let bucket = scan(&self.l1_bits, lo1)
             .or_else(|| scan(&self.l1_bits, 0))
             .and_then(|idx| bucket_min(&self.l1[idx]));
-        let overflow = self.overflow.peek().map(|e| (e.time, e.seq));
+        let overflow = self.overflow.peek().map(|e| e.time);
         match (bucket, overflow) {
             (Some(b), Some(o)) => Some(b.min(o)),
             (b, o) => b.or(o),
@@ -412,9 +394,9 @@ fn base_plus(cur1: u64, lo: usize, idx: usize) -> u64 {
     }
 }
 
-/// Earliest `(time, seq)` key in an unsorted bucket.
-fn bucket_min(bucket: &[Event]) -> Option<EventKey> {
-    bucket.iter().map(|e| (e.time, e.seq)).min()
+/// Earliest time in an unsorted bucket.
+fn bucket_min(bucket: &[Event]) -> Option<SimTime> {
+    bucket.iter().map(|e| e.time).min()
 }
 
 #[cfg(test)]

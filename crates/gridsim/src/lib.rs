@@ -66,7 +66,6 @@ pub mod metrics;
 pub mod network;
 pub mod obs;
 pub mod rng;
-pub mod shard;
 pub mod store;
 pub mod time;
 pub mod trace;
@@ -74,17 +73,17 @@ pub mod world;
 
 /// Convenient glob import for simulation users.
 pub mod prelude {
-    pub use crate::component::{Addr, AnyMsg, CompId, Component, Ctx, NodeId, ShardId, TimerId};
+    pub use crate::component::{Addr, AnyMsg, CompId, Component, Ctx, NodeId, TimerId};
     pub use crate::fault::FaultPlan;
     pub use crate::network::flow::{BulkAborted, LinkId};
     pub use crate::network::NetConfig;
     pub use crate::rng::SimRng;
     pub use crate::store::StableStore;
-    pub use crate::time::{Duration, EventKey, SimTime};
+    pub use crate::time::{Duration, SimTime};
     pub use crate::trace::{TraceEvent, TraceSubscriber};
     pub use crate::world::{Config, World};
 }
 
-pub use component::{Addr, AnyMsg, CompId, Component, Ctx, NodeId, ShardId, TimerId};
-pub use time::{Duration, EventKey, SimTime};
+pub use component::{Addr, AnyMsg, CompId, Component, Ctx, NodeId, TimerId};
+pub use time::{Duration, SimTime};
 pub use world::{Config, World};

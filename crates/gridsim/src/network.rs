@@ -208,31 +208,6 @@ impl Network {
         }
     }
 
-    /// The WAN lookahead: a lower bound on the latency of *any* message
-    /// under the current configuration — the minimum over the default
-    /// latency distribution, the loopback floor, every per-link override,
-    /// and (in flow mode) every declared topology link's propagation
-    /// latency. The sharded kernel uses it as the conservative
-    /// null-message bound: a message sent at `t` can never be delivered
-    /// before `t + lookahead()`, so `shard::safe_horizon` must stay a true
-    /// lower bound no matter which latency path a message takes.
-    pub fn lookahead(&self) -> Duration {
-        let mut lo = self
-            .config
-            .default_latency
-            .min_bound()
-            .min(self.config.loopback_latency.min_bound());
-        for link in self.overrides.values() {
-            if let Some(d) = &link.latency {
-                lo = lo.min(d.min_bound());
-            }
-        }
-        if let Some(flow) = &self.flow {
-            lo = flow.min_latency(lo);
-        }
-        Duration::from_secs_f64(lo)
-    }
-
     /// Bandwidth of the directed link in bytes/second.
     pub fn bandwidth(&self, from: NodeId, to: NodeId) -> f64 {
         if from == to {
@@ -582,20 +557,6 @@ mod tests {
         net.heal(&[NodeId(1)], &[NodeId(2)]);
         net.heal(&[NodeId(1)], &[NodeId(2)]); // double-heal: still a no-op
         assert!(net.route(&mut r, NodeId(1), NodeId(2)).is_some());
-    }
-
-    #[test]
-    fn lookahead_includes_loopback_floor_and_flow_links() {
-        let mut net = Network::new(NetConfig::default());
-        // Default latency floor is 20 ms but loopback messages arrive in
-        // 0.1 ms — the conservative bound must honour the smaller.
-        assert_eq!(net.lookahead(), Duration::from_micros(100));
-        // A flow link faster than the loopback floor lowers it further.
-        net.add_flow_link("lan", 1e9, 0.000_05);
-        assert_eq!(net.lookahead(), Duration::from_micros(50));
-        // Slower flow links don't raise it back.
-        net.add_flow_link("wan", 1e6, 0.030);
-        assert_eq!(net.lookahead(), Duration::from_micros(50));
     }
 
     #[test]

@@ -198,14 +198,6 @@ impl FlowNet {
         self.flows.len()
     }
 
-    /// Smallest declared link latency, folded into `floor`.
-    pub(crate) fn min_latency(&self, floor: f64) -> f64 {
-        self.links
-            .iter()
-            .map(|l| l.latency)
-            .fold(floor, |lo, l| lo.min(l))
-    }
-
     /// Register a new flow (rates/deadlines are assigned by the next
     /// [`FlowNet::refresh`]).
     #[allow(clippy::too_many_arguments)]

@@ -3,11 +3,11 @@
 //! Full JSONL tracing is superb for forensics but prohibitively expensive
 //! at campaign scale — a million-job run emits tens of millions of
 //! records, and streaming them to disk (or keeping [`TraceEvent`] clones
-//! in a [`crate::obs::RingBuffer`]) costs an allocation per event. This
-//! module is the alternative an aircraft uses: a bounded ring of compact
-//! fixed-size records that is cheap enough to leave on for the whole
-//! flight, paired with a low-rate telemetry heartbeat and anomaly
-//! detectors that dump the ring's causal window when something breaks.
+//! in memory) costs an allocation per event. This module is the
+//! alternative an aircraft uses: a bounded ring of compact fixed-size
+//! records that is cheap enough to leave on for the whole flight, paired
+//! with a low-rate telemetry heartbeat and anomaly detectors that dump the
+//! ring's causal window when something breaks.
 //!
 //! * [`FlightRecorder`] — a [`TraceSubscriber`] writing fixed-size binary
 //!   slots into a preallocated ring. Kinds (always `&'static str`) are
@@ -97,12 +97,7 @@ struct Slot {
     detail_len: u32,
 }
 
-/// One bounded ring: fixed-size slots plus a circular detail arena. The
-/// recorder holds one per kernel shard so a sharded world's hot path
-/// writes into its own ring; every read path (records, causal window,
-/// dump) merges the rings by `(time, id)` — the kernel's global commit
-/// order — so downstream consumers never see the split.
-struct Ring {
+struct Inner {
     slots: Box<[Slot]>,
     /// Index of the oldest live slot.
     head: usize,
@@ -112,22 +107,17 @@ struct Ring {
     write_off: u64,
     /// Detail bytes reclaimed from evicted slots (monotone).
     release_off: u64,
+    kinds: Vec<&'static str>,
+    kind_index: HashMap<&'static str, u32>,
+    pinned: VecDeque<FlightRecord>,
+    pinned_dropped: u64,
+    seen: u64,
     evicted: u64,
+    quarantines: u64,
+    last_quarantine_site: Option<String>,
 }
 
-impl Ring {
-    fn new(capacity: usize, arena_bytes: usize) -> Ring {
-        Ring {
-            slots: vec![Slot::default(); capacity].into_boxed_slice(),
-            head: 0,
-            len: 0,
-            arena: vec![0u8; arena_bytes.max(1)].into_boxed_slice(),
-            write_off: 0,
-            release_off: 0,
-            evicted: 0,
-        }
-    }
-
+impl Inner {
     fn evict_oldest(&mut self) {
         debug_assert!(self.len > 0);
         let s = self.slots[self.head];
@@ -137,91 +127,6 @@ impl Ring {
         self.evicted += 1;
     }
 
-    fn push_slot(&mut self, event: &TraceEvent, kind: u32) {
-        if self.slots.is_empty() {
-            self.evicted += 1;
-            return;
-        }
-        let bytes = event.detail.as_bytes();
-        // A detail larger than the whole arena cannot be stored whole;
-        // clip at a char boundary (details are short in practice — the
-        // default arena is megabytes).
-        let mut dlen = bytes.len().min(self.arena.len());
-        while !event.detail.is_char_boundary(dlen) {
-            dlen -= 1;
-        }
-        if self.len == self.slots.len() {
-            self.evict_oldest();
-        }
-        while self.write_off - self.release_off + dlen as u64 > self.arena.len() as u64 {
-            self.evict_oldest();
-        }
-        // Copy the detail into the circular arena (possibly wrapping).
-        let cap = self.arena.len();
-        let off = self.write_off;
-        let pos = (off % cap as u64) as usize;
-        let first = dlen.min(cap - pos);
-        self.arena[pos..pos + first].copy_from_slice(&bytes[..first]);
-        self.arena[..dlen - first].copy_from_slice(&bytes[first..dlen]);
-        self.write_off += dlen as u64;
-        let tail = (self.head + self.len) % self.slots.len();
-        self.slots[tail] = Slot {
-            time_us: event.time.micros(),
-            node: event.addr.node.0,
-            comp: event.addr.comp.0,
-            kind,
-            id: event.id,
-            cause: event.cause,
-            detail_off: off,
-            detail_len: dlen as u32,
-        };
-        self.len += 1;
-    }
-
-    fn detail_of(&self, s: &Slot) -> String {
-        let cap = self.arena.len();
-        let dlen = s.detail_len as usize;
-        let pos = (s.detail_off % cap as u64) as usize;
-        let first = dlen.min(cap - pos);
-        let mut bytes = Vec::with_capacity(dlen);
-        bytes.extend_from_slice(&self.arena[pos..pos + first]);
-        bytes.extend_from_slice(&self.arena[..dlen - first]);
-        String::from_utf8(bytes).expect("arena holds whole UTF-8 details")
-    }
-
-    fn record_at(&self, i: usize, kinds: &[&'static str]) -> FlightRecord {
-        let s = &self.slots[(self.head + i) % self.slots.len()];
-        FlightRecord {
-            time: SimTime(s.time_us),
-            node: s.node,
-            comp: s.comp,
-            kind: kinds[s.kind as usize].to_string(),
-            detail: self.detail_of(s),
-            id: s.id,
-            cause: s.cause,
-        }
-    }
-}
-
-struct Inner {
-    /// One ring per kernel shard. Never empty; a single-shard recorder is
-    /// exactly the old flat ring.
-    rings: Vec<Ring>,
-    /// Node → shard routing, mirrored from the world (unlisted nodes and
-    /// the external address route to ring 0).
-    node_shard: Vec<u32>,
-    /// Kind intern table, shared across rings (kinds are `&'static str`
-    /// so the table is tiny and merge needs no translation).
-    kinds: Vec<&'static str>,
-    kind_index: HashMap<&'static str, u32>,
-    pinned: VecDeque<FlightRecord>,
-    pinned_dropped: u64,
-    seen: u64,
-    quarantines: u64,
-    last_quarantine_site: Option<String>,
-}
-
-impl Inner {
     fn intern(&mut self, kind: &'static str) -> u32 {
         if let Some(&idx) = self.kind_index.get(kind) {
             return idx;
@@ -230,12 +135,6 @@ impl Inner {
         self.kinds.push(kind);
         self.kind_index.insert(kind, idx);
         idx
-    }
-
-    /// The ring `node`'s records go to.
-    fn ring_of(&self, node: u32) -> usize {
-        let s = self.node_shard.get(node as usize).copied().unwrap_or(0) as usize;
-        s.min(self.rings.len() - 1)
     }
 
     fn push(&mut self, event: &TraceEvent) {
@@ -272,16 +171,75 @@ impl Inner {
             });
             return;
         }
+        if self.slots.is_empty() {
+            self.evicted += 1;
+            return;
+        }
+        let bytes = event.detail.as_bytes();
+        // A detail larger than the whole arena cannot be stored whole;
+        // clip at a char boundary (details are short in practice — the
+        // default arena is megabytes).
+        let mut dlen = bytes.len().min(self.arena.len());
+        while !event.detail.is_char_boundary(dlen) {
+            dlen -= 1;
+        }
+        if self.len == self.slots.len() {
+            self.evict_oldest();
+        }
+        while self.write_off - self.release_off + dlen as u64 > self.arena.len() as u64 {
+            self.evict_oldest();
+        }
+        // Copy the detail into the circular arena (possibly wrapping).
+        let cap = self.arena.len();
+        let off = self.write_off;
+        let pos = (off % cap as u64) as usize;
+        let first = dlen.min(cap - pos);
+        self.arena[pos..pos + first].copy_from_slice(&bytes[..first]);
+        self.arena[..dlen - first].copy_from_slice(&bytes[first..dlen]);
+        self.write_off += dlen as u64;
         let kind = self.intern(event.kind);
-        let r = self.ring_of(event.addr.node.0);
-        self.rings[r].push_slot(event, kind);
+        let tail = (self.head + self.len) % self.slots.len();
+        self.slots[tail] = Slot {
+            time_us: event.time.micros(),
+            node: event.addr.node.0,
+            comp: event.addr.comp.0,
+            kind,
+            id: event.id,
+            cause: event.cause,
+            detail_off: off,
+            detail_len: dlen as u32,
+        };
+        self.len += 1;
+    }
+
+    fn detail_of(&self, s: &Slot) -> String {
+        let cap = self.arena.len();
+        let dlen = s.detail_len as usize;
+        let pos = (s.detail_off % cap as u64) as usize;
+        let first = dlen.min(cap - pos);
+        let mut bytes = Vec::with_capacity(dlen);
+        bytes.extend_from_slice(&self.arena[pos..pos + first]);
+        bytes.extend_from_slice(&self.arena[..dlen - first]);
+        String::from_utf8(bytes).expect("arena holds whole UTF-8 details")
+    }
+
+    fn record_at(&self, i: usize) -> FlightRecord {
+        let s = &self.slots[(self.head + i) % self.slots.len()];
+        FlightRecord {
+            time: SimTime(s.time_us),
+            node: s.node,
+            comp: s.comp,
+            kind: self.kinds[s.kind as usize].to_string(),
+            detail: self.detail_of(s),
+            id: s.id,
+            cause: s.cause,
+        }
     }
 }
 
 /// The flight-recorder subscriber. Cloning yields a handle onto the same
-/// ring (the [`crate::obs::RingBuffer`] idiom), so the caller keeps one
-/// handle for dumps after boxing the other into the
-/// [`crate::trace::TraceSink`]:
+/// ring, so the caller keeps one handle for dumps after boxing the other
+/// into the [`crate::trace::TraceSink`]:
 ///
 /// ```
 /// use gridsim::obs::FlightRecorder;
@@ -308,66 +266,32 @@ impl FlightRecorder {
     pub fn with_arena(capacity: usize, arena_bytes: usize) -> FlightRecorder {
         FlightRecorder {
             inner: Rc::new(RefCell::new(Inner {
-                rings: vec![Ring::new(capacity, arena_bytes)],
-                node_shard: Vec::new(),
+                slots: vec![Slot::default(); capacity].into_boxed_slice(),
+                head: 0,
+                len: 0,
+                arena: vec![0u8; arena_bytes.max(1)].into_boxed_slice(),
+                write_off: 0,
+                release_off: 0,
                 kinds: Vec::new(),
                 kind_index: HashMap::new(),
                 pinned: VecDeque::new(),
                 pinned_dropped: 0,
                 seen: 0,
+                evicted: 0,
                 quarantines: 0,
                 last_quarantine_site: None,
             })),
         }
     }
 
-    /// A recorder with `capacity` total records split evenly across
-    /// `shards` per-shard rings. Call [`assign_node_shards`] with the
-    /// world's node→shard table so each push lands in its shard's ring;
-    /// with one shard this is exactly [`FlightRecorder::new`].
-    ///
-    /// [`assign_node_shards`]: FlightRecorder::assign_node_shards
-    pub fn with_shards(capacity: usize, shards: usize) -> FlightRecorder {
-        let shards = shards.max(1);
-        let per = capacity.div_ceil(shards);
-        FlightRecorder {
-            inner: Rc::new(RefCell::new(Inner {
-                rings: (0..shards)
-                    .map(|_| Ring::new(per, (per * 64).max(4096)))
-                    .collect(),
-                node_shard: Vec::new(),
-                kinds: Vec::new(),
-                kind_index: HashMap::new(),
-                pinned: VecDeque::new(),
-                pinned_dropped: 0,
-                seen: 0,
-                quarantines: 0,
-                last_quarantine_site: None,
-            })),
-        }
-    }
-
-    /// Install the node→shard routing table (index = node id, value =
-    /// shard). Unlisted nodes, and shards beyond the ring count, route to
-    /// ring 0 / the last ring respectively.
-    pub fn assign_node_shards(&self, map: &[u32]) {
-        self.inner.borrow_mut().node_shard = map.to_vec();
-    }
-
-    /// Number of per-shard rings (1 unless built with
-    /// [`FlightRecorder::with_shards`]).
-    pub fn ring_count(&self) -> usize {
-        self.inner.borrow().rings.len()
-    }
-
-    /// Records currently held, summed across rings (≤ capacity).
+    /// Records currently in the ring (≤ capacity).
     pub fn len(&self) -> usize {
-        self.inner.borrow().rings.iter().map(|r| r.len).sum()
+        self.inner.borrow().len
     }
 
     /// True when the ring holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.inner.borrow().len == 0
     }
 
     /// Total events offered to the recorder.
@@ -375,9 +299,9 @@ impl FlightRecorder {
         self.inner.borrow().seen
     }
 
-    /// Ring records evicted to stay within capacity (all rings).
+    /// Ring records evicted to stay within capacity.
     pub fn evicted(&self) -> u64 {
-        self.inner.borrow().rings.iter().map(|r| r.evicted).sum()
+        self.inner.borrow().evicted
     }
 
     /// Pinned fault/broker records dropped because the pin buffer filled.
@@ -400,18 +324,10 @@ impl FlightRecorder {
         self.inner.borrow().last_quarantine_site.clone()
     }
 
-    /// Decode the live rings merged into global `(time, id)` order —
-    /// the kernel's commit order, so cross-shard cause links stay
-    /// consistent — oldest first (pinned records not included).
+    /// Decode the live ring, oldest first (pinned records not included).
     pub fn records(&self) -> Vec<FlightRecord> {
         let inner = self.inner.borrow();
-        let mut out: Vec<FlightRecord> = inner
-            .rings
-            .iter()
-            .flat_map(|r| (0..r.len).map(|i| r.record_at(i, &inner.kinds)))
-            .collect();
-        out.sort_by_key(|r| (r.time, r.id));
-        out
+        (0..inner.len).map(|i| inner.record_at(i)).collect()
     }
 
     /// The pinned records (faults, broker verdicts, failed attempts),
@@ -578,10 +494,6 @@ pub struct TelemetrySample {
     pub ring_len: u64,
     /// Flight-ring records evicted so far.
     pub ring_evicted: u64,
-    /// Kernel shard count (0 = unknown/unsharded driver).
-    pub shards: u64,
-    /// Events committed per shard, in shard order (empty if unknown).
-    pub shard_events: Vec<u64>,
 }
 
 /// Sum the per-site weather counters without building full weather rows
@@ -610,17 +522,11 @@ pub fn site_aggregates(m: &Metrics) -> (u64, u64, u64) {
 
 /// Render one heartbeat as a single JSONL line (no trailing newline).
 pub fn telemetry_line(s: &TelemetrySample) -> String {
-    let shard_events = s
-        .shard_events
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
     format!(
         "{{\"t\":{},\"events\":{},\"queue\":{},\"done\":{},\"failed\":{},\"dispatched\":{},\
          \"inflight\":{},\"pending\":{},\"window\":{},\"oldest_wait_secs\":{:.1},\"sites\":{},\
          \"site_submits\":{},\"site_attempt_failures\":{},\"quarantines\":{},\"ring\":{},\
-         \"ring_evicted\":{},\"shards\":{},\"shard_events\":[{}]}}",
+         \"ring_evicted\":{}}}",
         s.t_us,
         s.events,
         s.queue_depth,
@@ -637,8 +543,6 @@ pub fn telemetry_line(s: &TelemetrySample) -> String {
         s.quarantines,
         s.ring_len,
         s.ring_evicted,
-        s.shards,
-        shard_events,
     )
 }
 
@@ -1121,19 +1025,7 @@ mod tests {
         assert!(line.starts_with("{\"t\":1000000,"));
         assert!(line.contains("\"done\":3"));
         assert!(line.contains("\"oldest_wait_secs\":1.2"));
-        assert!(line.contains("\"shards\":0,\"shard_events\":[]"));
         assert!(line.ends_with('}'));
-    }
-
-    #[test]
-    fn telemetry_line_renders_shard_events() {
-        let s = TelemetrySample {
-            shards: 3,
-            shard_events: vec![10, 20, 30],
-            ..TelemetrySample::default()
-        };
-        let line = telemetry_line(&s);
-        assert!(line.contains("\"shards\":3,\"shard_events\":[10,20,30]"));
     }
 
     #[test]
@@ -1240,49 +1132,6 @@ mod tests {
         // this one already fired once and stays quiet.
         assert!(d.observe(&sample(5, 8, 8, 0.0, 0), None).is_empty());
         assert!(d.observe(&sample(5, 8, 8, 0.0, 0), None).is_empty());
-    }
-
-    #[test]
-    fn sharded_rings_route_by_node_and_merge_in_commit_order() {
-        // Node 1 → ring 0, node 2 → ring 1. Events arrive at the recorder
-        // in kernel commit order but land in different rings; the read
-        // path must merge them back into (time, id) order.
-        let rec = FlightRecorder::with_shards(16, 2);
-        rec.assign_node_shards(&[0, 0, 1]);
-        assert_eq!(rec.ring_count(), 2);
-        let mk =
-            |node: u32, t: u64, kind: &'static str, detail: &str, id: u64, cause: u64| TraceEvent {
-                time: SimTime(t),
-                addr: Addr {
-                    node: NodeId(node),
-                    comp: CompId(1),
-                },
-                kind,
-                detail: detail.to_string(),
-                id,
-                cause,
-            };
-        feed(
-            &rec,
-            &[
-                mk(1, 1, "k.send", "job=7 submit", 1, NO_CAUSE),
-                mk(2, 2, "k.recv", "job=7 arrived", 2, 1),
-                mk(2, 3, "k.exec", "job=7 running", 3, 2),
-                mk(1, 4, "k.ack", "job=7 done", 4, 3),
-                mk(1, 5, "k.noise", "unrelated", 5, NO_CAUSE),
-            ],
-        );
-        let merged = rec.records();
-        let ids: Vec<u64> = merged.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5], "merged in (time, id) order");
-        // The causal chain crosses shards twice (1→2, 2→1); the window
-        // must follow the cause ids through the merge.
-        let window = rec.causal_window("job=7");
-        let kinds: Vec<&str> = window.iter().map(|r| r.kind.as_str()).collect();
-        assert_eq!(kinds, vec!["k.send", "k.recv", "k.exec", "k.ack"]);
-        // Cause links survive intact.
-        assert_eq!(window[1].cause, window[0].id);
-        assert_eq!(window[3].cause, window[2].id);
     }
 
     #[test]

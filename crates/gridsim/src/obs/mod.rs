@@ -6,10 +6,10 @@
 //! module family turns the kernel's raw trace and metrics sinks into those
 //! artifacts:
 //!
-//! * [`subscriber`] — pluggable [`crate::trace::TraceSubscriber`]s: a
-//!   bounded [`RingBuffer`], kind/node [`TraceFilter`]s, and a streaming
-//!   [`JsonlWriter`], so tracing stays on for long campaigns with bounded
-//!   memory.
+//! * [`subscriber`] — pluggable [`crate::trace::TraceSubscriber`]s:
+//!   kind/node [`TraceFilter`]s and a streaming [`JsonlWriter`]; with the
+//!   bounded [`FlightRecorder`] ring, tracing stays on for long campaigns
+//!   with bounded memory.
 //! * [`span`] — the [`SpanCollector`] stitches `"span"` milestone events
 //!   into per-job submit → auth → commit → stage-in → queue → execute →
 //!   stage-out → terminal timelines, renders the generalized Figure-1
@@ -45,7 +45,7 @@ pub use flight::{
 };
 pub use profiler::{CompProfile, Profiler};
 pub use span::{AttemptSpan, JobSpan, SpanCollector, SpanPhase, PHASES, SPAN_KIND};
-pub use subscriber::{Filtered, JsonlWriter, RingBuffer, TraceFilter};
+pub use subscriber::{Filtered, JsonlWriter, TraceFilter};
 pub use weather::{
     grid_weather, render_top, weather_json, HealthAction, HealthEvent, HealthPolicy,
     SiteHealthTracker, SiteState, SiteWeather,

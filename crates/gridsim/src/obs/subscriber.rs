@@ -1,5 +1,4 @@
-//! Trace subscribers: bounded ring buffer, kind/node filters, and a JSONL
-//! exporter.
+//! Trace subscribers: kind/node filters and a JSONL exporter.
 //!
 //! Each subscriber plugs into [`crate::trace::TraceSink::subscribe`] and
 //! observes every emitted [`TraceEvent`]; composition is by wrapping
@@ -7,10 +6,7 @@
 
 use crate::component::NodeId;
 use crate::trace::{TraceEvent, TraceSubscriber};
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::Write;
-use std::rc::Rc;
 
 /// A predicate over trace events: which kinds (by prefix) and which nodes to
 /// keep. An empty filter matches everything.
@@ -75,85 +71,6 @@ impl<S: TraceSubscriber> TraceSubscriber for Filtered<S> {
 
     fn flush(&mut self) {
         self.inner.flush();
-    }
-}
-
-struct RingInner {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    evicted: u64,
-}
-
-/// A bounded buffer of the most recent events: memory stays `O(capacity)`
-/// no matter how long the campaign runs.
-///
-/// Cloning yields a handle onto the same buffer, so the caller can keep one
-/// handle for inspection after boxing the other into the
-/// [`crate::trace::TraceSink`]:
-///
-/// ```
-/// use gridsim::obs::RingBuffer;
-/// let ring = RingBuffer::new(1000);
-/// let handle = ring.clone();
-/// // world.trace_mut().subscribe(Box::new(ring));
-/// // ... after the run: handle.snapshot()
-/// # let _ = handle.len();
-/// ```
-#[derive(Clone)]
-pub struct RingBuffer {
-    inner: Rc<RefCell<RingInner>>,
-}
-
-impl RingBuffer {
-    /// A ring holding at most `capacity` events (capacity 0 keeps nothing).
-    pub fn new(capacity: usize) -> RingBuffer {
-        RingBuffer {
-            inner: Rc::new(RefCell::new(RingInner {
-                capacity,
-                events: VecDeque::with_capacity(capacity.min(4096)),
-                evicted: 0,
-            })),
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.borrow().capacity
-    }
-
-    /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.inner.borrow().events.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().events.is_empty()
-    }
-
-    /// How many events were evicted to stay within capacity.
-    pub fn evicted(&self) -> u64 {
-        self.inner.borrow().evicted
-    }
-
-    /// Copy of the buffered events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.inner.borrow().events.iter().cloned().collect()
-    }
-}
-
-impl TraceSubscriber for RingBuffer {
-    fn on_event(&mut self, event: &TraceEvent) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.capacity == 0 {
-            inner.evicted += 1;
-            return;
-        }
-        while inner.events.len() >= inner.capacity {
-            inner.events.pop_front();
-            inner.evicted += 1;
-        }
-        inner.events.push_back(event.clone());
     }
 }
 
@@ -254,6 +171,7 @@ impl<W: Write> TraceSubscriber for JsonlWriter<W> {
 mod tests {
     use super::*;
     use crate::component::{Addr, CompId};
+    use crate::obs::FlightRecorder;
     use crate::time::SimTime;
 
     fn ev(t: u64, node: u32, kind: &'static str, detail: &str) -> TraceEvent {
@@ -271,27 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_counts() {
-        let mut ring = RingBuffer::new(3);
-        let handle = ring.clone();
-        for i in 0..10u64 {
-            ring.on_event(&ev(i, 0, "k", &i.to_string()));
-        }
-        assert_eq!(handle.len(), 3);
-        assert_eq!(handle.evicted(), 7);
-        let details: Vec<String> = handle.snapshot().into_iter().map(|e| e.detail).collect();
-        assert_eq!(details, vec!["7", "8", "9"]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_holds_nothing() {
-        let mut ring = RingBuffer::new(0);
-        ring.on_event(&ev(1, 0, "k", "x"));
-        assert!(ring.is_empty());
-        assert_eq!(ring.evicted(), 1);
-    }
-
-    #[test]
     fn filter_by_kind_prefix_and_node() {
         let f = TraceFilter::any().kind_prefix("gram.").node(NodeId(1));
         assert!(f.matches(&ev(0, 1, "gram.submit", "")));
@@ -302,13 +199,13 @@ mod tests {
 
     #[test]
     fn filtered_forwards_matching_only() {
-        let ring = RingBuffer::new(100);
+        let ring = FlightRecorder::new(100);
         let handle = ring.clone();
         let mut sub = Filtered::new(TraceFilter::any().kind_prefix("a"), ring);
         sub.on_event(&ev(1, 0, "abc", "yes"));
         sub.on_event(&ev(2, 0, "xyz", "no"));
         assert_eq!(handle.len(), 1);
-        assert_eq!(handle.snapshot()[0].detail, "yes");
+        assert_eq!(handle.records()[0].detail, "yes");
     }
 
     #[test]

@@ -193,21 +193,6 @@ pub enum Dist {
 }
 
 impl Dist {
-    /// A lower bound no sample can undershoot. This is the *lookahead* the
-    /// sharded kernel extracts from a link-latency distribution: a message
-    /// sent now can never arrive sooner than `now + min_bound`, so a shard
-    /// may safely execute local events up to every peer's clock plus this
-    /// bound. Unbounded-below-at-zero distributions (Exp, Normal,
-    /// LogNormal) return 0 — correct, if useless for lookahead.
-    pub fn min_bound(&self) -> f64 {
-        match *self {
-            Dist::Constant(v) => v.max(0.0),
-            Dist::Uniform { lo, .. } => lo.max(0.0),
-            Dist::Exp { .. } | Dist::Normal { .. } | Dist::LogNormal { .. } => 0.0,
-            Dist::Pareto { min, .. } => min.max(0.0),
-        }
-    }
-
     /// The distribution's mean, where it has a closed form (used for
     /// reporting and for sizing experiments).
     pub fn mean(&self) -> f64 {

@@ -8,87 +8,37 @@
 //!
 //! Values are byte strings; components serialize their state with the
 //! [`crate::codec`] binary codec.
-//!
-//! Keys are shard-scoped: the store holds one partition per kernel shard
-//! and routes every `(node, key)` access through the node→shard assignment
-//! mirrored from the world. Since keys are already node-scoped and a node
-//! lives on exactly one shard, the partitioning is invisible to components
-//! — it exists so each shard's executor touches only its own map (and so a
-//! future truly-parallel executor can hand each shard its partition without
-//! locking). A single-shard world keeps everything in partition 0, exactly
-//! the old layout.
 
-use crate::component::{NodeId, ShardId};
+use crate::component::NodeId;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Durable, crash-surviving per-node key/value storage.
 ///
-/// Keys are `(node, name)` within a per-shard partition; `BTreeMap`s keep
-/// iteration deterministic.
-#[derive(Debug)]
+/// Keys are `(node, name)`; a `BTreeMap` keeps iteration deterministic.
+#[derive(Debug, Default)]
 pub struct StableStore {
-    /// One partition per shard. Never empty.
-    parts: Vec<BTreeMap<(NodeId, String), Vec<u8>>>,
-    /// Node → shard assignment, mirrored from the world's node table.
-    /// Unlisted nodes route to shard 0.
-    node_shard: Vec<u32>,
+    data: BTreeMap<(NodeId, String), Vec<u8>>,
     /// Write count (for reporting stable-storage traffic).
     pub writes: u64,
 }
 
-impl Default for StableStore {
-    fn default() -> StableStore {
-        StableStore::with_shards(1)
-    }
-}
-
 impl StableStore {
-    /// An empty single-shard store.
+    /// An empty store.
     pub fn new() -> StableStore {
         StableStore::default()
-    }
-
-    /// An empty store with `shards` partitions (at least one).
-    pub fn with_shards(shards: usize) -> StableStore {
-        StableStore {
-            parts: (0..shards.max(1)).map(|_| BTreeMap::new()).collect(),
-            node_shard: Vec::new(),
-            writes: 0,
-        }
-    }
-
-    /// Record that `node`'s keys live in `shard`'s partition. Called by the
-    /// world as nodes are added; out-of-range shards clamp to the last
-    /// partition.
-    pub fn assign_shard(&mut self, node: NodeId, shard: ShardId) {
-        let idx = node.0 as usize;
-        if self.node_shard.len() <= idx {
-            self.node_shard.resize(idx + 1, 0);
-        }
-        self.node_shard[idx] = (shard.0 as usize).min(self.parts.len() - 1) as u32;
-    }
-
-    /// The partition index for `node`.
-    #[inline]
-    fn part(&self, node: NodeId) -> usize {
-        let s = self.node_shard.get(node.0 as usize).copied().unwrap_or(0) as usize;
-        s.min(self.parts.len() - 1)
     }
 
     /// Write raw bytes under `(node, key)`.
     pub fn put_bytes(&mut self, node: NodeId, key: &str, value: Vec<u8>) {
         self.writes += 1;
-        let p = self.part(node);
-        self.parts[p].insert((node, key.to_string()), value);
+        self.data.insert((node, key.to_string()), value);
     }
 
     /// Read raw bytes.
     pub fn get_bytes(&self, node: NodeId, key: &str) -> Option<&[u8]> {
-        self.parts[self.part(node)]
-            .get(&(node, key.to_string()))
-            .map(Vec::as_slice)
+        self.data.get(&(node, key.to_string())).map(Vec::as_slice)
     }
 
     /// Serialize `value` with the binary codec and store it.
@@ -108,13 +58,12 @@ impl StableStore {
 
     /// Remove a key. Returns true if it was present.
     pub fn remove(&mut self, node: NodeId, key: &str) -> bool {
-        let p = self.part(node);
-        self.parts[p].remove(&(node, key.to_string())).is_some()
+        self.data.remove(&(node, key.to_string())).is_some()
     }
 
     /// All keys on `node` that start with `prefix`, in sorted order.
     pub fn keys_with_prefix(&self, node: NodeId, prefix: &str) -> Vec<String> {
-        self.parts[self.part(node)]
+        self.data
             .range((node, prefix.to_string())..)
             .take_while(|((n, k), _)| *n == node && k.starts_with(prefix))
             .map(|((_, k), _)| k.clone())
@@ -124,26 +73,20 @@ impl StableStore {
     /// Remove every key on `node` with the given prefix; returns how many.
     pub fn remove_prefix(&mut self, node: NodeId, prefix: &str) -> usize {
         let keys = self.keys_with_prefix(node, prefix);
-        let p = self.part(node);
         for k in &keys {
-            self.parts[p].remove(&(node, k.clone()));
+            self.data.remove(&(node, k.clone()));
         }
         keys.len()
     }
 
     /// Number of stored keys across all nodes.
     pub fn len(&self) -> usize {
-        self.parts.iter().map(BTreeMap::len).sum()
-    }
-
-    /// Number of stored keys in one shard's partition (0 if out of range).
-    pub fn shard_len(&self, shard: ShardId) -> usize {
-        self.parts.get(shard.0 as usize).map_or(0, BTreeMap::len)
+        self.data.len()
     }
 
     /// True if nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 }
 
@@ -209,29 +152,5 @@ mod tests {
         s.put(NodeId(0), "x", &5u8);
         assert!(s.remove(NodeId(0), "x"));
         assert!(!s.remove(NodeId(0), "x"));
-    }
-
-    #[test]
-    fn shard_partitions_route_by_node_and_stay_transparent() {
-        let mut s = StableStore::with_shards(3);
-        s.assign_shard(NodeId(0), ShardId(0));
-        s.assign_shard(NodeId(1), ShardId(2));
-        s.put(NodeId(0), "k", &1u32);
-        s.put(NodeId(1), "k", &2u32);
-        // Reads are partition-transparent.
-        assert_eq!(s.get::<u32>(NodeId(0), "k"), Some(1));
-        assert_eq!(s.get::<u32>(NodeId(1), "k"), Some(2));
-        // But the data physically lives in the assigned partition.
-        assert_eq!(s.shard_len(ShardId(0)), 1);
-        assert_eq!(s.shard_len(ShardId(1)), 0);
-        assert_eq!(s.shard_len(ShardId(2)), 1);
-        assert_eq!(s.len(), 2);
-        // Prefix scans stay node-scoped within the partition.
-        assert_eq!(s.keys_with_prefix(NodeId(1), "k"), vec!["k"]);
-        // Unassigned nodes and out-of-range shards fall back safely.
-        s.put(NodeId(9), "k", &3u32);
-        assert_eq!(s.get::<u32>(NodeId(9), "k"), Some(3));
-        s.assign_shard(NodeId(9), ShardId(99));
-        assert_eq!(s.get::<u32>(NodeId(9), "k"), None, "moved partitions");
     }
 }

@@ -18,17 +18,6 @@ pub struct SimTime(pub u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Duration(pub u64);
 
-/// The global commit-order key of a kernel event: `(time, seq)`.
-///
-/// `seq` is allocated from one world-wide counter at push time, so the
-/// lexicographic order of these keys is total and identical for every
-/// shard count: same-time events fire in global push order no matter
-/// which shard's queue holds them. The shard coordinator N-way merges
-/// queue heads by this key; using anything coarser (e.g. breaking ties
-/// by shard index) would reorder same-time cross-shard events and break
-/// the golden trace.
-pub type EventKey = (SimTime, u64);
-
 impl SimTime {
     /// The origin of simulation time.
     pub const ZERO: SimTime = SimTime(0);

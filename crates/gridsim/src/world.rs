@@ -2,24 +2,18 @@
 //! components, the network, stable storage, metrics and traces, and drives
 //! everything to completion.
 
-use crate::component::{Addr, CompId, Component, Ctx, Effect, Message, NodeId, ShardId};
-use crate::event::{EventKind, NO_CAUSE};
+use crate::component::{Addr, CompId, Component, Ctx, Effect, Message, NodeId, TimerId};
+use crate::event::{EventKind, EventQueue, NO_CAUSE};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::metrics::Metrics;
 use crate::network::flow::{AbortedFlow, BulkAborted};
 use crate::network::{NetConfig, Network};
 use crate::obs::Profiler;
 use crate::rng::SimRng;
-use crate::shard::{safe_horizon, Shard};
 use crate::store::StableStore;
-use crate::time::{Duration, EventKey, SimTime};
+use crate::time::{Duration, SimTime};
 use crate::trace::TraceSink;
-use std::collections::HashMap;
-
-/// How often (in processed events) the coordinator samples the conservative
-/// lookahead protocol's runnable-shard count into the `shard.runnable`
-/// gauge. Sampling is bookkeeping only — it never affects execution order.
-const RUNNABLE_SAMPLE_MASK: u64 = 4095;
+use std::collections::{HashMap, HashSet};
 
 /// The address used by [`World::post`] for externally injected messages.
 /// Components may reply to it; such replies are silently dropped.
@@ -47,14 +41,6 @@ pub struct Config {
     /// spawn count. Off by default because reuse renumbers components and
     /// therefore changes trace output; campaign-scale runs turn it on.
     pub reuse_comp_ids: bool,
-    /// Number of kernel shards to partition nodes across (0 and 1 both mean
-    /// a single shard). Shard 0 is the *home* shard; setup code assigns
-    /// site nodes to other shards via [`World::add_node_on`]. Any shard
-    /// count produces byte-identical traces and digests for the same seed —
-    /// the coordinator commits events in the global `(time, seq)` order —
-    /// so the shard count is a performance/partitioning knob, never a
-    /// semantics knob.
-    pub shards: usize,
 }
 
 impl Config {
@@ -92,12 +78,6 @@ impl Config {
     /// [`Config::reuse_comp_ids`]).
     pub fn reuse_comp_ids(mut self) -> Config {
         self.reuse_comp_ids = true;
-        self
-    }
-
-    /// Partition the world into `n` kernel shards (see [`Config::shards`]).
-    pub fn shards(mut self, n: usize) -> Config {
-        self.shards = n;
         self
     }
 }
@@ -161,26 +141,17 @@ struct CompEntry {
     epoch: u32,
 }
 
-/// The simulation world: a set of [`Shard`]s advanced by a deterministic
-/// coordinator. See the crate docs for the model and [`crate::shard`] for
-/// the partitioning/lookahead protocol.
+/// The simulation world. See the crate docs for the model.
 pub struct World {
     now: SimTime,
-    /// The shard executors. Every node is assigned to exactly one shard;
-    /// each shard owns the calendar queue, FIFO link state and
-    /// cancelled-timer set for its nodes. Never empty.
-    shards: Vec<Shard>,
-    /// Node → shard assignment (indexed by `NodeId`).
-    node_shard: Vec<u32>,
-    /// World-global event sequence counter. Allocating seq across shards
-    /// from one stream is what makes the N-way merge reproduce the
-    /// single-queue total order: cross-shard ties at the same timestamp
-    /// break in push order, exactly as they always have.
-    next_seq: u64,
-    /// Cached head key `(time, seq)` of each shard's queue, `None` when the
-    /// queue is empty. Invalidated (via `head_valid`) on push/pop.
-    heads: Vec<Option<EventKey>>,
-    head_valid: Vec<bool>,
+    queue: EventQueue,
+    /// Per directed node pair: the latest scheduled control-message
+    /// delivery, enforcing FIFO ordering like the TCP connections the real
+    /// protocols run over. Bulk transfers use separate data channels and
+    /// are not ordered against control traffic.
+    fifo: HashMap<(NodeId, NodeId), SimTime>,
+    /// Timers cancelled but not yet popped from the queue.
+    cancelled: HashSet<TimerId>,
     nodes: Vec<NodeEntry>,
     /// Component table indexed directly by `CompId` (ids are allocated
     /// sequentially, so the table is dense). Dead slots are `None`; the
@@ -251,19 +222,16 @@ fn event_kind_name(kind: &EventKind) -> &'static str {
 impl World {
     /// Build an empty world.
     pub fn new(config: Config) -> World {
-        let shard_count = config.shards.max(1);
         World {
             now: SimTime::ZERO,
-            shards: (0..shard_count).map(|_| Shard::new()).collect(),
-            node_shard: Vec::new(),
-            next_seq: 0,
-            heads: vec![None; shard_count],
-            head_valid: vec![true; shard_count],
+            queue: EventQueue::new(),
+            fifo: HashMap::new(),
+            cancelled: HashSet::new(),
             nodes: Vec::new(),
             comps: Vec::new(),
             names: HashMap::new(),
             network: Network::new(config.net),
-            store: StableStore::with_shards(shard_count),
+            store: StableStore::new(),
             rng: SimRng::new(config.seed),
             metrics: Metrics::new(),
             trace: TraceSink::new(config.trace),
@@ -298,22 +266,9 @@ impl World {
 
     // ----- construction ---------------------------------------------------
 
-    /// Add a node (machine) named `name` on the home shard. Nodes start up.
+    /// Add a node (machine) named `name`. Nodes start up.
     pub fn add_node(&mut self, name: &str) -> NodeId {
-        self.add_node_on(name, ShardId::HOME)
-    }
-
-    /// Add a node on a specific shard. Out-of-range shard ids clamp to the
-    /// last shard, so setup code can assign site groups round-robin without
-    /// caring whether the world was built with 1 or N shards. Assignment
-    /// happens at creation time: every event that fires on this node will
-    /// be filed into (and executed by) this shard, and its stable-store
-    /// keys live in the shard's partition.
-    pub fn add_node_on(&mut self, name: &str, shard: ShardId) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let shard = (shard.0 as usize).min(self.shards.len() - 1) as u32;
-        self.node_shard.push(shard);
-        self.store.assign_shard(id, ShardId(shard));
         self.nodes.push(NodeEntry {
             name: name.to_string(),
             up: true,
@@ -321,59 +276,6 @@ impl World {
             comps: std::collections::BTreeSet::new(),
         });
         id
-    }
-
-    /// The shard a node is assigned to.
-    pub fn shard_of(&self, node: NodeId) -> ShardId {
-        ShardId(self.node_shard.get(node.0 as usize).copied().unwrap_or(0))
-    }
-
-    /// Number of kernel shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard executed-event totals, indexed by shard id.
-    pub fn shard_events(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.events).collect()
-    }
-
-    /// The node → shard assignment table (indexed by `NodeId`; nodes beyond
-    /// the end are on shard 0). Observability layers use this to split
-    /// per-shard streams, e.g. the flight recorder's per-shard rings.
-    pub fn node_shards(&self) -> &[u32] {
-        &self.node_shard
-    }
-
-    /// The shard that will execute `kind`: the shard of the node the event
-    /// fires on. Global network events (partitions, loss changes) run on
-    /// the home shard — they mutate coordinator-shared state, which is safe
-    /// because commit order is globally serialized.
-    fn shard_of_kind(&self, kind: &EventKind) -> usize {
-        let node = match kind {
-            EventKind::Deliver { to, .. } => to.node,
-            EventKind::Timer { on, .. } => on.node,
-            EventKind::NodeCrash { node } | EventKind::NodeRestart { node } => *node,
-            EventKind::PartitionStart { .. }
-            | EventKind::PartitionEnd { .. }
-            | EventKind::SetLossRate { .. }
-            | EventKind::FlowDone { .. }
-            | EventKind::LinkDown { .. }
-            | EventKind::LinkUp { .. }
-            | EventKind::LinkBandwidth { .. } => return 0,
-        };
-        self.node_shard.get(node.0 as usize).copied().unwrap_or(0) as usize
-    }
-
-    /// File an event into its shard's queue with a globally allocated
-    /// sequence number — the cross-shard channel send. The destination
-    /// shard's cached head is invalidated.
-    fn push_event(&mut self, time: SimTime, kind: EventKind, cause: u64) {
-        let s = self.shard_of_kind(&kind);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.shards[s].queue.push_with_seq(time, seq, kind, cause);
-        self.head_valid[s] = false;
     }
 
     /// Install a boot hook: called on every restart of `node` to re-create
@@ -466,7 +368,7 @@ impl World {
     /// Inject a message from outside the simulation (delivered at the
     /// current instant, reliable). The receiver sees [`EXTERNAL`] as sender.
     pub fn post<M: Message>(&mut self, to: Addr, msg: M) {
-        self.push_event(
+        self.queue.push(
             self.now,
             EventKind::Deliver {
                 from: EXTERNAL,
@@ -502,7 +404,7 @@ impl World {
                 },
             };
             // Fault injections are roots of the happens-before DAG.
-            self.push_event(*t, kind, NO_CAUSE);
+            self.queue.push(*t, kind, NO_CAUSE);
         }
     }
 
@@ -538,10 +440,10 @@ impl World {
         self.events_processed
     }
 
-    /// Pending events across every shard's queue (telemetry heartbeats
-    /// sample this as a backpressure signal).
+    /// Pending events (telemetry heartbeats sample this as a backpressure
+    /// signal).
     pub fn queue_len(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.queue.len()
     }
 
     /// The metrics sink.
@@ -597,57 +499,6 @@ impl World {
 
     // ----- running ---------------------------------------------------------
 
-    /// Refresh the cached head keys of any shard whose queue changed.
-    fn refresh_heads(&mut self) {
-        for s in 0..self.shards.len() {
-            if !self.head_valid[s] {
-                self.heads[s] = self.shards[s].queue.peek_key();
-                self.head_valid[s] = true;
-            }
-        }
-    }
-
-    /// The shard holding the globally earliest `(time, seq)` event — the
-    /// N-way merge step of the coordinator. `None` when every queue is
-    /// empty.
-    fn min_shard(&mut self) -> Option<usize> {
-        self.refresh_heads();
-        let mut best: Option<(EventKey, usize)> = None;
-        for (s, head) in self.heads.iter().enumerate() {
-            if let Some(key) = *head {
-                match best {
-                    Some((bk, _)) if bk <= key => {}
-                    _ => best = Some((key, s)),
-                }
-            }
-        }
-        best.map(|(_, s)| s)
-    }
-
-    /// Timestamp of the globally earliest pending event, if any.
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        let s = self.min_shard()?;
-        self.heads[s].map(|(t, _)| t)
-    }
-
-    /// How many shards could execute their next event *concurrently* under
-    /// the conservative lookahead protocol: shards whose head lies at or
-    /// before their safe horizon (minimum over peer shards of peer clock +
-    /// WAN lookahead). A measure of the parallelism the current partition
-    /// exposes; always 1 for a busy single-shard world.
-    pub fn runnable_shards(&mut self) -> usize {
-        let lookahead = self.network.lookahead();
-        self.refresh_heads();
-        let clocks: Vec<SimTime> = self.shards.iter().map(|s| s.clock).collect();
-        self.heads
-            .iter()
-            .enumerate()
-            .filter(|(s, head)| {
-                head.is_some_and(|(t, _)| t <= safe_horizon(&clocks, *s, lookahead))
-            })
-            .count()
-    }
-
     /// Process a single event. Returns `false` when nothing was processed
     /// (queue empty, halted, or a stop condition was hit).
     pub fn step(&mut self) -> bool {
@@ -659,22 +510,18 @@ impl World {
                 return false;
             }
         }
-        // Merge-pop the globally earliest event, discarding cancelled
-        // timers without advancing the clock, so a cancelled far-future
-        // timeout doesn't stretch the run.
-        let (shard, event) = loop {
-            let Some(s) = self.min_shard() else {
+        // Discard cancelled timers without advancing the clock, so a
+        // cancelled far-future timeout doesn't stretch the run.
+        let event = loop {
+            let Some(event) = self.queue.pop() else {
                 return false;
             };
-            let event = self.shards[s].queue.pop().expect("cached head present");
-            self.head_valid[s] = false;
             if let EventKind::Timer { id, .. } = &event.kind {
-                let sh = &mut self.shards[s];
-                if !sh.cancelled.is_empty() && sh.cancelled.remove(id) {
+                if !self.cancelled.is_empty() && self.cancelled.remove(id) {
                     continue;
                 }
             }
-            break (s, event);
+            break event;
         };
         if let Some(max) = self.max_time {
             if event.time > max {
@@ -686,24 +533,13 @@ impl World {
         debug_assert!(event.time >= self.now, "time went backwards");
         self.now = event.time;
         self.events_processed += 1;
-        {
-            let sh = &mut self.shards[shard];
-            sh.clock = event.time;
-            sh.events += 1;
-        }
         self.cur_event_id = event.seq;
         self.cur_inherited = event.cause;
         self.trace_mark = self.trace.emitted_count();
         if let Some(p) = &mut self.profiler {
-            let depth = self.shards.iter().map(|s| s.queue.len()).sum();
-            p.note_event(event_kind_name(&event.kind), event.time, depth);
+            p.note_event(event_kind_name(&event.kind), event.time, self.queue.len());
         }
         self.process(event.kind);
-        if self.shards.len() > 1 && self.events_processed & RUNNABLE_SAMPLE_MASK == 0 {
-            let runnable = self.runnable_shards() as f64;
-            let now = self.now;
-            self.metrics.gauge("shard.runnable", now, runnable);
-        }
         true
     }
 
@@ -715,7 +551,7 @@ impl World {
     /// Run all events up to and including `t`, then set the clock to `t`.
     pub fn run_until(&mut self, t: SimTime) {
         while !self.halted {
-            match self.next_event_time() {
+            match self.queue.peek_time() {
                 Some(et) if et <= t => {
                     if !self.step() {
                         break;
@@ -759,15 +595,6 @@ impl World {
                 self.dispatch(to, |comp, ctx| comp.on_message(ctx, from, msg));
             }
             EventKind::Timer { on, id, tag, epoch } => {
-                let s = self
-                    .node_shard
-                    .get(on.node.0 as usize)
-                    .copied()
-                    .unwrap_or(0) as usize;
-                let sh = &mut self.shards[s];
-                if !sh.cancelled.is_empty() && sh.cancelled.remove(&id) {
-                    return;
-                }
                 if !self.nodes.get(on.node.0 as usize).is_some_and(|n| n.up) {
                     return;
                 }
@@ -828,7 +655,8 @@ impl World {
                 if let Some((from, to, msg, resched)) = self.network.flow_complete(flow, self.now) {
                     self.metrics.incr("net.flows_done", 1);
                     let cause = self.cause_now();
-                    self.push_event(self.now, EventKind::Deliver { from, to, msg }, cause);
+                    self.queue
+                        .push(self.now, EventKind::Deliver { from, to, msg }, cause);
                     self.push_flow_deadlines(resched, cause);
                 }
             }
@@ -868,7 +696,7 @@ impl World {
     /// deadline just changed.
     fn push_flow_deadlines(&mut self, resched: Vec<(u64, SimTime)>, cause: u64) {
         for (flow, at) in resched {
-            self.push_event(at, EventKind::FlowDone { flow }, cause);
+            self.queue.push(at, EventKind::FlowDone { flow }, cause);
         }
     }
 
@@ -880,7 +708,7 @@ impl World {
         let cause = self.cause_now();
         for a in aborted {
             self.metrics.incr("net.flows_aborted", 1);
-            self.push_event(
+            self.queue.push(
                 self.now,
                 EventKind::Deliver {
                     from: a.to,
@@ -946,12 +774,6 @@ impl World {
             free_comps: self.free_comps.as_mut(),
             event_id: self.cur_event_id,
             event_cause: self.cur_inherited,
-            shard: ShardId(
-                self.node_shard
-                    .get(addr.node.0 as usize)
-                    .copied()
-                    .unwrap_or(0),
-            ),
         };
         let handler_start = prof_name.as_ref().map(|_| std::time::Instant::now());
         f(comp.as_mut(), &mut ctx);
@@ -984,25 +806,16 @@ impl World {
                     match self.network.route(&mut self.rng, from.node, to.node) {
                         Some(latency) => {
                             // FIFO per directed link: never deliver before a
-                            // message sent earlier on the same link. Link
-                            // state lives on the *sender's* shard (the one
-                            // executing this effect).
+                            // message sent earlier on the same link.
                             let mut at = self.now + latency;
-                            let s = self
-                                .node_shard
-                                .get(from.node.0 as usize)
-                                .copied()
-                                .unwrap_or(0);
-                            let slot = self.shards[s as usize]
-                                .fifo
-                                .entry((from.node, to.node))
-                                .or_insert(at);
+                            let slot = self.fifo.entry((from.node, to.node)).or_insert(at);
                             if *slot > at {
                                 at = *slot;
                             }
                             *slot = at;
                             let cause = self.cause_now();
-                            self.push_event(at, EventKind::Deliver { from, to, msg }, cause);
+                            self.queue
+                                .push(at, EventKind::Deliver { from, to, msg }, cause);
                         }
                         None => {
                             self.metrics.incr("net.lost", 1);
@@ -1038,7 +851,7 @@ impl World {
                     {
                         Some(delay) => {
                             let cause = self.cause_now();
-                            self.push_event(
+                            self.queue.push(
                                 self.now + delay,
                                 EventKind::Deliver { from, to, msg },
                                 cause,
@@ -1055,7 +868,7 @@ impl World {
                         .route(&mut self.rng, from.node, from.node)
                         .expect("loopback never drops");
                     let cause = self.cause_now();
-                    self.push_event(
+                    self.queue.push(
                         self.now + latency,
                         EventKind::Deliver { from, to, msg },
                         cause,
@@ -1064,7 +877,7 @@ impl World {
                 Effect::SetTimer { id, after, tag } => {
                     let epoch = self.comp(from.comp).map_or(0, |c| c.epoch);
                     let cause = self.cause_now();
-                    self.push_event(
+                    self.queue.push(
                         self.now + after,
                         EventKind::Timer {
                             on: from,
@@ -1076,14 +889,7 @@ impl World {
                     );
                 }
                 Effect::CancelTimer { id } => {
-                    // Timers fire on the component that set them, so the
-                    // cancellation lands in the issuing shard's set.
-                    let s = self
-                        .node_shard
-                        .get(from.node.0 as usize)
-                        .copied()
-                        .unwrap_or(0);
-                    self.shards[s as usize].cancelled.insert(id);
+                    self.cancelled.insert(id);
                 }
                 Effect::Spawn {
                     node,
@@ -1125,7 +931,8 @@ impl World {
                 Effect::CrashNode { node } => self.do_crash(node),
                 Effect::RestartNode { node, after } => {
                     let cause = self.cause_now();
-                    self.push_event(self.now + after, EventKind::NodeRestart { node }, cause);
+                    self.queue
+                        .push(self.now + after, EventKind::NodeRestart { node }, cause);
                 }
                 Effect::Halt => {
                     self.halted = true;
@@ -1389,6 +1196,30 @@ mod tests {
         w.run_until_quiescent();
         assert_eq!(w.store().get::<Vec<u64>>(n, "fired"), Some(vec![1, 3]));
         assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(3));
+    }
+
+    #[test]
+    fn cancelled_far_future_timer_neither_fires_nor_advances_the_clock() {
+        struct Canceller {
+            far: Option<TimerId>,
+        }
+        impl Component for Canceller {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(Duration::from_secs(1), 1);
+                self.far = Some(ctx.set_timer(Duration::from_hours(1), 2));
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
+                assert_eq!(tag, 1, "the cancelled timer fired");
+                ctx.cancel_timer(self.far.take().expect("fires once"));
+            }
+        }
+        let mut w = World::new(Config::default().seed(1));
+        let n = w.add_node("n");
+        w.add_component(n, "c", Canceller { far: None });
+        w.run_until_quiescent();
+        assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(1));
+        assert_eq!(w.events_processed(), 1);
+        assert_eq!(w.queue_len(), 0);
     }
 
     #[test]

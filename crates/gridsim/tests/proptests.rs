@@ -170,55 +170,6 @@ proptest! {
         prop_assert!(q.pop().is_none());
     }
 
-    /// The sharded kernel's merge: events partitioned across per-shard
-    /// queues by an arbitrary node→shard map, with globally allocated
-    /// sequence numbers, pop in exactly the order one unpartitioned queue
-    /// produces. This is the invariant that makes `--shards N` digests
-    /// byte-identical to `--shards 1` on random site topologies.
-    #[test]
-    fn sharded_merge_equals_single_queue(
-        shards in 1usize..6,
-        events in prop::collection::vec((0u64..1_000_000, 0u32..32), 1..250),
-        shard_salt in any::<u64>(),
-    ) {
-        // Random node→shard assignment (deterministic in shard_salt).
-        let node_shard: Vec<usize> = (0..32u64)
-            .map(|n| (n.wrapping_mul(shard_salt | 1) >> 7) as usize % shards)
-            .collect();
-        let mk = |tag: u64, node: u32| EventKind::Timer {
-            on: Addr { node: NodeId(node), comp: CompId(0) },
-            id: TimerId(tag),
-            tag,
-            epoch: 0,
-        };
-        let mut single = EventQueue::new();
-        let mut parts: Vec<EventQueue> = (0..shards).map(|_| EventQueue::new()).collect();
-        // Global seq allocation in arrival order — what World::push_event
-        // does — so cross-shard same-time ties keep their arrival order.
-        for (seq, &(t, node)) in events.iter().enumerate() {
-            let seq = seq as u64;
-            single.push_with_seq(SimTime(t), seq, mk(seq, node), gridsim::event::NO_CAUSE);
-            let s = node_shard[node as usize];
-            parts[s].push_with_seq(SimTime(t), seq, mk(seq, node), gridsim::event::NO_CAUSE);
-        }
-        // N-way merge by (time, seq) — the coordinator's commit loop.
-        loop {
-            let best = (0..shards)
-                .filter_map(|s| parts[s].peek_key().map(|k| (k, s)))
-                .min();
-            let Some((key, s)) = best else { break };
-            let merged = parts[s].pop().expect("peeked shard pops");
-            prop_assert_eq!((merged.time, merged.seq), key, "peek_key lied");
-            let want = single.pop().expect("single queue has the event too");
-            prop_assert_eq!(
-                (merged.time, merged.seq),
-                (want.time, want.seq),
-                "merged order diverged from the single queue"
-            );
-        }
-        prop_assert!(single.pop().is_none(), "merge dropped events");
-    }
-
     /// Time arithmetic never panics and preserves ordering.
     #[test]
     fn time_arithmetic_is_total(a in any::<u64>(), b in any::<u64>()) {

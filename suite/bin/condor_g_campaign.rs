@@ -84,17 +84,7 @@ struct Args {
     sweep: u32,
     threads: usize,
     quiet: bool,
-    shards: usize,
     obs: ObsArgs,
-}
-
-/// Resolve `--shards 0` to the machine's core count.
-fn resolve_shards(n: usize) -> usize {
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        n
-    }
 }
 
 fn usage() -> ! {
@@ -102,7 +92,6 @@ fn usage() -> ! {
         "usage: condor-g-campaign [--jobs N] [--sites N] [--users N] [--seed N]\n\
          \x20                        [--duration-hours H] [--mean-runtime-secs S]\n\
          \x20                        [--max-inflight N] [--sweep CELLS] [--threads N] [--quiet]\n\
-         \x20                        [--shards N]\n\
          \x20                        [--telemetry-out FILE] [--telemetry-interval-mins M]\n\
          \x20                        [--flight] [--flight-ring N] [--flight-out FILE]\n\
          \x20                        [--adaptive] [--dead-site IDX]\n\
@@ -112,9 +101,7 @@ fn usage() -> ! {
          its causal window to --flight-out on first trigger (decode with\n\
          `condor-g-trace flight`). --dead-site IDX crashes that site's gatekeeper 30\n\
          minutes in and never restarts it. Flight/telemetry apply to single-campaign\n\
-         mode only (ignored under --sweep). --shards N partitions the kernel into N\n\
-         shards (0 = one per core); any shard count reproduces the same seeded\n\
-         digests — events commit in global (time, seq) order."
+         mode only (ignored under --sweep)."
     );
     std::process::exit(2);
 }
@@ -131,7 +118,6 @@ fn parse_args() -> Args {
         sweep: 0,
         threads: 1,
         quiet: false,
-        shards: 1,
         obs: ObsArgs::default(),
     };
     let mut argv = std::env::args().skip(1);
@@ -154,7 +140,6 @@ fn parse_args() -> Args {
             "--max-inflight" => args.max_inflight = num(&mut argv),
             "--sweep" => args.sweep = num(&mut argv),
             "--threads" => args.threads = num(&mut argv),
-            "--shards" => args.shards = resolve_shards(num(&mut argv)),
             "--quiet" => args.quiet = true,
             "--telemetry-out" => args.obs.telemetry_out = Some(word(&mut argv)),
             "--telemetry-interval-mins" => {
@@ -208,21 +193,11 @@ fn sample_campaign(
         quarantines: recorder.map_or(0, |r| r.quarantines()),
         ring_len: recorder.map_or(0, |r| r.len() as u64),
         ring_evicted: recorder.map_or(0, |r| r.evicted()),
-        shards: tb.world.shard_count() as u64,
-        shard_events: tb.world.shard_events(),
     }
 }
 
-/// Run one campaign cell to completion; deterministic in `spec` (and, by
-/// the sharded kernel's global commit order, independent of `shards`).
-/// Returns the cell result plus per-shard committed-event totals.
-fn run_campaign(
-    spec: &CampaignSpec,
-    max_inflight: u32,
-    shards: usize,
-    label: &str,
-    obs: &ObsArgs,
-) -> (CellResult, Vec<u64>) {
+/// Run one campaign cell to completion; deterministic in `spec`.
+fn run_campaign(spec: &CampaignSpec, max_inflight: u32, label: &str, obs: &ObsArgs) -> CellResult {
     let started = Instant::now();
     let sites = spec
         .grid()
@@ -237,17 +212,13 @@ fn run_campaign(
         lean: true,
         adaptive: obs.adaptive,
         proxy_lifetime: spec.duration * 20.0 + Duration::from_days(60),
-        shards,
         ..TestbedConfig::default()
     });
     // The black box: subscribing it to the trace sink turns tracing on,
     // so every protocol component starts materializing its records — that
     // is the overhead the bench measures, and the ring bounds the memory.
-    // With a sharded kernel the recorder keeps one ring per shard and
-    // merges on read, so dumps decode unchanged.
     let recorder = if obs.flight {
-        let rec = FlightRecorder::with_shards(obs.flight_ring, tb.world.shard_count());
-        rec.assign_node_shards(tb.world.node_shards());
+        let rec = FlightRecorder::new(obs.flight_ring);
         tb.world.trace_mut().subscribe(Box::new(rec.clone()));
         Some(rec)
     } else {
@@ -377,7 +348,7 @@ fn run_campaign(
             eprintln!("debug:   {count:>8}  {prefix:?}");
         }
     }
-    let result = CellResult {
+    CellResult {
         label: label.to_string(),
         seed: spec.seed,
         jobs_done: CampaignDriver::done(&tb.world, tb.submit),
@@ -385,8 +356,7 @@ fn run_campaign(
         sim_secs: (tb.world.now() - SimTime::ZERO).as_secs_f64(),
         wall_secs: started.elapsed().as_secs_f64(),
         digest: CampaignDriver::digest(&tb.world, tb.submit),
-    };
-    (result, tb.world.shard_events())
+    }
 }
 
 fn main() {
@@ -403,7 +373,6 @@ fn main() {
         let spec = args.spec.clone();
         // Cells fly uninstrumented: flight/telemetry flags apply to
         // single-campaign mode only (they would race on the output files).
-        let shards = args.shards;
         let results = run_cells(&cells, args.threads, move |cell| {
             let cell_spec = CampaignSpec {
                 seed: cell.seed,
@@ -412,11 +381,9 @@ fn main() {
             run_campaign(
                 &cell_spec,
                 args.max_inflight,
-                shards,
                 &cell.label,
                 &ObsArgs::default(),
             )
-            .0
         });
         let stats = FarmStats::of(&results);
         let wall_secs = wall.elapsed().as_secs_f64();
@@ -437,7 +404,7 @@ fn main() {
             );
         }
         println!(
-            "RESULT jobs={} done={} failed={} sim_secs={:.0} wall_secs={:.3} jobs_per_sec={:.1} peak_rss_kb={} digest={:016x} speedup={:.3} shards={}",
+            "RESULT jobs={} done={} failed={} sim_secs={:.0} wall_secs={:.3} jobs_per_sec={:.1} peak_rss_kb={} digest={:016x} speedup={:.3}",
             stats.jobs_done + stats.jobs_failed,
             stats.jobs_done,
             stats.jobs_failed,
@@ -447,18 +414,11 @@ fn main() {
             peak_rss_kb(),
             stats.digest,
             stats.cell_wall_secs / wall_secs.max(1e-9),
-            args.shards,
         );
         return;
     }
 
-    let (r, shard_events) = run_campaign(
-        &args.spec,
-        args.max_inflight,
-        args.shards,
-        "campaign",
-        &args.obs,
-    );
+    let r = run_campaign(&args.spec, args.max_inflight, "campaign", &args.obs);
     if !args.quiet {
         println!(
             "campaign: {} jobs over {} sites / {} users (seed {})",
@@ -472,13 +432,8 @@ fn main() {
             r.wall_secs
         );
     }
-    let per_shard = shard_events
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join("/");
     println!(
-        "RESULT jobs={} done={} failed={} sim_secs={:.0} wall_secs={:.3} jobs_per_sec={:.1} peak_rss_kb={} digest={:016x} shards={} shard_events={}",
+        "RESULT jobs={} done={} failed={} sim_secs={:.0} wall_secs={:.3} jobs_per_sec={:.1} peak_rss_kb={} digest={:016x}",
         args.spec.jobs,
         r.jobs_done,
         r.jobs_failed,
@@ -487,7 +442,5 @@ fn main() {
         (r.jobs_done + r.jobs_failed) as f64 / r.wall_secs.max(1e-9),
         peak_rss_kb(),
         r.digest,
-        shard_events.len(),
-        per_shard,
     );
 }

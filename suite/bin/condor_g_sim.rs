@@ -348,9 +348,6 @@ pub struct ObsOptions {
     telemetry_interval: Option<Duration>,
     /// Enable the kernel profiler and print its summary.
     profile: bool,
-    /// Kernel shard count (0 = one per core). Any value reproduces the
-    /// same seeded trace: events commit in global `(time, seq)` order.
-    shards: usize,
 }
 
 /// Build and run a parsed scenario; prints the report.
@@ -358,7 +355,6 @@ pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
     let mut tb: Testbed = build(TestbedConfig {
         seed: scn.seed,
         sites: scn.sites.clone(),
-        shards: obs.shards.max(1),
         with_mds: scn.mds,
         mds_broker: scn.mds_broker,
         with_personal_pool: scn.personal_pool,
@@ -479,8 +475,6 @@ pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
                 sites,
                 site_submits,
                 site_attempt_failures,
-                shards: tb.world.shard_count() as u64,
-                shard_events: tb.world.shard_events(),
                 ..TelemetrySample::default()
             });
         }
@@ -558,19 +552,6 @@ pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
     t.row(&[
         "events simulated".into(),
         format!("{}", tb.world.events_processed()),
-    ]);
-    t.row(&[
-        "kernel shards".into(),
-        format!("{}", tb.world.shard_count()),
-    ]);
-    t.row(&[
-        "per-shard events".into(),
-        tb.world
-            .shard_events()
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join("/"),
     ]);
     println!("\n{}", t.render());
     println!("per-job outcomes:");
@@ -677,10 +658,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: condor-g-sim [--trace-out <file.jsonl>] [--metrics-out <file.prom|file.json>] \
          [--perfetto-out <file.pb>] [--weather-out <file.json>] \
-         [--telemetry-out <file.jsonl>] [--telemetry-interval <dur>] [--profile] \
-         [--shards N] <scenario-file>\n\
-         --shards N partitions the kernel into N shards (0 = one per core); any\n\
-         shard count reproduces the same seeded trace byte-for-byte."
+         [--telemetry-out <file.jsonl>] [--telemetry-interval <dur>] [--profile] <scenario-file>"
     );
     std::process::exit(2);
 }
@@ -704,17 +682,6 @@ fn main() {
                 );
             }
             "--profile" => obs.profile = true,
-            "--shards" => {
-                let n: usize = argv
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .unwrap_or_else(|| usage());
-                obs.shards = if n == 0 {
-                    std::thread::available_parallelism().map_or(1, usize::from)
-                } else {
-                    n
-                };
-            }
             _ if arg.starts_with("--") => usage(),
             _ if path.is_none() => path = Some(arg),
             _ => usage(),

@@ -225,13 +225,6 @@ pub struct TestbedConfig {
     /// `worker.exe`) preloaded on the submit GASS server. `0` keeps the
     /// legacy tiny inline images.
     pub exe_size: u64,
-    /// Kernel shard count. Shard 0 is the *home* shard (submit machine,
-    /// GIIS, MyProxy); each site's node pair (`gk.*` + `cluster.*`) is
-    /// assigned as a group, round-robin over shards `1..N`. With 1 shard
-    /// everything lands on shard 0 — the classic layout. Any shard count
-    /// produces the same seeded results (events commit in global
-    /// `(time, seq)` order); see `gridsim::shard`.
-    pub shards: usize,
 }
 
 impl Default for TestbedConfig {
@@ -251,7 +244,6 @@ impl Default for TestbedConfig {
             lean: false,
             wan: None,
             exe_size: 0,
-            shards: 1,
         }
     }
 }
@@ -338,8 +330,6 @@ pub fn build(config: TestbedConfig) -> Testbed {
     if let Some(mt) = config.max_time {
         wconf = wconf.max_time(SimTime::ZERO + mt);
     }
-    let shards = config.shards.max(1);
-    wconf = wconf.shards(shards);
     let mut world = World::new(wconf);
 
     // Submit machine.
@@ -380,17 +370,11 @@ pub fn build(config: TestbedConfig) -> Testbed {
         None
     };
 
-    // Sites. Each site's node pair goes to one shard so gatekeeper↔LRM
-    // traffic stays shard-local; only WAN hops cross shards.
+    // Sites.
     let mut sites = Vec::new();
-    for (site_idx, spec) in config.sites.iter().enumerate() {
-        let site_shard = if shards <= 1 {
-            ShardId::HOME
-        } else {
-            ShardId(1 + (site_idx % (shards - 1)) as u32)
-        };
-        let interface = world.add_node_on(&format!("gk.{}", spec.name), site_shard);
-        let cluster = world.add_node_on(&format!("cluster.{}", spec.name), site_shard);
+    for spec in &config.sites {
+        let interface = world.add_node(&format!("gk.{}", spec.name));
+        let cluster = world.add_node(&format!("cluster.{}", spec.name));
         let mut lrm = Lrm::new(&spec.name, spec.cpus, BoxedPolicy(policy_for(&spec.kind)))
             .with_arch(&spec.arch);
         if let Some(limit) = spec.wall_limit {

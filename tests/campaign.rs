@@ -6,6 +6,15 @@ use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig};
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
 use condor_g_suite::workloads::farm::{run_cells, Cell, CellResult, FarmStats};
+use std::process::{Command, Output};
+
+/// Run the compiled `condor-g-campaign` binary.
+fn campaign_bin(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_condor-g-campaign"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
 
 /// Run one small campaign cell end to end through the lean stack and
 /// return its merged outcome. Deterministic in `seed`.
@@ -83,6 +92,33 @@ fn lean_campaign_completes_and_reclaims_state() {
     assert_eq!(r.jobs_done + r.jobs_failed, 400, "campaign did not settle");
     assert!(r.jobs_done >= 390, "unexpected failure rate: {r:?}");
     assert_ne!(r.digest, 0xcbf2_9ce4_8422_2325, "digest never advanced");
+}
+
+#[test]
+fn campaign_binary_reproduces_the_recorded_digest() {
+    // Recorded at PR 13 (143,806 kernel events). A kernel or protocol
+    // change that moves it must say why and re-record it.
+    let out = campaign_bin(&[
+        "--jobs", "2000", "--sites", "10", "--users", "50", "--quiet",
+    ]);
+    assert!(out.status.success(), "exited {:?}", out.status.code());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let result = stdout.lines().last().unwrap_or_default();
+    assert!(
+        result.starts_with("RESULT jobs=2000 done=2000 failed=0 "),
+        "{result}"
+    );
+    assert!(result.ends_with(" digest=001d7918bf8e369a"), "{result}");
+}
+
+#[test]
+fn removed_kernel_partition_flag_is_a_usage_error() {
+    let flag = "--shards";
+    let out = campaign_bin(&[flag, "4", "--jobs", "10"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage: condor-g-campaign"), "{err}");
+    assert!(!err.contains(flag), "{err}");
 }
 
 #[test]

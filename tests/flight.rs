@@ -62,8 +62,6 @@ fn sample(tb: &Testbed, recorder: &FlightRecorder) -> TelemetrySample {
         quarantines: recorder.quarantines(),
         ring_len: recorder.len() as u64,
         ring_evicted: recorder.evicted(),
-        shards: tb.world.shard_count() as u64,
-        shard_events: tb.world.shard_events(),
     }
 }
 

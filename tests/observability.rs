@@ -1,10 +1,10 @@
 //! End-to-end tests for the observability layer: JSONL export determinism,
-//! bounded-memory tracing via the ring buffer, and span reconstruction on a
+//! bounded-memory tracing via the flight ring, and span reconstruction on a
 //! live campaign.
 
 use condor_g_suite::condor_g::api::GridJobSpec;
 use condor_g_suite::gridsim::obs::{
-    json_snapshot, prometheus_snapshot, JsonlWriter, RingBuffer, SpanCollector,
+    json_snapshot, prometheus_snapshot, FlightRecorder, JsonlWriter, SpanCollector,
 };
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig, UserConsole};
@@ -68,7 +68,7 @@ fn jsonl_export_is_byte_identical_across_same_seed_runs() {
 
 #[test]
 fn ring_buffer_bounds_memory_with_vector_disabled() {
-    let ring = RingBuffer::new(64);
+    let ring = FlightRecorder::new(64);
     // In-memory vector off: the ring is the only retention.
     let mut tb = testbed(7, false);
     tb.world.trace_mut().subscribe(Box::new(ring.clone()));
@@ -80,8 +80,9 @@ fn ring_buffer_bounds_memory_with_vector_disabled() {
         ring.evicted() > 0,
         "campaign emits more than the ring holds"
     );
+    assert!(ring.seen() >= 64 + ring.evicted(), "every record counted");
     // The retained window is the most recent events, in order.
-    let snap = ring.snapshot();
+    let snap = ring.records();
     assert!(snap.windows(2).all(|w| w[0].time <= w[1].time));
 }
 

@@ -83,6 +83,21 @@ fn bad_scenario_reports_the_offending_line() {
 }
 
 #[test]
+fn removed_kernel_partition_flag_is_a_usage_error() {
+    let flag = "--shards";
+    let exe = env!("CARGO_BIN_EXE_condor-g-sim");
+    let out = Command::new(exe)
+        .args([flag, "2"])
+        .arg(format!("{}/scenarios/demo.scn", env!("CARGO_MANIFEST_DIR")))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage: condor-g-sim"), "{err}");
+    assert!(!err.contains(flag), "{err}");
+}
+
+#[test]
 fn missing_file_is_a_usage_error() {
     let exe = env!("CARGO_BIN_EXE_condor-g-sim");
     let out = Command::new(exe)
