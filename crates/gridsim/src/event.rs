@@ -1,8 +1,9 @@
 //! The event queue.
 //!
 //! Events are keyed by `(time, seq)`: `seq` is a monotonically increasing
-//! sequence number assigned at push time, so simultaneous events fire in the
-//! order they were scheduled. That total order is the root of the kernel's
+//! sequence number assigned at push time (or reserved ahead of the push, see
+//! [`EventQueue::reserve_seq`]), so simultaneous events fire in the order
+//! they were scheduled. That total order is the root of the kernel's
 //! determinism guarantee.
 //!
 //! The implementation is a two-level calendar queue tuned for the timer-dense
@@ -79,10 +80,12 @@ pub enum EventKind {
         /// New rate (NaN restores the configured default).
         rate: f64,
     },
-    /// A flow-mode bulk transfer's completion deadline. Valid only if the
-    /// flow still exists *and* its current deadline equals the fire time —
-    /// rate changes reschedule by pushing a fresh event and letting the
-    /// old one go stale (no queue surgery).
+    /// The flow network's one armed completion: the flow with the earliest
+    /// `(deadline, stamp)` when it was pushed, filed under that flow's
+    /// reserved sequence number ([`EventQueue::reserve_seq`]). Valid only
+    /// if the flow still exists and both its current deadline and its
+    /// current stamp equal the event's `(time, seq)`; otherwise the flow
+    /// was rescheduled since, and the kernel just re-arms.
     FlowDone {
         /// The flow id.
         flow: u64,
@@ -227,8 +230,25 @@ impl EventQueue {
     /// Schedule `kind` at `time`, recording `cause` as its causal ancestor
     /// (use [`NO_CAUSE`] for external stimuli).
     pub fn push(&mut self, time: SimTime, kind: EventKind, cause: u64) {
+        let seq = self.reserve_seq();
+        self.push_reserved(time, seq, kind, cause);
+    }
+
+    /// Take the next sequence number without scheduling anything: the
+    /// caller holds the queue position a `push` right now would get, and
+    /// may claim it later with [`push_reserved`](Self::push_reserved).
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `kind` at `(time, seq)` for a `seq` obtained from
+    /// [`reserve_seq`](Self::reserve_seq). The key must lie after every
+    /// event already popped; it may lie before events already queued
+    /// (same `time`, larger `seq`), and it then pops before them.
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, kind: EventKind, cause: u64) {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
         self.len += 1;
         let event = Event {
             time,

@@ -17,14 +17,10 @@
 pub mod flow;
 
 use crate::component::{Addr, AnyMsg, NodeId};
+use crate::event::EventQueue;
 use crate::rng::{Dist, SimRng};
 use crate::time::{Duration, SimTime};
-use flow::{AbortedFlow, FlowNet, LinkId};
-
-/// Updated `(flow id, completion deadline)` schedule after a rescale.
-pub(crate) type FlowResched = Vec<(u64, SimTime)>;
-/// A completed flow: sender, receiver, payload, survivors' new schedule.
-pub(crate) type FlowDelivery = (Addr, Addr, AnyMsg, FlowResched);
+use flow::{AbortedFlow, FlowDue, FlowNet, LinkId};
 use std::collections::{HashMap, HashSet};
 
 /// Static configuration of the network model.
@@ -290,11 +286,16 @@ impl Network {
             .is_some_and(|f| f.set_link_override(name, cap))
     }
 
+    // The methods below change the flow set or the topology and leave
+    // rates and deadlines stale: the kernel follows each with one
+    // [`Network::flow_refresh`], after it has pushed whatever events the
+    // change itself produces, so sequence numbers are reserved in the
+    // order the kernel schedules things.
+
     /// Decide the fate of a bulk transfer in flow mode and, if it goes
-    /// through, register the flow. Returns `None` (payload dropped, after
+    /// through, register the flow. Returns `false` (payload dropped, after
     /// `dropped` is bumped) on partition, a down link on the route, or a
-    /// per-volume loss draw; otherwise the updated completion schedule to
-    /// install ([`flow::FlowNet::refresh`]).
+    /// per-volume loss draw.
     ///
     /// Unlike the legacy model, loss here compounds per MB of payload: a
     /// transfer of `n` chunks survives with probability `(1 - p)^n` (still
@@ -307,16 +308,16 @@ impl Network {
         bytes: u64,
         msg: AnyMsg,
         now: SimTime,
-    ) -> Option<Vec<(u64, SimTime)>> {
+    ) -> bool {
         debug_assert!(from.node != to.node, "loopback stays on the legacy path");
         if !self.reachable(from.node, to.node) {
             self.dropped += 1;
-            return None;
+            return false;
         }
         let p = volume_loss(self.loss_for(from.node, to.node), bytes);
         if rng.chance(p) {
             self.dropped += 1;
-            return None;
+            return false;
         }
         let dist = self
             .overrides
@@ -329,91 +330,68 @@ impl Network {
         let route = flow.route_for(from.node, to.node);
         if route.iter().any(|&l| !flow.link_is_up(l)) {
             self.dropped += 1;
-            return None;
+            return false;
         }
         for &l in &route {
             latency += Duration::from_secs_f64(flow.link_latency(l));
         }
         flow.start(from, to, bytes, route, latency, cap, now, msg);
-        Some(flow.refresh(now))
+        true
     }
 
-    /// Complete flow `id` if `now` matches its current deadline (stale
-    /// events return `None`). On success: `(from, to, payload, updated
-    /// completion schedule)`.
-    pub(crate) fn flow_complete(&mut self, id: u64, now: SimTime) -> Option<FlowDelivery> {
-        let flow = self.flow.as_mut()?;
-        let (from, to, msg) = flow.complete(id, now)?;
-        let resched = flow.refresh(now);
-        Some((from, to, msg, resched))
+    /// Complete flow `id` if the firing event's `(now, stamp)` matches the
+    /// flow's current deadline and stamp (an event armed before the flow
+    /// was last rescheduled returns `None`). On success: `(from, to,
+    /// payload)`.
+    pub(crate) fn flow_complete(
+        &mut self,
+        id: u64,
+        now: SimTime,
+        stamp: u64,
+    ) -> Option<(Addr, Addr, AnyMsg)> {
+        self.flow.as_mut()?.complete(id, now, stamp)
     }
 
     /// Abort every flow whose endpoints are no longer mutually reachable
-    /// (call after installing a partition). Returns the aborted flows and
-    /// the survivors' updated completion schedule.
-    pub(crate) fn flow_abort_unreachable(
-        &mut self,
-        now: SimTime,
-    ) -> (Vec<AbortedFlow>, Vec<(u64, SimTime)>) {
+    /// (call after installing a partition).
+    pub(crate) fn flow_abort_unreachable(&mut self) -> Vec<AbortedFlow> {
         let Some(flow) = self.flow.as_mut() else {
-            return (Vec::new(), Vec::new());
+            return Vec::new();
         };
         let partitioned = &self.partitioned;
-        let aborted = flow.abort_where(|a, b, _| a != b && partitioned.contains(&pair_key(a, b)));
-        let resched = flow.refresh(now);
-        (aborted, resched)
+        flow.abort_where(|a, b, _| a != b && partitioned.contains(&pair_key(a, b)))
     }
 
     /// Abort every flow with an endpoint on `node` (call on node crash).
-    pub(crate) fn flow_abort_node(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-    ) -> (Vec<AbortedFlow>, Vec<(u64, SimTime)>) {
+    pub(crate) fn flow_abort_node(&mut self, node: NodeId) -> Vec<AbortedFlow> {
         let Some(flow) = self.flow.as_mut() else {
-            return (Vec::new(), Vec::new());
+            return Vec::new();
         };
-        let aborted = flow.abort_where(|a, b, _| a == node || b == node);
-        let resched = flow.refresh(now);
-        (aborted, resched)
+        flow.abort_where(|a, b, _| a == node || b == node)
     }
 
-    /// Take link `name` down: crossing flows abort, the rest rescale.
-    /// `None` for unknown names or flow mode off.
-    pub(crate) fn flow_link_down(
-        &mut self,
-        name: &str,
-        now: SimTime,
-    ) -> Option<(Vec<AbortedFlow>, FlowResched)> {
+    /// Take link `name` down and abort the flows crossing it. `None` for
+    /// unknown names or flow mode off.
+    pub(crate) fn flow_link_down(&mut self, name: &str) -> Option<Vec<AbortedFlow>> {
         let flow = self.flow.as_mut()?;
         let id = flow.link_id(name)?;
         flow.set_link_up(name, false);
-        let aborted = flow.abort_where(|_, _, route| route.contains(&id));
-        let resched = flow.refresh(now);
-        Some((aborted, resched))
+        Some(flow.abort_where(|_, _, route| route.contains(&id)))
     }
 
-    /// Bring link `name` back up and rescale active flows.
-    pub(crate) fn flow_link_up(&mut self, name: &str, now: SimTime) -> Option<Vec<(u64, SimTime)>> {
-        let flow = self.flow.as_mut()?;
-        flow.link_id(name)?;
-        flow.set_link_up(name, true);
-        Some(flow.refresh(now))
+    /// Settle every flow up to `now`, re-run the fair share, and stamp
+    /// each changed completion deadline with a sequence number reserved
+    /// from `queue` and with `cause` (see [`flow::FlowNet::refresh`]).
+    pub(crate) fn flow_refresh(&mut self, now: SimTime, cause: u64, queue: &mut EventQueue) {
+        if let Some(flow) = self.flow.as_mut() {
+            flow.refresh(now, cause, queue);
+        }
     }
 
-    /// Apply (or with `None`, clear) a capacity override on link `name`
-    /// and rescale active flows — an override of `0.0` stalls them
-    /// without aborting.
-    pub(crate) fn flow_link_bandwidth(
-        &mut self,
-        name: &str,
-        cap: Option<f64>,
-        now: SimTime,
-    ) -> Option<Vec<(u64, SimTime)>> {
-        let flow = self.flow.as_mut()?;
-        flow.link_id(name)?;
-        flow.set_link_override(name, cap);
-        Some(flow.refresh(now))
+    /// The earliest pending flow completion as of the last
+    /// [`Network::flow_refresh`].
+    pub(crate) fn flow_next_due(&self) -> Option<FlowDue> {
+        self.flow.as_ref()?.next_due()
     }
 }
 
@@ -587,19 +565,13 @@ mod tests {
             comp: crate::component::CompId(0),
         };
         net.partition(&[NodeId(1)], &[NodeId(2)]);
-        assert!(net
-            .flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO)
-            .is_none());
+        assert!(!net.flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO));
         net.heal(&[NodeId(1)], &[NodeId(2)]);
         assert!(net.set_flow_link_up("wan", false));
-        assert!(net
-            .flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO)
-            .is_none());
+        assert!(!net.flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO));
         assert_eq!(net.dropped, 2);
         assert!(net.set_flow_link_up("wan", true));
-        assert!(net
-            .flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO)
-            .is_some());
+        assert!(net.flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO));
         assert_eq!(net.flows_active(), 1);
     }
 }

@@ -199,6 +199,11 @@ pub struct World {
     cur_event_id: u64,
     cur_inherited: u64,
     trace_mark: u64,
+    /// `(time, seq)` of every `FlowDone` event in the queue, latest first.
+    /// The last is the flow network's armed completion; the ones before it
+    /// were armed when a later flow was the earliest (see
+    /// [`World::arm_flow_done`]).
+    flow_armed: Vec<(SimTime, u64)>,
 }
 
 /// Stable names for kernel event kinds, used by the profiler's per-kind
@@ -249,6 +254,7 @@ impl World {
             cur_event_id: NO_CAUSE,
             cur_inherited: NO_CAUSE,
             trace_mark: 0,
+            flow_armed: Vec::new(),
         }
     }
 
@@ -612,8 +618,8 @@ impl World {
                 self.trace_fault("fault.crash", |w| format!("node={}", w.node_name(node)));
                 self.do_crash(node);
                 if self.network.flow_enabled() {
-                    let (aborted, resched) = self.network.flow_abort_node(node, self.now);
-                    self.finish_flow_aborts(aborted, resched);
+                    let aborted = self.network.flow_abort_node(node);
+                    self.finish_flow_aborts(aborted);
                 }
             }
             EventKind::NodeRestart { node } => {
@@ -631,8 +637,8 @@ impl World {
                 self.network.partition(&group_a, &group_b);
                 self.metrics.incr("net.partitions", 1);
                 if self.network.flow_enabled() {
-                    let (aborted, resched) = self.network.flow_abort_unreachable(self.now);
-                    self.finish_flow_aborts(aborted, resched);
+                    let aborted = self.network.flow_abort_unreachable();
+                    self.finish_flow_aborts(aborted);
                 }
             }
             EventKind::PartitionEnd { group_a, group_b } => {
@@ -651,27 +657,35 @@ impl World {
                     .set_global_loss(if rate.is_nan() { None } else { Some(rate) });
             }
             EventKind::FlowDone { flow } => {
-                // Stale deadlines (rescheduled flows) return None: ignore.
-                if let Some((from, to, msg, resched)) = self.network.flow_complete(flow, self.now) {
-                    self.metrics.incr("net.flows_done", 1);
-                    let cause = self.cause_now();
-                    self.queue
-                        .push(self.now, EventKind::Deliver { from, to, msg }, cause);
-                    self.push_flow_deadlines(resched, cause);
+                // This event's (time, seq) is the (deadline, stamp) its
+                // flow had when it was armed; events fire earliest first,
+                // so it is the last one armed.
+                let (at, stamp) = (self.now, self.cur_event_id);
+                let armed = self.flow_armed.pop();
+                debug_assert_eq!(armed, Some((at, stamp)));
+                match self.network.flow_complete(flow, at, stamp) {
+                    Some((from, to, msg)) => {
+                        self.metrics.incr("net.flows_done", 1);
+                        let cause = self.cause_now();
+                        self.queue
+                            .push(self.now, EventKind::Deliver { from, to, msg }, cause);
+                        self.flow_refresh();
+                    }
+                    // The flow was rescheduled after this was armed.
+                    None => self.arm_flow_done(),
                 }
             }
             EventKind::LinkDown { link } => {
                 self.trace_fault("fault.link_down", |_| format!("link={link}"));
-                if let Some((aborted, resched)) = self.network.flow_link_down(&link, self.now) {
+                if let Some(aborted) = self.network.flow_link_down(&link) {
                     self.metrics.incr("net.link_downs", 1);
-                    self.finish_flow_aborts(aborted, resched);
+                    self.finish_flow_aborts(aborted);
                 }
             }
             EventKind::LinkUp { link } => {
                 self.trace_fault("fault.link_up", |_| format!("link={link}"));
-                if let Some(resched) = self.network.flow_link_up(&link, self.now) {
-                    let cause = self.cause_now();
-                    self.push_flow_deadlines(resched, cause);
+                if self.network.set_flow_link_up(&link, true) {
+                    self.flow_refresh();
                 }
             }
             EventKind::LinkBandwidth { link, capacity } => {
@@ -683,28 +697,49 @@ impl World {
                 } else {
                     Some(capacity)
                 };
-                if let Some(resched) = self.network.flow_link_bandwidth(&link, cap, self.now) {
+                if self.network.set_flow_link_capacity(&link, cap) {
                     self.metrics.incr("net.link_rescales", 1);
-                    let cause = self.cause_now();
-                    self.push_flow_deadlines(resched, cause);
+                    self.flow_refresh();
                 }
             }
         }
     }
 
-    /// Schedule a `FlowDone` check for every flow whose completion
-    /// deadline just changed.
-    fn push_flow_deadlines(&mut self, resched: Vec<(u64, SimTime)>, cause: u64) {
-        for (flow, at) in resched {
-            self.queue.push(at, EventKind::FlowDone { flow }, cause);
+    /// Rescale the flow network after a change to its flow set or
+    /// topology. Every flow whose completion deadline moves reserves the
+    /// sequence number an event pushed for it right now would get, so call
+    /// this where that push would happen relative to the other events the
+    /// change schedules.
+    fn flow_refresh(&mut self) {
+        let cause = self.cause_now();
+        self.network.flow_refresh(self.now, cause, &mut self.queue);
+        self.arm_flow_done();
+    }
+
+    /// Keep the flow network's earliest completion in the queue: one
+    /// `FlowDone`, under the sequence number and cause its flow reserved
+    /// when its deadline was set, so it fires at the queue position a
+    /// per-flow event would have had. When the earliest completion moves
+    /// *earlier* it is pushed in front of the armed event, which stays
+    /// queued; when it moves *later* nothing is pushed — the armed event
+    /// fires first, matches no current `(deadline, stamp)`, and re-arms
+    /// from here.
+    fn arm_flow_done(&mut self) {
+        let Some(due) = self.network.flow_next_due() else {
+            return;
+        };
+        let key = (due.at, due.stamp);
+        if self.flow_armed.last().is_none_or(|&armed| key < armed) {
+            let kind = EventKind::FlowDone { flow: due.flow };
+            self.queue.push_reserved(due.at, due.stamp, kind, due.cause);
+            self.flow_armed.push(key);
         }
     }
 
     /// Deliver a [`BulkAborted`] notice to the sender of every aborted
     /// flow (at the current instant — the sender-side stack observes the
-    /// break immediately, like a TCP reset) and install the survivors'
-    /// updated completion schedule.
-    fn finish_flow_aborts(&mut self, aborted: Vec<AbortedFlow>, resched: Vec<(u64, SimTime)>) {
+    /// break immediately, like a TCP reset), then rescale the survivors.
+    fn finish_flow_aborts(&mut self, aborted: Vec<AbortedFlow>) {
         let cause = self.cause_now();
         for a in aborted {
             self.metrics.incr("net.flows_aborted", 1);
@@ -722,7 +757,7 @@ impl World {
                 cause,
             );
         }
-        self.push_flow_deadlines(resched, cause);
+        self.flow_refresh();
     }
 
     /// Record a kernel-injected fault in the trace (roots of the causal
@@ -827,21 +862,17 @@ impl World {
                     self.metrics.incr("net.bulk_bytes", bytes);
                     if self.network.flow_enabled() && from.node != to.node {
                         // Flow mode: the transfer contends with every other
-                        // flow on its route; completion is a rescheduled
-                        // kernel event, not a duration fixed at start.
+                        // flow on its route; its completion time moves with
+                        // them instead of being fixed at start.
                         let now = self.now;
-                        match self
+                        if self
                             .network
                             .flow_start(&mut self.rng, from, to, bytes, msg, now)
                         {
-                            Some(resched) => {
-                                self.metrics.incr("net.flows_started", 1);
-                                let cause = self.cause_now();
-                                self.push_flow_deadlines(resched, cause);
-                            }
-                            None => {
-                                self.metrics.incr("net.lost", 1);
-                            }
+                            self.metrics.incr("net.flows_started", 1);
+                            self.flow_refresh();
+                        } else {
+                            self.metrics.incr("net.lost", 1);
                         }
                         continue;
                     }
@@ -1381,6 +1412,162 @@ mod tests {
         assert_eq!(w.store().get::<u64>(n, "fired_count"), Some(1));
         // No retired-name residue from transient kills.
         assert!(w.lookup(n, "w0").is_none());
+    }
+
+    // ----- flow network: the one armed completion event ------------------
+
+    /// Two nodes joined by one 1 MB/s link, no sampled latency and no
+    /// endpoint cap, so flow deadlines are exact: bytes / fair share.
+    fn flow_world() -> (World, NodeId, NodeId) {
+        let net = NetConfig {
+            default_latency: crate::rng::Dist::Constant(0.0),
+            default_bandwidth: 1e12,
+            ..NetConfig::default()
+        };
+        let mut w = World::new(Config::default().seed(1).net(net));
+        let src = w.add_node("src");
+        let dst = w.add_node("dst");
+        let wan = w.network_mut().add_flow_link("wan", 1e6, 0.0);
+        w.network_mut().set_flow_route(src, dst, &[wan]);
+        (w, src, dst)
+    }
+
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<&'static str>>>;
+
+    #[derive(Debug)]
+    struct Blob(&'static str);
+
+    /// Receives bulk transfers and logs their names.
+    struct Sink(Log);
+    impl Component for Sink {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+            let Blob(name) = *msg.downcast::<Blob>().unwrap();
+            self.0.borrow_mut().push(name);
+        }
+    }
+
+    #[test]
+    fn flow_completion_keeps_its_queue_position_among_same_instant_timers() {
+        // Flow A's completion and two timers land on t = 1.5 s. T1 was set
+        // before A's deadline last changed, T2 after, so the order is
+        // T1, A's completion, T2 — as when every deadline change pushed
+        // its own event. The completion itself is silent; it shows in
+        // where A's delivery falls among the zero-delay echoes the timers
+        // schedule.
+        struct Source {
+            sink: Addr,
+            log: Log,
+        }
+        impl Component for Source {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                // A alone: 1 MB at 1 MB/s, due at 1.0 s.
+                ctx.send_bulk(self.sink, 1_000_000, Blob("A"));
+                ctx.set_timer(Duration::from_millis(1500), 1);
+                ctx.set_timer(Duration::from_millis(500), 2);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
+                match tag {
+                    2 => {
+                        // B halves A's rate: 0.5 MB left at 0.5 MB/s moves
+                        // A's deadline to 1.5 s.
+                        ctx.send_bulk(self.sink, 1_000_000, Blob("B"));
+                        ctx.set_timer(Duration::from_secs(1), 3);
+                    }
+                    1 => {
+                        self.log.borrow_mut().push("T1");
+                        ctx.set_timer(Duration::ZERO, 11);
+                    }
+                    3 => {
+                        self.log.borrow_mut().push("T2");
+                        ctx.set_timer(Duration::ZERO, 13);
+                    }
+                    11 => self.log.borrow_mut().push("T1 echo"),
+                    13 => self.log.borrow_mut().push("T2 echo"),
+                    _ => unreachable!(),
+                }
+            }
+        }
+        let (mut w, src, dst) = flow_world();
+        let log = Log::default();
+        let sink = w.add_component(dst, "sink", Sink(log.clone()));
+        w.add_component(
+            src,
+            "source",
+            Source {
+                sink,
+                log: log.clone(),
+            },
+        );
+        w.run_until(SimTime::ZERO + Duration::from_millis(1500));
+        assert_eq!(*log.borrow(), ["T1", "T2", "T1 echo", "A", "T2 echo"]);
+        w.run_until_quiescent();
+        assert_eq!(log.borrow().last(), Some(&"B"));
+        assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(2));
+    }
+
+    #[test]
+    fn flows_on_one_link_cost_a_bounded_number_of_events() {
+        // Eight flows of 1..8 MB share the link from t = 0, so every start
+        // and every completion moves every deadline. That used to cost one
+        // event per moved deadline; now the queue never holds more than
+        // the armed completion and the delivery it triggers.
+        const FLOWS: u64 = 8;
+        const TIMERS: usize = 3;
+        struct Source(Addr);
+        impl Component for Source {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for i in 1..=FLOWS {
+                    ctx.send_bulk(self.0, i * 1_000_000, Blob("x"));
+                }
+                for _ in 0..TIMERS {
+                    ctx.set_timer(Duration::from_secs(100), 0);
+                }
+            }
+        }
+        let (mut w, src, dst) = flow_world();
+        w.enable_profiler();
+        let sink = w.add_component(dst, "sink", Sink(Log::default()));
+        w.add_component(src, "source", Source(sink));
+        // 36 MB at 1 MB/s: the last flow lands at 36 s, before the timers.
+        while w.queue_len() > TIMERS {
+            assert!(w.queue_len() <= TIMERS + 2, "queue {}", w.queue_len());
+            assert!(w.step());
+        }
+        assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(36));
+        assert_eq!(w.metrics().counter("net.flows_done"), FLOWS);
+        let flow_done = w.profiler().expect("enabled").event_kinds()["flow_done"];
+        assert!(
+            (FLOWS..=2 * (FLOWS + FLOWS)).contains(&flow_done),
+            "{flow_done} flow_done events for {FLOWS} starts and {FLOWS} completions"
+        );
+    }
+
+    #[test]
+    fn an_earlier_completion_elsewhere_leaves_the_armed_event_in_place() {
+        // A (2 MB over `wan`) is armed for 2 s when B (1 MB over its own
+        // link) starts and is due at 1 s. B is armed in front of A; when
+        // B completes, A's deadline has not moved and its event is still
+        // queued, so nothing is pushed again: two completions, two events.
+        struct Source(Addr, Addr);
+        impl Component for Source {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.send_bulk(self.0, 2_000_000, Blob("A"));
+                ctx.send_bulk(self.1, 1_000_000, Blob("B"));
+            }
+        }
+        let (mut w, src, dst) = flow_world();
+        let other = w.add_node("other");
+        let lan = w.network_mut().add_flow_link("lan", 1e6, 0.0);
+        w.network_mut().set_flow_route(src, other, &[lan]);
+        w.enable_profiler();
+        let log = Log::default();
+        let a = w.add_component(dst, "sink", Sink(log.clone()));
+        let b = w.add_component(other, "sink", Sink(log.clone()));
+        w.add_component(src, "source", Source(a, b));
+        assert_eq!(w.queue_len(), 2);
+        w.run_until_quiescent();
+        assert_eq!(*log.borrow(), ["B", "A"]);
+        assert_eq!(w.profiler().expect("enabled").event_kinds()["flow_done"], 2);
     }
 
     #[test]

@@ -30,10 +30,14 @@ struct Record {
 }
 
 /// One step of the calendar-vs-heap equivalence drive: schedule an event
-/// `delta` past the last popped time, or pop from both queues.
+/// `delta` past the last popped time, reserve a sequence number, schedule
+/// an event `delta` past the last popped time under the oldest reserved
+/// number, or pop from both queues.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
     Push(u64),
+    Reserve,
+    PushReserved(u64),
     Pop,
 }
 
@@ -112,8 +116,11 @@ proptest! {
 
     /// The calendar queue pops in exactly the `(time, seq)` order a plain
     /// binary heap produces, under arbitrary interleavings of pushes (near,
-    /// mid, far, and beyond-the-horizon deltas) and pops. This is the
-    /// property the kernel's byte-for-byte determinism rests on.
+    /// mid, far, and beyond-the-horizon deltas) and pops — including pushes
+    /// under a sequence number reserved earlier, which may land at the
+    /// current instant *below* numbers already handed out (the flow
+    /// network's armed completion does exactly that). This is the property
+    /// the kernel's byte-for-byte determinism rests on.
     #[test]
     fn calendar_queue_matches_binary_heap(
         ops in prop::collection::vec(
@@ -122,6 +129,9 @@ proptest! {
                 (0u64..5_000_000).prop_map(QueueOp::Push),            // within L0 range
                 (0u64..2_000_000_000).prop_map(QueueOp::Push),        // L1 buckets
                 (0u64..200_000_000_000).prop_map(QueueOp::Push),      // overflow heap
+                Just(QueueOp::Reserve),
+                Just(QueueOp::PushReserved(0)),                       // time == now
+                (0u64..5_000_000).prop_map(QueueOp::PushReserved),
                 Just(QueueOp::Pop),
             ],
             1..300,
@@ -131,35 +141,49 @@ proptest! {
         let mut reference: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>> =
             std::collections::BinaryHeap::new();
         let mut next_seq = 0u64;
-        let mut now = 0u64;
+        let mut reserved = std::collections::VecDeque::new();
+        // Key of the last popped event: nothing may be scheduled at or
+        // before it.
+        let mut now = (0u64, None::<u64>);
+        let timer = |tag: u64| EventKind::Timer {
+            on: Addr { node: NodeId(0), comp: CompId(0) },
+            id: TimerId(tag),
+            tag,
+            epoch: 0,
+        };
         let drain = |q: &mut EventQueue,
                          reference: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-                         now: &mut u64|
+                         now: &mut (u64, Option<u64>)|
          -> Result<(), TestCaseError> {
             let got = q.pop().map(|e| (e.time.0, e.seq));
             let want = reference.pop().map(|std::cmp::Reverse(k)| k);
             prop_assert_eq!(got, want, "pop order diverged");
-            if let Some((t, _)) = got {
-                *now = t;
+            if let Some((t, seq)) = got {
+                *now = (t, Some(seq));
             }
             Ok(())
         };
         for op in ops {
             match op {
                 QueueOp::Push(delta) => {
-                    let t = now + delta;
-                    q.push(
-                        SimTime(t),
-                        EventKind::Timer {
-                            on: Addr { node: NodeId(0), comp: CompId(0) },
-                            id: TimerId(next_seq),
-                            tag: next_seq,
-                            epoch: 0,
-                        },
-                        gridsim::event::NO_CAUSE,
-                    );
+                    let t = now.0 + delta;
+                    q.push(SimTime(t), timer(next_seq), gridsim::event::NO_CAUSE);
                     reference.push(std::cmp::Reverse((t, next_seq)));
                     next_seq += 1;
+                }
+                QueueOp::Reserve => {
+                    prop_assert_eq!(q.reserve_seq(), next_seq);
+                    reserved.push_back(next_seq);
+                    next_seq += 1;
+                }
+                QueueOp::PushReserved(delta) => {
+                    let Some(seq) = reserved.pop_front() else { continue };
+                    // At the current instant only a number above the last
+                    // popped one is still in the future.
+                    let late = delta == 0 && now.1.is_some_and(|popped| seq <= popped);
+                    let t = now.0 + delta + late as u64;
+                    q.push_reserved(SimTime(t), seq, timer(seq), gridsim::event::NO_CAUSE);
+                    reference.push(std::cmp::Reverse((t, seq)));
                 }
                 QueueOp::Pop => drain(&mut q, &mut reference, &mut now)?,
             }

@@ -52,23 +52,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The demo scenario's event trace is a *golden* artifact: byte-identical
-/// across runs, machines, and — the real point — across kernel/matchmaker
-/// optimizations. Any change to event ordering, trace rendering, or match
-/// outcomes shows up here as a hash mismatch. If a change is *supposed* to
-/// alter behaviour, regenerate with:
-/// `condor-g-sim --trace-out /tmp/t.jsonl scenarios/demo.scn` and update
-/// the constant.
-#[test]
-fn demo_scenario_trace_is_golden() {
+/// Run `condor-g-sim --trace-out` on a shipped scenario; returns the trace
+/// bytes and the report printed on stdout.
+fn run_traced(scenario: &str) -> (Vec<u8>, String) {
     let exe = env!("CARGO_BIN_EXE_condor-g-sim");
-    let dir = std::env::temp_dir().join(format!("golden-trace-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("golden-{scenario}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let trace = dir.join("demo-trace.jsonl");
+    let trace = dir.join("trace.jsonl");
     let out = std::process::Command::new(exe)
         .arg("--trace-out")
         .arg(&trace)
-        .arg(format!("{}/scenarios/demo.scn", env!("CARGO_MANIFEST_DIR")))
+        .arg(format!(
+            "{}/scenarios/{scenario}.scn",
+            env!("CARGO_MANIFEST_DIR")
+        ))
         .output()
         .expect("binary runs");
     assert!(
@@ -79,13 +76,51 @@ fn demo_scenario_trace_is_golden() {
     );
     let bytes = std::fs::read(&trace).expect("trace written");
     let _ = std::fs::remove_dir_all(&dir);
-    let lines = bytes.iter().filter(|&&b| b == b'\n').count();
-    assert_eq!(lines, 1002, "trace line count changed");
+    (bytes, String::from_utf8(out.stdout).expect("utf8 report"))
+}
+
+fn line_count(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// The demo scenario's event trace is a *golden* artifact: byte-identical
+/// across runs, machines, and — the real point — across kernel/matchmaker
+/// optimizations. Any change to event ordering, trace rendering, or match
+/// outcomes shows up here as a hash mismatch. If a change is *supposed* to
+/// alter behaviour, regenerate with:
+/// `condor-g-sim --trace-out /tmp/t.jsonl scenarios/demo.scn` and update
+/// the constant.
+#[test]
+fn demo_scenario_trace_is_golden() {
+    let (bytes, _) = run_traced("demo");
+    assert_eq!(line_count(&bytes), 1002, "trace line count changed");
     assert_eq!(
         fnv1a(&bytes),
         0x8236_2c72_acb4_9633,
         "demo.scn trace diverged from the golden run"
     );
+}
+
+/// The same for flow mode: the stage-in storm's trace (event ids and
+/// causes included) pins the order in which flow completions interleave
+/// with everything else, and the event count pins that a moved deadline
+/// costs no event of its own — with one `flow_done` per changed deadline
+/// this run took 4,961 events.
+#[test]
+fn stagein_storm_trace_is_golden_and_cheap() {
+    let (bytes, report) = run_traced("stagein_storm");
+    assert_eq!(line_count(&bytes), 771, "trace line count changed");
+    assert_eq!(
+        fnv1a(&bytes),
+        0x4094_7f0b_f9d9_464f,
+        "stagein_storm.scn trace diverged from the golden run"
+    );
+    let events: u64 = report
+        .lines()
+        .find_map(|l| l.strip_prefix("events simulated"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("an `events simulated` row");
+    assert!(events <= 2_000, "{events} events simulated");
 }
 
 /// The adaptive scenario (weather-driven quarantine on) is just as
