@@ -27,9 +27,10 @@ const TAG_CYCLE: u64 = 1;
 
 /// A machine prepared for matchmaking: its `Requirements` pre-extracted and
 /// its literal attributes indexed for job-side pre-filters. Built once per
-/// machine and reused across cycles while the collector keeps serving the
-/// same ad handle (re-advertisement replaces the handle, which invalidates
-/// the cache entry via pointer identity).
+/// ad and reused across cycles while the collector keeps serving the same
+/// handle, which it does until the startd's state changes (a periodic
+/// re-advertisement re-sends the handle; a new ad is a new handle, which
+/// invalidates the cache entry via pointer identity).
 struct MachineInfo {
     ad: Rc<ClassAd>,
     /// The machine's own `Requirements` (cloned out of the ad so the struct
@@ -40,6 +41,8 @@ struct MachineInfo {
 
 impl MachineInfo {
     fn prepare(ad: Rc<ClassAd>) -> MachineInfo {
+        #[cfg(test)]
+        tests::PREPARES.with(|n| n.set(n.get() + 1));
         let requirements = ad.get("Requirements").cloned();
         let literals = LiteralAttrs::of(&ad);
         MachineInfo {
@@ -203,10 +206,11 @@ impl Negotiator {
         });
         // Prepare machines, reusing last cycle's work whenever the
         // collector handed back the same ad (pointer identity on the shared
-        // handle — a re-advertised machine gets a fresh handle and a fresh
-        // entry). Anything left in the cache afterwards vanished from the
-        // pool, so it is dropped. Weather annotations rewrite the ads, so
-        // adaptive cycles skip the cache and prepare fresh.
+        // handle — a machine whose state changed advertises a fresh handle
+        // and gets a fresh entry). Anything left in the cache afterwards
+        // vanished from the pool, so it is dropped. Weather annotations
+        // rewrite the ads, so adaptive cycles skip the cache and prepare
+        // fresh.
         let mut free: Vec<(String, Addr, MachineInfo)> = machines
             .into_iter()
             .filter_map(|(name, startd, ad)| {
@@ -331,5 +335,67 @@ impl Component for Negotiator {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::collector::Collector;
+    use crate::proto::PoolSubmit;
+    use crate::schedd::Schedd;
+    use crate::startd::Startd;
+    use gridsim::{Config, World};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `MachineInfo::prepare` calls made on this thread.
+        pub(super) static PREPARES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    #[test]
+    fn unchanged_machine_is_prepared_once_per_state_change() {
+        PREPARES.with(|n| n.set(0));
+        let mut w = World::new(Config::default().seed(7));
+        let central = w.add_node("central");
+        let collector = w.add_component(central, "collector", Collector::new());
+        w.add_component(
+            central,
+            "negotiator",
+            Negotiator::new(collector, Duration::from_mins(1)),
+        );
+        let exec = w.add_node("exec0");
+        let machine = ClassAd::new().with("Arch", "INTEL");
+        w.add_component(exec, "startd", Startd::new("exec0", machine, collector));
+        let submit = w.add_node("submit");
+        let schedd = w.add_component(submit, "schedd", Schedd::new("schedd1", vec![collector]));
+
+        // Twenty cycles over ten re-advertisements of one unclaimed machine.
+        w.run_until(SimTime::ZERO + Duration::from_mins(20));
+        assert!(w.metrics().counter("negotiator.cycles") >= 20);
+        assert!(w.metrics().counter("collector.advertisements") >= 10);
+        assert_eq!(PREPARES.with(Cell::get), 1);
+
+        // Unclaimed -> Claimed -> Busy -> Claimed -> Unclaimed. The match
+        // consumes the cached entry; the machine's return is a new ad and
+        // one more `prepare`. (A cycle that falls between the match and the
+        // startd's next advertisement still sees the old Unclaimed ad and
+        // prepares it again, so the round trip costs one or two.)
+        w.post(
+            schedd,
+            PoolSubmit {
+                client_id: 0,
+                ad: ClassAd::new().with("TotalWork", 600i64),
+            },
+        );
+        w.run_until(SimTime::ZERO + Duration::from_mins(60));
+        assert_eq!(w.metrics().counter("negotiator.matches"), 1);
+        assert_eq!(w.metrics().counter("schedd.completed"), 1);
+        let after_round_trip = PREPARES.with(Cell::get);
+        assert!((2..=3).contains(&after_round_trip), "{after_round_trip}");
+
+        // Back to steady state: twenty more cycles, no more work.
+        w.run_until(SimTime::ZERO + Duration::from_mins(80));
+        assert_eq!(PREPARES.with(Cell::get), after_round_trip);
     }
 }

@@ -42,8 +42,10 @@ pub struct Advertise {
     pub kind: AdKind,
     /// Unique name within the kind (machine name, schedd name).
     pub name: String,
-    /// The ad itself.
-    pub ad: ClassAd,
+    /// The ad itself, by handle: an advertiser re-sends the same handle
+    /// until its ad changes, and handle identity is how the collector (and
+    /// through it the negotiator) knows a refresh from a new ad.
+    pub ad: Rc<ClassAd>,
     /// Freshness window.
     pub ttl: Duration,
     /// Where the advertiser can be reached.

@@ -27,10 +27,40 @@ struct JobRec {
     /// Shared: negotiation snapshots and shadows hold handles to the same
     /// ad rather than deep copies (ads are immutable once queued).
     ad: Rc<ClassAd>,
+    /// `ad` unparsed, as it persists: written once when the job is queued
+    /// and re-used by every later persist.
+    ad_text: String,
     state: PoolJobState,
     done_work: Duration,
     submitter: Addr,
     attempts: u32,
+}
+
+impl JobRec {
+    fn queued(ad: ClassAd, submitter: Addr) -> JobRec {
+        JobRec {
+            ad_text: ad.to_string(),
+            ad: Rc::new(ad),
+            state: PoolJobState::Idle,
+            done_work: Duration::ZERO,
+            submitter,
+            attempts: 0,
+        }
+    }
+
+    /// What [`Schedd::persist_job`] writes: [`JobRecDisk`]'s fields in
+    /// order, borrowed (the codec is positional, so the bytes are those of
+    /// the owned struct).
+    fn disk_view(&self, job: JobId) -> (u64, &str, PoolJobState, u64, Addr, u32) {
+        (
+            job.0,
+            &self.ad_text,
+            self.state,
+            self.done_work.micros(),
+            self.submitter,
+            self.attempts,
+        )
+    }
 }
 
 /// Serialized form of a queue entry (ClassAds persist as their text form).
@@ -96,6 +126,7 @@ impl Schedd {
                 JobId(rec.id),
                 JobRec {
                     ad: Rc::new(rec.ad.parse().expect("persisted ad re-parses")),
+                    ad_text: rec.ad,
                     state,
                     done_work: Duration::from_micros(rec.done_work_us),
                     submitter: rec.submitter,
@@ -114,17 +145,9 @@ impl Schedd {
     /// a whole-queue rewrite would be quadratic over a long campaign).
     fn persist_job(&self, ctx: &mut Ctx<'_>, job: JobId) {
         let Some(r) = self.jobs.get(&job) else { return };
-        let disk = JobRecDisk {
-            id: job.0,
-            ad: r.ad.to_string(),
-            state: r.state,
-            done_work_us: r.done_work.micros(),
-            submitter: r.submitter,
-            attempts: r.attempts,
-        };
         let key = format!("{}{}", self.job_key_prefix(), job.0);
         let node = ctx.node();
-        ctx.store().put(node, &key, &disk);
+        ctx.store().put(node, &key, &r.disk_view(job));
     }
 
     /// Drop a terminal job from the live queue (its last persisted record
@@ -156,10 +179,13 @@ impl Schedd {
             .values()
             .filter(|r| r.state == PoolJobState::Running)
             .count() as i64;
-        let ad = ClassAd::new()
-            .with("Name", self.name.as_str())
-            .with("IdleJobs", idle)
-            .with("RunningJobs", running);
+        // One handle for every collector flocked to.
+        let ad = Rc::new(
+            ClassAd::new()
+                .with("Name", self.name.as_str())
+                .with("IdleJobs", idle)
+                .with("RunningJobs", running),
+        );
         let me = ctx.self_addr();
         for &collector in &self.collectors {
             ctx.send(
@@ -167,7 +193,7 @@ impl Schedd {
                 Advertise {
                     kind: AdKind::Submitter,
                     name: self.name.clone(),
-                    ad: ad.clone(),
+                    ad: Rc::clone(&ad),
                     ttl: self.advertise_period * 3,
                     contact: me,
                 },
@@ -194,16 +220,8 @@ impl Component for Schedd {
             let job = JobId(self.next_id);
             self.next_id += 1;
             ctx.metrics().incr("schedd.submitted", 1);
-            self.jobs.insert(
-                job,
-                JobRec {
-                    ad: Rc::new(submit.ad.clone()),
-                    state: PoolJobState::Idle,
-                    done_work: Duration::ZERO,
-                    submitter: from,
-                    attempts: 0,
-                },
-            );
+            self.jobs
+                .insert(job, JobRec::queued(submit.ad.clone(), from));
             self.persist_job(ctx, job);
             ctx.send(
                 from,
@@ -399,6 +417,28 @@ mod tests {
             .find(|(k, _)| *k == client)
             .map(|(_, v)| v)
             .unwrap_or_default()
+    }
+
+    #[test]
+    fn borrowed_disk_view_encodes_as_job_rec_disk() {
+        use gridsim::codec::to_bytes;
+        let submitter = Addr {
+            node: NodeId(3),
+            comp: CompId(9),
+        };
+        let mut rec = JobRec::queued(job_ad(1800), submitter);
+        rec.state = PoolJobState::Running;
+        rec.done_work = Duration::from_secs(77);
+        rec.attempts = 2;
+        let owned = JobRecDisk {
+            id: 5,
+            ad: rec.ad.to_string(),
+            state: rec.state,
+            done_work_us: rec.done_work.micros(),
+            submitter,
+            attempts: rec.attempts,
+        };
+        assert_eq!(to_bytes(&rec.disk_view(JobId(5))), to_bytes(&owned));
     }
 
     #[test]

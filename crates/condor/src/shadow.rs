@@ -106,7 +106,7 @@ impl Component for Shadow {
                         // The machine went silent: treat as vacated at the
                         // last checkpoint we hold.
                         ctx.metrics().incr("shadow.watchdog_vacates", 1);
-                        ctx.trace("shadow.lost_machine", format!("{}", self.job));
+                        ctx.trace_with("shadow.lost_machine", || self.job.to_string());
                         let done_work = self.done_work;
                         self.finish(
                             ctx,
@@ -151,7 +151,7 @@ impl Component for Shadow {
                     ctx.set_timer(self.watchdog, TAG_WATCHDOG);
                 }
                 ClaimReply::Rejected { reason } => {
-                    ctx.trace("shadow.claim_rejected", reason.clone());
+                    ctx.trace_with("shadow.claim_rejected", || reason.clone());
                     self.finish(ctx, ShadowReport::MatchFailed { job: self.job });
                 }
             }

@@ -17,6 +17,7 @@ use classads::{symmetric_match, ClassAd};
 use gridsim::prelude::*;
 use gridsim::rng::Dist;
 use gridsim::AnyMsg;
+use std::rc::Rc;
 
 /// Desktop-owner activity model: the machine alternates between available
 /// and owner-occupied, sampled from the two distributions (seconds).
@@ -99,6 +100,9 @@ pub struct Startd {
     idle_since: SimTime,
     /// Bumped on every claim-state change; guards stale lease timers.
     claim_seq: u64,
+    /// The ad last sent to the collector and the state name in it. Every
+    /// period re-sends this handle; only a state change builds a new ad.
+    advertised: Option<(&'static str, Rc<ClassAd>)>,
 }
 
 impl Startd {
@@ -117,6 +121,7 @@ impl Startd {
             state: State::Unclaimed,
             idle_since: SimTime::ZERO,
             claim_seq: 0,
+            advertised: None,
         }
     }
 
@@ -168,10 +173,18 @@ impl Startd {
         }
     }
 
-    fn advertise(&self, ctx: &mut Ctx<'_>) {
-        let mut ad = self.base_ad.clone();
-        ad.set("Name", self.name.as_str());
-        ad.set("State", self.state_name());
+    fn advertise(&mut self, ctx: &mut Ctx<'_>) {
+        let state = self.state_name();
+        let ad = match &self.advertised {
+            Some((advertised, ad)) if *advertised == state => Rc::clone(ad),
+            _ => {
+                let mut ad = self.machine_ad();
+                ad.set("State", state);
+                let ad = Rc::new(ad);
+                self.advertised = Some((state, Rc::clone(&ad)));
+                ad
+            }
+        };
         let me = ctx.self_addr();
         ctx.send(
             self.collector,
@@ -232,10 +245,9 @@ impl Startd {
         if let State::Busy(run) = std::mem::replace(&mut self.state, next) {
             ctx.metrics().gauge_delta("condor.busy_startds", now, -1.0);
             ctx.metrics().incr("condor.vacated", 1);
-            ctx.trace(
-                "startd.vacate",
-                format!("{} {} at {}", self.name, run.job, now),
-            );
+            ctx.trace_with("startd.vacate", || {
+                format!("{} {} at {}", self.name, run.job, now)
+            });
             ctx.cancel_timer(run.end_timer);
             if let Some(t) = run.ckpt_timer {
                 ctx.cancel_timer(t);
@@ -255,7 +267,7 @@ impl Startd {
     }
 
     fn shutdown(&mut self, ctx: &mut Ctx<'_>, why: &str) {
-        ctx.trace("startd.exit", format!("{} ({why})", self.name));
+        ctx.trace_with("startd.exit", || format!("{} ({why})", self.name));
         ctx.metrics().incr("condor.startd_exits", 1);
         self.vacate(ctx, State::Owner);
         ctx.send(
@@ -320,7 +332,7 @@ impl Component for Startd {
                     ctx.metrics().incr("condor.jobs_finished", 1);
                     ctx.metrics()
                         .observe("condor.job_cpu_seconds", cpu_time.as_secs_f64());
-                    ctx.trace("startd.done", format!("{} {}", self.name, run.job));
+                    ctx.trace_with("startd.done", || format!("{} {}", self.name, run.job));
                     if let Some(t) = run.ckpt_timer {
                         ctx.cancel_timer(t);
                     }

@@ -332,10 +332,9 @@ impl DagMan {
                 },
                 1,
             );
-            ctx.trace(
-                "dag.finished",
-                (if all_done { "success" } else { "FAILED" }).to_string(),
-            );
+            ctx.trace_with("dag.finished", || {
+                (if all_done { "success" } else { "FAILED" }).to_string()
+            });
             self.persist(ctx);
         }
     }

@@ -43,7 +43,9 @@ impl Component for Mailer {
         };
         self.delivered += 1;
         ctx.metrics().incr("mail.delivered", 1);
-        ctx.trace("mail", format!("to={} subject={}", mail.to, mail.subject));
+        ctx.trace_with("mail", || {
+            format!("to={} subject={}", mail.to, mail.subject)
+        });
         let key = Mailer::inbox_key(&mail.to);
         let node = ctx.node();
         let mut inbox: Vec<(String, String)> = ctx.store().get(node, &key).unwrap_or_default();

@@ -154,7 +154,7 @@ impl GlideinFactory {
             GassUrl::gass(self.gass, ""),
         );
         ctx.metrics().incr("glidein.submitted", 1);
-        ctx.trace("glidein.submit", format!("-> {}", site.site));
+        ctx.trace_with("glidein.submit", || format!("-> {}", site.site));
         ctx.send(site.gatekeeper, session.request());
         self.slots.push(Slot {
             site_idx,

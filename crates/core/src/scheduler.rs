@@ -169,7 +169,7 @@ impl Scheduler {
         };
         let key = format!("{}{:012}", self.job_key_prefix(), job.0);
         let node = ctx.node();
-        ctx.store().put(node, &key, &(job.0, rec.clone()));
+        ctx.store().put(node, &key, &(job.0, rec));
         let next = self.next_id;
         let nk = format!("condor_g/{}/next_id", self.config.user);
         ctx.store().put(node, &nk, &next);
@@ -185,7 +185,7 @@ impl Scheduler {
     const LOG_CHUNK: usize = 64;
 
     fn log_event(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, message: String) {
-        ctx.trace("condor_g.log", format!("{job}: {message}"));
+        ctx.trace_with("condor_g.log", || format!("{job}: {message}"));
         if self.config.lean {
             // Campaign mode: the durable user log is the trace stream; keep
             // only a bounded recent window in memory for GetLog, and skip
@@ -196,17 +196,13 @@ impl Scheduler {
             }
             return;
         }
-        self.log.push((ctx.now(), job, message));
-        // Rewrite only the current (last, partial) chunk.
-        let chunk_idx = (self.log.len() - 1) / Self::LOG_CHUNK;
-        let start = chunk_idx * Self::LOG_CHUNK;
-        let chunk: Vec<(u64, u64, String)> = self.log[start..]
-            .iter()
-            .map(|(t, j, m)| (t.micros(), j.0, m.clone()))
-            .collect();
+        // Append to the current (last, partial) chunk.
+        let chunk_idx = self.log.len() / Self::LOG_CHUNK;
         let key = format!("condor_g/{}/log/{chunk_idx}", self.config.user);
-        let node = ctx.node();
-        ctx.store().put(node, &key, &chunk);
+        let (node, now) = (ctx.node(), ctx.now());
+        ctx.store()
+            .append(node, &key, &(now.micros(), job.0, message.as_str()));
+        self.log.push((now, job, message));
     }
 
     fn push_status(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
@@ -535,5 +531,23 @@ impl Component for Scheduler {
             };
             self.set_status(ctx, job, status);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsim::codec::to_bytes;
+
+    #[test]
+    fn borrowed_job_record_encodes_as_the_owned_pair() {
+        let rec = JobRec {
+            spec: GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30))
+                .with_stdout(4096),
+            status: JobStatus::Held("proxy expired".into()),
+            submitted_at: SimTime(17),
+            seen_active: true,
+        };
+        assert_eq!(to_bytes(&(7u64, &rec)), to_bytes(&(7u64, rec.clone())));
     }
 }

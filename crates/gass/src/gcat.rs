@@ -93,10 +93,9 @@ impl GCat {
         }
         self.buffered_bytes = 0;
         ctx.metrics().incr("gcat.chunks", 1);
-        ctx.trace(
-            "gcat.ship",
-            format!("{} bytes -> {}", chunk.len(), self.remote_path),
-        );
+        ctx.trace_with("gcat.ship", || {
+            format!("{} bytes -> {}", chunk.len(), self.remote_path)
+        });
         self.in_flight = Some(chunk);
         self.transmit(ctx);
     }
@@ -203,7 +202,7 @@ impl Component for GCat {
                     // MSS refusal (e.g. credential hiccup): keep the chunk
                     // in flight and let the deadline-driven retry handle it.
                     ctx.metrics().incr("gcat.retries", 1);
-                    ctx.trace("gcat.retry", error.to_string());
+                    ctx.trace_with("gcat.retry", || error.to_string());
                 }
                 _ => {}
             }

@@ -43,6 +43,29 @@ pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
     Ok(ser.out)
 }
 
+/// Append one element to an encoded sequence in place: `seq` holds the
+/// bytes of a `Vec<T>` (or is empty, for a sequence not yet written) and
+/// ends up holding the bytes [`to_bytes`] gives for that vector with
+/// `element` pushed — the leading `u64` count goes up by one and the
+/// element's encoding follows the rest.
+pub fn push_seq_element<T: Serialize>(seq: &mut Vec<u8>, element: &T) -> Result<(), CodecError> {
+    let count = match seq.first_chunk::<8>() {
+        Some(count) => u64::from_le_bytes(*count),
+        None if seq.is_empty() => {
+            seq.extend_from_slice(&0u64.to_le_bytes());
+            0
+        }
+        None => return Err(CodecError("sequence shorter than its count".into())),
+    };
+    seq[..8].copy_from_slice(&(count + 1).to_le_bytes());
+    let mut ser = Encoder {
+        out: std::mem::take(seq),
+    };
+    let result = element.serialize(&mut ser);
+    *seq = ser.out;
+    result
+}
+
 /// Deserialize a `T` from bytes produced by [`to_bytes`].
 pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
     let mut de = Decoder {

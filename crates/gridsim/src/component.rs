@@ -365,29 +365,9 @@ impl<'w> Ctx<'w> {
         self.metrics
     }
 
-    /// Emit a trace event attributed to this component.
-    ///
-    /// The detail string is built by the caller even when tracing is off;
-    /// prefer [`Ctx::trace_with`] whenever building it allocates (e.g. any
-    /// `format!`), so disabled tracing costs nothing.
-    pub fn trace(&mut self, kind: &'static str, detail: impl Into<String>) {
-        if !self.trace.is_active() {
-            return;
-        }
-        let (now, addr) = (self.now, self.self_addr);
-        self.trace.emit(
-            now,
-            addr,
-            kind,
-            detail.into(),
-            self.event_id,
-            self.event_cause,
-        );
-    }
-
-    /// Emit a trace event with a lazily built detail string: `detail` runs
-    /// only when the sink is collecting or streaming events, so call sites
-    /// can use `|| format!(...)` without paying for it in quiet runs.
+    /// Emit a trace event attributed to this component. `detail` runs only
+    /// when the sink is collecting or streaming events, so call sites can
+    /// use `|| format!(...)` without paying for it in quiet runs.
     pub fn trace_with(&mut self, kind: &'static str, detail: impl FnOnce() -> String) {
         if !self.trace.is_active() {
             return;

@@ -47,6 +47,15 @@ impl StableStore {
         self.put_bytes(node, key, bytes);
     }
 
+    /// Add `element` to the `Vec<T>` stored under `(node, key)` (an absent
+    /// key is an empty vector), leaving the bytes `put` of the whole vector
+    /// would — at the cost of encoding one element, not all of them.
+    pub fn append<T: Serialize>(&mut self, node: NodeId, key: &str, element: &T) {
+        self.writes += 1;
+        let seq = self.data.entry((node, key.to_string())).or_default();
+        crate::codec::push_seq_element(seq, element).expect("stable store serialize");
+    }
+
     /// Load and deserialize a value; `None` if the key is absent.
     ///
     /// Panics if the stored bytes do not decode as `T` — a schema mismatch
@@ -93,6 +102,7 @@ impl StableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde::{Deserialize, Serialize};
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -152,5 +162,32 @@ mod tests {
         s.put(NodeId(0), "x", &5u8);
         assert!(s.remove(NodeId(0), "x"));
         assert!(!s.remove(NodeId(0), "x"));
+    }
+
+    proptest! {
+        /// Appending element by element leaves the bytes `put` of the
+        /// whole vector writes, so readers cannot tell the two apart.
+        #[test]
+        fn append_equals_put_of_the_whole_vec(
+            entries in proptest::collection::vec(
+                (any::<u64>(), any::<u64>(), "[ -~]{0,40}"),
+                0..80,
+            )
+        ) {
+            let mut s = StableStore::new();
+            for (i, (t, j, m)) in entries.iter().enumerate() {
+                // Borrowed fields, as `Scheduler::log_event` writes them.
+                s.append(NodeId(0), "appended", &(*t, *j, m.as_str()));
+                s.put(NodeId(0), "whole", &entries[..=i].to_vec());
+                prop_assert_eq!(
+                    s.get_bytes(NodeId(0), "appended"),
+                    s.get_bytes(NodeId(0), "whole")
+                );
+            }
+            // One write per append, as one per `put`.
+            prop_assert_eq!(s.writes, 2 * entries.len() as u64);
+            let back: Option<Vec<(u64, u64, String)>> = s.get(NodeId(0), "appended");
+            prop_assert_eq!(back, (!entries.is_empty()).then_some(entries));
+        }
     }
 }

@@ -1294,7 +1294,7 @@ mod tests {
                 }
                 fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
                     let r = ctx.rng().range_u64(0, 1000);
-                    ctx.trace("tick", format!("tag={tag} r={r}"));
+                    ctx.trace_with("tick", || format!("tag={tag} r={r}"));
                     if tag < 20 {
                         let jitter = ctx.rng().range_u64(1, 100);
                         ctx.set_timer(Duration::from_millis(jitter), tag + 1);

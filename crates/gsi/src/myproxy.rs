@@ -86,7 +86,7 @@ impl Component for MyProxyServer {
                 passphrase,
                 credential,
             } => {
-                ctx.trace("myproxy.store", format!("user={user}"));
+                ctx.trace_with("myproxy.store", || format!("user={user}"));
                 ctx.metrics().incr("myproxy.stored", 1);
                 self.vault.insert(user.clone(), (passphrase, credential));
                 ctx.send(from, MyProxyReply::Stored { user });
@@ -122,7 +122,7 @@ impl Component for MyProxyServer {
                 if matches!(reply, MyProxyReply::Denied { .. }) {
                     ctx.metrics().incr("myproxy.denied", 1);
                 }
-                ctx.trace("myproxy.retrieve", format!("user={user}"));
+                ctx.trace_with("myproxy.retrieve", || format!("user={user}"));
                 ctx.send(from, reply);
             }
         }

@@ -154,10 +154,9 @@ impl Component for Giis {
             .map(|(ad, _)| ad.clone())
             .collect();
         ctx.metrics().incr("mds.queries", 1);
-        ctx.trace(
-            "mds.query",
-            format!("filter `{filter}` -> {} ads", ads.len()),
-        );
+        ctx.trace_with("mds.query", || {
+            format!("filter `{filter}` -> {} ads", ads.len())
+        });
         ctx.send(from, GripReply::Ads { request_id, ads });
     }
 }

@@ -164,6 +164,57 @@ fn network_partition_is_survived() {
     assert_eq!(tb.world.metrics().counter("site.completed"), 2);
 }
 
+/// Boot hook for the submit machine: recover the GASS server, the mailer
+/// and the Scheduler (which re-creates the GridManager) from stable storage.
+fn recover_submit_machine_on_boot(tb: &mut Testbed) {
+    let node = tb.submit;
+    let sites: Vec<_> = tb
+        .sites
+        .iter()
+        .map(|s| (s.name.clone(), s.gatekeeper))
+        .collect();
+    let proxy = tb.proxy.clone();
+    let gass = tb.gass;
+    let mailer = tb.mailer;
+    let trust = tb.trust.clone();
+    tb.world.set_boot(node, move |b| {
+        b.add_component(
+            "gass",
+            condor_g_suite::gass::GassServer::recover(trust.clone(), b.store(), b.node()),
+        );
+        b.add_component("mailer", condor_g_suite::condor_g::Mailer::new());
+        let broker = Box::new(condor_g_suite::condor_g::StaticListBroker::new(
+            sites
+                .iter()
+                .map(|(name, addr)| condor_g_suite::condor_g::GatekeeperInfo {
+                    site: name.clone(),
+                    addr: *addr,
+                    ad: condor_g_suite::classads::ClassAd::new(),
+                })
+                .collect(),
+        ));
+        let config = condor_g_suite::condor_g::scheduler::SchedulerConfig {
+            user: "jane".into(),
+            credential: proxy.clone(),
+            gass,
+            pool_schedd: None,
+            mailer: Some(mailer),
+            user_addr: None,
+            gm: condor_g_suite::condor_g::gridmanager::GmConfig {
+                user: "jane".into(),
+                mailer: Some(mailer),
+                ..Default::default()
+            },
+            email_on_termination: false,
+            lean: false,
+        };
+        b.add_component(
+            "scheduler",
+            condor_g_suite::condor_g::Scheduler::recover(config, broker, b.store(), b.node()),
+        );
+    });
+}
+
 #[test]
 fn submit_machine_crash_recovers_from_persistent_queue() {
     // Failure type 3 (§4.2): "crash of the machine on which the
@@ -177,57 +228,7 @@ fn submit_machine_crash_recovers_from_persistent_queue() {
     let node = tb.submit;
     tb.world.add_component(node, "console", console);
 
-    // Boot hook: recover GASS server, mailer, scheduler (which re-creates
-    // the GridManager), console.
-    {
-        let sites: Vec<_> = tb
-            .sites
-            .iter()
-            .map(|s| (s.name.clone(), s.gatekeeper))
-            .collect();
-        let proxy = tb.proxy.clone();
-        let gass = tb.gass;
-        let mailer = tb.mailer;
-        let scheduler_addr = tb.scheduler;
-        let trust = tb.trust.clone();
-        tb.world.set_boot(node, move |b| {
-            b.add_component(
-                "gass",
-                condor_g_suite::gass::GassServer::recover(trust.clone(), b.store(), b.node()),
-            );
-            b.add_component("mailer", condor_g_suite::condor_g::Mailer::new());
-            let broker = Box::new(condor_g_suite::condor_g::StaticListBroker::new(
-                sites
-                    .iter()
-                    .map(|(name, addr)| condor_g_suite::condor_g::GatekeeperInfo {
-                        site: name.clone(),
-                        addr: *addr,
-                        ad: condor_g_suite::classads::ClassAd::new(),
-                    })
-                    .collect(),
-            ));
-            let config = condor_g_suite::condor_g::scheduler::SchedulerConfig {
-                user: "jane".into(),
-                credential: proxy.clone(),
-                gass,
-                pool_schedd: None,
-                mailer: Some(mailer),
-                user_addr: None,
-                gm: condor_g_suite::condor_g::gridmanager::GmConfig {
-                    user: "jane".into(),
-                    mailer: Some(mailer),
-                    ..Default::default()
-                },
-                email_on_termination: false,
-                lean: false,
-            };
-            b.add_component(
-                "scheduler",
-                condor_g_suite::condor_g::Scheduler::recover(config, broker, b.store(), b.node()),
-            );
-            let _ = scheduler_addr;
-        });
-    }
+    recover_submit_machine_on_boot(&mut tb);
 
     // Jobs start, submit machine dies for 30 minutes (jobs keep computing
     // at the site), comes back, reconnects, jobs complete.
@@ -251,6 +252,113 @@ fn submit_machine_crash_recovers_from_persistent_queue() {
     // Each job ran exactly once: recovery reattached rather than resubmit.
     assert_eq!(m.counter("site.completed"), 3);
     assert!(m.counter("gm.job_recoveries") >= 1);
+}
+
+#[test]
+fn user_log_survives_a_crash_chunk_by_chunk() {
+    use condor_g_suite::condor_g::{GridJobId, UserCmd, UserEvent};
+    use condor_g_suite::gridsim::{codec, Addr, AnyMsg};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Log = Vec<(SimTime, GridJobId, String)>;
+
+    /// Lives off the submit machine, so it outlives the crash: asks for the
+    /// user log whenever the test pokes it and hands each answer out.
+    struct LogReader {
+        scheduler: Addr,
+        logs: Rc<RefCell<Vec<Log>>>,
+    }
+    #[derive(Debug)]
+    struct Poke;
+    impl Component for LogReader {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+            if msg.is::<Poke>() {
+                ctx.send(self.scheduler, UserCmd::GetLog);
+            } else if let Some(UserEvent::Log { entries }) = msg.downcast_ref::<UserEvent>() {
+                self.logs.borrow_mut().push(entries.clone());
+            }
+        }
+    }
+
+    let mut tb = build(TestbedConfig {
+        sites: vec![SiteSpec::pbs("solo", 16)],
+        ..TestbedConfig::default()
+    });
+    // Forty short jobs fill two log chunks and some of a third before the
+    // crash; two long ones are still running across it.
+    let console = UserConsole::new(tb.scheduler)
+        .submit_many(40, quick_jobs(40, 300, 0))
+        .submit_many(2, quick_jobs(2, 3 * 3600, 0));
+    let node = tb.submit;
+    tb.world.add_component(node, "console", console);
+    recover_submit_machine_on_boot(&mut tb);
+    let desk = tb.world.add_node("desk");
+    let logs = Rc::new(RefCell::new(Vec::new()));
+    let reader = tb.world.add_component(
+        desk,
+        "logreader",
+        LogReader {
+            scheduler: tb.scheduler,
+            logs: Rc::clone(&logs),
+        },
+    );
+    let read_log_at = |tb: &mut Testbed, at: Duration| -> Log {
+        tb.world.run_until(SimTime::ZERO + at);
+        tb.world.post(reader, Poke);
+        tb.world
+            .run_until(SimTime::ZERO + at + Duration::from_mins(1));
+        logs.borrow_mut().pop().expect("GetLog answered")
+    };
+
+    let before = read_log_at(&mut tb, Duration::from_mins(60));
+    assert!(before.len() >= 130, "only {} entries", before.len());
+    assert_eq!(tb.world.metrics().counter("condor_g.jobs_done"), 40);
+    tb.world.crash_node_now(node);
+    tb.world.run_until(SimTime::ZERO + Duration::from_mins(90));
+    tb.world.restart_node_now(node);
+
+    // Every entry written before the crash is read back, in order, and
+    // recovery's own entries follow them.
+    let recovered = read_log_at(&mut tb, Duration::from_mins(91));
+    assert_eq!(tb.world.metrics().counter("condor_g.recoveries"), 1);
+    assert_eq!(recovered[..before.len()], before[..]);
+    let appended = &recovered[before.len()..];
+    assert_eq!(appended.len(), 2, "{appended:?}");
+    assert!(appended.iter().all(|(_, _, m)| m.contains("recovered")));
+
+    // The long jobs' later status changes extend the same log...
+    let last = read_log_at(&mut tb, Duration::from_hours(8));
+    assert_eq!(tb.world.metrics().counter("condor_g.jobs_done"), 42);
+    assert_eq!(last[..recovered.len()], recovered[..]);
+    assert!(last[recovered.len()..]
+        .iter()
+        .any(|(_, _, m)| m.contains("Done")));
+
+    // ...and on disk each landed in its chunk: what the store holds is the
+    // whole-chunk encoding of the log, sixty-four entries a key.
+    let chunks: Vec<_> = last.chunks(64).collect();
+    assert!(chunks.len() >= 3);
+    assert_eq!(
+        tb.world
+            .store()
+            .keys_with_prefix(node, "condor_g/jane/log/")
+            .len(),
+        chunks.len()
+    );
+    for (i, chunk) in chunks.iter().enumerate() {
+        let owned: Vec<(u64, u64, String)> = chunk
+            .iter()
+            .map(|(t, j, m)| (t.micros(), j.0, m.clone()))
+            .collect();
+        assert_eq!(
+            tb.world
+                .store()
+                .get_bytes(node, &format!("condor_g/jane/log/{i}")),
+            Some(codec::to_bytes(&owned).unwrap().as_slice()),
+            "chunk {i}"
+        );
+    }
 }
 
 #[test]

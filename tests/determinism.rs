@@ -83,6 +83,15 @@ fn line_count(bytes: &[u8]) -> usize {
     bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
+/// The report's `events simulated` row.
+fn events_simulated(report: &str) -> u64 {
+    report
+        .lines()
+        .find_map(|l| l.strip_prefix("events simulated"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("an `events simulated` row")
+}
+
 /// The demo scenario's event trace is a *golden* artifact: byte-identical
 /// across runs, machines, and — the real point — across kernel/matchmaker
 /// optimizations. Any change to event ordering, trace rendering, or match
@@ -115,12 +124,26 @@ fn stagein_storm_trace_is_golden_and_cheap() {
         0x4094_7f0b_f9d9_464f,
         "stagein_storm.scn trace diverged from the golden run"
     );
-    let events: u64 = report
-        .lines()
-        .find_map(|l| l.strip_prefix("events simulated"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("an `events simulated` row");
+    let events = events_simulated(&report);
     assert!(events <= 2_000, "{events} events simulated");
+}
+
+/// The glidein campaign is the only shipped scenario that walks startd →
+/// collector → negotiator → schedd → shadow, so its trace pins the pool
+/// path: which machine each job matches in which cycle, and every claim,
+/// vacate and lease expiry after it. The event count pins that no advert,
+/// keepalive or poll was elided or merged — each WAN send draws a latency
+/// from the one kernel RNG, so a skipped message re-keys the whole run.
+#[test]
+fn glidein_campaign_trace_is_golden() {
+    let (bytes, report) = run_traced("glidein_campaign");
+    assert_eq!(line_count(&bytes), 864, "trace line count changed");
+    assert_eq!(
+        fnv1a(&bytes),
+        0x8988_6975_f7f1_2a6b,
+        "glidein_campaign.scn trace diverged from the golden run"
+    );
+    assert_eq!(events_simulated(&report), 40_568);
 }
 
 /// The adaptive scenario (weather-driven quarantine on) is just as
