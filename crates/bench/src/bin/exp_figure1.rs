@@ -30,7 +30,7 @@ fn main() {
         // The ladder: agent-side log lines, GRAM protocol, JobManager state
         // machine, site scheduler, GASS movement.
         if matches!(
-            e.kind,
+            &*e.kind,
             "condor_g.log"
                 | "gm.submit"
                 | "gram.submit"

@@ -32,7 +32,7 @@ fn main() {
     println!("== F2: the Figure-2 GlideIn path, as traced ==\n");
     for e in tb.world.trace().events().iter().take(400) {
         if matches!(
-            e.kind,
+            &*e.kind,
             "glidein.submit"
                 | "gram.submit"
                 | "jm.state"

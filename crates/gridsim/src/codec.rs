@@ -600,7 +600,7 @@ mod tests {
     }
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    struct Record {
+    struct Stored {
         id: u64,
         state: JobState,
         attempts: Vec<u32>,
@@ -647,7 +647,7 @@ mod tests {
         round_trip(JobState::Done(-1, true));
         let mut env = BTreeMap::new();
         env.insert("GASS_URL".to_string(), "gass://n0:9000".to_string());
-        round_trip(Record {
+        round_trip(Stored {
             id: 42,
             state: JobState::Running {
                 on: "pbs".into(),

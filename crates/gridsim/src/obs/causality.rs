@@ -44,15 +44,10 @@ pub struct CausalDag {
 }
 
 impl CausalDag {
-    /// An empty DAG; populate with [`CausalDag::insert`].
-    pub fn new() -> CausalDag {
-        CausalDag::default()
-    }
-
-    /// Add one record: the trace record at `record_idx` (caller-defined
-    /// indexing) was emitted under kernel event `id`, whose causal parent
-    /// is `cause` ([`NO_CAUSE`] for roots), at virtual time `time`.
-    pub fn insert(&mut self, id: u64, cause: u64, time: SimTime, record_idx: usize) {
+    /// Add one record: the trace record at `record_idx` was emitted under
+    /// kernel event `id`, whose causal parent is `cause` ([`NO_CAUSE`] for
+    /// roots), at virtual time `time`.
+    fn insert(&mut self, id: u64, cause: u64, time: SimTime, record_idx: usize) {
         let node = self.nodes.entry(id).or_insert_with(|| DagNode {
             id,
             time,
@@ -68,7 +63,7 @@ impl CausalDag {
 
     /// Build from an in-memory trace; record indices point into `events`.
     pub fn from_events(events: &[TraceEvent]) -> CausalDag {
-        let mut dag = CausalDag::new();
+        let mut dag = CausalDag::default();
         for (i, e) in events.iter().enumerate() {
             if e.id == NO_CAUSE {
                 // Emitted outside event processing (setup code): not part
@@ -81,9 +76,8 @@ impl CausalDag {
         dag
     }
 
-    /// Populate child lists from the cause edges. Call once after the last
-    /// [`CausalDag::insert`].
-    pub fn link(&mut self) {
+    /// Populate child lists from the cause edges, once every record is in.
+    fn link(&mut self) {
         let edges: Vec<(u64, u64)> = self
             .nodes
             .values()
@@ -160,7 +154,7 @@ mod tests {
                 node: NodeId(0),
                 comp: CompId(0),
             },
-            kind: "k",
+            kind: "k".into(),
             detail: String::new(),
             id,
             cause,

@@ -10,9 +10,9 @@
 //! ring's causal window when something breaks.
 //!
 //! * [`FlightRecorder`] — a [`TraceSubscriber`] writing fixed-size binary
-//!   slots into a preallocated ring. Kinds (always `&'static str`) are
-//!   interned into a small table; detail strings are copied into a
-//!   circular byte arena. After warm-up the steady state performs **no
+//!   slots into a preallocated ring. Kinds (string literals at every emit
+//!   site) are interned into a small table; detail strings are copied into
+//!   a circular byte arena. After warm-up the steady state performs **no
 //!   per-event heap allocation**; cause ids are preserved so a dumped
 //!   window still rebuilds its happens-before DAG. `fault.*`,
 //!   `broker.*`, and `gm.attempt_failed` records are *pinned* outside
@@ -26,61 +26,28 @@
 //!   a trailing window, quarantine storm, and backpressure stall. Each
 //!   detector fires at most once; the driver dumps the causal window
 //!   around the offending job/site on the first trigger.
-//! * [`encode_dump`] — the binary dump format `condor-g-trace flight`
-//!   decodes back into the offline record model, so critical-path blame,
-//!   stuck-job reports, root-cause attribution, and Perfetto conversion
-//!   all work on dumps unchanged.
+//! * [`FlightRecorder::dump`] — the causal window as a
+//!   [`crate::trace::cgfr`] file, which `condor-g-trace flight` decodes
+//!   back into the same [`TraceEvent`]s, so critical-path blame, stuck-job
+//!   reports and root-cause attribution all work on dumps unchanged.
 
-use crate::event::NO_CAUSE;
+use crate::component::{Addr, CompId, NodeId};
 use crate::metrics::Metrics;
+use crate::obs::{span, CausalDag};
 use crate::time::{Duration, SimTime};
+use crate::trace::cgfr::{self, DumpMeta};
 use crate::trace::{TraceEvent, TraceSubscriber};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::Write;
 use std::rc::Rc;
 
-/// First bytes of every flight dump.
-pub const DUMP_MAGIC: [u8; 4] = *b"CGFR";
-/// Current dump format version.
-pub const DUMP_VERSION: u16 = 1;
 /// Default ring capacity (records).
 pub const DEFAULT_RING: usize = 65_536;
 /// Pinned `fault.*` / `broker.*` / `gm.attempt_failed` records kept
 /// outside the ring.
 const PIN_CAP: usize = 4_096;
-
-/// One decoded flight record: the owned mirror of [`TraceEvent`], produced
-/// when the ring is inspected or dumped (never on the hot emit path).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightRecord {
-    /// Virtual time of emission.
-    pub time: SimTime,
-    /// Node id of the emitting component.
-    pub node: u32,
-    /// Component id within the node.
-    pub comp: u32,
-    /// Machine-matchable kind.
-    pub kind: String,
-    /// Human-readable detail.
-    pub detail: String,
-    /// Kernel event the record was emitted under.
-    pub id: u64,
-    /// Nearest observable causal ancestor ([`NO_CAUSE`] for roots).
-    pub cause: u64,
-}
-
-/// Metadata stamped on a dump: why it was taken, around what, and when.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DumpMeta {
-    /// Human-readable trigger reason (detector name + threshold).
-    pub reason: String,
-    /// The offending job/site the window is anchored on (empty = whole
-    /// ring).
-    pub anchor: String,
-    /// Virtual time of the trigger.
-    pub time: SimTime,
-}
 
 /// One fixed-size ring slot. Details live in the byte arena; `detail_off`
 /// is a *monotone* offset (physical position is `off % arena.len()`), so
@@ -107,9 +74,9 @@ struct Inner {
     write_off: u64,
     /// Detail bytes reclaimed from evicted slots (monotone).
     release_off: u64,
-    kinds: Vec<&'static str>,
-    kind_index: HashMap<&'static str, u32>,
-    pinned: VecDeque<FlightRecord>,
+    kinds: Vec<Cow<'static, str>>,
+    kind_index: HashMap<Cow<'static, str>, u32>,
+    pinned: VecDeque<TraceEvent>,
     pinned_dropped: u64,
     seen: u64,
     evicted: u64,
@@ -127,13 +94,15 @@ impl Inner {
         self.evicted += 1;
     }
 
-    fn intern(&mut self, kind: &'static str) -> u32 {
-        if let Some(&idx) = self.kind_index.get(kind) {
+    /// The table index of `event`'s kind. Cloning a kind is free on the
+    /// emit path, where it borrows a literal.
+    fn intern(&mut self, event: &TraceEvent) -> u32 {
+        if let Some(&idx) = self.kind_index.get(&event.kind) {
             return idx;
         }
         let idx = self.kinds.len() as u32;
-        self.kinds.push(kind);
-        self.kind_index.insert(kind, idx);
+        self.kinds.push(event.kind.clone());
+        self.kind_index.insert(event.kind.clone(), idx);
         idx
     }
 
@@ -150,25 +119,13 @@ impl Inner {
         {
             if event.kind == "broker.quarantine" {
                 self.quarantines += 1;
-                self.last_quarantine_site = event
-                    .detail
-                    .split_whitespace()
-                    .find_map(|w| w.strip_prefix("site="))
-                    .map(str::to_string);
+                self.last_quarantine_site = span::field(&event.detail, "site").map(str::to_string);
             }
             if self.pinned.len() >= PIN_CAP {
                 self.pinned.pop_front();
                 self.pinned_dropped += 1;
             }
-            self.pinned.push_back(FlightRecord {
-                time: event.time,
-                node: event.addr.node.0,
-                comp: event.addr.comp.0,
-                kind: event.kind.to_string(),
-                detail: event.detail.clone(),
-                id: event.id,
-                cause: event.cause,
-            });
+            self.pinned.push_back(event.clone());
             return;
         }
         if self.slots.is_empty() {
@@ -197,7 +154,7 @@ impl Inner {
         self.arena[pos..pos + first].copy_from_slice(&bytes[..first]);
         self.arena[..dlen - first].copy_from_slice(&bytes[first..dlen]);
         self.write_off += dlen as u64;
-        let kind = self.intern(event.kind);
+        let kind = self.intern(event);
         let tail = (self.head + self.len) % self.slots.len();
         self.slots[tail] = Slot {
             time_us: event.time.micros(),
@@ -223,13 +180,15 @@ impl Inner {
         String::from_utf8(bytes).expect("arena holds whole UTF-8 details")
     }
 
-    fn record_at(&self, i: usize) -> FlightRecord {
+    fn record_at(&self, i: usize) -> TraceEvent {
         let s = &self.slots[(self.head + i) % self.slots.len()];
-        FlightRecord {
+        TraceEvent {
             time: SimTime(s.time_us),
-            node: s.node,
-            comp: s.comp,
-            kind: self.kinds[s.kind as usize].to_string(),
+            addr: Addr {
+                node: NodeId(s.node),
+                comp: CompId(s.comp),
+            },
+            kind: self.kinds[s.kind as usize].clone(),
             detail: self.detail_of(s),
             id: s.id,
             cause: s.cause,
@@ -325,58 +284,53 @@ impl FlightRecorder {
     }
 
     /// Decode the live ring, oldest first (pinned records not included).
-    pub fn records(&self) -> Vec<FlightRecord> {
+    pub fn records(&self) -> Vec<TraceEvent> {
         let inner = self.inner.borrow();
         (0..inner.len).map(|i| inner.record_at(i)).collect()
     }
 
     /// The pinned records (faults, broker verdicts, failed attempts),
     /// oldest first.
-    pub fn pinned(&self) -> Vec<FlightRecord> {
+    pub fn pinned(&self) -> Vec<TraceEvent> {
         self.inner.borrow().pinned.iter().cloned().collect()
     }
 
     /// The causal window around `anchor`: every ring record whose detail
     /// mentions the anchor, closed over the happens-before relation in
-    /// *both* directions (ancestors via `cause` links, descendants via
-    /// records that name a kept record's event as their cause), plus all
-    /// pinned fault/broker records — merged in time order. The two-sided
-    /// cone is what forensics needs: the stall's ancestors explain *why*,
-    /// its descendants (retries, failures, resubmits) show the *blast
-    /// radius*. An empty anchor selects the whole ring.
-    pub fn causal_window(&self, anchor: &str) -> Vec<FlightRecord> {
+    /// *both* directions (the [`CausalDag`]'s cause links up, its child
+    /// links down; all records of a kept event are kept), plus all pinned
+    /// fault/broker records — merged in time order. The two-sided cone is
+    /// what forensics needs: the stall's ancestors explain *why*, its
+    /// descendants (retries, failures, resubmits) show the *blast radius*.
+    /// An empty anchor selects the whole ring.
+    pub fn causal_window(&self, anchor: &str) -> Vec<TraceEvent> {
         let ring = self.records();
         let mut out = self.pinned();
         if anchor.is_empty() {
             out.extend(ring);
         } else {
-            let mut by_id: HashMap<u64, Vec<usize>> = HashMap::new();
-            let mut by_cause: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (i, r) in ring.iter().enumerate() {
-                if r.id != NO_CAUSE {
-                    by_id.entry(r.id).or_default().push(i);
-                }
-                if r.cause != NO_CAUSE {
-                    by_cause.entry(r.cause).or_default().push(i);
-                }
-            }
+            let dag = CausalDag::from_events(&ring);
             let mut keep = vec![false; ring.len()];
-            let mut stack: Vec<usize> = Vec::new();
+            let mut visited: BTreeSet<u64> = BTreeSet::new();
+            let mut stack: Vec<u64> = Vec::new();
             for (i, r) in ring.iter().enumerate() {
                 if r.detail.contains(anchor) {
                     keep[i] = true;
-                    stack.push(i);
+                    stack.push(r.id);
                 }
             }
-            while let Some(i) = stack.pop() {
-                let r = &ring[i];
-                let up = by_id.get(&r.cause).into_iter().flatten();
-                let down = by_cause.get(&r.id).into_iter().flatten();
-                for &j in up.chain(down) {
-                    if !keep[j] {
-                        keep[j] = true;
-                        stack.push(j);
+            while let Some(id) = stack.pop() {
+                // Not a node: a setup-time record, or a cause the ring has
+                // already evicted.
+                let Some(node) = dag.node(id) else {
+                    continue;
+                };
+                if visited.insert(id) {
+                    for &i in &node.records {
+                        keep[i] = true;
                     }
+                    stack.extend(node.cause);
+                    stack.extend(&node.children);
                 }
             }
             out.extend(
@@ -397,7 +351,7 @@ impl FlightRecorder {
             anchor: anchor.to_string(),
             time: now,
         };
-        encode_dump(&meta, &self.causal_window(anchor))
+        cgfr::encode(&meta, &self.causal_window(anchor))
     }
 }
 
@@ -405,55 +359,6 @@ impl TraceSubscriber for FlightRecorder {
     fn on_event(&mut self, event: &TraceEvent) {
         self.inner.borrow_mut().push(event);
     }
-}
-
-// ---- binary dump format ------------------------------------------------
-//
-//   magic "CGFR" | version u16 | reason str | anchor str | time u64
-//   | kind count u32 | kinds (str)* | record count u64
-//   | records (time u64, node u32, comp u32, kind u32, id u64, cause u64,
-//              detail str)*
-//
-// All integers little-endian; `str` is a u32 byte length + UTF-8 bytes.
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Encode `records` (with `meta`) into the flight dump format decoded by
-/// `condor-g-trace flight` (crates/trace `flight::decode`).
-pub fn encode_dump(meta: &DumpMeta, records: &[FlightRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + records.len() * 48);
-    out.extend_from_slice(&DUMP_MAGIC);
-    out.extend_from_slice(&DUMP_VERSION.to_le_bytes());
-    put_str(&mut out, &meta.reason);
-    put_str(&mut out, &meta.anchor);
-    out.extend_from_slice(&meta.time.micros().to_le_bytes());
-    // Dump-local kind table, in first-appearance order.
-    let mut kinds: Vec<&str> = Vec::new();
-    let mut index: HashMap<&str, u32> = HashMap::new();
-    for r in records {
-        index.entry(&r.kind).or_insert_with(|| {
-            kinds.push(&r.kind);
-            (kinds.len() - 1) as u32
-        });
-    }
-    out.extend_from_slice(&(kinds.len() as u32).to_le_bytes());
-    for k in &kinds {
-        put_str(&mut out, k);
-    }
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    for r in records {
-        out.extend_from_slice(&r.time.micros().to_le_bytes());
-        out.extend_from_slice(&r.node.to_le_bytes());
-        out.extend_from_slice(&r.comp.to_le_bytes());
-        out.extend_from_slice(&index[r.kind.as_str()].to_le_bytes());
-        out.extend_from_slice(&r.id.to_le_bytes());
-        out.extend_from_slice(&r.cause.to_le_bytes());
-        put_str(&mut out, &r.detail);
-    }
-    out
 }
 
 // ---- streaming telemetry -----------------------------------------------
@@ -816,7 +721,7 @@ impl AnomalyDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Addr, CompId, NodeId};
+    use crate::event::NO_CAUSE;
 
     fn ev(time_us: u64, kind: &'static str, detail: &str, id: u64, cause: u64) -> TraceEvent {
         TraceEvent {
@@ -825,7 +730,7 @@ mod tests {
                 node: NodeId(1),
                 comp: CompId(2),
             },
-            kind,
+            kind: kind.into(),
             detail: detail.to_string(),
             id,
             cause,
@@ -983,7 +888,7 @@ mod tests {
             ],
         );
         let window = rec.causal_window("job=42");
-        let kinds: Vec<_> = window.iter().map(|r| r.kind.as_str()).collect();
+        let kinds: Vec<_> = window.iter().map(|r| &*r.kind).collect();
         // Ancestors (why) and descendants (blast radius), not bystanders.
         assert_eq!(kinds, vec!["k.root", "k.mid", "k.leaf", "k.retry"]);
         // Empty anchor selects everything.
@@ -991,12 +896,23 @@ mod tests {
     }
 
     #[test]
-    fn dump_starts_with_magic_and_version() {
+    fn dump_is_the_causal_window_in_cgfr() {
         let rec = FlightRecorder::new(4);
-        feed(&rec, &[ev(1, "k.a", "x", 1, NO_CAUSE)]);
-        let bytes = rec.dump("test", "", SimTime(9));
-        assert_eq!(&bytes[..4], &DUMP_MAGIC);
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), DUMP_VERSION);
+        feed(
+            &rec,
+            &[
+                ev(1, "k.a", "job=42", 1, NO_CAUSE),
+                ev(2, "k.b", "unrelated", 2, NO_CAUSE),
+            ],
+        );
+        let (meta, events) = cgfr::decode(&rec.dump("test", "job=42", SimTime(9))).unwrap();
+        assert_eq!(
+            (meta.reason.as_str(), meta.anchor.as_str()),
+            ("test", "job=42")
+        );
+        assert_eq!(meta.time, SimTime(9));
+        assert_eq!(events, rec.causal_window("job=42"));
+        assert_eq!(events, rec.records()[..1]);
     }
 
     #[test]

@@ -6,15 +6,20 @@
 //! module family turns the kernel's raw trace and metrics sinks into those
 //! artifacts:
 //!
-//! * [`subscriber`] — pluggable [`crate::trace::TraceSubscriber`]s:
-//!   kind/node [`TraceFilter`]s and a streaming [`JsonlWriter`]; with the
-//!   bounded [`FlightRecorder`] ring, tracing stays on for long campaigns
-//!   with bounded memory.
+//! * [`subscriber`] — the streaming [`JsonlWriter`], a
+//!   [`crate::trace::TraceSubscriber`] writing [`crate::trace::jsonl`]
+//!   lines; with the bounded [`FlightRecorder`] ring ([`flight`]), tracing
+//!   stays on for long campaigns with bounded memory. Everything here
+//!   consumes and produces the one record type,
+//!   [`crate::trace::TraceEvent`].
 //! * [`span`] — the [`SpanCollector`] stitches `"span"` milestone events
 //!   into per-job submit → auth → commit → stage-in → queue → execute →
 //!   stage-out → terminal timelines, renders the generalized Figure-1
 //!   ladder, and reports per-phase duration histograms into
-//!   [`crate::metrics::Metrics`].
+//!   [`crate::metrics::Metrics`]. It is the only stitcher: the flight
+//!   recorder, the offline forensics and the Perfetto export read it (and
+//!   [`span::field`], [`span::phase_between`]) instead of re-deriving
+//!   the joins.
 //! * [`export`] — Prometheus-text and JSON snapshots of the metrics sink.
 //! * [`profiler`] — per-component event counts and handler wall time,
 //!   event-queue depth as a time series, events/sec summary.
@@ -39,13 +44,12 @@ pub mod weather;
 pub use causality::{CausalDag, DagNode};
 pub use export::{json_snapshot, json_string, prometheus_snapshot};
 pub use flight::{
-    encode_dump, site_aggregates, telemetry_line, Anomaly, AnomalyDetector, AnomalyKind,
-    DetectorConfig, DumpMeta, FlightRecord, FlightRecorder, TelemetrySample, TelemetryWriter,
-    DUMP_MAGIC, DUMP_VERSION,
+    site_aggregates, telemetry_line, Anomaly, AnomalyDetector, AnomalyKind, DetectorConfig,
+    FlightRecorder, TelemetrySample, TelemetryWriter,
 };
 pub use profiler::{CompProfile, Profiler};
 pub use span::{AttemptSpan, JobSpan, SpanCollector, SpanPhase, PHASES, SPAN_KIND};
-pub use subscriber::{Filtered, JsonlWriter, TraceFilter};
+pub use subscriber::JsonlWriter;
 pub use weather::{
     grid_weather, render_top, weather_json, HealthAction, HealthEvent, HealthPolicy,
     SiteHealthTracker, SiteState, SiteWeather,

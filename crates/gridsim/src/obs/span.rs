@@ -21,13 +21,14 @@
 //! [`AttemptSpan`] per (re)submission. GASS transfers annotate the span
 //! they belong to via the job-stdout path convention.
 //!
-//! The collector doubles as a [`TraceSubscriber`], so spans can be built
-//! online from a bounded pipeline, or offline from a recorded event vector
-//! via [`SpanCollector::from_events`].
+//! This is the one place those joins are made: the scenario report, the
+//! offline forensics and the Perfetto export all read the collector (and
+//! its [`field`], [`phase_between`] and [`SpanCollector::job_of`]) rather
+//! than re-deriving them.
 
 use crate::metrics::Metrics;
 use crate::time::{Duration, SimTime};
-use crate::trace::{TraceEvent, TraceSubscriber};
+use crate::trace::TraceEvent;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -78,7 +79,7 @@ pub const PHASES: [SpanPhase; 6] = [
 
 /// The phase spanned by a consecutive milestone pair. `done` after
 /// `active` means execution with no output staging, so the pair decides.
-fn phase_between(prev: &str, next: &str) -> Option<SpanPhase> {
+pub fn phase_between(prev: &str, next: &str) -> Option<SpanPhase> {
     Some(match (prev, next) {
         ("submit", "auth") => SpanPhase::Auth,
         ("auth", "commit") => SpanPhase::Commit,
@@ -99,8 +100,9 @@ pub struct AttemptSpan {
     pub site: Option<String>,
     /// Job contact assigned by the gatekeeper.
     pub contact: Option<u64>,
-    /// Milestones in arrival order: `(name, time)`.
-    pub milestones: Vec<(String, SimTime)>,
+    /// Milestones in arrival order: `(name, time, kernel event id)`. The
+    /// first is always the `submit` that opened the attempt.
+    pub milestones: Vec<(String, SimTime, u64)>,
     /// Bytes of output staged back, from GASS transfer annotations.
     pub staged_out_bytes: u64,
 }
@@ -110,16 +112,16 @@ impl AttemptSpan {
     pub fn at(&self, milestone: &str) -> Option<SimTime> {
         self.milestones
             .iter()
-            .find(|(name, _)| name == milestone)
-            .map(|&(_, t)| t)
+            .find(|(name, ..)| name == milestone)
+            .map(|&(_, t, _)| t)
     }
 
     /// Duration of each completed phase, in pipeline order.
     pub fn phase_durations(&self) -> Vec<(SpanPhase, Duration)> {
         let mut out = Vec::new();
         for pair in self.milestones.windows(2) {
-            let (ref prev, start) = pair[0];
-            let (ref next, end) = pair[1];
+            let (ref prev, start, _) = pair[0];
+            let (ref next, end, _) = pair[1];
             if let Some(phase) = phase_between(prev, next) {
                 out.push((phase, end - start));
             }
@@ -127,13 +129,12 @@ impl AttemptSpan {
         out
     }
 
-    /// The terminal milestone (`done`/`failed`/`removed`), if reached.
-    pub fn terminal(&self) -> Option<&str> {
+    /// The last terminal milestone (`done`/`failed`/`removed`), if reached.
+    pub fn terminal(&self) -> Option<&(String, SimTime, u64)> {
         self.milestones
             .iter()
             .rev()
-            .map(|(name, _)| name.as_str())
-            .find(|name| matches!(*name, "done" | "failed" | "removed"))
+            .find(|(name, ..)| is_terminal(name))
     }
 }
 
@@ -154,14 +155,19 @@ impl JobSpan {
 
     /// Whether the full submit → done pipeline completed in some attempt.
     pub fn completed(&self) -> bool {
-        self.attempts.iter().any(|a| a.terminal() == Some("done"))
+        self.attempts
+            .iter()
+            .any(|a| a.terminal().is_some_and(|(name, ..)| name == "done"))
     }
 }
 
 /// Joins span milestones back into per-job timelines.
 ///
-/// Also a [`TraceSubscriber`]: box a clone of a shared collector into the
-/// sink, or feed recorded events through [`SpanCollector::from_events`].
+/// A milestone goes to its job's *latest* attempt, with one exception:
+/// `auth` names a `seq`, so it goes to the attempt that was submitted under
+/// that `seq` even when a resubmission has since opened a newer one (a
+/// gatekeeper that answers late must not hand its contact to the retry).
+/// The contact still resolves to the job from then on.
 #[derive(Debug, Default)]
 pub struct SpanCollector {
     jobs: BTreeMap<u64, JobSpan>,
@@ -173,13 +179,22 @@ pub struct SpanCollector {
     pub orphans: u64,
 }
 
-/// Parse a `key=value` list; values cannot contain spaces (the emitters
-/// guarantee that for identity keys; free-text keys go last).
-fn field<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
+/// Look `key` up in a space-separated `key=value` detail; values cannot
+/// contain spaces (the emitters guarantee that for identity keys;
+/// free-text keys go last).
+pub fn field<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
     detail.split_whitespace().find_map(|kv| {
         let (k, v) = kv.split_once('=')?;
         (k == key).then_some(v)
     })
+}
+
+fn num(detail: &str, key: &str) -> Option<u64> {
+    field(detail, key)?.parse().ok()
+}
+
+fn is_terminal(milestone: &str) -> bool {
+    matches!(milestone, "done" | "failed" | "removed")
 }
 
 impl SpanCollector {
@@ -202,78 +217,93 @@ impl SpanCollector {
         &self.jobs
     }
 
+    /// The grid job a record belongs to, by the joins learned so far: a
+    /// span milestone via its `job=`, `seq=` or `contact=` field (a GASS
+    /// transfer via the stdout-path convention `/condor_g/out/gj<job>`;
+    /// stage-in and unrelated transfers carry no job id), a `gm.*` record
+    /// via the `gj<N>` its detail leads with.
+    pub fn job_of(&self, event: &TraceEvent) -> Option<u64> {
+        let detail = event.detail.as_str();
+        if event.kind == SPAN_KIND {
+            if field(detail, "phase") == Some("transfer") {
+                return field(detail, "path")?
+                    .strip_prefix("/condor_g/out/gj")?
+                    .parse()
+                    .ok();
+            }
+            return num(detail, "job")
+                .or_else(|| self.seq_to_job.get(&num(detail, "seq")?).copied())
+                .or_else(|| self.contact_to_job.get(&num(detail, "contact")?).copied());
+        }
+        if !event.kind.starts_with("gm.") {
+            return None;
+        }
+        let rest = detail.strip_prefix("gj")?;
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        rest[..end].parse().ok()
+    }
+
     /// Feed one event; non-span kinds are ignored.
     pub fn ingest(&mut self, event: &TraceEvent) {
         if event.kind != SPAN_KIND {
             return;
         }
         let detail = event.detail.as_str();
-        // GASS transfer annotation: attribute via the stdout-path convention
-        // (`/condor_g/out/gj<job>`).
-        if field(detail, "phase") == Some("transfer") {
-            let Some(path) = field(detail, "path") else {
-                return;
-            };
-            let job: u64 = match path
-                .strip_prefix("/condor_g/out/gj")
-                .and_then(|s| s.parse().ok())
-            {
-                Some(job) => job,
-                // Stage-in and unrelated transfers carry no job id.
-                None => return,
-            };
-            let bytes: u64 = field(detail, "bytes")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
-            if let Some(attempt) = self.jobs.get_mut(&job).and_then(|j| j.attempts.last_mut()) {
-                attempt.staged_out_bytes += bytes;
-            }
-            return;
-        }
-        let Some(milestone) = field(detail, "phase").map(str::to_string) else {
+        let Some(milestone) = field(detail, "phase") else {
             self.orphans += 1;
             return;
         };
-        let seq: Option<u64> = field(detail, "seq").and_then(|s| s.parse().ok());
-        let contact: Option<u64> = field(detail, "contact").and_then(|s| s.parse().ok());
-        // Resolve the job: directly, via seq, or via contact.
-        let job: Option<u64> = field(detail, "job")
-            .and_then(|s| s.parse().ok())
-            .or_else(|| seq.and_then(|s| self.seq_to_job.get(&s).copied()))
-            .or_else(|| contact.and_then(|c| self.contact_to_job.get(&c).copied()));
+        let job = self.job_of(event);
+        if milestone == "transfer" {
+            let attempt = job
+                .and_then(|job| self.jobs.get_mut(&job))
+                .and_then(|span| span.attempts.last_mut());
+            if let Some(attempt) = attempt {
+                attempt.staged_out_bytes += num(detail, "bytes").unwrap_or(0);
+            }
+            return;
+        }
         let Some(job) = job else {
             self.orphans += 1;
             return;
         };
+        let seq = num(detail, "seq");
         let span = self.jobs.entry(job).or_insert_with(|| JobSpan {
             job,
             ..JobSpan::default()
         });
+        let reached = (milestone.to_string(), event.time, event.id);
         if milestone == "submit" {
             // A new attempt begins.
-            let mut attempt = AttemptSpan {
+            span.attempts.push(AttemptSpan {
                 seq,
                 site: field(detail, "site").map(str::to_string),
+                milestones: vec![reached],
                 ..AttemptSpan::default()
-            };
-            attempt.milestones.push((milestone, event.time));
-            span.attempts.push(attempt);
+            });
             if let Some(seq) = seq {
                 self.seq_to_job.insert(seq, job);
             }
             return;
         }
-        let Some(attempt) = span.attempts.last_mut() else {
+        let attempt = if milestone == "auth" {
+            span.attempts.iter_mut().rev().find(|a| a.seq == seq)
+        } else {
+            span.attempts.last_mut()
+        };
+        let Some(attempt) = attempt else {
             self.orphans += 1;
             return;
         };
         if milestone == "auth" {
-            if let Some(contact) = contact {
+            if let Some(contact) = num(detail, "contact") {
                 attempt.contact = Some(contact);
                 self.contact_to_job.insert(contact, job);
             }
         }
-        attempt.milestones.push((milestone, event.time));
+        attempt.milestones.push(reached);
     }
 
     /// Record per-phase duration histograms (`span.phase.<name>`, seconds)
@@ -290,12 +320,10 @@ impl SpanCollector {
                     metrics.observe_duration(&format!("span.phase.{}", phase.name()), d);
                 }
                 // End-to-end: submit to terminal, when both exist.
-                if let (Some((_, start)), Some(term)) =
+                if let (Some(&(_, start, _)), Some(&(_, end, _))) =
                     (attempt.milestones.first(), attempt.terminal())
                 {
-                    if let Some(end) = attempt.at(term) {
-                        metrics.observe_duration("span.end_to_end", end - *start);
-                    }
+                    metrics.observe_duration("span.end_to_end", end - start);
                 }
             }
         }
@@ -325,7 +353,7 @@ impl SpanCollector {
                 }
                 out.push('\n');
                 let mut prev: Option<SimTime> = None;
-                for (name, t) in &attempt.milestones {
+                for (name, t, _) in &attempt.milestones {
                     let _ = write!(out, "    {name:<14} at {t}");
                     if let Some(p) = prev {
                         let _ = write!(out, "  (+{})", *t - p);
@@ -363,12 +391,6 @@ impl SpanCollector {
     }
 }
 
-impl TraceSubscriber for SpanCollector {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.ingest(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,7 +403,7 @@ mod tests {
                 node: NodeId(0),
                 comp: CompId(0),
             },
-            kind: SPAN_KIND,
+            kind: SPAN_KIND.into(),
             detail: detail.to_string(),
             id: t,
             cause: crate::event::NO_CAUSE,
@@ -428,7 +450,10 @@ mod tests {
                 (SpanPhase::StageOut, Duration::from_secs(2)),
             ]
         );
-        assert_eq!(a.terminal(), Some("done"));
+        assert_eq!(
+            a.terminal(),
+            Some(&("done".to_string(), SimTime(22_000_000), 22_000_000))
+        );
     }
 
     #[test]
@@ -447,6 +472,51 @@ mod tests {
         assert_eq!(span.attempts[1].site.as_deref(), Some("b"));
         assert_eq!(span.attempts[1].contact, Some(11));
         assert!(span.completed());
+    }
+
+    /// The one rule the three former stitchers disagreed on.
+    #[test]
+    fn late_auth_lands_on_the_attempt_its_seq_names() {
+        let events = vec![
+            span_ev(1_000_000, "job=3 seq=0 phase=submit site=a"),
+            span_ev(60_000_000, "job=3 seq=1 phase=submit site=b"),
+            span_ev(61_000_000, "seq=0 contact=10 phase=auth"),
+            span_ev(62_000_000, "contact=10 phase=commit"),
+        ];
+        let c = SpanCollector::from_events(&events);
+        assert_eq!(c.orphans, 0);
+        let attempts = &c.jobs()[&3].attempts;
+        assert_eq!(attempts[0].contact, Some(10));
+        assert_eq!(attempts[0].at("auth"), Some(SimTime(61_000_000)));
+        assert_eq!(attempts[1].contact, None, "the retry has no contact yet");
+        assert_eq!(attempts[1].at("auth"), None);
+        // The contact resolves to the job all the same.
+        assert_eq!(c.job_of(&events[3]), Some(3));
+    }
+
+    #[test]
+    fn job_of_reads_spans_transfers_and_gm_records() {
+        let c = SpanCollector::from_events(&full_pipeline());
+        let of = |kind: &'static str, detail: &str| {
+            c.job_of(&TraceEvent {
+                kind: kind.into(),
+                ..span_ev(0, detail)
+            })
+        };
+        assert_eq!(of(SPAN_KIND, "seq=5 phase=auth"), Some(0));
+        assert_eq!(of(SPAN_KIND, "contact=77 phase=active"), Some(0));
+        assert_eq!(of(SPAN_KIND, "contact=78 phase=active"), None);
+        assert_eq!(
+            of(SPAN_KIND, "phase=transfer op=put path=/condor_g/out/gj9"),
+            Some(9)
+        );
+        assert_eq!(of(SPAN_KIND, "phase=transfer op=get path=/home/app"), None);
+        assert_eq!(
+            of("gm.attempt_failed", "gj12: gatekeeper unreachable"),
+            Some(12)
+        );
+        assert_eq!(of("gm.exit", "all jobs complete"), None);
+        assert_eq!(of("lrm.start", "gj12"), None);
     }
 
     #[test]

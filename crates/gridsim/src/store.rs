@@ -87,16 +87,6 @@ impl StableStore {
         }
         keys.len()
     }
-
-    /// Number of stored keys across all nodes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -223,6 +223,29 @@ impl Div<u64> for Duration {
     }
 }
 
+/// `100ms` / `90s` / `30m` / `2h` / `1d`: a whole number and a unit. The
+/// one duration syntax of the command-line tools and the `.scn` language.
+impl std::str::FromStr for Duration {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Duration, String> {
+        // "ms" before "s" and "m": the first suffix that fits decides.
+        const UNITS: [(&str, u64); 5] = [
+            ("ms", 1_000),
+            ("s", 1_000_000),
+            ("m", 60_000_000),
+            ("h", 3_600_000_000),
+            ("d", 86_400_000_000),
+        ];
+        UNITS
+            .iter()
+            .find_map(|&(unit, micros)| Some((s.strip_suffix(unit)?, micros)))
+            .and_then(|(n, micros)| n.parse::<u64>().ok()?.checked_mul(micros))
+            .map(Duration)
+            .ok_or_else(|| format!("bad duration {s:?} (want <n>ms|s|m|h|d)"))
+    }
+}
+
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t={}", format_micros(self.0))
@@ -318,6 +341,25 @@ mod tests {
         assert_eq!(format!("{}", Duration::from_millis(1)), "1.000ms");
         assert_eq!(format!("{}", Duration::from_secs(90)), "1m30s");
         assert_eq!(format!("{}", Duration::from_hours(25)), "1d01h");
+    }
+
+    #[test]
+    fn parsing() {
+        assert_eq!("100ms".parse(), Ok(Duration::from_millis(100)));
+        assert_eq!("90s".parse(), Ok(Duration::from_secs(90)));
+        assert_eq!("30m".parse(), Ok(Duration::from_mins(30)));
+        assert_eq!("2h".parse(), Ok(Duration::from_hours(2)));
+        assert_eq!("1d".parse(), Ok(Duration::from_days(1)));
+        assert_eq!("0s".parse(), Ok(Duration::ZERO));
+        // No unit, no number, a sign, a fraction, a non-ASCII tail, an
+        // overflowing product: errors, never panics.
+        for bad in ["", "5", "s", "ms", "-5s", "1.5h", "5é", "5 s", "xx"] {
+            assert!(bad.parse::<Duration>().is_err(), "accepted {bad:?}");
+        }
+        assert!(format!("{}d", u64::MAX).parse::<Duration>().is_err());
+        assert!(format!("{}s", u64::MAX / 1_000_000 + 1)
+            .parse::<Duration>()
+            .is_err());
     }
 
     #[test]

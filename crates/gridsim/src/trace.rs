@@ -15,9 +15,20 @@
 //!   subscriber as it is emitted, so a week-long campaign can stream to a
 //!   JSONL file or keep only a bounded ring of recent events without the
 //!   unbounded vector ever being turned on.
+//!
+//! [`TraceEvent`] is the only trace record in the workspace: what a
+//! component emits, what the flight ring hands back, and what the offline
+//! tools decode are the same type. Its two wire formats each live in one
+//! module beside it, encoder and decoder together: [`jsonl`] (the
+//! `--trace-out` text stream) and [`cgfr`] (the flight recorder's binary
+//! dump).
+
+pub mod cgfr;
+pub mod jsonl;
 
 use crate::component::Addr;
 use crate::time::SimTime;
+use std::borrow::Cow;
 use std::fmt;
 
 /// One trace record.
@@ -28,7 +39,9 @@ pub struct TraceEvent {
     /// The component it is attributed to.
     pub addr: Addr,
     /// Machine-matchable kind, e.g. `"gram.submit"` or `"job.state"`.
-    pub kind: &'static str,
+    /// Emitters pass a literal (borrowed, no allocation); a record decoded
+    /// from a file owns its kind.
+    pub kind: Cow<'static, str>,
     /// Human-readable detail.
     pub detail: String,
     /// Kernel event id: the sequence number of the event during whose
@@ -38,8 +51,8 @@ pub struct TraceEvent {
     pub id: u64,
     /// The id of the nearest *observable* causal ancestor event — the most
     /// recent event on this record's trigger chain that itself emitted a
-    /// trace record — or [`NO_CAUSE`] for externally injected stimuli
-    /// (fault plans, initial posts).
+    /// trace record — or [`NO_CAUSE`](crate::event::NO_CAUSE) for
+    /// externally injected stimuli (fault plans, initial posts).
     pub cause: u64,
 }
 
@@ -58,10 +71,9 @@ impl fmt::Display for TraceEvent {
 
 /// A consumer of trace events, registered with [`TraceSink::subscribe`].
 ///
-/// Subscribers see every emitted event (do their own filtering via
-/// [`crate::obs::Filtered`]) and run regardless of whether the sink's
-/// in-memory vector is enabled — that is what keeps memory bounded on long
-/// campaigns.
+/// Subscribers see every emitted event and run regardless of whether the
+/// sink's in-memory vector is enabled — that is what keeps memory bounded
+/// on long campaigns.
 pub trait TraceSubscriber {
     /// Called once per emitted event, in emission order.
     fn on_event(&mut self, event: &TraceEvent);
@@ -163,7 +175,7 @@ impl TraceSink {
         let event = TraceEvent {
             time,
             addr,
-            kind,
+            kind: Cow::Borrowed(kind),
             detail,
             id,
             cause,
@@ -196,6 +208,64 @@ impl TraceSink {
     /// Drop all recorded events (subscribers keep what they already saw).
     pub fn clear(&mut self) {
         self.events.clear();
+    }
+}
+
+/// Arbitrary events for the codec proptests. The vendored `proptest` only
+/// generates printable-ASCII strings, so hostile text is built here from
+/// raw `u32` draws.
+#[cfg(test)]
+pub(crate) mod arb {
+    use super::TraceEvent;
+    use crate::component::{Addr, CompId, NodeId};
+    use crate::event::NO_CAUSE;
+    use crate::time::SimTime;
+    use crate::world::EXTERNAL;
+
+    /// One char per word (none for a surrogate): a quarter each from the
+    /// characters the encoders must escape or keep whole, ASCII, the BMP,
+    /// and every plane.
+    pub fn text(words: &[u32]) -> String {
+        const NASTY: [char; 12] = [
+            '"', '\\', '\n', '\r', '\t', '\0', '\u{1}', '\u{1f}', '/', 'é', '€', '🛰',
+        ];
+        words
+            .iter()
+            .filter_map(|&w| match w >> 30 {
+                0 => Some(NASTY[w as usize % NASTY.len()]),
+                1 => char::from_u32(w % 0x80),
+                2 => char::from_u32(w % 0x1_0000),
+                _ => char::from_u32(w % 0x11_0000),
+            })
+            .collect()
+    }
+
+    /// An event from raw draws; every fourth `id`, `cause` and address is
+    /// the sentinel (`NO_CAUSE`, `EXTERNAL`).
+    pub fn event(nums: (u64, u64, u64, u64), kind: &[u32], detail: &[u32]) -> TraceEvent {
+        let (time, addr, id, cause) = nums;
+        let sentinel = |v: u64| {
+            if v.is_multiple_of(4) {
+                NO_CAUSE
+            } else {
+                v >> 2
+            }
+        };
+        TraceEvent {
+            time: SimTime(time),
+            addr: if addr.is_multiple_of(4) {
+                EXTERNAL
+            } else {
+                Addr {
+                    node: NodeId((addr >> 2) as u32),
+                    comp: CompId((addr >> 34) as u32),
+                }
+            },
+            kind: text(kind).into(),
+            detail: text(detail),
+            id: sentinel(id),
+            cause: sentinel(cause),
+        }
     }
 }
 
@@ -235,7 +305,7 @@ mod tests {
         let e = TraceEvent {
             time: SimTime(1_500_000),
             addr: addr(),
-            kind: "k",
+            kind: "k".into(),
             detail: "d".into(),
             id: 7,
             cause: NO_CAUSE,

@@ -364,11 +364,6 @@ impl World {
         self.nodes[node.0 as usize].up
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     // ----- external stimulus ----------------------------------------------
 
     /// Inject a message from outside the simulation (delivered at the

@@ -20,7 +20,7 @@ enum State {
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Record {
+struct Stored {
     id: u64,
     state: State,
     notes: Vec<String>,
@@ -50,7 +50,7 @@ fn arb_state() -> impl Strategy<Value = State> {
     ]
 }
 
-fn arb_record() -> impl Strategy<Value = Record> {
+fn arb_record() -> impl Strategy<Value = Stored> {
     (
         any::<u64>(),
         arb_state(),
@@ -59,7 +59,7 @@ fn arb_record() -> impl Strategy<Value = Record> {
         any::<f64>(),
         prop::collection::vec(any::<u8>(), 0..32),
     )
-        .prop_map(|(id, state, notes, env, ratio, blob)| Record {
+        .prop_map(|(id, state, notes, env, ratio, blob)| Stored {
             id,
             state,
             notes,
@@ -79,7 +79,7 @@ proptest! {
             r.ratio = 0.0;
         }
         let bytes = to_bytes(&r).unwrap();
-        let back: Record = from_bytes(&bytes).unwrap();
+        let back: Stored = from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, r);
     }
 

@@ -1,4 +1,5 @@
-//! `condor-g-trace`: offline forensics over a `--trace-out` JSONL trace.
+//! `condor-g-trace`: offline forensics over a `--trace-out` JSONL trace or
+//! a flight-recorder dump.
 //!
 //! ```text
 //! condor-g-trace run.jsonl                    # summary + all reports
@@ -16,8 +17,9 @@
 //! the file is not a simulator trace), or a Perfetto self-verification
 //! failure, 2 on usage errors.
 
-use condor_g_trace::{flight_decode, parse, perfetto, Forensics};
+use condor_g_trace::{perfetto, Forensics};
 use gridsim::time::Duration;
+use gridsim::trace::{cgfr, jsonl};
 use std::process::ExitCode;
 
 struct Options {
@@ -68,7 +70,7 @@ fn convert(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let records = match parse(&text) {
+    let records = match jsonl::decode(&text) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("condor-g-trace: {path}: {e}");
@@ -100,21 +102,6 @@ fn convert(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn parse_horizon(s: &str) -> Option<Duration> {
-    let (num, unit) = s.split_at(s.len() - s.chars().last()?.len_utf8());
-    let (value, mult) = match unit {
-        "s" => (num, 1),
-        "m" => (num, 60),
-        "h" => (num, 3600),
-        "d" => (num, 86_400),
-        _ => (s, 1), // plain seconds
-    };
-    value
-        .parse::<u64>()
-        .ok()
-        .map(|v| Duration::from_secs(v * mult))
-}
-
 fn parse_args(args: &[String]) -> Result<Options, ()> {
     let mut opts = Options {
         path: String::new(),
@@ -138,7 +125,11 @@ fn parse_args(args: &[String]) -> Result<Options, ()> {
             "--root-cause" => opts.root_cause = true,
             "--horizon" => {
                 let v = it.next().ok_or(())?;
-                opts.horizon = parse_horizon(v).ok_or(())?;
+                // A bare number is seconds.
+                opts.horizon = v
+                    .parse()
+                    .or_else(|_| format!("{v}s").parse())
+                    .map_err(|_| ())?;
             }
             p if !p.starts_with('-') && opts.path.is_empty() => opts.path = p.to_string(),
             _ => return Err(()),
@@ -259,7 +250,7 @@ fn run_reports(f: &Forensics, opts: &Options) {
 }
 
 /// `flight <dump> [report flags]`: decode a binary flight-recorder dump
-/// into the record model and run the standard reports on its window.
+/// and run the standard reports on its window.
 fn flight(args: &[String]) -> ExitCode {
     let Ok(opts) = parse_args(args) else {
         return usage();
@@ -271,7 +262,7 @@ fn flight(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (meta, records) = match flight_decode(&bytes) {
+    let (meta, records) = match cgfr::decode(&bytes) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("condor-g-trace: {}: {e}", opts.path);
@@ -315,7 +306,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let records = match parse(&text) {
+    let records = match jsonl::decode(&text) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("condor-g-trace: {}: {e}", opts.path);

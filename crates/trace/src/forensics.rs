@@ -1,18 +1,19 @@
-//! Critical-path, stuck-job, and root-cause analysis over a parsed trace.
+//! Critical-path, stuck-job, and root-cause analysis over a decoded trace.
 //!
-//! The analyzer stitches three views together:
+//! The analyzer puts three views side by side:
 //!
 //! * the happens-before DAG ([`gridsim::obs::CausalDag`]) rebuilt from the
 //!   `(id, cause)` pairs on every record — the trigger chain of any event
 //!   is [`CausalDag::chain_to_root`], which for a job's terminal milestone
 //!   *is* its critical path (at every join the kernel records the
 //!   last-arriving input as the cause);
-//! * per-job attempt timelines stitched from `"span"` milestone records
-//!   (`submit` → `auth` → `commit` → `stage_in_done` → `active` →
-//!   `stage_out` → terminal), the same records
-//!   [`gridsim::obs::SpanCollector`] consumes online;
-//! * the `fault.*` records the kernel emits when a fault plan fires —
-//!   the ground-truth outage injections.
+//! * per-job attempt timelines (`submit` → `auth` → `commit` →
+//!   `stage_in_done` → `active` → `stage_out` → terminal), stitched from
+//!   the `"span"` milestone records by [`gridsim::obs::SpanCollector`] —
+//!   the same stitcher the simulator's own report uses;
+//! * the `gm.attempt_failed` records the GridManager emits when it gives
+//!   up on an attempt, and the `fault.*` records the kernel emits when a
+//!   fault plan fires — the ground-truth outage injections.
 //!
 //! Root-cause attribution prefers a causal-chain hit (a `fault.*` ancestor
 //! of the failure record), but most grid failures are detected by
@@ -20,28 +21,11 @@
 //! the crash that caused them — so the fallback correlates the failed
 //! attempt's site and time window against the fault log.
 
-use crate::parse::Record;
-use gridsim::event::NO_CAUSE;
+use gridsim::obs::span::{self, AttemptSpan, SpanCollector, SPAN_KIND};
 use gridsim::obs::{CausalDag, DagNode};
 use gridsim::time::{Duration, SimTime};
+use gridsim::trace::TraceEvent;
 use std::collections::BTreeMap;
-
-/// One remote submission attempt of a grid job.
-#[derive(Debug, Clone)]
-pub struct Attempt {
-    /// GRAM sequence number of the attempt.
-    pub seq: u64,
-    /// Target site name.
-    pub site: String,
-    /// When the GridManager sent the submit.
-    pub submitted: SimTime,
-    /// Kernel event id of the submit milestone.
-    pub submit_event: u64,
-    /// GRAM job contact, once the gatekeeper authenticated the request.
-    pub contact: Option<u64>,
-    /// `(phase, time, event id)` milestones in order.
-    pub milestones: Vec<(String, SimTime, u64)>,
-}
 
 /// Why a job was resubmitted (one per `gm.attempt_failed` record).
 #[derive(Debug, Clone)]
@@ -54,13 +38,13 @@ pub struct Failure {
     pub why: String,
 }
 
-/// Everything reconstructed about one grid job.
+/// What the analyzer adds to a job's [`gridsim::obs::JobSpan`]. A dump
+/// window can show a job's failure or terminal milestone without the
+/// submit that opened its attempt, so there may be no span to go with it.
 #[derive(Debug, Clone, Default)]
 pub struct JobForensics {
     /// Grid job id (the `N` of `gj<N>`).
     pub job: u64,
-    /// Submission attempts in order; more than one means resubmission.
-    pub attempts: Vec<Attempt>,
     /// Attempt failures, in order.
     pub failures: Vec<Failure>,
     /// Terminal milestone `(phase, time, event id)`, if reached.
@@ -133,29 +117,19 @@ pub struct Attribution {
 
 /// The assembled forensic views over one trace.
 pub struct Forensics {
-    /// The parsed records, as indexed by the DAG's nodes.
-    pub records: Vec<Record>,
+    /// The decoded records, as indexed by the DAG's nodes.
+    pub records: Vec<TraceEvent>,
     /// Happens-before DAG of observable kernel events.
     pub dag: CausalDag,
-    /// Per-job reconstruction, keyed by grid job id.
+    /// Per-job failures and progress, keyed by grid job id; every job
+    /// with [`Forensics::attempts`] is here.
     pub jobs: BTreeMap<u64, JobForensics>,
     /// Time of the last record in the trace.
     pub end: SimTime,
     /// Indices of `fault.*` records, in order.
     faults: Vec<usize>,
-}
-
-/// `key=value` field lookup in a span detail.
-fn field<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
-    detail
-        .split_whitespace()
-        .filter_map(|w| w.split_once('='))
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| v)
-}
-
-fn num(s: Option<&str>) -> Option<u64> {
-    s.and_then(|v| v.parse().ok())
+    /// Per-job attempt timelines.
+    spans: SpanCollector,
 }
 
 impl Forensics {
@@ -173,113 +147,50 @@ impl Forensics {
         "other",
     ];
 
-    /// Build every view from parsed records.
-    pub fn build(records: Vec<Record>) -> Forensics {
-        let mut dag = CausalDag::new();
+    /// Build every view from decoded records.
+    pub fn build(records: Vec<TraceEvent>) -> Forensics {
+        let dag = CausalDag::from_events(&records);
+        let mut spans = SpanCollector::new();
+        let mut jobs: BTreeMap<u64, JobForensics> = BTreeMap::new();
         let mut faults = Vec::new();
         let mut end = SimTime::ZERO;
         for (i, r) in records.iter().enumerate() {
             end = end.max(r.time);
-            if r.id != NO_CAUSE {
-                dag.insert(r.id, r.cause, r.time, i);
-            }
             if r.kind.starts_with("fault.") {
                 faults.push(i);
             }
-        }
-        dag.link();
-
-        let mut jobs: BTreeMap<u64, JobForensics> = BTreeMap::new();
-        // Attempt lookups while stitching: GRAM seq -> job, contact -> job.
-        let mut by_seq: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut by_contact: BTreeMap<u64, u64> = BTreeMap::new();
-        let note =
-            |jobs: &mut BTreeMap<u64, JobForensics>, job: u64, phase: &str, time: SimTime| {
-                let j = jobs.entry(job).or_default();
-                j.job = job;
-                j.last_progress = time;
-                j.last_phase = phase.to_string();
+            // Stitch as we go, so each record resolves against the joins
+            // known when it was emitted (GRAM sequence numbers repeat
+            // across users).
+            spans.ingest(r);
+            let phase = if r.kind == "gm.attempt_failed" {
+                Some("attempt_failed")
+            } else if r.kind == SPAN_KIND {
+                // `transfer` annotations are not progress of the job.
+                span::field(&r.detail, "phase").filter(|p| *p != "transfer")
+            } else {
+                None
             };
-        for r in &records {
-            match r.kind.as_str() {
-                "span" => {
-                    let Some(phase) = field(&r.detail, "phase") else {
-                        continue;
-                    };
-                    match phase {
-                        "submit" => {
-                            let (Some(job), Some(seq)) =
-                                (num(field(&r.detail, "job")), num(field(&r.detail, "seq")))
-                            else {
-                                continue;
-                            };
-                            note(&mut jobs, job, phase, r.time);
-                            by_seq.insert(seq, job);
-                            jobs.entry(job).or_default().attempts.push(Attempt {
-                                seq,
-                                site: field(&r.detail, "site").unwrap_or("?").to_string(),
-                                submitted: r.time,
-                                submit_event: r.id,
-                                contact: None,
-                                milestones: Vec::new(),
-                            });
-                        }
-                        "auth" => {
-                            let (Some(seq), Some(contact)) = (
-                                num(field(&r.detail, "seq")),
-                                num(field(&r.detail, "contact")),
-                            ) else {
-                                continue;
-                            };
-                            let Some(&job) = by_seq.get(&seq) else {
-                                continue;
-                            };
-                            by_contact.insert(contact, job);
-                            note(&mut jobs, job, phase, r.time);
-                            let j = jobs.entry(job).or_default();
-                            if let Some(a) = j.attempts.iter_mut().rev().find(|a| a.seq == seq) {
-                                a.contact = Some(contact);
-                                a.milestones.push((phase.to_string(), r.time, r.id));
-                            }
-                        }
-                        "done" | "failed" | "removed" => {
-                            let Some(job) = num(field(&r.detail, "job")) else {
-                                continue;
-                            };
-                            note(&mut jobs, job, phase, r.time);
-                            jobs.entry(job).or_default().terminal =
-                                Some((phase.to_string(), r.time, r.id));
-                        }
-                        // Contact-keyed JobManager milestones; `transfer`
-                        // spans are not job-keyed and are skipped here.
-                        _ => {
-                            let Some(&job) =
-                                num(field(&r.detail, "contact")).and_then(|c| by_contact.get(&c))
-                            else {
-                                continue;
-                            };
-                            note(&mut jobs, job, phase, r.time);
-                            let j = jobs.entry(job).or_default();
-                            if let Some(a) = j.attempts.last_mut() {
-                                a.milestones.push((phase.to_string(), r.time, r.id));
-                            }
-                        }
-                    }
-                }
-                "gm.attempt_failed" => {
-                    // Detail: `gj<N>: <why>`.
-                    let Some((head, why)) = r.detail.split_once(':') else {
-                        continue;
-                    };
-                    let Some(job) = head.strip_prefix("gj").and_then(|n| n.parse().ok()) else {
-                        continue;
-                    };
-                    note(&mut jobs, job, "attempt_failed", r.time);
-                    jobs.entry(job).or_default().failures.push(Failure {
-                        time: r.time,
-                        event: r.id,
-                        why: why.trim().to_string(),
-                    });
+            let (Some(phase), Some(job)) = (phase, spans.job_of(r)) else {
+                continue;
+            };
+            let j = jobs.entry(job).or_default();
+            j.job = job;
+            j.last_progress = r.time;
+            j.last_phase = phase.to_string();
+            match phase {
+                // Detail: `gj<N>: <why>`.
+                "attempt_failed" => j.failures.push(Failure {
+                    time: r.time,
+                    event: r.id,
+                    why: r
+                        .detail
+                        .split_once(':')
+                        .map_or("", |(_, why)| why.trim())
+                        .to_string(),
+                }),
+                "done" | "failed" | "removed" => {
+                    j.terminal = Some((phase.to_string(), r.time, r.id));
                 }
                 _ => {}
             }
@@ -290,12 +201,21 @@ impl Forensics {
             jobs,
             end,
             faults,
+            spans,
         }
+    }
+
+    /// A job's submission attempts in order; more than one means
+    /// resubmission.
+    pub fn attempts(&self, job: u64) -> &[AttemptSpan] {
+        self.spans.jobs().get(&job).map_or(&[], |s| &s.attempts)
     }
 
     /// Jobs that were submitted more than once.
     pub fn resubmitted_jobs(&self) -> impl Iterator<Item = &JobForensics> {
-        self.jobs.values().filter(|j| j.attempts.len() > 1)
+        self.jobs
+            .values()
+            .filter(|j| self.attempts(j.job).len() > 1)
     }
 
     /// Blame category for one DAG node, from the records emitted under it.
@@ -311,8 +231,10 @@ impl Forensics {
         let mut best = "other";
         for &i in &node.records {
             let r = &self.records[i];
-            let k = r.kind.as_str();
-            let phase = (k == "span").then(|| field(&r.detail, "phase")).flatten();
+            let k = &*r.kind;
+            let phase = (k == SPAN_KIND)
+                .then(|| span::field(&r.detail, "phase"))
+                .flatten();
             let cat = if k.starts_with("fault.") {
                 "fault"
             } else if k == "lrm.done" {
@@ -397,7 +319,7 @@ impl Forensics {
                 job: j.job,
                 last_phase: j.last_phase.clone(),
                 since: j.last_progress,
-                site: j.attempts.last().map(|a| a.site.clone()),
+                site: self.attempts(j.job).last().and_then(|a| a.site.clone()),
             })
             .collect()
     }
@@ -405,7 +327,7 @@ impl Forensics {
     /// Does a fault record plausibly affect `site`? Crash/restart details
     /// name one node (`node=gk.<site>` or `node=cluster.<site>`); partition
     /// details carry comma-joined node lists; loss is global.
-    fn fault_touches_site(r: &Record, site: &str) -> bool {
+    fn fault_touches_site(r: &TraceEvent, site: &str) -> bool {
         r.kind == "fault.loss"
             || r.detail.contains(&format!("gk.{site}"))
             || r.detail.contains(&format!("cluster.{site}"))
@@ -430,7 +352,8 @@ impl Forensics {
                 // event that records the failure, so a time comparison
                 // cannot tell the dying attempt from its replacement —
                 // but failure k always ends attempt k.
-                let attempt = j.attempts.get(k);
+                let attempt = self.attempts(j.job).get(k);
+                let site = attempt.and_then(|a| a.site.as_deref());
                 let mut cause = None;
                 let mut via = "";
                 // 1. Causal chain.
@@ -441,27 +364,28 @@ impl Forensics {
                         .find(|&&i| self.records[i].kind.starts_with("fault."))
                     {
                         let r = &self.records[i];
-                        cause = Some((r.kind.clone(), r.detail.clone(), r.time));
+                        cause = Some((r.kind.to_string(), r.detail.clone(), r.time));
                         via = "causal-chain";
                         break;
                     }
                 }
                 // 2. Site/time correlation with onset faults.
                 if cause.is_none() {
-                    if let Some(a) = attempt {
+                    if let (Some(a), Some(site)) = (attempt, site) {
+                        let submitted = a.at("submit").unwrap_or(SimTime::ZERO);
                         let matching = |strict_window: bool| {
                             self.faults
                                 .iter()
                                 .map(|&i| &self.records[i])
                                 .filter(|r| Self::is_onset(&r.kind) && r.time <= f.time)
-                                .filter(|r| !strict_window || r.time >= a.submitted)
-                                .rfind(|r| Self::fault_touches_site(r, &a.site))
+                                .filter(|r| !strict_window || r.time >= submitted)
+                                .rfind(|r| Self::fault_touches_site(r, site))
                         };
                         // Prefer a fault inside the attempt's own window; an
                         // attempt submitted into an already-broken site falls
                         // back to the latest earlier onset.
                         if let Some(r) = matching(true).or_else(|| matching(false)) {
-                            cause = Some((r.kind.clone(), r.detail.clone(), r.time));
+                            cause = Some((r.kind.to_string(), r.detail.clone(), r.time));
                             via = "site-correlation";
                         }
                     }
@@ -470,7 +394,7 @@ impl Forensics {
                     job: j.job,
                     time: f.time,
                     why: f.why.clone(),
-                    site: attempt.map(|a| a.site.clone()),
+                    site: site.map(str::to_string),
                     cause,
                     via,
                 });
@@ -483,13 +407,13 @@ impl Forensics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridsim::event::NO_CAUSE;
 
-    fn rec(t: u64, kind: &str, detail: &str, id: u64, cause: u64) -> Record {
-        Record {
+    fn rec(t: u64, kind: &'static str, detail: &str, id: u64, cause: u64) -> TraceEvent {
+        TraceEvent {
             time: SimTime(t),
-            node: 0,
-            comp: 0,
-            kind: kind.to_string(),
+            addr: gridsim::world::EXTERNAL,
+            kind: kind.into(),
             detail: detail.to_string(),
             id,
             cause,
@@ -500,7 +424,7 @@ mod tests {
 
     /// One job: submit -> auth -> commit -> active -> done, with causal
     /// links forming a single chain.
-    fn happy_trace() -> Vec<Record> {
+    fn happy_trace() -> Vec<TraceEvent> {
         vec![
             rec(0, "span", "job=3 seq=9 phase=submit site=anl", 1, NO_CAUSE),
             rec(2 * S, "span", "seq=9 contact=77 phase=auth", 2, 1),

@@ -1,20 +1,17 @@
-//! Offline forensics over `--trace-out` JSONL traces.
+//! Offline analyses over recorded traces.
 //!
-//! The simulator's JSONL exporter ([`gridsim::obs::JsonlWriter`]) streams
-//! every trace record with the `(id, cause)` provenance pair the kernel
-//! stamps on it. This crate reads such a file back and answers the
-//! questions an operator of the real Condor-G would ask after a bad week:
+//! Every trace record carries the `(id, cause)` provenance pair the kernel
+//! stamps on it. This crate takes such records — [`gridsim::trace::TraceEvent`]s
+//! decoded by [`gridsim::trace::jsonl`] from a `--trace-out` file, or by
+//! [`gridsim::trace::cgfr`] from a flight-recorder dump; it has no record
+//! type or file format of its own — and answers the questions an operator
+//! of the real Condor-G would ask after a bad week:
 //!
-//! * [`parse`] — a dependency-free parser for the exporter's JSONL schema
-//!   (the exact inverse of [`gridsim::obs::subscriber::jsonl_line`]).
-//! * [`forensics`] — rebuilds the happens-before DAG with
-//!   [`gridsim::obs::CausalDag`], stitches span milestones into per-job
-//!   attempt timelines, and derives per-job critical paths with blame
-//!   breakdowns, stuck-job reports, and root-cause attribution of
-//!   resubmissions back to injected faults.
-//! * [`flight`] — decodes the binary dumps the in-sim flight recorder
-//!   writes when an anomaly detector fires, into the same [`Record`]
-//!   model, so all of the above run on campaign black-box dumps too.
+//! * [`forensics`] — puts the happens-before DAG
+//!   ([`gridsim::obs::CausalDag`]) and the per-job attempt timelines
+//!   ([`gridsim::obs::SpanCollector`]) side by side and derives per-job
+//!   critical paths with blame breakdowns, stuck-job reports, and
+//!   root-cause attribution of resubmissions back to injected faults.
 //! * [`perfetto`] — converts a trace into a Perfetto TrackEvent protobuf
 //!   (hand-rolled wire format, no proto dependency): per-job/site/component
 //!   tracks, phase slices, cause→effect flows, and critical-path
@@ -22,12 +19,8 @@
 //!
 //! The `condor-g-trace` binary is a thin CLI over these modules.
 
-pub mod flight;
 pub mod forensics;
-pub mod parse;
 pub mod perfetto;
 
-pub use flight::decode as flight_decode;
-pub use forensics::{Attempt, Attribution, CriticalPath, Forensics, JobForensics, StuckJob};
-pub use parse::{parse, parse_line, ParseError, Record};
+pub use forensics::{Attribution, CriticalPath, Forensics, JobForensics, StuckJob};
 pub use perfetto::{decode as perfetto_decode, encode as perfetto_encode, Summary};

@@ -10,13 +10,14 @@
 //!   child track per grid job (`gj<N>`), per site, and per component
 //!   group (the `kind` prefix before the first `.`). Every JSONL record
 //!   becomes exactly one `TYPE_INSTANT` event on the most specific track
-//!   that claims it: job (via the same seq/contact stitching the
-//!   forensics analyzer uses) wins over site (span `site=` fields,
-//!   `lrm.*` site prefixes, `fault.*` node names) wins over component.
-//! * **Spans.** The `obs::span` phase boundaries (submit → auth → commit
-//!   → stage-in → queue → execute → stage-out) become `TYPE_SLICE_BEGIN`
-//!   / `TYPE_SLICE_END` pairs on the job's track, so each job reads as a
-//!   phase-coloured timeline.
+//!   that claims it: job ([`SpanCollector::job_of`]) wins over site (span
+//!   `site=` fields, `lrm.*` site prefixes, `fault.*` node names) wins
+//!   over component.
+//! * **Spans.** Each attempt's milestones, as the [`SpanCollector`]
+//!   stitched them, become `TYPE_SLICE_BEGIN` / `TYPE_SLICE_END` pairs on
+//!   the job's track, one per [`phase_between`] boundary (submit → auth →
+//!   commit → stage-in → queue → execute → stage-out), so each job reads
+//!   as a phase-coloured timeline.
 //! * **Flows.** Each happens-before edge `cause → id` becomes a Perfetto
 //!   flow: the flow id is the parent event id, carried by the parent's
 //!   packet and every child packet, so clicking an event shows its causal
@@ -30,9 +31,10 @@
 //! [`decode`] parses the subset back — the round-trip tests and the
 //! `convert` CLI's self-verification both use it.
 
-use crate::forensics::Forensics;
-use crate::parse::Record;
 use gridsim::event::NO_CAUSE;
+use gridsim::obs::span::{field, phase_between, SpanCollector};
+use gridsim::obs::CausalDag;
+use gridsim::trace::TraceEvent;
 use std::collections::{BTreeMap, BTreeSet};
 
 // ---- proto field numbers (perfetto.protos, TrackEvent subset) ----------
@@ -152,133 +154,33 @@ pub struct Summary {
     pub critical_instants: usize,
 }
 
-/// Parse a leading `gj<N>` job id (the `GridJobId` display form used by
-/// every `gm.*` detail).
-fn leading_gj(detail: &str) -> Option<u64> {
-    let rest = detail.strip_prefix("gj")?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
+/// The site a record concerns: its own `site=` field, or one of the
+/// `known` sites (those some `site=` field in the trace names) that an
+/// `lrm.*` detail leads with or a `fault.*` detail's node names contain.
+fn site_of(known: &BTreeSet<String>, r: &TraceEvent) -> Option<String> {
+    if let Some(site) = field(&r.detail, "site") {
+        return Some(site.to_string());
     }
-    digits.parse().ok()
+    if r.kind.starts_with("lrm.") {
+        let first = r.detail.split_whitespace().next()?;
+        if known.contains(first) {
+            return Some(first.to_string());
+        }
+    }
+    if r.kind.starts_with("fault.") {
+        for site in known {
+            if r.detail.contains(&format!("gk.{site}"))
+                || r.detail.contains(&format!("cluster.{site}"))
+            {
+                return Some(site.clone());
+            }
+        }
+    }
+    None
 }
 
-/// `key=value` lookup in a space-separated detail.
-fn field<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
-    detail.split_whitespace().find_map(|kv| {
-        let (k, v) = kv.split_once('=')?;
-        (k == key).then_some(v)
-    })
-}
-
-/// The phase spanned by a consecutive milestone pair (mirror of
-/// `gridsim::obs::span::phase_between`, which is private there).
-fn phase_between(prev: &str, next: &str) -> Option<&'static str> {
-    Some(match (prev, next) {
-        ("submit", "auth") => "auth",
-        ("auth", "commit") => "commit",
-        ("commit", "stage_in_done") => "stage_in",
-        ("stage_in_done", "active") => "queue",
-        ("active", "stage_out") | ("active", "done") => "execute",
-        ("stage_out", "done") => "stage_out",
-        _ => return None,
-    })
-}
-
-/// Per-record track attribution, resolved most-specific-first.
-struct Attribution {
-    /// Join maps rebuilt the way the protocols thread identity.
-    seq_to_job: BTreeMap<u64, u64>,
-    contact_to_job: BTreeMap<u64, u64>,
-    /// Site names learned from submit milestones and `site=` fields.
-    sites: BTreeSet<String>,
-}
-
-impl Attribution {
-    fn build(records: &[Record]) -> Attribution {
-        let mut a = Attribution {
-            seq_to_job: BTreeMap::new(),
-            contact_to_job: BTreeMap::new(),
-            sites: BTreeSet::new(),
-        };
-        for r in records {
-            if let Some(site) = field(&r.detail, "site") {
-                a.sites.insert(site.to_string());
-            }
-            if r.kind == "span" && field(&r.detail, "phase") == Some("submit") {
-                if let (Some(job), Some(seq)) = (
-                    field(&r.detail, "job").and_then(|v| v.parse().ok()),
-                    field(&r.detail, "seq").and_then(|v| v.parse().ok()),
-                ) {
-                    a.seq_to_job.insert(seq, job);
-                }
-            }
-            if r.kind == "span" && field(&r.detail, "phase") == Some("auth") {
-                if let (Some(seq), Some(contact)) = (
-                    field(&r.detail, "seq").and_then(|v| v.parse::<u64>().ok()),
-                    field(&r.detail, "contact").and_then(|v| v.parse().ok()),
-                ) {
-                    if let Some(&job) = a.seq_to_job.get(&seq) {
-                        a.contact_to_job.insert(contact, job);
-                    }
-                }
-            }
-        }
-        a
-    }
-
-    fn job_of(&self, r: &Record) -> Option<u64> {
-        if r.kind == "span" {
-            if field(&r.detail, "phase") == Some("transfer") {
-                return field(&r.detail, "path")?
-                    .strip_prefix("/condor_g/out/gj")?
-                    .parse()
-                    .ok();
-            }
-            return field(&r.detail, "job")
-                .and_then(|v| v.parse().ok())
-                .or_else(|| {
-                    field(&r.detail, "seq")
-                        .and_then(|v| v.parse().ok())
-                        .and_then(|s| self.seq_to_job.get(&s).copied())
-                })
-                .or_else(|| {
-                    field(&r.detail, "contact")
-                        .and_then(|v| v.parse().ok())
-                        .and_then(|c| self.contact_to_job.get(&c).copied())
-                });
-        }
-        if r.kind.starts_with("gm.") {
-            return leading_gj(&r.detail);
-        }
-        None
-    }
-
-    fn site_of(&self, r: &Record) -> Option<String> {
-        if let Some(site) = field(&r.detail, "site") {
-            return Some(site.to_string());
-        }
-        if r.kind.starts_with("lrm.") {
-            let first = r.detail.split_whitespace().next()?;
-            if self.sites.contains(first) {
-                return Some(first.to_string());
-            }
-        }
-        if r.kind.starts_with("fault.") {
-            for site in &self.sites {
-                if r.detail.contains(&format!("gk.{site}"))
-                    || r.detail.contains(&format!("cluster.{site}"))
-                {
-                    return Some(site.clone());
-                }
-            }
-        }
-        None
-    }
-
-    fn component_of(r: &Record) -> &str {
-        r.kind.split('.').next().unwrap_or(&r.kind)
-    }
+fn component_of(r: &TraceEvent) -> &str {
+    r.kind.split('.').next().unwrap_or(&r.kind)
 }
 
 fn descriptor_packet(uuid: u64, name: &str, parent: Option<u64>) -> Vec<u8> {
@@ -341,18 +243,22 @@ fn event_packet(ev: &EventPacket<'_>) -> Vec<u8> {
     packet
 }
 
-/// Encode a parsed trace as a Perfetto `Trace` protobuf.
-pub fn encode(records: &[Record]) -> (Vec<u8>, Summary) {
-    let attr = Attribution::build(records);
-    let f = Forensics::build(records.to_vec());
+/// Encode a trace as a Perfetto `Trace` protobuf.
+pub fn encode(records: &[TraceEvent]) -> (Vec<u8>, Summary) {
+    let spans = SpanCollector::from_events(records);
+    let dag = CausalDag::from_events(records);
+    let known_sites: BTreeSet<String> = records
+        .iter()
+        .filter_map(|r| field(&r.detail, "site"))
+        .map(str::to_string)
+        .collect();
 
-    // Event ids on some job's critical path.
+    // Event ids on some job's critical path: the trigger chain of its
+    // terminal milestone.
     let mut critical: BTreeSet<u64> = BTreeSet::new();
-    for j in f.jobs.values() {
-        if let Some((_, _, terminal_event)) = &j.terminal {
-            for node in f.dag.chain_to_root(*terminal_event) {
-                critical.insert(node.id);
-            }
+    for span in spans.jobs().values() {
+        if let Some(&(_, _, event)) = span.attempts.iter().rev().find_map(|a| a.terminal()) {
+            critical.extend(dag.chain_to_root(event).iter().map(|node| node.id));
         }
     }
     // Event ids that cause at least one other record: these open flows.
@@ -373,8 +279,12 @@ pub fn encode(records: &[Record]) -> (Vec<u8>, Summary) {
     let mut components: BTreeSet<String> = BTreeSet::new();
     let mut placement: Vec<(Option<u64>, Option<String>)> = Vec::with_capacity(records.len());
     for r in records {
-        let job = attr.job_of(r);
-        let site = if job.is_none() { attr.site_of(r) } else { None };
+        let job = spans.job_of(r);
+        let site = if job.is_none() {
+            site_of(&known_sites, r)
+        } else {
+            None
+        };
         match (&job, &site) {
             (Some(j), _) => {
                 jobs.insert(*j);
@@ -383,7 +293,7 @@ pub fn encode(records: &[Record]) -> (Vec<u8>, Summary) {
                 sites.insert(s.clone());
             }
             (None, None) => {
-                components.insert(Attribution::component_of(r).to_string());
+                components.insert(component_of(r).to_string());
             }
         }
         placement.push((job, site));
@@ -441,7 +351,7 @@ pub fn encode(records: &[Record]) -> (Vec<u8>, Summary) {
         let track = match (job, site) {
             (Some(j), _) => job_uuid[j],
             (None, Some(s)) => site_uuid[s],
-            (None, None) => component_uuid[Attribution::component_of(r)],
+            (None, None) => component_uuid[component_of(r)],
         };
         let mut flows = Vec::new();
         if r.cause != NO_CAUSE {
@@ -477,25 +387,12 @@ pub fn encode(records: &[Record]) -> (Vec<u8>, Summary) {
 
     // Phase slices on job tracks, from the span milestone pairs.
     let mut slices = 0usize;
-    for j in f.jobs.values() {
-        let Some(&track) = job_uuid.get(&j.job) else {
+    for span in spans.jobs().values() {
+        let Some(&track) = job_uuid.get(&span.job) else {
             continue;
         };
-        for (i, a) in j.attempts.iter().enumerate() {
-            let mut milestones: Vec<(String, u64)> =
-                vec![("submit".to_string(), a.submitted.micros())];
-            milestones.extend(
-                a.milestones
-                    .iter()
-                    .map(|(name, t, _)| (name.clone(), t.micros())),
-            );
-            // The terminal milestone closes the last attempt.
-            if i + 1 == j.attempts.len() {
-                if let Some((name, t, _)) = &j.terminal {
-                    milestones.push((name.clone(), t.micros()));
-                }
-            }
-            for pair in milestones.windows(2) {
+        for a in &span.attempts {
+            for pair in a.milestones.windows(2) {
                 let Some(phase) = phase_between(&pair[0].0, &pair[1].0) else {
                     continue;
                 };
@@ -504,10 +401,10 @@ pub fn encode(records: &[Record]) -> (Vec<u8>, Summary) {
                     emit(
                         &mut out,
                         event_packet(&EventPacket {
-                            timestamp: ts,
+                            timestamp: ts.micros(),
                             ty,
                             track,
-                            name: phase,
+                            name: phase.name(),
                             critical: false,
                             flows: &[],
                             annotations: &[],
@@ -735,7 +632,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<Packet>, String> {
 /// from: the 1:1 instant law, flow ids matching the `(id, cause)` pairs,
 /// every event on a declared track, and the declared track census matching
 /// `summary`. The `convert` CLI runs this before reporting success.
-pub fn verify(records: &[Record], bytes: &[u8], summary: &Summary) -> Result<(), String> {
+pub fn verify(records: &[TraceEvent], bytes: &[u8], summary: &Summary) -> Result<(), String> {
     let packets = decode(bytes)?;
     if packets.len() != summary.packets {
         return Err(format!(
@@ -803,12 +700,11 @@ mod tests {
     use super::*;
     use gridsim::time::SimTime;
 
-    fn rec(t: u64, kind: &str, detail: &str, id: u64, cause: u64) -> Record {
-        Record {
+    fn rec(t: u64, kind: &'static str, detail: &str, id: u64, cause: u64) -> TraceEvent {
+        TraceEvent {
             time: SimTime(t),
-            node: 0,
-            comp: 0,
-            kind: kind.to_string(),
+            addr: gridsim::world::EXTERNAL,
+            kind: kind.into(),
             detail: detail.to_string(),
             id,
             cause,
@@ -819,7 +715,7 @@ mod tests {
 
     /// One job through the full pipeline, plus a site-attributed LRM event
     /// and an unattributable tick.
-    fn pipeline_trace() -> Vec<Record> {
+    fn pipeline_trace() -> Vec<TraceEvent> {
         vec![
             rec(0, "span", "job=3 seq=9 phase=submit site=anl", 1, NO_CAUSE),
             rec(2 * S, "span", "seq=9 contact=77 phase=auth", 2, 1),

@@ -77,7 +77,7 @@ fn main() {
     println!("\nrecovery-related trace events:");
     for e in tb.world.trace().events().iter().filter(|e| {
         matches!(
-            e.kind,
+            &*e.kind,
             "gm.jm_lost" | "gram.jm_restart" | "gram.dedup" | "gm.attempt_failed"
         )
     }) {

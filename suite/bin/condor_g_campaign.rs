@@ -244,9 +244,6 @@ fn run_campaign(spec: &CampaignSpec, max_inflight: u32, label: &str, obs: &ObsAr
         },
     );
     tb.world.add_component(tb.submit, "campaign", driver);
-    if std::env::var_os("CAMPAIGN_PROFILE").is_some() {
-        tb.world.enable_profiler();
-    }
 
     let mut telemetry = obs.telemetry_out.as_deref().and_then(|path| {
         TelemetryWriter::create(path)
@@ -317,36 +314,6 @@ fn run_campaign(spec: &CampaignSpec, max_inflight: u32, label: &str, obs: &ObsAr
     }
     if let Some(w) = telemetry.as_mut() {
         w.flush();
-    }
-    if let Some(p) = tb.world.profiler() {
-        eprintln!("{}", p.summary());
-    }
-    if std::env::var_os("CAMPAIGN_DEBUG").is_some() {
-        let m = tb.world.metrics();
-        let counters = m.counter_names().count();
-        let series: usize = m.all_series().map(|(_, s)| s.points().len()).sum();
-        let series_n = m.all_series().count();
-        let hist: usize = m.histograms().map(|(_, h)| h.samples().len()).sum();
-        let hist_n = m.histograms().count();
-        eprintln!(
-            "debug: store_records={} counters={counters} series={series_n}/{series} hists={hist_n}/{hist} events={} nodes={}",
-            tb.world.store().len(),
-            tb.world.events_processed(),
-            tb.world.node_count(),
-        );
-        let mut by_prefix: std::collections::BTreeMap<String, usize> =
-            std::collections::BTreeMap::new();
-        for n in 0..tb.world.node_count() {
-            for key in tb.world.store().keys_with_prefix(NodeId(n as u32), "") {
-                let prefix: String = key.chars().take_while(|c| !c.is_ascii_digit()).collect();
-                *by_prefix.entry(prefix).or_default() += 1;
-            }
-        }
-        let mut rows: Vec<(usize, String)> = by_prefix.into_iter().map(|(k, v)| (v, k)).collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.0));
-        for (count, prefix) in rows.iter().take(12) {
-            eprintln!("debug:   {count:>8}  {prefix:?}");
-        }
     }
     CellResult {
         label: label.to_string(),

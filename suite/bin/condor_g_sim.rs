@@ -79,34 +79,14 @@ impl fmt::Display for ScnError {
     }
 }
 
-/// Parse `100ms` / `90s` / `30m` / `2h` / `1d` into a duration.
-fn parse_duration(s: &str) -> Option<Duration> {
-    if let Some(num) = s.strip_suffix("ms") {
-        return num.parse().ok().map(Duration::from_millis);
-    }
-    let (num, unit) = s.split_at(s.len().checked_sub(1)?);
-    let n: u64 = num.parse().ok()?;
-    Some(match unit {
-        "s" => Duration::from_secs(n),
-        "m" => Duration::from_mins(n),
-        "h" => Duration::from_hours(n),
-        "d" => Duration::from_days(n),
-        _ => return None,
-    })
-}
-
 /// Parse `64K` / `1M` / `2.5M` / `2G` / plain bytes.
 fn parse_size(s: &str) -> Option<u64> {
     if let Ok(n) = s.parse() {
         return Some(n);
     }
-    let (num, unit) = s.split_at(s.len().checked_sub(1)?);
-    let mult = match unit {
-        "K" => 1e3,
-        "M" => 1e6,
-        "G" => 1e9,
-        _ => return None,
-    };
+    let (num, mult) = [("K", 1e3), ("M", 1e6), ("G", 1e9)]
+        .iter()
+        .find_map(|&(unit, mult)| Some((s.strip_suffix(unit)?, mult)))?;
     let n: f64 = num.parse().ok()?;
     if !n.is_finite() || n < 0.0 {
         return None;
@@ -162,7 +142,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
                     .ok_or_else(|| err("glideins <n> <lease>".into()))?;
                 let lease = words
                     .get(2)
-                    .and_then(|w| parse_duration(w))
+                    .and_then(|w| w.parse().ok())
                     .ok_or_else(|| err("bad lease".into()))?;
                 scn.glideins = Some((n, lease));
             }
@@ -170,7 +150,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
                 scn.proxy = Some(
                     words
                         .get(1)
-                        .and_then(|w| parse_duration(w))
+                        .and_then(|w| w.parse().ok())
                         .ok_or_else(|| err("bad proxy lifetime".into()))?,
                 );
             }
@@ -186,7 +166,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
                     .ok_or_else(|| err("job needs an executable".into()))?;
                 let runtime = words
                     .get(3)
-                    .and_then(|w| parse_duration(w))
+                    .and_then(|w| w.parse().ok())
                     .ok_or_else(|| err("bad runtime".into()))?;
                 let mut count = 1usize;
                 let mut spec = match universe {
@@ -203,7 +183,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
                         let (t, sz) = v
                             .split_once('/')
                             .ok_or_else(|| err("io=<interval>/<bytes>".into()))?;
-                        let t = parse_duration(t).ok_or_else(|| err("bad io interval".into()))?;
+                        let t: Duration = t.parse().map_err(|_| err("bad io interval".into()))?;
                         let sz = parse_size(sz).ok_or_else(|| err("bad io size".into()))?;
                         spec = spec.with_remote_io(t.as_secs_f64(), sz);
                     } else if let Some(a) = opt.strip_prefix("arch=") {
@@ -222,16 +202,16 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
                     return Err(err("crash site <idx> at <t> for <d>".into()));
                 };
                 let idx: usize = idx.parse().map_err(|_| err("bad site index".into()))?;
-                let at = parse_duration(t).ok_or_else(|| err("bad time".into()))?;
-                let dur = parse_duration(d).ok_or_else(|| err("bad duration".into()))?;
+                let at = t.parse().map_err(|_| err("bad time".into()))?;
+                let dur = d.parse().map_err(|_| err("bad duration".into()))?;
                 scn.crashes.push((idx, at, dur));
             }
             "partition" => {
                 let [_, "at", t, "for", d] = words[..] else {
                     return Err(err("partition at <t> for <d>".into()));
                 };
-                let at = parse_duration(t).ok_or_else(|| err("bad time".into()))?;
-                let dur = parse_duration(d).ok_or_else(|| err("bad duration".into()))?;
+                let at = t.parse().map_err(|_| err("bad time".into()))?;
+                let dur = d.parse().map_err(|_| err("bad duration".into()))?;
                 scn.partition = Some((at, dur));
             }
             "image" => {
@@ -250,7 +230,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
                     .and_then(|w| parse_size(w))
                     .ok_or_else(|| err("bad link capacity".into()))?;
                 let latency = match words.get(3) {
-                    Some(w) => parse_duration(w).ok_or_else(|| err("bad link latency".into()))?,
+                    Some(w) => w.parse().map_err(|_| err("bad link latency".into()))?,
                     None => Duration::ZERO,
                 };
                 scn.links.push(WanLinkSpec {
@@ -273,8 +253,8 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
                 let [_, name, "at", t, "for", d] = words[..] else {
                     return Err(err("linkdown <name> at <t> for <d>".into()));
                 };
-                let at = parse_duration(t).ok_or_else(|| err("bad time".into()))?;
-                let dur = parse_duration(d).ok_or_else(|| err("bad duration".into()))?;
+                let at = t.parse().map_err(|_| err("bad time".into()))?;
+                let dur = d.parse().map_err(|_| err("bad duration".into()))?;
                 scn.linkdowns.push((name.to_string(), at, dur));
             }
             "linkbw" => {
@@ -282,14 +262,14 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
                     return Err(err("linkbw <name> <bytes/sec> at <t> for <d>".into()));
                 };
                 let cap = parse_size(cap).ok_or_else(|| err("bad link capacity".into()))?;
-                let at = parse_duration(t).ok_or_else(|| err("bad time".into()))?;
-                let dur = parse_duration(d).ok_or_else(|| err("bad duration".into()))?;
+                let at = t.parse().map_err(|_| err("bad time".into()))?;
+                let dur = d.parse().map_err(|_| err("bad duration".into()))?;
                 scn.linkbws.push((name.to_string(), cap, at, dur));
             }
             "run" => {
                 scn.run_for = words
                     .get(1)
-                    .and_then(|w| parse_duration(w))
+                    .and_then(|w| w.parse().ok())
                     .ok_or_else(|| err("bad run duration".into()))?;
             }
             other => return Err(err(format!("unknown directive {other}"))),
@@ -600,24 +580,11 @@ pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
     }
     if let Some(path) = &obs.perfetto_out {
         // The in-memory trace holds the same records the JSONL exporter
-        // streams; mirror them into the offline form and encode.
-        let records: Vec<condor_g_trace::Record> = tb
-            .world
-            .trace()
-            .events()
-            .iter()
-            .map(|e| condor_g_trace::Record {
-                time: e.time,
-                node: u64::from(e.addr.node.0),
-                comp: u64::from(e.addr.comp.0),
-                kind: e.kind.to_string(),
-                detail: e.detail.clone(),
-                id: e.id,
-                cause: e.cause,
-            })
-            .collect();
-        let (bytes, summary) = condor_g_trace::perfetto::encode(&records);
-        if let Err(e) = condor_g_trace::perfetto::verify(&records, &bytes, &summary) {
+        // streams.
+        let (bytes, summary) = condor_g_trace::perfetto::encode(tb.world.trace().events());
+        if let Err(e) =
+            condor_g_trace::perfetto::verify(tb.world.trace().events(), &bytes, &summary)
+        {
             eprintln!("perfetto self-verification failed: {e}");
             std::process::exit(2);
         }
@@ -677,7 +644,7 @@ fn main() {
             "--telemetry-interval" => {
                 obs.telemetry_interval = Some(
                     argv.next()
-                        .and_then(|w| parse_duration(&w))
+                        .and_then(|w| w.parse().ok())
                         .unwrap_or_else(|| usage()),
                 );
             }
@@ -707,17 +674,15 @@ mod tests {
 
     #[test]
     fn durations_and_sizes() {
-        assert_eq!(parse_duration("100ms"), Some(Duration::from_millis(100)));
-        assert_eq!(parse_duration("90s"), Some(Duration::from_secs(90)));
-        assert_eq!(parse_duration("30m"), Some(Duration::from_mins(30)));
-        assert_eq!(parse_duration("2h"), Some(Duration::from_hours(2)));
-        assert_eq!(parse_duration("1d"), Some(Duration::from_days(1)));
-        assert_eq!(parse_duration("xx"), None);
+        assert_eq!("100ms".parse(), Ok(Duration::from_millis(100)));
+        assert_eq!("1d".parse(), Ok(Duration::from_days(1)));
+        assert!("xx".parse::<Duration>().is_err());
         assert_eq!(parse_size("64K"), Some(64_000));
         assert_eq!(parse_size("1M"), Some(1_000_000));
         assert_eq!(parse_size("2.5M"), Some(2_500_000));
         assert_eq!(parse_size("512"), Some(512));
         assert_eq!(parse_size("xM"), None);
+        assert_eq!(parse_size("5é"), None);
     }
 
     #[test]
@@ -812,6 +777,30 @@ mod tests {
             parse_scenario("site pbs a 4\nlinkdown wan at 1h for 5m\n").is_err(),
             "undeclared link in fault window"
         );
+    }
+
+    proptest::proptest! {
+        /// Garbage is a `ScnError`, never a panic: raw bytes as the whole
+        /// text, and as the arguments a directive still expects.
+        #[test]
+        fn parse_scenario_never_panics(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+            pick in proptest::prelude::any::<usize>()
+        ) {
+            const DIRECTIVES: [&str; 18] = [
+                "seed", "site", "site pbs a", "mds", "broker", "personal-pool", "adaptive",
+                "glideins", "glideins 4", "proxy", "job grid a.exe", "job pool a.exe 1h",
+                "job grid a.exe 1h io=", "crash site 0 at", "partition at 1h for", "image",
+                "link wan", "run",
+            ];
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = parse_scenario(&text);
+            let directive = DIRECTIVES[pick % DIRECTIVES.len()];
+            let _ = parse_scenario(&format!("site pbs a 4\n{directive} {text}\n"));
+            for word in text.split_whitespace() {
+                let _ = parse_scenario(&format!("site pbs a 4\n{directive} {word}\n"));
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@ use condor_g_suite::gridsim::obs::{
     site_aggregates, AnomalyDetector, AnomalyKind, DetectorConfig, FlightRecorder, TelemetrySample,
 };
 use condor_g_suite::gridsim::prelude::*;
+use condor_g_suite::gridsim::trace::cgfr;
 use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig};
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
-use condor_g_trace::{flight_decode, Forensics};
+use condor_g_trace::Forensics;
 
 const MAX_INFLIGHT: u32 = 512;
 
@@ -118,8 +119,8 @@ fn dead_gatekeeper_campaign_auto_produces_attributing_dump() {
         "storm anchors the dead site"
     );
 
-    // The dump decodes into the offline record model...
-    let (meta, records) = flight_decode(&bytes).expect("dump decodes cleanly");
+    // The dump decodes back into trace records...
+    let (meta, records) = cgfr::decode(&bytes).expect("dump decodes cleanly");
     assert!(meta.reason.starts_with("quarantine_storm"));
     assert_eq!(meta.anchor, "site000");
     assert!(!records.is_empty());
@@ -227,7 +228,7 @@ fn ring_bounds_memory_and_whole_ring_dump_round_trips() {
         recorder.len() as u64 + recorder.pinned().len() as u64
     );
     let bytes = recorder.dump("test: whole ring", "", tb.world.now());
-    let (meta, records) = flight_decode(&bytes).expect("decodes");
+    let (meta, records) = cgfr::decode(&bytes).expect("decodes");
     assert_eq!(meta.anchor, "");
     assert_eq!(records.len(), recorder.len() + recorder.pinned().len());
     // Dumps are time-ordered.

@@ -3,7 +3,8 @@
 //! is a deterministic artifact and that the analyzer reaches the right
 //! verdicts about the injected faults.
 
-use condor_g_trace::{parse, Forensics};
+use condor_g_suite::gridsim::trace::jsonl;
+use condor_g_trace::Forensics;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -53,6 +54,22 @@ fn outage_trace_is_byte_identical_across_runs() {
     );
 }
 
+/// The two halves of the JSONL codec agree on a real trace: every line the
+/// simulator wrote decodes, and encodes back to the same bytes.
+#[test]
+fn every_outage_trace_line_round_trips() {
+    let dir = temp_dir("round-trip");
+    let path = dir.join("outage.jsonl");
+    run_with_trace("outage.scn", &path);
+    let text = std::fs::read_to_string(&path).expect("trace read");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(text.lines().count(), 379);
+    for line in text.lines() {
+        let event = jsonl::decode_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(jsonl::encode_line(&event), line);
+    }
+}
+
 /// The outage scenario takes east-cluster's gatekeeper down across the
 /// submission window, so every job routed there exhausts its submit
 /// retransmits and fails over. The analyzer must (a) see those
@@ -66,7 +83,7 @@ fn analyzer_attributes_outage_resubmissions_to_the_injected_crash() {
     let text = std::fs::read_to_string(&path).expect("trace read");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let records = parse(&text).expect("trace parses");
+    let records = jsonl::decode(&text).expect("trace decodes");
     let f = Forensics::build(records);
     assert!(!f.dag.is_empty(), "trace has no causal provenance");
 

@@ -75,11 +75,15 @@ fn bad_scenario_reports_the_offending_line() {
     let dir = std::env::temp_dir().join("condor-g-scn-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("bad.scn");
-    std::fs::write(&path, "seed 1\nsite pbs a 4\nfrobnicate the grid\n").unwrap();
-    let out = Command::new(exe).arg(&path).output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("line 3"), "{err}");
+    // An unknown directive, and a duration whose last byte is not a char
+    // boundary (once a panic in the suffix split).
+    for bad in ["frobnicate the grid", "run 5é"] {
+        std::fs::write(&path, format!("seed 1\nsite pbs a 4\n{bad}\n")).unwrap();
+        let out = Command::new(exe).arg(&path).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{bad}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("scenario line 3: "), "{bad}: {err}");
+    }
 }
 
 #[test]
