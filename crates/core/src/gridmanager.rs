@@ -23,12 +23,14 @@ use crate::email::Email;
 use gass::GassUrl;
 use gram::proto::{GramJobState, GramReply, GramRequest, JmMsg, JobContact};
 use gram::{RslSpec, SubmitSession};
+use gridsim::hash::IdMap;
 use gridsim::prelude::*;
+use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::{MyProxyReply, MyProxyRequest, ProxyCredential};
 use mds::{attr_to_addr, GripQuery, GripReply};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// MyProxy auto-refresh settings (§4.3's proposed enhancement).
@@ -216,9 +218,90 @@ struct GmJob {
     excluded: Vec<String>,
     phase: Phase,
     reported: JobStatus,
+    /// This job's entry in `GridManager::due`.
+    slot: usize,
     /// A cancel is in flight because the job is being moved to a better
     /// site; the Removed callback resubmits instead of finishing.
     migrating: bool,
+}
+
+impl GmJob {
+    /// A job the GridManager has just been handed.
+    fn new(job: GridJobId, spec: GridJobSpec) -> GmJob {
+        GmJob {
+            spec,
+            attempts: 0,
+            seq: None,
+            site: None,
+            gatekeeper: None,
+            contact: None,
+            stdout_path: format!("/condor_g/out/{job}"),
+            excluded: Vec::new(),
+            phase: Phase::NeedSite,
+            reported: JobStatus::Unsubmitted,
+            slot: usize::MAX,
+            migrating: false,
+        }
+    }
+
+    /// The earliest instant at which [`GridManager::tick_job`] does
+    /// anything for this job, as of its current phase: `ZERO` means every
+    /// tick, `MAX` never.
+    fn due(&self, config: &GmConfig) -> SimTime {
+        match &self.phase {
+            // Asks the broker again on every tick.
+            Phase::NeedSite => SimTime::ZERO,
+            Phase::Submitting { session, last_send } if session.awaiting_reply() => {
+                *last_send + config.submit_retry
+            }
+            Phase::Submitting { .. } | Phase::Terminal => SimTime::MAX,
+            // The commit is retransmitted on every tick until acknowledged.
+            Phase::Live {
+                commit_acked: false,
+                ..
+            } => SimTime::ZERO,
+            Phase::Live {
+                probe_sent,
+                last_contact,
+                gram_state,
+                pending_since,
+                ..
+            } => {
+                let queued = matches!(
+                    gram_state,
+                    GramJobState::Pending | GramJobState::PendingCommit
+                );
+                let migrate = match (config.migrate_pending_after, pending_since) {
+                    (Some(patience), Some(since)) if queued && !self.migrating => *since + patience,
+                    _ => SimTime::MAX,
+                };
+                let probe = if config.recovery {
+                    probe_sent.unwrap_or(*last_contact) + config.probe_interval
+                } else {
+                    SimTime::MAX
+                };
+                migrate.min(probe)
+            }
+            Phase::PingingGk { last_ping } => *last_ping + config.probe_interval,
+            Phase::AwaitRestart { since } => *since + config.probe_interval * 2,
+        }
+    }
+
+    /// The record `persist_job` writes for a live job: [`GmJobDisk`] field
+    /// for field, borrowed. The codec is positional and tuples carry no
+    /// framing, so the nesting (there is no 9-tuple impl) changes nothing.
+    fn disk_view(&self) -> impl Serialize + '_ {
+        (
+            (&self.spec, self.attempts, self.seq, self.site.as_deref()),
+            (
+                self.gatekeeper,
+                self.contact.map(|c| c.0),
+                self.stdout_path.as_str(),
+                &self.excluded,
+                false,
+            ),
+        )
+    }
 }
 
 const TAG_TICK: u64 = 1;
@@ -234,8 +317,20 @@ pub struct GridManager {
     /// Secondary indexes over `jobs` — protocol replies arrive keyed by
     /// submit sequence number or job contact, and a campaign-sized queue
     /// cannot afford a linear scan per reply.
-    by_seq: HashMap<u64, GridJobId>,
-    by_contact: HashMap<JobContact, GridJobId>,
+    by_seq: IdMap<u64, GridJobId>,
+    by_contact: IdMap<JobContact, GridJobId>,
+    /// Store keys: `gm/<user>/job/<id>` built in place, `gm/<user>/next_seq`.
+    job_key: KeyBuf,
+    seq_key: String,
+    /// The tick's side table: `due[j.slot]` is the earliest instant at which
+    /// `tick_job` does anything for the job in that slot ([`GmJob::due`]),
+    /// refreshed after every handler that touched the job — so it may be
+    /// early, never late — and `SimTime::MAX` in a free slot. Sixteen bytes
+    /// a job, scanned once per tick instead of the job map.
+    due: Vec<(SimTime, GridJobId)>,
+    free_slots: Vec<usize>,
+    /// The ids a tick found due, reused from tick to tick.
+    due_now: Vec<GridJobId>,
     /// Jobs that reached a terminal state and were evicted from `jobs`
     /// (their persisted record shrinks to a tombstone). Keeps the hot map
     /// proportional to *live* jobs, not campaign size.
@@ -263,14 +358,19 @@ impl GridManager {
         recovering: bool,
     ) -> GridManager {
         GridManager {
+            job_key: KeyBuf::new(format!("gm/{}/job/", config.user)),
+            seq_key: format!("gm/{}/next_seq", config.user),
+            due: Vec::new(),
+            free_slots: Vec::new(),
+            due_now: Vec::new(),
             config,
             credential,
             scheduler,
             gass,
             broker: Some(broker),
             jobs: BTreeMap::new(),
-            by_seq: HashMap::new(),
-            by_contact: HashMap::new(),
+            by_seq: IdMap::default(),
+            by_contact: IdMap::default(),
             retired: 0,
             next_seq: 0,
             held: false,
@@ -283,22 +383,16 @@ impl GridManager {
         }
     }
 
-    fn job_key(&self, job: GridJobId) -> String {
-        format!("gm/{}/job/{}", self.config.user, job.0)
-    }
-
-    fn seq_key(&self) -> String {
-        format!("gm/{}/next_seq", self.config.user)
-    }
-
-    fn persist_job(&self, ctx: &mut Ctx<'_>, job: GridJobId) {
+    fn persist_job(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
         let Some(j) = self.jobs.get(&job) else { return };
-        let terminal = matches!(j.phase, Phase::Terminal);
-        // Terminal records shrink to a tombstone: recovery only reads the
-        // `terminal` flag for finished jobs (the spec is re-supplied by the
-        // scheduler's Recover command), so the strings need not survive.
-        let disk = if terminal {
-            GmJobDisk {
+        let key = self.job_key.key(job.0);
+        let node = ctx.node();
+        if matches!(j.phase, Phase::Terminal) {
+            // Terminal records shrink to a tombstone: recovery only reads
+            // the `terminal` flag for finished jobs (the spec is re-supplied
+            // by the scheduler's Recover command), so the strings need not
+            // survive.
+            let tombstone = GmJobDisk {
                 spec: GridJobSpec::grid("", "", Duration::from_secs(0)),
                 attempts: j.attempts,
                 seq: None,
@@ -308,23 +402,11 @@ impl GridManager {
                 stdout_path: String::new(),
                 excluded: Vec::new(),
                 terminal: true,
-            }
+            };
+            ctx.store().put(node, key, &tombstone);
         } else {
-            GmJobDisk {
-                spec: j.spec.clone(),
-                attempts: j.attempts,
-                seq: j.seq,
-                site: j.site.clone(),
-                gatekeeper: j.gatekeeper,
-                contact: j.contact.map(|c| c.0),
-                stdout_path: j.stdout_path.clone(),
-                excluded: j.excluded.clone(),
-                terminal: false,
-            }
-        };
-        let key = self.job_key(job);
-        let node = ctx.node();
-        ctx.store().put(node, &key, &disk);
+            ctx.store().put(node, key, &j.disk_view());
+        }
     }
 
     /// Evict a terminal job from the hot map (its tombstone is already on
@@ -342,13 +424,14 @@ impl GridManager {
         }
         let staged_out =
             (j.spec.stdout_size > 0 && !j.stdout_path.is_empty()).then(|| j.stdout_path.clone());
+        self.due[j.slot].0 = SimTime::MAX;
+        self.free_slots.push(j.slot);
         self.jobs.remove(&job);
         self.retired += 1;
         if self.config.lean {
             // Campaign mode: no tombstone either.
-            let key = self.job_key(job);
             let node = ctx.node();
-            ctx.store().remove(node, &key);
+            ctx.store().remove(node, self.job_key.key(job.0));
             // Collect-and-discard the staged output: the user agent has
             // seen the terminal status, so the GASS cache entry is dead
             // weight (a million-job campaign would otherwise keep a
@@ -369,10 +452,8 @@ impl GridManager {
     }
 
     fn persist_seq(&self, ctx: &mut Ctx<'_>) {
-        let key = self.seq_key();
         let node = ctx.node();
-        let seq = self.next_seq;
-        ctx.store().put(node, &key, &seq);
+        ctx.store().put(node, &self.seq_key, &self.next_seq);
     }
 
     fn report(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, status: JobStatus) {
@@ -421,12 +502,10 @@ impl GridManager {
             return;
         }
         let Some(j) = self.jobs.get(&job) else { return };
-        let spec = j.spec.clone();
-        let excluded = j.excluded.clone();
         let Some(broker) = self.broker.as_mut() else {
             return;
         };
-        let Some(target) = broker.select(&spec, &excluded) else {
+        let Some(target) = broker.select(&j.spec, &j.excluded) else {
             // No resource available yet (e.g. MDS cache still empty).
             return;
         };
@@ -434,11 +513,11 @@ impl GridManager {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.persist_seq(ctx);
-        let rsl = self.rsl_for(job, &spec);
+        let rsl = self.rsl_for(job, &j.spec);
         let me = ctx.self_addr();
         let mut session = SubmitSession::new(
             seq,
-            rsl.to_string(),
+            rsl.render(),
             self.credential.clone(),
             me,
             GassUrl::gass(self.gass, ""),
@@ -526,14 +605,6 @@ impl GridManager {
             self.persist_job(ctx, job);
             self.begin_submit(ctx, job);
         }
-    }
-
-    fn job_by_seq(&mut self, seq: u64) -> Option<GridJobId> {
-        self.by_seq.get(&seq).copied()
-    }
-
-    fn job_by_contact(&mut self, contact: JobContact) -> Option<GridJobId> {
-        self.by_contact.get(&contact).copied()
     }
 
     /// Drop a job's seq/contact index entries (site abandoned or job moved).
@@ -653,6 +724,7 @@ impl GridManager {
                     Phase::Terminal => {}
                 }
             }
+            self.refresh_all_due();
         }
     }
 
@@ -786,6 +858,391 @@ impl GridManager {
         }
     }
 
+    /// Take responsibility for `rec`: into the map, with a slot in `due`.
+    fn adopt(&mut self, job: GridJobId, mut rec: GmJob) {
+        rec.slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.due.push((SimTime::MAX, job));
+            self.due.len() - 1
+        });
+        self.due[rec.slot] = (rec.due(&self.config), job);
+        self.jobs.insert(job, rec);
+    }
+
+    /// Bring `job`'s `due` entry up to date with its phase. Every handler
+    /// that may have touched a job ends with this.
+    fn refresh_due(&mut self, job: GridJobId) {
+        if let Some(j) = self.jobs.get(&job) {
+            self.due[j.slot].0 = j.due(&self.config);
+        }
+    }
+
+    /// The same for every job, after an event that concerns them all.
+    fn refresh_all_due(&mut self) {
+        for j in self.jobs.values() {
+            self.due[j.slot].0 = j.due(&self.config);
+        }
+    }
+
+    /// One scan of the `due` table picks out the jobs with something due;
+    /// only those re-enter `tick_job`, in ascending id order, so their sends
+    /// and RNG draws keep the order a tick of every job would give them.
+    /// No `tick_job` touches another job, so the pick holds for the tick.
+    fn tick_due_jobs(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        let mut due_now = std::mem::take(&mut self.due_now);
+        due_now.clear();
+        due_now.extend(
+            self.due
+                .iter()
+                .filter(|(at, _)| *at <= now)
+                .map(|(_, job)| *job),
+        );
+        due_now.sort_unstable();
+        for &job in &due_now {
+            self.tick_job(ctx, job);
+            self.refresh_due(job);
+        }
+        self.due_now = due_now;
+    }
+
+    fn on_command(&mut self, ctx: &mut Ctx<'_>, cmd: GmCmd) {
+        match cmd {
+            GmCmd::Manage { job, spec } => {
+                self.adopt(job, GmJob::new(job, spec));
+                self.persist_job(ctx, job);
+                self.begin_submit(ctx, job);
+                self.refresh_due(job);
+            }
+            GmCmd::Recover { job, spec } => {
+                let node = ctx.node();
+                let disk = ctx.store().get::<GmJobDisk>(node, self.job_key.key(job.0));
+                let mut rec = GmJob::new(job, spec);
+                if let Some(d) = disk {
+                    if d.terminal {
+                        // Already finished in a previous life: count it
+                        // toward exit without resurrecting the record.
+                        self.retired += 1;
+                        return;
+                    }
+                    rec.attempts = d.attempts;
+                    rec.seq = d.seq;
+                    rec.site = d.site;
+                    rec.gatekeeper = d.gatekeeper;
+                    rec.contact = d.contact.map(JobContact);
+                    rec.stdout_path = d.stdout_path;
+                    rec.excluded = d.excluded;
+                }
+                // Re-establish contact: if we know the job's contact,
+                // ping the gatekeeper and restart its JobManager; else
+                // the submission never stuck, so submit afresh.
+                if let Some(seq) = rec.seq {
+                    self.by_seq.insert(seq, job);
+                }
+                if let Some(contact) = rec.contact {
+                    self.by_contact.insert(contact, job);
+                }
+                match (rec.contact, rec.gatekeeper) {
+                    (Some(_), Some(gk)) => {
+                        ctx.metrics().incr("gm.job_recoveries", 1);
+                        ctx.send(gk, GramRequest::Ping { nonce: job.0 });
+                        rec.phase = Phase::PingingGk {
+                            last_ping: ctx.now(),
+                        };
+                        self.adopt(job, rec);
+                    }
+                    _ => {
+                        self.adopt(job, rec);
+                        self.begin_submit(ctx, job);
+                        self.refresh_due(job);
+                    }
+                }
+            }
+            GmCmd::Cancel { job } => {
+                let Some(j) = self.jobs.get_mut(&job) else {
+                    return;
+                };
+                match &j.phase {
+                    Phase::Live { jm, .. } => {
+                        ctx.send(*jm, JmMsg::Cancel);
+                    }
+                    Phase::Terminal => {}
+                    _ => {
+                        j.phase = Phase::Terminal;
+                        self.persist_job(ctx, job);
+                        self.report(ctx, job, JobStatus::Removed);
+                        self.retire(ctx, job);
+                    }
+                }
+                self.refresh_due(job);
+            }
+            GmCmd::RefreshProxy { credential } => self.adopt_credential(ctx, credential),
+        }
+    }
+
+    /// A gatekeeper's answer about `job` (which is in the map).
+    fn on_gram_reply(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, reply: &GramReply) {
+        match reply {
+            GramReply::Submitted {
+                contact,
+                jobmanager,
+                ..
+            } => {
+                let j = self.jobs.get_mut(&job).expect("job exists");
+                if let Phase::Submitting { session, .. } = &mut j.phase {
+                    use gram::client::SubmitAction;
+                    match session.on_reply(reply) {
+                        SubmitAction::SendCommit { jobmanager, .. } => {
+                            ctx.send(jobmanager, JmMsg::Commit);
+                            j.contact = Some(*contact);
+                            j.phase = Phase::Live {
+                                jm: jobmanager,
+                                probe_sent: None,
+                                last_contact: ctx.now(),
+                                missed: 0,
+                                gram_state: GramJobState::PendingCommit,
+                                commit_acked: false,
+                                pending_since: Some(ctx.now()),
+                            };
+                            self.persist_job(ctx, job);
+                        }
+                        SubmitAction::GiveUp(_) | SubmitAction::Ignore => {}
+                    }
+                } else if matches!(
+                    j.phase,
+                    Phase::PingingGk { .. } | Phase::AwaitRestart { .. }
+                ) {
+                    // A duplicate submit answer can double as recovery.
+                    j.contact = Some(*contact);
+                    j.phase = Phase::Live {
+                        jm: *jobmanager,
+                        probe_sent: None,
+                        last_contact: ctx.now(),
+                        missed: 0,
+                        gram_state: GramJobState::Pending,
+                        commit_acked: true,
+                        pending_since: Some(ctx.now()),
+                    };
+                    self.persist_job(ctx, job);
+                }
+                // Either branch may have learned the contact just now.
+                if self
+                    .jobs
+                    .get(&job)
+                    .is_some_and(|j| j.contact == Some(*contact))
+                {
+                    self.by_contact.insert(*contact, job);
+                }
+            }
+            GramReply::SubmitFailed { error, .. } => {
+                self.attempt_failed(ctx, job, &format!("submit failed: {error}"));
+            }
+            GramReply::Pong { .. } => {
+                let j = self.jobs.get_mut(&job).expect("job exists");
+                if let Phase::PingingGk { .. } = j.phase {
+                    // "If the GateKeeper responds... attempts to start a
+                    // new JobManager to resume watching the job."
+                    let (Some(contact), Some(gk)) = (j.contact, j.gatekeeper) else {
+                        return;
+                    };
+                    let me = ctx.self_addr();
+                    let have = self.stdout_have(ctx, job);
+                    ctx.metrics().incr("gm.jm_restarts_requested", 1);
+                    ctx.send(
+                        gk,
+                        GramRequest::RestartJobManager {
+                            contact,
+                            credential: self.credential.clone(),
+                            callback: me,
+                            gass: GassUrl::gass(self.gass, ""),
+                            stdout_have: have,
+                            capability: None,
+                        },
+                    );
+                    let j = self.jobs.get_mut(&job).expect("job exists");
+                    j.phase = Phase::AwaitRestart { since: ctx.now() };
+                }
+            }
+            GramReply::Restarted { jobmanager, .. } => {
+                let have = self.stdout_have(ctx, job);
+                // Re-point the JobManager at our (possibly new) GASS
+                // server and re-forward the current credential.
+                ctx.send(
+                    *jobmanager,
+                    JmMsg::UpdateGass {
+                        gass: GassUrl::gass(self.gass, ""),
+                        stdout_have: have,
+                    },
+                );
+                ctx.send(
+                    *jobmanager,
+                    JmMsg::RefreshCredential {
+                        credential: self.credential.clone(),
+                    },
+                );
+                ctx.metrics().incr("gm.jm_restarted", 1);
+                let j = self.jobs.get_mut(&job).expect("job exists");
+                j.phase = Phase::Live {
+                    jm: *jobmanager,
+                    probe_sent: None,
+                    last_contact: ctx.now(),
+                    missed: 0,
+                    gram_state: GramJobState::Pending,
+                    commit_acked: true,
+                    pending_since: Some(ctx.now()),
+                };
+                self.persist_job(ctx, job);
+            }
+            GramReply::RestartFailed { error, .. } => {
+                self.attempt_failed(ctx, job, &format!("restart failed: {error}"));
+            }
+        }
+    }
+
+    /// A JobManager's word about `job` (which is in the map).
+    fn on_jm_msg(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, jm_msg: &JmMsg) {
+        match jm_msg {
+            JmMsg::Callback { state, exit_ok, .. } => {
+                let j = self.jobs.get_mut(&job).expect("job exists");
+                if let Phase::Live {
+                    last_contact,
+                    gram_state,
+                    commit_acked,
+                    pending_since,
+                    ..
+                } = &mut j.phase
+                {
+                    *last_contact = ctx.now();
+                    *commit_acked = true; // progress implies the commit landed
+                                          // Track time-in-queue for migration decisions.
+                    let was_queued = matches!(
+                        gram_state,
+                        GramJobState::Pending | GramJobState::PendingCommit
+                    );
+                    let is_queued =
+                        matches!(state, GramJobState::Pending | GramJobState::PendingCommit);
+                    if is_queued && !was_queued {
+                        *pending_since = Some(ctx.now());
+                    } else if !is_queued {
+                        *pending_since = None;
+                    }
+                    *gram_state = *state;
+                }
+                match state {
+                    GramJobState::Done if *exit_ok => {
+                        if let Phase::Live { jm, .. } = j.phase {
+                            ctx.send(jm, JmMsg::DoneAck);
+                        }
+                        j.phase = Phase::Terminal;
+                        self.persist_job(ctx, job);
+                        ctx.metrics().incr("gm.jobs_done", 1);
+                        self.report(ctx, job, JobStatus::Done);
+                        self.retire(ctx, job);
+                    }
+                    GramJobState::Done | GramJobState::Failed => {
+                        if let Phase::Live { jm, .. } = j.phase {
+                            ctx.send(jm, JmMsg::DoneAck);
+                        }
+                        self.attempt_failed(ctx, job, "remote execution failed");
+                    }
+                    GramJobState::Removed if j.migrating => {
+                        // The cancel was ours: move the job.
+                        if let Phase::Live { jm, .. } = j.phase {
+                            ctx.send(jm, JmMsg::DoneAck);
+                        }
+                        j.migrating = false;
+                        if let Some(site) = j.site.take() {
+                            if !j.excluded.contains(&site) {
+                                j.excluded.push(site);
+                            }
+                        }
+                        j.gatekeeper = None;
+                        let (old_seq, old_contact) = (j.seq.take(), j.contact.take());
+                        j.phase = Phase::NeedSite;
+                        self.unindex(old_seq, old_contact);
+                        self.persist_job(ctx, job);
+                        self.begin_submit(ctx, job);
+                    }
+                    GramJobState::Removed => {
+                        if let Phase::Live { jm, .. } = j.phase {
+                            ctx.send(jm, JmMsg::DoneAck);
+                        }
+                        j.phase = Phase::Terminal;
+                        self.persist_job(ctx, job);
+                        self.report(ctx, job, JobStatus::Removed);
+                        self.retire(ctx, job);
+                    }
+                    state => {
+                        if !self.held {
+                            let status = gram_state_to_status(*state, false);
+                            self.report(ctx, job, status);
+                        }
+                    }
+                }
+            }
+            JmMsg::CommitAck { .. } => {
+                let j = self.jobs.get_mut(&job).expect("job exists");
+                if let Phase::Live {
+                    commit_acked,
+                    last_contact,
+                    ..
+                } = &mut j.phase
+                {
+                    *commit_acked = true;
+                    *last_contact = ctx.now();
+                }
+            }
+            JmMsg::ProbeReply { state, .. } => {
+                let j = self.jobs.get_mut(&job).expect("job exists");
+                if let Phase::Live {
+                    probe_sent,
+                    last_contact,
+                    missed,
+                    gram_state,
+                    ..
+                } = &mut j.phase
+                {
+                    *probe_sent = None;
+                    *missed = 0;
+                    *last_contact = ctx.now();
+                    *gram_state = *state;
+                }
+                // A terminal state learned via probe means the actual
+                // callback was lost (e.g. to a partition): act on it.
+                match state {
+                    GramJobState::Done => {
+                        // The JobManager's Done state implies a clean
+                        // exit (failures end in Failed).
+                        if let Phase::Live { jm, .. } = j.phase {
+                            ctx.send(jm, JmMsg::DoneAck);
+                        }
+                        j.phase = Phase::Terminal;
+                        self.persist_job(ctx, job);
+                        ctx.metrics().incr("gm.jobs_done", 1);
+                        self.report(ctx, job, JobStatus::Done);
+                        self.retire(ctx, job);
+                    }
+                    GramJobState::Failed => {
+                        if let Phase::Live { jm, .. } = j.phase {
+                            ctx.send(jm, JmMsg::DoneAck);
+                        }
+                        self.attempt_failed(ctx, job, "remote execution failed");
+                    }
+                    GramJobState::Removed => {
+                        if let Phase::Live { jm, .. } = j.phase {
+                            ctx.send(jm, JmMsg::DoneAck);
+                        }
+                        j.phase = Phase::Terminal;
+                        self.persist_job(ctx, job);
+                        self.report(ctx, job, JobStatus::Removed);
+                        self.retire(ctx, job);
+                    }
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+
     fn poll_mds(&mut self, ctx: &mut Ctx<'_>) {
         let Some(giis) = self.config.giis else { return };
         let due = self
@@ -842,8 +1299,7 @@ impl Component for GridManager {
         ctx.set_timer(self.config.tick, TAG_TICK);
         if self.recovering {
             let node = ctx.node();
-            let key = self.seq_key();
-            if let Some(seq) = ctx.store().get::<u64>(node, &key) {
+            if let Some(seq) = ctx.store().get::<u64>(node, &self.seq_key) {
                 self.next_seq = seq;
             }
         }
@@ -858,409 +1314,49 @@ impl Component for GridManager {
         if !self.held {
             self.observe_weather(ctx);
             self.poll_mds(ctx);
-            let jobs: Vec<GridJobId> = self.jobs.keys().copied().collect();
-            for job in jobs {
-                self.tick_job(ctx, job);
-            }
+            self.tick_due_jobs(ctx);
         }
         self.maybe_exit(ctx);
         ctx.set_timer(self.config.tick, TAG_TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
-        if let Some(cmd) = msg.downcast_ref::<GmCmd>() {
-            match cmd {
-                GmCmd::Manage { job, spec } => {
-                    self.jobs.insert(
-                        *job,
-                        GmJob {
-                            spec: spec.clone(),
-                            attempts: 0,
-                            seq: None,
-                            site: None,
-                            gatekeeper: None,
-                            contact: None,
-                            stdout_path: format!("/condor_g/out/{job}"),
-                            excluded: Vec::new(),
-                            phase: Phase::NeedSite,
-                            reported: JobStatus::Unsubmitted,
-                            migrating: false,
-                        },
-                    );
-                    self.persist_job(ctx, *job);
-                    self.begin_submit(ctx, *job);
-                }
-                GmCmd::Recover { job, spec } => {
-                    let node = ctx.node();
-                    let key = self.job_key(*job);
-                    let disk = ctx.store().get::<GmJobDisk>(node, &key);
-                    let mut rec = GmJob {
-                        spec: spec.clone(),
-                        attempts: 0,
-                        seq: None,
-                        site: None,
-                        gatekeeper: None,
-                        contact: None,
-                        stdout_path: format!("/condor_g/out/{job}"),
-                        excluded: Vec::new(),
-                        phase: Phase::NeedSite,
-                        reported: JobStatus::Unsubmitted,
-                        migrating: false,
-                    };
-                    if let Some(d) = disk {
-                        if d.terminal {
-                            // Already finished in a previous life: count it
-                            // toward exit without resurrecting the record.
-                            self.retired += 1;
-                            return;
-                        }
-                        rec.attempts = d.attempts;
-                        rec.seq = d.seq;
-                        rec.site = d.site;
-                        rec.gatekeeper = d.gatekeeper;
-                        rec.contact = d.contact.map(JobContact);
-                        rec.stdout_path = d.stdout_path;
-                        rec.excluded = d.excluded;
-                    }
-                    // Re-establish contact: if we know the job's contact,
-                    // ping the gatekeeper and restart its JobManager; else
-                    // the submission never stuck, so submit afresh.
-                    if let Some(seq) = rec.seq {
-                        self.by_seq.insert(seq, *job);
-                    }
-                    if let Some(contact) = rec.contact {
-                        self.by_contact.insert(contact, *job);
-                    }
-                    match (rec.contact, rec.gatekeeper) {
-                        (Some(_), Some(gk)) => {
-                            ctx.metrics().incr("gm.job_recoveries", 1);
-                            ctx.send(gk, GramRequest::Ping { nonce: job.0 });
-                            rec.phase = Phase::PingingGk {
-                                last_ping: ctx.now(),
-                            };
-                            self.jobs.insert(*job, rec);
-                        }
-                        _ => {
-                            self.jobs.insert(*job, rec);
-                            self.begin_submit(ctx, *job);
-                        }
-                    }
-                }
-                GmCmd::Cancel { job } => {
-                    let Some(j) = self.jobs.get_mut(job) else {
-                        return;
-                    };
-                    match &j.phase {
-                        Phase::Live { jm, .. } => {
-                            ctx.send(*jm, JmMsg::Cancel);
-                        }
-                        Phase::Terminal => {}
-                        _ => {
-                            j.phase = Phase::Terminal;
-                            self.persist_job(ctx, *job);
-                            self.report(ctx, *job, JobStatus::Removed);
-                            self.retire(ctx, *job);
-                        }
-                    }
-                }
-                GmCmd::RefreshProxy { credential } => {
-                    self.adopt_credential(ctx, credential.clone());
-                }
+        // Commands hand their payload over: take the message by value.
+        let msg = match msg.downcast::<GmCmd>() {
+            Ok(cmd) => {
+                self.on_command(ctx, *cmd);
+                return;
             }
-            return;
-        }
+            Err(other) => other,
+        };
         if let Some(reply) = msg.downcast_ref::<GramReply>() {
-            match reply {
-                GramReply::Submitted {
-                    seq,
-                    contact,
-                    jobmanager,
-                } => {
-                    let Some(job) = self.job_by_seq(*seq) else {
-                        return;
-                    };
-                    let j = self.jobs.get_mut(&job).expect("job exists");
-                    if let Phase::Submitting { session, .. } = &mut j.phase {
-                        use gram::client::SubmitAction;
-                        match session.on_reply(reply) {
-                            SubmitAction::SendCommit { jobmanager, .. } => {
-                                ctx.send(jobmanager, JmMsg::Commit);
-                                j.contact = Some(*contact);
-                                j.phase = Phase::Live {
-                                    jm: jobmanager,
-                                    probe_sent: None,
-                                    last_contact: ctx.now(),
-                                    missed: 0,
-                                    gram_state: GramJobState::PendingCommit,
-                                    commit_acked: false,
-                                    pending_since: Some(ctx.now()),
-                                };
-                                self.persist_job(ctx, job);
-                            }
-                            SubmitAction::GiveUp(_) | SubmitAction::Ignore => {}
-                        }
-                    } else if matches!(
-                        j.phase,
-                        Phase::PingingGk { .. } | Phase::AwaitRestart { .. }
-                    ) {
-                        // A duplicate submit answer can double as recovery.
-                        j.contact = Some(*contact);
-                        j.phase = Phase::Live {
-                            jm: *jobmanager,
-                            probe_sent: None,
-                            last_contact: ctx.now(),
-                            missed: 0,
-                            gram_state: GramJobState::Pending,
-                            commit_acked: true,
-                            pending_since: Some(ctx.now()),
-                        };
-                        self.persist_job(ctx, job);
-                    }
-                    // Either branch may have learned the contact just now.
-                    if self
-                        .jobs
-                        .get(&job)
-                        .is_some_and(|j| j.contact == Some(*contact))
-                    {
-                        self.by_contact.insert(*contact, job);
-                    }
-                }
-                GramReply::SubmitFailed { seq, error } => {
-                    let Some(job) = self.job_by_seq(*seq) else {
-                        return;
-                    };
-                    self.attempt_failed(ctx, job, &format!("submit failed: {error}"));
+            let job = match reply {
+                GramReply::Submitted { seq, .. } | GramReply::SubmitFailed { seq, .. } => {
+                    self.by_seq.get(seq).copied()
                 }
                 GramReply::Pong { nonce } => {
-                    let job = GridJobId(*nonce);
-                    let Some(j) = self.jobs.get_mut(&job) else {
-                        return;
-                    };
-                    if let Phase::PingingGk { .. } = j.phase {
-                        // "If the GateKeeper responds... attempts to start a
-                        // new JobManager to resume watching the job."
-                        let (Some(contact), Some(gk)) = (j.contact, j.gatekeeper) else {
-                            return;
-                        };
-                        let me = ctx.self_addr();
-                        let have = self.stdout_have(ctx, job);
-                        ctx.metrics().incr("gm.jm_restarts_requested", 1);
-                        ctx.send(
-                            gk,
-                            GramRequest::RestartJobManager {
-                                contact,
-                                credential: self.credential.clone(),
-                                callback: me,
-                                gass: GassUrl::gass(self.gass, ""),
-                                stdout_have: have,
-                                capability: None,
-                            },
-                        );
-                        let j = self.jobs.get_mut(&job).expect("job exists");
-                        j.phase = Phase::AwaitRestart { since: ctx.now() };
-                    }
+                    Some(GridJobId(*nonce)).filter(|job| self.jobs.contains_key(job))
                 }
-                GramReply::Restarted {
-                    contact,
-                    jobmanager,
-                } => {
-                    let Some(job) = self.job_by_contact(*contact) else {
-                        return;
-                    };
-                    let have = self.stdout_have(ctx, job);
-                    // Re-point the JobManager at our (possibly new) GASS
-                    // server and re-forward the current credential.
-                    ctx.send(
-                        *jobmanager,
-                        JmMsg::UpdateGass {
-                            gass: GassUrl::gass(self.gass, ""),
-                            stdout_have: have,
-                        },
-                    );
-                    ctx.send(
-                        *jobmanager,
-                        JmMsg::RefreshCredential {
-                            credential: self.credential.clone(),
-                        },
-                    );
-                    ctx.metrics().incr("gm.jm_restarted", 1);
-                    let j = self.jobs.get_mut(&job).expect("job exists");
-                    j.phase = Phase::Live {
-                        jm: *jobmanager,
-                        probe_sent: None,
-                        last_contact: ctx.now(),
-                        missed: 0,
-                        gram_state: GramJobState::Pending,
-                        commit_acked: true,
-                        pending_since: Some(ctx.now()),
-                    };
-                    self.persist_job(ctx, job);
+                GramReply::Restarted { contact, .. } | GramReply::RestartFailed { contact, .. } => {
+                    self.by_contact.get(contact).copied()
                 }
-                GramReply::RestartFailed { contact, error } => {
-                    let Some(job) = self.job_by_contact(*contact) else {
-                        return;
-                    };
-                    self.attempt_failed(ctx, job, &format!("restart failed: {error}"));
-                    let _ = error;
-                }
+            };
+            if let Some(job) = job {
+                self.on_gram_reply(ctx, job, reply);
+                self.refresh_due(job);
             }
             return;
         }
         if let Some(jm_msg) = msg.downcast_ref::<JmMsg>() {
-            match jm_msg {
-                JmMsg::Callback {
-                    contact,
-                    state,
-                    exit_ok,
-                    ..
-                } => {
-                    let Some(job) = self.job_by_contact(*contact) else {
-                        return;
-                    };
-                    let j = self.jobs.get_mut(&job).expect("job exists");
-                    if let Phase::Live {
-                        last_contact,
-                        gram_state,
-                        commit_acked,
-                        pending_since,
-                        ..
-                    } = &mut j.phase
-                    {
-                        *last_contact = ctx.now();
-                        *commit_acked = true; // progress implies the commit landed
-                                              // Track time-in-queue for migration decisions.
-                        let was_queued = matches!(
-                            gram_state,
-                            GramJobState::Pending | GramJobState::PendingCommit
-                        );
-                        let is_queued =
-                            matches!(state, GramJobState::Pending | GramJobState::PendingCommit);
-                        if is_queued && !was_queued {
-                            *pending_since = Some(ctx.now());
-                        } else if !is_queued {
-                            *pending_since = None;
-                        }
-                        *gram_state = *state;
-                    }
-                    match state {
-                        GramJobState::Done if *exit_ok => {
-                            if let Phase::Live { jm, .. } = j.phase {
-                                ctx.send(jm, JmMsg::DoneAck);
-                            }
-                            j.phase = Phase::Terminal;
-                            self.persist_job(ctx, job);
-                            ctx.metrics().incr("gm.jobs_done", 1);
-                            self.report(ctx, job, JobStatus::Done);
-                            self.retire(ctx, job);
-                        }
-                        GramJobState::Done | GramJobState::Failed => {
-                            if let Phase::Live { jm, .. } = j.phase {
-                                ctx.send(jm, JmMsg::DoneAck);
-                            }
-                            self.attempt_failed(ctx, job, "remote execution failed");
-                        }
-                        GramJobState::Removed if j.migrating => {
-                            // The cancel was ours: move the job.
-                            if let Phase::Live { jm, .. } = j.phase {
-                                ctx.send(jm, JmMsg::DoneAck);
-                            }
-                            j.migrating = false;
-                            if let Some(site) = j.site.take() {
-                                if !j.excluded.contains(&site) {
-                                    j.excluded.push(site);
-                                }
-                            }
-                            j.gatekeeper = None;
-                            let (old_seq, old_contact) = (j.seq.take(), j.contact.take());
-                            j.phase = Phase::NeedSite;
-                            self.unindex(old_seq, old_contact);
-                            self.persist_job(ctx, job);
-                            self.begin_submit(ctx, job);
-                        }
-                        GramJobState::Removed => {
-                            if let Phase::Live { jm, .. } = j.phase {
-                                ctx.send(jm, JmMsg::DoneAck);
-                            }
-                            j.phase = Phase::Terminal;
-                            self.persist_job(ctx, job);
-                            self.report(ctx, job, JobStatus::Removed);
-                            self.retire(ctx, job);
-                        }
-                        state => {
-                            if !self.held {
-                                let status = gram_state_to_status(*state, false);
-                                self.report(ctx, job, status);
-                            }
-                        }
-                    }
-                }
-                JmMsg::CommitAck { contact } => {
-                    let Some(job) = self.job_by_contact(*contact) else {
-                        return;
-                    };
-                    let j = self.jobs.get_mut(&job).expect("job exists");
-                    if let Phase::Live {
-                        commit_acked,
-                        last_contact,
-                        ..
-                    } = &mut j.phase
-                    {
-                        *commit_acked = true;
-                        *last_contact = ctx.now();
-                    }
-                }
-                JmMsg::ProbeReply { contact, state, .. } => {
-                    let Some(job) = self.job_by_contact(*contact) else {
-                        return;
-                    };
-                    let j = self.jobs.get_mut(&job).expect("job exists");
-                    if let Phase::Live {
-                        probe_sent,
-                        last_contact,
-                        missed,
-                        gram_state,
-                        ..
-                    } = &mut j.phase
-                    {
-                        *probe_sent = None;
-                        *missed = 0;
-                        *last_contact = ctx.now();
-                        *gram_state = *state;
-                    }
-                    // A terminal state learned via probe means the actual
-                    // callback was lost (e.g. to a partition): act on it.
-                    match state {
-                        GramJobState::Done => {
-                            // The JobManager's Done state implies a clean
-                            // exit (failures end in Failed).
-                            if let Phase::Live { jm, .. } = j.phase {
-                                ctx.send(jm, JmMsg::DoneAck);
-                            }
-                            j.phase = Phase::Terminal;
-                            self.persist_job(ctx, job);
-                            ctx.metrics().incr("gm.jobs_done", 1);
-                            self.report(ctx, job, JobStatus::Done);
-                            self.retire(ctx, job);
-                        }
-                        GramJobState::Failed => {
-                            if let Phase::Live { jm, .. } = j.phase {
-                                ctx.send(jm, JmMsg::DoneAck);
-                            }
-                            self.attempt_failed(ctx, job, "remote execution failed");
-                        }
-                        GramJobState::Removed => {
-                            if let Phase::Live { jm, .. } = j.phase {
-                                ctx.send(jm, JmMsg::DoneAck);
-                            }
-                            j.phase = Phase::Terminal;
-                            self.persist_job(ctx, job);
-                            self.report(ctx, job, JobStatus::Removed);
-                            self.retire(ctx, job);
-                        }
-                        _ => {}
-                    }
-                }
-                _ => {}
+            let (JmMsg::Callback { contact, .. }
+            | JmMsg::CommitAck { contact }
+            | JmMsg::ProbeReply { contact, .. }) = jm_msg
+            else {
+                return;
+            };
+            if let Some(&job) = self.by_contact.get(contact) {
+                self.on_jm_msg(ctx, job, jm_msg);
+                self.refresh_due(job);
             }
             return;
         }
@@ -1296,7 +1392,361 @@ impl Component for GridManager {
                 for job in waiting {
                     self.begin_submit(ctx, job);
                 }
+                self.refresh_all_due();
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::broker::{GatekeeperInfo, StaticListBroker};
+    use gridsim::codec::{encode_into, from_bytes, to_bytes};
+    use gridsim::{Config, World};
+    use gsi::CertificateAuthority;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Stands where the Scheduler, the gatekeepers and the JobManagers
+    /// would: writes down everything it is sent, answers what a gatekeeper
+    /// answers (so jobs change phase on replies as well as on ticks), and
+    /// as a JobManager stays silent (so probes time out).
+    struct Sink {
+        log: Rc<RefCell<Vec<String>>>,
+    }
+
+    impl Component for Sink {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
+            self.log
+                .borrow_mut()
+                .push(format!("{} {from:?} {msg:?}", ctx.now()));
+            let jobmanager = ctx.self_addr();
+            match msg.downcast_ref::<GramRequest>() {
+                Some(GramRequest::Submit { seq, .. }) => ctx.send(
+                    from,
+                    GramReply::Submitted {
+                        seq: *seq,
+                        contact: JobContact(5000 + seq),
+                        jobmanager,
+                    },
+                ),
+                Some(GramRequest::Ping { nonce }) => {
+                    ctx.send(from, GramReply::Pong { nonce: *nonce })
+                }
+                Some(GramRequest::RestartJobManager { contact, .. }) => ctx.send(
+                    from,
+                    GramReply::Restarted {
+                        contact: *contact,
+                        jobmanager,
+                    },
+                ),
+                None => {}
+            }
+        }
+    }
+
+    /// A GridManager whose tick either reads the `due` table (the real
+    /// `on_timer`) or calls `tick_job` on every job it holds.
+    struct Ticker {
+        gm: GridManager,
+        every_job: bool,
+    }
+
+    impl Component for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.gm.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
+            self.gm.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: TimerId, tag: u64) {
+            if !self.every_job {
+                return self.gm.on_timer(ctx, id, tag);
+            }
+            // `GridManager::on_timer`, but for the choice of jobs to tick.
+            self.gm.check_credentials(ctx);
+            if !self.gm.held {
+                self.gm.observe_weather(ctx);
+                self.gm.poll_mds(ctx);
+                let jobs: Vec<GridJobId> = self.gm.jobs.keys().copied().collect();
+                for job in jobs {
+                    self.gm.tick_job(ctx, job);
+                    self.gm.refresh_due(job);
+                }
+            }
+            self.gm.maybe_exit(ctx);
+            ctx.set_timer(self.gm.config.tick, TAG_TICK);
+        }
+    }
+
+    fn live(jm: Addr) -> Phase {
+        Phase::Live {
+            jm,
+            probe_sent: None,
+            last_contact: SimTime::ZERO,
+            missed: 0,
+            gram_state: GramJobState::Active,
+            commit_acked: true,
+            pending_since: None,
+        }
+    }
+
+    /// A GridManager holding a job in every phase, and in every state of
+    /// a phase that `tick_job` tells apart.
+    fn seeded(
+        config: GmConfig,
+        proxy: &ProxyCredential,
+        scheduler: Addr,
+        peer: Addr,
+    ) -> GridManager {
+        let sites = ["east", "west"].map(|site| GatekeeperInfo {
+            site: site.into(),
+            addr: peer,
+            ad: classads::ClassAd::new(),
+        });
+        let broker = StaticListBroker::new(sites.to_vec());
+        let mut gm = GridManager::new(
+            config,
+            proxy.clone(),
+            scheduler,
+            peer,
+            Box::new(broker),
+            false,
+        );
+        let session = |seq| {
+            SubmitSession::new(
+                seq,
+                "&(executable=x)".into(),
+                proxy.clone(),
+                peer,
+                GassUrl::gass(peer, ""),
+            )
+        };
+        let mut phases: Vec<(Phase, &[&str], bool)> = vec![
+            // Nowhere to go: asks the broker on every tick, for nothing.
+            (Phase::NeedSite, &["east", "west"], false),
+            // Submits on the first tick.
+            (Phase::NeedSite, &[], false),
+            // Two retransmits from giving the gatekeeper up.
+            (
+                Phase::Submitting {
+                    session: Box::new({
+                        let mut s = session(900);
+                        s.attempts = 38;
+                        s
+                    }),
+                    last_send: SimTime::ZERO,
+                },
+                &[],
+                false,
+            ),
+            // Answered already: nothing left to retransmit.
+            (
+                Phase::Submitting {
+                    session: Box::new(SubmitSession::acknowledged(
+                        901,
+                        JobContact(71),
+                        proxy.clone(),
+                        peer,
+                        GassUrl::gass(peer, ""),
+                    )),
+                    last_send: SimTime::ZERO,
+                },
+                &[],
+                false,
+            ),
+            (live(peer), &[], false),
+            (
+                Phase::PingingGk {
+                    last_ping: SimTime::ZERO,
+                },
+                &[],
+                false,
+            ),
+            (
+                Phase::AwaitRestart {
+                    since: SimTime::ZERO,
+                },
+                &[],
+                false,
+            ),
+            (Phase::Terminal, &[], false),
+        ];
+        // The commit never acknowledged; a probe in flight that already
+        // missed once; queued long enough to move, and the same mid-move.
+        for (unacked, probing, queued, migrating) in [
+            (true, false, false, false),
+            (false, true, false, false),
+            (false, false, true, false),
+            (false, false, true, true),
+        ] {
+            let mut phase = live(peer);
+            if let Phase::Live {
+                probe_sent,
+                missed,
+                gram_state,
+                commit_acked,
+                pending_since,
+                ..
+            } = &mut phase
+            {
+                *commit_acked = !unacked;
+                if probing {
+                    (*probe_sent, *missed) = (Some(SimTime::ZERO), 1);
+                }
+                if queued {
+                    (*gram_state, *pending_since) = (GramJobState::Pending, Some(SimTime::ZERO));
+                }
+            }
+            phases.push((phase, &["west"], migrating));
+        }
+        for (i, (phase, excluded, migrating)) in phases.into_iter().enumerate() {
+            let job = GridJobId(100 - i as u64);
+            let spec = GridJobSpec::grid("t", "/bin/t", Duration::from_hours(1));
+            let mut rec = GmJob::new(job, spec);
+            if !matches!(phase, Phase::NeedSite) {
+                rec.site = Some("east".into());
+                rec.gatekeeper = Some(peer);
+                rec.seq = Some(900 + i as u64);
+                rec.contact = Some(JobContact(70 + i as u64));
+                gm.by_seq.insert(900 + i as u64, job);
+                gm.by_contact.insert(JobContact(70 + i as u64), job);
+            }
+            rec.phase = phase;
+            rec.excluded = excluded.iter().map(|s| s.to_string()).collect();
+            rec.migrating = migrating;
+            gm.adopt(job, rec);
+        }
+        gm.next_seq = 1000;
+        gm
+    }
+
+    /// Forty ticks of `seeded`, as seen from outside: every message sent,
+    /// every record left in the store, and how many events it took.
+    fn forty_ticks(config: &GmConfig, proxy_life: Duration, every_job: bool) -> Vec<String> {
+        let mut ca = CertificateAuthority::new("/CN=CA", 5);
+        let proxy = ca
+            .issue_identity("/CN=jane", Duration::from_days(30))
+            .new_proxy(SimTime::ZERO, proxy_life);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut w = World::new(Config::default().seed(9));
+        let (home, away) = (w.add_node("submit"), w.add_node("site"));
+        let peer = w.add_component(away, "peer", Sink { log: log.clone() });
+        let scheduler = w.add_component(home, "scheduler", Sink { log: log.clone() });
+        let gm = seeded(config.clone(), &proxy, scheduler, peer);
+        w.add_component(home, "gm", Ticker { gm, every_job });
+        w.run_until(SimTime::ZERO + config.tick * 40 + Duration::from_secs(1));
+        let mut seen = log.borrow().clone();
+        for key in w.store().keys_with_prefix(home, "") {
+            seen.push(format!("{key} = {:?}", w.store().get_bytes(home, &key)));
+        }
+        seen.push(format!("{} events", w.events_processed()));
+        seen
+    }
+
+    #[test]
+    fn a_job_the_due_table_skips_had_nothing_to_do() {
+        let day = Duration::from_days(1);
+        let configs = [
+            (GmConfig::default(), day),
+            (
+                GmConfig {
+                    recovery: false,
+                    ..GmConfig::default()
+                },
+                day,
+            ),
+            (
+                GmConfig {
+                    migrate_pending_after: Some(Duration::from_mins(7)),
+                    ..GmConfig::default()
+                },
+                day,
+            ),
+            // A reply that makes a job due sooner than its table entry said
+            // (the commit goes out every tick, the retransmit every fourth).
+            (
+                GmConfig {
+                    submit_retry: Duration::from_mins(2),
+                    ..GmConfig::default()
+                },
+                day,
+            ),
+            // The proxy runs down to `hold_before` mid-run: jobs are held
+            // and the ticks stop.
+            (GmConfig::default(), Duration::from_mins(25)),
+        ];
+        for (config, proxy_life) in configs {
+            let by_table = forty_ticks(&config, proxy_life, false);
+            let every_job = forty_ticks(&config, proxy_life, true);
+            assert!(by_table.len() > 60, "{} lines: too quiet", by_table.len());
+            for (i, (a, b)) in by_table.iter().zip(&every_job).enumerate() {
+                assert_eq!(a, b, "line {i} under {config:?}");
+            }
+            assert_eq!(by_table.len(), every_job.len());
+        }
+    }
+
+    #[test]
+    fn borrowed_disk_view_encodes_as_the_owned_record() {
+        let peer = Addr {
+            node: gridsim::NodeId(2),
+            comp: gridsim::CompId(5),
+        };
+        let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30))
+            .with_stdout(4096)
+            .with_args(&["--events", "500"]);
+        let mut j = GmJob::new(GridJobId(7), spec);
+        for placed in [false, true] {
+            if placed {
+                j.attempts = 2;
+                j.seq = Some(41);
+                j.site = Some("east".into());
+                j.gatekeeper = Some(peer);
+                j.contact = Some(JobContact(0xbeef_0000_0001));
+                j.excluded = vec!["west".into(), "north".into()];
+            }
+            let owned = GmJobDisk {
+                spec: j.spec.clone(),
+                attempts: j.attempts,
+                seq: j.seq,
+                site: j.site.clone(),
+                gatekeeper: j.gatekeeper,
+                contact: j.contact.map(|c| c.0),
+                stdout_path: j.stdout_path.clone(),
+                excluded: j.excluded.clone(),
+                terminal: false,
+            };
+            assert_eq!(to_bytes(&j.disk_view()), to_bytes(&owned));
+            let mut scratch = vec![0xAA; 5];
+            encode_into(&mut scratch, &j.disk_view()).unwrap();
+            assert_eq!(scratch[5..], to_bytes(&owned).unwrap()[..]);
+        }
+    }
+
+    proptest! {
+        /// Whatever is on the disk, `Recover` gets a record or a refusal.
+        #[test]
+        fn stored_gm_records_decode_or_are_refused(
+            noise in proptest::collection::vec(any::<u8>(), 0..200),
+            flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            cut in any::<usize>(),
+        ) {
+            let _ = from_bytes::<GmJobDisk>(&noise);
+            let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30));
+            let mut j = GmJob::new(GridJobId(7), spec);
+            j.site = Some("east".into());
+            j.excluded = vec!["west".into()];
+            let mut bytes = to_bytes(&j.disk_view()).unwrap();
+            prop_assert!(from_bytes::<GmJobDisk>(&bytes).is_ok());
+            for (at, mask) in flips {
+                let n = bytes.len();
+                bytes[at % n] ^= mask;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            let _ = from_bytes::<GmJobDisk>(&bytes);
         }
     }
 }

@@ -14,6 +14,7 @@ use crate::gridmanager::{GmCmd, GmConfig, GmUpdate, GridManager};
 use classads::ClassAd;
 use condor::{PoolJobEvent, PoolJobState, PoolRemove, PoolSubmit, PoolSubmitted};
 use gridsim::prelude::*;
+use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::ProxyCredential;
 use serde::{Deserialize, Serialize};
@@ -81,6 +82,15 @@ pub struct Scheduler {
     jobs: BTreeMap<GridJobId, JobRec>,
     /// pool JobId -> grid job id (pool-universe correlation).
     pool_map: BTreeMap<u64, GridJobId>,
+    /// The way back, in memory only (rebuilt from `pool_map` on recovery):
+    /// retiring or cancelling a pool job names its pool id by lookup.
+    pool_id_of: BTreeMap<GridJobId, u64>,
+    /// Store keys under `condor_g/<user>/`, each built in place:
+    /// `job/<id, 12 digits>`, `pm/<pool id>`, `log/<chunk>`, and `next_id`.
+    job_key: KeyBuf,
+    pm_key: KeyBuf,
+    log_key: KeyBuf,
+    next_id_key: String,
     next_id: u64,
     log: Vec<(SimTime, GridJobId, String)>,
     /// Lean mode: terminal jobs move here (24 bytes each, append-only)
@@ -95,10 +105,15 @@ impl Scheduler {
     /// A fresh Scheduler. `broker` decides where grid-universe jobs go.
     pub fn new(config: SchedulerConfig, broker: Box<dyn Broker>) -> Scheduler {
         Scheduler {
+            job_key: KeyBuf::new(format!("condor_g/{}/job/", config.user)),
+            pm_key: KeyBuf::new(format!("condor_g/{}/pm/", config.user)),
+            log_key: KeyBuf::new(format!("condor_g/{}/log/", config.user)),
+            next_id_key: format!("condor_g/{}/next_id", config.user),
             config,
             broker: Some(broker),
             jobs: BTreeMap::new(),
             pool_map: BTreeMap::new(),
+            pool_id_of: BTreeMap::new(),
             next_id: 0,
             log: Vec::new(),
             completed: Vec::new(),
@@ -118,8 +133,7 @@ impl Scheduler {
     ) -> Scheduler {
         let mut s = Scheduler::new(config, broker);
         s.recovered = true;
-        let prefix = s.job_key_prefix();
-        for key in store.keys_with_prefix(node, &prefix) {
+        for key in store.keys_with_prefix(node, s.job_key.prefix()) {
             let Some((id, rec)) = store.get::<(u64, JobRec)>(node, &key) else {
                 continue;
             };
@@ -129,9 +143,9 @@ impl Scheduler {
         // The log is persisted in fixed-size chunks (appending to one big
         // value would make every event O(total log)).
         type LogChunk = Vec<(u64, u64, String)>;
-        let log_prefix = format!("condor_g/{}/log/", s.config.user);
+        let log_prefix = s.log_key.prefix();
         let mut chunks: Vec<(u64, LogChunk)> = store
-            .keys_with_prefix(node, &log_prefix)
+            .keys_with_prefix(node, log_prefix)
             .into_iter()
             .filter_map(|key| {
                 let idx: u64 = key[log_prefix.len()..].parse().ok()?;
@@ -146,39 +160,43 @@ impl Scheduler {
                     .map(|(t, j, m)| (SimTime(t), GridJobId(j), m)),
             );
         }
-        let pm_prefix = format!("condor_g/{}/pm/", s.config.user);
-        for key in store.keys_with_prefix(node, &pm_prefix) {
+        let pm_prefix = s.pm_key.prefix().len();
+        for key in store.keys_with_prefix(node, s.pm_key.prefix()) {
             if let (Ok(pool_id), Some(grid)) = (
-                key[pm_prefix.len()..].parse::<u64>(),
+                key[pm_prefix..].parse::<u64>(),
                 store.get::<u64>(node, &key),
             ) {
-                s.pool_map.insert(pool_id, GridJobId(grid));
+                s.map_pool_job(pool_id, GridJobId(grid));
             }
         }
         s
     }
 
-    fn job_key_prefix(&self) -> String {
-        format!("condor_g/{}/job/", self.config.user)
+    /// Correlate a pool job with its grid job, both ways. Should one grid
+    /// job ever hold several pool ids, the way back names the smallest —
+    /// the entry a scan of `pool_map` finds first.
+    fn map_pool_job(&mut self, pool_id: u64, grid: GridJobId) {
+        self.pool_map.insert(pool_id, grid);
+        self.pool_id_of
+            .entry(grid)
+            .and_modify(|known| *known = (*known).min(pool_id))
+            .or_insert(pool_id);
     }
 
     /// Persist one job record (O(1) per event).
-    fn persist_job(&self, ctx: &mut Ctx<'_>, job: GridJobId) {
+    fn persist_job(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
         let Some(rec) = self.jobs.get(&job) else {
             return;
         };
-        let key = format!("{}{:012}", self.job_key_prefix(), job.0);
+        let key = self.job_key.key(format_args!("{:012}", job.0));
         let node = ctx.node();
-        ctx.store().put(node, &key, &(job.0, rec));
-        let next = self.next_id;
-        let nk = format!("condor_g/{}/next_id", self.config.user);
-        ctx.store().put(node, &nk, &next);
+        ctx.store().put(node, key, &(job.0, rec));
+        ctx.store().put(node, &self.next_id_key, &self.next_id);
     }
 
-    fn persist_pool_entry(&self, ctx: &mut Ctx<'_>, pool_id: u64, grid: GridJobId) {
-        let key = format!("condor_g/{}/pm/{pool_id}", self.config.user);
+    fn persist_pool_entry(&mut self, ctx: &mut Ctx<'_>, pool_id: u64, grid: GridJobId) {
         let node = ctx.node();
-        ctx.store().put(node, &key, &grid.0);
+        ctx.store().put(node, self.pm_key.key(pool_id), &grid.0);
     }
 
     /// Entries per persisted log chunk.
@@ -198,10 +216,10 @@ impl Scheduler {
         }
         // Append to the current (last, partial) chunk.
         let chunk_idx = self.log.len() / Self::LOG_CHUNK;
-        let key = format!("condor_g/{}/log/{chunk_idx}", self.config.user);
+        let key = self.log_key.key(chunk_idx);
         let (node, now) = (ctx.node(), ctx.now());
         ctx.store()
-            .append(node, &key, &(now.micros(), job.0, message.as_str()));
+            .append(node, key, &(now.micros(), job.0, message.as_str()));
         self.log.push((now, job, message));
     }
 
@@ -209,8 +227,7 @@ impl Scheduler {
         let Some(rec) = self.jobs.get(&job) else {
             return;
         };
-        let status = rec.status.clone();
-        let name = rec.spec.name.clone();
+        let status = &rec.status;
         if let Some(user) = self.config.user_addr {
             ctx.send(
                 user,
@@ -223,6 +240,7 @@ impl Scheduler {
         }
         if status.is_terminal() && self.config.email_on_termination {
             if let Some(mailer) = self.config.mailer {
+                let name = &rec.spec.name;
                 ctx.send(
                     mailer,
                     Email {
@@ -261,19 +279,15 @@ impl Scheduler {
     }
 
     fn route_submit(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
-        let rec = self.jobs.get(&job).expect("routed job exists").clone();
-        match rec.spec.universe {
+        match self.jobs[&job].spec.universe {
             Universe::Grid => {
                 let gm = self.ensure_gridmanager(ctx);
-                ctx.send_local(
-                    gm,
-                    GmCmd::Manage {
-                        job,
-                        spec: rec.spec,
-                    },
-                );
+                // The GridManager owns its copy of the spec from here on.
+                let spec = self.jobs[&job].spec.clone();
+                ctx.send_local(gm, GmCmd::Manage { job, spec });
             }
             Universe::Pool => {
+                let rec = &self.jobs[&job];
                 let Some(schedd) = self.config.pool_schedd else {
                     self.jobs.get_mut(&job).unwrap().status =
                         JobStatus::Failed("no personal pool configured".into());
@@ -365,15 +379,13 @@ impl Scheduler {
             at: ctx.now(),
             outcome,
         });
-        let key = format!("{}{:012}", self.job_key_prefix(), job.0);
         let node = ctx.node();
-        ctx.store().remove(node, &key);
+        let key = self.job_key.key(format_args!("{:012}", job.0));
+        ctx.store().remove(node, key);
         // Pool-universe correlation entries die with the job too.
-        if let Some((pool_id, _)) = self.pool_map.iter().find(|(_, g)| **g == job) {
-            let pool_id = *pool_id;
+        if let Some(pool_id) = self.pool_id_of.remove(&job) {
             self.pool_map.remove(&pool_id);
-            let pk = format!("condor_g/{}/pm/{pool_id}", self.config.user);
-            ctx.store().remove(node, &pk);
+            ctx.store().remove(node, self.pm_key.key(pool_id));
         }
     }
 
@@ -408,100 +420,113 @@ impl Component for Scheduler {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
-        if let Some(cmd) = msg.downcast_ref::<UserCmd>() {
-            match cmd {
-                UserCmd::Submit { id, spec } => {
-                    let job = GridJobId(self.next_id);
-                    self.next_id += 1;
-                    // Remember the user's console for callbacks.
-                    if self.config.user_addr.is_none() {
-                        self.config.user_addr = Some(from);
-                    }
-                    ctx.metrics().incr("condor_g.submitted", 1);
-                    self.jobs.insert(
+        // Commands hand their payload over: take the message by value.
+        let msg = match msg.downcast::<UserCmd>() {
+            Ok(cmd) => {
+                self.on_user_cmd(ctx, from, *cmd);
+                return;
+            }
+            Err(other) => other,
+        };
+        self.on_daemon_msg(ctx, msg);
+    }
+}
+
+impl Scheduler {
+    fn on_user_cmd(&mut self, ctx: &mut Ctx<'_>, from: Addr, cmd: UserCmd) {
+        match cmd {
+            UserCmd::Submit { id, spec } => {
+                let job = GridJobId(self.next_id);
+                self.next_id += 1;
+                // Remember the user's console for callbacks.
+                if self.config.user_addr.is_none() {
+                    self.config.user_addr = Some(from);
+                }
+                ctx.metrics().incr("condor_g.submitted", 1);
+                let message = format!("submitted ({})", spec.name);
+                self.jobs.insert(
+                    job,
+                    JobRec {
+                        spec,
+                        status: JobStatus::Unsubmitted,
+                        submitted_at: ctx.now(),
+                        seen_active: false,
+                    },
+                );
+                self.log_event(ctx, job, message);
+                self.persist_job(ctx, job);
+                ctx.send(from, UserEvent::Submitted { id, job });
+                self.route_submit(ctx, job);
+            }
+            UserCmd::Query { job } => {
+                let status = self
+                    .jobs
+                    .get(&job)
+                    .map(|r| r.status.clone())
+                    .unwrap_or(JobStatus::Failed("unknown job".into()));
+                ctx.send(
+                    from,
+                    UserEvent::Status {
                         job,
-                        JobRec {
-                            spec: spec.clone(),
-                            status: JobStatus::Unsubmitted,
-                            submitted_at: ctx.now(),
-                            seen_active: false,
-                        },
-                    );
-                    self.log_event(ctx, job, format!("submitted ({})", spec.name));
-                    self.persist_job(ctx, job);
-                    ctx.send(from, UserEvent::Submitted { id: *id, job });
-                    self.route_submit(ctx, job);
-                }
-                UserCmd::Query { job } => {
-                    let status = self
-                        .jobs
-                        .get(job)
-                        .map(|r| r.status.clone())
-                        .unwrap_or(JobStatus::Failed("unknown job".into()));
-                    ctx.send(
-                        from,
-                        UserEvent::Status {
-                            job: *job,
-                            status,
-                            at: ctx.now(),
-                        },
-                    );
-                }
-                UserCmd::Cancel { job } => {
-                    let Some(rec) = self.jobs.get(job) else {
-                        return;
-                    };
-                    match rec.spec.universe {
-                        Universe::Grid => {
-                            if let Some(gm) = self.gridmanager {
-                                ctx.send_local(gm, GmCmd::Cancel { job: *job });
-                            } else {
-                                self.set_status(ctx, *job, JobStatus::Removed);
-                            }
-                        }
-                        Universe::Pool => {
-                            if let Some(schedd) = self.config.pool_schedd {
-                                if let Some((pool_id, _)) =
-                                    self.pool_map.iter().find(|(_, g)| **g == *job)
-                                {
-                                    ctx.send_local(
-                                        schedd,
-                                        PoolRemove {
-                                            job: condor::JobId(*pool_id),
-                                        },
-                                    );
-                                }
-                            }
+                        status,
+                        at: ctx.now(),
+                    },
+                );
+            }
+            UserCmd::Cancel { job } => {
+                let Some(rec) = self.jobs.get(&job) else {
+                    return;
+                };
+                match rec.spec.universe {
+                    Universe::Grid => {
+                        if let Some(gm) = self.gridmanager {
+                            ctx.send_local(gm, GmCmd::Cancel { job });
+                        } else {
+                            self.set_status(ctx, job, JobStatus::Removed);
                         }
                     }
-                }
-                UserCmd::GetLog => {
-                    ctx.send(
-                        from,
-                        UserEvent::Log {
-                            entries: self.log.clone(),
-                        },
-                    );
-                }
-                UserCmd::RefreshProxy { credential } => {
-                    self.config.credential = credential.clone();
-                    ctx.metrics().incr("condor_g.proxy_refreshes", 1);
-                    if let Some(gm) = self.gridmanager {
-                        ctx.send_local(
-                            gm,
-                            GmCmd::RefreshProxy {
-                                credential: credential.clone(),
-                            },
-                        );
+                    Universe::Pool => {
+                        if let Some(schedd) = self.config.pool_schedd {
+                            if let Some(&pool_id) = self.pool_id_of.get(&job) {
+                                ctx.send_local(
+                                    schedd,
+                                    PoolRemove {
+                                        job: condor::JobId(pool_id),
+                                    },
+                                );
+                            }
+                        }
                     }
                 }
             }
-            return;
+            UserCmd::GetLog => {
+                ctx.send(
+                    from,
+                    UserEvent::Log {
+                        entries: self.log.clone(),
+                    },
+                );
+            }
+            UserCmd::RefreshProxy { credential } => {
+                self.config.credential = credential.clone();
+                ctx.metrics().incr("condor_g.proxy_refreshes", 1);
+                if let Some(gm) = self.gridmanager {
+                    ctx.send_local(gm, GmCmd::RefreshProxy { credential });
+                }
+            }
         }
-        if let Some(update) = msg.downcast_ref::<GmUpdate>() {
-            self.set_status(ctx, update.job, update.status.clone());
-            return;
-        }
+    }
+
+    /// Everything that is not a user command: the GridManager's updates and
+    /// exit notice, and the pool schedd's plumbing.
+    fn on_daemon_msg(&mut self, ctx: &mut Ctx<'_>, msg: Box<dyn std::any::Any>) {
+        let msg = match msg.downcast::<GmUpdate>() {
+            Ok(update) => {
+                self.set_status(ctx, update.job, update.status);
+                return;
+            }
+            Err(other) => other,
+        };
         if msg.is::<crate::gridmanager::GmExiting>() {
             // "terminates once all jobs are complete" — the broker comes
             // home so a future GridManager can inherit it.
@@ -514,7 +539,7 @@ impl Component for Scheduler {
         // Pool-universe plumbing.
         if let Some(sub) = msg.downcast_ref::<PoolSubmitted>() {
             let grid_job = GridJobId(sub.client_id);
-            self.pool_map.insert(sub.job.0, grid_job);
+            self.map_pool_job(sub.job.0, grid_job);
             self.persist_pool_entry(ctx, sub.job.0, grid_job);
             return;
         }
@@ -537,7 +562,8 @@ impl Component for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsim::codec::to_bytes;
+    use gridsim::codec::{encode_into, from_bytes, to_bytes};
+    use proptest::prelude::*;
 
     #[test]
     fn borrowed_job_record_encodes_as_the_owned_pair() {
@@ -549,5 +575,36 @@ mod tests {
             seen_active: true,
         };
         assert_eq!(to_bytes(&(7u64, &rec)), to_bytes(&(7u64, rec.clone())));
+    }
+
+    proptest! {
+        /// Whatever is on the disk, `recover` gets a record or a refusal.
+        #[test]
+        fn stored_job_records_decode_or_are_refused(
+            noise in proptest::collection::vec(any::<u8>(), 0..200),
+            flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            cut in any::<usize>(),
+            name in "[ -~]{0,30}",
+        ) {
+            let _ = from_bytes::<(u64, JobRec)>(&noise);
+            let rec = JobRec {
+                spec: GridJobSpec::grid(&name, "/home/jane/app.exe", Duration::from_mins(30))
+                    .with_args(&["--events", &name]),
+                status: JobStatus::Failed(name.clone()),
+                submitted_at: SimTime(17),
+                seen_active: false,
+            };
+            let mut bytes = to_bytes(&(7u64, &rec)).unwrap();
+            let mut scratch = noise.clone();
+            encode_into(&mut scratch, &(7u64, &rec)).unwrap();
+            prop_assert_eq!(&scratch[noise.len()..], &bytes[..]);
+            prop_assert_eq!(from_bytes::<(u64, JobRec)>(&bytes).unwrap().1.spec, rec.spec);
+            for (at, mask) in flips {
+                let n = bytes.len();
+                bytes[at % n] ^= mask;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            let _ = from_bytes::<(u64, JobRec)>(&bytes);
+        }
     }
 }

@@ -3,6 +3,7 @@
 use crate::file::{FileData, FileDisk, FileStore};
 use crate::proto::{GassReply, GassRequest, TransferError};
 use gridsim::prelude::*;
+use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::TrustRoot;
 
@@ -17,6 +18,11 @@ pub struct GassServer {
     trust: TrustRoot,
     /// When false, skip credential verification (an open HTTP-style server).
     authenticate: bool,
+    /// Stable-storage keys, built in place: `gassfs<path>` holds a file's
+    /// contents (the server's "disk"), `gass/size<path>` mirrors its size so
+    /// tests and experiments can observe server state from outside.
+    file_key: KeyBuf,
+    size_key: KeyBuf,
 }
 
 impl GassServer {
@@ -26,15 +32,16 @@ impl GassServer {
             files: FileStore::new(),
             trust,
             authenticate: true,
+            file_key: KeyBuf::new(FILE_KEY),
+            size_key: KeyBuf::new("gass/size"),
         }
     }
 
     /// An unauthenticated server (used as plain HTTP/FTP in §3.4).
     pub fn open() -> GassServer {
         GassServer {
-            files: FileStore::new(),
-            trust: TrustRoot::new(),
             authenticate: false,
+            ..GassServer::new(TrustRoot::new())
         }
     }
 
@@ -54,11 +61,11 @@ impl GassServer {
         node: gridsim::NodeId,
     ) -> GassServer {
         let mut server = GassServer::new(trust);
-        for key in store.keys_with_prefix(node, "gassfs") {
+        for key in store.keys_with_prefix(node, FILE_KEY) {
             let Some(disk) = store.get::<FileDisk>(node, &key) else {
                 continue;
             };
-            let path = &key["gassfs".len()..];
+            let path = &key[FILE_KEY.len()..];
             server
                 .files
                 .write(path, FileData::from_disk(disk), SimTime::ZERO);
@@ -77,10 +84,10 @@ impl GassServer {
         let node = ctx.node();
         if let Some(f) = self.files.read(path) {
             let disk = f.data.to_disk();
-            ctx.store().put(node, &file_key(path), &disk);
+            ctx.store().put(node, self.file_key.key(path), &disk);
         }
         let new_size = self.files.size(path).unwrap_or(0);
-        ctx.store().put(node, &size_key(path), &new_size);
+        ctx.store().put(node, self.size_key.key(path), &new_size);
     }
 
     /// Direct access to the store (for test assertions and experiment
@@ -92,16 +99,8 @@ impl GassServer {
     }
 }
 
-/// Stable-storage key mirroring a served file's size, so tests and
-/// experiments can observe server state from outside: `gass/<path>`.
-fn size_key(path: &str) -> String {
-    format!("gass/size{path}")
-}
-
-/// Stable-storage key holding a file's contents: the server's "disk".
-fn file_key(path: &str) -> String {
-    format!("gassfs{path}")
-}
+/// What every file-contents key starts with.
+const FILE_KEY: &str = "gassfs";
 
 /// A filesystem mutation, for the write-through path.
 enum FsOp {
@@ -124,8 +123,8 @@ impl Component for GassServer {
             })
             .collect();
         for (path, disk, size) in preloaded {
-            ctx.store().put(node, &file_key(&path), &disk);
-            ctx.store().put(node, &size_key(&path), &size);
+            ctx.store().put(node, self.file_key.key(&path), &disk);
+            ctx.store().put(node, self.size_key.key(&path), &size);
         }
     }
 
@@ -310,8 +309,8 @@ impl Component for GassServer {
                 // the file is already gone (idempotent cleanup).
                 self.files.delete(&path);
                 let node = ctx.node();
-                ctx.store().remove(node, &file_key(&path));
-                ctx.store().remove(node, &size_key(&path));
+                ctx.store().remove(node, self.file_key.key(&path));
+                ctx.store().remove(node, self.size_key.key(&path));
                 ctx.metrics().incr("gass.deletes", 1);
                 ctx.trace_with("gass.delete", || path.clone());
                 ctx.send(

@@ -7,12 +7,15 @@
 //! the GridManager uses to distinguish "JobManager crashed" from "whole
 //! machine or network down" (§4.2).
 
-use crate::jobmanager::{JmLog, JobManager};
+use crate::jobmanager::{JmLog, JobManager, SiteCounters};
 use crate::proto::{GramError, GramReply, GramRequest, JmMsg, JobContact};
+use gridsim::hash::IdMap;
 use gridsim::prelude::*;
+use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::{Capability, GridMap, PublicKey, TrustRoot};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// One dedup record persisted to stable storage so exactly-once survives
 /// gatekeeper machine restarts. Each record lives under its own key
@@ -32,19 +35,28 @@ pub struct Gatekeeper {
     /// Verification key for capability-based authorization (§3.2's
     /// work-in-progress mode); `None` = gridmap only.
     capability_key: Option<PublicKey>,
-    dedup: HashMap<(String, u64), JobContact>,
-    jobmanagers: HashMap<JobContact, Addr>,
+    /// `(DN, seq)` -> contact, one inner map per DN so a lookup borrows
+    /// the DN it was handed instead of building an owned key.
+    dedup: HashMap<Rc<str>, IdMap<u64, JobContact>>,
+    jobmanagers: IdMap<JobContact, Addr>,
     next_contact: u64,
+    /// Store keys: `gram/gk/<site>/dedup/<contact>`, `…/next_contact`, and
+    /// a scratch for the `gram/jm/<contact>` log keys this gatekeeper reads
+    /// and reclaims.
+    dedup_key: KeyBuf,
+    contact_key: String,
+    jm_key: KeyBuf,
     /// Site-scoped grid-weather counters, precomputed once.
     metric_submits: String,
     metric_rejected: String,
+    jm_counters: Rc<SiteCounters>,
     /// Lean (campaign) mode: JobManagers notify us on exit and we reclaim
     /// every per-job record, keeping gatekeeper memory bounded by the
     /// *in-flight* job count rather than the lifetime total.
     lean: bool,
     /// Reverse dedup index, maintained only in lean mode so `Exited` can
     /// drop the `(DN, seq)` entry in O(1).
-    dedup_rev: HashMap<JobContact, (String, u64)>,
+    dedup_rev: IdMap<JobContact, (Rc<str>, u64)>,
 }
 
 impl Gatekeeper {
@@ -58,14 +70,18 @@ impl Gatekeeper {
             two_phase: true,
             capability_key: None,
             dedup: HashMap::new(),
-            jobmanagers: HashMap::new(),
+            jobmanagers: IdMap::default(),
             // Real job contacts are URLs naming the gatekeeper host; ours
             // embed a site fingerprint so contacts are globally unique.
             next_contact: (gsi::keys::digest(site.as_bytes()) & 0xFFFF_FFFF) << 32,
+            dedup_key: KeyBuf::new(format!("gram/gk/{site}/dedup/")),
+            contact_key: format!("gram/gk/{site}/next_contact"),
+            jm_key: KeyBuf::new(JmLog::KEY_PREFIX),
             metric_submits: format!("site.{site}.submits"),
             metric_rejected: format!("site.{site}.rejected"),
+            jm_counters: SiteCounters::new(site),
             lean: false,
-            dedup_rev: HashMap::new(),
+            dedup_rev: IdMap::default(),
         }
     }
 
@@ -94,38 +110,36 @@ impl Gatekeeper {
         self
     }
 
-    fn dedup_prefix(&self) -> String {
-        format!("gram/gk/{}/dedup/", self.site)
+    /// Remember `(dn, seq) -> contact` (and, in lean mode, the way back).
+    fn remember(&mut self, dn: &str, seq: u64, contact: JobContact) {
+        let dn: Rc<str> = match self.dedup.get_key_value(dn) {
+            Some((known, _)) => known.clone(),
+            None => dn.into(),
+        };
+        if self.lean {
+            self.dedup_rev.insert(contact, (dn.clone(), seq));
+        }
+        self.dedup.entry(dn).or_default().insert(seq, contact);
     }
 
-    fn contact_key(&self) -> String {
-        format!("gram/gk/{}/next_contact", self.site)
-    }
-
-    /// Persist one accepted submit: its dedup record plus the contact
-    /// counter. Constant work per job — the table is never rewritten.
-    fn persist_entry(&self, ctx: &mut Ctx<'_>, dn: &str, seq: u64, contact: JobContact) {
+    /// Persist one accepted submit: its dedup record (a [`DedupRecord`],
+    /// encoded from the borrowed DN) plus the contact counter. Constant
+    /// work per job — the table is never rewritten.
+    fn persist_entry(&mut self, ctx: &mut Ctx<'_>, dn: &str, seq: u64, contact: JobContact) {
         let node = ctx.node();
-        let key = format!("{}{:016x}", self.dedup_prefix(), contact.0);
-        let record: DedupRecord = (dn.to_string(), seq, contact.0);
-        let ck = self.contact_key();
-        let next = self.next_contact;
-        ctx.store().put(node, &key, &record);
-        ctx.store().put(node, &ck, &next);
+        let key = self.dedup_key.key(format_args!("{:016x}", contact.0));
+        ctx.store().put(node, key, &(dn, seq, contact.0));
+        ctx.store().put(node, &self.contact_key, &self.next_contact);
     }
 
     /// Recover dedup state after a machine restart (used from boot hooks).
     pub fn recover(mut self, store: &gridsim::store::StableStore, node: NodeId) -> Gatekeeper {
-        for key in store.keys_with_prefix(node, &self.dedup_prefix()) {
+        for key in store.keys_with_prefix(node, self.dedup_key.prefix()) {
             let (dn, seq, contact): DedupRecord =
                 store.get(node, &key).expect("listed key present");
-            if self.lean {
-                self.dedup_rev
-                    .insert(JobContact(contact), (dn.clone(), seq));
-            }
-            self.dedup.insert((dn, seq), JobContact(contact));
+            self.remember(&dn, seq, JobContact(contact));
         }
-        if let Some(next) = store.get::<u64>(node, &self.contact_key()) {
+        if let Some(next) = store.get::<u64>(node, &self.contact_key) {
             self.next_contact = next;
         }
         self
@@ -169,12 +183,14 @@ impl Gatekeeper {
     fn reclaim(&mut self, ctx: &mut Ctx<'_>, contact: JobContact) {
         self.jobmanagers.remove(&contact);
         let node = ctx.node();
-        ctx.store().remove(node, &JmLog::key(contact));
-        if let Some(key) = self.dedup_rev.remove(&contact) {
-            self.dedup.remove(&key);
+        ctx.store().remove(node, self.jm_key.key(contact));
+        if let Some((dn, seq)) = self.dedup_rev.remove(&contact) {
+            if let Some(seqs) = self.dedup.get_mut(&dn) {
+                seqs.remove(&seq);
+            }
         }
-        let dedup_key = format!("{}{:016x}", self.dedup_prefix(), contact.0);
-        ctx.store().remove(node, &dedup_key);
+        let dedup_key = self.dedup_key.key(format_args!("{:016x}", contact.0));
+        ctx.store().remove(node, dedup_key);
     }
 }
 
@@ -214,7 +230,8 @@ impl Component for Gatekeeper {
                 // Exactly-once: a duplicate (DN, seq) gets the original
                 // answer, never a second job.
                 if self.two_phase {
-                    if let Some(&contact) = self.dedup.get(&(dn.clone(), seq)) {
+                    let known = self.dedup.get(dn.as_str()).and_then(|seqs| seqs.get(&seq));
+                    if let Some(&contact) = known {
                         ctx.metrics().incr("gram.duplicate_submits", 1);
                         ctx.trace_with("gram.dedup", || format!("dn={dn} seq={seq} -> {contact}"));
                         if let Some(&jm) = self.jobmanagers.get(&contact) {
@@ -230,7 +247,7 @@ impl Component for Gatekeeper {
                             // JobManager gone (e.g. machine restarted):
                             // restart it from its log.
                             let node = ctx.node();
-                            match ctx.store().get::<JmLog>(node, &JmLog::key(contact)) {
+                            match ctx.store().get::<JmLog>(node, self.jm_key.key(contact)) {
                                 Some(log) => {
                                     let jm = self.spawn_jobmanager(
                                         ctx,
@@ -242,7 +259,7 @@ impl Component for Gatekeeper {
                                             gass,
                                             credential.clone(),
                                             0,
-                                            &self.site,
+                                            self.jm_counters.clone(),
                                         ),
                                     );
                                     ctx.send(
@@ -301,15 +318,12 @@ impl Component for Gatekeeper {
                     &local_user,
                     // One-phase servers start executing immediately.
                     !self.two_phase,
-                    &self.site,
+                    self.jm_counters.clone(),
                 );
                 let jm_addr = self.spawn_jobmanager(ctx, contact, jm);
                 if self.two_phase {
                     self.persist_entry(ctx, &dn, seq, contact);
-                    if self.lean {
-                        self.dedup_rev.insert(contact, (dn.clone(), seq));
-                    }
-                    self.dedup.insert((dn, seq), contact);
+                    self.remember(&dn, seq, contact);
                 }
                 ctx.send(
                     from,
@@ -340,7 +354,7 @@ impl Component for Gatekeeper {
                     ctx.kill(jm);
                 }
                 let node = ctx.node();
-                match ctx.store().get::<JmLog>(node, &JmLog::key(contact)) {
+                match ctx.store().get::<JmLog>(node, self.jm_key.key(contact)) {
                     Some(log) => {
                         ctx.metrics().incr("gram.jm_restarts", 1);
                         ctx.trace_with("gram.jm_restart", || format!("{contact}"));
@@ -354,7 +368,7 @@ impl Component for Gatekeeper {
                                 gass,
                                 credential,
                                 stdout_have,
-                                &self.site,
+                                self.jm_counters.clone(),
                             ),
                         );
                         ctx.send(

@@ -15,6 +15,7 @@ use gridsim::AnyMsg;
 use gsi::ProxyCredential;
 use serde::{Deserialize, Serialize};
 use site::{JobSpec, LrmEvent, LrmJobState, LrmReply, LrmRequest};
+use std::rc::Rc;
 
 /// What the JobManager persists (and what a restarted JobManager resumes
 /// from).
@@ -37,10 +38,37 @@ pub struct JmLog {
 }
 
 impl JmLog {
+    /// What every job-log key starts with.
+    pub const KEY_PREFIX: &'static str = "gram/jm/";
+
     /// Stable-storage key for a job's log.
     pub fn key(contact: JobContact) -> String {
-        format!("gram/jm/{contact}")
+        format!("{}{contact}", JmLog::KEY_PREFIX)
     }
+}
+
+/// A site's grid-weather counter names for its JobManagers, rendered once
+/// by the fronting gatekeeper and shared by every JobManager it spawns.
+#[derive(Debug)]
+pub struct SiteCounters {
+    commits: String,
+    commit_timeouts: String,
+}
+
+impl SiteCounters {
+    /// The counters of `site`.
+    pub fn new(site: &str) -> Rc<SiteCounters> {
+        Rc::new(SiteCounters {
+            commits: format!("site.{site}.commits"),
+            commit_timeouts: format!("site.{site}.commit_timeouts"),
+        })
+    }
+}
+
+/// The executable and stdin, where they are GASS URLs: those come from the
+/// client's server (anything else is site-local and needs no staging).
+fn stage_in_urls(rsl: &RslSpec) -> [Option<GassUrl>; 2] {
+    [Some(&rsl.executable), rsl.stdin.as_ref()].map(|source| source?.parse().ok())
 }
 
 /// Stage-in progress.
@@ -55,6 +83,13 @@ enum Staging {
 pub struct JobManager {
     contact: JobContact,
     rsl: RslSpec,
+    /// `rsl` rendered, `JmLog::key(contact)`, and the RSL's staging URLs
+    /// parsed: none of them changes over the JobManager's life, so each is
+    /// derived once here rather than on every log write and transfer.
+    rsl_text: String,
+    log_key: String,
+    stage_in: [Option<GassUrl>; 2],
+    stdout_url: Option<GassUrl>,
     credential: ProxyCredential,
     client: Addr,
     gass: GassUrl,
@@ -75,10 +110,8 @@ pub struct JobManager {
     pending_events: Vec<LrmEvent>,
     /// Set once execution has commenced; duplicate Commits are then inert.
     committed: bool,
-    /// Site-scoped grid-weather counters, precomputed from the fronting
-    /// gatekeeper's site name.
-    metric_commits: String,
-    metric_commit_timeouts: String,
+    /// Site-scoped grid-weather counters.
+    counters: Rc<SiteCounters>,
     /// Lean (campaign) mode: tell this gatekeeper we are exiting after the
     /// client's done-ack so it can reclaim the job's records.
     notify_exit: Option<Addr>,
@@ -114,10 +147,14 @@ impl JobManager {
         lrm: Addr,
         local_user: &str,
         auto_commit: bool,
-        site: &str,
+        counters: Rc<SiteCounters>,
     ) -> JobManager {
         JobManager {
             contact,
+            rsl_text: rsl.render(),
+            log_key: JmLog::key(contact),
+            stage_in: stage_in_urls(&rsl),
+            stdout_url: rsl.stdout.as_ref().and_then(|u| u.parse().ok()),
             rsl,
             credential,
             client,
@@ -135,8 +172,7 @@ impl JobManager {
             stdout_req: None,
             pending_events: Vec::new(),
             committed: false,
-            metric_commits: format!("site.{site}.commits"),
-            metric_commit_timeouts: format!("site.{site}.commit_timeouts"),
+            counters,
             notify_exit: None,
             stage_backoff: 0,
         }
@@ -157,11 +193,15 @@ impl JobManager {
         gass: GassUrl,
         credential: ProxyCredential,
         stdout_have: u64,
-        site: &str,
+        counters: Rc<SiteCounters>,
     ) -> JobManager {
         let rsl = crate::rsl::parse(&log.rsl).expect("logged RSL re-parses");
         JobManager {
             contact: log.contact,
+            rsl_text: rsl.render(),
+            log_key: JmLog::key(log.contact),
+            stage_in: stage_in_urls(&rsl),
+            stdout_url: rsl.stdout.as_ref().and_then(|u| u.parse().ok()),
             rsl,
             credential,
             client,
@@ -179,25 +219,30 @@ impl JobManager {
             stdout_req: None,
             pending_events: Vec::new(),
             committed: true,
-            metric_commits: format!("site.{site}.commits"),
-            metric_commit_timeouts: format!("site.{site}.commit_timeouts"),
+            counters,
             notify_exit: None,
             stage_backoff: 0,
         }
     }
 
+    /// The [`JmLog`] this JobManager would write now, field for field,
+    /// borrowing its strings (the codec is positional, so the tuple's
+    /// bytes are the struct's).
+    fn log_view(&self) -> impl Serialize + '_ {
+        (
+            self.contact,
+            self.rsl_text.as_str(),
+            self.local_user.as_str(),
+            self.local_id,
+            self.state,
+            self.stdout_sent,
+            self.exit_ok,
+        )
+    }
+
     fn persist(&self, ctx: &mut Ctx<'_>) {
         let node = ctx.node();
-        let log = JmLog {
-            contact: self.contact,
-            rsl: self.rsl.to_string(),
-            local_user: self.local_user.clone(),
-            local_id: self.local_id,
-            state: self.state,
-            stdout_sent: self.stdout_sent,
-            exit_ok: self.exit_ok,
-        };
-        ctx.store().put(node, &JmLog::key(self.contact), &log);
+        ctx.store().put(node, &self.log_key, &self.log_view());
     }
 
     fn callback(&mut self, ctx: &mut Ctx<'_>, state: GramJobState) {
@@ -218,26 +263,19 @@ impl JobManager {
     /// Issue (or re-issue) the stage-in GETs; arms the retry timer.
     fn send_stage_requests(&mut self, ctx: &mut Ctx<'_>) -> u32 {
         let mut outstanding = 0;
-        // Executable and stdin, when they're GASS URLs, come from the
-        // client's server.
-        for source in [Some(self.rsl.executable.clone()), self.rsl.stdin.clone()]
-            .into_iter()
-            .flatten()
-        {
-            if let Ok(url) = source.parse::<GassUrl>() {
-                self.next_req += 1;
-                outstanding += 1;
-                ctx.send(
-                    url.server,
-                    GassRequest::Get {
-                        request_id: self.next_req,
-                        credential: self.credential.clone(),
-                        path: url.path,
-                        offset: 0,
-                        limit: u64::MAX,
-                    },
-                );
-            }
+        for url in self.stage_in.iter().flatten() {
+            self.next_req += 1;
+            outstanding += 1;
+            ctx.send(
+                url.server,
+                GassRequest::Get {
+                    request_id: self.next_req,
+                    credential: self.credential.clone(),
+                    path: url.path.clone(),
+                    offset: 0,
+                    limit: u64::MAX,
+                },
+            );
         }
         if outstanding > 0 {
             self.staging = Staging::Fetching { outstanding };
@@ -298,12 +336,12 @@ impl JobManager {
 
     fn begin_stage_out(&mut self, ctx: &mut Ctx<'_>) {
         self.stage_backoff = 0;
-        let Some(stdout_url) = self.rsl.stdout.clone() else {
+        if self.rsl.stdout.is_none() {
             // No output to stage: straight to Done.
             self.exit_ok = true;
             self.callback(ctx, GramJobState::Done);
             return;
-        };
+        }
         let remaining = self.rsl.stdout_size.saturating_sub(self.stdout_sent);
         if remaining == 0 {
             self.exit_ok = true;
@@ -314,9 +352,9 @@ impl JobManager {
             format!("contact={} phase=stage_out", self.contact.0)
         });
         self.callback(ctx, GramJobState::StageOut);
-        match stdout_url.parse::<GassUrl>() {
-            Ok(_) => self.send_stdout_chunk(ctx),
-            Err(_) => {
+        match self.stdout_url {
+            Some(_) => self.send_stdout_chunk(ctx),
+            None => {
                 // Site-local stdout: nothing to ship.
                 self.stdout_sent = self.rsl.stdout_size;
                 self.exit_ok = true;
@@ -328,12 +366,10 @@ impl JobManager {
     /// Send (or re-send) the remaining stdout bytes as an idempotent
     /// positioned write; arms the retry timer.
     fn send_stdout_chunk(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(stdout_url) = self.rsl.stdout.clone() else {
+        let Some(url) = &self.stdout_url else {
             return;
         };
-        let Ok(url) = stdout_url.parse::<GassUrl>() else {
-            return;
-        };
+        let (server, path) = (url.server, url.path.clone());
         let remaining = self.rsl.stdout_size.saturating_sub(self.stdout_sent);
         if remaining == 0 {
             return;
@@ -342,12 +378,12 @@ impl JobManager {
         self.stdout_req = Some(self.next_req);
         let chunk = FileData::bulk(remaining, self.contact.0 ^ self.stdout_sent);
         ctx.send_bulk(
-            url.server,
+            server,
             remaining,
             GassRequest::WriteAt {
                 request_id: self.next_req,
                 credential: self.credential.clone(),
-                path: url.path,
+                path,
                 offset: self.stdout_sent,
                 data: chunk,
             },
@@ -457,14 +493,14 @@ impl Component for JobManager {
                     );
                     if self.state == GramJobState::PendingCommit && !self.committed {
                         ctx.metrics().incr("gram.commits", 1);
-                        ctx.metrics().incr(&self.metric_commits, 1);
+                        ctx.metrics().incr(&self.counters.commits, 1);
                         self.begin_stage_in(ctx);
                     } else {
                         // A duplicate Commit means the client's commit timer
                         // expired before our ack arrived and it retransmitted
                         // — the per-site commit-timeout signal in the
                         // grid-weather report.
-                        ctx.metrics().incr(&self.metric_commit_timeouts, 1);
+                        ctx.metrics().incr(&self.counters.commit_timeouts, 1);
                     }
                 }
                 JmMsg::Probe { nonce } => {
@@ -651,6 +687,101 @@ impl Component for JobManager {
                     self.callback(ctx, GramJobState::Failed);
                 }
                 GassReply::Size { .. } => {}
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsim::codec::{encode_into, from_bytes, to_bytes};
+    use gridsim::{CompId, NodeId};
+    use gsi::CertificateAuthority;
+    use proptest::prelude::*;
+
+    #[test]
+    fn borrowed_log_view_encodes_as_the_owned_log() {
+        let addr = Addr {
+            node: NodeId(3),
+            comp: CompId(9),
+        };
+        let mut ca = CertificateAuthority::new("/CN=CA", 1);
+        let proxy = ca
+            .issue_identity("/CN=jane", Duration::from_days(1))
+            .new_proxy(SimTime::ZERO, Duration::from_hours(12));
+        let rsl = RslSpec::job("gass://n3.c9/home/jane/app.exe", Duration::from_mins(30))
+            .with_stdout("gass://n3.c9/condor_g/out/gj7", 4096)
+            .with_count(4);
+        let mut jm = JobManager::new(
+            JobContact(0xbeef_0000_0007),
+            rsl.clone(),
+            proxy,
+            addr,
+            GassUrl::gass(addr, ""),
+            addr,
+            "jane",
+            false,
+            SiteCounters::new("wisc"),
+        );
+        for (local_id, state) in [
+            (None, GramJobState::PendingCommit),
+            (Some(12), GramJobState::StageOut),
+        ] {
+            jm.local_id = local_id;
+            jm.state = state;
+            jm.stdout_sent = 17;
+            let owned = JmLog {
+                contact: jm.contact,
+                rsl: rsl.to_string(),
+                local_user: "jane".into(),
+                local_id,
+                state,
+                stdout_sent: 17,
+                exit_ok: false,
+            };
+            assert_eq!(to_bytes(&jm.log_view()), to_bytes(&owned));
+        }
+        assert_eq!(jm.stage_in.iter().flatten().count(), 1);
+        assert_eq!(jm.stdout_url.as_ref().unwrap().path, "/condor_g/out/gj7");
+    }
+
+    proptest! {
+        /// Whatever is on the disk, the gatekeeper's restart path gets a
+        /// job log (or dedup record) or a refusal.
+        #[test]
+        fn stored_gram_records_decode_or_are_refused(
+            noise in proptest::collection::vec(any::<u8>(), 0..200),
+            flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            cut in any::<usize>(),
+            dn in "[ -~]{0,30}",
+        ) {
+            type DedupRecord = (String, u64, u64);
+            let _ = from_bytes::<JmLog>(&noise);
+            let _ = from_bytes::<DedupRecord>(&noise);
+            let log = JmLog {
+                contact: JobContact(9),
+                rsl: format!("&(executable={dn})"),
+                local_user: dn.clone(),
+                local_id: Some(3),
+                state: GramJobState::Active,
+                stdout_sent: 0,
+                exit_ok: false,
+            };
+            // The gatekeeper writes its record from a borrowed DN.
+            let entry = to_bytes(&(dn.as_str(), 4u64, 9u64)).unwrap();
+            prop_assert_eq!(&entry, &to_bytes(&(dn.clone(), 4u64, 9u64)).unwrap());
+            let mut scratch = noise.clone();
+            encode_into(&mut scratch, &log).unwrap();
+            prop_assert_eq!(&scratch[noise.len()..], &to_bytes(&log).unwrap()[..]);
+            for mut bytes in [to_bytes(&log).unwrap(), entry] {
+                for &(at, mask) in &flips {
+                    let n = bytes.len();
+                    bytes[at % n] ^= mask;
+                }
+                bytes.truncate(cut % (bytes.len() + 1));
+                let _ = from_bytes::<JmLog>(&bytes);
+                let _ = from_bytes::<DedupRecord>(&bytes);
             }
         }
     }

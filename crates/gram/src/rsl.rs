@@ -217,31 +217,27 @@ fn tokenize_values(src: &str) -> Result<Vec<String>, RslError> {
 }
 
 fn apply(spec: &mut RslSpec, name: &str, values: Vec<String>) -> Result<(), RslError> {
-    let one = |values: &[String]| -> Result<String, RslError> {
-        match values {
-            [v] => Ok(v.clone()),
-            _ => Err(RslError(format!(
-                "{name} expects one value, got {}",
-                values.len()
-            ))),
-        }
+    let one = |values: Vec<String>| -> Result<String, RslError> {
+        <[String; 1]>::try_from(values)
+            .map(|[v]| v)
+            .map_err(|values| RslError(format!("{name} expects one value, got {}", values.len())))
     };
     match name {
-        "executable" => spec.executable = one(&values)?,
+        "executable" => spec.executable = one(values)?,
         "arguments" => spec.arguments = values,
         "count" => {
-            spec.count = one(&values)?
+            spec.count = one(values)?
                 .parse()
                 .map_err(|_| RslError("bad count".into()))?
         }
         "maxwalltime" => {
-            let mins: u64 = one(&values)?
+            let mins: u64 = one(values)?
                 .parse()
                 .map_err(|_| RslError("bad maxWallTime".into()))?;
             spec.max_wall_time = Some(Duration::from_mins(mins));
         }
-        "stdin" => spec.stdin = Some(one(&values)?),
-        "stdout" => spec.stdout = Some(one(&values)?),
+        "stdin" => spec.stdin = Some(one(values)?),
+        "stdout" => spec.stdout = Some(one(values)?),
         "environment" => {
             if !values.len().is_multiple_of(2) {
                 return Err(RslError("environment expects (name value) pairs".into()));
@@ -251,18 +247,18 @@ fn apply(spec: &mut RslSpec, name: &str, values: Vec<String>) -> Result<(), RslE
             }
         }
         "simruntime" => {
-            let secs: f64 = one(&values)?
+            let secs: f64 = one(values)?
                 .parse()
                 .map_err(|_| RslError("bad simruntime".into()))?;
             spec.sim_runtime = Duration::from_secs_f64(secs);
         }
         "stdoutsize" => {
-            spec.stdout_size = one(&values)?
+            spec.stdout_size = one(values)?
                 .parse()
                 .map_err(|_| RslError("bad stdoutsize".into()))?;
         }
         "imagesize" => {
-            spec.image_size = one(&values)?
+            spec.image_size = one(values)?
                 .parse()
                 .map_err(|_| RslError("bad imagesize".into()))?;
         }
@@ -271,6 +267,18 @@ fn apply(spec: &mut RslSpec, name: &str, values: Vec<String>) -> Result<(), RslE
         }
     }
     Ok(())
+}
+
+impl RslSpec {
+    /// `self.to_string()`, written into a buffer sized up front for a
+    /// typical job description (the blanket `ToString` starts empty and
+    /// doubles its way there).
+    pub fn render(&self) -> String {
+        use fmt::Write;
+        let mut text = String::with_capacity(192);
+        write!(text, "{self}").expect("writing to a String");
+        text
+    }
 }
 
 impl fmt::Display for RslSpec {

@@ -38,9 +38,16 @@ impl de::Error for CodecError {
 
 /// Serialize `value` into bytes.
 pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
-    let mut ser = Encoder { out: Vec::new() };
-    value.serialize(&mut ser)?;
-    Ok(ser.out)
+    let mut out = Vec::new();
+    encode_into(&mut out, value)?;
+    Ok(out)
+}
+
+/// Append the encoding of `value` to `out` — the bytes [`to_bytes`] returns,
+/// written into a buffer the caller owns (and can reuse, so a steady stream
+/// of encodes stops growing a fresh `Vec` each time).
+pub fn encode_into<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<(), CodecError> {
+    value.serialize(&mut Encoder { out })
 }
 
 /// Append one element to an encoded sequence in place: `seq` holds the
@@ -58,12 +65,7 @@ pub fn push_seq_element<T: Serialize>(seq: &mut Vec<u8>, element: &T) -> Result<
         None => return Err(CodecError("sequence shorter than its count".into())),
     };
     seq[..8].copy_from_slice(&(count + 1).to_le_bytes());
-    let mut ser = Encoder {
-        out: std::mem::take(seq),
-    };
-    let result = element.serialize(&mut ser);
-    *seq = ser.out;
-    result
+    encode_into(seq, element)
 }
 
 /// Deserialize a `T` from bytes produced by [`to_bytes`].
@@ -82,17 +84,17 @@ pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
     Ok(value)
 }
 
-struct Encoder {
-    out: Vec<u8>,
+struct Encoder<'a> {
+    out: &'a mut Vec<u8>,
 }
 
-impl Encoder {
+impl Encoder<'_> {
     fn put_len(&mut self, n: usize) {
         self.out.extend_from_slice(&(n as u64).to_le_bytes());
     }
 }
 
-impl ser::Serializer for &mut Encoder {
+impl ser::Serializer for &mut Encoder<'_> {
     type Ok = ();
     type Error = CodecError;
     type SerializeSeq = Self;
@@ -242,7 +244,7 @@ impl ser::Serializer for &mut Encoder {
 
 macro_rules! forward_compound {
     ($trait:ident, $method:ident) => {
-        impl<'a> ser::$trait for &'a mut Encoder {
+        impl ser::$trait for &mut Encoder<'_> {
             type Ok = ();
             type Error = CodecError;
             fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
@@ -260,7 +262,7 @@ forward_compound!(SerializeTuple, serialize_element);
 forward_compound!(SerializeTupleStruct, serialize_field);
 forward_compound!(SerializeTupleVariant, serialize_field);
 
-impl ser::SerializeMap for &mut Encoder {
+impl ser::SerializeMap for &mut Encoder<'_> {
     type Ok = ();
     type Error = CodecError;
     fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
@@ -274,7 +276,7 @@ impl ser::SerializeMap for &mut Encoder {
     }
 }
 
-impl ser::SerializeStruct for &mut Encoder {
+impl ser::SerializeStruct for &mut Encoder<'_> {
     type Ok = ();
     type Error = CodecError;
     fn serialize_field<T: Serialize + ?Sized>(
@@ -289,7 +291,7 @@ impl ser::SerializeStruct for &mut Encoder {
     }
 }
 
-impl ser::SerializeStructVariant for &mut Encoder {
+impl ser::SerializeStructVariant for &mut Encoder<'_> {
     type Ok = ();
     type Error = CodecError;
     fn serialize_field<T: Serialize + ?Sized>(
@@ -311,7 +313,9 @@ struct Decoder<'de> {
 
 impl<'de> Decoder<'de> {
     fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
-        if self.pos + n > self.input.len() {
+        // `n` may be any u64 read from hostile input: compare against what
+        // is left, never add to `pos`.
+        if n > self.input.len() - self.pos {
             return Err(CodecError(format!(
                 "unexpected end of input (want {n} at {})",
                 self.pos
@@ -320,6 +324,13 @@ impl<'de> Decoder<'de> {
         let s = &self.input[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// A claimed element count, cut down to what the input could still
+    /// hold, so a visitor that preallocates from `size_hint` never reserves
+    /// more than the input's own size for a count the input made up.
+    fn bounded(&self, count: usize) -> usize {
+        count.min(self.input.len() - self.pos)
     }
 
     fn take_len(&mut self) -> Result<usize, CodecError> {
@@ -508,7 +519,7 @@ impl<'a, 'de> de::SeqAccess<'de> for Counted<'a, 'de> {
         seed.deserialize(&mut *self.de).map(Some)
     }
     fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
+        Some(self.de.bounded(self.remaining))
     }
 }
 
@@ -531,7 +542,7 @@ impl<'a, 'de> de::MapAccess<'de> for Counted<'a, 'de> {
         seed.deserialize(&mut *self.de)
     }
     fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
+        Some(self.de.bounded(self.remaining))
     }
 }
 
@@ -671,6 +682,16 @@ mod tests {
     fn truncated_input_rejected() {
         let bytes = to_bytes(&String::from("hello")).unwrap();
         assert!(from_bytes::<String>(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn a_length_past_the_address_space_is_refused_not_added() {
+        // 8 bytes in, the string claims u64::MAX more: `pos + n` would wrap.
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(b"tail");
+        assert!(from_bytes::<String>(&bytes).is_err());
+        assert!(from_bytes::<Vec<u8>>(&bytes).is_err());
+        assert!(from_bytes::<(u64, String)>(&[bytes.clone(), bytes].concat()).is_err());
     }
 
     #[test]

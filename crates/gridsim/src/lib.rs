@@ -62,6 +62,7 @@ pub mod codec;
 pub mod component;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod metrics;
 pub mod network;
 pub mod obs;

@@ -18,10 +18,10 @@ pub mod flow;
 
 use crate::component::{Addr, AnyMsg, NodeId};
 use crate::event::EventQueue;
+use crate::hash::{IdMap, IdSet};
 use crate::rng::{Dist, SimRng};
 use crate::time::{Duration, SimTime};
 use flow::{AbortedFlow, FlowDue, FlowNet, LinkId};
-use std::collections::{HashMap, HashSet};
 
 /// Static configuration of the network model.
 #[derive(Clone, Debug)]
@@ -65,9 +65,9 @@ struct LinkOverride {
 #[derive(Debug)]
 pub struct Network {
     config: NetConfig,
-    overrides: HashMap<(NodeId, NodeId), LinkOverride>,
+    overrides: IdMap<(NodeId, NodeId), LinkOverride>,
     /// Unordered pairs currently partitioned from each other.
-    partitioned: HashSet<(NodeId, NodeId)>,
+    partitioned: IdSet<(NodeId, NodeId)>,
     /// Dynamic loss rate override (set by fault plans); falls back to config.
     dynamic_loss: Option<f64>,
     /// Shared-bandwidth topology + active flows; `Some` iff flow mode is
@@ -90,8 +90,8 @@ impl Network {
     pub fn new(config: NetConfig) -> Network {
         Network {
             config,
-            overrides: HashMap::new(),
-            partitioned: HashSet::new(),
+            overrides: IdMap::default(),
+            partitioned: IdSet::default(),
             dynamic_loss: None,
             flow: None,
             dropped: 0,

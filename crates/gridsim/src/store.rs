@@ -7,19 +7,29 @@
 //! store), and components re-read it from their boot hooks on restart.
 //!
 //! Values are byte strings; components serialize their state with the
-//! [`crate::codec`] binary codec.
+//! [`crate::codec`] binary codec. A stored value's bytes are a function of
+//! the value alone — not of whether it was `put` whole, `append`ed to, or
+//! encoded from borrowed fields — so readers never care how a writer got
+//! there.
 
 use crate::component::NodeId;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
+use std::ops::Bound;
 
 /// Durable, crash-surviving per-node key/value storage.
 ///
-/// Keys are `(node, name)`; a `BTreeMap` keeps iteration deterministic.
+/// One sorted map per node (node ids are dense, so a `Vec` of maps), keyed
+/// by `String` so lookups borrow the caller's `&str`; a `BTreeMap` keeps
+/// iteration deterministic.
 #[derive(Debug, Default)]
 pub struct StableStore {
-    data: BTreeMap<(NodeId, String), Vec<u8>>,
+    nodes: Vec<BTreeMap<String, Vec<u8>>>,
+    /// Encode buffer shared by every [`StableStore::put`], so a write
+    /// allocates the stored value (exact size) and nothing else.
+    scratch: Vec<u8>,
     /// Write count (for reporting stable-storage traffic).
     pub writes: u64,
 }
@@ -30,21 +40,49 @@ impl StableStore {
         StableStore::default()
     }
 
+    fn node(&self, node: NodeId) -> Option<&BTreeMap<String, Vec<u8>>> {
+        self.nodes.get(node.0 as usize)
+    }
+
+    fn node_mut(&mut self, node: NodeId) -> &mut BTreeMap<String, Vec<u8>> {
+        let at = node.0 as usize;
+        if at >= self.nodes.len() {
+            self.nodes.resize_with(at + 1, BTreeMap::new);
+        }
+        &mut self.nodes[at]
+    }
+
     /// Write raw bytes under `(node, key)`.
-    pub fn put_bytes(&mut self, node: NodeId, key: &str, value: Vec<u8>) {
+    pub fn put_bytes(&mut self, node: NodeId, key: &str, value: &[u8]) {
         self.writes += 1;
-        self.data.insert((node, key.to_string()), value);
+        let map = self.node_mut(node);
+        match map.get_mut(key) {
+            // Reuse the old allocation only where that strands no more
+            // than it already holds: a record that shrank (a tombstone
+            // over a live job) must give its capacity back.
+            Some(slot) if value.len() <= slot.capacity() && value.len() >= slot.capacity() / 2 => {
+                slot.clear();
+                slot.extend_from_slice(value);
+            }
+            Some(slot) => *slot = value.to_vec(),
+            None => {
+                map.insert(key.to_string(), value.to_vec());
+            }
+        }
     }
 
     /// Read raw bytes.
     pub fn get_bytes(&self, node: NodeId, key: &str) -> Option<&[u8]> {
-        self.data.get(&(node, key.to_string())).map(Vec::as_slice)
+        self.node(node)?.get(key).map(Vec::as_slice)
     }
 
     /// Serialize `value` with the binary codec and store it.
-    pub fn put<T: Serialize>(&mut self, node: NodeId, key: &str, value: &T) {
-        let bytes = crate::codec::to_bytes(value).expect("stable store serialize");
-        self.put_bytes(node, key, bytes);
+    pub fn put<T: Serialize + ?Sized>(&mut self, node: NodeId, key: &str, value: &T) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        crate::codec::encode_into(&mut scratch, value).expect("stable store serialize");
+        self.put_bytes(node, key, &scratch);
+        self.scratch = scratch;
     }
 
     /// Add `element` to the `Vec<T>` stored under `(node, key)` (an absent
@@ -52,8 +90,18 @@ impl StableStore {
     /// would — at the cost of encoding one element, not all of them.
     pub fn append<T: Serialize>(&mut self, node: NodeId, key: &str, element: &T) {
         self.writes += 1;
-        let seq = self.data.entry((node, key.to_string())).or_default();
-        crate::codec::push_seq_element(seq, element).expect("stable store serialize");
+        let map = self.node_mut(node);
+        let push = |seq: &mut Vec<u8>| {
+            crate::codec::push_seq_element(seq, element).expect("stable store serialize")
+        };
+        match map.get_mut(key) {
+            Some(seq) => push(seq),
+            None => {
+                let mut seq = Vec::new();
+                push(&mut seq);
+                map.insert(key.to_string(), seq);
+            }
+        }
     }
 
     /// Load and deserialize a value; `None` if the key is absent.
@@ -67,15 +115,19 @@ impl StableStore {
 
     /// Remove a key. Returns true if it was present.
     pub fn remove(&mut self, node: NodeId, key: &str) -> bool {
-        self.data.remove(&(node, key.to_string())).is_some()
+        self.nodes
+            .get_mut(node.0 as usize)
+            .is_some_and(|map| map.remove(key).is_some())
     }
 
     /// All keys on `node` that start with `prefix`, in sorted order.
     pub fn keys_with_prefix(&self, node: NodeId, prefix: &str) -> Vec<String> {
-        self.data
-            .range((node, prefix.to_string())..)
-            .take_while(|((n, k), _)| *n == node && k.starts_with(prefix))
-            .map(|((_, k), _)| k.clone())
+        let Some(map) = self.node(node) else {
+            return Vec::new();
+        };
+        map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(k, _)| k.clone())
             .collect()
     }
 
@@ -83,9 +135,40 @@ impl StableStore {
     pub fn remove_prefix(&mut self, node: NodeId, prefix: &str) -> usize {
         let keys = self.keys_with_prefix(node, prefix);
         for k in &keys {
-            self.data.remove(&(node, k.clone()));
+            self.remove(node, k);
         }
         keys.len()
+    }
+}
+
+/// A store key built in place: the fixed prefix is rendered once, each
+/// key re-renders only its suffix into the same buffer.
+#[derive(Debug)]
+pub struct KeyBuf {
+    buf: String,
+    prefix: usize,
+}
+
+impl KeyBuf {
+    /// Keys that all start with `prefix`.
+    pub fn new(prefix: impl Into<String>) -> KeyBuf {
+        let buf = prefix.into();
+        KeyBuf {
+            prefix: buf.len(),
+            buf,
+        }
+    }
+
+    /// The prefix alone (what `keys_with_prefix` takes).
+    pub fn prefix(&self) -> &str {
+        &self.buf[..self.prefix]
+    }
+
+    /// The key `prefix + suffix`; valid until the next call.
+    pub fn key(&mut self, suffix: impl fmt::Display) -> &str {
+        self.buf.truncate(self.prefix);
+        write!(self.buf, "{suffix}").expect("writing to a String");
+        &self.buf
     }
 }
 
@@ -144,6 +227,30 @@ mod tests {
         assert!(s.keys_with_prefix(NodeId(0), "job/").is_empty());
         assert_eq!(s.get::<u8>(NodeId(0), "log/1"), Some(0));
         assert_eq!(s.get::<u8>(NodeId(1), "job/9"), Some(0));
+    }
+
+    #[test]
+    fn shrinking_overwrite_gives_its_capacity_back() {
+        let mut s = StableStore::new();
+        s.put_bytes(NodeId(0), "job", &[7u8; 300]);
+        s.put_bytes(NodeId(0), "job", &[9u8; 10]);
+        assert_eq!(s.get_bytes(NodeId(0), "job"), Some(&[9u8; 10][..]));
+        assert_eq!(s.nodes[0]["job"].capacity(), 10);
+        // The same through the typed path, whose scratch buffer has seen
+        // the long value.
+        s.put(NodeId(0), "rec", &"x".repeat(300));
+        s.put(NodeId(0), "rec", &"tombstone!");
+        assert_eq!(s.get::<String>(NodeId(0), "rec").unwrap(), "tombstone!");
+        let stored = &s.nodes[0]["rec"];
+        assert_eq!(stored.capacity(), stored.len());
+    }
+
+    #[test]
+    fn key_buf_rerenders_only_the_suffix() {
+        let mut k = KeyBuf::new(format!("gm/{}/job/", "jane"));
+        assert_eq!(k.key(7), "gm/jane/job/7");
+        assert_eq!(k.key(format_args!("{:04}", 12)), "gm/jane/job/0012");
+        assert_eq!(k.prefix(), "gm/jane/job/");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use crate::component::{Addr, CompId, Component, Ctx, Effect, Message, NodeId, TimerId};
 use crate::event::{EventKind, EventQueue, NO_CAUSE};
 use crate::fault::{FaultAction, FaultPlan};
+use crate::hash::{IdMap, IdSet};
 use crate::metrics::Metrics;
 use crate::network::flow::{AbortedFlow, BulkAborted};
 use crate::network::{NetConfig, Network};
@@ -13,7 +14,7 @@ use crate::rng::SimRng;
 use crate::store::StableStore;
 use crate::time::{Duration, SimTime};
 use crate::trace::TraceSink;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The address used by [`World::post`] for externally injected messages.
 /// Components may reply to it; such replies are silently dropped.
@@ -149,9 +150,9 @@ pub struct World {
     /// delivery, enforcing FIFO ordering like the TCP connections the real
     /// protocols run over. Bulk transfers use separate data channels and
     /// are not ordered against control traffic.
-    fifo: HashMap<(NodeId, NodeId), SimTime>,
+    fifo: IdMap<(NodeId, NodeId), SimTime>,
     /// Timers cancelled but not yet popped from the queue.
-    cancelled: HashSet<TimerId>,
+    cancelled: IdSet<TimerId>,
     nodes: Vec<NodeEntry>,
     /// Component table indexed directly by `CompId` (ids are allocated
     /// sequentially, so the table is dense). Dead slots are `None`; the
@@ -230,8 +231,8 @@ impl World {
         World {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            fifo: HashMap::new(),
-            cancelled: HashSet::new(),
+            fifo: IdMap::default(),
+            cancelled: IdSet::default(),
             nodes: Vec::new(),
             comps: Vec::new(),
             names: HashMap::new(),

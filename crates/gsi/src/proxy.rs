@@ -12,11 +12,17 @@ use crate::cert::{AuthError, Certificate, TrustRoot};
 use crate::keys::{digest, KeyPair};
 use gridsim::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// A proxy credential: certificate chain + the leaf private key.
+///
+/// A credential rides in every GRAM and GASS request and is never edited
+/// once assembled (delegation builds a new, longer chain), so the chain is
+/// shared: cloning a credential into a request is a reference count, not a
+/// copy of every certificate's DN strings.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ProxyCredential {
-    chain: Vec<Certificate>,
+    chain: Rc<[Certificate]>,
     leaf_key: KeyPair,
 }
 
@@ -24,7 +30,10 @@ impl ProxyCredential {
     /// Assemble a credential from a chain and the leaf key. The chain must
     /// start with the CA-signed identity certificate.
     pub fn new(chain: Vec<Certificate>, leaf_key: KeyPair) -> ProxyCredential {
-        ProxyCredential { chain, leaf_key }
+        ProxyCredential {
+            chain: chain.into(),
+            leaf_key,
+        }
     }
 
     /// The user's identity DN (the chain's first subject).
@@ -125,12 +134,9 @@ impl ProxyCredential {
             now,
             not_after,
         );
-        let mut chain = self.chain.clone();
+        let mut chain = self.chain.to_vec();
         chain.push(cert);
-        ProxyCredential {
-            chain,
-            leaf_key: sub_key,
-        }
+        ProxyCredential::new(chain, sub_key)
     }
 
     /// Sign request data with the leaf key (used by GRAM/GASS requests).

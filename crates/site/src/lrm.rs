@@ -3,10 +3,10 @@
 use crate::job::{JobSpec, LrmJobState};
 use crate::policy::{QueueView, RunningView, SchedPolicy};
 use crate::proto::{LrmEvent, LrmReply, LrmRequest, SiteInfo};
+use gridsim::hash::IdMap;
 use gridsim::prelude::*;
 use gridsim::rng::Dist;
 use gridsim::AnyMsg;
-use std::collections::HashMap;
 
 /// Opportunistic capacity churn: models desktop owners reclaiming their
 /// machines in a Condor pool (or maintenance windows on a cluster).
@@ -40,19 +40,21 @@ impl ChurnModel {
     }
 }
 
+/// What a queued job carries beyond the policy's [`QueueView`] of it (the
+/// two together are its [`JobSpec`], with nothing stored twice).
 struct Queued {
-    local_id: u64,
-    spec: JobSpec,
+    runtime: Duration,
+    required_arch: Option<String>,
     submitter: Addr,
-    submitted: SimTime,
 }
 
 struct Running {
     spec: JobSpec,
     submitter: Addr,
     started: SimTime,
-    expected_end: SimTime,
     timer: TimerId,
+    /// Where this job's [`RunningView`] sits in `Lrm::running_view`.
+    view: usize,
 }
 
 const CHURN_TAG: u64 = u64::MAX;
@@ -68,8 +70,18 @@ pub struct Lrm {
     max_wall: Option<Duration>,
     requeue_on_vacate: bool,
     churn: Option<ChurnModel>,
-    queue: Vec<Queued>,
-    running: HashMap<u64, Running>,
+    /// The queue, in order, as the policy sees it: kept current on every
+    /// enqueue and start rather than rebuilt for each scheduling pass.
+    queue: Vec<QueueView>,
+    /// The rest of each queued job, by id — which also makes "is this id
+    /// queued?" a lookup instead of a scan.
+    queued: IdMap<u64, Queued>,
+    running: IdMap<u64, Running>,
+    /// The running jobs as the policy sees them, kept beside `running`
+    /// (in no particular order). `running_ids[i]` names the job behind
+    /// `running_view[i]`, so removal is a `swap_remove` plus one fix-up.
+    running_view: Vec<RunningView>,
+    running_ids: Vec<u64>,
     /// Processors held by `running`, maintained incrementally so busy
     /// accounting stays O(1) with ten thousand concurrent jobs.
     used: u32,
@@ -80,7 +92,7 @@ pub struct Lrm {
     /// map with every job that ever ran here. Values carry an insertion
     /// generation so a re-inserted id is not evicted by its stale entry in
     /// the order queue.
-    terminal: HashMap<u64, (LrmJobState, u64)>,
+    terminal: IdMap<u64, (LrmJobState, u64)>,
     terminal_order: std::collections::VecDeque<(u64, u64)>,
     terminal_gen: u64,
     next_local: u64,
@@ -117,9 +129,12 @@ impl Lrm {
             requeue_on_vacate: true,
             churn: None,
             queue: Vec::new(),
-            running: HashMap::new(),
+            queued: IdMap::default(),
+            running: IdMap::default(),
+            running_view: Vec::new(),
+            running_ids: Vec::new(),
             used: 0,
-            terminal: HashMap::new(),
+            terminal: IdMap::default(),
             terminal_order: std::collections::VecDeque::new(),
             terminal_gen: 0,
             next_local: 0,
@@ -246,70 +261,147 @@ impl Lrm {
         ctx.metrics().gauge(&self.metric_success_rate, t, rate);
     }
 
+    /// Put a job in the queue: at the back, or at the front for a vacated
+    /// job that keeps its place ahead of later arrivals.
+    fn enqueue(
+        &mut self,
+        local_id: u64,
+        spec: JobSpec,
+        submitter: Addr,
+        now: SimTime,
+        front: bool,
+    ) {
+        let view = QueueView {
+            local_id,
+            cpus: spec.cpus,
+            estimate: spec.estimate,
+            owner: spec.owner,
+            submitted: now,
+        };
+        if front {
+            self.queue.insert(0, view);
+        } else {
+            self.queue.push(view);
+        }
+        self.queued.insert(
+            local_id,
+            Queued {
+                runtime: spec.runtime,
+                required_arch: spec.required_arch,
+                submitter,
+            },
+        );
+    }
+
+    /// Take a job out of `running`, and its view out of `running_view`.
+    fn remove_running(&mut self, local_id: u64) -> Option<Running> {
+        let run = self.running.remove(&local_id)?;
+        self.used -= run.spec.cpus;
+        self.running_view.swap_remove(run.view);
+        self.running_ids.swap_remove(run.view);
+        if let Some(moved) = self.running_ids.get(run.view) {
+            self.running
+                .get_mut(moved)
+                .expect("viewed job is running")
+                .view = run.view;
+        }
+        Some(run)
+    }
+
+    /// What a `Status` poll for `local_id` answers.
+    fn status_of(&self, local_id: u64) -> Option<LrmJobState> {
+        if self.running.contains_key(&local_id) {
+            Some(LrmJobState::Running)
+        } else if self.queued.contains_key(&local_id) {
+            Some(LrmJobState::Queued)
+        } else {
+            self.get_terminal(local_id)
+        }
+    }
+
     fn schedule(&mut self, ctx: &mut Ctx<'_>) {
         loop {
             let free = self.free_cpus();
             if free == 0 || self.queue.is_empty() {
                 break;
             }
-            let queue_view: Vec<QueueView> = self
-                .queue
-                .iter()
-                .map(|j| QueueView {
-                    local_id: j.local_id,
-                    cpus: j.spec.cpus,
-                    estimate: j.spec.estimate,
-                    owner: j.spec.owner.clone(),
-                    submitted: j.submitted,
-                })
-                .collect();
-            // Only backfill-style policies read the running view; skip the
-            // O(running) materialisation for the ones that don't.
-            let running_view: Vec<RunningView> = if self.policy.needs_running_view() {
-                self.running
-                    .values()
-                    .map(|r| RunningView {
-                        cpus: r.spec.cpus,
-                        expected_end: r.expected_end,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
             let picks = self
                 .policy
-                .select(ctx.now(), &queue_view, &running_view, free);
-            if picks.is_empty() {
-                break;
-            }
-            // Extract the picked jobs in pick order with one pass over the
-            // queue (ids may repeat or be stale; budget skips stay queued).
-            let mut index: HashMap<u64, usize> = HashMap::with_capacity(self.queue.len());
-            for (pos, job) in self.queue.iter().enumerate() {
-                index.insert(job.local_id, pos);
-            }
-            let mut slots: Vec<Option<Queued>> = self.queue.drain(..).map(Some).collect();
-            let mut started_any = false;
-            let mut budget = free;
-            for id in picks {
-                let Some(&pos) = index.get(&id) else {
-                    continue;
-                };
-                let Some(job) = slots[pos].take_if(|j| j.spec.cpus <= budget) else {
-                    continue;
-                };
-                budget -= job.spec.cpus;
-                started_any = true;
-                self.start_job(ctx, job);
-            }
-            self.queue = slots.into_iter().flatten().collect();
-            if !started_any {
+                .select(ctx.now(), &self.queue, &self.running_view, free);
+            if picks.is_empty() || !self.start_picked(ctx, &picks, free) {
                 break;
             }
         }
     }
 
-    fn start_job(&mut self, ctx: &mut Ctx<'_>, job: Queued) {
+    /// The queue position of each pick; `usize::MAX` for an id that is not
+    /// queued or that an earlier pick already named.
+    fn locate(&self, picks: &[u64]) -> Vec<usize> {
+        // The cheapest case, and the usual one: the picks are the head of
+        // the queue, in order.
+        let head = picks.len() <= self.queue.len()
+            && picks
+                .iter()
+                .zip(&self.queue)
+                .all(|(id, v)| *id == v.local_id);
+        if head {
+            return (0..picks.len()).collect();
+        }
+        let mut by_id: Vec<(u64, usize)> = picks.iter().copied().zip(0..).collect();
+        by_id.sort_unstable();
+        by_id.dedup_by_key(|&mut (id, _)| id);
+        let mut at = vec![usize::MAX; picks.len()];
+        for (pos, view) in self.queue.iter().enumerate() {
+            if let Ok(i) = by_id.binary_search_by_key(&view.local_id, |&(id, _)| id) {
+                at[by_id[i].1] = pos;
+            }
+        }
+        at
+    }
+
+    /// Start the picked jobs in pick order — a pick that no longer fits
+    /// the shrinking budget stays queued — then close the gaps they leave
+    /// in one pass over the queue. Returns whether anything started.
+    fn start_picked(&mut self, ctx: &mut Ctx<'_>, picks: &[u64], free: u32) -> bool {
+        let mut budget = free;
+        let mut started = Vec::new();
+        for pos in self.locate(picks) {
+            let Some(view) = self.queue.get_mut(pos).filter(|v| v.cpus <= budget) else {
+                continue;
+            };
+            budget -= view.cpus;
+            let job = QueueView {
+                local_id: view.local_id,
+                cpus: view.cpus,
+                estimate: view.estimate,
+                owner: std::mem::take(&mut view.owner),
+                submitted: view.submitted,
+            };
+            started.push(pos);
+            self.start_job(ctx, job);
+        }
+        started.sort_unstable();
+        let (mut pos, mut gone) = (0, started.iter().peekable());
+        self.queue.retain(|_| {
+            let here = pos;
+            pos += 1;
+            gone.next_if_eq(&&here).is_none()
+        });
+        !started.is_empty()
+    }
+
+    fn start_job(&mut self, ctx: &mut Ctx<'_>, job: QueueView) {
+        let rest = self
+            .queued
+            .remove(&job.local_id)
+            .expect("a queue entry has its other half");
+        let spec = JobSpec {
+            cpus: job.cpus,
+            runtime: rest.runtime,
+            estimate: job.estimate,
+            owner: job.owner,
+            required_arch: rest.required_arch,
+        };
         let now = ctx.now();
         let wait = now - job.submitted;
         ctx.metrics().observe_duration("site.queue_wait", wait);
@@ -317,38 +409,40 @@ impl Lrm {
             .observe_duration(&self.metric_queue_wait, wait);
         // True occupancy: min(actual runtime, wall limit).
         let (span, exceeded) = match self.max_wall {
-            Some(limit) if job.spec.runtime > limit => (limit, true),
-            _ => (job.spec.runtime, false),
+            Some(limit) if spec.runtime > limit => (limit, true),
+            _ => (spec.runtime, false),
         };
         let timer = ctx.set_timer(span, job.local_id);
         // The *policy-visible* end uses the estimate (clamped the same way).
         let est_span = match self.max_wall {
-            Some(limit) => job.spec.estimate.min(limit),
-            None => job.spec.estimate,
+            Some(limit) => spec.estimate.min(limit),
+            None => spec.estimate,
         };
         ctx.trace_with("lrm.start", || {
-            format!(
-                "{} job {} ({} cpus)",
-                self.site, job.local_id, job.spec.cpus
-            )
+            format!("{} job {} ({} cpus)", self.site, job.local_id, spec.cpus)
         });
         ctx.send(
-            job.submitter,
+            rest.submitter,
             LrmEvent {
                 local_id: job.local_id,
                 state: LrmJobState::Running,
                 at: now,
             },
         );
-        self.used += job.spec.cpus;
+        self.used += spec.cpus;
+        self.running_view.push(RunningView {
+            cpus: spec.cpus,
+            expected_end: now + est_span,
+        });
+        self.running_ids.push(job.local_id);
         self.running.insert(
             job.local_id,
             Running {
-                spec: job.spec,
-                submitter: job.submitter,
+                spec,
+                submitter: rest.submitter,
                 started: now,
-                expected_end: now + est_span,
                 timer,
+                view: self.running_view.len() - 1,
             },
         );
         // Remember whether this run will exceed the wall limit.
@@ -359,10 +453,9 @@ impl Lrm {
     }
 
     fn finish_job(&mut self, ctx: &mut Ctx<'_>, local_id: u64) {
-        let Some(run) = self.running.remove(&local_id) else {
+        let Some(run) = self.remove_running(local_id) else {
             return;
         };
-        self.used -= run.spec.cpus;
         let now = ctx.now();
         // Was this completion actually a wall-limit kill?
         let state = match self.take_terminal(local_id) {
@@ -416,15 +509,23 @@ impl Lrm {
             target *= 1.0 + churn.diurnal_amplitude * swing;
         }
         self.reclaimed = (target.round().max(0.0) as u32).min(self.total_cpus);
-        // Vacate youngest running jobs until used + reclaimed <= total.
+        self.vacate_over_capacity(ctx);
+        self.record_busy(ctx);
+        let next = ctx.rng().duration(&churn.interval);
+        ctx.set_timer(next, CHURN_TAG);
+        self.schedule(ctx);
+        self.record_queue_depth(ctx);
+    }
+
+    /// Vacate youngest running jobs until used + reclaimed <= total.
+    fn vacate_over_capacity(&mut self, ctx: &mut Ctx<'_>) {
         while self.used_cpus() + self.reclaimed > self.total_cpus {
             // Youngest = latest start.
             let Some((&victim, _)) = self.running.iter().max_by_key(|(id, r)| (r.started, **id))
             else {
                 break;
             };
-            let run = self.running.remove(&victim).expect("victim exists");
-            self.used -= run.spec.cpus;
+            let run = self.remove_running(victim).expect("victim exists");
             ctx.cancel_timer(run.timer);
             ctx.metrics().incr("site.vacated", 1);
             ctx.trace_with("lrm.vacate", || format!("{} job {victim}", self.site));
@@ -444,15 +545,7 @@ impl Lrm {
                         at: now,
                     },
                 );
-                self.queue.insert(
-                    0,
-                    Queued {
-                        local_id: victim,
-                        spec: run.spec,
-                        submitter: run.submitter,
-                        submitted: now,
-                    },
-                );
+                self.enqueue(victim, run.spec, run.submitter, now, true);
             } else {
                 self.note_terminal(victim, LrmJobState::Vacated);
                 self.note_outcome(ctx, false);
@@ -466,11 +559,6 @@ impl Lrm {
                 );
             }
         }
-        self.record_busy(ctx);
-        let next = ctx.rng().duration(&churn.interval);
-        ctx.set_timer(next, CHURN_TAG);
-        self.schedule(ctx);
-        self.record_queue_depth(ctx);
     }
 }
 
@@ -535,12 +623,7 @@ impl Component for Lrm {
                         self.site, spec.cpus, spec.owner
                     )
                 });
-                self.queue.push(Queued {
-                    local_id,
-                    spec,
-                    submitter: from,
-                    submitted: ctx.now(),
-                });
+                self.enqueue(local_id, spec, from, ctx.now(), false);
                 ctx.send(
                     from,
                     LrmReply::Submitted {
@@ -553,8 +636,8 @@ impl Component for Lrm {
             }
             LrmRequest::Cancel { local_id } => {
                 let now = ctx.now();
-                if let Some(pos) = self.queue.iter().position(|j| j.local_id == local_id) {
-                    let job = self.queue.remove(pos);
+                if let Some(job) = self.queued.remove(&local_id) {
+                    self.queue.retain(|v| v.local_id != local_id);
                     self.note_terminal(local_id, LrmJobState::Removed);
                     ctx.send(
                         job.submitter,
@@ -564,8 +647,7 @@ impl Component for Lrm {
                             at: now,
                         },
                     );
-                } else if let Some(run) = self.running.remove(&local_id) {
-                    self.used -= run.spec.cpus;
+                } else if let Some(run) = self.remove_running(local_id) {
                     ctx.cancel_timer(run.timer);
                     self.note_terminal(local_id, LrmJobState::Removed);
                     ctx.send(
@@ -583,13 +665,7 @@ impl Component for Lrm {
                 self.record_queue_depth(ctx);
             }
             LrmRequest::Status { local_id } => {
-                let state = if self.running.contains_key(&local_id) {
-                    Some(LrmJobState::Running)
-                } else if self.queue.iter().any(|j| j.local_id == local_id) {
-                    Some(LrmJobState::Queued)
-                } else {
-                    self.get_terminal(local_id)
-                };
+                let state = self.status_of(local_id);
                 ctx.send(from, LrmReply::StatusIs { local_id, state });
             }
             LrmRequest::QueryInfo => {
@@ -863,5 +939,450 @@ mod tests {
             w.store().get::<String>(subn, "info").unwrap(),
             "total=4 free=3 queued=0 running=1"
         );
+    }
+}
+
+/// The scheduling pass against the algorithm it replaced: random
+/// interleavings of submit / finish / cancel / vacate-with-requeue / status
+/// must start the same jobs in the same order, leave the same queue and
+/// answer every status poll the same as [`OldLrm`], a copy of the
+/// rebuild-everything pass (owner clones, per-pass hash index, drain into
+/// `Vec<Option<_>>` and collect back) kept here as the reference.
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use crate::policy::{EasyBackfill, FairShare, Fifo};
+    use gridsim::{Config, World};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, HashMap};
+    use std::rc::Rc;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Submit {
+            cpus: u32,
+            owner: u8,
+            est_mins: u64,
+        },
+        /// Finish the k-th running job (by id, modulo how many run).
+        Finish(usize),
+        /// Cancel an id in `0..next_local + 2` (queued, running, gone or never issued).
+        Cancel(u64),
+        /// Owners reclaim this many processors: youngest jobs are vacated
+        /// and requeued at the front.
+        Reclaim(u32),
+        Status(u64),
+    }
+
+    /// What one operation left behind, on either side.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        started: Vec<u64>,
+        queue: Vec<u64>,
+        running: Vec<u64>,
+        status: Option<Option<LrmJobState>>,
+    }
+
+    /// A policy that answers like `inner`, then sometimes spoils the answer
+    /// with repeated, stale or over-budget ids — which the LRM must shrug off.
+    struct Sloppy {
+        inner: Box<dyn SchedPolicy>,
+        salt: u64,
+        calls: u64,
+    }
+
+    impl SchedPolicy for Sloppy {
+        fn select(
+            &mut self,
+            now: SimTime,
+            queue: &[QueueView],
+            running: &[RunningView],
+            free: u32,
+        ) -> Vec<u64> {
+            let mut picks = self.inner.select(now, queue, running, free);
+            self.calls += 1;
+            let roll = (self.salt ^ self.calls).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            match roll % 6 {
+                0 => picks.extend(picks.first().copied()),
+                1 => picks.insert(0, u64::MAX - 7),
+                2 => {
+                    let widest = queue.iter().max_by_key(|v| (v.cpus, v.local_id));
+                    picks.insert(0, widest.expect("select sees a non-empty queue").local_id);
+                }
+                3 => picks.reverse(),
+                4 => picks.extend(queue.iter().map(|v| v.local_id)),
+                _ => {}
+            }
+            picks
+        }
+        fn charge(&mut self, owner: &str, cpu_time: Duration) {
+            self.inner.charge(owner, cpu_time);
+        }
+        fn name(&self) -> &'static str {
+            "sloppy"
+        }
+    }
+
+    fn policy(kind: u8, salt: u64) -> Sloppy {
+        let inner: Box<dyn SchedPolicy> = match kind {
+            0 => Box::new(Fifo),
+            1 => Box::new(EasyBackfill),
+            _ => Box::new(FairShare::default()),
+        };
+        Sloppy {
+            inner,
+            salt,
+            calls: 0,
+        }
+    }
+
+    fn spec(cpus: u32, owner: u8, est_mins: u64) -> JobSpec {
+        // Runs far longer than any script: jobs end only when told to.
+        JobSpec::simple(Duration::from_days(30), &format!("user{owner}"))
+            .with_estimate(Duration::from_mins(est_mins))
+            .with_cpus(cpus)
+    }
+
+    struct OldQueued {
+        local_id: u64,
+        spec: JobSpec,
+        submitted: SimTime,
+    }
+
+    struct OldRunning {
+        spec: JobSpec,
+        started: SimTime,
+        expected_end: SimTime,
+    }
+
+    /// The LRM's bookkeeping as it was, without the messaging.
+    struct OldLrm {
+        total_cpus: u32,
+        reclaimed: u32,
+        policy: Sloppy,
+        queue: Vec<OldQueued>,
+        running: BTreeMap<u64, OldRunning>,
+        terminal: HashMap<u64, LrmJobState>,
+        next_local: u64,
+        started: Vec<u64>,
+    }
+
+    impl OldLrm {
+        fn free_cpus(&self) -> u32 {
+            let used: u32 = self.running.values().map(|r| r.spec.cpus).sum();
+            self.total_cpus
+                .saturating_sub(self.reclaimed)
+                .saturating_sub(used)
+        }
+
+        fn schedule(&mut self, now: SimTime) {
+            loop {
+                let free = self.free_cpus();
+                if free == 0 || self.queue.is_empty() {
+                    break;
+                }
+                let queue_view: Vec<QueueView> = self
+                    .queue
+                    .iter()
+                    .map(|j| QueueView {
+                        local_id: j.local_id,
+                        cpus: j.spec.cpus,
+                        estimate: j.spec.estimate,
+                        owner: j.spec.owner.clone(),
+                        submitted: j.submitted,
+                    })
+                    .collect();
+                let running_view: Vec<RunningView> = self
+                    .running
+                    .values()
+                    .map(|r| RunningView {
+                        cpus: r.spec.cpus,
+                        expected_end: r.expected_end,
+                    })
+                    .collect();
+                let picks = self.policy.select(now, &queue_view, &running_view, free);
+                if picks.is_empty() {
+                    break;
+                }
+                let mut index: HashMap<u64, usize> = HashMap::with_capacity(self.queue.len());
+                for (pos, job) in self.queue.iter().enumerate() {
+                    index.insert(job.local_id, pos);
+                }
+                let mut slots: Vec<Option<OldQueued>> = self.queue.drain(..).map(Some).collect();
+                let mut started_any = false;
+                let mut budget = free;
+                for id in picks {
+                    let Some(&pos) = index.get(&id) else {
+                        continue;
+                    };
+                    let Some(job) = slots[pos].take_if(|j| j.spec.cpus <= budget) else {
+                        continue;
+                    };
+                    budget -= job.spec.cpus;
+                    started_any = true;
+                    self.started.push(job.local_id);
+                    self.running.insert(
+                        job.local_id,
+                        OldRunning {
+                            expected_end: now + job.spec.estimate,
+                            spec: job.spec,
+                            started: now,
+                        },
+                    );
+                }
+                self.queue = slots.into_iter().flatten().collect();
+                if !started_any {
+                    break;
+                }
+            }
+        }
+
+        fn apply(&mut self, op: &Op, now: SimTime) -> Outcome {
+            self.started.clear();
+            let mut status = None;
+            match *op {
+                Op::Submit {
+                    cpus,
+                    owner,
+                    est_mins,
+                } => {
+                    self.queue.push(OldQueued {
+                        local_id: self.next_local,
+                        spec: spec(cpus, owner, est_mins),
+                        submitted: now,
+                    });
+                    self.next_local += 1;
+                    self.schedule(now);
+                }
+                Op::Finish(k) => {
+                    if let Some(&id) = self.running.keys().nth(k % self.running.len().max(1)) {
+                        let run = self.running.remove(&id).expect("listed");
+                        self.policy.charge(
+                            &run.spec.owner,
+                            (now - run.started) * u64::from(run.spec.cpus),
+                        );
+                        self.terminal.insert(id, LrmJobState::Completed);
+                        self.schedule(now);
+                    }
+                }
+                Op::Cancel(pick) => {
+                    let id = pick % (self.next_local + 2);
+                    if let Some(pos) = self.queue.iter().position(|j| j.local_id == id) {
+                        self.queue.remove(pos);
+                        self.terminal.insert(id, LrmJobState::Removed);
+                    } else if self.running.remove(&id).is_some() {
+                        self.terminal.insert(id, LrmJobState::Removed);
+                        self.schedule(now);
+                    }
+                }
+                Op::Reclaim(n) => {
+                    self.reclaimed = n.min(self.total_cpus);
+                    while self.running.values().map(|r| r.spec.cpus).sum::<u32>() + self.reclaimed
+                        > self.total_cpus
+                    {
+                        let (&victim, _) = self
+                            .running
+                            .iter()
+                            .max_by_key(|(id, r)| (r.started, **id))
+                            .expect("over capacity means something runs");
+                        let run = self.running.remove(&victim).expect("victim exists");
+                        self.policy.charge(
+                            &run.spec.owner,
+                            (now - run.started) * u64::from(run.spec.cpus),
+                        );
+                        self.terminal.remove(&victim);
+                        self.queue.insert(
+                            0,
+                            OldQueued {
+                                local_id: victim,
+                                spec: run.spec,
+                                submitted: now,
+                            },
+                        );
+                    }
+                    self.schedule(now);
+                }
+                Op::Status(pick) => {
+                    let id = pick % (self.next_local + 2);
+                    status = Some(if self.running.contains_key(&id) {
+                        Some(LrmJobState::Running)
+                    } else if self.queue.iter().any(|j| j.local_id == id) {
+                        Some(LrmJobState::Queued)
+                    } else {
+                        self.terminal.get(&id).copied()
+                    });
+                }
+            }
+            Outcome {
+                started: self.started.clone(),
+                queue: self.queue.iter().map(|j| j.local_id).collect(),
+                running: self.running.keys().copied().collect(),
+                status,
+            }
+        }
+    }
+
+    const STEP: u64 = u64::MAX - 1;
+
+    /// Drives a real [`Lrm`] through the script, one operation a second.
+    struct Driver {
+        lrm: Lrm,
+        ops: Vec<Op>,
+        next: usize,
+        outcomes: Rc<RefCell<Vec<Outcome>>>,
+    }
+
+    impl Driver {
+        fn apply(&mut self, ctx: &mut Ctx<'_>, op: &Op) -> Outcome {
+            let (me, now) = (ctx.self_addr(), ctx.now());
+            let mut status = None;
+            match *op {
+                Op::Submit {
+                    cpus,
+                    owner,
+                    est_mins,
+                } => {
+                    let req = LrmRequest::Submit {
+                        client_job: 0,
+                        spec: spec(cpus, owner, est_mins),
+                    };
+                    self.lrm.on_message(ctx, me, Box::new(req));
+                }
+                Op::Finish(k) => {
+                    let mut ids: Vec<u64> = self.lrm.running.keys().copied().collect();
+                    ids.sort_unstable();
+                    if let Some(&id) = ids.get(k % ids.len().max(1)) {
+                        self.lrm.finish_job(ctx, id);
+                    }
+                }
+                Op::Cancel(pick) => {
+                    let local_id = pick % (self.lrm.next_local + 2);
+                    self.lrm
+                        .on_message(ctx, me, Box::new(LrmRequest::Cancel { local_id }));
+                }
+                Op::Reclaim(n) => {
+                    self.lrm.reclaimed = n.min(self.lrm.total_cpus);
+                    self.lrm.vacate_over_capacity(ctx);
+                    self.lrm.schedule(ctx);
+                }
+                Op::Status(pick) => {
+                    status = Some(self.lrm.status_of(pick % (self.lrm.next_local + 2)));
+                }
+            }
+            // Timer ids are handed out in order, so they give the order in
+            // which this operation's starts happened.
+            let mut started: Vec<(TimerId, u64)> = self
+                .lrm
+                .running
+                .iter()
+                .filter(|(_, r)| r.started == now)
+                .map(|(id, r)| (r.timer, *id))
+                .collect();
+            started.sort_unstable();
+            let mut running: Vec<u64> = self.lrm.running.keys().copied().collect();
+            running.sort_unstable();
+            assert_eq!(self.lrm.queue.len(), self.lrm.queued.len());
+            assert_eq!(self.lrm.running_view.len(), running.len());
+            Outcome {
+                started: started.into_iter().map(|(_, id)| id).collect(),
+                queue: self.lrm.queue.iter().map(|v| v.local_id).collect(),
+                running,
+                status,
+            }
+        }
+    }
+
+    impl Component for Driver {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(Duration::from_secs(1), STEP);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
+            if tag != STEP || self.next == self.ops.len() {
+                return;
+            }
+            let op = self.ops[self.next].clone();
+            self.next += 1;
+            let outcome = self.apply(ctx, &op);
+            self.outcomes.borrow_mut().push(outcome);
+            ctx.set_timer(Duration::from_secs(1), STEP);
+        }
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (1u32..=8, 0u8..4, 1u64..600).prop_map(|(cpus, owner, est_mins)| Op::Submit {
+                cpus,
+                owner,
+                est_mins
+            }),
+            (1u32..=8, 0u8..4, 1u64..600).prop_map(|(cpus, owner, est_mins)| Op::Submit {
+                cpus,
+                owner,
+                est_mins
+            }),
+            (0usize..64).prop_map(Op::Finish),
+            (0u64..1000).prop_map(Op::Cancel),
+            (0u32..=16).prop_map(Op::Reclaim),
+            (0u64..1000).prop_map(Op::Status),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn schedule_matches_the_rebuild_everything_pass(
+            ops in proptest::collection::vec(arb_op(), 1..80),
+            total_cpus in 4u32..=16,
+            owners in 2u8..=4,
+            kind in 0u8..3,
+            salt in any::<u64>(),
+        ) {
+            let ops: Vec<Op> = ops
+                .into_iter()
+                .map(|op| match op {
+                    Op::Submit { cpus, owner, est_mins } => Op::Submit {
+                        cpus,
+                        owner: owner % owners,
+                        est_mins,
+                    },
+                    other => other,
+                })
+                .collect();
+            let mut old = OldLrm {
+                total_cpus,
+                reclaimed: 0,
+                policy: policy(kind, salt),
+                queue: Vec::new(),
+                running: BTreeMap::new(),
+                terminal: HashMap::new(),
+                next_local: 0,
+                started: Vec::new(),
+            };
+            let expected: Vec<Outcome> = ops
+                .iter()
+                .enumerate()
+                .map(|(i, op)| old.apply(op, SimTime::ZERO + Duration::from_secs(i as u64 + 1)))
+                .collect();
+
+            let outcomes = Rc::new(RefCell::new(Vec::new()));
+            let mut w = World::new(Config::default().seed(1));
+            let node = w.add_node("site");
+            w.add_component(
+                node,
+                "driver",
+                Driver {
+                    lrm: Lrm::new("pbs", total_cpus, policy(kind, salt)),
+                    ops: ops.clone(),
+                    next: 0,
+                    outcomes: outcomes.clone(),
+                },
+            );
+            w.run_until(SimTime::ZERO + Duration::from_secs(ops.len() as u64 + 2));
+            let got = outcomes.borrow();
+            for (i, (got, want)) in got.iter().zip(&expected).enumerate() {
+                prop_assert_eq!(got, want, "after op {} of {:?}", i, ops);
+            }
+            prop_assert_eq!(got.len(), expected.len());
+        }
     }
 }

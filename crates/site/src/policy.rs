@@ -48,13 +48,6 @@ pub trait SchedPolicy: Send + 'static {
     /// accounting policies). Default: ignore.
     fn charge(&mut self, _owner: &str, _cpu_time: Duration) {}
 
-    /// Whether `select` reads the `running` view at all. Policies that
-    /// ignore it (FIFO, fair share) return `false` so the LRM can skip
-    /// materialising a view of every running job on each scheduling pass.
-    fn needs_running_view(&self) -> bool {
-        true
-    }
-
     /// Human-readable name for traces and site ads.
     fn name(&self) -> &'static str;
 }
@@ -82,10 +75,6 @@ impl SchedPolicy for Fifo {
         out
     }
 
-    fn needs_running_view(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "fifo"
     }
@@ -106,18 +95,14 @@ impl SchedPolicy for EasyBackfill {
         mut free: u32,
     ) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut queue: Vec<&QueueView> = queue.iter().collect();
         // Start from the head while it fits.
-        while let Some(head) = queue.first() {
-            if head.cpus <= free {
-                free -= head.cpus;
-                out.push(head.local_id);
-                queue.remove(0);
-            } else {
-                break;
-            }
+        let mut blocked = 0;
+        while let Some(head) = queue.get(blocked).filter(|head| head.cpus <= free) {
+            free -= head.cpus;
+            out.push(head.local_id);
+            blocked += 1;
         }
-        let Some(head) = queue.first() else {
+        let Some(head) = queue.get(blocked) else {
             return out;
         };
         // Compute the head's reservation: the earliest time enough
@@ -138,7 +123,7 @@ impl SchedPolicy for EasyBackfill {
         }
         // Backfill: any later job that fits in `free` now and either ends
         // before the reservation or fits in the leftover processors at it.
-        for job in queue.iter().skip(1) {
+        for job in &queue[blocked + 1..] {
             if job.cpus > free {
                 continue;
             }
@@ -213,10 +198,6 @@ impl SchedPolicy for FairShare {
                 *v *= 0.5;
             }
         }
-    }
-
-    fn needs_running_view(&self) -> bool {
-        false
     }
 
     fn name(&self) -> &'static str {
