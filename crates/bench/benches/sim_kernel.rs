@@ -25,6 +25,35 @@ impl Component for TimerStorm {
     }
 }
 
+/// Sets a burst of timers two seconds out, 2 ms apart, and the next burst
+/// once the last of them has fired: every burst fills a different far
+/// bucket of the event queue and is drained before the next one lands.
+struct Bursts {
+    burst: u32,
+    pending: u32,
+}
+
+impl Bursts {
+    fn arm(&mut self, ctx: &mut Ctx<'_>) {
+        for i in 0..self.burst {
+            ctx.set_timer(Duration::from_millis(2_000 + 2 * i as u64), i as u64);
+        }
+        self.pending = self.burst;
+    }
+}
+
+impl Component for Bursts {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.arm(ctx);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+        self.pending -= 1;
+        if self.pending == 0 {
+            self.arm(ctx);
+        }
+    }
+}
+
 /// Endless ping-pong across the network model: every delivery triggers a
 /// reply to the sender.
 struct Echo {
@@ -61,6 +90,26 @@ fn bench_timer_events(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_timer_bursts(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim_kernel/bursts");
+    const EVENTS: u64 = 100_000;
+    g.throughput(Throughput::Elements(EVENTS));
+    g.bench_function("100k_events_in_512_timer_bursts", |b| {
+        b.iter(|| {
+            let mut w = World::new(Config::default().seed(3).max_events(EVENTS));
+            let n = w.add_node("n");
+            let bursts = Bursts {
+                burst: 512,
+                pending: 0,
+            };
+            w.add_component(n, "bursts", bursts);
+            w.run_until_quiescent();
+            std::hint::black_box(w.events_processed())
+        })
+    });
+    g.finish();
+}
+
 fn bench_network_ring(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_kernel/network");
     const EVENTS: u64 = 100_000;
@@ -86,6 +135,6 @@ fn bench_network_ring(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_timer_events, bench_network_ring
+    targets = bench_timer_events, bench_timer_bursts, bench_network_ring
 }
 criterion_main!(benches);

@@ -21,10 +21,18 @@
 //! into a bucket that drains after a later-keyed event — the pop sequence is
 //! exactly the `(time, seq)` order a single binary heap would produce, which
 //! the determinism tests assert byte-for-byte.
+//!
+//! Events themselves live in one slab of slots threaded by a free list. A
+//! bucket is a `u32` head of a list through that slab and the heaps order
+//! 24-byte `(time, seq, slot)` keys, so an event's payload is written once
+//! on push and read once on pop, and the queue's memory is the slab — as
+//! large as the most events ever pending at once — plus two fixed 4 KB
+//! tables. No bucket owns capacity, so a burst that once hit a bucket
+//! leaves nothing behind in it.
 
 use crate::component::{Addr, AnyMsg, NodeId, TimerId};
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// What happens when an event fires.
@@ -132,29 +140,6 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// log2 of the L0 bucket width in microseconds (1024 µs ≈ 1 ms).
 const B0: u32 = 10;
 /// log2 of the L1 bucket width in microseconds (~1.05 s). Must equal
@@ -164,6 +149,8 @@ const B1: u32 = 20;
 const N: usize = 1024;
 /// Words in each occupancy bitmap.
 const WORDS: usize = N / 64;
+/// End of a slot list / empty bucket.
+const NIL: u32 = u32::MAX;
 
 /// First set bucket index `>= from`, or `None`.
 fn scan(bits: &[u64; WORDS], from: usize) -> Option<usize> {
@@ -184,21 +171,52 @@ fn scan(bits: &[u64; WORDS], from: usize) -> Option<usize> {
     }
 }
 
+/// A slot's ordering key and list link. Kept apart from the payload so
+/// that refiling a bucket walks 24-byte records, not whole events.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    time: u64,
+    seq: u64,
+    /// Next slot in the same bucket (or on the free list), or [`NIL`].
+    next: u32,
+}
+
+/// What a slot carries besides its key; `kind` is `None` while the slot
+/// is on the free list.
+#[derive(Debug)]
+struct Payload {
+    cause: u64,
+    kind: Option<EventKind>,
+}
+
+/// A heap entry, earliest first: `(time, seq, slot)` — the event's key and
+/// the slot that holds the rest (`seq` is unique, so `slot` never decides).
+type Key = Reverse<(u64, u64, u32)>;
+
 /// Earliest-first event queue with deterministic tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue {
+    /// Keys and links of every slot ever in use at once; parallel to
+    /// `payloads`. A popped slot goes on the free list and is the next one
+    /// handed out, so both vectors are as long as the largest number of
+    /// events that were ever pending together, whatever buckets they hit.
+    links: Vec<Link>,
+    payloads: Vec<Payload>,
+    /// Head of the free-slot list through `links`.
+    free: u32,
     /// Events in L0 slots `<= cur0`, heap-ordered by `(time, seq)`.
-    active: BinaryHeap<Event>,
-    /// One bucket per L0 slot of the current L1 slot (index `slot0 % N`).
-    l0: Vec<Vec<Event>>,
+    active: BinaryHeap<Key>,
+    /// Head of the slot list of each L0 slot of the current L1 slot (index
+    /// `slot0 % N`).
+    l0: [u32; N],
     l0_bits: [u64; WORDS],
-    /// One bucket per L1 slot of the current horizon (index `slot1 % N`).
-    /// Invariant: every event in a bucket shares the same absolute slot1,
-    /// which lies in `(cur1, cur1 + N)`.
-    l1: Vec<Vec<Event>>,
+    /// Head of the slot list of each L1 slot of the current horizon (index
+    /// `slot1 % N`). Invariant: every event in a list shares the same
+    /// absolute slot1, which lies in `(cur1, cur1 + N)`.
+    l1: [u32; N],
     l1_bits: [u64; WORDS],
     /// Events beyond the L1 horizon at push time.
-    overflow: BinaryHeap<Event>,
+    overflow: BinaryHeap<Key>,
     /// The L0 slot currently drained into `active`.
     cur0: u64,
     len: usize,
@@ -215,10 +233,13 @@ impl EventQueue {
     /// An empty queue.
     pub fn new() -> EventQueue {
         EventQueue {
+            links: Vec::new(),
+            payloads: Vec::new(),
+            free: NIL,
             active: BinaryHeap::new(),
-            l0: (0..N).map(|_| Vec::new()).collect(),
+            l0: [NIL; N],
             l0_bits: [0; WORDS],
-            l1: (0..N).map(|_| Vec::new()).collect(),
+            l1: [NIL; N],
             l1_bits: [0; WORDS],
             overflow: BinaryHeap::new(),
             cur0: 0,
@@ -250,58 +271,111 @@ impl EventQueue {
     pub fn push_reserved(&mut self, time: SimTime, seq: u64, kind: EventKind, cause: u64) {
         debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
         self.len += 1;
-        let event = Event {
-            time,
-            seq,
+        let time = time.0;
+        let payload = Payload {
             cause,
-            kind,
+            kind: Some(kind),
         };
-        let s0 = time.0 >> B0;
+        let mut slot = self.free;
+        if slot == NIL {
+            slot = self.links.len() as u32;
+            assert!(self.links.len() < NIL as usize, "2^32 pending events");
+            self.links.push(Link {
+                time,
+                seq,
+                next: NIL,
+            });
+            self.payloads.push(payload);
+        } else {
+            let link = &mut self.links[slot as usize];
+            self.free = link.next;
+            (link.time, link.seq) = (time, seq);
+            self.payloads[slot as usize] = payload;
+        }
+        self.file(slot, time, seq);
+    }
+
+    /// Put a filled slot where its time belongs relative to the cursor.
+    fn file(&mut self, slot: u32, time: u64, seq: u64) {
+        let s0 = time >> B0;
         if s0 <= self.cur0 {
             // Current (or already-drained) slot: compete in the heap.
-            self.active.push(event);
+            self.active.push(Reverse((time, seq, slot)));
         } else if s0 >> (B1 - B0) == self.cur0 >> (B1 - B0) {
             // Later slot of the current L1 slot: direct L0 filing.
-            let idx = (s0 as usize) & (N - 1);
-            self.l0[idx].push(event);
-            self.l0_bits[idx / 64] |= 1 << (idx % 64);
+            self.file_l0(slot, s0);
         } else {
-            let s1 = time.0 >> B1;
+            let s1 = time >> B1;
             let cur1 = self.cur0 >> (B1 - B0);
             if s1 - cur1 < N as u64 {
                 // Within the L1 horizon: direct L1 filing.
                 let idx = (s1 as usize) & (N - 1);
-                self.l1[idx].push(event);
+                self.links[slot as usize].next = self.l1[idx];
+                self.l1[idx] = slot;
                 self.l1_bits[idx / 64] |= 1 << (idx % 64);
             } else {
-                self.overflow.push(event);
+                self.overflow.push(Reverse((time, seq, slot)));
             }
         }
+    }
+
+    /// Prepend `slot` to the list of L0 slot `s0` (of the current L1 slot).
+    fn file_l0(&mut self, slot: u32, s0: u64) {
+        let idx = (s0 as usize) & (N - 1);
+        self.links[slot as usize].next = self.l0[idx];
+        self.l0[idx] = slot;
+        self.l0_bits[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Remove and return the earliest event if it fires at or before
+    /// `limit`. The cursor may move up to `limit`'s slot on the way, so
+    /// nothing is inspected twice; an event pushed afterwards into a slot
+    /// the cursor has reached competes in the active heap and still pops
+    /// in `(time, seq)` order.
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<Event> {
         loop {
-            if let Some(event) = self.active.pop() {
+            if let Some(&Reverse((time, seq, slot))) = self.active.peek() {
+                if time > limit.0 {
+                    return None;
+                }
+                self.active.pop();
                 self.len -= 1;
-                return Some(event);
+                let link = &mut self.links[slot as usize];
+                link.next = self.free;
+                self.free = slot;
+                let payload = &mut self.payloads[slot as usize];
+                return Some(Event {
+                    time: SimTime(time),
+                    seq,
+                    cause: payload.cause,
+                    kind: payload.kind.take().expect("queued slot holds an event"),
+                });
             }
-            if self.len == 0 {
+            if self.len == 0 || !self.advance(limit.0) {
                 return None;
             }
-            self.advance();
         }
     }
 
-    /// Move the next non-empty bucket into the active heap. Only called
-    /// when `active` is empty and at least one event remains.
-    fn advance(&mut self) {
+    /// Move the cursor to the next occupied slot that starts at or before
+    /// `limit`, and return whether it moved. Only called when `active` is
+    /// empty and at least one event remains.
+    fn advance(&mut self, limit: u64) -> bool {
         // Later L0 bucket within the current L1 slot?
         let base0 = self.cur0 & !(N as u64 - 1);
         let lo = (self.cur0 - base0) as usize + 1;
         if let Some(idx) = scan(&self.l0_bits, lo) {
-            self.drain_l0(base0, idx);
-            return;
+            let s0 = base0 + idx as u64;
+            if s0 << B0 > limit {
+                return false;
+            }
+            self.drain_l0(s0);
+            return true;
         }
         // Advance to the next occupied L1 slot: the earliest of the first
         // set L1 bucket and the overflow heap's front. Both can hold events
@@ -314,74 +388,50 @@ impl EventQueue {
                 .map(|idx| base_plus(cur1, lo1, idx))
                 .or_else(|| scan(&self.l1_bits, 0).map(|idx| base_plus(cur1, 0, idx)))
         };
-        let overflow_s1 = self.overflow.peek().map(|e| e.time.0 >> B1);
+        let overflow_s1 = self.overflow.peek().map(|Reverse(k)| k.0 >> B1);
         let target = match (bucket_s1, overflow_s1) {
             (Some(b), Some(o)) => b.min(o),
             (Some(b), None) => b,
             (None, Some(o)) => o,
             (None, None) => unreachable!("len > 0 with every level empty"),
         };
-        // Redistribute the slot's events into L0 buckets.
+        if target << B1 > limit {
+            return false;
+        }
+        // Refile the slot's events by L0 slot; its first L0 slot is current
+        // from here on, so what landed there goes straight to the heap.
         self.cur0 = target << (B1 - B0);
-        let base0 = self.cur0;
         if bucket_s1 == Some(target) {
             let idx = (target as usize) & (N - 1);
             self.l1_bits[idx / 64] &= !(1 << (idx % 64));
-            let mut events = std::mem::take(&mut self.l1[idx]);
-            for event in events.drain(..) {
-                let i = ((event.time.0 >> B0) as usize) & (N - 1);
-                self.l0[i].push(event);
-                self.l0_bits[i / 64] |= 1 << (i % 64);
+            let mut slot = std::mem::replace(&mut self.l1[idx], NIL);
+            while slot != NIL {
+                let Link { time, next, .. } = self.links[slot as usize];
+                self.file_l0(slot, time >> B0);
+                slot = next;
             }
-            self.l1[idx] = events;
         }
-        while let Some(e) = self.overflow.peek() {
-            if e.time.0 >> B1 != target {
+        while let Some(&Reverse((time, _, slot))) = self.overflow.peek() {
+            if time >> B1 != target {
                 break;
             }
-            let event = self.overflow.pop().expect("peeked");
-            let i = ((event.time.0 >> B0) as usize) & (N - 1);
-            self.l0[i].push(event);
-            self.l0_bits[i / 64] |= 1 << (i % 64);
+            self.overflow.pop();
+            self.file_l0(slot, time >> B0);
         }
-        let idx = scan(&self.l0_bits, 0).expect("slot chosen because occupied");
-        self.drain_l0(base0, idx);
+        self.drain_l0(self.cur0);
+        true
     }
 
-    /// Drain L0 bucket `idx` (absolute slot `base0 + idx`) into the heap.
-    fn drain_l0(&mut self, base0: u64, idx: usize) {
-        self.cur0 = base0 + idx as u64;
+    /// Make L0 slot `s0` current: move its list into the heap.
+    fn drain_l0(&mut self, s0: u64) {
+        self.cur0 = s0;
+        let idx = (s0 as usize) & (N - 1);
         self.l0_bits[idx / 64] &= !(1 << (idx % 64));
-        let mut events = std::mem::take(&mut self.l0[idx]);
-        self.active.extend(events.drain(..));
-        self.l0[idx] = events;
-    }
-
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(event) = self.active.peek() {
-            return Some(event.time);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        let base0 = self.cur0 & !(N as u64 - 1);
-        let lo = (self.cur0 - base0) as usize + 1;
-        if let Some(idx) = scan(&self.l0_bits, lo) {
-            return bucket_min(&self.l0[idx]);
-        }
-        // The earliest remaining event is in the first occupied L1 bucket
-        // or the overflow heap — slots are disjoint time ranges, so the
-        // earlier slot wins; for a shared slot, the earlier minimum.
-        let cur1 = self.cur0 >> (B1 - B0);
-        let lo1 = ((cur1 as usize) & (N - 1)) + 1;
-        let bucket = scan(&self.l1_bits, lo1)
-            .or_else(|| scan(&self.l1_bits, 0))
-            .and_then(|idx| bucket_min(&self.l1[idx]));
-        let overflow = self.overflow.peek().map(|e| e.time);
-        match (bucket, overflow) {
-            (Some(b), Some(o)) => Some(b.min(o)),
-            (b, o) => b.or(o),
+        let mut slot = std::mem::replace(&mut self.l0[idx], NIL);
+        while slot != NIL {
+            let Link { time, seq, next } = self.links[slot as usize];
+            self.active.push(Reverse((time, seq, slot)));
+            slot = next;
         }
     }
 
@@ -399,6 +449,12 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Slots in the slab: the largest number of events that were ever
+    /// pending at once.
+    pub fn slots(&self) -> usize {
+        self.links.len()
+    }
 }
 
 /// Absolute L1 slot for bucket `idx` found scanning from `lo` with the
@@ -414,15 +470,11 @@ fn base_plus(cur1: u64, lo: usize, idx: usize) -> u64 {
     }
 }
 
-/// Earliest time in an unsorted bucket.
-fn bucket_min(bucket: &[Event]) -> Option<SimTime> {
-    bucket.iter().map(|e| e.time).min()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::component::{CompId, NodeId};
+    use std::cmp::Ordering;
 
     fn timer_at(q: &mut EventQueue, t: u64, tag: u64) {
         q.push(
@@ -451,6 +503,30 @@ mod tests {
         }
     }
 
+    // `BaselineQueue` heap-orders whole events.
+    impl PartialEq for Event {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl Eq for Event {}
+
+    impl PartialOrd for Event {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Event {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reverse: BinaryHeap is a max-heap, we want earliest-first.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
     /// The original single-binary-heap queue, kept as the reference model
     /// for the calendar queue's pop order.
     #[derive(Default)]
@@ -472,6 +548,15 @@ mod tests {
         }
         pub(crate) fn pop(&mut self) -> Option<Event> {
             self.heap.pop()
+        }
+        pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<Event> {
+            if self.heap.peek()?.time > limit {
+                return None;
+            }
+            self.heap.pop()
+        }
+        pub(crate) fn len(&self) -> usize {
+            self.heap.len()
         }
     }
 
@@ -499,14 +584,81 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn pop_due_stops_at_the_limit() {
         let mut q = EventQueue::new();
         timer_at(&mut q, 42, 0);
         timer_at(&mut q, 7, 1);
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
+        assert!(q.pop_due(SimTime(6)).is_none());
         assert_eq!(q.len(), 2);
-        let _ = q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime(42)));
+        assert_eq!(q.pop_due(SimTime(7)).map(|e| e.time), Some(SimTime(7)));
+        assert!(q.pop_due(SimTime(41)).is_none());
+        assert_eq!(q.pop_due(SimTime(42)).map(|e| e.time), Some(SimTime(42)));
+        assert!(q.pop_due(SimTime::MAX).is_none());
+    }
+
+    #[test]
+    fn push_behind_an_advanced_cursor_pops_first() {
+        // A limit inside the next occupied slot moves the cursor there
+        // without popping; events then pushed at earlier times — in that
+        // slot and in slots before it — must still come out in key order.
+        for first in [6_000u64, 5_000_000, 2_000_000_000, 86_400_000_000] {
+            let mut q = EventQueue::new();
+            timer_at(&mut q, first, 0);
+            assert!(q.pop_due(SimTime(first - 1)).is_none());
+            timer_at(&mut q, first - 1, 1);
+            timer_at(&mut q, first, 2);
+            timer_at(&mut q, first / 2, 3);
+            assert_eq!(q.len(), 4);
+            assert!(q.pop_due(SimTime(first / 2 - 1)).is_none());
+            assert_eq!(pop_tag(&mut q), (first / 2, 3));
+            assert_eq!(pop_tag(&mut q), (first - 1, 1));
+            assert_eq!(pop_tag(&mut q), (first, 0));
+            assert_eq!(pop_tag(&mut q), (first, 2));
+            assert!(q.is_empty());
+        }
+    }
+
+    /// Bytes the queue holds, tables and spare capacity included.
+    fn retained_bytes(q: &EventQueue) -> usize {
+        std::mem::size_of::<EventQueue>()
+            + q.links.capacity() * std::mem::size_of::<Link>()
+            + q.payloads.capacity() * std::mem::size_of::<Payload>()
+            + (q.active.capacity() + q.overflow.capacity()) * std::mem::size_of::<Key>()
+    }
+
+    /// The memory rule: what the queue holds follows the events pending at
+    /// once, not the buckets a past burst went through. 1,024 bursts of 512
+    /// timers, each in its own L1 slot and drained before the next, peak at
+    /// 512 live events. With a `Vec<Event>` per bucket handed back at its
+    /// high-water capacity (the layout before the slab) the same schedule
+    /// leaves 1,024 L1 buckets x 512 x 80 B = 42 MB behind.
+    #[test]
+    fn retained_bytes_follow_live_events_not_past_bursts() {
+        const BURSTS: u64 = 1024;
+        const BURST: u64 = 512;
+        let slot_bytes = std::mem::size_of::<Link>() + std::mem::size_of::<Payload>();
+        let mut q = EventQueue::new();
+        let mut now = 0u64;
+        for _ in 0..BURSTS {
+            // The next L1 slot: a fresh bucket index every time.
+            let start = (now >> B1) + 1;
+            for i in 0..BURST {
+                timer_at(&mut q, (start << B1) + i * 2_000, i);
+            }
+            assert_eq!(q.len() as u64, BURST);
+            while let Some(e) = q.pop() {
+                now = e.time.0;
+            }
+        }
+        assert_eq!(q.slots() as u64, BURST, "slab is peak live events");
+        let fixed = std::mem::size_of::<EventQueue>();
+        let bound = 2 * BURST as usize * slot_bytes + fixed;
+        let held = retained_bytes(&q);
+        assert!(
+            held <= bound,
+            "{held} bytes held after {BURSTS} drained bursts of {BURST}, bound {bound}"
+        );
+        assert!(fixed <= 2 * N * 4 + 512, "tables are two arrays of heads");
     }
 
     #[test]
@@ -522,8 +674,8 @@ mod tests {
         let mut sorted = times;
         sorted.sort_unstable();
         for &expect in &sorted {
-            assert_eq!(q.peek_time(), Some(SimTime(expect)));
-            assert_eq!(pop_tag(&mut q).0, expect);
+            assert!(q.pop_due(SimTime(expect - 1)).is_none());
+            assert_eq!(q.pop_due(SimTime(expect)).map(|e| e.time.0), Some(expect));
         }
         assert!(q.pop().is_none());
         assert_eq!(q.len(), 0);
@@ -592,16 +744,26 @@ mod tests {
                     },
                 );
             }
-            if step(&mut x) % 3 != 0 {
-                match (q.pop(), r.pop()) {
+            // Pop outright, or only up to a limit that may fall short of
+            // the next event — the cursor then moves without a pop, and
+            // the next round's near pushes land behind it.
+            let limit = match step(&mut x) % 4 {
+                0 => None,
+                1 => Some(SimTime::MAX),
+                2 => Some(SimTime(now + step(&mut x) % 3_000)),
+                _ => Some(SimTime(now + step(&mut x) % 3_000_000_000)),
+            };
+            if let Some(limit) = limit {
+                match (q.pop_due(limit), r.pop_due(limit)) {
                     (Some(a), Some(b)) => {
                         assert_eq!((a.time, a.seq), (b.time, b.seq), "round {round}");
                         now = a.time.0;
                     }
                     (None, None) => {}
-                    (a, b) => panic!("one queue empty: {:?} vs {:?}", a.is_some(), b.is_some()),
+                    (a, b) => panic!("due by {limit:?}: {:?} vs {:?}", a.is_some(), b.is_some()),
                 }
             }
+            assert_eq!(q.len(), r.len(), "round {round}");
         }
         loop {
             match (q.pop(), r.pop()) {

@@ -270,10 +270,19 @@ impl TimeSeries {
     }
 }
 
+/// Handle to one counter, from [`Metrics::counter_id`]: lets a hot path
+/// bump it with [`Metrics::add`] without looking its name up again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(u32);
+
 /// The world-wide metrics sink.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
+    /// Counter names, sorted, each with its index into `counter_values`.
+    counter_ids: BTreeMap<String, CounterId>,
+    /// `None` until the counter is first written: resolving a handle does
+    /// not make the counter exist for readers and exporters.
+    counter_values: Vec<Option<u64>>,
     histograms: BTreeMap<String, Histogram>,
     series: BTreeMap<String, TimeSeries>,
 }
@@ -286,18 +295,38 @@ impl Metrics {
 
     /// Add `by` to the named counter.
     pub fn incr(&mut self, name: &str, by: u64) {
-        // Hot path: the counter almost always exists already, so look up by
-        // borrowed name first and only allocate the key on first use.
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
+        let id = self.counter_id(name);
+        self.add(id, by);
+    }
+
+    /// The handle of the named counter, for [`add`](Self::add). The counter
+    /// stays invisible to readers until something is added to it.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        // The counter almost always exists already, so look up by borrowed
+        // name first and only allocate the key on first use.
+        if let Some(&id) = self.counter_ids.get(name) {
+            return id;
         }
+        let id = CounterId(self.counter_values.len() as u32);
+        self.counter_values.push(None);
+        self.counter_ids.insert(name.to_string(), id);
+        id
+    }
+
+    /// Add `by` to a counter resolved with [`counter_id`](Self::counter_id)
+    /// on this sink.
+    #[inline]
+    pub fn add(&mut self, id: CounterId, by: u64) {
+        let value = &mut self.counter_values[id.0 as usize];
+        *value = Some(value.unwrap_or(0) + by);
     }
 
     /// Read a counter (0 if never written).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_ids
+            .get(name)
+            .and_then(|id| self.counter_values[id.0 as usize])
+            .unwrap_or(0)
     }
 
     /// Record a histogram observation.
@@ -358,12 +387,14 @@ impl Metrics {
 
     /// Names of all counters (sorted).
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
+        self.counters().map(|(name, _)| name)
     }
 
     /// All counters with values, sorted by name (for exporters).
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        self.counter_ids
+            .iter()
+            .filter_map(|(name, id)| Some((name.as_str(), self.counter_values[id.0 as usize]?)))
     }
 
     /// All histograms, sorted by name (for exporters).
@@ -388,6 +419,28 @@ mod tests {
         m.incr("x", 2);
         m.incr("x", 3);
         assert_eq!(m.counter("x"), 5);
+    }
+
+    #[test]
+    fn counters_by_handle_share_the_name_and_hide_until_written() {
+        let mut m = Metrics::new();
+        let sent = m.counter_id("net.sent");
+        let lost = m.counter_id("net.lost");
+        assert_eq!(m.counter_id("net.sent"), sent);
+        assert_eq!(m.counters().count(), 0, "resolved is not written");
+        assert_eq!(m.counter_names().count(), 0);
+        m.add(sent, 2);
+        m.incr("net.sent", 3);
+        m.incr("a.zero", 0);
+        assert_eq!(m.counter("net.sent"), 5);
+        assert_eq!(m.counter("net.lost"), 0);
+        let all: Vec<(&str, u64)> = m.counters().collect();
+        assert_eq!(all, [("a.zero", 0), ("net.sent", 5)]);
+        m.add(lost, 0);
+        assert_eq!(
+            m.counter_names().collect::<Vec<_>>(),
+            ["a.zero", "net.lost", "net.sent"]
+        );
     }
 
     #[test]

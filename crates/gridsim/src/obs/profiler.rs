@@ -38,6 +38,9 @@ pub struct Profiler {
     per_kind: BTreeMap<&'static str, u64>,
     queue_depth: TimeSeries,
     last_depth_sample_at: Option<SimTime>,
+    /// Slots in the event queue's slab: what it holds, next to the sampled
+    /// depth, which is what is live.
+    queue_slots: usize,
 }
 
 /// Group key for a component name: everything before the first digit, with
@@ -60,11 +63,19 @@ impl Profiler {
             per_kind: BTreeMap::new(),
             queue_depth: TimeSeries::default(),
             last_depth_sample_at: None,
+            queue_slots: 0,
         }
     }
 
-    pub(crate) fn note_event(&mut self, kind: &'static str, now: SimTime, queue_len: usize) {
+    pub(crate) fn note_event(
+        &mut self,
+        kind: &'static str,
+        now: SimTime,
+        queue_len: usize,
+        queue_slots: usize,
+    ) {
         self.events_seen += 1;
+        self.queue_slots = queue_slots;
         *self.per_kind.entry(kind).or_insert(0) += 1;
         if self.events_seen % DEPTH_SAMPLE_STRIDE == 1 {
             // TimeSeries requires monotone timestamps; multiple samples can
@@ -115,6 +126,12 @@ impl Profiler {
         &self.queue_depth
     }
 
+    /// Event-queue slab high-water, in slots: the most events ever pending
+    /// at once, and what the queue still holds memory for.
+    pub fn queue_slots(&self) -> usize {
+        self.queue_slots
+    }
+
     /// Human-readable end-of-run summary: totals, events/sec, the event-kind
     /// mix, and the costliest component groups.
     pub fn summary(&self) -> String {
@@ -132,9 +149,10 @@ impl Profiler {
         );
         let _ = writeln!(
             out,
-            "  queue depth: max {:.0}, {} samples",
+            "  queue depth: max {:.0}, {} samples; slab high-water {} slots",
             self.queue_depth.max(),
             self.queue_depth.points().len(),
+            self.queue_slots,
         );
         let _ = writeln!(out, "  by event kind:");
         for (kind, count) in &self.per_kind {
@@ -172,9 +190,9 @@ mod tests {
     fn profiler_counts_and_samples() {
         let mut p = Profiler::new();
         for i in 0..1000u64 {
-            p.note_event("deliver", SimTime(i * 10), i as usize % 7);
+            p.note_event("deliver", SimTime(i * 10), i as usize % 7, 7);
         }
-        p.note_event("timer", SimTime(10_000), 3);
+        p.note_event("timer", SimTime(10_000), 3, 7);
         assert_eq!(p.events_seen(), 1001);
         assert_eq!(p.event_kinds()["deliver"], 1000);
         assert_eq!(p.event_kinds()["timer"], 1);
@@ -186,7 +204,9 @@ mod tests {
         assert_eq!(comp.events, 2);
         assert_eq!(comp.busy, WallDuration::from_micros(120));
         let s = p.summary();
+        assert_eq!(p.queue_slots(), 7);
         assert!(s.contains("kernel profile:"));
+        assert!(s.contains("slab high-water 7 slots"));
         assert!(s.contains("deliver"));
         assert!(s.contains("jm-jc"));
     }
@@ -195,7 +215,7 @@ mod tests {
     fn depth_samples_stay_monotone_on_same_instant() {
         let mut p = Profiler::new();
         for _ in 0..600u64 {
-            p.note_event("deliver", SimTime(5), 1);
+            p.note_event("deliver", SimTime(5), 1, 1);
         }
         // Two stride hits at the same instant collapse to one point.
         assert_eq!(p.queue_depth().points().len(), 1);

@@ -6,7 +6,7 @@ use crate::component::{Addr, CompId, Component, Ctx, Effect, Message, NodeId, Ti
 use crate::event::{EventKind, EventQueue, NO_CAUSE};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::hash::{IdMap, IdSet};
-use crate::metrics::Metrics;
+use crate::metrics::{CounterId, Metrics};
 use crate::network::flow::{AbortedFlow, BulkAborted};
 use crate::network::{NetConfig, Network};
 use crate::obs::Profiler;
@@ -142,6 +142,36 @@ struct CompEntry {
     epoch: u32,
 }
 
+/// Handles of the `net.*` counters the kernel bumps per message, transfer
+/// or flow, resolved once so those paths do not look a name up each time.
+struct NetCounters {
+    sent: CounterId,
+    lost: CounterId,
+    dropped_dead_node: CounterId,
+    dropped_dead_comp: CounterId,
+    bulk_transfers: CounterId,
+    bulk_bytes: CounterId,
+    flows_started: CounterId,
+    flows_done: CounterId,
+    flows_aborted: CounterId,
+}
+
+impl NetCounters {
+    fn resolve(metrics: &mut Metrics) -> NetCounters {
+        NetCounters {
+            sent: metrics.counter_id("net.sent"),
+            lost: metrics.counter_id("net.lost"),
+            dropped_dead_node: metrics.counter_id("net.dropped_dead_node"),
+            dropped_dead_comp: metrics.counter_id("net.dropped_dead_comp"),
+            bulk_transfers: metrics.counter_id("net.bulk_transfers"),
+            bulk_bytes: metrics.counter_id("net.bulk_bytes"),
+            flows_started: metrics.counter_id("net.flows_started"),
+            flows_done: metrics.counter_id("net.flows_done"),
+            flows_aborted: metrics.counter_id("net.flows_aborted"),
+        }
+    }
+}
+
 /// The simulation world. See the crate docs for the model.
 pub struct World {
     now: SimTime,
@@ -163,6 +193,7 @@ pub struct World {
     store: StableStore,
     rng: SimRng,
     metrics: Metrics,
+    net: NetCounters,
     trace: TraceSink,
     next_comp: u32,
     next_timer: u64,
@@ -228,6 +259,8 @@ fn event_kind_name(kind: &EventKind) -> &'static str {
 impl World {
     /// Build an empty world.
     pub fn new(config: Config) -> World {
+        let mut metrics = Metrics::new();
+        let net = NetCounters::resolve(&mut metrics);
         World {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -239,7 +272,8 @@ impl World {
             network: Network::new(config.net),
             store: StableStore::new(),
             rng: SimRng::new(config.seed),
-            metrics: Metrics::new(),
+            metrics,
+            net,
             trace: TraceSink::new(config.trace),
             next_comp: 0,
             next_timer: 0,
@@ -504,6 +538,11 @@ impl World {
     /// Process a single event. Returns `false` when nothing was processed
     /// (queue empty, halted, or a stop condition was hit).
     pub fn step(&mut self) -> bool {
+        self.step_due(SimTime::MAX)
+    }
+
+    /// [`step`](Self::step), unless the next event fires after `limit`.
+    fn step_due(&mut self, limit: SimTime) -> bool {
         if self.halted {
             return false;
         }
@@ -515,7 +554,7 @@ impl World {
         // Discard cancelled timers without advancing the clock, so a
         // cancelled far-future timeout doesn't stretch the run.
         let event = loop {
-            let Some(event) = self.queue.pop() else {
+            let Some(event) = self.queue.pop_due(limit) else {
                 return false;
             };
             if let EventKind::Timer { id, .. } = &event.kind {
@@ -539,7 +578,8 @@ impl World {
         self.cur_inherited = event.cause;
         self.trace_mark = self.trace.emitted_count();
         if let Some(p) = &mut self.profiler {
-            p.note_event(event_kind_name(&event.kind), event.time, self.queue.len());
+            let (live, slots) = (self.queue.len(), self.queue.slots());
+            p.note_event(event_kind_name(&event.kind), event.time, live, slots);
         }
         self.process(event.kind);
         true
@@ -552,16 +592,7 @@ impl World {
 
     /// Run all events up to and including `t`, then set the clock to `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while !self.halted {
-            match self.queue.peek_time() {
-                Some(et) if et <= t => {
-                    if !self.step() {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
+        while self.step_due(t) {}
         if self.now < t && !self.halted {
             self.now = t;
         }
@@ -584,14 +615,14 @@ impl World {
         match kind {
             EventKind::Deliver { from, to, msg } => {
                 if !self.nodes.get(to.node.0 as usize).is_some_and(|n| n.up) {
-                    self.metrics.incr("net.dropped_dead_node", 1);
+                    self.metrics.add(self.net.dropped_dead_node, 1);
                     return;
                 }
                 let alive = self
                     .comp(to.comp)
                     .is_some_and(|c| c.comp.is_some() && c.addr == to);
                 if !alive {
-                    self.metrics.incr("net.dropped_dead_comp", 1);
+                    self.metrics.add(self.net.dropped_dead_comp, 1);
                     return;
                 }
                 self.dispatch(to, |comp, ctx| comp.on_message(ctx, from, msg));
@@ -661,7 +692,7 @@ impl World {
                 debug_assert_eq!(armed, Some((at, stamp)));
                 match self.network.flow_complete(flow, at, stamp) {
                     Some((from, to, msg)) => {
-                        self.metrics.incr("net.flows_done", 1);
+                        self.metrics.add(self.net.flows_done, 1);
                         let cause = self.cause_now();
                         self.queue
                             .push(self.now, EventKind::Deliver { from, to, msg }, cause);
@@ -738,7 +769,7 @@ impl World {
     fn finish_flow_aborts(&mut self, aborted: Vec<AbortedFlow>) {
         let cause = self.cause_now();
         for a in aborted {
-            self.metrics.incr("net.flows_aborted", 1);
+            self.metrics.add(self.net.flows_aborted, 1);
             self.queue.push(
                 self.now,
                 EventKind::Deliver {
@@ -833,7 +864,7 @@ impl World {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
-                    self.metrics.incr("net.sent", 1);
+                    self.metrics.add(self.net.sent, 1);
                     match self.network.route(&mut self.rng, from.node, to.node) {
                         Some(latency) => {
                             // FIFO per directed link: never deliver before a
@@ -849,13 +880,13 @@ impl World {
                                 .push(at, EventKind::Deliver { from, to, msg }, cause);
                         }
                         None => {
-                            self.metrics.incr("net.lost", 1);
+                            self.metrics.add(self.net.lost, 1);
                         }
                     }
                 }
                 Effect::SendBulk { to, bytes, msg } => {
-                    self.metrics.incr("net.bulk_transfers", 1);
-                    self.metrics.incr("net.bulk_bytes", bytes);
+                    self.metrics.add(self.net.bulk_transfers, 1);
+                    self.metrics.add(self.net.bulk_bytes, bytes);
                     if self.network.flow_enabled() && from.node != to.node {
                         // Flow mode: the transfer contends with every other
                         // flow on its route; its completion time moves with
@@ -865,10 +896,10 @@ impl World {
                             .network
                             .flow_start(&mut self.rng, from, to, bytes, msg, now)
                         {
-                            self.metrics.incr("net.flows_started", 1);
+                            self.metrics.add(self.net.flows_started, 1);
                             self.flow_refresh();
                         } else {
-                            self.metrics.incr("net.lost", 1);
+                            self.metrics.add(self.net.lost, 1);
                         }
                         continue;
                     }
@@ -885,7 +916,7 @@ impl World {
                             );
                         }
                         None => {
-                            self.metrics.incr("net.lost", 1);
+                            self.metrics.add(self.net.lost, 1);
                         }
                     }
                 }
@@ -1254,6 +1285,75 @@ mod tests {
         let mut w = World::new(Config::default().seed(1));
         w.run_until(SimTime::ZERO + Duration::from_secs(10));
         assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(10));
+    }
+
+    #[test]
+    fn run_until_short_of_the_next_event_keeps_later_posts_in_order() {
+        // The first limit falls inside the near timer's queue slot, so the
+        // queue's cursor moves there without firing it; the second falls
+        // short of the far timer's slot. What is posted after either lands
+        // at the cursor or ahead of the pending timer and is handled first.
+        struct Log;
+        impl Component for Log {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(Duration::from_micros(6_000), 1);
+                ctx.set_timer(Duration::from_secs(40), 2);
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, _msg: AnyMsg) {
+                self.note(ctx, 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
+                self.note(ctx, tag);
+            }
+        }
+        impl Log {
+            fn note(&mut self, ctx: &mut Ctx<'_>, what: u64) {
+                let (node, now) = (ctx.node(), ctx.now());
+                let mut seen: Vec<(u64, u64)> = ctx.store().get(node, "seen").unwrap_or_default();
+                seen.push((now.0, what));
+                ctx.store().put(node, "seen", &seen);
+            }
+        }
+        let mut w = World::new(Config::default().seed(1));
+        let n = w.add_node("n");
+        let addr = w.add_component(n, "log", Log);
+        w.run_until(SimTime(5_500));
+        assert_eq!((w.now(), w.events_processed()), (SimTime(5_500), 0));
+        w.post(addr, Hit(0));
+        w.run_until(SimTime(30_000_000));
+        assert_eq!(w.now(), SimTime(30_000_000));
+        w.post(addr, Hit(0));
+        w.run_until_quiescent();
+        assert_eq!(
+            w.store().get::<Vec<(u64, u64)>>(n, "seen"),
+            Some(vec![
+                (5_500, 0),
+                (6_000, 1),
+                (30_000_000, 0),
+                (40_000_000, 2)
+            ])
+        );
+    }
+
+    #[test]
+    fn run_until_stops_at_its_limit_after_a_cancelled_timer() {
+        // A cancelled timer due before the limit is discarded; the live one
+        // behind it is past the limit and must wait.
+        struct TwoTimers;
+        impl Component for TwoTimers {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                let early = ctx.set_timer(Duration::from_secs(1), 1);
+                ctx.set_timer(Duration::from_secs(3), 2);
+                ctx.cancel_timer(early);
+            }
+            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {}
+        }
+        let mut w = World::new(Config::default().seed(1));
+        let n = w.add_node("n");
+        w.add_component(n, "t", TwoTimers);
+        w.run_until(SimTime::ZERO + Duration::from_secs(2));
+        assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(2));
+        assert_eq!((w.events_processed(), w.queue_len()), (0, 1));
     }
 
     #[test]

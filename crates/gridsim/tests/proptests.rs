@@ -32,13 +32,15 @@ struct Stored {
 /// One step of the calendar-vs-heap equivalence drive: schedule an event
 /// `delta` past the last popped time, reserve a sequence number, schedule
 /// an event `delta` past the last popped time under the oldest reserved
-/// number, or pop from both queues.
+/// number, pop from both queues, or pop from both only if the next event is
+/// due within `delta` of the last popped time.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
     Push(u64),
     Reserve,
     PushReserved(u64),
     Pop,
+    PopDue(u64),
 }
 
 fn arb_state() -> impl Strategy<Value = State> {
@@ -119,8 +121,12 @@ proptest! {
     /// mid, far, and beyond-the-horizon deltas) and pops — including pushes
     /// under a sequence number reserved earlier, which may land at the
     /// current instant *below* numbers already handed out (the flow
-    /// network's armed completion does exactly that). This is the property
-    /// the kernel's byte-for-byte determinism rests on.
+    /// network's armed completion does exactly that) — and of pops bounded
+    /// by a limit, which may fall short of the next event: the calendar's
+    /// cursor then moves up to the limit with nothing popped, and the pushes
+    /// that follow land behind it. `len()` matches after every step, and a
+    /// drive is long enough to hand the same slab slots out many times over.
+    /// This is the property the kernel's byte-for-byte determinism rests on.
     #[test]
     fn calendar_queue_matches_binary_heap(
         ops in prop::collection::vec(
@@ -133,8 +139,13 @@ proptest! {
                 Just(QueueOp::PushReserved(0)),                       // time == now
                 (0u64..5_000_000).prop_map(QueueOp::PushReserved),
                 Just(QueueOp::Pop),
+                Just(QueueOp::Pop),                                   // twice: slots get freed and reused
+                (0u64..2_000).prop_map(QueueOp::PopDue),              // within a slot or two
+                (0u64..5_000_000).prop_map(QueueOp::PopDue),          // across L0 slots
+                (0u64..3_000_000_000).prop_map(QueueOp::PopDue),      // across L1 slots
+                (0u64..400_000_000_000).prop_map(QueueOp::PopDue),    // past the horizon
             ],
-            1..300,
+            1..2_000,
         )
     ) {
         let mut q = EventQueue::new();
@@ -153,10 +164,12 @@ proptest! {
         };
         let drain = |q: &mut EventQueue,
                          reference: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-                         now: &mut (u64, Option<u64>)|
+                         now: &mut (u64, Option<u64>),
+                         limit: u64|
          -> Result<(), TestCaseError> {
-            let got = q.pop().map(|e| (e.time.0, e.seq));
-            let want = reference.pop().map(|std::cmp::Reverse(k)| k);
+            let got = q.pop_due(SimTime(limit)).map(|e| (e.time.0, e.seq));
+            let due = reference.peek().is_some_and(|std::cmp::Reverse(k)| k.0 <= limit);
+            let want = if due { reference.pop().map(|std::cmp::Reverse(k)| k) } else { None };
             prop_assert_eq!(got, want, "pop order diverged");
             if let Some((t, seq)) = got {
                 *now = (t, Some(seq));
@@ -185,11 +198,16 @@ proptest! {
                     q.push_reserved(SimTime(t), seq, timer(seq), gridsim::event::NO_CAUSE);
                     reference.push(std::cmp::Reverse((t, seq)));
                 }
-                QueueOp::Pop => drain(&mut q, &mut reference, &mut now)?,
+                QueueOp::Pop => drain(&mut q, &mut reference, &mut now, u64::MAX)?,
+                QueueOp::PopDue(delta) => {
+                    let limit = now.0 + delta;
+                    drain(&mut q, &mut reference, &mut now, limit)?;
+                }
             }
+            prop_assert_eq!(q.len(), reference.len());
         }
         while !reference.is_empty() || !q.is_empty() {
-            drain(&mut q, &mut reference, &mut now)?;
+            drain(&mut q, &mut reference, &mut now, u64::MAX)?;
         }
         prop_assert!(q.pop().is_none());
     }
