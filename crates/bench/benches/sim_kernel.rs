@@ -74,6 +74,44 @@ impl Component for Echo {
     }
 }
 
+/// Keeps `window` bulk transfers in flight, spread round-robin over its
+/// sinks: each acknowledged transfer is replaced by a new one.
+struct Pump {
+    sinks: Vec<Addr>,
+    window: u64,
+    sent: u64,
+}
+
+impl Pump {
+    fn send_next(&mut self, ctx: &mut Ctx<'_>) {
+        let to = self.sinks[self.sent as usize % self.sinks.len()];
+        // Unequal sizes, so completions do not all fall on one instant.
+        let bytes = 2_000_000 + (self.sent % 61) * 100_000;
+        ctx.send_bulk(to, bytes, Token);
+        self.sent += 1;
+    }
+}
+
+impl Component for Pump {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for _ in 0..self.window {
+            self.send_next(ctx);
+        }
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, _msg: AnyMsg) {
+        self.send_next(ctx);
+    }
+}
+
+/// Acknowledges every transfer it receives.
+struct Sink;
+
+impl Component for Sink {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, _msg: AnyMsg) {
+        ctx.send(from, Token);
+    }
+}
+
 fn bench_timer_events(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_kernel/timers");
     const EVENTS: u64 = 100_000;
@@ -132,9 +170,45 @@ fn bench_network_ring(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_flows(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim_kernel/flows");
+    const EVENTS: u64 = 20_000;
+    g.throughput(Throughput::Elements(EVENTS));
+    g.bench_function("740_active_10_classes", |b| {
+        b.iter(|| {
+            // gridbench `stagein_flow`'s shape: one 60 MB/s uplink in front
+            // of ten 8 MB/s regional links, one route (= one waterfill
+            // class) per region, and 740 flows sharing the uplink. Every
+            // start and every completion refreshes all of them and re-arms
+            // the one `FlowDone` event.
+            let mut w = World::new(Config::default().seed(4).max_events(EVENTS));
+            let src = w.add_node("src");
+            let uplink = w.network_mut().add_flow_link("uplink", 60e6, 0.020);
+            let mut sinks = Vec::new();
+            for r in 0..10 {
+                let node = w.add_node(&format!("sink{r}"));
+                let region = w
+                    .network_mut()
+                    .add_flow_link(&format!("region{r}"), 8e6, 0.010);
+                w.network_mut().set_flow_route(src, node, &[uplink, region]);
+                sinks.push(w.add_component(node, "sink", Sink));
+            }
+            let pump = Pump {
+                sinks,
+                window: 740,
+                sent: 0,
+            };
+            w.add_component(src, "pump", pump);
+            w.run_until_quiescent();
+            std::hint::black_box((w.events_processed(), w.network_mut().flows_active()))
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_timer_events, bench_timer_bursts, bench_network_ring
+    targets = bench_timer_events, bench_timer_bursts, bench_network_ring, bench_flows
 }
 criterion_main!(benches);

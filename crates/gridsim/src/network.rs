@@ -307,7 +307,6 @@ impl Network {
         to: Addr,
         bytes: u64,
         msg: AnyMsg,
-        now: SimTime,
     ) -> bool {
         debug_assert!(from.node != to.node, "loopback stays on the legacy path");
         if !self.reachable(from.node, to.node) {
@@ -332,10 +331,10 @@ impl Network {
             self.dropped += 1;
             return false;
         }
-        for &l in &route {
+        for &l in route {
             latency += Duration::from_secs_f64(flow.link_latency(l));
         }
-        flow.start(from, to, bytes, route, latency, cap, now, msg);
+        flow.start(from, to, bytes, latency, cap, msg);
         true
     }
 
@@ -565,13 +564,13 @@ mod tests {
             comp: crate::component::CompId(0),
         };
         net.partition(&[NodeId(1)], &[NodeId(2)]);
-        assert!(!net.flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO));
+        assert!(!net.flow_start(&mut r, from, to, 1_000, Box::new(1u8)));
         net.heal(&[NodeId(1)], &[NodeId(2)]);
         assert!(net.set_flow_link_up("wan", false));
-        assert!(!net.flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO));
+        assert!(!net.flow_start(&mut r, from, to, 1_000, Box::new(1u8)));
         assert_eq!(net.dropped, 2);
         assert!(net.set_flow_link_up("wan", true));
-        assert!(net.flow_start(&mut r, from, to, 1_000, Box::new(1u8), SimTime::ZERO));
+        assert!(net.flow_start(&mut r, from, to, 1_000, Box::new(1u8)));
         assert_eq!(net.flows_active(), 1);
     }
 }

@@ -61,9 +61,11 @@ pub struct BulkAborted {
     pub msg: AnyMsg,
 }
 
-/// A capacitated topology link (named externally via `FlowNet::by_name`).
+/// A capacitated topology link.
 #[derive(Debug)]
 struct Link {
+    /// What scenarios, fault plans and invariant messages call it.
+    name: String,
     /// Configured capacity in bytes/second.
     capacity: f64,
     /// Propagation latency in seconds, paid once per flow as part of the
@@ -93,20 +95,19 @@ struct Class {
     cap: f64,
 }
 
-/// One in-flight bulk transfer.
+/// One in-flight bulk transfer, as [`FlowNet::refresh`] sees it: one
+/// 64-byte row, streamed twice per refresh. What only `start` /
+/// `complete` / `abort_where` need lives in the [`Parcel`] at the same
+/// index; when the row was last settled is one time for the whole net
+/// ([`FlowNet::settled`]).
 #[derive(Debug)]
 struct Flow {
     id: u64,
-    from: Addr,
-    to: Addr,
-    bytes: u64,
     /// Bytes not yet pushed into the pipe (`<= 0` while the last bytes are
     /// "draining" through the latency tail).
     remaining: f64,
     /// Current fair-share rate in bytes/second.
     rate: f64,
-    /// Sim time at which `remaining` was last settled.
-    last: SimTime,
     /// Completion tail: one end-to-end latency sample plus the route's
     /// summed propagation delays, paid after the last byte is sent.
     latency: Duration,
@@ -120,7 +121,17 @@ struct Flow {
     stamp: u64,
     /// Causal ancestor captured with `stamp`.
     cause: u64,
-    /// The payload, surrendered on completion or abort.
+}
+
+const _: () = assert!(std::mem::size_of::<Flow>() == 64);
+
+/// What a flow carries and between whom: written by `start`, surrendered
+/// on completion or abort, never read by a refresh.
+#[derive(Debug)]
+struct Parcel {
+    from: Addr,
+    to: Addr,
+    bytes: u64,
     msg: AnyMsg,
 }
 
@@ -160,13 +171,17 @@ struct Waterfill {
     lim: Vec<f64>,
     /// Unfixed classes, ascending.
     todo: Vec<u32>,
+    /// Per link: the rates handed out over it, summed by
+    /// [`check_capacity`] once the filling is done.
+    used: Vec<f64>,
 }
 
 /// The flow-mode network state: topology plus active flows.
 #[derive(Debug, Default)]
 pub(crate) struct FlowNet {
+    /// Looked up by name only at declaration and on fault events, so a
+    /// scan does.
     links: Vec<Link>,
-    by_name: HashMap<String, LinkId>,
     /// Directed routes; [`FlowNet::set_route`] installs both directions.
     routes: HashMap<(NodeId, NodeId), Vec<LinkId>>,
     /// Every `(route, cap)` a flow has had; never shrinks (bounded by the
@@ -174,17 +189,24 @@ pub(crate) struct FlowNet {
     classes: Vec<Class>,
     /// Active flows in creation (= ascending id) order.
     flows: Vec<Flow>,
+    /// `parcels[i]` belongs to `flows[i]`: the two are pushed and removed
+    /// together.
+    parcels: Vec<Parcel>,
     next_id: u64,
     /// Smallest `(deadline, stamp)` as of the last [`FlowNet::refresh`].
     due: Option<FlowDue>,
     fill: Waterfill,
+    /// `now` of the last [`FlowNet::refresh`]: every flow it saw has its
+    /// `remaining` settled up to then. A flow started since has rate 0
+    /// until the next refresh, so it has nothing to settle either way.
+    settled: SimTime,
 }
 
 impl FlowNet {
     /// Declare a link. Re-declaring a name updates capacity/latency and
     /// returns the existing id.
     pub(crate) fn add_link(&mut self, name: &str, capacity: f64, latency_secs: f64) -> LinkId {
-        if let Some(&id) = self.by_name.get(name) {
+        if let Some(id) = self.link_id(name) {
             let link = &mut self.links[id.0 as usize];
             link.capacity = capacity;
             link.latency = latency_secs;
@@ -192,18 +214,19 @@ impl FlowNet {
         }
         let id = LinkId(self.links.len() as u32);
         self.links.push(Link {
+            name: name.to_string(),
             capacity,
             latency: latency_secs,
             up: true,
             override_cap: None,
         });
-        self.by_name.insert(name.to_string(), id);
         id
     }
 
     /// Look up a link by name.
     pub(crate) fn link_id(&self, name: &str) -> Option<LinkId> {
-        self.by_name.get(name).copied()
+        let at = self.links.iter().position(|l| l.name == name)?;
+        Some(LinkId(at as u32))
     }
 
     /// Install the route for `a ↔ b` (both directions).
@@ -214,8 +237,8 @@ impl FlowNet {
 
     /// The route for `from → to`; empty (capacity-unconstrained, still
     /// flow-scheduled) when none is declared.
-    pub(crate) fn route_for(&self, from: NodeId, to: NodeId) -> Vec<LinkId> {
-        self.routes.get(&(from, to)).cloned().unwrap_or_default()
+    pub(crate) fn route_for(&self, from: NodeId, to: NodeId) -> &[LinkId] {
+        self.routes.get(&(from, to)).map_or(&[], Vec::as_slice)
     }
 
     pub(crate) fn link_is_up(&self, id: LinkId) -> bool {
@@ -229,8 +252,8 @@ impl FlowNet {
 
     /// Set a link's up/down state. Returns false for unknown names.
     pub(crate) fn set_link_up(&mut self, name: &str, up: bool) -> bool {
-        match self.by_name.get(name) {
-            Some(&id) => {
+        match self.link_id(name) {
+            Some(id) => {
                 self.links[id.0 as usize].up = up;
                 true
             }
@@ -240,8 +263,8 @@ impl FlowNet {
 
     /// Set (or with `None`, clear) a link's capacity override.
     pub(crate) fn set_link_override(&mut self, name: &str, cap: Option<f64>) -> bool {
-        match self.by_name.get(name) {
-            Some(&id) => {
+        match self.link_id(name) {
+            Some(id) => {
                 self.links[id.0 as usize].override_cap = cap;
                 true
             }
@@ -260,46 +283,49 @@ impl FlowNet {
         self.due
     }
 
-    /// Register a new flow (rates/deadlines are assigned by the next
-    /// [`FlowNet::refresh`]).
-    #[allow(clippy::too_many_arguments)]
+    /// Register a new flow over [`FlowNet::route_for`] its endpoints' nodes
+    /// (rates/deadlines are assigned by the next [`FlowNet::refresh`]).
     pub(crate) fn start(
         &mut self,
         from: Addr,
         to: Addr,
         bytes: u64,
-        route: Vec<LinkId>,
         latency: Duration,
         cap: f64,
-        now: SimTime,
         msg: AnyMsg,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         // Few classes (at most the node pairs in use), and the refresh
         // that follows every start walks them all anyway.
+        let route = self.route_for(from.node, to.node);
         let known = self
             .classes
             .iter()
             .position(|c| c.route == route && c.cap.to_bits() == cap.to_bits());
-        let class = known.unwrap_or_else(|| {
-            self.classes.push(Class { route, cap });
-            self.classes.len() - 1
-        }) as u32;
+        let class = match known {
+            Some(class) => class,
+            None => {
+                let route = route.to_vec();
+                self.classes.push(Class { route, cap });
+                self.classes.len() - 1
+            }
+        } as u32;
         self.flows.push(Flow {
             id,
-            from,
-            to,
-            bytes,
             // Zero-byte transfers still pay the latency tail.
             remaining: (bytes.max(1)) as f64,
             rate: 0.0,
-            last: now,
             latency,
             class,
             deadline: SimTime::MAX,
             stamp: 0,
             cause: NO_CAUSE,
+        });
+        self.parcels.push(Parcel {
+            from,
+            to,
+            bytes,
             msg,
         });
         id
@@ -321,26 +347,38 @@ impl FlowNet {
         if f.deadline != now || f.stamp != stamp {
             return None;
         }
-        let f = self.flows.remove(i);
-        Some((f.from, f.to, f.msg))
+        self.flows.remove(i);
+        let p = self.parcels.remove(i);
+        Some((p.from, p.to, p.msg))
     }
 
-    /// Remove and return every flow matching `pred(from_node, to_node,
-    /// route)`. The caller is expected to [`FlowNet::refresh`] afterwards.
+    /// Remove and return, in id order, every flow matching
+    /// `pred(from_node, to_node, route)`. The caller is expected to
+    /// [`FlowNet::refresh`] afterwards.
     pub(crate) fn abort_where(
         &mut self,
         mut pred: impl FnMut(NodeId, NodeId, &[LinkId]) -> bool,
     ) -> Vec<AbortedFlow> {
-        let classes = &self.classes;
-        self.flows
-            .extract_if(.., |f| {
-                pred(f.from.node, f.to.node, &classes[f.class as usize].route)
+        let doomed: Vec<bool> = (self.flows.iter().zip(&self.parcels))
+            .map(|(f, p)| {
+                pred(
+                    p.from.node,
+                    p.to.node,
+                    &self.classes[f.class as usize].route,
+                )
             })
-            .map(|f| AbortedFlow {
-                from: f.from,
-                to: f.to,
-                bytes: f.bytes,
-                msg: f.msg,
+            .collect();
+        let mut verdict = doomed.iter();
+        self.flows
+            .retain(|_| !verdict.next().expect("one per flow"));
+        let mut verdict = doomed.iter();
+        self.parcels
+            .extract_if(.., |_| *verdict.next().expect("one per flow"))
+            .map(|p| AbortedFlow {
+                from: p.from,
+                to: p.to,
+                bytes: p.bytes,
+                msg: p.msg,
             })
             .collect()
     }
@@ -360,21 +398,23 @@ impl FlowNet {
         let members = &mut self.fill.members;
         members.clear();
         members.resize(self.classes.len(), 0);
+        let dt = (now - self.settled).as_secs_f64();
+        self.settled = now;
         for f in &mut self.flows {
-            let dt = (now - f.last).as_secs_f64();
             if dt > 0.0 && f.remaining > 0.0 {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
-            f.last = now;
             if f.remaining > 0.0 {
                 members[f.class as usize] += 1;
             }
         }
         // 2. Max-min fair share over the classes with sending flows.
         waterfill(&self.links, &self.classes, &mut self.fill);
+        check_capacity(&self.links, &self.classes, &mut self.fill);
         // 3. Hand out rates, recompute deadlines, stamp the changed finite
         //    ones, and find the earliest (deadline, stamp).
         let mut due: Option<FlowDue> = None;
+        let mut stalled = 0;
         for f in &mut self.flows {
             if f.remaining > 0.0 {
                 f.rate = self.fill.lim[f.class as usize];
@@ -382,6 +422,7 @@ impl FlowNet {
                     // Saturated adds collapse to MAX == "never".
                     now + Duration::from_secs_f64(f.remaining / f.rate) + f.latency
                 } else {
+                    stalled += 1;
                     SimTime::MAX
                 };
                 if deadline != f.deadline {
@@ -404,6 +445,16 @@ impl FlowNet {
             }
         }
         self.due = due;
+        // The other half of the capacity invariant: the sending flows left
+        // at "never" are exactly the members of the zero-rate classes.
+        let Waterfill { members, lim, .. } = &self.fill;
+        let unrated = (members.iter().zip(lim)).filter(|(_, &lim)| lim <= 0.0);
+        let expected: u32 = unrated.map(|(&m, _)| m).sum();
+        assert!(
+            stalled == expected,
+            "flow stall invariant: {stalled} sending flows left at deadline MAX, but the \
+             classes with no rate hold {expected} (members {members:?}, rates {lim:?})",
+        );
     }
 }
 
@@ -418,7 +469,12 @@ impl FlowNet {
 /// sits at the round's minimum, so which of them subtracts from a link
 /// first does not matter — but *how many times* the clamp
 /// `(cap - lim).max(0.0)` is applied does, so it is applied once per
-/// member, never as one `members * lim` product.
+/// member, never as one `members * lim` product. Two things the per-flow
+/// filling does are skipped because nothing can observe them: the chain
+/// for a link that no class left unfixed by this round crosses (its `cap`
+/// is only read under `load > 0`, and `load` never grows), and the
+/// members left once the chain reaches zero (`(0.0 - lim).max(0.0)` is
+/// `0.0` for every `lim >= 0`).
 fn waterfill(links: &[Link], classes: &[Class], w: &mut Waterfill) {
     let Waterfill {
         cap,
@@ -426,6 +482,7 @@ fn waterfill(links: &[Link], classes: &[Class], w: &mut Waterfill) {
         members,
         lim,
         todo,
+        ..
     } = w;
     cap.clear();
     cap.extend(links.iter().map(Link::effective));
@@ -459,20 +516,76 @@ fn waterfill(links: &[Link], classes: &[Class], w: &mut Waterfill) {
             floor = floor.min(lim[c as usize]);
         }
         // Fix every class sitting at the global minimum (exact equality:
-        // the minimum was computed from these very values).
+        // the minimum was computed from these very values). Their flows
+        // leave `load` first, so that the subtraction below can tell which
+        // links some class left for a later round still crosses.
+        for &c in todo.iter().filter(|&&c| lim[c as usize] <= floor) {
+            for l in &classes[c as usize].route {
+                load[l.0 as usize] -= members[c as usize];
+            }
+        }
         todo.retain(|&c| {
             let c = c as usize;
             if lim[c] <= floor {
                 for l in &classes[c].route {
                     let i = l.0 as usize;
-                    for _ in 0..members[c] {
-                        cap[i] = (cap[i] - lim[c]).max(0.0);
+                    if load[i] == 0 {
+                        continue;
                     }
-                    load[i] -= members[c];
+                    let mut left = cap[i];
+                    for _ in 0..members[c] {
+                        left -= lim[c];
+                        if left > 0.0 {
+                            continue;
+                        }
+                        // Zero, below it, or the NaN of `inf - inf`: all
+                        // that `max(0.0)` made zero, and zero it stays.
+                        left = 0.0;
+                        break;
+                    }
+                    cap[i] = left;
                 }
             }
             lim[c] > floor
         });
+    }
+}
+
+/// The capacity invariant, checked after every waterfill: on every link
+/// the rates handed out — `members × lim`, summed over the classes crossing
+/// it, once per crossing — stay within the capacity the link has right now.
+/// A sum over classes, not flows, so it runs in release builds too.
+fn check_capacity(links: &[Link], classes: &[Class], w: &mut Waterfill) {
+    let Waterfill {
+        members, lim, used, ..
+    } = w;
+    used.clear();
+    used.resize(links.len(), 0.0);
+    for (c, class) in classes.iter().enumerate() {
+        for l in &class.route {
+            used[l.0 as usize] += members[c] as f64 * lim[c];
+        }
+    }
+    for (i, link) in links.iter().enumerate() {
+        if used[i] <= link.effective() * (1.0 + 1e-9) {
+            continue;
+        }
+        let shares: Vec<String> = (classes.iter().enumerate())
+            .filter(|(c, class)| members[*c] > 0 && class.route.contains(&LinkId(i as u32)))
+            .map(|(c, class)| {
+                format!(
+                    "class {c} (route {:?}, cap {}) has {} flows at {} B/s",
+                    class.route, class.cap, members[c], lim[c]
+                )
+            })
+            .collect();
+        panic!(
+            "flow capacity invariant: link {:?} carries {} B/s, its capacity is {} B/s: {}",
+            link.name,
+            used[i],
+            link.effective(),
+            shares.join("; "),
+        );
     }
 }
 
@@ -492,6 +605,11 @@ mod tests {
 
     fn payload() -> AnyMsg {
         Box::new(42u64)
+    }
+
+    /// The flow id a proptest parcel was stamped with.
+    fn tag(msg: &AnyMsg) -> Option<u64> {
+        msg.downcast_ref::<u64>().copied()
     }
 
     impl FlowNet {
@@ -527,18 +645,8 @@ mod tests {
 
     /// Start a `bytes`-sized flow from node 1 to `to` with a huge
     /// endpoint cap so only the shared link constrains it.
-    fn start(net: &mut FlowNet, to: u32, bytes: u64, now: SimTime) -> u64 {
-        let route = net.route_for(NodeId(1), NodeId(to));
-        net.start(
-            addr(1),
-            addr(to),
-            bytes,
-            route,
-            Duration::ZERO,
-            1e12,
-            now,
-            payload(),
-        )
+    fn start(net: &mut FlowNet, to: u32, bytes: u64) -> u64 {
+        net.start(addr(1), addr(to), bytes, Duration::ZERO, 1e12, payload())
     }
 
     #[test]
@@ -546,8 +654,8 @@ mod tests {
         let (mut net, _) = net_one_link(1_000_000.0);
         let mut q = EventQueue::new();
         let t0 = SimTime::ZERO;
-        let a = start(&mut net, 2, 10_000_000, t0);
-        let b = start(&mut net, 3, 10_000_000, t0);
+        let a = start(&mut net, 2, 10_000_000);
+        let b = start(&mut net, 3, 10_000_000);
         refresh(&mut net, &mut q, t0);
         // Both flows see capacity/2 = 500 kB/s => 20 s for 10 MB.
         let t = t0 + Duration::from_secs(20);
@@ -567,8 +675,8 @@ mod tests {
         let (mut net, _) = net_one_link(1_000_000.0);
         let mut q = EventQueue::new();
         let t0 = SimTime::ZERO;
-        let a = start(&mut net, 2, 10_000_000, t0);
-        let b = start(&mut net, 3, 2_000_000, t0);
+        let a = start(&mut net, 2, 10_000_000);
+        let b = start(&mut net, 3, 2_000_000);
         refresh(&mut net, &mut q, t0);
         // b finishes at 4 s (2 MB at 500 kB/s); a then speeds up to full
         // capacity: 10 MB total = 2 MB done + 8 MB at 1 MB/s => t=12 s.
@@ -585,13 +693,13 @@ mod tests {
         let (mut net, _) = net_one_link(1_000_000.0);
         let mut q = EventQueue::new();
         let t0 = SimTime::ZERO;
-        let a = start(&mut net, 2, 10_000_000, t0);
+        let a = start(&mut net, 2, 10_000_000);
         refresh(&mut net, &mut q, t0);
         let first = net.next_due().expect("a is due");
         // A second flow arrives: a's deadline moves out, the event armed
         // for the original deadline must be rejected.
         let t1 = t0 + Duration::from_secs(2);
-        let _b = start(&mut net, 3, 10_000_000, t1);
+        let _b = start(&mut net, 3, 10_000_000);
         refresh(&mut net, &mut q, t1);
         assert!(net.flow(a).deadline > first.at);
         assert!(net.complete(a, first.at, first.stamp).is_none());
@@ -607,7 +715,7 @@ mod tests {
         let (mut net, _) = net_one_link(1_000_000.0);
         let mut q = EventQueue::new();
         let t0 = SimTime::ZERO;
-        let a = start(&mut net, 2, 1_000_000, t0);
+        let a = start(&mut net, 2, 1_000_000);
         refresh(&mut net, &mut q, t0);
         let first = net.next_due().expect("a is due");
         let t1 = t0 + Duration::from_millis(500);
@@ -630,28 +738,16 @@ mod tests {
         let wan = net.add_link("wan", 1_000_000.0, 0.0);
         net.set_route(NodeId(1), NodeId(2), &[wan]);
         net.set_route(NodeId(1), NodeId(3), &[wan]);
-        let route = net.route_for(NodeId(1), NodeId(2));
         // a is NIC-capped at 100 kB/s; b should absorb the slack (900 kB/s).
         let a = net.start(
             addr(1),
             addr(2),
             1_000_000,
-            route.clone(),
             Duration::ZERO,
             100_000.0,
-            SimTime::ZERO,
             payload(),
         );
-        let b = net.start(
-            addr(1),
-            addr(3),
-            1_000_000,
-            route,
-            Duration::ZERO,
-            1e12,
-            SimTime::ZERO,
-            payload(),
-        );
+        let b = net.start(addr(1), addr(3), 1_000_000, Duration::ZERO, 1e12, payload());
         refresh(&mut net, &mut q, SimTime::ZERO);
         assert_eq!(net.flow(a).rate, 100_000.0);
         assert_eq!(net.flow(b).rate, 900_000.0);
@@ -662,7 +758,7 @@ mod tests {
         let (mut net, _) = net_one_link(1_000_000.0);
         let mut q = EventQueue::new();
         let t0 = SimTime::ZERO;
-        let a = start(&mut net, 2, 1_000_000, t0);
+        let a = start(&mut net, 2, 1_000_000);
         refresh(&mut net, &mut q, t0);
         let first = net.next_due().expect("a is due");
         // Bandwidth override of 0.0: the flow stalls (deadline => MAX,
@@ -685,8 +781,8 @@ mod tests {
         let (mut net, wan) = net_one_link(1_000_000.0);
         let mut q = EventQueue::new();
         let t0 = SimTime::ZERO;
-        let _a = start(&mut net, 2, 1_000_000, t0);
-        let b = start(&mut net, 3, 1_000_000, t0);
+        let _a = start(&mut net, 2, 1_000_000);
+        let b = start(&mut net, 3, 1_000_000);
         refresh(&mut net, &mut q, t0);
         let aborted = net.abort_where(|_, to, route| to == NodeId(2) && route.contains(&wan));
         assert_eq!(aborted.len(), 1);
@@ -708,15 +804,12 @@ mod tests {
         let wan = net.add_link("wan", 1_000_000.0, 0.050);
         net.set_route(NodeId(1), NodeId(2), &[wan]);
         net.set_route(NodeId(1), NodeId(3), &[wan]);
-        let route = net.route_for(NodeId(1), NodeId(2));
         let a = net.start(
             addr(1),
             addr(2),
             1_000_000,
-            route,
             Duration::from_millis(50),
             1e12,
-            SimTime::ZERO,
             payload(),
         );
         refresh(&mut net, &mut q, SimTime::ZERO);
@@ -725,10 +818,32 @@ mod tests {
         // At t=1.0 s every byte is pushed; a new flow at t=1.02 s must not
         // extend a's deadline or restamp it.
         let t = SimTime::ZERO + Duration::from_millis(1020);
-        let _b = start(&mut net, 3, 1_000_000, t);
+        let _b = start(&mut net, 3, 1_000_000);
         refresh(&mut net, &mut q, t);
         assert_eq!(net.next_due(), Some(due));
         assert!(net.complete(a, due.at, due.stamp).is_some());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "flow capacity invariant: link \"wan\" carries 1500000 B/s, its capacity is \
+                    1000000 B/s: class 0 (route [LinkId(0)], cap 1000000000000) has 3 flows at \
+                    500000 B/s"
+    )]
+    fn over_committed_link_names_the_link_and_the_class() {
+        // Three flows at half the link each: no waterfill hands this out,
+        // so the filling's result is written by hand.
+        let (net, wan) = net_one_link(1_000_000.0);
+        let classes = [Class {
+            route: vec![wan],
+            cap: 1e12,
+        }];
+        let mut fill = Waterfill {
+            members: vec![3],
+            lim: vec![500_000.0],
+            ..Waterfill::default()
+        };
+        check_capacity(&net.links, &classes, &mut fill);
     }
 
     // ---- bit-identity against the per-flow waterfill --------------------
@@ -899,7 +1014,9 @@ mod tests {
         /// After every start / complete / abort / override, every flow's
         /// rate, remaining bytes, deadline and stamp equal — bit for bit —
         /// what the per-flow allocator and its push-per-changed-deadline
-        /// numbering produce.
+        /// numbering produce; and every flow that leaves, completed or
+        /// aborted, hands back the endpoints, size and payload it was
+        /// started with.
         #[test]
         fn refresh_is_bit_identical_to_the_per_flow_waterfill(
             capacities in prop::collection::vec(50_000.0f64..3_000_000.0, 4..5),
@@ -914,6 +1031,11 @@ mod tests {
                 .into_iter()
                 .map(|r| r.into_iter().map(LinkId).collect())
                 .collect();
+            for (r, route) in routes.iter().enumerate() {
+                net.set_route(NodeId(1), NodeId(10 + r as u32), route);
+            }
+            // What each flow was started with, by id; its payload is its id.
+            let mut sent: BTreeMap<u64, (Addr, Addr, u64)> = BTreeMap::new();
             let mut reference = PerFlowNet::default();
             let mut q = EventQueue::new();
             let mut now = SimTime::ZERO;
@@ -925,10 +1047,13 @@ mod tests {
                     Op::Start { dt, route, cap, bytes, latency_us } => {
                         now = advance(now, dt);
                         let latency = Duration(latency_us);
-                        let id = net.start(
-                            addr(1), addr(2), bytes, routes[route].clone(), latency, cap, now,
-                            payload(),
-                        );
+                        let next = net.next_id;
+                        let comp = CompId(next as u32);
+                        let from = Addr { node: NodeId(1), comp };
+                        let to = Addr { node: NodeId(10 + route as u32), comp };
+                        let id = net.start(from, to, bytes, latency, cap, Box::new(next));
+                        prop_assert_eq!(id, next);
+                        sent.insert(id, (from, to, bytes));
                         reference.flows.insert(id, PerFlow {
                             remaining: (bytes.max(1)) as f64,
                             rate: 0.0,
@@ -951,7 +1076,11 @@ mod tests {
                         prop_assert_eq!(due.map(|d| (d.at, d.stamp, d.flow)), want);
                         let Some(due) = due else { continue };
                         now = due.at;
-                        prop_assert!(net.complete(due.flow, due.at, due.stamp).is_some());
+                        let done = net.complete(due.flow, due.at, due.stamp);
+                        prop_assert!(done.is_some());
+                        let (from, to, msg) = done.expect("checked");
+                        prop_assert_eq!(tag(&msg), Some(due.flow));
+                        prop_assert_eq!((from, to), (sent[&due.flow].0, sent[&due.flow].1));
                         reference.flows.remove(&due.flow);
                     }
                     Op::Abort { dt, link } => {
@@ -960,6 +1089,13 @@ mod tests {
                         let before = reference.flows.len();
                         reference.flows.retain(|_, f| !f.route.contains(&LinkId(link)));
                         prop_assert_eq!(aborted.len(), before - reference.flows.len());
+                        let ids: Vec<u64> = aborted.iter().filter_map(|a| tag(&a.msg)).collect();
+                        prop_assert_eq!(ids.len(), aborted.len());
+                        prop_assert!(ids.is_sorted_by(|a, b| a < b), "abort order {:?}", ids);
+                        for (id, a) in ids.iter().zip(&aborted) {
+                            prop_assert!(!reference.flows.contains_key(id));
+                            prop_assert_eq!((a.from, a.to, a.bytes), sent[id]);
+                        }
                     }
                     Op::Override { dt, link, cap } => {
                         now = advance(now, dt);
@@ -969,7 +1105,9 @@ mod tests {
                 net.refresh(now, NO_CAUSE, &mut q);
                 reference.refresh(&net.links, now);
                 prop_assert_eq!(net.flows.len(), reference.flows.len());
-                for f in &net.flows {
+                prop_assert_eq!(net.parcels.len(), net.flows.len());
+                for (f, p) in net.flows.iter().zip(&net.parcels) {
+                    prop_assert_eq!(tag(&p.msg), Some(f.id));
                     let r = &reference.flows[&f.id];
                     prop_assert_eq!(f.rate.to_bits(), r.rate.to_bits(), "rate of {}", f.id);
                     prop_assert_eq!(

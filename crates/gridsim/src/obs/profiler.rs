@@ -41,6 +41,10 @@ pub struct Profiler {
     /// Slots in the event queue's slab: what it holds, next to the sampled
     /// depth, which is what is live.
     queue_slots: usize,
+    /// Flow-network refreshes, and the flow rows they visited: a refresh
+    /// settles and re-rates every active flow.
+    flow_refreshes: u64,
+    flow_rows: u64,
 }
 
 /// Group key for a component name: everything before the first digit, with
@@ -64,6 +68,8 @@ impl Profiler {
             queue_depth: TimeSeries::default(),
             last_depth_sample_at: None,
             queue_slots: 0,
+            flow_refreshes: 0,
+            flow_rows: 0,
         }
     }
 
@@ -85,6 +91,11 @@ impl Profiler {
                 self.last_depth_sample_at = Some(now);
             }
         }
+    }
+
+    pub(crate) fn note_flow_refresh(&mut self, rows: usize) {
+        self.flow_refreshes += 1;
+        self.flow_rows += rows as u64;
     }
 
     pub(crate) fn note_handler(&mut self, comp_name: &str, elapsed: WallDuration) {
@@ -132,6 +143,18 @@ impl Profiler {
         self.queue_slots
     }
 
+    /// Flow-network refreshes (one per flow start, completion, abort batch
+    /// or link change) observed while profiling.
+    pub fn flow_refreshes(&self) -> u64 {
+        self.flow_refreshes
+    }
+
+    /// Flow rows those refreshes visited: the active flows at each one,
+    /// summed. Exact and host-independent, like the event counts.
+    pub fn flow_rows(&self) -> u64 {
+        self.flow_rows
+    }
+
     /// Human-readable end-of-run summary: totals, events/sec, the event-kind
     /// mix, and the costliest component groups.
     pub fn summary(&self) -> String {
@@ -153,6 +176,13 @@ impl Profiler {
             self.queue_depth.max(),
             self.queue_depth.points().len(),
             self.queue_slots,
+        );
+        let _ = writeln!(
+            out,
+            "  flow refreshes: {}, {} flow rows visited ({:.0} per refresh)",
+            self.flow_refreshes,
+            self.flow_rows,
+            self.flow_rows as f64 / self.flow_refreshes.max(1) as f64,
         );
         let _ = writeln!(out, "  by event kind:");
         for (kind, count) in &self.per_kind {
@@ -198,6 +228,8 @@ mod tests {
         assert_eq!(p.event_kinds()["timer"], 1);
         // Stride 256 → samples at events 1, 257, 513, 769 (and 1025 not hit).
         assert_eq!(p.queue_depth().points().len(), 4);
+        p.note_flow_refresh(740);
+        p.note_flow_refresh(738);
         p.note_handler("jm-jc12", WallDuration::from_micros(50));
         p.note_handler("jm-jc13", WallDuration::from_micros(70));
         let comp = &p.components()["jm-jc"];
@@ -207,6 +239,8 @@ mod tests {
         assert_eq!(p.queue_slots(), 7);
         assert!(s.contains("kernel profile:"));
         assert!(s.contains("slab high-water 7 slots"));
+        assert_eq!((p.flow_refreshes(), p.flow_rows()), (2, 1478));
+        assert!(s.contains("flow refreshes: 2, 1478 flow rows visited (739 per refresh)"));
         assert!(s.contains("deliver"));
         assert!(s.contains("jm-jc"));
     }

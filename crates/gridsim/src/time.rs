@@ -97,10 +97,11 @@ impl Duration {
     /// backwards.
     #[inline]
     pub fn from_secs_f64(s: f64) -> Duration {
-        if !s.is_finite() || s <= 0.0 {
+        // NaN fails both comparisons and is sent back with the rest.
+        if !(s > 0.0 && s < f64::INFINITY) {
             return Duration::ZERO;
         }
-        Duration((s * 1e6).round() as u64)
+        Duration(round_micros(s * 1e6))
     }
 
     /// Microseconds in this span.
@@ -223,6 +224,21 @@ impl Div<u64> for Duration {
     }
 }
 
+/// `us.round() as u64` for `us >= 0` (`+inf` included), without the libm
+/// call: below 2^52 the truncation, its conversion back and the difference
+/// are all exact, so comparing the fraction with one half rounds half away
+/// from zero as `round` does; from 2^52 up every `f64` is already whole, and
+/// the cast saturates.
+#[inline]
+fn round_micros(us: f64) -> u64 {
+    if us < 4_503_599_627_370_496.0 {
+        let whole = us as i64;
+        whole as u64 + u64::from(us - whole as f64 >= 0.5)
+    } else {
+        us as u64
+    }
+}
+
 /// `100ms` / `90s` / `30m` / `2h` / `1d`: a whole number and a unit. The
 /// one duration syntax of the command-line tools and the `.scn` language.
 impl std::str::FromStr for Duration {
@@ -295,6 +311,7 @@ fn format_micros(us: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_agree() {
@@ -325,6 +342,81 @@ mod tests {
         assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);
         assert_eq!(Duration::from_secs_f64(f64::NAN), Duration::ZERO);
         assert_eq!(Duration::from_secs_f64(f64::INFINITY), Duration::ZERO);
+    }
+
+    /// What `from_secs_f64` computed before it stopped calling libm.
+    fn rounded_by_libm(s: f64) -> Duration {
+        if !s.is_finite() || s <= 0.0 {
+            return Duration::ZERO;
+        }
+        Duration((s * 1e6).round() as u64)
+    }
+
+    #[test]
+    fn round_micros_agrees_with_round_at_the_edges() {
+        let two52 = 4_503_599_627_370_496.0_f64;
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let edges = [
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE,
+            below(0.5), // 0.49999999999999994: floor(x + 0.5) gets this wrong
+            0.5,
+            above(0.5),
+            below(1.0),
+            1.0,
+            1.5,
+            2.5,
+            below(2.5),
+            1e6 + 0.5,
+            below(two52), // 2^52 - 0.5, the last f64 with a fraction
+            two52,
+            above(two52),
+            9_007_199_254_740_993.0,
+            below(u64::MAX as f64),
+            u64::MAX as f64, // 2^64: saturates
+            above(u64::MAX as f64),
+            1e300,
+            f64::MAX,
+            f64::INFINITY, // a finite `s` whose product overflows
+        ];
+        for us in edges {
+            assert_eq!(round_micros(us), us.round() as u64, "{us:e} us");
+        }
+        assert_eq!(round_micros(below(0.5)), 0);
+        assert_eq!(round_micros(2.5), 3);
+        assert_eq!(round_micros(below(two52)), 1 << 52);
+        assert_eq!(round_micros(1e300), u64::MAX);
+        // Nothing but finite, positive seconds reaches the rounding.
+        let inf = f64::INFINITY;
+        for s in [-0.0, 0.0, -1.0, -5e-324, f64::NAN, -f64::NAN, inf, -inf] {
+            assert_eq!(Duration::from_secs_f64(s), Duration::ZERO, "{s:e} s");
+        }
+        for s in [5e-324, 1e-320, 4.9e-7, 5e-7, 1e303, f64::MAX] {
+            assert_eq!(Duration::from_secs_f64(s), rounded_by_libm(s), "{s:e} s");
+        }
+    }
+
+    proptest! {
+        /// Any `f64` at all, and any near the range where rounding decides
+        /// something (0.125 us to 2^66 us), gives the integer `round()` gave.
+        #[test]
+        fn from_secs_f64_is_round_half_away(
+            anything in prop::collection::vec(any::<f64>(), 256..257),
+            near in prop::collection::vec((0u64..70, any::<u64>()), 256..257),
+        ) {
+            for s in anything {
+                prop_assert_eq!(Duration::from_secs_f64(s), rounded_by_libm(s), "{:e} s", s);
+            }
+            for (exp, mantissa) in near {
+                let us = f64::from_bits(((1020 + exp) << 52) | (mantissa >> 12));
+                prop_assert_eq!(round_micros(us), us.round() as u64, "{:e} us", us);
+                let s = us / 1e6;
+                prop_assert_eq!(Duration::from_secs_f64(s), rounded_by_libm(s), "{:e} s", s);
+                prop_assert_eq!(Duration(1) * us, rounded_by_libm(1e-6 * us), "1 us x {:e}", us);
+            }
+        }
     }
 
     #[test]

@@ -740,6 +740,9 @@ impl World {
     fn flow_refresh(&mut self) {
         let cause = self.cause_now();
         self.network.flow_refresh(self.now, cause, &mut self.queue);
+        if let Some(p) = &mut self.profiler {
+            p.note_flow_refresh(self.network.flows_active());
+        }
         self.arm_flow_done();
     }
 
@@ -891,11 +894,7 @@ impl World {
                         // Flow mode: the transfer contends with every other
                         // flow on its route; its completion time moves with
                         // them instead of being fixed at start.
-                        let now = self.now;
-                        if self
-                            .network
-                            .flow_start(&mut self.rng, from, to, bytes, msg, now)
-                        {
+                        if self.network.flow_start(&mut self.rng, from, to, bytes, msg) {
                             self.metrics.add(self.net.flows_started, 1);
                             self.flow_refresh();
                         } else {
