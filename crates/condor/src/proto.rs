@@ -284,3 +284,23 @@ pub struct PoolRemove {
     /// The job.
     pub job: JobId,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsim::codec::{from_bytes, to_bytes};
+
+    /// Every pool job state, byte for byte as `e025d0e` wrote it.
+    #[test]
+    fn pool_state_bytes_are_pinned() {
+        use PoolJobState::*;
+        let states = [Idle, Running, Completed, Removed, Held];
+        let bytes = to_bytes(&states.to_vec()).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "05000000000000000000000001000000020000000300000004000000"
+        );
+        assert_eq!(from_bytes::<Vec<PoolJobState>>(&bytes).unwrap(), states);
+    }
+}

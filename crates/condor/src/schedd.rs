@@ -441,6 +441,48 @@ mod tests {
         assert_eq!(to_bytes(&rec.disk_view(JobId(5))), to_bytes(&owned));
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The schedd's queue entry and its borrowed view, byte for byte as
+    /// `e025d0e` wrote them.
+    #[test]
+    fn job_rec_disk_bytes_are_pinned() {
+        use gridsim::codec::{from_bytes, to_bytes};
+        let submitter = Addr {
+            node: NodeId(3),
+            comp: CompId(9),
+        };
+        let mut rec = JobRec::queued(job_ad(1800), submitter);
+        rec.state = PoolJobState::Held;
+        rec.done_work = Duration::from_secs(77);
+        rec.attempts = 2;
+        let owned = JobRecDisk {
+            id: 5,
+            ad: rec.ad_text.clone(),
+            state: rec.state,
+            done_work_us: rec.done_work.micros(),
+            submitter,
+            attempts: rec.attempts,
+        };
+        let pinned = "050000000000000058000000000000005b0a20202020546f74616c576f726b203d20313830303b0a202020204f776e6572203d20226a616e65223b0a20202020526571756972656d656e7473203d205441524745542e41726368203d3d2022494e54454c223b0a5d0400000040ed960400000000030000000900000002000000";
+        assert_eq!(hex(&to_bytes(&owned).unwrap()), pinned);
+        assert_eq!(hex(&to_bytes(&rec.disk_view(JobId(5))).unwrap()), pinned);
+        let back = from_bytes::<JobRecDisk>(&to_bytes(&owned).unwrap()).unwrap();
+        assert_eq!(
+            (
+                back.id,
+                back.ad,
+                back.state,
+                back.done_work_us,
+                back.submitter,
+                back.attempts
+            ),
+            (5, rec.ad_text, PoolJobState::Held, 77_000_000, submitter, 2)
+        );
+    }
+
     #[test]
     fn pool_runs_jobs_to_completion() {
         let mut w = World::new(Config::default().seed(21));

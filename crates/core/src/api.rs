@@ -271,4 +271,28 @@ mod tests {
         assert!(!JobStatus::Active.is_terminal());
         assert!(!JobStatus::Held("y".into()).is_terminal());
     }
+
+    /// Every status and universe, byte for byte as `e025d0e` wrote them.
+    #[test]
+    fn status_and_universe_bytes_are_pinned() {
+        use gridsim::codec::{from_bytes, to_bytes};
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let statuses = vec![
+            JobStatus::Unsubmitted,
+            JobStatus::Pending,
+            JobStatus::Staging,
+            JobStatus::Active,
+            JobStatus::Held("proxy expired".into()),
+            JobStatus::Done,
+            JobStatus::Failed("wrong arch".into()),
+            JobStatus::Removed,
+        ];
+        let bytes = to_bytes(&statuses).unwrap();
+        assert_eq!(hex(&bytes), "080000000000000000000000010000000200000003000000040000000d0000000000000070726f7879206578706972656405000000060000000a0000000000000077726f6e67206172636807000000");
+        assert_eq!(from_bytes::<Vec<JobStatus>>(&bytes).unwrap(), statuses);
+        let universes = vec![Universe::Grid, Universe::Pool];
+        let bytes = to_bytes(&universes).unwrap();
+        assert_eq!(hex(&bytes), "02000000000000000000000001000000");
+        assert_eq!(from_bytes::<Vec<Universe>>(&bytes).unwrap(), universes);
+    }
 }

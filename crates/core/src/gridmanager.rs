@@ -1726,6 +1726,45 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The GridManager's per-job record and its borrowed view, byte for
+    /// byte as `e025d0e` wrote them.
+    #[test]
+    fn gm_record_bytes_are_pinned() {
+        let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30))
+            .with_stdout(4096)
+            .with_args(&["--events", "500"]);
+        let mut j = GmJob::new(GridJobId(7), spec);
+        j.attempts = 2;
+        j.seq = Some(41);
+        j.site = Some("east".into());
+        j.gatekeeper = Some(Addr {
+            node: gridsim::NodeId(2),
+            comp: gridsim::CompId(5),
+        });
+        j.contact = Some(JobContact(0xbeef_0000_0001));
+        j.excluded = vec!["west".into(), "north".into()];
+        let owned = GmJobDisk {
+            spec: j.spec.clone(),
+            attempts: j.attempts,
+            seq: j.seq,
+            site: j.site.clone(),
+            gatekeeper: j.gatekeeper,
+            contact: j.contact.map(|c| c.0),
+            stdout_path: j.stdout_path.clone(),
+            excluded: j.excluded.clone(),
+            terminal: false,
+        };
+        let pinned = "030000000000000061707012000000000000002f686f6d652f6a616e652f6170702e657865020000000000000008000000000000002d2d6576656e747303000000000000003530300000000000d2496b000000000100000000100000000000000000000000000000000000000002000000012900000000000000010400000000000000656173740102000000050000000101000000efbe000011000000000000002f636f6e646f725f672f6f75742f676a37020000000000000004000000000000007765737405000000000000006e6f72746800";
+        assert_eq!(hex(&to_bytes(&owned).unwrap()), pinned);
+        assert_eq!(hex(&to_bytes(&j.disk_view()).unwrap()), pinned);
+        let back = from_bytes::<GmJobDisk>(&to_bytes(&owned).unwrap()).unwrap();
+        assert_eq!(to_bytes(&back).unwrap(), to_bytes(&owned).unwrap());
+    }
+
     proptest! {
         /// Whatever is on the disk, `Recover` gets a record or a refusal.
         #[test]

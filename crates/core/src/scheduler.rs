@@ -577,6 +577,34 @@ mod tests {
         assert_eq!(to_bytes(&(7u64, &rec)), to_bytes(&(7u64, rec.clone())));
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The persistent queue's record, byte for byte as `e025d0e` wrote it.
+    #[test]
+    fn job_record_bytes_are_pinned() {
+        let rec = JobRec {
+            spec: GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30))
+                .with_stdout(4096)
+                .with_args(&["--events", "500"])
+                .with_requirements("FreeCpus > 0")
+                .with_rank("FreeCpus")
+                .with_wall_minutes(45)
+                .with_remote_io(60.5, 512)
+                .with_arch("INTEL"),
+            status: JobStatus::Held("proxy expired".into()),
+            submitted_at: SimTime(17),
+            seen_active: true,
+        };
+        let pinned = "0700000000000000030000000000000061707012000000000000002f686f6d652f6a616e652f6170702e657865020000000000000008000000000000002d2d6576656e747303000000000000003530300000000000d2496b00000000010000000010000000000000012d00000000000000010c000000000000004672656543707573203e20300108000000000000004672656543707573010000000000404e400002000000000000010500000000000000494e54454c040000000d0000000000000070726f78792065787069726564110000000000000001";
+        let bytes = to_bytes(&(7u64, &rec)).unwrap();
+        assert_eq!(hex(&bytes), pinned);
+        let (id, back) = from_bytes::<(u64, JobRec)>(&bytes).unwrap();
+        assert_eq!((id, &back.spec, &back.status), (7, &rec.spec, &rec.status));
+        assert_eq!(to_bytes(&(id, &back)).unwrap(), bytes);
+    }
+
     proptest! {
         /// Whatever is on the disk, `recover` gets a record or a refusal.
         #[test]

@@ -292,6 +292,26 @@ mod tests {
         );
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A stored GASS file of each kind, byte for byte as `e025d0e` wrote it.
+    #[test]
+    fn file_disk_bytes_are_pinned() {
+        use gridsim::codec::{from_bytes, to_bytes};
+        let inline = FileData::inline("ELF\x7f").to_disk();
+        let bulk = FileData::bulk(1_000_000, 3).to_disk();
+        for (disk, pinned) in [
+            (inline, "000000000400000000000000454c467f"),
+            (bulk, "0100000040420f0000000000030080841e000000"),
+        ] {
+            let bytes = to_bytes(&disk).unwrap();
+            assert_eq!(hex(&bytes), pinned);
+            assert_eq!(from_bytes::<FileDisk>(&bytes).unwrap(), disk);
+        }
+    }
+
     #[test]
     fn list_by_prefix() {
         let mut fs = FileStore::new();

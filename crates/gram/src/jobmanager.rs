@@ -746,6 +746,56 @@ mod tests {
         assert_eq!(jm.stdout_url.as_ref().unwrap().path, "/condor_g/out/gj7");
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// GRAM's client-side job log and its borrowed view, byte for byte as
+    /// `e025d0e` wrote them.
+    #[test]
+    fn job_log_bytes_are_pinned() {
+        let addr = Addr {
+            node: NodeId(3),
+            comp: CompId(9),
+        };
+        let mut ca = CertificateAuthority::new("/CN=CA", 1);
+        let proxy = ca
+            .issue_identity("/CN=jane", Duration::from_days(1))
+            .new_proxy(SimTime::ZERO, Duration::from_hours(12));
+        let rsl = RslSpec::job("gass://n3.c9/home/jane/app.exe", Duration::from_mins(30))
+            .with_stdout("gass://n3.c9/condor_g/out/gj7", 4096)
+            .with_count(4);
+        let mut jm = JobManager::new(
+            JobContact(0xbeef_0000_0007),
+            rsl.clone(),
+            proxy,
+            addr,
+            GassUrl::gass(addr, ""),
+            addr,
+            "jane",
+            false,
+            SiteCounters::new("wisc"),
+        );
+        jm.local_id = Some(12);
+        jm.state = GramJobState::StageOut;
+        jm.stdout_sent = 17;
+        jm.exit_ok = true;
+        let owned = JmLog {
+            contact: jm.contact,
+            rsl: rsl.to_string(),
+            local_user: "jane".into(),
+            local_id: Some(12),
+            state: GramJobState::StageOut,
+            stdout_sent: 17,
+            exit_ok: true,
+        };
+        let pinned = "07000000efbe00007d00000000000000262865786563757461626c653d676173733a2f2f6e332e63392f686f6d652f6a616e652f6170702e6578652928636f756e743d3429287374646f75743d676173733a2f2f6e332e63392f636f6e646f725f672f6f75742f676a37292873696d72756e74696d653d3138303029287374646f757473697a653d343039362904000000000000006a616e65010c0000000000000004000000110000000000000001";
+        assert_eq!(hex(&to_bytes(&owned).unwrap()), pinned);
+        assert_eq!(hex(&to_bytes(&jm.log_view()).unwrap()), pinned);
+        let back = from_bytes::<JmLog>(&to_bytes(&owned).unwrap()).unwrap();
+        assert_eq!(to_bytes(&back).unwrap(), to_bytes(&owned).unwrap());
+    }
+
     proptest! {
         /// Whatever is on the disk, the gatekeeper's restart path gets a
         /// job log (or dedup record) or a refusal.

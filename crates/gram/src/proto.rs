@@ -228,3 +228,32 @@ pub enum JmMsg {
         credential: ProxyCredential,
     },
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsim::codec::{from_bytes, to_bytes};
+
+    /// Every GRAM state, byte for byte as `e025d0e` wrote it.
+    #[test]
+    fn gram_state_bytes_are_pinned() {
+        use GramJobState::*;
+        let states = [
+            PendingCommit,
+            StageIn,
+            Pending,
+            Active,
+            StageOut,
+            Done,
+            Failed,
+            Removed,
+        ];
+        let bytes = to_bytes(&states.to_vec()).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "08000000000000000000000001000000020000000300000004000000050000000600000007000000"
+        );
+        assert_eq!(from_bytes::<Vec<GramJobState>>(&bytes).unwrap(), states);
+    }
+}

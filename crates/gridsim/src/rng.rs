@@ -307,6 +307,97 @@ mod tests {
         );
     }
 
+    /// FNV-1a over the little-endian bytes of each word.
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in words.flat_map(u64::to_le_bytes) {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// 10,000 draws of every method from three seeds, folded into one hash
+    /// per (seed, method) and pinned at `e025d0e`: every golden in the tree
+    /// rests on these streams.
+    #[test]
+    fn draws_are_pinned() {
+        type Draw = fn(&mut SimRng) -> u64;
+        let methods: [(&str, Draw); 10] = [
+            ("f64", |r| r.f64().to_bits()),
+            ("chance", |r| r.chance(0.3) as u64),
+            ("range_u64", |r| r.range_u64(17, 1_000_003)),
+            ("index", |r| r.index(7) as u64),
+            ("range_f64", |r| r.range_f64(-2.5, 40.0).to_bits()),
+            ("exp_f64", |r| r.exp_f64(5.0).to_bits()),
+            ("normal_f64", |r| r.normal_f64(3.0, 2.0).to_bits()),
+            ("pareto_f64", |r| r.pareto_f64(1.0, 100.0, 1.2).to_bits()),
+            ("fork", |r| r.fork().f64().to_bits()),
+            ("shuffle", |r| {
+                let mut v: [u64; 10] = std::array::from_fn(|i| i as u64);
+                r.shuffle(&mut v);
+                v.iter().fold(0, |acc, &x| acc << 4 | x)
+            }),
+        ];
+        let pinned: [(u64, [u64; 10]); 3] = [
+            (
+                0,
+                [
+                    0x79fde057e83742c1,
+                    0x3bad6b6372ca4785,
+                    0xdbed06630bff9816,
+                    0x8c91888a18707986,
+                    0x3c5afc393387ad60,
+                    0xcb5f8e85b3d4c420,
+                    0x18f516b66be594fe,
+                    0x0239c4cd03edbeab,
+                    0x9f3de95a3a6c64bf,
+                    0xe52aef4d433490b4,
+                ],
+            ),
+            (
+                42,
+                [
+                    0xcde863a75221876b,
+                    0x703cb78933655ca5,
+                    0xd459695bb3b3a0a8,
+                    0x8306168670929ce6,
+                    0x73032af39dc2c0e1,
+                    0x30ff704d755da408,
+                    0x9a57b06e0acad004,
+                    0xe3adfdaadb799bce,
+                    0x0808363ae9cb7d63,
+                    0x4882a8f260d5af44,
+                ],
+            ),
+            (
+                u64::MAX,
+                [
+                    0x641aa11c588466ea,
+                    0x37b8a8a6df5a3145,
+                    0x74d9360830a01053,
+                    0xaf2b6e755ec00de1,
+                    0xd8dd2da050d33233,
+                    0x8b7d6e434d691492,
+                    0x4c038f52e1d8cee5,
+                    0x2f32444066d35d4c,
+                    0x98bc538b9d689dac,
+                    0x103001b42b24ce13,
+                ],
+            ),
+        ];
+        let mut moved = Vec::new();
+        for (seed, hashes) in pinned {
+            for ((name, draw), want) in methods.iter().zip(hashes) {
+                let mut r = SimRng::new(seed);
+                let got = fnv((0..10_000).map(|_| draw(&mut r)));
+                if got != want {
+                    moved.push(format!("seed {seed}, {name}: {got:#018x}"));
+                }
+            }
+        }
+        assert!(moved.is_empty(), "{moved:#?}");
+    }
+
     #[test]
     fn shuffle_is_permutation() {
         let mut r = SimRng::new(4);

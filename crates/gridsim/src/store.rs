@@ -261,6 +261,21 @@ mod tests {
         assert!(!s.remove(NodeId(0), "x"));
     }
 
+    /// A user-log chunk built by `append`, byte for byte as `e025d0e`
+    /// wrote it.
+    #[test]
+    fn appended_log_chunk_bytes_are_pinned() {
+        let mut s = StableStore::new();
+        s.append(NodeId(0), "log/0", &(17u64, 3u64, "submitted (app)"));
+        s.append(NodeId(0), "log/0", &(90_000_000u64, 3u64, "Done"));
+        let bytes = s.get_bytes(NodeId(0), "log/0").unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "0200000000000000110000000000000003000000000000000f000000000000007375626d6974746564202861707029804a5d050000000003000000000000000400000000000000446f6e65");
+        let back: Vec<(u64, u64, String)> = s.get(NodeId(0), "log/0").unwrap();
+        let want = [(17, 3, "submitted (app)"), (90_000_000, 3, "Done")];
+        assert_eq!(back, want.map(|(t, j, m)| (t, j, m.to_string())));
+    }
+
     proptest! {
         /// Appending element by element leaves the bytes `put` of the
         /// whole vector writes, so readers cannot tell the two apart.
