@@ -3,12 +3,11 @@
 use classads::ClassAd;
 use gridsim::time::{Duration, SimTime};
 use gridsim::Addr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::rc::Rc;
 
 /// A job's identity within one schedd (cluster.proc in real Condor).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -18,7 +17,7 @@ impl fmt::Display for JobId {
 }
 
 /// Lifecycle of a pool job at the schedd.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolJobState {
     /// Waiting for a match.
     Idle,
@@ -30,6 +29,10 @@ pub enum PoolJobState {
     Removed,
     /// Held (e.g. repeated failures).
     Held,
+}
+
+gridsim::codec! {
+    enum PoolJobState { 0 => Idle, 1 => Running, 2 => Completed, 3 => Removed, 4 => Held }
 }
 
 // ---- collector traffic ----------------------------------------------------
@@ -53,7 +56,7 @@ pub struct Advertise {
 }
 
 /// Ad categories in the collector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AdKind {
     /// An execution machine (startd).
     Machine,
@@ -295,12 +298,19 @@ mod tests {
     fn pool_state_bytes_are_pinned() {
         use PoolJobState::*;
         let states = [Idle, Running, Completed, Removed, Held];
-        let bytes = to_bytes(&states.to_vec()).unwrap();
+        let bytes = to_bytes(&states.to_vec());
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
             "05000000000000000000000001000000020000000300000004000000"
         );
         assert_eq!(from_bytes::<Vec<PoolJobState>>(&bytes).unwrap(), states);
+    }
+
+    #[test]
+    fn unknown_pool_state_indices_are_refused() {
+        for index in [5u32, u32::MAX] {
+            assert!(from_bytes::<PoolJobState>(&index.to_le_bytes()).is_err());
+        }
     }
 }

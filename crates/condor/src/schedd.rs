@@ -17,7 +17,6 @@ use crate::shadow::Shadow;
 use classads::ClassAd;
 use gridsim::prelude::*;
 use gridsim::AnyMsg;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -63,8 +62,7 @@ impl JobRec {
     }
 }
 
-/// Serialized form of a queue entry (ClassAds persist as their text form).
-#[derive(Serialize, Deserialize)]
+/// Stored form of a queue entry (ClassAds persist as their text form).
 struct JobRecDisk {
     id: u64,
     ad: String,
@@ -73,6 +71,8 @@ struct JobRecDisk {
     submitter: Addr,
     attempts: u32,
 }
+
+gridsim::codec! { struct JobRecDisk { id, ad, state, done_work_us, submitter, attempts } }
 
 /// The schedd component.
 pub struct Schedd {
@@ -467,9 +467,9 @@ mod tests {
             attempts: rec.attempts,
         };
         let pinned = "050000000000000058000000000000005b0a20202020546f74616c576f726b203d20313830303b0a202020204f776e6572203d20226a616e65223b0a20202020526571756972656d656e7473203d205441524745542e41726368203d3d2022494e54454c223b0a5d0400000040ed960400000000030000000900000002000000";
-        assert_eq!(hex(&to_bytes(&owned).unwrap()), pinned);
-        assert_eq!(hex(&to_bytes(&rec.disk_view(JobId(5))).unwrap()), pinned);
-        let back = from_bytes::<JobRecDisk>(&to_bytes(&owned).unwrap()).unwrap();
+        assert_eq!(hex(&to_bytes(&owned)), pinned);
+        assert_eq!(hex(&to_bytes(&rec.disk_view(JobId(5)))), pinned);
+        let back = from_bytes::<JobRecDisk>(&to_bytes(&owned)).unwrap();
         assert_eq!(
             (
                 back.id,

@@ -8,11 +8,10 @@
 
 use gridsim::time::{Duration, SimTime};
 use gsi::ProxyCredential;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A job's identity in the Condor-G queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridJobId(pub u64);
 
 impl fmt::Display for GridJobId {
@@ -22,7 +21,7 @@ impl fmt::Display for GridJobId {
 }
 
 /// Which execution path a job takes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Universe {
     /// Direct GRAM submission to a remote site ("globus universe").
     Grid,
@@ -30,6 +29,8 @@ pub enum Universe {
     /// semantics: remote I/O + checkpointing).
     Pool,
 }
+
+gridsim::codec! { enum Universe { 0 => Grid, 1 => Pool } }
 
 /// A user job description.
 ///
@@ -44,7 +45,7 @@ pub enum Universe {
 /// assert_eq!(job.universe, Universe::Grid);
 /// assert_eq!(job.stdout_size, 1_000_000);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GridJobSpec {
     /// Human-readable name (appears in logs and emails).
     pub name: String,
@@ -73,6 +74,24 @@ pub struct GridJobSpec {
     pub io_bytes: u64,
     /// Architecture the executable is built for (`None` = portable).
     pub required_arch: Option<String>,
+}
+
+gridsim::codec! {
+    struct GridJobSpec {
+        name,
+        executable,
+        arguments,
+        universe,
+        runtime,
+        count,
+        stdout_size,
+        wall_minutes,
+        requirements,
+        rank,
+        io_interval_secs,
+        io_bytes,
+        required_arch,
+    }
 }
 
 impl GridJobSpec {
@@ -154,7 +173,7 @@ impl GridJobSpec {
 }
 
 /// Job status as reported to the user.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum JobStatus {
     /// In the queue, not yet sent anywhere.
     Unsubmitted,
@@ -172,6 +191,19 @@ pub enum JobStatus {
     Failed(String),
     /// Cancelled by the user.
     Removed,
+}
+
+gridsim::codec! {
+    enum JobStatus {
+        0 => Unsubmitted,
+        1 => Pending,
+        2 => Staging,
+        3 => Active,
+        4 => Held(reason),
+        5 => Done,
+        6 => Failed(reason),
+        7 => Removed,
+    }
 }
 
 impl JobStatus {
@@ -287,12 +319,23 @@ mod tests {
             JobStatus::Failed("wrong arch".into()),
             JobStatus::Removed,
         ];
-        let bytes = to_bytes(&statuses).unwrap();
+        let bytes = to_bytes(&statuses);
         assert_eq!(hex(&bytes), "080000000000000000000000010000000200000003000000040000000d0000000000000070726f7879206578706972656405000000060000000a0000000000000077726f6e67206172636807000000");
         assert_eq!(from_bytes::<Vec<JobStatus>>(&bytes).unwrap(), statuses);
         let universes = vec![Universe::Grid, Universe::Pool];
-        let bytes = to_bytes(&universes).unwrap();
+        let bytes = to_bytes(&universes);
         assert_eq!(hex(&bytes), "02000000000000000000000001000000");
         assert_eq!(from_bytes::<Vec<Universe>>(&bytes).unwrap(), universes);
+    }
+
+    #[test]
+    fn unknown_status_and_universe_indices_are_refused() {
+        use gridsim::codec::from_bytes;
+        for index in [8u32, u32::MAX] {
+            assert!(from_bytes::<JobStatus>(&index.to_le_bytes()).is_err());
+        }
+        for index in [2u32, u32::MAX] {
+            assert!(from_bytes::<Universe>(&index.to_le_bytes()).is_err());
+        }
     }
 }

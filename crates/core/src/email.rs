@@ -4,10 +4,9 @@
 
 use gridsim::prelude::*;
 use gridsim::AnyMsg;
-use serde::{Deserialize, Serialize};
 
 /// An e-mail message.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Email {
     /// Recipient (user name).
     pub to: String,

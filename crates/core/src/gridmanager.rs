@@ -29,7 +29,6 @@ use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::{MyProxyReply, MyProxyRequest, ProxyCredential};
 use mds::{attr_to_addr, GripQuery, GripReply};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -165,7 +164,7 @@ impl fmt::Debug for GmExiting {
 }
 
 /// Persisted per-job protocol state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct GmJobDisk {
     spec: GridJobSpec,
     attempts: u32,
@@ -176,6 +175,20 @@ struct GmJobDisk {
     stdout_path: String,
     excluded: Vec<String>,
     terminal: bool,
+}
+
+gridsim::codec! {
+    struct GmJobDisk {
+        spec,
+        attempts,
+        seq,
+        site,
+        gatekeeper,
+        contact,
+        stdout_path,
+        excluded,
+        terminal,
+    }
 }
 
 enum Phase {
@@ -288,18 +301,19 @@ impl GmJob {
     }
 
     /// The record `persist_job` writes for a live job: [`GmJobDisk`] field
-    /// for field, borrowed. The codec is positional and tuples carry no
-    /// framing, so the nesting (there is no 9-tuple impl) changes nothing.
-    fn disk_view(&self) -> impl Serialize + '_ {
+    /// for field, borrowed (the codec is positional and tuples carry no
+    /// framing, so the tuple's bytes are the struct's).
+    fn disk_view(&self) -> impl gridsim::codec::Encode + '_ {
         (
-            (&self.spec, self.attempts, self.seq, self.site.as_deref()),
-            (
-                self.gatekeeper,
-                self.contact.map(|c| c.0),
-                self.stdout_path.as_str(),
-                &self.excluded,
-                false,
-            ),
+            &self.spec,
+            self.attempts,
+            self.seq,
+            self.site.as_deref(),
+            self.gatekeeper,
+            self.contact.map(|c| c.0),
+            self.stdout_path.as_str(),
+            &self.excluded,
+            false,
         )
     }
 }
@@ -1721,8 +1735,8 @@ mod tests {
             };
             assert_eq!(to_bytes(&j.disk_view()), to_bytes(&owned));
             let mut scratch = vec![0xAA; 5];
-            encode_into(&mut scratch, &j.disk_view()).unwrap();
-            assert_eq!(scratch[5..], to_bytes(&owned).unwrap()[..]);
+            encode_into(&mut scratch, &j.disk_view());
+            assert_eq!(scratch[5..], to_bytes(&owned)[..]);
         }
     }
 
@@ -1759,10 +1773,10 @@ mod tests {
             terminal: false,
         };
         let pinned = "030000000000000061707012000000000000002f686f6d652f6a616e652f6170702e657865020000000000000008000000000000002d2d6576656e747303000000000000003530300000000000d2496b000000000100000000100000000000000000000000000000000000000002000000012900000000000000010400000000000000656173740102000000050000000101000000efbe000011000000000000002f636f6e646f725f672f6f75742f676a37020000000000000004000000000000007765737405000000000000006e6f72746800";
-        assert_eq!(hex(&to_bytes(&owned).unwrap()), pinned);
-        assert_eq!(hex(&to_bytes(&j.disk_view()).unwrap()), pinned);
-        let back = from_bytes::<GmJobDisk>(&to_bytes(&owned).unwrap()).unwrap();
-        assert_eq!(to_bytes(&back).unwrap(), to_bytes(&owned).unwrap());
+        assert_eq!(hex(&to_bytes(&owned)), pinned);
+        assert_eq!(hex(&to_bytes(&j.disk_view())), pinned);
+        let back = from_bytes::<GmJobDisk>(&to_bytes(&owned)).unwrap();
+        assert_eq!(to_bytes(&back), to_bytes(&owned));
     }
 
     proptest! {
@@ -1778,7 +1792,7 @@ mod tests {
             let mut j = GmJob::new(GridJobId(7), spec);
             j.site = Some("east".into());
             j.excluded = vec!["west".into()];
-            let mut bytes = to_bytes(&j.disk_view()).unwrap();
+            let mut bytes = to_bytes(&j.disk_view());
             prop_assert!(from_bytes::<GmJobDisk>(&bytes).is_ok());
             for (at, mask) in flips {
                 let n = bytes.len();

@@ -17,7 +17,6 @@ use gridsim::prelude::*;
 use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::ProxyCredential;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Static configuration of a Scheduler.
@@ -67,13 +66,15 @@ pub enum Outcome {
     Removed,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct JobRec {
     spec: GridJobSpec,
     status: JobStatus,
     submitted_at: SimTime,
     seen_active: bool,
 }
+
+gridsim::codec! { struct JobRec { spec, status, submitted_at, seen_active } }
 
 /// The Scheduler component.
 pub struct Scheduler {
@@ -598,11 +599,11 @@ mod tests {
             seen_active: true,
         };
         let pinned = "0700000000000000030000000000000061707012000000000000002f686f6d652f6a616e652f6170702e657865020000000000000008000000000000002d2d6576656e747303000000000000003530300000000000d2496b00000000010000000010000000000000012d00000000000000010c000000000000004672656543707573203e20300108000000000000004672656543707573010000000000404e400002000000000000010500000000000000494e54454c040000000d0000000000000070726f78792065787069726564110000000000000001";
-        let bytes = to_bytes(&(7u64, &rec)).unwrap();
+        let bytes = to_bytes(&(7u64, &rec));
         assert_eq!(hex(&bytes), pinned);
         let (id, back) = from_bytes::<(u64, JobRec)>(&bytes).unwrap();
         assert_eq!((id, &back.spec, &back.status), (7, &rec.spec, &rec.status));
-        assert_eq!(to_bytes(&(id, &back)).unwrap(), bytes);
+        assert_eq!(to_bytes(&(id, &back)), bytes);
     }
 
     proptest! {
@@ -622,9 +623,9 @@ mod tests {
                 submitted_at: SimTime(17),
                 seen_active: false,
             };
-            let mut bytes = to_bytes(&(7u64, &rec)).unwrap();
+            let mut bytes = to_bytes(&(7u64, &rec));
             let mut scratch = noise.clone();
-            encode_into(&mut scratch, &(7u64, &rec)).unwrap();
+            encode_into(&mut scratch, &(7u64, &rec));
             prop_assert_eq!(&scratch[noise.len()..], &bytes[..]);
             prop_assert_eq!(from_bytes::<(u64, JobRec)>(&bytes).unwrap().1.spec, rec.spec);
             for (at, mask) in flips {

@@ -2,7 +2,6 @@
 
 use bytes::Bytes;
 use gridsim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// File contents: real bytes for small files, size+checksum for bulk data.
@@ -22,7 +21,7 @@ pub enum FileData {
 
 /// Serializable form of [`FileData`] for stable storage (real GASS files
 /// live on disk and survive machine restarts).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FileDisk {
     /// Real bytes.
     Inline(Vec<u8>),
@@ -34,6 +33,8 @@ pub enum FileDisk {
         checksum: u64,
     },
 }
+
+gridsim::codec! { enum FileDisk { 0 => Inline(bytes), 1 => Bulk { len, checksum } } }
 
 impl FileData {
     /// Convert to the stable-storage form.
@@ -306,9 +307,19 @@ mod tests {
             (inline, "000000000400000000000000454c467f"),
             (bulk, "0100000040420f0000000000030080841e000000"),
         ] {
-            let bytes = to_bytes(&disk).unwrap();
+            let bytes = to_bytes(&disk);
             assert_eq!(hex(&bytes), pinned);
             assert_eq!(from_bytes::<FileDisk>(&bytes).unwrap(), disk);
+        }
+    }
+
+    #[test]
+    fn unknown_file_disk_indices_are_refused() {
+        use gridsim::codec::from_bytes;
+        for index in [2u32, u32::MAX] {
+            let mut bytes = index.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 16]);
+            assert!(from_bytes::<FileDisk>(&bytes).is_err());
         }
     }
 

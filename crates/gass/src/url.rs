@@ -7,12 +7,11 @@
 //! messages and can be compared and re-resolved.
 
 use gridsim::{Addr, CompId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Transfer scheme.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// GASS (control-channel staging and streaming).
     Gass,
@@ -33,7 +32,7 @@ impl Scheme {
 }
 
 /// A URL addressing a file served by a GASS/GridFTP server component.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GassUrl {
     /// The scheme.
     pub scheme: Scheme,

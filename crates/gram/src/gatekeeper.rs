@@ -405,7 +405,7 @@ mod tests {
     fn dedup_record_bytes_are_pinned() {
         let pinned =
             "0f000000000000002f4f3d477269642f434e3d6a616e65040000000000000009000000efbe0000";
-        let bytes = to_bytes(&("/O=Grid/CN=jane", 4u64, 0xbeef_0000_0009u64)).unwrap();
+        let bytes = to_bytes(&("/O=Grid/CN=jane", 4u64, 0xbeef_0000_0009u64));
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, pinned);
         let back: DedupRecord = from_bytes(&bytes).unwrap();

@@ -13,13 +13,12 @@ use gass::{FileData, GassReply, GassRequest, GassUrl};
 use gridsim::prelude::*;
 use gridsim::AnyMsg;
 use gsi::ProxyCredential;
-use serde::{Deserialize, Serialize};
 use site::{JobSpec, LrmEvent, LrmJobState, LrmReply, LrmRequest};
 use std::rc::Rc;
 
 /// What the JobManager persists (and what a restarted JobManager resumes
 /// from).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct JmLog {
     /// The job.
     pub contact: JobContact,
@@ -35,6 +34,10 @@ pub struct JmLog {
     pub stdout_sent: u64,
     /// Exit status once Done.
     pub exit_ok: bool,
+}
+
+gridsim::codec! {
+    struct JmLog { contact, rsl, local_user, local_id, state, stdout_sent, exit_ok }
 }
 
 impl JmLog {
@@ -228,7 +231,7 @@ impl JobManager {
     /// The [`JmLog`] this JobManager would write now, field for field,
     /// borrowing its strings (the codec is positional, so the tuple's
     /// bytes are the struct's).
-    fn log_view(&self) -> impl Serialize + '_ {
+    fn log_view(&self) -> impl gridsim::codec::Encode + '_ {
         (
             self.contact,
             self.rsl_text.as_str(),
@@ -790,10 +793,10 @@ mod tests {
             exit_ok: true,
         };
         let pinned = "07000000efbe00007d00000000000000262865786563757461626c653d676173733a2f2f6e332e63392f686f6d652f6a616e652f6170702e6578652928636f756e743d3429287374646f75743d676173733a2f2f6e332e63392f636f6e646f725f672f6f75742f676a37292873696d72756e74696d653d3138303029287374646f757473697a653d343039362904000000000000006a616e65010c0000000000000004000000110000000000000001";
-        assert_eq!(hex(&to_bytes(&owned).unwrap()), pinned);
-        assert_eq!(hex(&to_bytes(&jm.log_view()).unwrap()), pinned);
-        let back = from_bytes::<JmLog>(&to_bytes(&owned).unwrap()).unwrap();
-        assert_eq!(to_bytes(&back).unwrap(), to_bytes(&owned).unwrap());
+        assert_eq!(hex(&to_bytes(&owned)), pinned);
+        assert_eq!(hex(&to_bytes(&jm.log_view())), pinned);
+        let back = from_bytes::<JmLog>(&to_bytes(&owned)).unwrap();
+        assert_eq!(to_bytes(&back), to_bytes(&owned));
     }
 
     proptest! {
@@ -819,12 +822,12 @@ mod tests {
                 exit_ok: false,
             };
             // The gatekeeper writes its record from a borrowed DN.
-            let entry = to_bytes(&(dn.as_str(), 4u64, 9u64)).unwrap();
-            prop_assert_eq!(&entry, &to_bytes(&(dn.clone(), 4u64, 9u64)).unwrap());
+            let entry = to_bytes(&(dn.as_str(), 4u64, 9u64));
+            prop_assert_eq!(&entry, &to_bytes(&(dn.clone(), 4u64, 9u64)));
             let mut scratch = noise.clone();
-            encode_into(&mut scratch, &log).unwrap();
-            prop_assert_eq!(&scratch[noise.len()..], &to_bytes(&log).unwrap()[..]);
-            for mut bytes in [to_bytes(&log).unwrap(), entry] {
+            encode_into(&mut scratch, &log);
+            prop_assert_eq!(&scratch[noise.len()..], &to_bytes(&log)[..]);
+            for mut bytes in [to_bytes(&log), entry] {
                 for &(at, mask) in &flips {
                     let n = bytes.len();
                     bytes[at % n] ^= mask;

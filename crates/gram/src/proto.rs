@@ -4,13 +4,14 @@ use gass::GassUrl;
 use gridsim::time::SimTime;
 use gridsim::Addr;
 use gsi::ProxyCredential;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A job contact: the id by which a submitted job is known at one
 /// gatekeeper (the analogue of GRAM's `https://host:port/pid/ts` string).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobContact(pub u64);
+
+gridsim::codec! { struct JobContact { 0 } }
 
 impl fmt::Display for JobContact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -20,7 +21,7 @@ impl fmt::Display for JobContact {
 
 /// GRAM-level job states, as reported by callbacks (the paper-era GRAM
 /// state machine plus the revised protocol's commit phase).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GramJobState {
     /// Accepted, waiting for the client's commit (two-phase).
     PendingCommit,
@@ -40,6 +41,19 @@ pub enum GramJobState {
     Removed,
 }
 
+gridsim::codec! {
+    enum GramJobState {
+        0 => PendingCommit,
+        1 => StageIn,
+        2 => Pending,
+        3 => Active,
+        4 => StageOut,
+        5 => Done,
+        6 => Failed,
+        7 => Removed,
+    }
+}
+
 impl GramJobState {
     /// True for states a job never leaves.
     pub fn is_terminal(self) -> bool {
@@ -51,7 +65,7 @@ impl GramJobState {
 }
 
 /// Failure detail carried by replies/callbacks.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum GramError {
     /// Credential rejected.
     AuthenticationFailed(String),
@@ -248,12 +262,19 @@ mod tests {
             Failed,
             Removed,
         ];
-        let bytes = to_bytes(&states.to_vec()).unwrap();
+        let bytes = to_bytes(&states.to_vec());
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
             "08000000000000000000000001000000020000000300000004000000050000000600000007000000"
         );
         assert_eq!(from_bytes::<Vec<GramJobState>>(&bytes).unwrap(), states);
+    }
+
+    #[test]
+    fn unknown_gram_state_indices_are_refused() {
+        for index in [8u32, u32::MAX] {
+            assert!(from_bytes::<GramJobState>(&index.to_le_bytes()).is_err());
+        }
     }
 }

@@ -1,15 +1,19 @@
-//! A compact binary serde codec for stable storage.
+//! A compact positional binary codec for stable storage.
 //!
 //! The simulated "disk" ([`crate::store::StableStore`]) holds byte strings,
 //! so crash-recovery genuinely round-trips component state through a
 //! serialized form rather than cheating with in-memory clones. The format is
 //! bincode-like: fixed-width little-endian integers, `u64` length prefixes
-//! for sequences/strings, a one-byte tag for `Option`, and a `u32` variant
-//! index for enums. It is positional (not self-describing), which is fine
-//! because readers always know the schema.
+//! for sequences/strings/maps, a one-byte tag for `Option`, a `u32` variant
+//! index for enums, and struct fields and tuple elements back to back. It is
+//! positional (not self-describing), which is fine because readers always
+//! know the schema.
+//!
+//! A type is stored by implementing [`Encode`] and [`Decode`]; records do
+//! it with [`codec!`](crate::codec!), which lists a struct's fields in their
+//! on-disk order or an enum's variants with their on-disk index.
 
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors produced by the codec.
@@ -24,30 +28,30 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl ser::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
+/// A value with a stored form. Encoding cannot fail.
+pub trait Encode {
+    /// Append this value's bytes to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
 }
 
-impl de::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
+/// A value that can be read back from its stored form.
+pub trait Decode: Sized {
+    /// Read one value from `r`, or refuse the input.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 }
 
-/// Serialize `value` into bytes.
-pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
+/// Encode `value` into a fresh buffer.
+pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_into(&mut out, value)?;
-    Ok(out)
+    value.encode(&mut out);
+    out
 }
 
 /// Append the encoding of `value` to `out` — the bytes [`to_bytes`] returns,
 /// written into a buffer the caller owns (and can reuse, so a steady stream
 /// of encodes stops growing a fresh `Vec` each time).
-pub fn encode_into<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<(), CodecError> {
-    value.serialize(&mut Encoder { out })
+pub fn encode_into<T: Encode + ?Sized>(out: &mut Vec<u8>, value: &T) {
+    value.encode(out)
 }
 
 /// Append one element to an encoded sequence in place: `seq` holds the
@@ -55,264 +59,47 @@ pub fn encode_into<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Resul
 /// ends up holding the bytes [`to_bytes`] gives for that vector with
 /// `element` pushed — the leading `u64` count goes up by one and the
 /// element's encoding follows the rest.
-pub fn push_seq_element<T: Serialize>(seq: &mut Vec<u8>, element: &T) -> Result<(), CodecError> {
-    let count = match seq.first_chunk::<8>() {
-        Some(count) => u64::from_le_bytes(*count),
-        None if seq.is_empty() => {
-            seq.extend_from_slice(&0u64.to_le_bytes());
-            0
-        }
-        None => return Err(CodecError("sequence shorter than its count".into())),
-    };
+///
+/// Panics if a non-empty `seq` is shorter than its count: what a key holds
+/// is the caller's schema, not input.
+pub fn push_seq_element<T: Encode + ?Sized>(seq: &mut Vec<u8>, element: &T) {
+    if seq.is_empty() {
+        seq.extend_from_slice(&0u64.to_le_bytes());
+    }
+    let count = seq
+        .first_chunk::<8>()
+        .expect("sequence shorter than its count");
+    let count = u64::from_le_bytes(*count);
     seq[..8].copy_from_slice(&(count + 1).to_le_bytes());
-    encode_into(seq, element)
+    element.encode(seq)
 }
 
-/// Deserialize a `T` from bytes produced by [`to_bytes`].
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut de = Decoder {
+/// Decode a `T` from bytes produced by [`to_bytes`]; the whole input must
+/// be that one value.
+pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
+    let mut r = Reader {
         input: bytes,
         pos: 0,
     };
-    let value = T::deserialize(&mut de)?;
-    if de.pos != bytes.len() {
+    let value = T::decode(&mut r)?;
+    if r.pos != bytes.len() {
         return Err(CodecError(format!(
             "{} trailing bytes after value",
-            bytes.len() - de.pos
+            bytes.len() - r.pos
         )));
     }
     Ok(value)
 }
 
-struct Encoder<'a> {
-    out: &'a mut Vec<u8>,
-}
-
-impl Encoder<'_> {
-    fn put_len(&mut self, n: usize) {
-        self.out.extend_from_slice(&(n as u64).to_le_bytes());
-    }
-}
-
-impl ser::Serializer for &mut Encoder<'_> {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.push(v as u8);
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), CodecError> {
-        self.out.push(v);
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.serialize_u32(v as u32)
-    }
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v.as_bytes());
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.push(0);
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        self.out.push(1);
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), CodecError> {
-        self.serialize_u32(variant_index)
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.serialize_u32(variant_index)?;
-        value.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError("seq without length".into()))?;
-        self.put_len(len);
-        Ok(self)
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.serialize_u32(variant_index)?;
-        Ok(self)
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError("map without length".into()))?;
-        self.put_len(len);
-        Ok(self)
-    }
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.serialize_u32(variant_index)?;
-        Ok(self)
-    }
-}
-
-macro_rules! forward_compound {
-    ($trait:ident, $method:ident) => {
-        impl ser::$trait for &mut Encoder<'_> {
-            type Ok = ();
-            type Error = CodecError;
-            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-                value.serialize(&mut **self)
-            }
-            fn end(self) -> Result<(), CodecError> {
-                Ok(())
-            }
-        }
-    };
-}
-
-forward_compound!(SerializeSeq, serialize_element);
-forward_compound!(SerializeTuple, serialize_element);
-forward_compound!(SerializeTupleStruct, serialize_field);
-forward_compound!(SerializeTupleVariant, serialize_field);
-
-impl ser::SerializeMap for &mut Encoder<'_> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
-        key.serialize(&mut **self)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStruct for &mut Encoder<'_> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for &mut Encoder<'_> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-struct Decoder<'de> {
-    input: &'de [u8],
+/// A cursor over untrusted input: every read is checked against what is
+/// left, so a decode answers `Ok` or `Err` and never panics.
+pub struct Reader<'a> {
+    input: &'a [u8],
     pos: usize,
 }
 
-impl<'de> Decoder<'de> {
-    fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         // `n` may be any u64 read from hostile input: compare against what
         // is left, never add to `pos`.
         if n > self.input.len() - self.pos {
@@ -326,283 +113,281 @@ impl<'de> Decoder<'de> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().unwrap())
+    }
+
     /// A claimed element count, cut down to what the input could still
-    /// hold, so a visitor that preallocates from `size_hint` never reserves
-    /// more than the input's own size for a count the input made up.
+    /// hold, so a decode that preallocates from it never reserves more than
+    /// the input's own size for a count the input made up.
     fn bounded(&self, count: usize) -> usize {
         count.min(self.input.len() - self.pos)
     }
 
     fn take_len(&mut self) -> Result<usize, CodecError> {
-        let b = self.take(8)?;
-        let n = u64::from_le_bytes(b.try_into().unwrap());
+        let n = u64::from_le_bytes(self.array()?);
         usize::try_from(n).map_err(|_| CodecError("length overflow".into()))
     }
-
-    fn take_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
 }
 
-macro_rules! de_num {
-    ($method:ident, $visit:ident, $ty:ty, $n:expr) => {
-        fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-            let b = self.take($n)?;
-            visitor.$visit(<$ty>::from_le_bytes(b.try_into().unwrap()))
+macro_rules! numbers {
+    ($($t:ty),*) => {$(
+        impl Encode for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
         }
-    };
+        impl Decode for $t {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
 }
 
-impl<'de> de::Deserializer<'de> for &mut Decoder<'de> {
-    type Error = CodecError;
+numbers!(u8, u16, u32, u64, i8, i16, i32, i64, f64);
 
-    fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError("format is not self-describing".into()))
+impl Encode for bool {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
+}
 
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
+impl Decode for bool {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.take(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
             b => Err(CodecError(format!("invalid bool byte {b}"))),
         }
     }
+}
 
-    de_num!(deserialize_i8, visit_i8, i8, 1);
-    de_num!(deserialize_i16, visit_i16, i16, 2);
-    de_num!(deserialize_i32, visit_i32, i32, 4);
-    de_num!(deserialize_i64, visit_i64, i64, 8);
-    de_num!(deserialize_u16, visit_u16, u16, 2);
-    de_num!(deserialize_u32, visit_u32, u32, 4);
-    de_num!(deserialize_u64, visit_u64, u64, 8);
-    de_num!(deserialize_f32, visit_f32, f32, 4);
-    de_num!(deserialize_f64, visit_f64, f64, 8);
-
-    fn deserialize_u8<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        visitor.visit_u8(self.take(1)?[0])
+impl Encode for char {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u32).encode(out)
     }
+}
 
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let v = self.take_u32()?;
-        let c = char::from_u32(v).ok_or_else(|| CodecError(format!("invalid char {v}")))?;
-        visitor.visit_char(c)
+impl Decode for char {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let v = u32::decode(r)?;
+        char::from_u32(v).ok_or_else(|| CodecError(format!("invalid char {v}")))
     }
+}
 
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        let bytes = self.take(n)?;
-        let s = std::str::from_utf8(bytes).map_err(|e| CodecError(e.to_string()))?;
-        visitor.visit_borrowed_str(s)
+impl Encode for () {
+    fn encode(&self, _out: &mut Vec<u8>) {}
+}
+
+impl Decode for () {
+    fn decode(_r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(())
     }
+}
 
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_str(visitor)
+impl Encode for str {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        out.extend_from_slice(self.as_bytes());
     }
+}
 
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        visitor.visit_borrowed_bytes(self.take(n)?)
+impl Encode for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_str().encode(out)
     }
+}
 
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_bytes(visitor)
+impl Decode for String {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.take_len()?;
+        let s = std::str::from_utf8(r.take(n)?).map_err(|e| CodecError(e.to_string()))?;
+        Ok(s.to_owned())
     }
+}
 
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        for item in self {
+            item.encode(out);
+        }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out)
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.take_len()?;
+        let mut v = Vec::with_capacity(r.bounded(n).min(4096));
+        for _ in 0..n {
+            v.push(T::decode(r)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.encode(out);
+            }
+        }
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.take(1)?[0] {
+            0 => Ok(None),
+            1 => T::decode(r).map(Some),
             b => Err(CodecError(format!("invalid option tag {b}"))),
         }
     }
+}
 
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
-    }
-
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.take_len()?;
-        visitor.visit_seq(Counted {
-            de: self,
-            remaining: len,
-        })
-    }
-
-    fn deserialize_tuple<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(Counted {
-            de: self,
-            remaining: len,
-        })
-    }
-
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(len, visitor)
-    }
-
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.take_len()?;
-        visitor.visit_map(Counted {
-            de: self,
-            remaining: len,
-        })
-    }
-
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(fields.len(), visitor)
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_enum(EnumAccess { de: self })
-    }
-
-    fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError("identifiers are not encoded".into()))
-    }
-
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError(
-            "cannot skip values in a positional format".into(),
-        ))
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out)
     }
 }
 
-struct Counted<'a, 'de> {
-    de: &'a mut Decoder<'de>,
-    remaining: usize,
-}
-
-impl<'a, 'de> de::SeqAccess<'de> for Counted<'a, 'de> {
-    type Error = CodecError;
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        for (k, v) in self {
+            k.encode(out);
+            v.encode(out);
         }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.de.bounded(self.remaining))
     }
 }
 
-impl<'a, 'de> de::MapAccess<'de> for Counted<'a, 'de> {
-    type Error = CodecError;
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: K,
-    ) -> Result<Option<K::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.take_len()?;
+        let mut map = BTreeMap::new();
+        for _ in 0..n {
+            let k = K::decode(r)?;
+            map.insert(k, V::decode(r)?);
         }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: V,
-    ) -> Result<V::Value, CodecError> {
-        seed.deserialize(&mut *self.de)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.de.bounded(self.remaining))
+        Ok(map)
     }
 }
 
-struct EnumAccess<'a, 'de> {
-    de: &'a mut Decoder<'de>,
+/// Tuples: their elements back to back, no framing.
+macro_rules! tuples {
+    () => {};
+    ($head:ident $($tail:ident)*) => {
+        impl<$head: Encode, $($tail: Encode),*> Encode for ($head, $($tail,)*) {
+            #[allow(non_snake_case)]
+            fn encode(&self, out: &mut Vec<u8>) {
+                let ($head, $($tail,)*) = self;
+                $head.encode(out);
+                $($tail.encode(out);)*
+            }
+        }
+        impl<$head: Decode, $($tail: Decode),*> Decode for ($head, $($tail,)*) {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(($head::decode(r)?, $($tail::decode(r)?,)*))
+            }
+        }
+        tuples!($($tail)*);
+    };
 }
 
-impl<'a, 'de> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
-    type Error = CodecError;
-    type Variant = Self;
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self), CodecError> {
-        let idx = self.de.take_u32()?;
-        let val = seed.deserialize(IntoDeserializer::<CodecError>::into_deserializer(idx))?;
-        Ok((val, self))
-    }
-}
+tuples!(A B C D E F G H I);
 
-impl<'a, 'de> de::VariantAccess<'de> for EnumAccess<'a, 'de> {
-    type Error = CodecError;
-    fn unit_variant(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
-        self,
-        seed: T,
-    ) -> Result<T::Value, CodecError> {
-        seed.deserialize(self.de)
-    }
-    fn tuple_variant<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.de, len, visitor)
-    }
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.de, fields.len(), visitor)
-    }
+/// Writes [`Encode`] and [`Decode`] for a struct, given its fields in
+/// on-disk order (`0` for a newtype's field), or for an enum, given every
+/// variant with its on-disk `u32` index and names for its fields:
+///
+/// ```
+/// # use gridsim::codec::{from_bytes, to_bytes};
+/// #[derive(Debug, PartialEq)]
+/// enum State { Idle, Held(String), Running { on: String, cpus: u32 } }
+/// #[derive(Debug, PartialEq)]
+/// struct Rec { id: u64, state: State }
+/// gridsim::codec! { enum State { 0 => Idle, 1 => Held(reason), 2 => Running { on, cpus } } }
+/// gridsim::codec! { struct Rec { id, state } }
+///
+/// let rec = Rec { id: 7, state: State::Held("proxy expired".into()) };
+/// assert_eq!(from_bytes::<Rec>(&to_bytes(&rec)), Ok(rec));
+/// ```
+///
+/// Decode builds a struct literal, so a field left out of the list fails to
+/// compile; the listed index *is* the stored layout, so reordering an
+/// enum's definition changes nothing on disk, and an index no variant
+/// claims decodes to an error.
+#[macro_export]
+macro_rules! codec {
+    (struct $name:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::codec::Encode for $name {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                $($crate::codec::Encode::encode(&self.$field, out);)*
+            }
+        }
+        impl $crate::codec::Decode for $name {
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                ::std::result::Result::Ok($name { $($field: $crate::codec::Decode::decode(r)?),* })
+            }
+        }
+    };
+    (enum $name:ident {
+        $($index:literal => $variant:ident $(($($item:ident),*))? $({ $($field:ident),* })?),* $(,)?
+    }) => {
+        impl $crate::codec::Encode for $name {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $($name::$variant $(($($item),*))? $({ $($field),* })? => {
+                        <u32 as $crate::codec::Encode>::encode(&$index, out);
+                        $($($crate::codec::Encode::encode($item, out);)*)?
+                        $($($crate::codec::Encode::encode($field, out);)*)?
+                    })*
+                }
+            }
+        }
+        impl $crate::codec::Decode for $name {
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                match <u32 as $crate::codec::Decode>::decode(r)? {
+                    $($index => {
+                        $(let ($($item,)*) = $crate::codec::Decode::decode(r)?;)?
+                        $(let ($($field,)*) = $crate::codec::Decode::decode(r)?;)?
+                        ::std::result::Result::Ok($name::$variant $(($($item),*))? $({ $($field),* })?)
+                    })*
+                    index => ::std::result::Result::Err($crate::codec::CodecError(::std::format!(
+                        "no variant {index} in {}",
+                        ::std::stringify!($name)
+                    ))),
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
 
-    fn round_trip<T: Serialize + DeserializeOwned + PartialEq + fmt::Debug>(v: T) {
-        let bytes = to_bytes(&v).unwrap();
+    fn round_trip<T: Encode + Decode + PartialEq + fmt::Debug>(v: T) {
+        let bytes = to_bytes(&v);
         let back: T = from_bytes(&bytes).unwrap();
         assert_eq!(back, v);
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq)]
     enum JobState {
         Idle,
         Running { on: String, cpus: u32 },
@@ -610,7 +395,11 @@ mod tests {
         Done(i32, bool),
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    crate::codec! {
+        enum JobState { 0 => Idle, 1 => Running { on, cpus }, 2 => Held(reason), 3 => Done(code, ok) }
+    }
+
+    #[derive(Debug, PartialEq)]
     struct Stored {
         id: u64,
         state: JobState,
@@ -619,6 +408,8 @@ mod tests {
         env: BTreeMap<String, String>,
         ratio: f64,
     }
+
+    crate::codec! { struct Stored { id, state, attempts, note, env, ratio } }
 
     #[test]
     fn primitives() {
@@ -673,14 +464,14 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = to_bytes(&7u32).unwrap();
+        let mut bytes = to_bytes(&7u32);
         bytes.push(0);
         assert!(from_bytes::<u32>(&bytes).is_err());
     }
 
     #[test]
     fn truncated_input_rejected() {
-        let bytes = to_bytes(&String::from("hello")).unwrap();
+        let bytes = to_bytes(&String::from("hello"));
         assert!(from_bytes::<String>(&bytes[..bytes.len() - 1]).is_err());
     }
 

@@ -13,16 +13,15 @@ use crate::rng::SimRng;
 use crate::store::StableStore;
 use crate::time::{Duration, SimTime};
 use crate::trace::TraceSink;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
 
 /// Identifies a node (a machine) in the simulated grid.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifies a component instance within the world.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CompId(pub u32);
 
 /// A component's full address: the node it runs on plus its instance id.
@@ -31,13 +30,17 @@ pub struct CompId(pub u32);
 /// through the network model between the two nodes. A component that has
 /// been killed or whose node has crashed silently drops deliveries, exactly
 /// like a dead TCP endpoint.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr {
     /// Node hosting the component.
     pub node: NodeId,
     /// Component instance.
     pub comp: CompId,
 }
+
+crate::codec! { struct NodeId { 0 } }
+crate::codec! { struct CompId { 0 } }
+crate::codec! { struct Addr { node, comp } }
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

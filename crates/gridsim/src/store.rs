@@ -6,15 +6,14 @@
 //! store: it survives node crashes (a crash wipes component memory, not the
 //! store), and components re-read it from their boot hooks on restart.
 //!
-//! Values are byte strings; components serialize their state with the
+//! Values are byte strings; components encode their state with the
 //! [`crate::codec`] binary codec. A stored value's bytes are a function of
 //! the value alone — not of whether it was `put` whole, `append`ed to, or
 //! encoded from borrowed fields — so readers never care how a writer got
 //! there.
 
+use crate::codec::{Decode, Encode};
 use crate::component::NodeId;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 use std::ops::Bound;
@@ -76,11 +75,11 @@ impl StableStore {
         self.node(node)?.get(key).map(Vec::as_slice)
     }
 
-    /// Serialize `value` with the binary codec and store it.
-    pub fn put<T: Serialize + ?Sized>(&mut self, node: NodeId, key: &str, value: &T) {
+    /// Encode `value` with the binary codec and store it.
+    pub fn put<T: Encode + ?Sized>(&mut self, node: NodeId, key: &str, value: &T) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        crate::codec::encode_into(&mut scratch, value).expect("stable store serialize");
+        value.encode(&mut scratch);
         self.put_bytes(node, key, &scratch);
         self.scratch = scratch;
     }
@@ -88,27 +87,24 @@ impl StableStore {
     /// Add `element` to the `Vec<T>` stored under `(node, key)` (an absent
     /// key is an empty vector), leaving the bytes `put` of the whole vector
     /// would — at the cost of encoding one element, not all of them.
-    pub fn append<T: Serialize>(&mut self, node: NodeId, key: &str, element: &T) {
+    pub fn append<T: Encode + ?Sized>(&mut self, node: NodeId, key: &str, element: &T) {
         self.writes += 1;
         let map = self.node_mut(node);
-        let push = |seq: &mut Vec<u8>| {
-            crate::codec::push_seq_element(seq, element).expect("stable store serialize")
-        };
         match map.get_mut(key) {
-            Some(seq) => push(seq),
+            Some(seq) => crate::codec::push_seq_element(seq, element),
             None => {
                 let mut seq = Vec::new();
-                push(&mut seq);
+                crate::codec::push_seq_element(&mut seq, element);
                 map.insert(key.to_string(), seq);
             }
         }
     }
 
-    /// Load and deserialize a value; `None` if the key is absent.
+    /// Load and decode a value; `None` if the key is absent.
     ///
     /// Panics if the stored bytes do not decode as `T` — a schema mismatch
     /// is a programming error, not a runtime condition.
-    pub fn get<T: DeserializeOwned>(&self, node: NodeId, key: &str) -> Option<T> {
+    pub fn get<T: Decode>(&self, node: NodeId, key: &str) -> Option<T> {
         self.get_bytes(node, key)
             .map(|b| crate::codec::from_bytes(b).expect("stable store deserialize"))
     }
@@ -176,13 +172,14 @@ impl KeyBuf {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use serde::{Deserialize, Serialize};
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq)]
     struct QueueState {
         jobs: Vec<u64>,
         epoch: u32,
     }
+
+    crate::codec! { struct QueueState { jobs, epoch } }
 
     #[test]
     fn typed_round_trip() {

@@ -6,17 +6,19 @@
 //! waits measured in hours, campaigns measured in days) while `u64` gives
 //! ~584,000 years of range — far beyond any experiment.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An instant in virtual time (microseconds since simulation start).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of virtual time (microseconds).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
+
+crate::codec! { struct SimTime { 0 } }
+crate::codec! { struct Duration { 0 } }
 
 impl SimTime {
     /// The origin of simulation time.

@@ -2,9 +2,8 @@
 //! `Err` — it never panics, and never reserves memory out of proportion to
 //! the input because the input claimed a large count.
 
-use gridsim::codec::{encode_into, from_bytes, to_bytes};
+use gridsim::codec::{encode_into, from_bytes, to_bytes, Decode};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -46,16 +45,18 @@ static ALLOCATOR: Watching = Watching;
 /// The user-log chunk as `Scheduler::log_event` stores it.
 type LogChunk = Vec<(u64, u64, String)>;
 
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 enum State {
     Idle,
     Held(String),
     Running { on: String, cpus: u32 },
 }
 
+gridsim::codec! { enum State { 0 => Idle, 1 => Held(reason), 2 => Running { on, cpus } } }
+
 /// Every shape the stored records use: nested sequences, options, maps,
 /// enums with payloads.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 struct Record {
     id: u64,
     state: State,
@@ -64,6 +65,8 @@ struct Record {
     env: BTreeMap<String, String>,
     chunks: Vec<Vec<u8>>,
 }
+
+gridsim::codec! { struct Record { id, state, excluded, site, env, chunks } }
 
 fn record() -> Record {
     Record {
@@ -80,7 +83,7 @@ fn record() -> Record {
 }
 
 /// Decode `bytes` as `T`; the largest block asked for along the way.
-fn largest_request<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> usize {
+fn largest_request<T: Decode>(bytes: &[u8]) -> usize {
     LARGEST.with(|l| l.set(0));
     let _ = from_bytes::<T>(bytes);
     LARGEST.with(Cell::get)
@@ -110,18 +113,26 @@ proptest! {
         prop_assert!(in_proportion(largest_request::<LogChunk>(&noise), noise.len()));
         prop_assert!(in_proportion(largest_request::<Record>(&noise), noise.len()));
         prop_assert!(in_proportion(largest_request::<Vec<Record>>(&noise), noise.len()));
+        prop_assert!(in_proportion(largest_request::<State>(&noise), noise.len()));
     }
 
     #[test]
     fn damaged_records_decode_or_are_refused(
         flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
         cut in any::<usize>(),
+        index in prop_oneof![Just(3u32), Just(u32::MAX), 3u32..u32::MAX],
     ) {
-        let bytes = damaged(to_bytes(&record()).unwrap(), &flips, cut);
+        let bytes = damaged(to_bytes(&record()), &flips, cut);
         prop_assert!(in_proportion(largest_request::<Record>(&bytes), bytes.len()));
         let chunk: LogChunk = vec![(1, 2, "submitted (app)".into()), (3, 4, String::new())];
-        let bytes = damaged(to_bytes(&chunk).unwrap(), &flips, cut);
+        let bytes = damaged(to_bytes(&chunk), &flips, cut);
         prop_assert!(in_proportion(largest_request::<LogChunk>(&bytes), bytes.len()));
+        // `State` has three variants: any other index is a refusal, whatever
+        // follows it.
+        let mut bytes = to_bytes(&record().state);
+        bytes[..4].copy_from_slice(&index.to_le_bytes());
+        prop_assert!(from_bytes::<State>(&bytes).is_err());
+        prop_assert!(in_proportion(largest_request::<State>(&bytes), bytes.len()));
     }
 
     #[test]
@@ -140,15 +151,38 @@ proptest! {
         entries in proptest::collection::vec((any::<u64>(), any::<u64>(), "[ -~]{0,40}"), 0..20),
         already in proptest::collection::vec(any::<u8>(), 0..30),
     ) {
-        let whole = to_bytes(&entries).unwrap();
+        let whole = to_bytes(&entries);
         let mut scratch = already.clone();
-        encode_into(&mut scratch, &entries).unwrap();
+        encode_into(&mut scratch, &entries);
         prop_assert_eq!(&scratch[..already.len()], &already[..]);
         prop_assert_eq!(&scratch[already.len()..], &whole[..]);
         // Borrowed fields, as the job path encodes them: same bytes.
         let borrowed: Vec<(u64, u64, &str)> =
             entries.iter().map(|(t, j, m)| (*t, *j, m.as_str())).collect();
-        prop_assert_eq!(to_bytes(&borrowed).unwrap(), whole);
+        prop_assert_eq!(to_bytes(&borrowed), whole);
         prop_assert_eq!(from_bytes::<LogChunk>(&scratch[already.len()..]).unwrap(), entries);
+    }
+}
+
+/// What the macro writes refuses, never panics on, an enum index no variant
+/// claims and a struct cut short at any byte.
+#[test]
+fn unknown_variants_and_truncated_structs_are_refused() {
+    for index in [3, u32::MAX] {
+        assert!(from_bytes::<State>(&index.to_le_bytes()).is_err());
+        let mut bytes = to_bytes(&record());
+        bytes[8..12].copy_from_slice(&index.to_le_bytes());
+        assert!(from_bytes::<Record>(&bytes).is_err());
+    }
+    let whole = to_bytes(&record());
+    for cut in 0..whole.len() {
+        assert!(from_bytes::<Record>(&whole[..cut]).is_err());
+    }
+    for state in [State::Idle, State::Held("x".into()), record().state] {
+        let bytes = to_bytes(&state);
+        assert_eq!(from_bytes::<State>(&bytes), Ok(state));
+        for cut in 0..bytes.len() {
+            assert!(from_bytes::<State>(&bytes[..cut]).is_err());
+        }
     }
 }

@@ -8,10 +8,9 @@ use gridsim::rng::SimRng;
 use gridsim::time::{Duration, SimTime};
 use gridsim::{Addr, CompId, NodeId, TimerId};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum State {
     Idle,
     Running { site: String, cpus: u32 },
@@ -19,7 +18,11 @@ enum State {
     Done(i64, bool),
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+gridsim::codec! {
+    enum State { 0 => Idle, 1 => Running { site, cpus }, 2 => Held(reason), 3 => Done(code, ok) }
+}
+
+#[derive(Debug, Clone, PartialEq)]
 struct Stored {
     id: u64,
     state: State,
@@ -28,6 +31,8 @@ struct Stored {
     ratio: f64,
     blob: Vec<u8>,
 }
+
+gridsim::codec! { struct Stored { id, state, notes, env, ratio, blob } }
 
 /// One step of the calendar-vs-heap equivalence drive: schedule an event
 /// `delta` past the last popped time, reserve a sequence number, schedule
@@ -80,7 +85,7 @@ proptest! {
         if r.ratio.is_nan() {
             r.ratio = 0.0;
         }
-        let bytes = to_bytes(&r).unwrap();
+        let bytes = to_bytes(&r);
         let back: Stored = from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, r);
     }

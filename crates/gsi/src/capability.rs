@@ -10,10 +10,9 @@
 
 use crate::keys::{KeyPair, PublicKey, Signature};
 use gridsim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A signed access grant for one user at one site.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Capability {
     /// The Grid identity being granted access.
     pub subject: String,

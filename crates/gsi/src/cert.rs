@@ -3,7 +3,6 @@
 use crate::keys::{digest, KeyPair, PublicKey, Signature};
 use crate::proxy::ProxyCredential;
 use gridsim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why verification failed.
@@ -56,7 +55,7 @@ impl fmt::Display for AuthError {
 impl std::error::Error for AuthError {}
 
 /// A (simulated) X.509-style certificate binding a subject DN to a key.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Certificate {
     /// Distinguished name of the holder.
     pub subject: String,
@@ -131,7 +130,7 @@ impl Certificate {
 }
 
 /// The set of CA certificates a verifier trusts.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrustRoot {
     roots: Vec<(String, PublicKey)>,
 }

@@ -5,18 +5,16 @@
 //! [`KeyPair`] (which contains the secret) can produce signatures that
 //! verify against its [`PublicKey`].
 
-use serde::{Deserialize, Serialize};
-
 /// A public key (derived deterministically from the secret).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PublicKey(pub u64);
 
 /// A signature over a byte string.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Signature(pub u64);
 
 /// A key pair. The secret never leaves this struct.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KeyPair {
     secret: u64,
     public: PublicKey,

@@ -11,7 +11,6 @@
 use crate::cert::{AuthError, Certificate, TrustRoot};
 use crate::keys::{digest, KeyPair};
 use gridsim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::rc::Rc;
 
 /// A proxy credential: certificate chain + the leaf private key.
@@ -20,7 +19,7 @@ use std::rc::Rc;
 /// once assembled (delegation builds a new, longer chain), so the chain is
 /// shared: cloning a credential into a request is a reference count, not a
 /// copy of every certificate's DN strings.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProxyCredential {
     chain: Rc<[Certificate]>,
     leaf_key: KeyPair,

@@ -1,10 +1,9 @@
 //! Job descriptions and states as the local scheduler sees them.
 
 use gridsim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// What a submitter hands the local resource manager.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
     /// Processors requested (the paper's workloads are single-CPU workers;
     /// reconstruction-style jobs may ask for more).
@@ -54,7 +53,7 @@ impl JobSpec {
 }
 
 /// Lifecycle of a job inside the local scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LrmJobState {
     /// Waiting in the queue.
     Queued,

@@ -355,7 +355,7 @@ fn user_log_survives_a_crash_chunk_by_chunk() {
             tb.world
                 .store()
                 .get_bytes(node, &format!("condor_g/jane/log/{i}")),
-            Some(codec::to_bytes(&owned).unwrap().as_slice()),
+            Some(codec::to_bytes(&owned).as_slice()),
             "chunk {i}"
         );
     }
