@@ -7,35 +7,63 @@
 //! determines a run.
 
 use crate::time::Duration;
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
 
-/// The simulation's random source. A thin wrapper around a seeded [`StdRng`]
-/// plus the sampling helpers the grid models need.
+/// The simulation's random source: a xoshiro256++ generator seeded through
+/// SplitMix64, plus the sampling helpers the grid models need.
 #[derive(Clone, Debug)]
 pub struct SimRng {
-    inner: StdRng,
+    s: [u64; 4],
 }
 
 impl SimRng {
     /// Create a generator from a 64-bit seed.
-    pub fn new(seed: u64) -> SimRng {
-        SimRng {
-            inner: StdRng::seed_from_u64(seed),
+    pub fn new(mut seed: u64) -> SimRng {
+        let mut s = [0u64; 4];
+        for word in &mut s {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            *word = z ^ (z >> 31);
         }
+        // xoshiro cannot leave the all-zero state.
+        if s == [0; 4] {
+            s = [
+                0x9E37_79B9_7F4A_7C15,
+                0x6A09_E667_F3BC_C909,
+                0xBB67_AE85_84CA_A73B,
+                0x3C6E_F372_FE94_F82B,
+            ];
+        }
+        SimRng { s }
+    }
+
+    /// The next 64 random bits.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// Derive an independent child stream. Useful to give a subsystem its
     /// own stream so its draws don't perturb others when configurations
     /// change.
     pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.inner.gen())
+        SimRng::new(self.next_u64())
     }
 
-    /// Uniform draw in `[0, 1)`.
+    /// Uniform draw in `[0, 1)`: 53 random mantissa bits.
     #[inline]
     pub fn f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
@@ -46,39 +74,41 @@ impl SimRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen::<f64>() < p
+            self.f64() < p
         }
     }
 
     /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
     #[inline]
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        self.inner.gen_range(lo..hi)
+        assert!(lo < hi, "range_u64: empty range");
+        lo + self.next_u64() % (hi - lo)
     }
 
     /// Uniform usize in `[0, n)`. Panics if `n == 0`.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
-        self.inner.gen_range(0..n)
+        self.range_u64(0, n as u64) as usize
     }
 
-    /// Uniform float in `[lo, hi)`.
+    /// Uniform float in `[lo, hi)`. Panics unless `lo < hi`.
     #[inline]
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        self.inner.gen_range(lo..hi)
+        assert!(lo < hi, "range_f64: empty range");
+        lo + self.f64() * (hi - lo)
     }
 
     /// Exponential variate with the given mean (inverse-CDF method).
     pub fn exp_f64(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);
-        let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
+        let u = self.range_f64(f64::MIN_POSITIVE, 1.0);
         -mean * u.ln()
     }
 
     /// Standard normal variate (Box–Muller).
     pub fn normal_f64(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.inner.gen::<f64>();
+        let u1 = self.range_f64(f64::MIN_POSITIVE, 1.0);
+        let u2 = self.f64();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         mean + std_dev * z
     }
@@ -95,7 +125,7 @@ impl SimRng {
     /// Bounded Pareto variate (heavy-tailed job sizes).
     pub fn pareto_f64(&mut self, min: f64, max: f64, alpha: f64) -> f64 {
         debug_assert!(min > 0.0 && max > min && alpha > 0.0);
-        let u = self.inner.gen::<f64>();
+        let u = self.f64();
         let lo = min.powf(-alpha);
         let hi = max.powf(-alpha);
         (lo - u * (lo - hi)).powf(-1.0 / alpha)
@@ -131,21 +161,6 @@ impl SimRng {
             let j = self.index(i + 1);
             items.swap(i, j);
         }
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
     }
 }
 

@@ -178,12 +178,11 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_random_instances() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let mut rng = gridsim::rng::SimRng::new(99);
         for n in 2..=6 {
             for _ in 0..20 {
                 let cost: Vec<Vec<f64>> = (0..n)
-                    .map(|_| (0..n).map(|_| rng.gen_range(0..100) as f64).collect())
+                    .map(|_| (0..n).map(|_| rng.range_u64(0, 100) as f64).collect())
                     .collect();
                 let fast = solve_lap(&cost).cost;
                 let slow = brute_force(&cost);
