@@ -114,7 +114,7 @@ impl<'a> Reader<'a> {
     }
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        Ok(self.take(N)?.try_into().unwrap())
+        Ok(self.take(N)?.try_into().expect("take(N) returns N bytes"))
     }
 
     /// A claimed element count, cut down to what the input could still
