@@ -16,7 +16,9 @@
 //!
 //! (In sweep mode the totals are the merged farm statistics and
 //! `wall_secs` is the whole sweep's wall clock; `speedup=` compares it to
-//! the sum of per-cell costs.)
+//! the sum of per-cell costs.) When `done + failed` falls short of the
+//! jobs asked for, the campaign did not settle inside its horizon: the
+//! RESULT line is still printed and the binary exits 1.
 
 use condor_g_suite::gridsim::fault::FaultPlan;
 use condor_g_suite::gridsim::obs::{
@@ -99,9 +101,9 @@ fn usage() -> ! {
          --flight keeps a bounded black-box ring of trace records; anomaly detectors\n\
          (stuck job, throughput collapse, quarantine storm, backpressure stall) dump\n\
          its causal window to --flight-out on first trigger (decode with\n\
-         `condor-g-trace flight`). --dead-site IDX crashes that site's gatekeeper 30\n\
-         minutes in and never restarts it. Flight/telemetry apply to single-campaign\n\
-         mode only (ignored under --sweep)."
+         `condor-g-trace flight`). --dead-site IDX (below --sites) crashes that site's\n\
+         gatekeeper 30 minutes in and never restarts it. Flight/telemetry apply to\n\
+         single-campaign mode only (ignored under --sweep)."
     );
     std::process::exit(2);
 }
@@ -163,7 +165,20 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
+    let sites = args.spec.sites as usize;
+    if sites == 0 || args.obs.dead_site.is_some_and(|idx| idx >= sites) {
+        usage();
+    }
     args
+}
+
+/// Exit 1 after the RESULT line when some job never reached a terminal
+/// state: a number from an unsettled campaign is not a result.
+fn require_settled(settled: u64, jobs: u64) {
+    if settled != jobs {
+        eprintln!("condor-g-campaign: {settled} of {jobs} jobs settled");
+        std::process::exit(1);
+    }
 }
 
 /// Snapshot the campaign's vitals into one telemetry heartbeat.
@@ -227,7 +242,7 @@ fn run_campaign(spec: &CampaignSpec, max_inflight: u32, label: &str, obs: &ObsAr
     if let Some(idx) = obs.dead_site {
         // Kill the site's gatekeeper host 30 minutes in and never bring it
         // back: the outage every flight-recorder dump should explain.
-        let site = &tb.sites[idx % tb.sites.len()];
+        let site = &tb.sites[idx];
         let plan = FaultPlan::new().crash_restart(
             site.interface,
             SimTime::ZERO + Duration::from_mins(30),
@@ -382,6 +397,10 @@ fn main() {
             stats.digest,
             stats.cell_wall_secs / wall_secs.max(1e-9),
         );
+        require_settled(
+            stats.jobs_done + stats.jobs_failed,
+            args.spec.jobs * u64::from(args.sweep),
+        );
         return;
     }
 
@@ -410,4 +429,5 @@ fn main() {
         peak_rss_kb(),
         r.digest,
     );
+    require_settled(r.jobs_done + r.jobs_failed, args.spec.jobs);
 }

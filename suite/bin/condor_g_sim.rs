@@ -279,7 +279,12 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
         return Err(ScnError(0, "scenario declares no sites".into()));
     }
     // Cross-references: routes and link fault windows must name declared
-    // links, routes must name declared sites.
+    // links, routes and crashes must name declared sites.
+    for (idx, ..) in &scn.crashes {
+        if *idx >= scn.sites.len() {
+            return Err(ScnError(0, format!("crash site {idx} out of range")));
+        }
+    }
     let declared: std::collections::HashSet<&str> =
         scn.links.iter().map(|l| l.name.as_str()).collect();
     for (idx, names) in &scn.routes {
@@ -772,6 +777,10 @@ mod tests {
         assert!(
             parse_scenario("site pbs a 4\nlink wan 1M\nroute site 5 via wan\n").is_err(),
             "site index out of range"
+        );
+        assert!(
+            parse_scenario("site pbs a 4\ncrash site 3 at 1h for 5m\n").is_err(),
+            "crash site index out of range"
         );
         assert!(
             parse_scenario("site pbs a 4\nlinkdown wan at 1h for 5m\n").is_err(),

@@ -122,6 +122,65 @@ fn removed_kernel_partition_flag_is_a_usage_error() {
 }
 
 #[test]
+fn zero_sites_is_a_usage_error() {
+    let out = campaign_bin(&["--sites", "0", "--dead-site", "0", "--jobs", "10"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage: condor-g-campaign"), "{err}");
+}
+
+#[test]
+fn dead_site_outside_the_grid_is_a_usage_error() {
+    let out = campaign_bin(&["--sites", "2", "--dead-site", "5", "--jobs", "10"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage: condor-g-campaign"), "{err}");
+}
+
+#[test]
+fn unsettled_campaign_prints_its_result_and_exits_1() {
+    // One site, dead from 30 minutes in: 23 jobs finish before it goes,
+    // 11 fail, and the rest never reach a terminal state.
+    let out = campaign_bin(&[
+        "--jobs",
+        "50",
+        "--sites",
+        "1",
+        "--dead-site",
+        "0",
+        "--duration-hours",
+        "1",
+        "--quiet",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let result = stdout.lines().last().unwrap_or_default();
+    assert!(
+        result.starts_with("RESULT jobs=50 done=23 failed=11 "),
+        "{result}"
+    );
+    // Sweeps apply the same rule to the merged totals: with no in-flight
+    // window no cell dispatches a job.
+    let out = campaign_bin(&[
+        "--sweep",
+        "2",
+        "--jobs",
+        "5",
+        "--sites",
+        "1",
+        "--max-inflight",
+        "0",
+        "--quiet",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("RESULT jobs=0 done=0 failed=0 "),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn campaign_runs_are_reproducible() {
     let a = run_cell(23, 300);
     let b = run_cell(23, 300);
