@@ -16,9 +16,8 @@
 //!
 //! (In sweep mode the totals are the merged farm statistics and
 //! `wall_secs` is the whole sweep's wall clock; `speedup=` compares it to
-//! the sum of per-cell costs.) When `done + failed` falls short of the
-//! jobs asked for, the campaign did not settle inside its horizon: the
-//! RESULT line is still printed and the binary exits 1.
+//! the sum of per-cell costs.) If `done + failed` falls short of the
+//! jobs asked for, RESULT is still printed and the binary exits 1.
 
 use condor_g_suite::gridsim::fault::FaultPlan;
 use condor_g_suite::gridsim::obs::{

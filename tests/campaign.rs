@@ -8,10 +8,11 @@ use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverCo
 use condor_g_suite::workloads::farm::{run_cells, Cell, CellResult, FarmStats};
 use std::process::{Command, Output};
 
-/// Run the compiled `condor-g-campaign` binary.
-fn campaign_bin(args: &[&str]) -> Output {
+/// Run the compiled `condor-g-campaign` binary with whitespace-separated
+/// arguments.
+fn campaign_bin(args: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_condor-g-campaign"))
-        .args(args)
+        .args(args.split_whitespace())
         .output()
         .expect("binary runs")
 }
@@ -98,9 +99,7 @@ fn lean_campaign_completes_and_reclaims_state() {
 fn campaign_binary_reproduces_the_recorded_digest() {
     // Recorded at PR 13 (143,806 kernel events). A kernel or protocol
     // change that moves it must say why and re-record it.
-    let out = campaign_bin(&[
-        "--jobs", "2000", "--sites", "10", "--users", "50", "--quiet",
-    ]);
+    let out = campaign_bin("--jobs 2000 --sites 10 --users 50 --quiet");
     assert!(out.status.success(), "exited {:?}", out.status.code());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let result = stdout.lines().last().unwrap_or_default();
@@ -114,7 +113,7 @@ fn campaign_binary_reproduces_the_recorded_digest() {
 #[test]
 fn removed_kernel_partition_flag_is_a_usage_error() {
     let flag = "--shards";
-    let out = campaign_bin(&[flag, "4", "--jobs", "10"]);
+    let out = campaign_bin(&format!("{flag} 4 --jobs 10"));
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.starts_with("usage: condor-g-campaign"), "{err}");
@@ -122,62 +121,39 @@ fn removed_kernel_partition_flag_is_a_usage_error() {
 }
 
 #[test]
-fn zero_sites_is_a_usage_error() {
-    let out = campaign_bin(&["--sites", "0", "--dead-site", "0", "--jobs", "10"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.starts_with("usage: condor-g-campaign"), "{err}");
-}
-
-#[test]
-fn dead_site_outside_the_grid_is_a_usage_error() {
-    let out = campaign_bin(&["--sites", "2", "--dead-site", "5", "--jobs", "10"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.starts_with("usage: condor-g-campaign"), "{err}");
+fn sites_outside_the_grid_are_usage_errors() {
+    for args in [
+        "--sites 0 --dead-site 0 --jobs 10",
+        "--sites 2 --dead-site 5 --jobs 10",
+    ] {
+        let out = campaign_bin(args);
+        assert_eq!(out.status.code(), Some(2), "{args}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage: condor-g-campaign"), "{args}: {err}");
+    }
 }
 
 #[test]
 fn unsettled_campaign_prints_its_result_and_exits_1() {
     // One site, dead from 30 minutes in: 23 jobs finish before it goes,
-    // 11 fail, and the rest never reach a terminal state.
-    let out = campaign_bin(&[
-        "--jobs",
-        "50",
-        "--sites",
-        "1",
-        "--dead-site",
-        "0",
-        "--duration-hours",
-        "1",
-        "--quiet",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let result = stdout.lines().last().unwrap_or_default();
-    assert!(
-        result.starts_with("RESULT jobs=50 done=23 failed=11 "),
-        "{result}"
-    );
-    // Sweeps apply the same rule to the merged totals: with no in-flight
-    // window no cell dispatches a job.
-    let out = campaign_bin(&[
-        "--sweep",
-        "2",
-        "--jobs",
-        "5",
-        "--sites",
-        "1",
-        "--max-inflight",
-        "0",
-        "--quiet",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.starts_with("RESULT jobs=0 done=0 failed=0 "),
-        "{stdout}"
-    );
+    // 11 fail, and the rest never reach a terminal state. Sweeps apply
+    // the same rule to the merged totals: with no in-flight window no
+    // cell dispatches a job.
+    for (args, want) in [
+        (
+            "--jobs 50 --sites 1 --dead-site 0 --duration-hours 1 --quiet",
+            "RESULT jobs=50 done=23 failed=11 ",
+        ),
+        (
+            "--sweep 2 --jobs 5 --sites 1 --max-inflight 0 --quiet",
+            "RESULT jobs=0 done=0 failed=0 ",
+        ),
+    ] {
+        let out = campaign_bin(args);
+        assert_eq!(out.status.code(), Some(1), "{args}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with(want), "{args}: {stdout}");
+    }
 }
 
 #[test]
