@@ -122,7 +122,6 @@ fn run(failure: Failure, recovery: bool, seed: u64) -> Outcome {
                     ..GmConfig::default()
                 },
                 email_on_termination: false,
-                lean: false,
             };
             if recovery {
                 b.add_component(

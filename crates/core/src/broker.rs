@@ -19,7 +19,8 @@
 
 use crate::api::GridJobSpec;
 use classads::{rank, symmetric_match, ClassAd};
-use gridsim::obs::{HealthEvent, SiteHealthTracker, SiteWeather};
+use gridsim::metrics::Metrics;
+use gridsim::obs::{grid_weather, HealthEvent, SiteHealthTracker};
 use gridsim::{Addr, SimTime};
 
 /// A known gatekeeper: its contact address plus a site description ad.
@@ -47,10 +48,11 @@ pub trait Broker: Send + 'static {
     /// job / just failed one).
     fn note_submission(&mut self, _site: &str) {}
 
-    /// Feed a grid-weather snapshot; returns any health transitions it
-    /// triggered (so the caller can trace them). Non-adaptive brokers
-    /// ignore the weather and report none.
-    fn observe_weather(&mut self, _rows: &[SiteWeather], _now: SimTime) -> Vec<HealthEvent> {
+    /// Feed the run's metrics, from which an adaptive broker aggregates
+    /// the grid weather; returns any health transitions it triggered (so
+    /// the caller can trace them). Non-adaptive brokers aggregate nothing
+    /// and report none.
+    fn observe_weather(&mut self, _metrics: &Metrics, _now: SimTime) -> Vec<HealthEvent> {
         Vec::new()
     }
 }
@@ -225,8 +227,8 @@ impl Broker for AdaptiveBroker {
         self.inner.note_submission(site);
     }
 
-    fn observe_weather(&mut self, rows: &[SiteWeather], now: SimTime) -> Vec<HealthEvent> {
-        self.tracker.observe(rows, now)
+    fn observe_weather(&mut self, metrics: &Metrics, now: SimTime) -> Vec<HealthEvent> {
+        self.tracker.observe(&grid_weather(metrics), now)
     }
 }
 
@@ -343,18 +345,13 @@ mod tests {
         assert!(b.select(&spec(), &[]).is_none());
     }
 
-    fn weather_row(site: &str, failures: u64) -> SiteWeather {
-        SiteWeather {
-            site: site.to_string(),
-            submits: 0,
-            rejected: 0,
-            completed: 0,
-            success_rate: None,
-            queue_depth: None,
-            median_wait_secs: None,
-            commit_timeout_rate: None,
-            attempt_failures: failures,
+    /// Metrics in which each `(site, n)` has charged `n` attempt failures.
+    fn weather(failures: &[(&str, u64)]) -> Metrics {
+        let mut m = Metrics::new();
+        for (site, n) in failures {
+            m.incr(&format!("site.{site}.attempt_failures"), *n);
         }
+        m
     }
 
     #[test]
@@ -362,14 +359,7 @@ mod tests {
         let inner = StaticListBroker::new(vec![info("a", 1), info("b", 2), info("c", 3)]);
         let mut b = AdaptiveBroker::new(Box::new(inner), SiteHealthTracker::default());
         // Site `a` fails: weather shows an attempt failure → quarantine.
-        let evs = b.observe_weather(
-            &[
-                weather_row("a", 1),
-                weather_row("b", 0),
-                weather_row("c", 0),
-            ],
-            SimTime::ZERO,
-        );
+        let evs = b.observe_weather(&weather(&[("a", 1), ("b", 0), ("c", 0)]), SimTime::ZERO);
         assert_eq!(evs.len(), 1);
         assert!(b.tracker().is_quarantined("a"));
         // Selection never lands on `a` while it is quarantined.
@@ -383,7 +373,7 @@ mod tests {
     fn adaptive_broker_falls_back_when_everything_is_sick() {
         let inner = StaticListBroker::new(vec![info("a", 1)]);
         let mut b = AdaptiveBroker::new(Box::new(inner), SiteHealthTracker::default());
-        b.observe_weather(&[weather_row("a", 2)], SimTime::ZERO);
+        b.observe_weather(&weather(&[("a", 2)]), SimTime::ZERO);
         assert!(b.tracker().is_quarantined("a"));
         // The only site is quarantined: still pick it rather than strand
         // the job.
@@ -394,7 +384,7 @@ mod tests {
     fn non_adaptive_brokers_ignore_weather() {
         let mut b = StaticListBroker::new(vec![info("a", 1)]);
         assert!(b
-            .observe_weather(&[weather_row("a", 5)], SimTime::ZERO)
+            .observe_weather(&weather(&[("a", 5)]), SimTime::ZERO)
             .is_empty());
         assert_eq!(b.select(&spec(), &[]).unwrap().site, "a");
     }

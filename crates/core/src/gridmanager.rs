@@ -79,15 +79,6 @@ pub struct GmConfig {
     /// The §4.2 failure-detection machinery (probing, gatekeeper pings,
     /// JobManager restarts). Disable for the fault-tolerance ablation.
     pub recovery: bool,
-    /// Feed grid weather back to the broker each tick so it can quarantine
-    /// sick sites (pair with an [`crate::broker::AdaptiveBroker`]). Off by
-    /// default: routing decisions stay byte-identical to the non-adaptive
-    /// baseline unless a run opts in.
-    pub adaptive: bool,
-    /// Campaign (lean) mode: delete a terminal job's persistent record
-    /// outright instead of leaving a tombstone, so the store footprint also
-    /// tracks live jobs. Trades away recover-after-finish detection.
-    pub lean: bool,
 }
 
 impl Default for GmConfig {
@@ -106,8 +97,6 @@ impl Default for GmConfig {
             mds_poll: Duration::from_mins(5),
             migrate_pending_after: None,
             recovery: true,
-            adaptive: false,
-            lean: false,
         }
     }
 }
@@ -442,8 +431,10 @@ impl GridManager {
         self.free_slots.push(j.slot);
         self.jobs.remove(&job);
         self.retired += 1;
-        if self.config.lean {
-            // Campaign mode: no tombstone either.
+        if ctx.lean() {
+            // Lean retention: no tombstone either, so the store footprint
+            // also tracks live jobs (at the cost of recover-after-finish
+            // detection).
             let node = ctx.node();
             ctx.store().remove(node, self.job_key.key(job.0));
             // Collect-and-discard the staged output: the user agent has
@@ -558,20 +549,17 @@ impl GridManager {
         self.report(ctx, job, JobStatus::Pending);
     }
 
-    /// Adaptive mode: hand the current grid weather to the broker and
-    /// trace whatever quarantine/probe/recover transitions it decides on,
-    /// so rerouting is visible in the same causal timeline as the jobs it
-    /// moves. A no-op (not even a weather aggregation) unless enabled.
+    /// Hand the run's metrics to the broker and trace whatever
+    /// quarantine/probe/recover transitions it decides on, so rerouting is
+    /// visible in the same causal timeline as the jobs it moves. Only an
+    /// adaptive broker aggregates them into grid weather; the others
+    /// return nothing.
     fn observe_weather(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.config.adaptive {
-            return;
-        }
         let Some(broker) = self.broker.as_mut() else {
             return;
         };
-        let rows = gridsim::obs::grid_weather(ctx.metrics());
         let now = ctx.now();
-        for ev in broker.observe_weather(&rows, now) {
+        for ev in broker.observe_weather(ctx.metrics(), now) {
             ctx.metrics().incr("broker.health_transitions", 1);
             ctx.trace_with(ev.action.kind(), || {
                 format!("site={} reason={}", ev.site, ev.reason)

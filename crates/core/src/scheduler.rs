@@ -37,33 +37,6 @@ pub struct SchedulerConfig {
     pub gm: GmConfig,
     /// Send an e-mail on every terminal job state.
     pub email_on_termination: bool,
-    /// Campaign (lean) mode: terminal jobs retire out of the queue into an
-    /// append-only completed log and their persistent records are
-    /// reclaimed, so memory tracks *live* jobs rather than total submitted.
-    /// Trades away `Query`/`GetLog` history for finished jobs.
-    pub lean: bool,
-}
-
-/// One entry of the lean-mode completed log: fixed-size, no strings.
-#[derive(Clone, Copy, Debug)]
-pub struct CompletedJob {
-    /// The job.
-    pub job: GridJobId,
-    /// When it reached its terminal state.
-    pub at: SimTime,
-    /// The terminal state it reached.
-    pub outcome: Outcome,
-}
-
-/// Terminal outcome classes (compact form of [`JobStatus`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome {
-    /// Exited cleanly.
-    Done,
-    /// Failed for good.
-    Failed,
-    /// Cancelled.
-    Removed,
 }
 
 #[derive(Clone, Debug)]
@@ -94,9 +67,6 @@ pub struct Scheduler {
     next_id_key: String,
     next_id: u64,
     log: Vec<(SimTime, GridJobId, String)>,
-    /// Lean mode: terminal jobs move here (24 bytes each, append-only)
-    /// instead of lingering in `jobs` with their spec strings.
-    completed: Vec<CompletedJob>,
     gridmanager: Option<Addr>,
     /// True when this instance was rebuilt from stable storage.
     recovered: bool,
@@ -117,7 +87,6 @@ impl Scheduler {
             pool_id_of: BTreeMap::new(),
             next_id: 0,
             log: Vec::new(),
-            completed: Vec::new(),
             gridmanager: None,
             recovered: false,
         }
@@ -205,7 +174,7 @@ impl Scheduler {
 
     fn log_event(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, message: String) {
         ctx.trace_with("condor_g.log", || format!("{job}: {message}"));
-        if self.config.lean {
+        if ctx.lean() {
             // Campaign mode: the durable user log is the trace stream; keep
             // only a bounded recent window in memory for GetLog, and skip
             // the per-event chunk rewrite entirely.
@@ -358,28 +327,19 @@ impl Scheduler {
                 },
                 1,
             );
-            if self.config.lean {
-                self.retire(ctx, job, &status);
+            if ctx.lean() {
+                self.retire(ctx, job);
             }
         }
     }
 
-    /// Lean mode: move a terminal job out of the queue into the compact
-    /// completed log and reclaim its persistent record.
-    fn retire(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, status: &JobStatus) {
+    /// Lean retention: drop a terminal job from the queue and reclaim its
+    /// persistent record, so memory tracks *live* jobs rather than total
+    /// submitted. Trades away `Query`/`GetLog` history for finished jobs.
+    fn retire(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
         if self.jobs.remove(&job).is_none() {
             return;
         }
-        let outcome = match status {
-            JobStatus::Done => Outcome::Done,
-            JobStatus::Removed => Outcome::Removed,
-            _ => Outcome::Failed,
-        };
-        self.completed.push(CompletedJob {
-            job,
-            at: ctx.now(),
-            outcome,
-        });
         let node = ctx.node();
         let key = self.job_key.key(format_args!("{:012}", job.0));
         ctx.store().remove(node, key);
@@ -388,11 +348,6 @@ impl Scheduler {
             self.pool_map.remove(&pool_id);
             ctx.store().remove(node, self.pm_key.key(pool_id));
         }
-    }
-
-    /// The lean-mode completed log (empty unless `lean`).
-    pub fn completed_log(&self) -> &[CompletedJob] {
-        &self.completed
     }
 }
 

@@ -1,14 +1,15 @@
 //! In-memory files and per-node file stores.
 
-use bytes::Bytes;
 use gridsim::time::SimTime;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// File contents: real bytes for small files, size+checksum for bulk data.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FileData {
-    /// Actual content (executables, stdio, logs).
-    Inline(Bytes),
+    /// Actual content (executables, stdio, logs), shared: reading a whole
+    /// file clones the `Rc`, not the bytes.
+    Inline(Rc<[u8]>),
     /// Simulated bulk data: only its size and a content fingerprint move
     /// through the system; the transfer model charges for the full size.
     Bulk {
@@ -51,14 +52,14 @@ impl FileData {
     /// Restore from the stable-storage form.
     pub fn from_disk(d: FileDisk) -> FileData {
         match d {
-            FileDisk::Inline(v) => FileData::Inline(Bytes::from(v)),
+            FileDisk::Inline(v) => FileData::Inline(v.into()),
             FileDisk::Bulk { len, checksum } => FileData::Bulk { len, checksum },
         }
     }
 
     /// Inline data from a byte string.
-    pub fn inline(data: impl Into<Bytes>) -> FileData {
-        FileData::Inline(data.into())
+    pub fn inline(data: impl AsRef<[u8]>) -> FileData {
+        FileData::Inline(data.as_ref().into())
     }
 
     /// Synthetic bulk data of `len` bytes with a fingerprint derived from
@@ -92,13 +93,17 @@ impl FileData {
     }
 
     /// The byte range `[offset, offset+limit)` (clamped). Bulk data yields
-    /// bulk data.
+    /// bulk data; a range covering a whole inline file shares its bytes,
+    /// any other range copies them.
     pub fn slice(&self, offset: u64, limit: u64) -> FileData {
         match self {
             FileData::Inline(b) => {
                 let start = (offset as usize).min(b.len());
                 let end = start.saturating_add(limit as usize).min(b.len());
-                FileData::Inline(b.slice(start..end))
+                if end - start == b.len() {
+                    return self.clone();
+                }
+                FileData::Inline(b[start..end].into())
             }
             FileData::Bulk { len, checksum } => {
                 let start = offset.min(*len);
@@ -115,10 +120,7 @@ impl FileData {
     pub fn concat(&self, other: &FileData) -> FileData {
         match (self, other) {
             (FileData::Inline(a), FileData::Inline(b)) => {
-                let mut v = Vec::with_capacity(a.len() + b.len());
-                v.extend_from_slice(a);
-                v.extend_from_slice(b);
-                FileData::Inline(Bytes::from(v))
+                FileData::Inline([&a[..], &b[..]].concat().into())
             }
             _ => FileData::Bulk {
                 len: self.len() + other.len(),

@@ -50,13 +50,6 @@ pub struct Gatekeeper {
     metric_submits: String,
     metric_rejected: String,
     jm_counters: Rc<SiteCounters>,
-    /// Lean (campaign) mode: JobManagers notify us on exit and we reclaim
-    /// every per-job record, keeping gatekeeper memory bounded by the
-    /// *in-flight* job count rather than the lifetime total.
-    lean: bool,
-    /// Reverse dedup index, maintained only in lean mode so `Exited` can
-    /// drop the `(DN, seq)` entry in O(1).
-    dedup_rev: IdMap<JobContact, (Rc<str>, u64)>,
 }
 
 impl Gatekeeper {
@@ -80,26 +73,12 @@ impl Gatekeeper {
             metric_submits: format!("site.{site}.submits"),
             metric_rejected: format!("site.{site}.rejected"),
             jm_counters: SiteCounters::new(site),
-            lean: false,
-            dedup_rev: IdMap::default(),
         }
     }
 
     /// Disable two-phase commit and dedup (the pre-revision GRAM baseline).
     pub fn one_phase(mut self) -> Gatekeeper {
         self.two_phase = false;
-        self
-    }
-
-    /// Lean (campaign) mode: reclaim all per-job state — dedup entry,
-    /// JobManager registration, persisted JobManager log and dedup record —
-    /// once the client acknowledges a job's terminal callback. Exactly-once
-    /// still holds for every live job; a done-acked job can only be
-    /// "resubmitted" by a client that lost its own stable store, which the
-    /// Condor-G scheduler never does (it persists the terminal state
-    /// *before* acking). Off by default: audit-trail runs keep every record.
-    pub fn lean(mut self) -> Gatekeeper {
-        self.lean = true;
         self
     }
 
@@ -110,15 +89,12 @@ impl Gatekeeper {
         self
     }
 
-    /// Remember `(dn, seq) -> contact` (and, in lean mode, the way back).
+    /// Remember `(dn, seq) -> contact`.
     fn remember(&mut self, dn: &str, seq: u64, contact: JobContact) {
         let dn: Rc<str> = match self.dedup.get_key_value(dn) {
             Some((known, _)) => known.clone(),
             None => dn.into(),
         };
-        if self.lean {
-            self.dedup_rev.insert(contact, (dn.clone(), seq));
-        }
         self.dedup.entry(dn).or_default().insert(seq, contact);
     }
 
@@ -167,8 +143,14 @@ impl Gatekeeper {
         Err(GramError::AuthorizationFailed(dn))
     }
 
+    /// Spawn a JobManager. In a lean run it notifies us on exit, once the
+    /// client has acknowledged its terminal callback, so [`Self::reclaim`]
+    /// can drop the job's records: exactly-once still holds for every live
+    /// job, and a done-acked job can only be "resubmitted" by a client that
+    /// lost its own stable store, which the Condor-G scheduler never does
+    /// (it persists the terminal state *before* acking).
     fn spawn_jobmanager(&mut self, ctx: &mut Ctx<'_>, contact: JobContact, jm: JobManager) -> Addr {
-        let jm = if self.lean {
+        let jm = if ctx.lean() {
             jm.with_exit_notify(ctx.self_addr())
         } else {
             jm
@@ -178,28 +160,27 @@ impl Gatekeeper {
         addr
     }
 
-    /// Lean-mode reclamation on a JobManager's exit notice: every per-job
-    /// record this site holds goes away.
+    /// Reclamation on a JobManager's exit notice: every per-job record this
+    /// site holds goes away — registration, persisted JobManager log, and
+    /// the dedup entry, found through the dedup record it is stored with.
     fn reclaim(&mut self, ctx: &mut Ctx<'_>, contact: JobContact) {
         self.jobmanagers.remove(&contact);
         let node = ctx.node();
         ctx.store().remove(node, self.jm_key.key(contact));
-        if let Some((dn, seq)) = self.dedup_rev.remove(&contact) {
-            if let Some(seqs) = self.dedup.get_mut(&dn) {
+        let dedup_key = self.dedup_key.key(format_args!("{:016x}", contact.0));
+        if let Some((dn, seq, _)) = ctx.store().get::<DedupRecord>(node, dedup_key) {
+            if let Some(seqs) = self.dedup.get_mut(dn.as_str()) {
                 seqs.remove(&seq);
             }
+            ctx.store().remove(node, dedup_key);
         }
-        let dedup_key = self.dedup_key.key(format_args!("{:016x}", contact.0));
-        ctx.store().remove(node, dedup_key);
     }
 }
 
 impl Component for Gatekeeper {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
         if let Some(JmMsg::Exited { contact }) = msg.downcast_ref::<JmMsg>() {
-            if self.lean {
-                self.reclaim(ctx, *contact);
-            }
+            self.reclaim(ctx, *contact);
             return;
         }
         let Ok(req) = msg.downcast::<GramRequest>() else {

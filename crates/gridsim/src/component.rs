@@ -204,8 +204,8 @@ pub struct Ctx<'w> {
     pub(crate) retired: &'w std::collections::HashMap<(NodeId, String), CompId>,
     /// `(id, next_epoch)` pairs released by [`Ctx::kill_transient`], reused
     /// by [`Ctx::spawn`] when the world runs with
-    /// [`crate::world::Config::reuse_comp_ids`]. `None` when recycling is
-    /// off (the default).
+    /// [`crate::world::Config::lean`]. `None` when retention is full (the
+    /// default).
     pub(crate) free_comps: Option<&'w mut Vec<(u32, u32)>>,
     /// Sequence number of the kernel event currently being processed;
     /// stamped onto trace records as their `id`.
@@ -232,6 +232,13 @@ impl<'w> Ctx<'w> {
     #[inline]
     pub fn node(&self) -> NodeId {
         self.self_addr.node
+    }
+
+    /// The run's retention ([`crate::world::Config::lean`]): when true,
+    /// drop a job's per-job records once it is settled.
+    #[inline]
+    pub fn lean(&self) -> bool {
+        self.free_comps.is_some()
     }
 
     /// Send a message to `to` through the network model (latency, loss and

@@ -36,12 +36,15 @@ pub struct Config {
     pub max_time: Option<SimTime>,
     /// Hard stop: maximum number of events to process.
     pub max_events: Option<u64>,
-    /// Recycle the ids of transiently killed components
-    /// ([`Ctx::kill_transient`]) into later spawns, keeping the dense
-    /// component table sized by the *active* set instead of the lifetime
-    /// spawn count. Off by default because reuse renumbers components and
-    /// therefore changes trace output; campaign-scale runs turn it on.
-    pub reuse_comp_ids: bool,
+    /// Retention: lean (campaign) runs drop each job's per-job state once
+    /// it is settled, so memory tracks the *in-flight* jobs rather than
+    /// the lifetime total. The kernel recycles the ids of transiently
+    /// killed components ([`Ctx::kill_transient`]) into later spawns,
+    /// keeping the dense component table sized by the active set; every
+    /// protocol layer reads the same value through [`Ctx::lean`] to decide
+    /// whether to reclaim its own records. Off by default because reuse
+    /// renumbers components and therefore changes trace output.
+    pub lean: bool,
 }
 
 impl Config {
@@ -75,10 +78,9 @@ impl Config {
         self
     }
 
-    /// Enable transient component-id recycling (see
-    /// [`Config::reuse_comp_ids`]).
-    pub fn reuse_comp_ids(mut self) -> Config {
-        self.reuse_comp_ids = true;
+    /// Lean retention (see [`Config::lean`]).
+    pub fn lean(mut self) -> Config {
+        self.lean = true;
         self
     }
 }
@@ -204,8 +206,7 @@ pub struct World {
     /// Next epoch for a reused component id.
     epochs: HashMap<u32, u32>,
     /// Ids released by transient kills, with the epoch their next
-    /// incarnation must start at. `Some` only when
-    /// [`Config::reuse_comp_ids`] is on.
+    /// incarnation must start at. `Some` only when [`Config::lean`] is on.
     free_comps: Option<Vec<(u32, u32)>>,
     halted: bool,
     events_processed: u64,
@@ -279,7 +280,7 @@ impl World {
             next_timer: 0,
             retired: HashMap::new(),
             epochs: HashMap::new(),
-            free_comps: config.reuse_comp_ids.then(Vec::new),
+            free_comps: config.lean.then(Vec::new),
             halted: false,
             events_processed: 0,
             max_time: config.max_time,
@@ -1479,7 +1480,7 @@ mod tests {
                 ctx.store().put(node, "ids", &ids);
             }
         }
-        let mut w = World::new(Config::default().seed(1).reuse_comp_ids());
+        let mut w = World::new(Config::default().seed(1).lean());
         let n = w.add_node("n");
         let boss = w.add_component(
             n,

@@ -210,9 +210,10 @@ pub struct TestbedConfig {
     pub adaptive: bool,
     /// Stop the whole simulation at this virtual time (safety net).
     pub max_time: Option<Duration>,
-    /// Campaign (lean) mode: every layer reclaims per-job state as jobs
-    /// finish — the scheduler retires terminal records to a compact
-    /// completed log, the GridManager deletes job tombstones, gatekeepers
+    /// Retention, forwarded to the world as `gridsim::Config::lean`: every
+    /// layer reads it there and reclaims per-job state as jobs settle —
+    /// the scheduler drops terminal jobs and their records, the
+    /// GridManager deletes job tombstones and staged output, gatekeepers
     /// reap dedup/log entries when JobManagers exit, and the kernel
     /// recycles component ids. Memory then tracks *in-flight* jobs, so
     /// million-job campaigns run in flat RSS. Off by default (trace output
@@ -325,7 +326,7 @@ pub fn build(config: TestbedConfig) -> Testbed {
         wconf = wconf.with_trace();
     }
     if config.lean {
-        wconf = wconf.reuse_comp_ids();
+        wconf = wconf.lean();
     }
     if let Some(mt) = config.max_time {
         wconf = wconf.max_time(SimTime::ZERO + mt);
@@ -397,22 +398,15 @@ pub fn build(config: TestbedConfig) -> Testbed {
             });
         }
         let lrm = world.add_component(cluster, "lrm", lrm);
-        let mut gk = Gatekeeper::new(&spec.name, trust.clone(), gridmap.clone(), lrm);
-        if config.lean {
-            gk = gk.lean();
-        }
+        let gk = Gatekeeper::new(&spec.name, trust.clone(), gridmap.clone(), lrm);
         let gatekeeper = world.add_component(interface, "gatekeeper", gk);
         // Boot hook so gatekeeper machines can crash-restart in experiments.
         {
             let trust = trust.clone();
             let gm = gridmap.clone();
             let site_name = spec.name.clone();
-            let lean = config.lean;
             world.set_boot(interface, move |b: &mut BootCtx<'_>| {
-                let mut gk = Gatekeeper::new(&site_name, trust.clone(), gm.clone(), lrm);
-                if lean {
-                    gk = gk.lean();
-                }
+                let gk = Gatekeeper::new(&site_name, trust.clone(), gm.clone(), lrm);
                 b.add_component("gatekeeper", gk.recover(b.store(), b.node()));
             });
         }
@@ -490,9 +484,6 @@ pub fn build(config: TestbedConfig) -> Testbed {
     let mut gm = config.gm.clone();
     gm.user = "jane".into();
     gm.mailer = Some(mailer);
-    if config.lean {
-        gm.lean = true;
-    }
     if config.mds_broker {
         gm.giis = giis;
     }
@@ -511,7 +502,6 @@ pub fn build(config: TestbedConfig) -> Testbed {
         ))
     };
     if config.adaptive {
-        gm.adaptive = true;
         broker = Box::new(AdaptiveBroker::new(
             broker,
             SiteHealthTracker::new(HealthPolicy::default()),
@@ -526,7 +516,6 @@ pub fn build(config: TestbedConfig) -> Testbed {
         user_addr: None,
         gm,
         email_on_termination: false,
-        lean: config.lean,
     };
     let scheduler = world.add_component(submit, "scheduler", Scheduler::new(sched_config, broker));
 

@@ -206,7 +206,6 @@ fn recover_submit_machine_on_boot(tb: &mut Testbed) {
                 ..Default::default()
             },
             email_on_termination: false,
-            lean: false,
         };
         b.add_component(
             "scheduler",
@@ -379,7 +378,6 @@ fn termination_emails_are_sent_when_enabled() {
             ..Default::default()
         },
         email_on_termination: true,
-        lean: false,
     };
     let broker = Box::new(condor_g_suite::condor_g::StaticListBroker::new(
         tb.sites

@@ -3,7 +3,7 @@
 //! serial/parallel equivalence.
 
 use condor_g_suite::gridsim::prelude::*;
-use condor_g_suite::harness::{build, SiteSpec, TestbedConfig};
+use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig};
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
 use condor_g_suite::workloads::farm::{run_cells, Cell, CellResult, FarmStats};
 use std::process::{Command, Output};
@@ -20,6 +20,20 @@ fn campaign_bin(args: &str) -> Output {
 /// Run one small campaign cell end to end through the lean stack and
 /// return its merged outcome. Deterministic in `seed`.
 fn run_cell(seed: u64, jobs: u64) -> CellResult {
+    run_campaign(seed, jobs, true).0
+}
+
+/// Stable-store keys under `prefix`, summed over every node of the testbed.
+fn keys_under(tb: &Testbed, prefix: &str) -> usize {
+    let store = tb.world.store();
+    std::iter::once(tb.submit)
+        .chain(tb.sites.iter().flat_map(|s| [s.interface, s.cluster]))
+        .map(|node| store.keys_with_prefix(node, prefix).len())
+        .sum()
+}
+
+/// [`run_cell`] at either retention, also handing back the settled testbed.
+fn run_campaign(seed: u64, jobs: u64, lean: bool) -> (CellResult, Testbed) {
     let spec = CampaignSpec {
         seed,
         jobs,
@@ -37,7 +51,7 @@ fn run_cell(seed: u64, jobs: u64) -> CellResult {
     let mut tb = build(TestbedConfig {
         seed: spec.seed,
         sites,
-        lean: true,
+        lean,
         proxy_lifetime: Duration::from_days(30),
         ..TestbedConfig::default()
     });
@@ -53,7 +67,7 @@ fn run_cell(seed: u64, jobs: u64) -> CellResult {
             break;
         }
     }
-    CellResult {
+    let result = CellResult {
         label: format!("seed={seed}"),
         seed,
         jobs_done: CampaignDriver::done(&tb.world, tb.submit),
@@ -61,7 +75,8 @@ fn run_cell(seed: u64, jobs: u64) -> CellResult {
         sim_secs: (tb.world.now() - SimTime::ZERO).as_secs_f64(),
         wall_secs: 0.0, // fixed so results compare exactly across runs
         digest: CampaignDriver::digest(&tb.world, tb.submit),
-    }
+    };
+    (result, tb)
 }
 
 #[test]
@@ -89,10 +104,37 @@ fn same_seed_campaigns_are_byte_identical_scenarios() {
 
 #[test]
 fn lean_campaign_completes_and_reclaims_state() {
-    let r = run_cell(11, 400);
-    assert_eq!(r.jobs_done + r.jobs_failed, 400, "campaign did not settle");
-    assert!(r.jobs_done >= 390, "unexpected failure rate: {r:?}");
-    assert_ne!(r.digest, 0xcbf2_9ce4_8422_2325, "digest never advanced");
+    // The one retention value reaches every layer: a lean run leaves no
+    // per-job record anywhere once the campaign settles, a full run keeps
+    // one per job in the queue, the GridManager and the JobManager logs.
+    const JOBS: usize = 400;
+    let per_job = ["condor_g/jane/job/", "gm/jane/job/", "gram/jm/"];
+    for lean in [true, false] {
+        let (r, tb) = run_campaign(11, JOBS as u64, lean);
+        assert_eq!(r.jobs_done + r.jobs_failed, 400, "lean={lean}: {r:?}");
+        assert!(r.jobs_done >= 390, "lean={lean}: {r:?}");
+        assert_ne!(r.digest, 0xcbf2_9ce4_8422_2325, "digest never advanced");
+        let dedup: usize = tb
+            .sites
+            .iter()
+            .map(|s| keys_under(&tb, &format!("gram/gk/{}/dedup/", s.name)))
+            .sum();
+        let staged = keys_under(&tb, "gassfs/condor_g/out/");
+        if lean {
+            for prefix in per_job {
+                assert_eq!(keys_under(&tb, prefix), 0, "lean run kept {prefix}");
+            }
+            assert_eq!(dedup, 0, "lean run kept dedup records");
+            assert_eq!(staged, 0, "lean run kept staged output");
+        } else {
+            for prefix in per_job {
+                assert_eq!(keys_under(&tb, prefix), JOBS, "full run under {prefix}");
+            }
+            assert_eq!(dedup, JOBS, "full run's dedup records");
+            // Only jobs with stdout stage any, but the prefix is live.
+            assert!(staged > 0, "full run staged no output");
+        }
+    }
 }
 
 #[test]

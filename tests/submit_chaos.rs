@@ -67,7 +67,6 @@ fn chaos_run(seed: u64) -> (u64, u64, u64) {
                     ..GmConfig::default()
                 },
                 email_on_termination: false,
-                lean: false,
             };
             b.add_component(
                 "scheduler",
@@ -173,7 +172,6 @@ fn outputs_survive_a_submit_crash_during_staging() {
                     ..GmConfig::default()
                 },
                 email_on_termination: false,
-                lean: false,
             };
             b.add_component(
                 "scheduler",
