@@ -227,7 +227,10 @@ pub enum UserCmd {
         /// The job.
         spec: GridJobSpec,
     },
-    /// Ask for a job's current status.
+    /// Ask for a job's current status. A live job is answered from
+    /// memory; a finished one from its stored record at full retention,
+    /// while lean retention has deleted that record and answers
+    /// `Failed("unknown job")`, as for an id never issued.
     Query {
         /// The job.
         job: GridJobId,
@@ -237,7 +240,9 @@ pub enum UserCmd {
         /// The job.
         job: GridJobId,
     },
-    /// Fetch the complete event log.
+    /// Fetch the user log: at full retention the complete log, read back
+    /// from the stable store; at lean retention the recent window held in
+    /// memory (the trace stream is the durable log there).
     GetLog,
     /// Provide a refreshed proxy (the user ran `grid-proxy-init` after the
     /// expiry email).
@@ -266,7 +271,8 @@ pub enum UserEvent {
         /// When this was true.
         at: SimTime,
     },
-    /// The complete log, answering `GetLog`.
+    /// The user log, answering `GetLog`: every entry at full retention,
+    /// the recent window at lean retention.
     Log {
         /// `(time, job, message)` triples in order.
         entries: Vec<(SimTime, GridJobId, String)>,

@@ -49,10 +49,22 @@ struct JobRec {
 
 gridsim::codec! { struct JobRec { spec, status, submitted_at, seen_active } }
 
+/// One persisted user-log chunk: `(micros, job, message)` triples.
+type LogChunk = Vec<(u64, u64, String)>;
+
+/// A user-log entry as the user API hands it out.
+type LogEntry = (SimTime, GridJobId, String);
+
 /// The Scheduler component.
+///
+/// Memory holds live jobs only, at either retention: a job leaves `jobs`
+/// and the pool maps when it reaches a terminal state. Full retention
+/// keeps the finished job's record and the whole user log in the stable
+/// store, and `Query`/`GetLog` read them back from there.
 pub struct Scheduler {
     config: SchedulerConfig,
     broker: Option<Box<dyn Broker>>,
+    /// Non-terminal jobs.
     jobs: BTreeMap<GridJobId, JobRec>,
     /// pool JobId -> grid job id (pool-universe correlation).
     pool_map: BTreeMap<u64, GridJobId>,
@@ -66,7 +78,12 @@ pub struct Scheduler {
     log_key: KeyBuf,
     next_id_key: String,
     next_id: u64,
-    log: Vec<(SimTime, GridJobId, String)>,
+    /// Entries in the stored user log (full retention): the next one
+    /// lands in chunk `log_len / LOG_CHUNK`.
+    log_len: u64,
+    /// Lean retention's bounded window of recent entries, the only user
+    /// log held in memory.
+    recent_log: Vec<LogEntry>,
     gridmanager: Option<Addr>,
     /// True when this instance was rebuilt from stable storage.
     recovered: bool,
@@ -86,7 +103,8 @@ impl Scheduler {
             pool_map: BTreeMap::new(),
             pool_id_of: BTreeMap::new(),
             next_id: 0,
-            log: Vec::new(),
+            log_len: 0,
+            recent_log: Vec::new(),
             gridmanager: None,
             recovered: false,
         }
@@ -108,27 +126,22 @@ impl Scheduler {
                 continue;
             };
             s.next_id = s.next_id.max(id + 1);
-            s.jobs.insert(GridJobId(id), rec);
+            // Finished jobs stay in the store, where `Query` reads them.
+            if !rec.status.is_terminal() {
+                s.jobs.insert(GridJobId(id), rec);
+            }
         }
-        // The log is persisted in fixed-size chunks (appending to one big
-        // value would make every event O(total log)).
-        type LogChunk = Vec<(u64, u64, String)>;
+        // Every chunk but the last is full, so the last alone says how
+        // long the log is.
         let log_prefix = s.log_key.prefix();
-        let mut chunks: Vec<(u64, LogChunk)> = store
+        let last_chunk = store
             .keys_with_prefix(node, log_prefix)
-            .into_iter()
-            .filter_map(|key| {
-                let idx: u64 = key[log_prefix.len()..].parse().ok()?;
-                Some((idx, store.get(node, &key)?))
-            })
-            .collect();
-        chunks.sort_by_key(|&(i, _)| i);
-        for (_, chunk) in chunks {
-            s.log.extend(
-                chunk
-                    .into_iter()
-                    .map(|(t, j, m)| (SimTime(t), GridJobId(j), m)),
-            );
+            .iter()
+            .filter_map(|key| key[log_prefix.len()..].parse::<u64>().ok())
+            .max();
+        if let Some(last) = last_chunk {
+            let tail = Self::read_log_chunk(store, node, &mut s.log_key, last);
+            s.log_len = last * Self::LOG_CHUNK + tail.len() as u64;
         }
         let pm_prefix = s.pm_key.prefix().len();
         for key in store.keys_with_prefix(node, s.pm_key.prefix()) {
@@ -136,10 +149,29 @@ impl Scheduler {
                 key[pm_prefix..].parse::<u64>(),
                 store.get::<u64>(node, &key),
             ) {
-                s.map_pool_job(pool_id, GridJobId(grid));
+                if s.jobs.contains_key(&GridJobId(grid)) {
+                    s.map_pool_job(pool_id, GridJobId(grid));
+                }
             }
         }
         s
+    }
+
+    /// Chunk `idx` of the user log stored under `log_key` (empty if
+    /// absent). The log is persisted in fixed-size chunks: appending to
+    /// one big value would make every event O(total log).
+    fn read_log_chunk(
+        store: &gridsim::store::StableStore,
+        node: NodeId,
+        log_key: &mut KeyBuf,
+        idx: u64,
+    ) -> Vec<LogEntry> {
+        store
+            .get::<LogChunk>(node, log_key.key(idx))
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(t, j, m)| (SimTime(t), GridJobId(j), m))
+            .collect()
     }
 
     /// Correlate a pool job with its grid job, both ways. Should one grid
@@ -153,12 +185,17 @@ impl Scheduler {
             .or_insert(pool_id);
     }
 
+    /// The store key of `job`'s queue record.
+    fn record_key(job_key: &mut KeyBuf, job: GridJobId) -> &str {
+        job_key.key(format_args!("{:012}", job.0))
+    }
+
     /// Persist one job record (O(1) per event).
     fn persist_job(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
         let Some(rec) = self.jobs.get(&job) else {
             return;
         };
-        let key = self.job_key.key(format_args!("{:012}", job.0));
+        let key = Self::record_key(&mut self.job_key, job);
         let node = ctx.node();
         ctx.store().put(node, key, &(job.0, rec));
         ctx.store().put(node, &self.next_id_key, &self.next_id);
@@ -170,7 +207,7 @@ impl Scheduler {
     }
 
     /// Entries per persisted log chunk.
-    const LOG_CHUNK: usize = 64;
+    const LOG_CHUNK: u64 = 64;
 
     fn log_event(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, message: String) {
         ctx.trace_with("condor_g.log", || format!("{job}: {message}"));
@@ -178,19 +215,23 @@ impl Scheduler {
             // Campaign mode: the durable user log is the trace stream; keep
             // only a bounded recent window in memory for GetLog, and skip
             // the per-event chunk rewrite entirely.
-            self.log.push((ctx.now(), job, message));
-            if self.log.len() >= 2 * Self::LOG_CHUNK {
-                self.log.drain(..Self::LOG_CHUNK);
+            let chunk = Self::LOG_CHUNK as usize;
+            self.recent_log.push((ctx.now(), job, message));
+            if self.recent_log.len() >= 2 * chunk {
+                self.recent_log.drain(..chunk);
             }
             return;
         }
-        // Append to the current (last, partial) chunk.
-        let chunk_idx = self.log.len() / Self::LOG_CHUNK;
-        let key = self.log_key.key(chunk_idx);
+        // Append to the current (last, partial) chunk; a full chunk never
+        // grows again, so it gives back what `append`'s doubling left.
+        let key = self.log_key.key(self.log_len / Self::LOG_CHUNK);
         let (node, now) = (ctx.node(), ctx.now());
-        ctx.store()
-            .append(node, key, &(now.micros(), job.0, message.as_str()));
-        self.log.push((now, job, message));
+        let store = ctx.store();
+        store.append(node, key, &(now.micros(), job.0, message.as_str()));
+        self.log_len += 1;
+        if self.log_len.is_multiple_of(Self::LOG_CHUNK) {
+            store.seal(node, key);
+        }
     }
 
     fn push_status(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
@@ -264,6 +305,7 @@ impl Scheduler {
                     self.log_event(ctx, job, "no pool schedd; job failed".into());
                     self.persist_job(ctx, job);
                     self.push_status(ctx, job);
+                    self.retire(ctx, job);
                     return;
                 };
                 let mut ad = ClassAd::new()
@@ -327,25 +369,30 @@ impl Scheduler {
                 },
                 1,
             );
-            if ctx.lean() {
-                self.retire(ctx, job);
-            }
+            self.retire(ctx, job);
         }
     }
 
-    /// Lean retention: drop a terminal job from the queue and reclaim its
-    /// persistent record, so memory tracks *live* jobs rather than total
-    /// submitted. Trades away `Query`/`GetLog` history for finished jobs.
+    /// Drop a terminal job from memory, with its pool-universe correlation
+    /// entries, so memory tracks *live* jobs rather than total submitted.
+    /// Full retention keeps the job's records in the store, where `Query`
+    /// reads them back; lean retention reclaims those too, trading away
+    /// `Query` history for finished jobs.
     fn retire(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
         if self.jobs.remove(&job).is_none() {
             return;
         }
-        let node = ctx.node();
-        let key = self.job_key.key(format_args!("{:012}", job.0));
-        ctx.store().remove(node, key);
-        // Pool-universe correlation entries die with the job too.
-        if let Some(pool_id) = self.pool_id_of.remove(&job) {
+        let pool_id = self.pool_id_of.remove(&job);
+        if let Some(pool_id) = pool_id {
             self.pool_map.remove(&pool_id);
+        }
+        if !ctx.lean() {
+            return;
+        }
+        let node = ctx.node();
+        let key = Self::record_key(&mut self.job_key, job);
+        ctx.store().remove(node, key);
+        if let Some(pool_id) = pool_id {
             ctx.store().remove(node, self.pm_key.key(pool_id));
         }
     }
@@ -354,15 +401,10 @@ impl Scheduler {
 impl Component for Scheduler {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         if self.recovered {
-            // Re-manage every non-terminal grid job; resubmit pool jobs
-            // (the pool schedd has its own persistent queue and recovery —
-            // here we only re-establish our notification mapping).
-            let pending: Vec<GridJobId> = self
-                .jobs
-                .iter()
-                .filter(|(_, r)| !r.status.is_terminal())
-                .map(|(id, _)| *id)
-                .collect();
+            // Re-manage every recovered (non-terminal) grid job; resubmit
+            // pool jobs (the pool schedd has its own persistent queue and
+            // recovery — here we only re-establish our notification mapping).
+            let pending: Vec<GridJobId> = self.jobs.keys().copied().collect();
             ctx.metrics().incr("condor_g.recoveries", 1);
             for job in pending {
                 self.log_event(ctx, job, "recovered from persistent queue".into());
@@ -415,11 +457,18 @@ impl Scheduler {
                 self.route_submit(ctx, job);
             }
             UserCmd::Query { job } => {
-                let status = self
-                    .jobs
-                    .get(&job)
-                    .map(|r| r.status.clone())
-                    .unwrap_or(JobStatus::Failed("unknown job".into()));
+                let status = match self.jobs.get(&job) {
+                    Some(rec) => Some(rec.status.clone()),
+                    // A finished job: its record, if the store kept it.
+                    None => {
+                        let node = ctx.node();
+                        let key = Self::record_key(&mut self.job_key, job);
+                        ctx.store()
+                            .get::<(u64, JobRec)>(node, key)
+                            .map(|(_, rec)| rec.status)
+                    }
+                }
+                .unwrap_or_else(|| JobStatus::Failed("unknown job".into()));
                 ctx.send(
                     from,
                     UserEvent::Status {
@@ -456,12 +505,16 @@ impl Scheduler {
                 }
             }
             UserCmd::GetLog => {
-                ctx.send(
-                    from,
-                    UserEvent::Log {
-                        entries: self.log.clone(),
-                    },
-                );
+                let entries = if ctx.lean() {
+                    self.recent_log.clone()
+                } else {
+                    let node = ctx.node();
+                    let store = &*ctx.store();
+                    (0..self.log_len.div_ceil(Self::LOG_CHUNK))
+                        .flat_map(|idx| Self::read_log_chunk(store, node, &mut self.log_key, idx))
+                        .collect()
+                };
+                ctx.send(from, UserEvent::Log { entries });
             }
             UserCmd::RefreshProxy { credential } => {
                 self.config.credential = credential.clone();

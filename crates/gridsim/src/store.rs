@@ -100,6 +100,19 @@ impl StableStore {
         }
     }
 
+    /// Give back the spare capacity `append` left on `(node, key)`, for a
+    /// value that will not grow again. The bytes do not change and no
+    /// write is counted; an absent key is a no-op.
+    pub fn seal(&mut self, node: NodeId, key: &str) {
+        if let Some(value) = self
+            .nodes
+            .get_mut(node.0 as usize)
+            .and_then(|map| map.get_mut(key))
+        {
+            value.shrink_to_fit();
+        }
+    }
+
     /// Load and decode a value; `None` if the key is absent.
     ///
     /// Panics if the stored bytes do not decode as `T` — a schema mismatch
@@ -275,18 +288,25 @@ mod tests {
 
     proptest! {
         /// Appending element by element leaves the bytes `put` of the
-        /// whole vector writes, so readers cannot tell the two apart.
+        /// whole vector writes, so readers cannot tell the two apart — and
+        /// sealing the value between appends changes no byte of it.
         #[test]
         fn append_equals_put_of_the_whole_vec(
             entries in proptest::collection::vec(
                 (any::<u64>(), any::<u64>(), "[ -~]{0,40}"),
                 0..80,
-            )
+            ),
+            seals in proptest::collection::vec(any::<bool>(), 80..81),
         ) {
             let mut s = StableStore::new();
             for (i, (t, j, m)) in entries.iter().enumerate() {
                 // Borrowed fields, as `Scheduler::log_event` writes them.
                 s.append(NodeId(0), "appended", &(*t, *j, m.as_str()));
+                if seals[i] {
+                    s.seal(NodeId(0), "appended");
+                    let stored = &s.nodes[0]["appended"];
+                    prop_assert_eq!(stored.capacity(), stored.len());
+                }
                 s.put(NodeId(0), "whole", &entries[..=i].to_vec());
                 prop_assert_eq!(
                     s.get_bytes(NodeId(0), "appended"),

@@ -212,7 +212,8 @@ pub struct TestbedConfig {
     pub max_time: Option<Duration>,
     /// Retention, forwarded to the world as `gridsim::Config::lean`: every
     /// layer reads it there and reclaims per-job state as jobs settle —
-    /// the scheduler drops terminal jobs and their records, the
+    /// the scheduler deletes terminal jobs' records (it drops the jobs
+    /// from memory at either retention) and keeps no stored user log, the
     /// GridManager deletes job tombstones and staged output, gatekeepers
     /// reap dedup/log entries when JobManagers exit, and the kernel
     /// recycles component ids. Memory then tracks *in-flight* jobs, so

@@ -47,9 +47,11 @@ fn jobs_complete_across_two_sites() {
 
 #[test]
 fn user_log_and_query_work() {
-    use condor_g_suite::condor_g::{UserCmd, UserEvent};
+    use condor_g_suite::condor_g::{GridJobId, JobStatus, UserCmd, UserEvent};
     use condor_g_suite::gridsim::{Addr, AnyMsg};
 
+    /// Once both jobs have finished: fetches the log, and asks after a
+    /// finished job and an id the scheduler never issued.
     struct LogReader {
         scheduler: Addr,
     }
@@ -59,15 +61,24 @@ fn user_log_and_query_work() {
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
             ctx.send(self.scheduler, UserCmd::GetLog);
+            for job in [GridJobId(1), GridJobId(99)] {
+                ctx.send(self.scheduler, UserCmd::Query { job });
+            }
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
-            if let Some(UserEvent::Log { entries }) = msg.downcast_ref::<UserEvent>() {
-                let node = ctx.node();
-                let count = entries.len() as u64;
-                ctx.store().put(node, "log_len", &count);
-                let texts: Vec<String> =
-                    entries.iter().map(|(_, j, m)| format!("{j} {m}")).collect();
-                ctx.store().put(node, "log_texts", &texts);
+            let node = ctx.node();
+            match msg.downcast_ref::<UserEvent>() {
+                Some(UserEvent::Log { entries }) => {
+                    let count = entries.len() as u64;
+                    ctx.store().put(node, "log_len", &count);
+                    let texts: Vec<String> =
+                        entries.iter().map(|(_, j, m)| format!("{j} {m}")).collect();
+                    ctx.store().put(node, "log_texts", &texts);
+                }
+                Some(UserEvent::Status { job, status, .. }) => {
+                    ctx.store().put(node, &format!("query/{}", job.0), status);
+                }
+                _ => {}
             }
         }
     }
@@ -88,6 +99,28 @@ fn user_log_and_query_work() {
     let texts: Vec<String> = tb.world.store().get(tb.submit, "log_texts").unwrap();
     assert!(texts.iter().any(|t| t.contains("submitted")));
     assert!(texts.iter().any(|t| t.contains("Done")));
+    // A finished job is answered from its stored record; an id never
+    // issued has none.
+    let answer = |job: u64| -> Option<JobStatus> {
+        tb.world.store().get(tb.submit, &format!("query/{job}"))
+    };
+    assert_eq!(answer(1), Some(JobStatus::Done));
+    assert_eq!(answer(99), Some(JobStatus::Failed("unknown job".into())));
+}
+
+#[test]
+fn cancelling_a_finished_job_changes_nothing() {
+    // The job is long done (and its GridManager gone) when the cancel
+    // arrives: its terminal status stands, and nothing counts a removal.
+    let mut tb = build(TestbedConfig::default());
+    let mut console = UserConsole::new(tb.scheduler).submit_many(1, quick_jobs(1, 600, 0));
+    console.cancel_at = Some((Duration::from_hours(3), 0));
+    let node = run_console(&mut tb, console, Duration::from_hours(4));
+    let h = UserConsole::history_of(&tb.world, node, 0);
+    assert_eq!(h.last().map(String::as_str), Some("Done"), "{h:?}");
+    let m = tb.world.metrics();
+    assert_eq!(m.counter("condor_g.jobs_done"), 1);
+    assert_eq!(m.counter("condor_g.jobs_removed"), 0);
 }
 
 #[test]
@@ -255,18 +288,20 @@ fn submit_machine_crash_recovers_from_persistent_queue() {
 
 #[test]
 fn user_log_survives_a_crash_chunk_by_chunk() {
-    use condor_g_suite::condor_g::{GridJobId, UserCmd, UserEvent};
+    use condor_g_suite::condor_g::{GridJobId, JobStatus, UserCmd, UserEvent};
     use condor_g_suite::gridsim::{codec, Addr, AnyMsg};
     use std::cell::RefCell;
     use std::rc::Rc;
 
     type Log = Vec<(SimTime, GridJobId, String)>;
 
-    /// Lives off the submit machine, so it outlives the crash: asks for the
-    /// user log whenever the test pokes it and hands each answer out.
+    /// Lives off the submit machine, so it outlives the crash: whenever the
+    /// test pokes it, asks for the user log and the status of job 0, and
+    /// hands each answer out.
     struct LogReader {
         scheduler: Addr,
         logs: Rc<RefCell<Vec<Log>>>,
+        statuses: Rc<RefCell<Vec<JobStatus>>>,
     }
     #[derive(Debug)]
     struct Poke;
@@ -274,8 +309,15 @@ fn user_log_survives_a_crash_chunk_by_chunk() {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
             if msg.is::<Poke>() {
                 ctx.send(self.scheduler, UserCmd::GetLog);
-            } else if let Some(UserEvent::Log { entries }) = msg.downcast_ref::<UserEvent>() {
-                self.logs.borrow_mut().push(entries.clone());
+                ctx.send(self.scheduler, UserCmd::Query { job: GridJobId(0) });
+                return;
+            }
+            match msg.downcast_ref::<UserEvent>() {
+                Some(UserEvent::Log { entries }) => self.logs.borrow_mut().push(entries.clone()),
+                Some(UserEvent::Status { status, .. }) => {
+                    self.statuses.borrow_mut().push(status.clone())
+                }
+                _ => {}
             }
         }
     }
@@ -294,12 +336,14 @@ fn user_log_survives_a_crash_chunk_by_chunk() {
     recover_submit_machine_on_boot(&mut tb);
     let desk = tb.world.add_node("desk");
     let logs = Rc::new(RefCell::new(Vec::new()));
+    let statuses = Rc::new(RefCell::new(Vec::new()));
     let reader = tb.world.add_component(
         desk,
         "logreader",
         LogReader {
             scheduler: tb.scheduler,
             logs: Rc::clone(&logs),
+            statuses: Rc::clone(&statuses),
         },
     );
     let read_log_at = |tb: &mut Testbed, at: Duration| -> Log {
@@ -309,10 +353,12 @@ fn user_log_survives_a_crash_chunk_by_chunk() {
             .run_until(SimTime::ZERO + at + Duration::from_mins(1));
         logs.borrow_mut().pop().expect("GetLog answered")
     };
+    let job_0_status = || statuses.borrow_mut().pop().expect("Query answered");
 
     let before = read_log_at(&mut tb, Duration::from_mins(60));
     assert!(before.len() >= 130, "only {} entries", before.len());
     assert_eq!(tb.world.metrics().counter("condor_g.jobs_done"), 40);
+    assert_eq!(job_0_status(), JobStatus::Done);
     tb.world.crash_node_now(node);
     tb.world.run_until(SimTime::ZERO + Duration::from_mins(90));
     tb.world.restart_node_now(node);
@@ -321,6 +367,9 @@ fn user_log_survives_a_crash_chunk_by_chunk() {
     // recovery's own entries follow them.
     let recovered = read_log_at(&mut tb, Duration::from_mins(91));
     assert_eq!(tb.world.metrics().counter("condor_g.recoveries"), 1);
+    // Recovery loaded only the two running jobs; job 0, done before the
+    // crash, is still answered from its stored record.
+    assert_eq!(job_0_status(), JobStatus::Done);
     assert_eq!(recovered[..before.len()], before[..]);
     let appended = &recovered[before.len()..];
     assert_eq!(appended.len(), 2, "{appended:?}");

@@ -4,8 +4,10 @@
 //! leases and idle timeouts.
 
 use condor_g_suite::condor_g::api::GridJobSpec;
+use condor_g_suite::condor_g::{GridJobId, JobStatus, UserCmd, UserEvent};
 use condor_g_suite::gridsim::prelude::*;
-use condor_g_suite::harness::{build, SiteSpec, TestbedConfig, UserConsole};
+use condor_g_suite::gridsim::{Addr, AnyMsg};
+use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig, UserConsole};
 
 fn pool_job(secs: u64) -> GridJobSpec {
     GridJobSpec::pool("worker", "/home/jane/worker.exe", Duration::from_secs(secs))
@@ -48,6 +50,40 @@ fn figure2_glidein_path_runs_pool_jobs() {
         let h = UserConsole::history_of(&tb.world, node, i);
         assert_eq!(h.last().map(String::as_str), Some("Done"), "job {i}: {h:?}");
     }
+    // A finished pool-universe job has left the scheduler's memory and its
+    // pool-id maps; its stored record still answers a query.
+    assert_eq!(query(&mut tb, GridJobId(0)), JobStatus::Done);
+}
+
+/// Ask the testbed's scheduler for `job`'s status, from a component added
+/// for the purpose, and return the answer.
+fn query(tb: &mut Testbed, job: GridJobId) -> JobStatus {
+    struct Asker {
+        scheduler: Addr,
+        job: GridJobId,
+    }
+    impl Component for Asker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.send(self.scheduler, UserCmd::Query { job: self.job });
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+            if let Some(UserEvent::Status { status, .. }) = msg.downcast_ref::<UserEvent>() {
+                let node = ctx.node();
+                ctx.store().put(node, "asker/status", status);
+            }
+        }
+    }
+    let asker = Asker {
+        scheduler: tb.scheduler,
+        job,
+    };
+    tb.world.add_component(tb.submit, "asker", asker);
+    let later = tb.world.now() + Duration::from_mins(1);
+    tb.world.run_until(later);
+    tb.world
+        .store()
+        .get(tb.submit, "asker/status")
+        .expect("Query answered")
 }
 
 #[test]
