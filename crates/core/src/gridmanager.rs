@@ -23,13 +23,12 @@ use crate::email::Email;
 use gass::GassUrl;
 use gram::proto::{GramJobState, GramReply, GramRequest, JmMsg, JobContact};
 use gram::{RslSpec, SubmitSession};
-use gridsim::hash::IdMap;
+use gridsim::hash::{IdMap, IdTable};
 use gridsim::prelude::*;
 use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::{MyProxyReply, MyProxyRequest, ProxyCredential};
 use mds::{attr_to_addr, GripQuery, GripReply};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// MyProxy auto-refresh settings (§4.3's proposed enhancement).
@@ -220,8 +219,6 @@ struct GmJob {
     excluded: Vec<String>,
     phase: Phase,
     reported: JobStatus,
-    /// This job's entry in `GridManager::due`.
-    slot: usize,
     /// A cancel is in flight because the job is being moved to a better
     /// site; the Removed callback resubmits instead of finishing.
     migrating: bool,
@@ -241,7 +238,6 @@ impl GmJob {
             excluded: Vec::new(),
             phase: Phase::NeedSite,
             reported: JobStatus::Unsubmitted,
-            slot: usize::MAX,
             migrating: false,
         }
     }
@@ -316,7 +312,9 @@ pub struct GridManager {
     scheduler: Addr,
     gass: Addr,
     broker: Option<Box<dyn Broker>>,
-    jobs: BTreeMap<GridJobId, GmJob>,
+    /// Live jobs, by slot. It iterates in slot order, so a loop that sends
+    /// or reports goes over `sorted_ids`.
+    jobs: IdTable<GridJobId, GmJob>,
     /// Secondary indexes over `jobs` — protocol replies arrive keyed by
     /// submit sequence number or job contact, and a campaign-sized queue
     /// cannot afford a linear scan per reply.
@@ -325,15 +323,14 @@ pub struct GridManager {
     /// Store keys: `gm/<user>/job/<id>` built in place, `gm/<user>/next_seq`.
     job_key: KeyBuf,
     seq_key: String,
-    /// The tick's side table: `due[j.slot]` is the earliest instant at which
-    /// `tick_job` does anything for the job in that slot ([`GmJob::due`]),
-    /// refreshed after every handler that touched the job — so it may be
-    /// early, never late — and `SimTime::MAX` in a free slot. Sixteen bytes
-    /// a job, scanned once per tick instead of the job map.
+    /// The tick's side table, by the slot a job holds in `jobs`: the
+    /// earliest instant at which `tick_job` does anything for the job
+    /// ([`GmJob::due`]), refreshed after every handler that touched the job
+    /// — so it may be early, never late — and `SimTime::MAX` in a free
+    /// slot. Sixteen bytes a job, scanned once per tick instead of the jobs.
     due: Vec<(SimTime, GridJobId)>,
-    free_slots: Vec<usize>,
-    /// The ids a tick found due, reused from tick to tick.
-    due_now: Vec<GridJobId>,
+    /// The `(id, slot)` pairs a tick found due, reused from tick to tick.
+    due_now: Vec<(GridJobId, usize)>,
     /// Jobs that reached a terminal state and were evicted from `jobs`
     /// (their persisted record shrinks to a tombstone). Keeps the hot map
     /// proportional to *live* jobs, not campaign size.
@@ -364,14 +361,13 @@ impl GridManager {
             job_key: KeyBuf::new(format!("gm/{}/job/", config.user)),
             seq_key: format!("gm/{}/next_seq", config.user),
             due: Vec::new(),
-            free_slots: Vec::new(),
             due_now: Vec::new(),
             config,
             credential,
             scheduler,
             gass,
             broker: Some(broker),
-            jobs: BTreeMap::new(),
+            jobs: IdTable::default(),
             by_seq: IdMap::default(),
             by_contact: IdMap::default(),
             retired: 0,
@@ -415,10 +411,13 @@ impl GridManager {
     /// Evict a terminal job from the hot map (its tombstone is already on
     /// disk). Must run *after* the final `report`, which needs the record.
     fn retire(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
-        let Some(j) = self.jobs.get(&job) else { return };
-        if !matches!(j.phase, Phase::Terminal) {
+        let Some(slot) = self.jobs.slot(&job) else {
+            return;
+        };
+        if !matches!(self.jobs[&job].phase, Phase::Terminal) {
             return;
         }
+        let j = self.jobs.remove(&job).expect("job has a slot");
         if let Some(seq) = j.seq {
             self.by_seq.remove(&seq);
         }
@@ -426,10 +425,14 @@ impl GridManager {
             self.by_contact.remove(&contact);
         }
         let staged_out =
-            (j.spec.stdout_size > 0 && !j.stdout_path.is_empty()).then(|| j.stdout_path.clone());
-        self.due[j.slot].0 = SimTime::MAX;
-        self.free_slots.push(j.slot);
-        self.jobs.remove(&job);
+            (j.spec.stdout_size > 0 && !j.stdout_path.is_empty()).then_some(j.stdout_path);
+        // The due table follows `jobs`: a vacated slot is never due, and a
+        // drained table gives its memory back.
+        if self.jobs.is_empty() {
+            self.due = Vec::new();
+        } else {
+            self.due[slot].0 = SimTime::MAX;
+        }
         self.retired += 1;
         if ctx.lean() {
             // Lean retention: no tombstone either, so the store footprint
@@ -670,12 +673,9 @@ impl GridManager {
                 "your proxy has (nearly) expired; jobs cannot run again until \
                  you refresh it with grid-proxy-init",
             );
-            let jobs: Vec<GridJobId> = self
+            let jobs = self
                 .jobs
-                .iter()
-                .filter(|(_, j)| !matches!(j.phase, Phase::Terminal))
-                .map(|(id, _)| *id)
-                .collect();
+                .sorted_ids(|j| !matches!(j.phase, Phase::Terminal));
             for job in jobs {
                 self.report(ctx, job, JobStatus::Held("credentials expired".into()));
             }
@@ -688,26 +688,23 @@ impl GridManager {
         ctx.metrics().incr("gm.credentials_adopted", 1);
         // Re-forward to every live JobManager (§4.3: "it also needs to
         // re-forward the refreshed proxy to the remote GRAM server").
-        let targets: Vec<(GridJobId, Addr)> = self
+        for job in self
             .jobs
-            .iter()
-            .filter_map(|(id, j)| match &j.phase {
-                Phase::Live { jm, .. } => Some((*id, *jm)),
-                _ => None,
-            })
-            .collect();
-        for (_, jm) in &targets {
-            ctx.send(
-                *jm,
-                JmMsg::RefreshCredential {
-                    credential: self.credential.clone(),
-                },
-            );
+            .sorted_ids(|j| matches!(j.phase, Phase::Live { .. }))
+        {
+            if let Phase::Live { jm, .. } = self.jobs[&job].phase {
+                ctx.send(
+                    jm,
+                    JmMsg::RefreshCredential {
+                        credential: self.credential.clone(),
+                    },
+                );
+            }
         }
         if self.held {
             self.held = false;
             // Un-hold: restore live statuses and resume queued submissions.
-            let jobs: Vec<GridJobId> = self.jobs.keys().copied().collect();
+            let jobs = self.jobs.sorted_ids(|_| true);
             for job in jobs {
                 match self.jobs[&job].phase {
                     Phase::NeedSite => {
@@ -745,11 +742,12 @@ impl GridManager {
 
     // ---- failure detection & recovery (§4.2) ---------------------------
 
-    fn tick_job(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
+    /// Whatever is due for `job`, which sits in `slot` of `jobs`.
+    fn tick_job(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, slot: usize) {
         let now = ctx.now();
         let probe_interval = self.config.probe_interval;
         let submit_retry = self.config.submit_retry;
-        let Some(j) = self.jobs.get_mut(&job) else {
+        let Some(j) = self.jobs.at_mut(slot) else {
             return;
         };
         match &mut j.phase {
@@ -860,28 +858,37 @@ impl GridManager {
         }
     }
 
-    /// Take responsibility for `rec`: into the map, with a slot in `due`.
-    fn adopt(&mut self, job: GridJobId, mut rec: GmJob) {
-        rec.slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.due.push((SimTime::MAX, job));
-            self.due.len() - 1
-        });
-        self.due[rec.slot] = (rec.due(&self.config), job);
-        self.jobs.insert(job, rec);
+    /// Take responsibility for `rec`: into `jobs`, with its slot's entry in
+    /// `due`.
+    fn adopt(&mut self, job: GridJobId, rec: GmJob) {
+        let due = rec.due(&self.config);
+        let slot = self.jobs.insert(job, rec);
+        if slot == self.due.len() {
+            self.due.push((due, job));
+        } else {
+            self.due[slot] = (due, job);
+        }
     }
 
-    /// Bring `job`'s `due` entry up to date with its phase. Every handler
-    /// that may have touched a job ends with this.
+    /// Bring the `due` entry of the job in `slot` up to date with its
+    /// phase. Every handler that may have touched a job ends with this.
+    fn refresh_slot(&mut self, slot: usize) {
+        if let Some(j) = self.jobs.at(slot) {
+            self.due[slot].0 = j.due(&self.config);
+        }
+    }
+
+    /// [`Self::refresh_slot`] for `job`, wherever it sits.
     fn refresh_due(&mut self, job: GridJobId) {
-        if let Some(j) = self.jobs.get(&job) {
-            self.due[j.slot].0 = j.due(&self.config);
+        if let Some(slot) = self.jobs.slot(&job) {
+            self.refresh_slot(slot);
         }
     }
 
     /// The same for every job, after an event that concerns them all.
     fn refresh_all_due(&mut self) {
-        for j in self.jobs.values() {
-            self.due[j.slot].0 = j.due(&self.config);
+        for slot in 0..self.due.len() {
+            self.refresh_slot(slot);
         }
     }
 
@@ -896,13 +903,14 @@ impl GridManager {
         due_now.extend(
             self.due
                 .iter()
-                .filter(|(at, _)| *at <= now)
-                .map(|(_, job)| *job),
+                .enumerate()
+                .filter(|(_, (at, _))| *at <= now)
+                .map(|(slot, &(_, job))| (job, slot)),
         );
         due_now.sort_unstable();
-        for &job in &due_now {
-            self.tick_job(ctx, job);
-            self.refresh_due(job);
+        for &(job, slot) in &due_now {
+            self.tick_job(ctx, job, slot);
+            self.refresh_slot(slot);
         }
         self.due_now = due_now;
     }
@@ -1385,12 +1393,7 @@ impl Component for GridManager {
                     broker.update_ads(parsed, ctx.now());
                 }
                 // Jobs stuck waiting for a site can move now.
-                let waiting: Vec<GridJobId> = self
-                    .jobs
-                    .iter()
-                    .filter(|(_, j)| matches!(j.phase, Phase::NeedSite))
-                    .map(|(id, _)| *id)
-                    .collect();
+                let waiting = self.jobs.sorted_ids(|j| matches!(j.phase, Phase::NeedSite));
                 for job in waiting {
                     self.begin_submit(ctx, job);
                 }
@@ -1472,10 +1475,10 @@ mod tests {
             if !self.gm.held {
                 self.gm.observe_weather(ctx);
                 self.gm.poll_mds(ctx);
-                let jobs: Vec<GridJobId> = self.gm.jobs.keys().copied().collect();
-                for job in jobs {
-                    self.gm.tick_job(ctx, job);
-                    self.gm.refresh_due(job);
+                for job in self.gm.jobs.sorted_ids(|_| true) {
+                    let slot = self.gm.jobs.slot(&job).expect("a live job");
+                    self.gm.tick_job(ctx, job, slot);
+                    self.gm.refresh_slot(slot);
                 }
             }
             self.gm.maybe_exit(ctx);

@@ -13,6 +13,7 @@ use crate::email::Email;
 use crate::gridmanager::{GmCmd, GmConfig, GmUpdate, GridManager};
 use classads::ClassAd;
 use condor::{PoolJobEvent, PoolJobState, PoolRemove, PoolSubmit, PoolSubmitted};
+use gridsim::hash::IdTable;
 use gridsim::prelude::*;
 use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
@@ -64,8 +65,8 @@ type LogEntry = (SimTime, GridJobId, String);
 pub struct Scheduler {
     config: SchedulerConfig,
     broker: Option<Box<dyn Broker>>,
-    /// Non-terminal jobs.
-    jobs: BTreeMap<GridJobId, JobRec>,
+    /// Non-terminal jobs, by slot (it iterates in slot order).
+    jobs: IdTable<GridJobId, JobRec>,
     /// pool JobId -> grid job id (pool-universe correlation).
     pool_map: BTreeMap<u64, GridJobId>,
     /// The way back, in memory only (rebuilt from `pool_map` on recovery):
@@ -77,6 +78,9 @@ pub struct Scheduler {
     pm_key: KeyBuf,
     log_key: KeyBuf,
     next_id_key: String,
+    /// The id the next `Submit` gets, stored under `next_id_key` whenever
+    /// one is issued: lean retention deletes finished jobs' records, so
+    /// the records alone cannot say which ids were used.
     next_id: u64,
     /// Entries in the stored user log (full retention): the next one
     /// lands in chunk `log_len / LOG_CHUNK`.
@@ -99,7 +103,7 @@ impl Scheduler {
             next_id_key: format!("condor_g/{}/next_id", config.user),
             config,
             broker: Some(broker),
-            jobs: BTreeMap::new(),
+            jobs: IdTable::default(),
             pool_map: BTreeMap::new(),
             pool_id_of: BTreeMap::new(),
             next_id: 0,
@@ -121,6 +125,7 @@ impl Scheduler {
     ) -> Scheduler {
         let mut s = Scheduler::new(config, broker);
         s.recovered = true;
+        s.next_id = store.get::<u64>(node, &s.next_id_key).unwrap_or(0);
         for key in store.keys_with_prefix(node, s.job_key.prefix()) {
             let Some((id, rec)) = store.get::<(u64, JobRec)>(node, &key) else {
                 continue;
@@ -198,7 +203,6 @@ impl Scheduler {
         let key = Self::record_key(&mut self.job_key, job);
         let node = ctx.node();
         ctx.store().put(node, key, &(job.0, rec));
-        ctx.store().put(node, &self.next_id_key, &self.next_id);
     }
 
     fn persist_pool_entry(&mut self, ctx: &mut Ctx<'_>, pool_id: u64, grid: GridJobId) {
@@ -404,7 +408,7 @@ impl Component for Scheduler {
             // Re-manage every recovered (non-terminal) grid job; resubmit
             // pool jobs (the pool schedd has its own persistent queue and
             // recovery — here we only re-establish our notification mapping).
-            let pending: Vec<GridJobId> = self.jobs.keys().copied().collect();
+            let pending = self.jobs.sorted_ids(|_| true);
             ctx.metrics().incr("condor_g.recoveries", 1);
             for job in pending {
                 self.log_event(ctx, job, "recovered from persistent queue".into());
@@ -436,6 +440,8 @@ impl Scheduler {
             UserCmd::Submit { id, spec } => {
                 let job = GridJobId(self.next_id);
                 self.next_id += 1;
+                let node = ctx.node();
+                ctx.store().put(node, &self.next_id_key, &self.next_id);
                 // Remember the user's console for callbacks.
                 if self.config.user_addr.is_none() {
                     self.config.user_addr = Some(from);

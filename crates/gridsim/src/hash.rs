@@ -6,11 +6,17 @@
 //! program itself hands out. The standard SipHash defends against keys an
 //! outsider crafts to collide — nobody crafts these — and costs more than
 //! the lookup it guards. [`IdMap`]/[`IdSet`] hash such keys with a couple
-//! of multiplies and no per-map random seed. Keep the default hasher for
-//! anything keyed by strings or by input from outside the program.
+//! of multiplies and no per-map random seed. Strings the program builds
+//! itself from such ids (the stable store's keys) may use [`IdHasher`] too.
+//! Keep the default hasher for anything keyed by input from outside the
+//! program.
+//!
+//! [`IdTable`] is the id-keyed table for large values: the values sit in a
+//! dense `Vec` and the hash map holds only an id-to-slot index.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Index;
 
 /// A multiply-rotate hasher over integer writes (the FxHash recurrence),
 /// folded at the end so both the low bits (bucket index) and the high bits
@@ -48,9 +54,135 @@ pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// A `HashSet` of program-issued ids.
 pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
+/// Values by slot in a `Vec`, found through an [`IdMap`] from id to slot.
+///
+/// A value keeps its slot for as long as it is in the table, so a caller may
+/// keep side tables indexed by slot and reach a value by [`IdTable::at`]
+/// with no lookup. A removed value's slot goes on a free list for the next
+/// insert, and a table that drains gives back all its memory.
+///
+/// Iteration goes in slot order, not id order: a loop whose effects depend
+/// on order goes over [`IdTable::sorted_ids`] instead.
+#[derive(Debug)]
+pub struct IdTable<K, V> {
+    slots: Vec<Option<(K, V)>>,
+    index: IdMap<K, u32>,
+    free: Vec<u32>,
+}
+
+impl<K, V> Default for IdTable<K, V> {
+    fn default() -> Self {
+        IdTable {
+            slots: Vec::new(),
+            index: IdMap::default(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash, V> IdTable<K, V> {
+    /// Whether the table holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The slot `id`'s value sits in.
+    pub fn slot(&self, id: &K) -> Option<usize> {
+        self.index.get(id).map(|&slot| slot as usize)
+    }
+
+    /// Whether `id` has a value.
+    pub fn contains_key(&self, id: &K) -> bool {
+        self.index.contains_key(id)
+    }
+
+    /// The value in `slot`, if the slot is occupied.
+    pub fn at(&self, slot: usize) -> Option<&V> {
+        self.slots.get(slot)?.as_ref().map(|(_, v)| v)
+    }
+
+    /// The value in `slot`, mutably.
+    pub fn at_mut(&mut self, slot: usize) -> Option<&mut V> {
+        self.slots.get_mut(slot)?.as_mut().map(|(_, v)| v)
+    }
+
+    /// `id`'s value.
+    pub fn get(&self, id: &K) -> Option<&V> {
+        self.at(self.slot(id)?)
+    }
+
+    /// `id`'s value, mutably.
+    pub fn get_mut(&mut self, id: &K) -> Option<&mut V> {
+        self.at_mut(self.slot(id)?)
+    }
+
+    /// Store `value` under `id` and return its slot: a value already under
+    /// `id` is replaced in place, a new one takes a vacated slot if any.
+    pub fn insert(&mut self, id: K, value: V) -> usize {
+        let slot = match self.slot(&id) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.free.pop().map_or(self.slots.len(), |s| s as usize);
+                if slot == self.slots.len() {
+                    self.slots.push(None);
+                }
+                let at = u32::try_from(slot).expect("fewer than 2^32 slots");
+                self.index.insert(id, at);
+                slot
+            }
+        };
+        self.slots[slot] = Some((id, value));
+        slot
+    }
+
+    /// Take `id`'s value out, vacating its slot.
+    pub fn remove(&mut self, id: &K) -> Option<V> {
+        let slot = self.index.remove(id)?;
+        let (_, value) = self.slots[slot as usize]
+            .take()
+            .expect("an indexed slot holds its value");
+        if self.index.is_empty() {
+            *self = IdTable::default();
+        } else {
+            self.free.push(slot);
+        }
+        Some(value)
+    }
+
+    /// Every `(id, value)`, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.slots.iter().flatten().map(|(id, v)| (*id, v))
+    }
+
+    /// The ids whose values `keep` picks, ascending: the order for a loop
+    /// whose effects depend on order.
+    pub fn sorted_ids(&self, keep: impl Fn(&V) -> bool) -> Vec<K>
+    where
+        K: Ord,
+    {
+        let mut ids: Vec<K> = self
+            .iter()
+            .filter(|(_, v)| keep(v))
+            .map(|(id, _)| id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+}
+
+impl<K: Copy + Eq + Hash, V> Index<&K> for IdTable<K, V> {
+    type Output = V;
+
+    fn index(&self, id: &K) -> &V {
+        self.get(id).expect("id in the table")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::hash::BuildHasher;
 
     #[test]
@@ -71,5 +203,71 @@ mod tests {
     fn pairs_are_order_sensitive() {
         let build = BuildHasherDefault::<IdHasher>::default();
         assert_ne!(build.hash_one((1u32, 2u32)), build.hash_one((2u32, 1u32)));
+    }
+
+    #[test]
+    fn a_drained_table_holds_no_capacity() {
+        let mut t = IdTable::default();
+        for id in 0..1000u64 {
+            t.insert(id, [id; 8]);
+        }
+        for id in (0..1000u64).rev() {
+            assert_eq!(t.remove(&id), Some([id; 8]));
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.slots.capacity(), 0);
+        assert_eq!(t.index.capacity(), 0);
+        assert_eq!(t.free.capacity(), 0);
+        // And it fills again from slot 0.
+        assert_eq!(t.insert(7, [0; 8]), 0);
+    }
+
+    proptest! {
+        /// Against a `BTreeMap`: the same values under the same ids after
+        /// every step, a value keeps its slot until removed, a vacated slot
+        /// is reused before the table grows, and `iter` yields each id once.
+        #[test]
+        fn id_table_matches_a_btree_map(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..40, any::<u32>()), 0..300),
+        ) {
+            let mut t = IdTable::default();
+            let mut model = BTreeMap::new();
+            let mut slot_of = BTreeMap::new();
+            for (insert, id, value) in ops {
+                if insert {
+                    let vacated = t.free.last().map(|&s| s as usize);
+                    let slot = t.insert(id, value);
+                    match slot_of.get(&id) {
+                        Some(&kept) => prop_assert_eq!(slot, kept),
+                        None => {
+                            if let Some(vacated) = vacated {
+                                prop_assert_eq!(slot, vacated);
+                            }
+                            prop_assert!(!slot_of.values().any(|&s| s == slot));
+                        }
+                    }
+                    slot_of.insert(id, slot);
+                    model.insert(id, value);
+                } else {
+                    prop_assert_eq!(t.remove(&id), model.remove(&id));
+                    slot_of.remove(&id);
+                }
+                prop_assert_eq!(t.is_empty(), model.is_empty());
+                for id in 0..40 {
+                    prop_assert_eq!(t.get(&id), model.get(&id));
+                    prop_assert_eq!(t.contains_key(&id), model.contains_key(&id));
+                    prop_assert_eq!(t.slot(&id), slot_of.get(&id).copied());
+                }
+                for (&id, &slot) in &slot_of {
+                    prop_assert_eq!(t.at(slot), model.get(&id));
+                }
+                let mut ids: Vec<u64> = t.iter().map(|(id, _)| id).collect();
+                ids.sort_unstable();
+                prop_assert_eq!(ids, model.keys().copied().collect::<Vec<_>>());
+                let even: Vec<u64> =
+                    model.iter().filter(|(_, v)| *v % 2 == 0).map(|(id, _)| *id).collect();
+                prop_assert_eq!(t.sorted_ids(|v| v % 2 == 0), even);
+            }
+        }
     }
 }

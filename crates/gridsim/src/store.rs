@@ -11,21 +11,31 @@
 //! the value alone — not of whether it was `put` whole, `append`ed to, or
 //! encoded from borrowed fields — so readers never care how a writer got
 //! there.
+//!
+//! Each node's keys sit in one hash map. Every key is a string the program
+//! builds itself (`gm/<user>/job/<id>` and the like), never outside input,
+//! so the map uses the fixed-seed [`IdHasher`](crate::hash::IdHasher).
+//! Point lookups are the hot path; prefix scans run only when a component
+//! recovers, and sort what they find, so callers see keys in the same
+//! order whatever the map's layout.
 
 use crate::codec::{Decode, Encode};
 use crate::component::NodeId;
-use std::collections::BTreeMap;
+use crate::hash::IdMap;
 use std::fmt::{self, Write};
-use std::ops::Bound;
+
+/// One node's keys and values.
+type NodeMap = IdMap<Box<str>, Vec<u8>>;
 
 /// Durable, crash-surviving per-node key/value storage.
 ///
-/// One sorted map per node (node ids are dense, so a `Vec` of maps), keyed
-/// by `String` so lookups borrow the caller's `&str`; a `BTreeMap` keeps
-/// iteration deterministic.
+/// One hash map per node (node ids are dense, so a `Vec` of maps), keyed
+/// by `Box<str>` so lookups borrow the caller's `&str`. A map that falls
+/// under a quarter of its capacity shrinks to twice its length, so a node
+/// whose records are retired gives the memory back.
 #[derive(Debug, Default)]
 pub struct StableStore {
-    nodes: Vec<BTreeMap<String, Vec<u8>>>,
+    nodes: Vec<NodeMap>,
     /// Encode buffer shared by every [`StableStore::put`], so a write
     /// allocates the stored value (exact size) and nothing else.
     scratch: Vec<u8>,
@@ -39,14 +49,14 @@ impl StableStore {
         StableStore::default()
     }
 
-    fn node(&self, node: NodeId) -> Option<&BTreeMap<String, Vec<u8>>> {
+    fn node(&self, node: NodeId) -> Option<&NodeMap> {
         self.nodes.get(node.0 as usize)
     }
 
-    fn node_mut(&mut self, node: NodeId) -> &mut BTreeMap<String, Vec<u8>> {
+    fn node_mut(&mut self, node: NodeId) -> &mut NodeMap {
         let at = node.0 as usize;
         if at >= self.nodes.len() {
-            self.nodes.resize_with(at + 1, BTreeMap::new);
+            self.nodes.resize_with(at + 1, NodeMap::default);
         }
         &mut self.nodes[at]
     }
@@ -65,7 +75,7 @@ impl StableStore {
             }
             Some(slot) => *slot = value.to_vec(),
             None => {
-                map.insert(key.to_string(), value.to_vec());
+                map.insert(key.into(), value.to_vec());
             }
         }
     }
@@ -95,7 +105,7 @@ impl StableStore {
             None => {
                 let mut seq = Vec::new();
                 crate::codec::push_seq_element(&mut seq, element);
-                map.insert(key.to_string(), seq);
+                map.insert(key.into(), seq);
             }
         }
     }
@@ -124,9 +134,14 @@ impl StableStore {
 
     /// Remove a key. Returns true if it was present.
     pub fn remove(&mut self, node: NodeId, key: &str) -> bool {
-        self.nodes
-            .get_mut(node.0 as usize)
-            .is_some_and(|map| map.remove(key).is_some())
+        let Some(map) = self.nodes.get_mut(node.0 as usize) else {
+            return false;
+        };
+        let present = map.remove(key).is_some();
+        if map.len() * 4 < map.capacity() {
+            map.shrink_to(map.len() * 2);
+        }
+        present
     }
 
     /// All keys on `node` that start with `prefix`, in sorted order.
@@ -134,10 +149,13 @@ impl StableStore {
         let Some(map) = self.node(node) else {
             return Vec::new();
         };
-        map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
+        let mut keys: Vec<String> = map
+            .keys()
+            .filter(|k| k.starts_with(prefix))
+            .map(|k| k.to_string())
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Remove every key on `node` with the given prefix; returns how many.
@@ -317,6 +335,90 @@ mod tests {
             prop_assert_eq!(s.writes, 2 * entries.len() as u64);
             let back: Option<Vec<(u64, u64, String)>> = s.get(NodeId(0), "appended");
             prop_assert_eq!(back, (!entries.is_empty()).then_some(entries));
+        }
+
+        /// Random writes, appends, seals and removals on two nodes read
+        /// back as a `BTreeMap` per node says they should: the same bytes
+        /// under every key, the same sorted keys under every prefix, one
+        /// write counted per `put`/`put_bytes`/`append`. A node emptied at
+        /// the end holds no capacity.
+        #[test]
+        fn store_matches_a_btree_map_model(
+            ops in proptest::collection::vec(
+                (0u8..6, 0u32..2, 0usize..3, 0u64..12, 0usize..40, any::<u8>()),
+                0..200,
+            ),
+        ) {
+            use crate::codec::{from_bytes, to_bytes};
+            use std::collections::BTreeMap;
+            let mut s = StableStore::new();
+            let mut model: [BTreeMap<String, Vec<u8>>; 2] = Default::default();
+            let mut writes = 0u64;
+            let spaces = ["job/", "gm/", "log/"];
+            for (op, node, space, n, len, byte) in ops {
+                let (at, m) = (NodeId(node), &mut model[node as usize]);
+                match op {
+                    0 | 1 => {
+                        let key = format!("{}{n}", spaces[space % 2]);
+                        let value = vec![byte; len];
+                        if op == 0 {
+                            s.put(at, &key, &value);
+                            m.insert(key, to_bytes(&value));
+                        } else {
+                            s.put_bytes(at, &key, &value);
+                            m.insert(key, value);
+                        }
+                        writes += 1;
+                    }
+                    2 => {
+                        // Only `log/` keys hold sequences.
+                        let key = format!("log/{n}");
+                        let element = u32::from(byte) + len as u32;
+                        s.append(at, &key, &element);
+                        let mut seq: Vec<u32> =
+                            m.get(&key).map_or(Vec::new(), |b| from_bytes(b).unwrap());
+                        seq.push(element);
+                        m.insert(key, to_bytes(&seq));
+                        writes += 1;
+                    }
+                    3 => {
+                        let key = format!("{}{n}", spaces[space]);
+                        s.seal(at, &key);
+                        if let Some(stored) = s.node(at).and_then(|map| map.get(key.as_str())) {
+                            prop_assert_eq!(stored.capacity(), stored.len());
+                        }
+                    }
+                    4 => {
+                        let key = format!("{}{n}", spaces[space]);
+                        prop_assert_eq!(s.remove(at, &key), m.remove(&key).is_some());
+                    }
+                    _ => {
+                        let prefix = ["job/1", "log/", ""][space];
+                        let before = m.len();
+                        m.retain(|k, _| !k.starts_with(prefix));
+                        prop_assert_eq!(s.remove_prefix(at, prefix), before - m.len());
+                    }
+                }
+                prop_assert_eq!(s.writes, writes);
+                for (node, m) in model.iter().enumerate() {
+                    let at = NodeId(node as u32);
+                    for space in spaces {
+                        for n in 0..12 {
+                            let key = format!("{space}{n}");
+                            prop_assert_eq!(s.get_bytes(at, &key), m.get(&key).map(Vec::as_slice));
+                        }
+                    }
+                    for prefix in ["", "job/", "job/1", "gm/", "log/", "zz"] {
+                        let want: Vec<String> =
+                            m.keys().filter(|k| k.starts_with(prefix)).cloned().collect();
+                        prop_assert_eq!(s.keys_with_prefix(at, prefix), want);
+                    }
+                }
+            }
+            for node in 0..s.nodes.len() {
+                s.remove_prefix(NodeId(node as u32), "");
+                prop_assert_eq!(s.nodes[node].capacity(), 0);
+            }
         }
     }
 }

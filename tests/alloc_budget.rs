@@ -60,7 +60,9 @@ const JOBS: u64 = 2_000;
 /// What this batch cost at `da38018`, the parent of ISSUE 21's change,
 /// measured by this very test: 860,989 calls and 43,828,713 bytes, or 430
 /// calls and 21.9 KB a job (a debug build asks for one 42,000-byte block
-/// more). The change itself measures 274,268 calls and 20,419,773 bytes.
+/// more). The change itself measures 274,268 calls and 20,419,773 bytes;
+/// `a5425bd` 273,327 and 19,009,837; since the job maps and the stable
+/// store stopped being B-trees, 269,887 calls and 16,753,969 bytes.
 /// The full-size `gridbench` batches, which queue far deeper, are counted
 /// by an `LD_PRELOAD` shim instead; `CHANGES.md` has those.
 const PARENT_CALLS: u64 = 860_989;

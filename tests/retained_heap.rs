@@ -8,14 +8,16 @@
 //! bytes, and the growth from installing the campaign driver to the last
 //! job settling is reported per job.
 //!
-//! Measured by this test: 1,955 bytes a job at full retention and 401
-//! lean. About one run in ten reads 10 more on one side (1,965 or 411):
-//! some hash tables are randomly seeded, and where a table doubles can
-//! move by one doubling. At `6df8f3f`, where the scheduler kept every
-//! finished job and the whole user log in memory beside their stored
-//! copies, full retention read 3,093 (lean the same 401). The bounds sit
-//! between the two, so a scheduler that keeps finished jobs again fails
-//! here.
+//! Measured by this test: 1,901 bytes a job at full retention and 397
+//! lean (1,955 and 401 at `a5425bd`, before the GridManager's and the
+//! scheduler's job maps became dense id tables and the stable store a
+//! hash map per node). About one run in ten reads about 10 more on one
+//! side (1,911 or 408): some hash tables are randomly seeded, and where a
+//! table doubles can move by one doubling. At `6df8f3f`, where the
+//! scheduler kept every finished job and the whole user log in memory
+//! beside their stored copies, full retention read 3,093 (lean the same
+//! 401). The bounds sit between the two, so a scheduler that keeps
+//! finished jobs again fails here.
 
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig};

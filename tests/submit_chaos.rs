@@ -14,9 +14,57 @@ use condor_g_suite::gass::GassServer;
 use condor_g_suite::gridsim::fault::FaultPlan;
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::gridsim::rng::SimRng;
-use condor_g_suite::harness::{build, SiteSpec, TestbedConfig, UserConsole};
+use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig, UserConsole};
 
 const JOBS: usize = 24;
+
+/// Boot hook for the submit machine: recover the GASS disk, the mailer and
+/// the scheduler (which re-creates the GridManager from its logs).
+fn recover_on_boot(tb: &mut Testbed) {
+    let sites: Vec<_> = tb
+        .sites
+        .iter()
+        .map(|s| (s.name.clone(), s.gatekeeper))
+        .collect();
+    let proxy = tb.proxy.clone();
+    let gass = tb.gass;
+    let mailer = tb.mailer;
+    let trust = tb.trust.clone();
+    tb.world.set_boot(tb.submit, move |b| {
+        b.add_component(
+            "gass",
+            GassServer::recover(trust.clone(), b.store(), b.node()),
+        );
+        b.add_component("mailer", Mailer::new());
+        let broker = Box::new(StaticListBroker::new(
+            sites
+                .iter()
+                .map(|(name, addr)| GatekeeperInfo {
+                    site: name.clone(),
+                    addr: *addr,
+                    ad: ClassAd::new(),
+                })
+                .collect(),
+        ));
+        let config = SchedulerConfig {
+            user: "jane".into(),
+            credential: proxy.clone(),
+            gass,
+            pool_schedd: None,
+            mailer: Some(mailer),
+            user_addr: None,
+            gm: GmConfig {
+                user: "jane".into(),
+                ..GmConfig::default()
+            },
+            email_on_termination: false,
+        };
+        b.add_component(
+            "scheduler",
+            Scheduler::recover(config, broker, b.store(), b.node()),
+        );
+    });
+}
 
 fn chaos_run(seed: u64) -> (u64, u64, u64) {
     let mut tb = build(TestbedConfig {
@@ -27,53 +75,7 @@ fn chaos_run(seed: u64) -> (u64, u64, u64) {
     });
     let node = tb.submit;
 
-    // Boot hook: recover GASS disk, mailer, and the scheduler (which
-    // re-creates the GridManager from its logs).
-    {
-        let sites: Vec<_> = tb
-            .sites
-            .iter()
-            .map(|s| (s.name.clone(), s.gatekeeper))
-            .collect();
-        let proxy = tb.proxy.clone();
-        let gass = tb.gass;
-        let mailer = tb.mailer;
-        let trust = tb.trust.clone();
-        tb.world.set_boot(node, move |b| {
-            b.add_component(
-                "gass",
-                GassServer::recover(trust.clone(), b.store(), b.node()),
-            );
-            b.add_component("mailer", Mailer::new());
-            let broker = Box::new(StaticListBroker::new(
-                sites
-                    .iter()
-                    .map(|(name, addr)| GatekeeperInfo {
-                        site: name.clone(),
-                        addr: *addr,
-                        ad: ClassAd::new(),
-                    })
-                    .collect(),
-            ));
-            let config = SchedulerConfig {
-                user: "jane".into(),
-                credential: proxy.clone(),
-                gass,
-                pool_schedd: None,
-                mailer: Some(mailer),
-                user_addr: None,
-                gm: GmConfig {
-                    user: "jane".into(),
-                    ..GmConfig::default()
-                },
-                email_on_termination: false,
-            };
-            b.add_component(
-                "scheduler",
-                Scheduler::recover(config, broker, b.store(), b.node()),
-            );
-        });
-    }
+    recover_on_boot(&mut tb);
 
     // Random submit-machine crashes: mean 6h up, 30min down, for 2 days.
     let mut chaos_rng = SimRng::new(seed ^ 0x5AB);
@@ -134,51 +136,7 @@ fn outputs_survive_a_submit_crash_during_staging() {
         ..TestbedConfig::default()
     });
     let node = tb.submit;
-    {
-        let sites: Vec<_> = tb
-            .sites
-            .iter()
-            .map(|s| (s.name.clone(), s.gatekeeper))
-            .collect();
-        let proxy = tb.proxy.clone();
-        let gass = tb.gass;
-        let mailer = tb.mailer;
-        let trust = tb.trust.clone();
-        tb.world.set_boot(node, move |b| {
-            b.add_component(
-                "gass",
-                GassServer::recover(trust.clone(), b.store(), b.node()),
-            );
-            b.add_component("mailer", Mailer::new());
-            let broker = Box::new(StaticListBroker::new(
-                sites
-                    .iter()
-                    .map(|(name, addr)| GatekeeperInfo {
-                        site: name.clone(),
-                        addr: *addr,
-                        ad: ClassAd::new(),
-                    })
-                    .collect(),
-            ));
-            let config = SchedulerConfig {
-                user: "jane".into(),
-                credential: proxy.clone(),
-                gass,
-                pool_schedd: None,
-                mailer: Some(mailer),
-                user_addr: None,
-                gm: GmConfig {
-                    user: "jane".into(),
-                    ..GmConfig::default()
-                },
-                email_on_termination: false,
-            };
-            b.add_component(
-                "scheduler",
-                Scheduler::recover(config, broker, b.store(), b.node()),
-            );
-        });
-    }
+    recover_on_boot(&mut tb);
     // 30-minute jobs with 50 MB of stdout (~40 s of WAN transfer each):
     // the crash at t=35min lands while early finishers are staging out.
     let spec = GridJobSpec::grid("big-out", "/home/jane/app.exe", Duration::from_mins(30))
@@ -211,4 +169,40 @@ fn outputs_survive_a_submit_crash_during_staging() {
         8,
         "staging crash duplicated execution"
     );
+}
+
+#[test]
+fn a_recovered_lean_scheduler_issues_fresh_ids() {
+    // Lean retention deletes a finished job's queue record, so once every
+    // job has finished the records cannot say which ids were issued: a
+    // recovered scheduler must take the next id from the stored counter,
+    // or it hands out a finished job's id again.
+    let mut tb = build(TestbedConfig {
+        seed: 5,
+        sites: vec![SiteSpec::pbs("alpha", 8)],
+        lean: true,
+        proxy_lifetime: Duration::from_days(7),
+        ..TestbedConfig::default()
+    });
+    let node = tb.submit;
+    recover_on_boot(&mut tb);
+    let spec = GridJobSpec::grid("task", "/home/jane/app.exe", Duration::from_mins(10));
+    let console = UserConsole::new(tb.scheduler).submit_many(3, spec.clone());
+    tb.world.add_component(node, "console", console);
+    tb.world.run_until(SimTime::ZERO + Duration::from_hours(6));
+    assert_eq!(tb.world.metrics().counter("condor_g.jobs_done"), 3);
+    let records = |tb: &Testbed| {
+        tb.world
+            .store()
+            .keys_with_prefix(node, "condor_g/jane/job/")
+    };
+    assert_eq!(records(&tb), Vec::<String>::new());
+
+    tb.world.crash_node_now(node);
+    tb.world.restart_node_now(node);
+    let console = UserConsole::new(tb.scheduler).submit_many(1, spec);
+    tb.world.add_component(node, "console", console);
+    tb.world.run_until(tb.world.now() + Duration::from_secs(1));
+    // Jobs 0, 1 and 2 finished before the crash: the new one is job 3.
+    assert_eq!(records(&tb), ["condor_g/jane/job/000000000003"]);
 }
