@@ -7,7 +7,7 @@
 //! the kernel event it was emitted under plus that event's cause, so the
 //! full happens-before DAG of everything observable can be rebuilt from a
 //! trace alone — in memory here, or offline by `condor-g-trace` from a
-//! `--trace-out` JSONL file.
+//! report dir's `trace.jsonl`.
 //!
 //! Nodes are kernel event ids; a node aggregates every trace record emitted
 //! while that event was processed. Edges point from effect to cause.

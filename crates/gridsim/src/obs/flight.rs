@@ -518,7 +518,7 @@ impl<W: Write> TelemetryWriter<W> {
 
 impl TelemetryWriter<std::io::BufWriter<std::fs::File>> {
     /// Create (truncate) `path` and stream heartbeats through a buffer.
-    pub fn create(path: &str) -> std::io::Result<Self> {
+    pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         Ok(TelemetryWriter::new(std::io::BufWriter::new(
             std::fs::File::create(path)?,
         )))

@@ -159,7 +159,7 @@ pub fn render(rows: &[SiteWeather]) -> String {
 /// failures, the two counters that make a site worth an operator's
 /// glance), with a trailer noting how many rows were elided. On a
 /// hundreds-of-sites campaign the full table drowns the epilogue; the
-/// complete data is still available via `--weather-out`.
+/// complete data is in a report dir's `weather.json`.
 pub fn render_top(rows: &[SiteWeather], n: usize) -> String {
     if rows.len() <= n {
         return render(rows);
@@ -176,15 +176,15 @@ pub fn render_top(rows: &[SiteWeather], n: usize) -> String {
     let top: Vec<SiteWeather> = busiest.into_iter().cloned().collect();
     let mut out = render(&top);
     out.push_str(&format!(
-        "... {} more sites (full table: --weather-out)\n",
+        "... {} more sites (full table: weather.json)\n",
         rows.len() - n
     ));
     out
 }
 
-/// Serialize the weather rows as a JSON array (one object per site), for
-/// `--weather-out` sweeps that assert on site health without scraping the
-/// CLI epilogue.
+/// Serialize the weather rows as a JSON array (one object per site): a
+/// report dir's `weather.json`, for sweeps that assert on site health
+/// without scraping the CLI epilogue.
 pub fn weather_json(rows: &[SiteWeather]) -> String {
     let num = |v: Option<f64>| match v {
         Some(x) if x.is_finite() => format!("{x}"),

@@ -20,7 +20,7 @@
 //! component emits, what the flight ring hands back, and what the offline
 //! tools decode are the same type. Its two wire formats each live in one
 //! module beside it, encoder and decoder together: [`jsonl`] (the
-//! `--trace-out` text stream) and [`cgfr`] (the flight recorder's binary
+//! text stream a report dir's `trace.jsonl` holds) and [`cgfr`] (the flight recorder's binary
 //! dump).
 
 pub mod cgfr;

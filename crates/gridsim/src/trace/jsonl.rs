@@ -1,5 +1,5 @@
-//! The JSONL wire format of a trace: what `--trace-out` streams and
-//! `condor-g-trace` reads back.
+//! The JSONL wire format of a trace: what `condor-g-sim --report-dir`
+//! streams to `trace.jsonl` and `condor-g-trace` reads back.
 //!
 //! Each line is one object with a fixed key set, in this order:
 //!

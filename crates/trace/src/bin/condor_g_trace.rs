@@ -1,5 +1,7 @@
-//! `condor-g-trace`: offline forensics over a `--trace-out` JSONL trace or
-//! a flight-recorder dump.
+//! `condor-g-trace`: offline forensics over the JSONL trace of a report dir
+//! (`condor-g-sim --report-dir DIR` writes `DIR/trace.jsonl`) or a
+//! flight-recorder dump (`condor-g-campaign --report-dir DIR` writes
+//! `DIR/flight.cgfr` on its first anomaly).
 //!
 //! ```text
 //! condor-g-trace run.jsonl                    # summary + all reports
@@ -8,8 +10,8 @@
 //! condor-g-trace run.jsonl --stuck --horizon 30m
 //! condor-g-trace run.jsonl --root-cause
 //! condor-g-trace convert run.jsonl --perfetto-out run.perfetto
-//! condor-g-trace flight campaign.flight          # decode a flight dump
-//! condor-g-trace flight campaign.flight --root-cause
+//! condor-g-trace flight flight.cgfr              # decode a flight dump
+//! condor-g-trace flight flight.cgfr --root-cause
 //! ```
 //!
 //! Exit status: 0 on success, 1 on parse errors, an empty causal DAG

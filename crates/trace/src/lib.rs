@@ -2,7 +2,7 @@
 //!
 //! Every trace record carries the `(id, cause)` provenance pair the kernel
 //! stamps on it. This crate takes such records — [`gridsim::trace::TraceEvent`]s
-//! decoded by [`gridsim::trace::jsonl`] from a `--trace-out` file, or by
+//! decoded by [`gridsim::trace::jsonl`] from a report dir's `trace.jsonl`, or by
 //! [`gridsim::trace::cgfr`] from a flight-recorder dump; it has no record
 //! type or file format of its own — and answers the questions an operator
 //! of the real Condor-G would ask after a bad week:

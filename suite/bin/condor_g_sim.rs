@@ -33,19 +33,25 @@
 //! link divide its capacity max-min fairly, and `linkdown`/`partition`
 //! windows abort transfers in flight (the JobManager retries them with
 //! backed-off timers).
+//!
+//! `--report-dir DIR` writes the run's bundle (`condor_g_suite::report`):
+//! the trace, heartbeats, metrics and weather snapshots, and the kernel
+//! profile.
 
 use condor_g_suite::condor_g::api::{GridJobSpec, Universe};
 use condor_g_suite::gridsim::obs::{
-    json_snapshot, prometheus_snapshot, site_aggregates, JsonlWriter, SpanCollector,
-    TelemetrySample, TelemetryWriter,
+    grid_weather, render_top, site_aggregates, JsonlWriter, SpanCollector, TelemetrySample,
+    TelemetryWriter,
 };
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{
     build, SiteSpec, Testbed, TestbedConfig, UserConsole, WanLinkSpec, WanTopology,
 };
+use condor_g_suite::report::{ReportDir, HEARTBEAT};
 use condor_g_suite::workloads::stats::Table;
 use std::fmt;
 use std::io::BufWriter;
+use std::path::Path;
 
 /// A parsed scenario.
 #[derive(Debug, Default)]
@@ -313,30 +319,15 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
     Ok(scn)
 }
 
-/// Observability switches parsed from the command line.
-#[derive(Debug, Default)]
-pub struct ObsOptions {
-    /// Stream the full trace as JSON Lines to this path.
-    trace_out: Option<String>,
-    /// Write a metrics snapshot here at end of run (`.json` selects the
-    /// JSON format, anything else Prometheus text).
-    metrics_out: Option<String>,
-    /// Convert the run's trace to a Perfetto TrackEvent protobuf here
-    /// (open at ui.perfetto.dev).
-    perfetto_out: Option<String>,
-    /// Write the final per-site weather snapshot as JSON here.
-    weather_out: Option<String>,
-    /// Stream JSONL telemetry heartbeats here, one line per sim-time
-    /// interval (see `--telemetry-interval`).
-    telemetry_out: Option<String>,
-    /// Heartbeat interval (default 10 minutes of sim time).
-    telemetry_interval: Option<Duration>,
-    /// Enable the kernel profiler and print its summary.
-    profile: bool,
+/// Exit 2 after naming the file that could not be written.
+fn io_error(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("cannot write {}: {e}", path.display());
+    std::process::exit(2);
 }
 
-/// Build and run a parsed scenario; prints the report.
-pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
+/// Build and run a parsed scenario; prints the report, and writes the
+/// run's bundle into `report` when there is one.
+pub fn run_scenario(scn: Scenario, report: Option<&ReportDir>) {
     let mut tb: Testbed = build(TestbedConfig {
         seed: scn.seed,
         sites: scn.sites.clone(),
@@ -359,20 +350,16 @@ pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
         trace: true,
         ..TestbedConfig::default()
     });
-    if let Some(path) = &obs.trace_out {
-        match std::fs::File::create(path) {
-            Ok(f) => tb
-                .world
-                .trace_mut()
-                .subscribe(Box::new(JsonlWriter::new(BufWriter::new(f)))),
-            Err(e) => {
-                eprintln!("cannot create {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if obs.profile {
+    let mut telemetry = None;
+    if let Some(dir) = report {
+        let path = dir.file("trace.jsonl");
+        let trace = std::fs::File::create(&path).unwrap_or_else(|e| io_error(&path, e));
+        tb.world
+            .trace_mut()
+            .subscribe(Box::new(JsonlWriter::new(BufWriter::new(trace))));
         tb.world.enable_profiler();
+        let path = dir.file("telemetry.jsonl");
+        telemetry = Some(TelemetryWriter::create(&path).unwrap_or_else(|e| io_error(&path, e)));
     }
     // Stage every referenced executable on the submit-side GASS server is
     // handled by the harness preloads; unknown paths still stage as the
@@ -423,25 +410,14 @@ pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
         plan.len(),
         scn.run_for
     );
+    // Heartbeat by heartbeat (scenario runs have no campaign driver, so
+    // the backpressure fields derive from the job counters).
     let end = SimTime::ZERO + scn.run_for;
-    if let Some(path) = &obs.telemetry_out {
-        // Heartbeat mode: run in interval-sized chunks, snapshotting the
-        // run's vitals after each (scenario runs have no campaign driver,
-        // so the backpressure fields derive from the job counters).
-        let mut w = match TelemetryWriter::create(path) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("cannot create {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let interval = obs
-            .telemetry_interval
-            .unwrap_or(Duration::from_mins(10))
-            .max(Duration::from_secs(1));
-        while tb.world.now() < end {
-            let next = (tb.world.now() + interval).min(end);
-            tb.world.run_until(next);
+    let mut next = tb.world.now();
+    loop {
+        next = (next + HEARTBEAT).min(end);
+        tb.world.run_until(next);
+        if let Some(w) = telemetry.as_mut() {
             let m = tb.world.metrics();
             let (done, failed, submitted) = (
                 m.counter("condor_g.jobs_done"),
@@ -463,13 +439,9 @@ pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
                 ..TelemetrySample::default()
             });
         }
-        w.flush();
-        println!(
-            "telemetry heartbeats written to {path} ({} lines)",
-            w.lines()
-        );
-    } else {
-        tb.world.run_until(end);
+        if next >= end {
+            break;
+        }
     }
 
     let m = tb.world.metrics();
@@ -566,94 +538,40 @@ pub fn run_scenario(scn: Scenario, obs: ObsOptions) {
     // Per-site grid weather: the MDS-style health summary aggregated from
     // the site.<name>.* metrics the protocol components publish. Capped at
     // the busiest sites so a hundreds-of-sites campaign stays readable;
-    // --weather-out still carries every row.
+    // the bundle's weather.json carries every row.
     const WEATHER_TOP: usize = 20;
-    let weather = condor_g_suite::gridsim::obs::grid_weather(tb.world.metrics());
+    let weather = grid_weather(tb.world.metrics());
     if !weather.is_empty() {
-        println!(
-            "\ngrid weather:\n{}",
-            condor_g_suite::gridsim::obs::render_top(&weather, WEATHER_TOP)
-        );
+        println!("\ngrid weather:\n{}", render_top(&weather, WEATHER_TOP));
     }
-    if let Some(path) = &obs.weather_out {
-        let json = condor_g_suite::gridsim::obs::weather_json(&weather);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
+    if let (Some(dir), Some(mut telemetry)) = (report, telemetry) {
+        telemetry.flush();
+        dir.write_snapshots(&tb.world)
+            .unwrap_or_else(|e| io_error(dir.dir(), e));
+        if let Some(p) = tb.world.profiler() {
+            let path = dir.file("profile.txt");
+            std::fs::write(&path, p.summary()).unwrap_or_else(|e| io_error(&path, e));
         }
-        println!("weather snapshot written to {path}");
-    }
-    if let Some(path) = &obs.perfetto_out {
-        // The in-memory trace holds the same records the JSONL exporter
-        // streams.
-        let (bytes, summary) = condor_g_trace::perfetto::encode(tb.world.trace().events());
-        if let Err(e) =
-            condor_g_trace::perfetto::verify(tb.world.trace().events(), &bytes, &summary)
-        {
-            eprintln!("perfetto self-verification failed: {e}");
-            std::process::exit(2);
-        }
-        if let Err(e) = std::fs::write(path, &bytes) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!(
-            "perfetto trace written to {path}: {} packets | tracks: {} jobs, {} sites, \
-             {} components | {} flow edges, {} critical-path events",
-            summary.packets,
-            summary.job_tracks,
-            summary.site_tracks,
-            summary.component_tracks,
-            summary.flow_edges,
-            summary.critical_instants,
-        );
-    }
-    if let Some(path) = &obs.metrics_out {
-        let now = tb.world.now();
-        let snapshot = if path.ends_with(".json") {
-            json_snapshot(tb.world.metrics(), now)
-        } else {
-            prometheus_snapshot(tb.world.metrics(), now)
-        };
-        if let Err(e) = std::fs::write(path, snapshot) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("metrics snapshot written to {path}");
-    }
-    if let Some(p) = tb.world.profiler() {
-        println!("\n{}", p.summary());
+        println!("report written to {}", dir.dir().display());
     }
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: condor-g-sim [--trace-out <file.jsonl>] [--metrics-out <file.prom|file.json>] \
-         [--perfetto-out <file.pb>] [--weather-out <file.json>] \
-         [--telemetry-out <file.jsonl>] [--telemetry-interval <dur>] [--profile] <scenario-file>"
+        "usage: condor-g-sim [--report-dir DIR] <scenario-file>\n\
+         --report-dir writes trace.jsonl, telemetry.jsonl, metrics.json, metrics.prom,\n\
+         weather.json and profile.txt into DIR."
     );
     std::process::exit(2);
 }
 
 fn main() {
-    let mut obs = ObsOptions::default();
+    let mut report_dir: Option<String> = None;
     let mut path: Option<String> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--trace-out" => obs.trace_out = Some(argv.next().unwrap_or_else(|| usage())),
-            "--metrics-out" => obs.metrics_out = Some(argv.next().unwrap_or_else(|| usage())),
-            "--perfetto-out" => obs.perfetto_out = Some(argv.next().unwrap_or_else(|| usage())),
-            "--weather-out" => obs.weather_out = Some(argv.next().unwrap_or_else(|| usage())),
-            "--telemetry-out" => obs.telemetry_out = Some(argv.next().unwrap_or_else(|| usage())),
-            "--telemetry-interval" => {
-                obs.telemetry_interval = Some(
-                    argv.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--profile" => obs.profile = true,
+            "--report-dir" => report_dir = Some(argv.next().unwrap_or_else(|| usage())),
             _ if arg.starts_with("--") => usage(),
             _ if path.is_none() => path = Some(arg),
             _ => usage(),
@@ -664,13 +582,17 @@ fn main() {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    match parse_scenario(&text) {
-        Ok(scn) => run_scenario(scn, obs),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
+    let scn = parse_scenario(&text).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let report = report_dir.map(|dir| {
+        ReportDir::create(&dir).unwrap_or_else(|e| {
+            eprintln!("cannot create {dir}: {e}");
+            std::process::exit(2);
+        })
+    });
+    run_scenario(scn, report.as_ref());
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //! and the experiment binaries: it assembles a complete simulated grid —
 //! CA, user, submit machine (Scheduler + GASS + mailer + optional personal
 //! pool), execution sites (gatekeeper + batch scheduler + GRIS), MDS index,
-//! MyProxy — from a declarative description.
+//! MyProxy — from a declarative description. [`campaign`] is the run loop
+//! of `condor-g-campaign`, and [`report`] the bundle both binaries write
+//! under `--report-dir`.
 
 pub use classads;
 pub use condor;
@@ -19,4 +21,6 @@ pub use mds;
 pub use site;
 pub use workloads;
 
+pub mod campaign;
 pub mod harness;
+pub mod report;

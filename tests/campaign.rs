@@ -153,26 +153,49 @@ fn campaign_binary_reproduces_the_recorded_digest() {
 }
 
 #[test]
-fn removed_kernel_partition_flag_is_a_usage_error() {
-    let flag = "--shards";
-    let out = campaign_bin(&format!("{flag} 4 --jobs 10"));
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.starts_with("usage: condor-g-campaign"), "{err}");
-    assert!(!err.contains(flag), "{err}");
+fn removed_flags_are_usage_errors() {
+    // The kernel partition flag, the flags `--report-dir` replaced, and
+    // the runtime knob nothing set.
+    for flag in [
+        "--shards",
+        "--telemetry-out",
+        "--telemetry-interval-mins",
+        "--flight",
+        "--flight-ring",
+        "--flight-out",
+        "--stuck-horizon-hours",
+        "--mean-runtime-secs",
+    ] {
+        let out = campaign_bin(&format!("{flag} 4 --jobs 10"));
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage: condor-g-campaign"), "{flag}: {err}");
+        assert!(!err.contains(flag), "{err}");
+    }
 }
 
 #[test]
 fn sites_outside_the_grid_are_usage_errors() {
+    // Also a report dir under a sweep, whose cells would race on its
+    // files, and one that cannot be created: nothing is simulated.
+    let uncreatable = format!("{}/Cargo.toml/x", env!("CARGO_MANIFEST_DIR"));
+    let sweep_dir = std::env::temp_dir().join(format!("sweep-report-{}", std::process::id()));
     for args in [
-        "--sites 0 --dead-site 0 --jobs 10",
-        "--sites 2 --dead-site 5 --jobs 10",
+        "--sites 0 --dead-site 0 --jobs 10".to_string(),
+        "--sites 2 --dead-site 5 --jobs 10".to_string(),
+        format!("--sweep 2 --jobs 10 --report-dir {}", sweep_dir.display()),
+        format!("--jobs 10 --report-dir {uncreatable}"),
     ] {
-        let out = campaign_bin(args);
+        let out = campaign_bin(&args);
         assert_eq!(out.status.code(), Some(2), "{args}");
+        assert!(out.stdout.is_empty(), "{args} simulated");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.starts_with("usage: condor-g-campaign"), "{args}: {err}");
+        assert!(err.contains("usage: condor-g-campaign"), "{args}: {err}");
     }
+    assert!(
+        !sweep_dir.exists(),
+        "a refused sweep created its report dir"
+    );
 }
 
 #[test]

@@ -4,7 +4,9 @@
 
 use condor_g_suite::condor_g::api::GridJobSpec;
 use condor_g_suite::gridsim::prelude::*;
+use condor_g_suite::gridsim::trace::jsonl;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig, UserConsole};
+use condor_g_trace::perfetto;
 
 fn campaign(seed: u64) -> (u64, u64, u64, u64, String) {
     let mut tb = build(TestbedConfig {
@@ -52,16 +54,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Run `condor-g-sim --trace-out` on a shipped scenario; returns the trace
-/// bytes and the report printed on stdout.
+/// Run `condor-g-sim --report-dir` on a shipped scenario; returns the
+/// bundle's trace bytes and the report printed on stdout.
 fn run_traced(scenario: &str) -> (Vec<u8>, String) {
     let exe = env!("CARGO_BIN_EXE_condor-g-sim");
     let dir = std::env::temp_dir().join(format!("golden-{scenario}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let trace = dir.join("trace.jsonl");
     let out = std::process::Command::new(exe)
-        .arg("--trace-out")
-        .arg(&trace)
+        .arg("--report-dir")
+        .arg(&dir)
         .arg(format!(
             "{}/scenarios/{scenario}.scn",
             env!("CARGO_MANIFEST_DIR")
@@ -74,7 +74,7 @@ fn run_traced(scenario: &str) -> (Vec<u8>, String) {
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
-    let bytes = std::fs::read(&trace).expect("trace written");
+    let bytes = std::fs::read(dir.join("trace.jsonl")).expect("trace written");
     let _ = std::fs::remove_dir_all(&dir);
     (bytes, String::from_utf8(out.stdout).expect("utf8 report"))
 }
@@ -97,8 +97,8 @@ fn events_simulated(report: &str) -> u64 {
 /// optimizations. Any change to event ordering, trace rendering, or match
 /// outcomes shows up here as a hash mismatch. If a change is *supposed* to
 /// alter behaviour, regenerate with:
-/// `condor-g-sim --trace-out /tmp/t.jsonl scenarios/demo.scn` and update
-/// the constant.
+/// `condor-g-sim --report-dir /tmp/r scenarios/demo.scn` and update the
+/// constant from `/tmp/r/trace.jsonl`.
 #[test]
 fn demo_scenario_trace_is_golden() {
     let (bytes, _) = run_traced("demo");
@@ -148,46 +148,25 @@ fn glidein_campaign_trace_is_golden() {
 
 /// The adaptive scenario (weather-driven quarantine on) is just as
 /// replayable as the vanilla one: two runs of `adaptive.scn` must produce
-/// byte-identical traces, and the Perfetto export must self-verify (the
-/// binary exits non-zero if the packet census diverges from the JSONL).
+/// byte-identical traces, and their Perfetto exports must self-verify (the
+/// packet census agrees with the JSONL records) and match byte for byte.
 #[test]
 fn adaptive_scenario_trace_is_reproducible() {
-    let exe = env!("CARGO_BIN_EXE_condor-g-sim");
-    let dir = std::env::temp_dir().join(format!("adaptive-trace-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
     let mut hashes = Vec::new();
     for run in 0..2 {
-        let trace = dir.join(format!("trace-{run}.jsonl"));
-        let perfetto = dir.join(format!("trace-{run}.pb"));
-        let out = std::process::Command::new(exe)
-            .arg("--trace-out")
-            .arg(&trace)
-            .arg("--perfetto-out")
-            .arg(&perfetto)
-            .arg(format!(
-                "{}/scenarios/adaptive.scn",
-                env!("CARGO_MANIFEST_DIR")
-            ))
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "run {run} exit {:?}: {}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let bytes = std::fs::read(&trace).expect("trace written");
-        let pb = std::fs::read(&perfetto).expect("perfetto written");
-        assert!(!pb.is_empty(), "empty perfetto export");
+        let (bytes, _) = run_traced("adaptive");
+        let text = String::from_utf8(bytes).expect("utf8 trace");
         // The adaptive machinery actually ran: its decisions are on the record.
-        let text = String::from_utf8_lossy(&bytes);
         assert!(
             text.contains("broker.quarantine"),
             "run {run}: no quarantine in adaptive scenario trace"
         );
-        hashes.push((bytes.len(), fnv1a(&bytes), pb.len(), fnv1a(&pb)));
+        let records = jsonl::decode(&text).expect("trace decodes");
+        let (pb, summary) = perfetto::encode(&records);
+        perfetto::verify(&records, &pb, &summary).expect("perfetto export self-verifies");
+        assert!(!pb.is_empty(), "empty perfetto export");
+        hashes.push((text.len(), fnv1a(text.as_bytes()), pb.len(), fnv1a(&pb)));
     }
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         hashes[0], hashes[1],
         "adaptive scenario diverged across runs"

@@ -3,126 +3,56 @@
 //! when a gatekeeper silently dies, auto-produce a causal dump that the
 //! offline forensics decoder attributes to the injected site.
 
-use condor_g_suite::gridsim::fault::FaultPlan;
-use condor_g_suite::gridsim::obs::{
-    site_aggregates, AnomalyDetector, AnomalyKind, DetectorConfig, FlightRecorder, TelemetrySample,
-};
+use condor_g_suite::campaign::CampaignRun;
+use condor_g_suite::gridsim::obs::FlightRecorder;
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::gridsim::trace::cgfr;
-use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig};
-use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
+use condor_g_suite::report::ReportDir;
+use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec};
 use condor_g_trace::Forensics;
 
-const MAX_INFLIGHT: u32 = 512;
-
-fn campaign_testbed(spec: &CampaignSpec, adaptive: bool) -> Testbed {
-    let sites = spec
-        .grid()
-        .iter()
-        .map(|s| SiteSpec::pbs(&s.name, s.cpus))
-        .collect();
-    let mut tb = build(TestbedConfig {
-        seed: spec.seed,
-        sites,
-        lean: true,
-        adaptive,
-        proxy_lifetime: Duration::from_days(30),
-        ..TestbedConfig::default()
-    });
-    let driver = CampaignDriver::new(
-        tb.scheduler,
-        spec,
-        DriverConfig {
-            max_inflight: MAX_INFLIGHT,
-            ..DriverConfig::default()
-        },
-    );
-    tb.world.add_component(tb.submit, "campaign", driver);
-    tb
-}
-
-fn sample(tb: &Testbed, recorder: &FlightRecorder) -> TelemetrySample {
-    let now = tb.world.now();
-    let oldest_wait_secs = CampaignDriver::oldest_inflight_at(&tb.world, tb.submit)
-        .map_or(0.0, |t| (now - t).as_secs_f64());
-    let (sites, site_submits, site_attempt_failures) = site_aggregates(tb.world.metrics());
-    TelemetrySample {
-        t_us: now.micros(),
-        events: tb.world.events_processed(),
-        queue_depth: tb.world.queue_len() as u64,
-        done: CampaignDriver::done(&tb.world, tb.submit),
-        failed: CampaignDriver::failed(&tb.world, tb.submit),
-        dispatched: CampaignDriver::dispatched(&tb.world, tb.submit),
-        inflight: CampaignDriver::inflight(&tb.world, tb.submit),
-        pending: CampaignDriver::pending(&tb.world, tb.submit),
-        window: u64::from(MAX_INFLIGHT),
-        oldest_wait_secs,
-        sites,
-        site_submits,
-        site_attempt_failures,
-        quarantines: recorder.quarantines(),
-        ring_len: recorder.len() as u64,
-        ring_evicted: recorder.evicted(),
-    }
-}
-
-/// The acceptance scenario: one dead gatekeeper, flight recorder on, the
-/// quarantine-storm detector dumps the causal window, and chain-to-root
-/// forensics on the decoded dump blames the injected site.
+/// The acceptance scenario, through the loop `condor-g-campaign` runs:
+/// one dead gatekeeper, the quarantine-storm detector dumps the flight
+/// recorder's causal window into the report dir, and chain-to-root
+/// forensics on the dump decoded from disk blames the injected site.
 #[test]
 fn dead_gatekeeper_campaign_auto_produces_attributing_dump() {
-    let spec = CampaignSpec {
-        seed: 7,
-        sites: 4,
-        users: 50,
-        jobs: 400,
-        duration: Duration::from_hours(2),
-        ..CampaignSpec::default()
-    };
-    let mut tb = campaign_testbed(&spec, true);
-    let recorder = FlightRecorder::new(65_536);
-    tb.world.trace_mut().subscribe(Box::new(recorder.clone()));
+    let dir = std::env::temp_dir().join(format!("flight-dump-{}", std::process::id()));
+    let report = ReportDir::create(&dir).expect("temp report dir");
     // site000's gatekeeper host dies 30 minutes in and never returns.
-    let plan = FaultPlan::new().crash_restart(
-        tb.sites[0].interface,
-        SimTime::ZERO + Duration::from_mins(30),
-        Duration::from_days(365),
-    );
-    tb.world.apply_fault_plan(&plan.sorted());
-
-    let mut detector = AnomalyDetector::new(DetectorConfig {
+    let run = CampaignRun {
+        adaptive: true,
+        dead_site: Some(0),
         quarantine_storm: 1,
-        ..DetectorConfig::default()
-    });
-    let mut dump: Option<(Vec<u8>, AnomalyKind, Option<String>)> = None;
-    let horizon = SimTime::ZERO + Duration::from_hours(12);
-    while tb.world.now() < horizon && dump.is_none() {
-        tb.world.run_until(tb.world.now() + Duration::from_mins(10));
-        let s = sample(&tb, &recorder);
-        let site = recorder.last_quarantine_site();
-        if let Some(anomaly) = detector.observe(&s, site.as_deref()).into_iter().next() {
-            let anchor = anomaly.anchor.clone().unwrap_or_default();
-            let reason = format!("{}: {}", anomaly.kind.name(), anomaly.reason);
-            dump = Some((
-                recorder.dump(&reason, &anchor, tb.world.now()),
-                anomaly.kind,
-                anomaly.anchor,
-            ));
-        }
-    }
-
-    let (bytes, kind, anchor) = dump.expect("dead gatekeeper must trigger an anomaly");
-    assert_eq!(kind, AnomalyKind::QuarantineStorm);
-    assert_eq!(
-        anchor.as_deref(),
-        Some("site000"),
-        "storm anchors the dead site"
+        ..CampaignRun::new(CampaignSpec {
+            seed: 7,
+            sites: 4,
+            users: 50,
+            jobs: 400,
+            duration: Duration::from_hours(2),
+            ..CampaignSpec::default()
+        })
+    };
+    run.run("dead-gatekeeper", Some(&report))
+        .expect("report written");
+    let bytes = std::fs::read(dir.join("flight.cgfr"));
+    let telemetry = std::fs::read_to_string(dir.join("telemetry.jsonl"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let bytes = bytes.expect("dead gatekeeper must trigger an anomaly and a dump");
+    assert!(
+        !telemetry.expect("telemetry written").is_empty(),
+        "no heartbeats"
     );
 
-    // The dump decodes back into trace records...
+    // The dump decodes back into trace records: the storm anchors the
+    // dead site...
     let (meta, records) = cgfr::decode(&bytes).expect("dump decodes cleanly");
-    assert!(meta.reason.starts_with("quarantine_storm"));
-    assert_eq!(meta.anchor, "site000");
+    assert!(
+        meta.reason.starts_with("quarantine_storm"),
+        "{}",
+        meta.reason
+    );
+    assert_eq!(meta.anchor, "site000", "storm anchors the dead site");
     assert!(!records.is_empty());
     // ...with the injected fault pinned into the window...
     assert!(
@@ -160,14 +90,8 @@ fn flight_recorder_does_not_change_campaign_outcomes() {
         ..CampaignSpec::default()
     };
     let run = |with_flight: bool| {
-        let mut tb = campaign_testbed(&spec, false);
-        let recorder = if with_flight {
-            let rec = FlightRecorder::new(4_096);
-            tb.world.trace_mut().subscribe(Box::new(rec.clone()));
-            Some(rec)
-        } else {
-            None
-        };
+        let recorder = with_flight.then(|| FlightRecorder::new(4_096));
+        let mut tb = CampaignRun::new(spec.clone()).testbed(recorder.as_ref());
         let horizon = SimTime::ZERO + Duration::from_days(10);
         loop {
             tb.world.run_until(tb.world.now() + Duration::from_hours(6));
@@ -206,9 +130,8 @@ fn ring_bounds_memory_and_whole_ring_dump_round_trips() {
         duration: Duration::from_hours(2),
         ..CampaignSpec::default()
     };
-    let mut tb = campaign_testbed(&spec, false);
     let recorder = FlightRecorder::new(256);
-    tb.world.trace_mut().subscribe(Box::new(recorder.clone()));
+    let mut tb = CampaignRun::new(spec.clone()).testbed(Some(&recorder));
     let horizon = SimTime::ZERO + Duration::from_days(10);
     loop {
         tb.world.run_until(tb.world.now() + Duration::from_hours(6));

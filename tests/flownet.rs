@@ -101,12 +101,12 @@ fn storm_is_same_seed_deterministic() {
     let storm = storm_text();
     let dir = std::env::temp_dir().join("condor-g-flownet-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let t1 = dir.join("storm-a.jsonl");
-    let t2 = dir.join("storm-b.jsonl");
-    run_text(&storm, "storm-det", &["--trace-out", t1.to_str().unwrap()]);
-    run_text(&storm, "storm-det", &["--trace-out", t2.to_str().unwrap()]);
-    let a = std::fs::read(&t1).unwrap();
-    let b = std::fs::read(&t2).unwrap();
+    let r1 = dir.join("storm-a");
+    let r2 = dir.join("storm-b");
+    run_text(&storm, "storm-det", &["--report-dir", r1.to_str().unwrap()]);
+    run_text(&storm, "storm-det", &["--report-dir", r2.to_str().unwrap()]);
+    let a = std::fs::read(r1.join("trace.jsonl")).unwrap();
+    let b = std::fs::read(r2.join("trace.jsonl")).unwrap();
     assert!(!a.is_empty(), "trace written");
     assert_eq!(a, b, "same seed, same trace");
 }

@@ -1,19 +1,20 @@
-//! End-to-end forensics: run the simulator with `--trace-out`, feed the
-//! trace to the `condor-g-trace` analyzer, and check both that the trace
+//! End-to-end forensics: run the simulator with `--report-dir`, feed the
+//! bundle's trace to the `condor-g-trace` analyzer, and check both that the trace
 //! is a deterministic artifact and that the analyzer reaches the right
 //! verdicts about the injected faults.
 
 use condor_g_suite::gridsim::trace::jsonl;
 use condor_g_trace::Forensics;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Run `condor-g-sim --trace-out <out> scenarios/<scenario>`.
-fn run_with_trace(scenario: &str, out: &PathBuf) {
+/// Run `condor-g-sim --report-dir <dir> scenarios/<scenario>`; returns the
+/// path of the bundle's trace.
+fn run_with_trace(scenario: &str, dir: &Path) -> PathBuf {
     let exe = env!("CARGO_BIN_EXE_condor-g-sim");
     let res = Command::new(exe)
-        .arg("--trace-out")
-        .arg(out)
+        .arg("--report-dir")
+        .arg(dir)
         .arg(format!(
             "{}/scenarios/{scenario}",
             env!("CARGO_MANIFEST_DIR")
@@ -26,6 +27,7 @@ fn run_with_trace(scenario: &str, out: &PathBuf) {
         res.status.code(),
         String::from_utf8_lossy(&res.stderr)
     );
+    dir.join("trace.jsonl")
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -40,10 +42,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn outage_trace_is_byte_identical_across_runs() {
     let dir = temp_dir("determinism");
-    let a = dir.join("run-a.jsonl");
-    let b = dir.join("run-b.jsonl");
-    run_with_trace("outage.scn", &a);
-    run_with_trace("outage.scn", &b);
+    let a = run_with_trace("outage.scn", &dir.join("run-a"));
+    let b = run_with_trace("outage.scn", &dir.join("run-b"));
     let bytes_a = std::fs::read(&a).expect("trace a");
     let bytes_b = std::fs::read(&b).expect("trace b");
     let _ = std::fs::remove_dir_all(&dir);
@@ -59,8 +59,7 @@ fn outage_trace_is_byte_identical_across_runs() {
 #[test]
 fn every_outage_trace_line_round_trips() {
     let dir = temp_dir("round-trip");
-    let path = dir.join("outage.jsonl");
-    run_with_trace("outage.scn", &path);
+    let path = run_with_trace("outage.scn", &dir);
     let text = std::fs::read_to_string(&path).expect("trace read");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(text.lines().count(), 379);
@@ -78,8 +77,7 @@ fn every_outage_trace_line_round_trips() {
 #[test]
 fn analyzer_attributes_outage_resubmissions_to_the_injected_crash() {
     let dir = temp_dir("attribution");
-    let path = dir.join("outage.jsonl");
-    run_with_trace("outage.scn", &path);
+    let path = run_with_trace("outage.scn", &dir);
     let text = std::fs::read_to_string(&path).expect("trace read");
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -87,26 +87,48 @@ fn bad_scenario_reports_the_offending_line() {
 }
 
 #[test]
-fn removed_kernel_partition_flag_is_a_usage_error() {
-    let flag = "--shards";
+fn removed_flags_are_usage_errors() {
+    // The kernel partition flag, and the output flags `--report-dir`
+    // replaced.
     let exe = env!("CARGO_BIN_EXE_condor-g-sim");
-    let out = Command::new(exe)
-        .args([flag, "2"])
-        .arg(format!("{}/scenarios/demo.scn", env!("CARGO_MANIFEST_DIR")))
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.starts_with("usage: condor-g-sim"), "{err}");
-    assert!(!err.contains(flag), "{err}");
+    for flag in [
+        "--shards",
+        "--trace-out",
+        "--metrics-out",
+        "--perfetto-out",
+        "--weather-out",
+        "--telemetry-out",
+        "--telemetry-interval",
+        "--profile",
+    ] {
+        let out = Command::new(exe)
+            .args([flag, "2"])
+            .arg(format!("{}/scenarios/demo.scn", env!("CARGO_MANIFEST_DIR")))
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage: condor-g-sim"), "{flag}: {err}");
+        assert!(!err.contains(flag), "{err}");
+    }
 }
 
 #[test]
 fn missing_file_is_a_usage_error() {
+    // A scenario that does not exist, and a report dir under a regular
+    // file: both exit 2 before anything is simulated.
     let exe = env!("CARGO_BIN_EXE_condor-g-sim");
-    let out = Command::new(exe)
-        .arg("/nonexistent/path.scn")
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    let root = env!("CARGO_MANIFEST_DIR");
+    for args in [
+        vec!["/nonexistent/path.scn".to_string()],
+        vec![
+            "--report-dir".to_string(),
+            format!("{root}/Cargo.toml/x"),
+            format!("{root}/scenarios/demo.scn"),
+        ],
+    ] {
+        let out = Command::new(exe).args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} simulated");
+    }
 }
