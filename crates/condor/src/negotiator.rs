@@ -17,7 +17,7 @@ use crate::proto::{
     AdKind, CollectorAds, CollectorQuery, IdleJobs, MatchNotify, NegotiationRequest,
 };
 use classads::{half_match_expr, rank_expr, ClassAd, Expr, LiteralAttrs, RequirementsPrefilter};
-use gridsim::obs::{grid_weather, HealthPolicy, SiteHealthTracker, SiteWeather};
+use gridsim::obs::{site_weather, HealthPolicy, SiteHealthTracker, SiteWeather};
 use gridsim::prelude::*;
 use gridsim::AnyMsg;
 use std::collections::HashMap;
@@ -109,12 +109,6 @@ impl Negotiator {
         self
     }
 
-    /// The weather row for a machine, via its `GlideinSite` attribute.
-    fn site_row<'a>(rows: &'a [SiteWeather], ad: &ClassAd) -> Option<&'a SiteWeather> {
-        let site = ad.get_str("GlideinSite")?;
-        rows.iter().find(|r| r.site == site)
-    }
-
     /// Clone-and-annotate a machine ad with its site's weather so job
     /// `Requirements`/`Rank` expressions can evaluate against it.
     fn annotate(ad: &ClassAd, row: &SiteWeather) -> ClassAd {
@@ -193,17 +187,15 @@ impl Negotiator {
         };
         // Adaptive mode: refresh the site-health view before matching and
         // trace the transitions it decides on.
-        let weather_rows = self.weather.as_mut().map(|tracker| {
-            let rows = grid_weather(ctx.metrics());
+        if let Some(tracker) = self.weather.as_mut() {
             let now = ctx.now();
-            for ev in tracker.observe(&rows, now) {
+            for ev in tracker.observe(ctx.metrics(), now) {
                 ctx.metrics().incr("negotiator.health_transitions", 1);
                 ctx.trace_with(ev.action.kind(), || {
                     format!("site={} reason={}", ev.site, ev.reason)
                 });
             }
-            rows
-        });
+        }
         // Prepare machines, reusing last cycle's work whenever the
         // collector handed back the same ad (pointer identity on the shared
         // handle — a machine whose state changed advertises a fresh handle
@@ -214,21 +206,22 @@ impl Negotiator {
         let mut free: Vec<(String, Addr, MachineInfo)> = machines
             .into_iter()
             .filter_map(|(name, startd, ad)| {
-                let info = match (&weather_rows, &self.weather) {
-                    (Some(rows), Some(tracker)) => {
-                        if let Some(row) = Negotiator::site_row(rows, &ad) {
-                            if tracker.is_quarantined(&row.site) {
-                                ctx.trace_with("negotiator.skip_quarantined", || {
-                                    format!("{name} site={}", row.site)
-                                });
-                                return None;
-                            }
-                            MachineInfo::prepare(Rc::new(Negotiator::annotate(&ad, row)))
-                        } else {
-                            MachineInfo::prepare(ad)
+                let info = match &self.weather {
+                    Some(tracker) => match ad.get_str("GlideinSite") {
+                        Some(site) if tracker.is_quarantined(&site) => {
+                            ctx.trace_with("negotiator.skip_quarantined", || {
+                                format!("{name} site={site}")
+                            });
+                            return None;
                         }
-                    }
-                    _ => match self.machine_cache.remove(&name) {
+                        Some(site) => {
+                            let handles = ctx.metrics().site(&site);
+                            let row = site_weather(ctx.metrics(), &site, &handles);
+                            MachineInfo::prepare(Rc::new(Negotiator::annotate(&ad, &row)))
+                        }
+                        None => MachineInfo::prepare(ad),
+                    },
+                    None => match self.machine_cache.remove(&name) {
                         Some(info) if Rc::ptr_eq(&info.ad, &ad) => info,
                         _ => MachineInfo::prepare(ad),
                     },

@@ -20,7 +20,7 @@
 use crate::api::GridJobSpec;
 use classads::{rank, symmetric_match, ClassAd};
 use gridsim::metrics::Metrics;
-use gridsim::obs::{grid_weather, HealthEvent, SiteHealthTracker};
+use gridsim::obs::{HealthEvent, SiteHealthTracker};
 use gridsim::{Addr, SimTime};
 
 /// A known gatekeeper: its contact address plus a site description ad.
@@ -48,10 +48,10 @@ pub trait Broker: Send + 'static {
     /// job / just failed one).
     fn note_submission(&mut self, _site: &str) {}
 
-    /// Feed the run's metrics, from which an adaptive broker aggregates
-    /// the grid weather; returns any health transitions it triggered (so
-    /// the caller can trace them). Non-adaptive brokers aggregate nothing
-    /// and report none.
+    /// Feed the run's metrics, from which an adaptive broker reads each
+    /// site's weather; returns any health transitions it triggered (so the
+    /// caller can trace them). Non-adaptive brokers read nothing and
+    /// report none.
     fn observe_weather(&mut self, _metrics: &Metrics, _now: SimTime) -> Vec<HealthEvent> {
         Vec::new()
     }
@@ -228,7 +228,7 @@ impl Broker for AdaptiveBroker {
     }
 
     fn observe_weather(&mut self, metrics: &Metrics, now: SimTime) -> Vec<HealthEvent> {
-        self.tracker.observe(&grid_weather(metrics), now)
+        self.tracker.observe(metrics, now)
     }
 }
 
@@ -349,7 +349,8 @@ mod tests {
     fn weather(failures: &[(&str, u64)]) -> Metrics {
         let mut m = Metrics::new();
         for (site, n) in failures {
-            m.incr(&format!("site.{site}.attempt_failures"), *n);
+            let id = m.site(site).attempt_failures;
+            m.add(id, *n);
         }
         m
     }

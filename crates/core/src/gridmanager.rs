@@ -587,8 +587,8 @@ impl GridManager {
         // a gatekeeper that never accepted anything still shows up in the
         // per-site table (and trips the adaptive quarantine).
         if let Some(site) = &j.site {
-            let name = format!("site.{site}.attempt_failures");
-            ctx.metrics().incr(&name, 1);
+            let failures = ctx.metrics().site(site).attempt_failures;
+            ctx.metrics().add(failures, 1);
         }
         if let Some(site) = j.site.take() {
             if !j.excluded.contains(&site) {

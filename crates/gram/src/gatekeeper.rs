@@ -7,9 +7,10 @@
 //! the GridManager uses to distinguish "JobManager crashed" from "whole
 //! machine or network down" (§4.2).
 
-use crate::jobmanager::{JmLog, JobManager, SiteCounters};
+use crate::jobmanager::{JmLog, JobManager};
 use crate::proto::{GramError, GramReply, GramRequest, JmMsg, JobContact};
 use gridsim::hash::IdMap;
+use gridsim::metrics::SiteMetrics;
 use gridsim::prelude::*;
 use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
@@ -46,10 +47,9 @@ pub struct Gatekeeper {
     dedup_key: KeyBuf,
     contact_key: String,
     jm_key: KeyBuf,
-    /// Site-scoped grid-weather counters, precomputed once.
-    metric_submits: String,
-    metric_rejected: String,
-    jm_counters: Rc<SiteCounters>,
+    /// The site's weather handles, resolved on first use and shared with
+    /// every JobManager this gatekeeper spawns.
+    weather: Option<Rc<SiteMetrics>>,
 }
 
 impl Gatekeeper {
@@ -70,10 +70,15 @@ impl Gatekeeper {
             dedup_key: KeyBuf::new(format!("gram/gk/{site}/dedup/")),
             contact_key: format!("gram/gk/{site}/next_contact"),
             jm_key: KeyBuf::new(JmLog::KEY_PREFIX),
-            metric_submits: format!("site.{site}.submits"),
-            metric_rejected: format!("site.{site}.rejected"),
-            jm_counters: SiteCounters::new(site),
+            weather: None,
         }
+    }
+
+    /// The site's weather handles.
+    fn weather(&mut self, ctx: &mut Ctx<'_>) -> Rc<SiteMetrics> {
+        let site = &self.site;
+        let weather = self.weather.get_or_insert_with(|| ctx.metrics().site(site));
+        weather.clone()
     }
 
     /// Disable two-phase commit and dedup (the pre-revision GRAM baseline).
@@ -203,7 +208,8 @@ impl Component for Gatekeeper {
                         Ok(v) => v,
                         Err(error) => {
                             ctx.metrics().incr("gram.rejected", 1);
-                            ctx.metrics().incr(&self.metric_rejected, 1);
+                            let rejected = self.weather(ctx).rejected;
+                            ctx.metrics().add(rejected, 1);
                             ctx.send(from, GramReply::SubmitFailed { seq, error });
                             return;
                         }
@@ -230,6 +236,7 @@ impl Component for Gatekeeper {
                             let node = ctx.node();
                             match ctx.store().get::<JmLog>(node, self.jm_key.key(contact)) {
                                 Some(log) => {
+                                    let weather = self.weather(ctx);
                                     let jm = self.spawn_jobmanager(
                                         ctx,
                                         contact,
@@ -240,7 +247,7 @@ impl Component for Gatekeeper {
                                             gass,
                                             credential.clone(),
                                             0,
-                                            self.jm_counters.clone(),
+                                            weather,
                                         ),
                                     );
                                     ctx.send(
@@ -282,7 +289,8 @@ impl Component for Gatekeeper {
                 let contact = JobContact(self.next_contact);
                 self.next_contact += 1;
                 ctx.metrics().incr("gram.submits", 1);
-                ctx.metrics().incr(&self.metric_submits, 1);
+                let weather = self.weather(ctx);
+                ctx.metrics().add(weather.submits, 1);
                 ctx.trace_with("gram.submit", || {
                     format!("{} dn={dn} seq={seq} -> {contact}", self.site)
                 });
@@ -299,7 +307,7 @@ impl Component for Gatekeeper {
                     &local_user,
                     // One-phase servers start executing immediately.
                     !self.two_phase,
-                    self.jm_counters.clone(),
+                    weather,
                 );
                 let jm_addr = self.spawn_jobmanager(ctx, contact, jm);
                 if self.two_phase {
@@ -339,6 +347,7 @@ impl Component for Gatekeeper {
                     Some(log) => {
                         ctx.metrics().incr("gram.jm_restarts", 1);
                         ctx.trace_with("gram.jm_restart", || format!("{contact}"));
+                        let weather = self.weather(ctx);
                         let jm = self.spawn_jobmanager(
                             ctx,
                             contact,
@@ -349,7 +358,7 @@ impl Component for Gatekeeper {
                                 gass,
                                 credential,
                                 stdout_have,
-                                self.jm_counters.clone(),
+                                weather,
                             ),
                         );
                         ctx.send(

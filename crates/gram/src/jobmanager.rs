@@ -10,6 +10,7 @@
 use crate::proto::{GramJobState, JmMsg, JobContact};
 use crate::rsl::RslSpec;
 use gass::{FileData, GassReply, GassRequest, GassUrl};
+use gridsim::metrics::SiteMetrics;
 use gridsim::prelude::*;
 use gridsim::AnyMsg;
 use gsi::ProxyCredential;
@@ -47,24 +48,6 @@ impl JmLog {
     /// Stable-storage key for a job's log.
     pub fn key(contact: JobContact) -> String {
         format!("{}{contact}", JmLog::KEY_PREFIX)
-    }
-}
-
-/// A site's grid-weather counter names for its JobManagers, rendered once
-/// by the fronting gatekeeper and shared by every JobManager it spawns.
-#[derive(Debug)]
-pub struct SiteCounters {
-    commits: String,
-    commit_timeouts: String,
-}
-
-impl SiteCounters {
-    /// The counters of `site`.
-    pub fn new(site: &str) -> Rc<SiteCounters> {
-        Rc::new(SiteCounters {
-            commits: format!("site.{site}.commits"),
-            commit_timeouts: format!("site.{site}.commit_timeouts"),
-        })
     }
 }
 
@@ -113,8 +96,8 @@ pub struct JobManager {
     pending_events: Vec<LrmEvent>,
     /// Set once execution has commenced; duplicate Commits are then inert.
     committed: bool,
-    /// Site-scoped grid-weather counters.
-    counters: Rc<SiteCounters>,
+    /// The site's weather handles, shared by its gatekeeper.
+    weather: Rc<SiteMetrics>,
     /// Lean (campaign) mode: tell this gatekeeper we are exiting after the
     /// client's done-ack so it can reclaim the job's records.
     notify_exit: Option<Addr>,
@@ -150,7 +133,7 @@ impl JobManager {
         lrm: Addr,
         local_user: &str,
         auto_commit: bool,
-        counters: Rc<SiteCounters>,
+        weather: Rc<SiteMetrics>,
     ) -> JobManager {
         JobManager {
             contact,
@@ -175,7 +158,7 @@ impl JobManager {
             stdout_req: None,
             pending_events: Vec::new(),
             committed: false,
-            counters,
+            weather,
             notify_exit: None,
             stage_backoff: 0,
         }
@@ -196,7 +179,7 @@ impl JobManager {
         gass: GassUrl,
         credential: ProxyCredential,
         stdout_have: u64,
-        counters: Rc<SiteCounters>,
+        weather: Rc<SiteMetrics>,
     ) -> JobManager {
         let rsl = crate::rsl::parse(&log.rsl).expect("logged RSL re-parses");
         JobManager {
@@ -222,7 +205,7 @@ impl JobManager {
             stdout_req: None,
             pending_events: Vec::new(),
             committed: true,
-            counters,
+            weather,
             notify_exit: None,
             stage_backoff: 0,
         }
@@ -496,14 +479,14 @@ impl Component for JobManager {
                     );
                     if self.state == GramJobState::PendingCommit && !self.committed {
                         ctx.metrics().incr("gram.commits", 1);
-                        ctx.metrics().incr(&self.counters.commits, 1);
+                        ctx.metrics().add(self.weather.commits, 1);
                         self.begin_stage_in(ctx);
                     } else {
                         // A duplicate Commit means the client's commit timer
                         // expired before our ack arrived and it retransmitted
                         // — the per-site commit-timeout signal in the
                         // grid-weather report.
-                        ctx.metrics().incr(&self.counters.commit_timeouts, 1);
+                        ctx.metrics().add(self.weather.commit_timeouts, 1);
                     }
                 }
                 JmMsg::Probe { nonce } => {
@@ -725,7 +708,7 @@ mod tests {
             addr,
             "jane",
             false,
-            SiteCounters::new("wisc"),
+            gridsim::metrics::Metrics::new().site("wisc"),
         );
         for (local_id, state) in [
             (None, GramJobState::PendingCommit),
@@ -777,7 +760,7 @@ mod tests {
             addr,
             "jane",
             false,
-            SiteCounters::new("wisc"),
+            gridsim::metrics::Metrics::new().site("wisc"),
         );
         jm.local_id = Some(12);
         jm.state = GramJobState::StageOut;

@@ -3,9 +3,16 @@
 //! The experiment harness reads these to produce the paper's numbers —
 //! CPU-hours delivered, concurrent-processor time series, queueing-delay
 //! distributions, protocol message counts.
+//!
+//! Each site's grid-weather metrics are declared, not discovered:
+//! [`Metrics::site`] resolves a site's [`SiteMetrics`] handles once, and
+//! [`Metrics::sites`] walks the sites that have written any of them. That
+//! resolver is the only code that spells the `site.<name>.<suffix>` names
+//! the exporters render.
 
 use crate::time::{Duration, SimTime};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Retained-sample cap for [`Histogram`] and point cap for [`TimeSeries`].
 /// Below the cap both containers keep every observation and all statistics
@@ -275,6 +282,34 @@ impl TimeSeries {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(u32);
 
+/// One site's grid-weather metrics, from [`Metrics::site`]: handles of
+/// its counters, and the names of its series and histograms.
+#[derive(Debug)]
+pub struct SiteMetrics {
+    /// GRAM submissions the site's gatekeeper accepted.
+    pub submits: CounterId,
+    /// Submissions it rejected (GSI auth / gridmap failures).
+    pub rejected: CounterId,
+    /// Jobs the site's LRM ran to completion.
+    pub completed: CounterId,
+    /// Two-phase commits its JobManagers began.
+    pub commits: CounterId,
+    /// Duplicate commits: the client's commit timer fired before the ack.
+    pub commit_timeouts: CounterId,
+    /// Attempts at the site the GridManager gave up on.
+    pub attempt_failures: CounterId,
+    /// Series: processors the LRM has busy.
+    pub busy: String,
+    /// Series: jobs queued at the LRM, not yet running.
+    pub queue_depth: String,
+    /// Series: rolling success rate over the LRM's recent outcomes.
+    pub success_rate: String,
+    /// Histogram: LRM queue wait per job, seconds.
+    pub queue_wait: String,
+    /// Histogram: CPU-seconds per finished job.
+    pub cpu_seconds: String,
+}
+
 /// The world-wide metrics sink.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -285,6 +320,8 @@ pub struct Metrics {
     counter_values: Vec<Option<u64>>,
     histograms: BTreeMap<String, Histogram>,
     series: BTreeMap<String, TimeSeries>,
+    /// Every site resolved with [`Metrics::site`], sorted by name.
+    sites: BTreeMap<String, Rc<SiteMetrics>>,
 }
 
 impl Metrics {
@@ -325,8 +362,64 @@ impl Metrics {
     pub fn counter(&self, name: &str) -> u64 {
         self.counter_ids
             .get(name)
-            .and_then(|id| self.counter_values[id.0 as usize])
+            .and_then(|&id| self.value(id))
             .unwrap_or(0)
+    }
+
+    /// Read a counter by handle: `None` until it is first written.
+    #[inline]
+    pub fn value(&self, id: CounterId) -> Option<u64> {
+        self.counter_values[id.0 as usize]
+    }
+
+    /// The weather handles of `site`, resolved on first use. Like
+    /// [`counter_id`](Self::counter_id), resolving creates nothing a reader
+    /// or exporter sees: the site joins [`sites`](Self::sites) when one of
+    /// its metrics (other than `cpu_seconds`) is first written.
+    pub fn site(&mut self, site: &str) -> Rc<SiteMetrics> {
+        if !self.sites.contains_key(site) {
+            let prefix = format!("site.{site}.");
+            let name = |suffix: &str| [&prefix, suffix].concat();
+            let handles = SiteMetrics {
+                submits: self.counter_id(&name("submits")),
+                rejected: self.counter_id(&name("rejected")),
+                completed: self.counter_id(&name("completed")),
+                commits: self.counter_id(&name("commits")),
+                commit_timeouts: self.counter_id(&name("commit_timeouts")),
+                attempt_failures: self.counter_id(&name("attempt_failures")),
+                busy: name("busy"),
+                queue_depth: name("queue_depth"),
+                success_rate: name("success_rate"),
+                queue_wait: name("queue_wait"),
+                cpu_seconds: name("cpu_seconds"),
+            };
+            self.sites.insert(site.to_string(), Rc::new(handles));
+        }
+        self.sites[site].clone()
+    }
+
+    /// The sites with a weather row, sorted by name.
+    pub fn sites(&self) -> impl Iterator<Item = (&str, &SiteMetrics)> {
+        self.sites
+            .iter()
+            .filter_map(|(site, h)| self.has_row(h).then_some((site.as_str(), &**h)))
+    }
+
+    /// Has any of the site's row metrics been written? (`cpu_seconds`
+    /// feeds no weather column, so it alone makes no row.)
+    fn has_row(&self, h: &SiteMetrics) -> bool {
+        let written = |id| self.value(id).is_some();
+        let series = |name: &String| self.series.contains_key(name);
+        written(h.submits)
+            || written(h.rejected)
+            || written(h.completed)
+            || written(h.commits)
+            || written(h.commit_timeouts)
+            || written(h.attempt_failures)
+            || series(&h.busy)
+            || series(&h.queue_depth)
+            || series(&h.success_rate)
+            || self.histograms.contains_key(&h.queue_wait)
     }
 
     /// Record a histogram observation.
@@ -349,11 +442,6 @@ impl Metrics {
     /// Access a histogram (if any observation was made).
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Mutable access (for quantiles, which sort lazily).
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
     }
 
     /// Record a time-series point.
@@ -383,11 +471,6 @@ impl Metrics {
     /// Access a time series.
     pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.get(name)
-    }
-
-    /// Names of all counters (sorted).
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters().map(|(name, _)| name)
     }
 
     /// All counters with values, sorted by name (for exporters).
@@ -428,7 +511,6 @@ mod tests {
         let lost = m.counter_id("net.lost");
         assert_eq!(m.counter_id("net.sent"), sent);
         assert_eq!(m.counters().count(), 0, "resolved is not written");
-        assert_eq!(m.counter_names().count(), 0);
         m.add(sent, 2);
         m.incr("net.sent", 3);
         m.incr("a.zero", 0);
@@ -437,10 +519,8 @@ mod tests {
         let all: Vec<(&str, u64)> = m.counters().collect();
         assert_eq!(all, [("a.zero", 0), ("net.sent", 5)]);
         m.add(lost, 0);
-        assert_eq!(
-            m.counter_names().collect::<Vec<_>>(),
-            ["a.zero", "net.lost", "net.sent"]
-        );
+        let names: Vec<&str> = m.counters().map(|(name, _)| name).collect();
+        assert_eq!(names, ["a.zero", "net.lost", "net.sent"]);
     }
 
     #[test]

@@ -401,28 +401,18 @@ pub struct TelemetrySample {
     pub ring_evicted: u64,
 }
 
-/// Sum the per-site weather counters without building full weather rows
-/// (no histogram sorting on the heartbeat path).
+/// Count the sites that have gatekeeper submits or client-side attempt
+/// failures, and sum both, without building weather rows (no histogram
+/// sorting on the heartbeat path).
 pub fn site_aggregates(m: &Metrics) -> (u64, u64, u64) {
-    let mut sites: BTreeSet<&str> = BTreeSet::new();
-    let (mut submits, mut failures) = (0u64, 0u64);
-    for (name, v) in m.counters() {
-        let Some(rest) = name.strip_prefix("site.") else {
-            continue;
-        };
-        if let Some(site) = rest.strip_suffix(".submits") {
-            if !site.is_empty() {
-                sites.insert(site);
-                submits += v;
-            }
-        } else if let Some(site) = rest.strip_suffix(".attempt_failures") {
-            if !site.is_empty() {
-                sites.insert(site);
-                failures += v;
-            }
-        }
+    let (mut sites, mut submits, mut failures) = (0u64, 0u64, 0u64);
+    for (_, h) in m.sites() {
+        let (s, f) = (m.value(h.submits), m.value(h.attempt_failures));
+        sites += (s.is_some() || f.is_some()) as u64;
+        submits += s.unwrap_or(0);
+        failures += f.unwrap_or(0);
     }
-    (sites.len() as u64, submits, failures)
+    (sites, submits, failures)
 }
 
 /// Render one heartbeat as a single JSONL line (no trailing newline).
@@ -918,9 +908,14 @@ mod tests {
     #[test]
     fn site_aggregates_sums_counters() {
         let mut m = Metrics::default();
-        m.incr("site.alpha.submits", 10);
-        m.incr("site.alpha.attempt_failures", 2);
-        m.incr("site.beta.submits", 5);
+        let alpha = m.site("alpha");
+        m.add(alpha.submits, 10);
+        m.add(alpha.attempt_failures, 2);
+        let beta = m.site("beta").submits;
+        m.add(beta, 5);
+        // A site with LRM metrics only counts for neither sum.
+        let gamma = m.site("gamma").completed;
+        m.add(gamma, 3);
         m.incr("unrelated.counter", 99);
         let (sites, submits, failures) = site_aggregates(&m);
         assert_eq!(sites, 2);

@@ -27,11 +27,12 @@
 //!   cause)` pairs the kernel stamps on every trace record; the offline
 //!   `condor-g-trace` forensics analyzer runs the same reconstruction on
 //!   exported JSONL.
-//! * [`weather`] — aggregates the `site.<name>.*` metrics the protocol
-//!   components publish into a per-site grid-weather table (success rate,
-//!   queue depth, median LRM wait, commit-timeout rate), and runs the
-//!   [`SiteHealthTracker`] quarantine state machine brokers consult to
-//!   steer work away from sick sites.
+//! * [`weather`] — walks the sites the protocol components declared with
+//!   [`crate::metrics::Metrics::site`] into a per-site grid-weather table
+//!   (success rate, queue depth, median LRM wait, commit-timeout rate),
+//!   and runs the [`SiteHealthTracker`] quarantine state machine brokers
+//!   consult to steer work away from sick sites; the tracker reads the
+//!   same handles and builds no table.
 
 pub mod causality;
 pub mod export;
@@ -51,6 +52,6 @@ pub use profiler::{CompProfile, Profiler};
 pub use span::{AttemptSpan, JobSpan, SpanCollector, SpanPhase, PHASES, SPAN_KIND};
 pub use subscriber::JsonlWriter;
 pub use weather::{
-    grid_weather, render_top, weather_json, HealthAction, HealthEvent, HealthPolicy,
+    grid_weather, render_top, site_weather, weather_json, HealthAction, HealthEvent, HealthPolicy,
     SiteHealthTracker, SiteState, SiteWeather,
 };

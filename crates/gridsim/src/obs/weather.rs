@@ -1,41 +1,26 @@
 //! Per-site "grid weather": the MDS-style resource health summary the
 //! paper's users relied on to pick sites.
 //!
-//! The protocol components publish per-site metrics under `site.<name>.*`
-//! as they run — the gatekeeper counts submissions and auth rejections,
-//! the JobManager counts two-phase commits and commit timeouts, the LRM
-//! tracks queue depth, queue-wait distribution, and a rolling success
-//! rate over its most recent job outcomes. Everything flows through the
-//! ordinary [`Metrics`] sink (so the Prometheus/JSON exporters pick it up
-//! unchanged); this module aggregates the raw metrics into one row per
-//! site for reports and the `condor-g-sim` epilogue.
+//! The protocol components declare each site's metrics once, through
+//! [`Metrics::site`], and write them as they run — the gatekeeper counts
+//! submissions and auth rejections, the JobManager counts two-phase
+//! commits and commit timeouts, the LRM tracks queue depth, queue-wait
+//! distribution, and a rolling success rate over its most recent job
+//! outcomes, and the GridManager charges failed attempts. Everything
+//! flows through the ordinary [`Metrics`] sink (so the Prometheus/JSON
+//! exporters pick it up unchanged); this module walks the sink's site
+//! registry into one row per site for reports and the `condor-g-sim`
+//! epilogue.
 //!
-//! [`SiteHealthTracker`] closes the loop: fed successive weather
-//! snapshots, it runs a per-site quarantine state machine (Healthy →
-//! Quarantined → Probation → Healthy) whose transitions the brokers use
-//! to steer work away from sick sites and re-probe them later.
+//! [`SiteHealthTracker`] closes the loop: fed the sink at successive
+//! instants, it reads each site's signals through the same handles and
+//! runs a per-site quarantine state machine (Healthy → Quarantined →
+//! Probation → Healthy) whose transitions the brokers use to steer work
+//! away from sick sites and re-probe them later. It builds no rows.
 
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, SiteMetrics};
 use crate::obs::export::json_string;
 use crate::time::{Duration, SimTime};
-use std::collections::BTreeMap;
-
-/// Metric suffixes that identify a site under the `site.<name>.` prefix.
-/// Site names may themselves contain dots (`cluster.site.edu`), so site
-/// discovery strips a known suffix rather than splitting on `.`.
-const SITE_SUFFIXES: &[&str] = &[
-    ".submits",
-    ".rejected",
-    ".completed",
-    ".wall_killed",
-    ".queue_wait",
-    ".queue_depth",
-    ".success_rate",
-    ".commits",
-    ".commit_timeouts",
-    ".busy",
-    ".attempt_failures",
-];
 
 /// One site's current weather.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,72 +50,52 @@ pub struct SiteWeather {
     pub attempt_failures: u64,
 }
 
-/// Extract the site name from a `site.<name>.<suffix>` metric, if it is one.
-fn site_of(name: &str) -> Option<&str> {
-    let rest = name.strip_prefix("site.")?;
-    SITE_SUFFIXES
-        .iter()
-        .find_map(|s| rest.strip_suffix(s))
-        .filter(|site| !site.is_empty())
-}
-
-/// Aggregate the `site.<name>.*` metrics into one weather row per site,
-/// sorted by site name.
+/// One weather row per site with any weather metric written, sorted by
+/// site name.
 pub fn grid_weather(m: &Metrics) -> Vec<SiteWeather> {
-    let mut sites: Vec<String> = Vec::new();
-    let names = m
-        .counter_names()
-        .chain(m.histograms().map(|(k, _)| k))
-        .chain(m.all_series().map(|(k, _)| k));
-    for name in names {
-        if let Some(site) = site_of(name) {
-            if !sites.iter().any(|s| s == site) {
-                sites.push(site.to_string());
-            }
-        }
-    }
-    sites.sort();
-    sites
-        .into_iter()
-        .map(|site| {
-            let c = |suffix: &str| m.counter(&format!("site.{site}.{suffix}"));
-            let last = |suffix: &str| {
-                m.series(&format!("site.{site}.{suffix}"))
-                    .filter(|s| !s.points().is_empty())
-                    .map(|s| s.last())
-            };
-            let commits = c("commits");
-            SiteWeather {
-                submits: c("submits"),
-                rejected: c("rejected"),
-                completed: c("completed"),
-                success_rate: last("success_rate"),
-                queue_depth: last("queue_depth"),
-                median_wait_secs: m
-                    .histogram(&format!("site.{site}.queue_wait"))
-                    .map(|h| median(h.samples())),
-                commit_timeout_rate: (commits > 0)
-                    .then(|| c("commit_timeouts") as f64 / commits as f64),
-                attempt_failures: c("attempt_failures"),
-                site,
-            }
-        })
+    m.sites()
+        .map(|(site, h)| site_weather(m, site, h))
         .collect()
 }
 
-/// Median without mutating the shared histogram (its lazy-sorting
-/// [`quantile`](crate::metrics::Histogram::quantile) needs `&mut`).
-fn median(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+/// The weather row of one site, read through its handles.
+pub fn site_weather(m: &Metrics, site: &str, h: &SiteMetrics) -> SiteWeather {
+    let c = |id| m.value(id).unwrap_or(0);
+    SiteWeather {
+        site: site.to_string(),
+        submits: c(h.submits),
+        rejected: c(h.rejected),
+        completed: c(h.completed),
+        success_rate: last(m, &h.success_rate),
+        queue_depth: last(m, &h.queue_depth),
+        median_wait_secs: m.histogram(&h.queue_wait).map(|h| median(h.samples())),
+        commit_timeout_rate: commit_timeout_rate(m, h),
+        attempt_failures: c(h.attempt_failures),
     }
+}
+
+/// The latest value of a series, if it was ever recorded.
+fn last(m: &Metrics, series: &str) -> Option<f64> {
+    m.series(series).map(|s| s.last())
+}
+
+/// Commit timeouts per commit, once the site has had a commit.
+fn commit_timeout_rate(m: &Metrics, h: &SiteMetrics) -> Option<f64> {
+    let commits = m.value(h.commits).unwrap_or(0);
+    (commits > 0).then(|| m.value(h.commit_timeouts).unwrap_or(0) as f64 / commits as f64)
+}
+
+/// Median without mutating the shared histogram (its lazy-sorting
+/// [`quantile`](crate::metrics::Histogram::quantile) needs `&mut`). Never
+/// empty: a histogram exists once observed, and keeps samples from then on.
+fn median(samples: &[f64]) -> f64 {
     let mut v = samples.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     v[(v.len() - 1) / 2]
 }
 
 /// Render the weather rows as the fixed-width table the CLI prints.
-pub fn render(rows: &[SiteWeather]) -> String {
+pub fn render<'a>(rows: impl IntoIterator<Item = &'a SiteWeather>) -> String {
     let mut out = String::from(
         "site                      submits  reject  done  success  queue  med-wait  commit-to  failed\n",
     );
@@ -173,8 +138,7 @@ pub fn render_top(rows: &[SiteWeather], n: usize) -> String {
         kb.cmp(&ka).then_with(|| a.site.cmp(&b.site))
     });
     busiest.truncate(n);
-    let top: Vec<SiteWeather> = busiest.into_iter().cloned().collect();
-    let mut out = render(&top);
+    let mut out = render(busiest);
     out.push_str(&format!(
         "... {} more sites (full table: weather.json)\n",
         rows.len() - n
@@ -242,6 +206,26 @@ impl Default for HealthPolicy {
     }
 }
 
+impl HealthPolicy {
+    /// Why a healthy site looks sick, if it does.
+    fn sickness(&self, m: &Metrics, h: &SiteMetrics, new_failures: u64) -> Option<String> {
+        if new_failures >= self.strike_failures.max(1) {
+            return Some(format!("{new_failures} new attempt failures"));
+        }
+        if let Some(rate) = last(m, &h.success_rate) {
+            if rate < self.min_success_rate {
+                return Some(format!("success rate {:.0}%", rate * 100.0));
+            }
+        }
+        if let Some(rate) = commit_timeout_rate(m, h) {
+            if rate > self.max_commit_timeout_rate {
+                return Some(format!("commit-timeout rate {:.0}%", rate * 100.0));
+            }
+        }
+        None
+    }
+}
+
 /// Where a site is in the quarantine lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteState {
@@ -293,22 +277,25 @@ impl HealthAction {
 #[derive(Debug, Clone, Default)]
 struct SiteTrack {
     state: Option<SiteState>,
-    /// Counter snapshots from the previous observation, for windowed deltas.
+    /// Counter readings from the previous observation, for windowed deltas.
     seen_failures: u64,
     seen_completed: u64,
     /// Completions accumulated while on probation.
     probation_completed: u64,
 }
 
-/// Runs the [`SiteState`] machine over successive weather snapshots.
+/// Runs the [`SiteState`] machine over successive readings of the sites'
+/// weather metrics.
 ///
-/// Deliberately deterministic: transitions depend only on the snapshots
+/// Deliberately deterministic: transitions depend only on the metrics
 /// and the virtual clock, so adaptive runs replay exactly under a fixed
 /// seed.
 #[derive(Debug, Clone, Default)]
 pub struct SiteHealthTracker {
     policy: HealthPolicy,
-    sites: BTreeMap<String, SiteTrack>,
+    /// Every site observed, sorted by name like the registry, so each
+    /// tick walks the two in step.
+    sites: Vec<(String, SiteTrack)>,
 }
 
 impl SiteHealthTracker {
@@ -316,21 +303,19 @@ impl SiteHealthTracker {
     pub fn new(policy: HealthPolicy) -> SiteHealthTracker {
         SiteHealthTracker {
             policy,
-            sites: BTreeMap::new(),
+            sites: Vec::new(),
         }
     }
 
     /// Is the site currently excluded from brokering?
     pub fn is_quarantined(&self, site: &str) -> bool {
-        matches!(
-            self.sites.get(site).and_then(|t| t.state),
-            Some(SiteState::Quarantined { .. })
-        )
+        matches!(self.state(site), Some(SiteState::Quarantined { .. }))
     }
 
     /// Current state of a site, if it has ever been observed.
     pub fn state(&self, site: &str) -> Option<SiteState> {
-        self.sites.get(site).and_then(|t| t.state)
+        let i = self.sites.binary_search_by(|(s, _)| s.as_str().cmp(site));
+        self.sites[i.ok()?].1.state
     }
 
     /// Sites currently quarantined, sorted.
@@ -342,33 +327,48 @@ impl SiteHealthTracker {
             .collect()
     }
 
-    /// Feed one weather snapshot; returns the transitions it caused.
-    pub fn observe(&mut self, rows: &[SiteWeather], now: SimTime) -> Vec<HealthEvent> {
+    /// Read every site's signals from `m` at `now`; returns the
+    /// transitions they caused. Reads through the site handles: it formats
+    /// no name, builds no row, and allocates only for a site it has not
+    /// seen before or a transition.
+    pub fn observe(&mut self, m: &Metrics, now: SimTime) -> Vec<HealthEvent> {
         let mut events = Vec::new();
-        for r in rows {
-            let t = self.sites.entry(r.site.clone()).or_default();
-            let new_failures = r.attempt_failures.saturating_sub(t.seen_failures);
-            let new_completed = r.completed.saturating_sub(t.seen_completed);
-            t.seen_failures = r.attempt_failures;
-            t.seen_completed = r.completed;
+        let mut i = 0;
+        for (site, h) in m.sites() {
+            // Both lists are sorted by name, so the site is at `i` once
+            // any site this reading lacks is stepped over, or it is new.
+            while self.sites.get(i).is_some_and(|(s, _)| s.as_str() < site) {
+                i += 1;
+            }
+            if self.sites.get(i).is_none_or(|(s, _)| s != site) {
+                self.sites
+                    .insert(i, (site.to_string(), SiteTrack::default()));
+            }
+            let t = &mut self.sites[i].1;
+            i += 1;
+            let failures = m.value(h.attempt_failures).unwrap_or(0);
+            let completed = m.value(h.completed).unwrap_or(0);
+            let new_failures = failures.saturating_sub(t.seen_failures);
+            let new_completed = completed.saturating_sub(t.seen_completed);
+            t.seen_failures = failures;
+            t.seen_completed = completed;
             let state = t.state.unwrap_or(SiteState::Healthy);
-            let sick = sickness(&self.policy, r, new_failures);
             let next = match state {
-                SiteState::Healthy => sick.map(|why| {
-                    events.push(ev(r, HealthAction::Quarantine, why));
+                SiteState::Healthy => self.policy.sickness(m, h, new_failures).map(|why| {
+                    events.push(ev(site, HealthAction::Quarantine, why));
                     SiteState::Quarantined {
                         until: now + self.policy.quarantine_for,
                     }
                 }),
                 SiteState::Quarantined { until } => (now >= until).then(|| {
-                    events.push(ev(r, HealthAction::Probe, "quarantine lapsed".into()));
+                    events.push(ev(site, HealthAction::Probe, "quarantine lapsed".into()));
                     t.probation_completed = 0;
                     SiteState::Probation
                 }),
                 SiteState::Probation => {
                     if new_failures > 0 {
                         events.push(ev(
-                            r,
+                            site,
                             HealthAction::Quarantine,
                             format!("probe failed ({new_failures} new attempt failures)"),
                         ));
@@ -379,7 +379,7 @@ impl SiteHealthTracker {
                         t.probation_completed += new_completed;
                         (t.probation_completed >= self.policy.probation_successes).then(|| {
                             events.push(ev(
-                                r,
+                                site,
                                 HealthAction::Recover,
                                 format!("{} completions on probation", t.probation_completed),
                             ));
@@ -394,27 +394,9 @@ impl SiteHealthTracker {
     }
 }
 
-/// Why a site looks sick under `policy`, if it does.
-fn sickness(policy: &HealthPolicy, r: &SiteWeather, new_failures: u64) -> Option<String> {
-    if new_failures >= policy.strike_failures.max(1) {
-        return Some(format!("{new_failures} new attempt failures"));
-    }
-    if let Some(rate) = r.success_rate {
-        if rate < policy.min_success_rate {
-            return Some(format!("success rate {:.0}%", rate * 100.0));
-        }
-    }
-    if let Some(rate) = r.commit_timeout_rate {
-        if rate > policy.max_commit_timeout_rate {
-            return Some(format!("commit-timeout rate {:.0}%", rate * 100.0));
-        }
-    }
-    None
-}
-
-fn ev(r: &SiteWeather, action: HealthAction, reason: String) -> HealthEvent {
+fn ev(site: &str, action: HealthAction, reason: String) -> HealthEvent {
     HealthEvent {
-        site: r.site.clone(),
+        site: site.to_string(),
         action,
         reason,
     }
@@ -423,34 +405,68 @@ fn ev(r: &SiteWeather, action: HealthAction, reason: String) -> HealthEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::CounterId;
     use crate::time::SimTime;
+
+    /// Add `by` to the counter `pick` names among `site`'s handles.
+    fn bump(m: &mut Metrics, site: &str, pick: fn(&SiteMetrics) -> CounterId, by: u64) {
+        let id = pick(&m.site(site));
+        m.add(id, by);
+    }
 
     #[test]
     fn site_names_with_dots_survive_discovery() {
+        let mut m = Metrics::new();
+        bump(&mut m, "cluster.site.edu", |h| h.submits, 2);
+        // A site may share its name with a suffix.
+        let busy = m.site("busy");
+        m.gauge(&busy.busy, SimTime(1), 3.0);
+        m.observe(&busy.queue_wait, 4.0);
+        // Resolved but never written: no row. Nor does `cpu_seconds`
+        // alone make one, as it feeds no column.
+        m.site("idle");
+        let cpu = m.site("cpu-only").cpu_seconds.clone();
+        m.observe(&cpu, 1.0);
+        // Grid-wide metrics under the `site.` prefix belong to no site.
+        m.incr("site.completed", 1);
+        m.observe("site.queue_wait", 3.0);
+        m.incr("site.wall_killed", 1);
+
+        let rows = grid_weather(&m);
+        let names: Vec<&str> = rows.iter().map(|r| r.site.as_str()).collect();
+        assert_eq!(names, ["busy", "cluster.site.edu"]);
+        assert_eq!(rows[0].median_wait_secs, Some(4.0));
+        assert_eq!(rows[1].submits, 2);
+        // The exporters see the declared names, and only written ones.
+        assert_eq!(m.counter("site.cluster.site.edu.submits"), 2);
+        assert_eq!(m.series("site.busy.busy").map(|s| s.last()), Some(3.0));
+        assert!(m.histogram("site.cpu-only.cpu_seconds").is_some());
+        let counters: Vec<&str> = m.counters().map(|(name, _)| name).collect();
         assert_eq!(
-            site_of("site.cluster.site.edu.queue_wait"),
-            Some("cluster.site.edu")
+            counters,
+            [
+                "site.cluster.site.edu.submits",
+                "site.completed",
+                "site.wall_killed"
+            ]
         );
-        assert_eq!(site_of("site.anl.submits"), Some("anl"));
-        assert_eq!(site_of("site.queue_wait"), None, "empty site name");
-        assert_eq!(site_of("grid.busy_cpus"), None);
-        assert_eq!(site_of("site.anl.unrelated"), None);
     }
 
     #[test]
     fn aggregates_one_row_per_site() {
         let mut m = Metrics::new();
-        m.incr("site.anl.submits", 10);
-        m.incr("site.anl.rejected", 1);
-        m.incr("site.anl.completed", 8);
-        m.incr("site.anl.commits", 10);
-        m.incr("site.anl.commit_timeouts", 2);
-        m.gauge("site.anl.queue_depth", SimTime(5), 3.0);
-        m.gauge("site.anl.success_rate", SimTime(5), 0.75);
+        let anl = m.site("anl");
+        m.add(anl.submits, 10);
+        m.add(anl.rejected, 1);
+        m.add(anl.completed, 8);
+        m.add(anl.commits, 10);
+        m.add(anl.commit_timeouts, 2);
+        m.gauge(&anl.queue_depth, SimTime(5), 3.0);
+        m.gauge(&anl.success_rate, SimTime(5), 0.75);
         for w in [10.0, 30.0, 20.0] {
-            m.observe("site.anl.queue_wait", w);
+            m.observe(&anl.queue_wait, w);
         }
-        m.incr("site.nrl.submits", 4);
+        bump(&mut m, "nrl", |h| h.submits, 4);
         m.incr("unrelated.counter", 9);
 
         let rows = grid_weather(&m);
@@ -473,9 +489,9 @@ mod tests {
         let mut m = Metrics::new();
         for i in 0..30u64 {
             // site00 busiest, site29 quietest.
-            m.incr(&format!("site.site{i:02}.submits"), 60 - i);
+            bump(&mut m, &format!("site{i:02}"), |h| h.submits, 60 - i);
         }
-        m.incr("site.site29.attempt_failures", 100); // failures count as traffic
+        bump(&mut m, "site29", |h| h.attempt_failures, 100); // failures count as traffic
         let rows = grid_weather(&m);
         let table = render_top(&rows, 5);
         let body: Vec<&str> = table.lines().collect();
@@ -494,7 +510,7 @@ mod tests {
         // lexicographic order, whatever order the rows arrive in.
         let mut m = Metrics::new();
         for name in ["zeta", "alpha", "mu", "beta", "omega", "kappa"] {
-            m.incr(&format!("site.{name}.submits"), 7);
+            bump(&mut m, name, |h| h.submits, 7);
         }
         let mut rows = grid_weather(&m);
         let table = render_top(&rows, 3);
@@ -512,7 +528,7 @@ mod tests {
     #[test]
     fn renders_a_row_per_site() {
         let mut m = Metrics::new();
-        m.incr("site.anl.submits", 2);
+        bump(&mut m, "anl", |h| h.submits, 2);
         let text = render(&grid_weather(&m));
         assert!(text.lines().count() == 2, "{text}");
         assert!(text.contains("anl"));
@@ -525,7 +541,7 @@ mod tests {
         // An unreachable gatekeeper accepts nothing, so the only signal is
         // the client-side attempt-failure counter. It must be enough.
         let mut m = Metrics::new();
-        m.incr("site.dead.attempt_failures", 3);
+        bump(&mut m, "dead", |h| h.attempt_failures, 3);
         let rows = grid_weather(&m);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].site, "dead");
@@ -536,9 +552,9 @@ mod tests {
     #[test]
     fn weather_json_is_valid_and_complete() {
         let mut m = Metrics::new();
-        m.incr("site.anl.submits", 10);
-        m.incr("site.anl.completed", 8);
-        m.incr("site.nrl.attempt_failures", 2);
+        bump(&mut m, "anl", |h| h.submits, 10);
+        bump(&mut m, "anl", |h| h.completed, 8);
+        bump(&mut m, "nrl", |h| h.attempt_failures, 2);
         let text = weather_json(&grid_weather(&m));
         assert!(text.starts_with("[\n") && text.ends_with("]\n"), "{text}");
         assert!(text.contains("\"site\": \"anl\""));
@@ -555,18 +571,13 @@ mod tests {
         assert!(objects[1].ends_with('}'));
     }
 
-    fn row(site: &str, failures: u64, completed: u64) -> SiteWeather {
-        SiteWeather {
-            site: site.to_string(),
-            submits: 0,
-            rejected: 0,
-            completed,
-            success_rate: None,
-            queue_depth: None,
-            median_wait_secs: None,
-            commit_timeout_rate: None,
-            attempt_failures: failures,
-        }
+    /// A sink in which `site` has charged `failures` attempt failures and
+    /// completed `completed` jobs.
+    fn reading(site: &str, failures: u64, completed: u64) -> Metrics {
+        let mut m = Metrics::new();
+        bump(&mut m, site, |h| h.attempt_failures, failures);
+        bump(&mut m, site, |h| h.completed, completed);
+        m
     }
 
     const MIN: u64 = 60 * 1_000_000;
@@ -575,25 +586,27 @@ mod tests {
     fn quarantine_probe_recover_lifecycle() {
         let mut t = SiteHealthTracker::new(HealthPolicy::default());
         // Healthy until a failure shows up.
-        assert!(t.observe(&[row("anl", 0, 0)], SimTime(0)).is_empty());
+        assert!(t.observe(&reading("anl", 0, 0), SimTime(0)).is_empty());
         assert!(!t.is_quarantined("anl"));
         // One new failure → quarantined for 20 minutes.
-        let evs = t.observe(&[row("anl", 1, 0)], SimTime(MIN));
+        let evs = t.observe(&reading("anl", 1, 0), SimTime(MIN));
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].action, HealthAction::Quarantine);
         assert_eq!(evs[0].site, "anl");
         assert!(t.is_quarantined("anl"));
         assert_eq!(t.quarantined_sites(), ["anl"]);
         // Still quarantined halfway through; *no* repeat events.
-        assert!(t.observe(&[row("anl", 1, 0)], SimTime(10 * MIN)).is_empty());
+        assert!(t
+            .observe(&reading("anl", 1, 0), SimTime(10 * MIN))
+            .is_empty());
         assert!(t.is_quarantined("anl"));
         // Deadline passes → probation (eligible again).
-        let evs = t.observe(&[row("anl", 1, 0)], SimTime(22 * MIN));
+        let evs = t.observe(&reading("anl", 1, 0), SimTime(22 * MIN));
         assert_eq!(evs[0].action, HealthAction::Probe);
         assert!(!t.is_quarantined("anl"));
         assert_eq!(t.state("anl"), Some(SiteState::Probation));
         // A completion on probation restores full health.
-        let evs = t.observe(&[row("anl", 1, 1)], SimTime(30 * MIN));
+        let evs = t.observe(&reading("anl", 1, 1), SimTime(30 * MIN));
         assert_eq!(evs[0].action, HealthAction::Recover);
         assert_eq!(t.state("anl"), Some(SiteState::Healthy));
     }
@@ -601,9 +614,9 @@ mod tests {
     #[test]
     fn failed_probe_requarantines() {
         let mut t = SiteHealthTracker::new(HealthPolicy::default());
-        t.observe(&[row("anl", 1, 0)], SimTime(0));
-        t.observe(&[row("anl", 1, 0)], SimTime(21 * MIN)); // probe
-        let evs = t.observe(&[row("anl", 2, 0)], SimTime(25 * MIN));
+        t.observe(&reading("anl", 1, 0), SimTime(0));
+        t.observe(&reading("anl", 1, 0), SimTime(21 * MIN)); // probe
+        let evs = t.observe(&reading("anl", 2, 0), SimTime(25 * MIN));
         assert_eq!(evs[0].action, HealthAction::Quarantine);
         assert!(evs[0].reason.contains("probe failed"), "{}", evs[0].reason);
         assert!(t.is_quarantined("anl"));
@@ -612,22 +625,25 @@ mod tests {
     #[test]
     fn rate_thresholds_also_quarantine() {
         let mut t = SiteHealthTracker::new(HealthPolicy::default());
-        let mut bad = row("lsf", 0, 5);
-        bad.success_rate = Some(0.1);
-        let evs = t.observe(&[bad], SimTime(0));
+        let mut bad = reading("lsf", 0, 5);
+        let rate = bad.site("lsf").success_rate.clone();
+        bad.gauge(&rate, SimTime(0), 0.1);
+        let evs = t.observe(&bad, SimTime(0));
         assert_eq!(evs[0].action, HealthAction::Quarantine);
         assert!(evs[0].reason.contains("success rate"), "{}", evs[0].reason);
 
         let mut t = SiteHealthTracker::new(HealthPolicy::default());
-        let mut bad = row("pbs", 0, 5);
-        bad.commit_timeout_rate = Some(0.8);
-        let evs = t.observe(&[bad], SimTime(0));
+        let mut bad = reading("pbs", 0, 5);
+        bump(&mut bad, "pbs", |h| h.commits, 5);
+        bump(&mut bad, "pbs", |h| h.commit_timeouts, 4);
+        // A resolved site with nothing written is not observed at all.
+        bad.site("other");
+        let evs = t.observe(&bad, SimTime(0));
         assert!(
             evs[0].reason.contains("commit-timeout"),
             "{}",
             evs[0].reason
         );
-        // A healthy sibling observed in the same snapshot is untouched.
         assert!(t.state("other").is_none());
     }
 

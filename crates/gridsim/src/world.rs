@@ -572,7 +572,7 @@ impl World {
                 return false;
             }
         }
-        debug_assert!(event.time >= self.now, "time went backwards");
+        assert!(event.time >= self.now, "time went backwards");
         self.now = event.time;
         self.events_processed += 1;
         self.cur_event_id = event.seq;

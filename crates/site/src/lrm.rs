@@ -4,9 +4,11 @@ use crate::job::{JobSpec, LrmJobState};
 use crate::policy::{QueueView, RunningView, SchedPolicy};
 use crate::proto::{LrmEvent, LrmReply, LrmRequest, SiteInfo};
 use gridsim::hash::IdMap;
+use gridsim::metrics::SiteMetrics;
 use gridsim::prelude::*;
 use gridsim::rng::Dist;
 use gridsim::AnyMsg;
+use std::rc::Rc;
 
 /// Opportunistic capacity churn: models desktop owners reclaiming their
 /// machines in a Condor pool (or maintenance windows on a cluster).
@@ -97,14 +99,8 @@ pub struct Lrm {
     terminal_gen: u64,
     next_local: u64,
     last_busy: f64,
-    /// Site-scoped metric names, precomputed once (these are recorded on
-    /// every start/finish).
-    metric_busy: String,
-    metric_queue_wait: String,
-    metric_cpu_seconds: String,
-    metric_queue_depth: String,
-    metric_success_rate: String,
-    metric_completed: String,
+    /// This site's weather handles, resolved on first use.
+    weather: Option<Rc<SiteMetrics>>,
     /// Rolling window of recent terminal outcomes (`true` = completed),
     /// feeding the per-site success-rate gauge in the grid-weather report.
     outcomes: std::collections::VecDeque<bool>,
@@ -139,12 +135,7 @@ impl Lrm {
             terminal_gen: 0,
             next_local: 0,
             last_busy: 0.0,
-            metric_busy: format!("site.{site}.busy"),
-            metric_queue_wait: format!("site.{site}.queue_wait"),
-            metric_cpu_seconds: format!("site.{site}.cpu_seconds"),
-            metric_queue_depth: format!("site.{site}.queue_depth"),
-            metric_success_rate: format!("site.{site}.success_rate"),
-            metric_completed: format!("site.{site}.completed"),
+            weather: None,
             outcomes: std::collections::VecDeque::with_capacity(OUTCOME_WINDOW),
         }
     }
@@ -172,6 +163,13 @@ impl Lrm {
     pub fn vacate_is_terminal(mut self) -> Lrm {
         self.requeue_on_vacate = false;
         self
+    }
+
+    /// This site's weather handles.
+    fn weather(&mut self, ctx: &mut Ctx<'_>) -> Rc<SiteMetrics> {
+        let site = &self.site;
+        let weather = self.weather.get_or_insert_with(|| ctx.metrics().site(site));
+        weather.clone()
     }
 
     fn used_cpus(&self) -> u32 {
@@ -231,7 +229,8 @@ impl Lrm {
     fn record_busy(&mut self, ctx: &mut Ctx<'_>) {
         let t = ctx.now();
         let used = self.used_cpus() as f64;
-        ctx.metrics().gauge(&self.metric_busy, t, used);
+        let weather = self.weather(ctx);
+        ctx.metrics().gauge(&weather.busy, t, used);
         // A grid-wide busy-CPU series: every site contributes deltas, so
         // the sum is exact across sites (used by the E1 concurrency plot).
         let delta = used - self.last_busy;
@@ -244,9 +243,9 @@ impl Lrm {
     /// Publish the current queue depth (jobs queued, not running) — one of
     /// the per-site grid-weather series.
     fn record_queue_depth(&mut self, ctx: &mut Ctx<'_>) {
-        let t = ctx.now();
+        let (t, weather) = (ctx.now(), self.weather(ctx));
         ctx.metrics()
-            .gauge(&self.metric_queue_depth, t, self.queue.len() as f64);
+            .gauge(&weather.queue_depth, t, self.queue.len() as f64);
     }
 
     /// Record one terminal outcome in the rolling window and republish the
@@ -257,8 +256,8 @@ impl Lrm {
         }
         self.outcomes.push_back(ok);
         let rate = self.outcomes.iter().filter(|&&b| b).count() as f64 / self.outcomes.len() as f64;
-        let t = ctx.now();
-        ctx.metrics().gauge(&self.metric_success_rate, t, rate);
+        let (t, weather) = (ctx.now(), self.weather(ctx));
+        ctx.metrics().gauge(&weather.success_rate, t, rate);
     }
 
     /// Put a job in the queue: at the back, or at the front for a vacated
@@ -404,9 +403,9 @@ impl Lrm {
         };
         let now = ctx.now();
         let wait = now - job.submitted;
+        let weather = self.weather(ctx);
         ctx.metrics().observe_duration("site.queue_wait", wait);
-        ctx.metrics()
-            .observe_duration(&self.metric_queue_wait, wait);
+        ctx.metrics().observe_duration(&weather.queue_wait, wait);
         // True occupancy: min(actual runtime, wall limit).
         let (span, exceeded) = match self.max_wall {
             Some(limit) if spec.runtime > limit => (limit, true),
@@ -465,19 +464,18 @@ impl Lrm {
         let elapsed = now - run.started;
         self.policy
             .charge(&run.spec.owner, elapsed * u64::from(run.spec.cpus));
+        let weather = self.weather(ctx);
         ctx.metrics()
             .incr("site.completed", (state == LrmJobState::Completed) as u64);
-        ctx.metrics().incr(
-            &self.metric_completed,
-            (state == LrmJobState::Completed) as u64,
-        );
+        ctx.metrics()
+            .add(weather.completed, (state == LrmJobState::Completed) as u64);
         ctx.metrics().incr(
             "site.wall_killed",
             (state == LrmJobState::WallTimeExceeded) as u64,
         );
         self.note_outcome(ctx, state == LrmJobState::Completed);
         ctx.metrics().observe(
-            &self.metric_cpu_seconds,
+            &weather.cpu_seconds,
             elapsed.as_secs_f64() * f64::from(run.spec.cpus),
         );
         ctx.trace_with("lrm.done", || {

@@ -535,8 +535,8 @@ pub fn run_scenario(scn: Scenario, report: Option<&ReportDir>) {
         }
         println!("{}", pt.render());
     }
-    // Per-site grid weather: the MDS-style health summary aggregated from
-    // the site.<name>.* metrics the protocol components publish. Capped at
+    // Per-site grid weather: the MDS-style health summary read from the
+    // sites the protocol components declared in the metrics. Capped at
     // the busiest sites so a hundreds-of-sites campaign stays readable;
     // the bundle's weather.json carries every row.
     const WEATHER_TOP: usize = 20;

@@ -9,26 +9,47 @@ use condor_g_suite::condor_g::api::GridJobSpec;
 use condor_g_suite::condor_g::gridmanager::GmConfig;
 use condor_g_suite::gridsim::fault::FaultPlan;
 use condor_g_suite::gridsim::prelude::*;
+use condor_g_suite::gridsim::trace::jsonl;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig, UserConsole};
 
 const JOBS: usize = 24;
+/// Pool-universe tasks added when the run has a personal pool.
+const POOL_JOBS: usize = 6;
 
 struct Outcome {
     done: u64,
     /// Wasted submit attempts charged to the dead site.
     dead_site_failures: u64,
     health_transitions: u64,
+    /// Transitions the negotiator's own tracker decided (pooled runs only).
+    negotiator_transitions: u64,
     /// Trace kinds observed, in order (quarantine / probe / recover / ...).
     broker_events: Vec<(String, String)>,
     events_processed: u64,
     histories: String,
+    /// FNV-1a over the run's trace, one JSONL line per record.
+    trace_fnv: u64,
 }
 
-fn degraded_site_run(seed: u64, adaptive: bool) -> Outcome {
+/// FNV-1a 64 over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// With `pool`, the testbed also runs a personal pool whose negotiator
+/// follows the weather, a glidein factory feeding it, and [`POOL_JOBS`]
+/// pool-universe tasks beside the grid ones.
+fn degraded_site_run(seed: u64, adaptive: bool, pool: bool) -> Outcome {
     let mut tb = build(TestbedConfig {
         seed,
         trace: true,
         adaptive,
+        with_personal_pool: pool,
         sites: vec![
             SiteSpec::pbs("alpha", 8),
             SiteSpec::pbs("beta", 8),
@@ -53,6 +74,9 @@ fn degraded_site_run(seed: u64, adaptive: bool) -> Outcome {
         Duration::from_hours(2),
     );
     tb.world.apply_fault_plan(&plan.sorted());
+    if pool {
+        tb.add_glidein_factory(2, Duration::from_hours(6));
+    }
 
     let spec = GridJobSpec::grid("task", "/home/jane/app.exe", Duration::from_mins(45))
         .with_stdout(10_000);
@@ -61,6 +85,15 @@ fn degraded_site_run(seed: u64, adaptive: bool) -> Outcome {
     let mut console = UserConsole::new(tb.scheduler);
     for i in 0..JOBS {
         console = console.submit_after(Duration::from_mins(4 * i as u64), spec.clone());
+    }
+    let pool_jobs = if pool { POOL_JOBS } else { 0 };
+    let pool_spec = GridJobSpec::pool(
+        "pool-task",
+        "/home/jane/worker.exe",
+        Duration::from_mins(30),
+    );
+    for i in 0..pool_jobs {
+        console = console.submit_after(Duration::from_mins(10 * i as u64), pool_spec.clone());
     }
     let node = tb.submit;
     tb.world.add_component(node, "console", console);
@@ -75,7 +108,14 @@ fn degraded_site_run(seed: u64, adaptive: bool) -> Outcome {
         .map(|e| (e.kind.to_string(), e.detail.clone()))
         .collect();
     let m = tb.world.metrics();
-    let histories = (0..JOBS as u64)
+    let trace: String = tb
+        .world
+        .trace()
+        .events()
+        .iter()
+        .map(|e| jsonl::encode_line(e) + "\n")
+        .collect();
+    let histories = (0..(JOBS + pool_jobs) as u64)
         .map(|i| UserConsole::history_of(&tb.world, node, i).join(","))
         .collect::<Vec<_>>()
         .join(";");
@@ -83,16 +123,18 @@ fn degraded_site_run(seed: u64, adaptive: bool) -> Outcome {
         done: m.counter("condor_g.jobs_done"),
         dead_site_failures: m.counter("site.alpha.attempt_failures"),
         health_transitions: m.counter("broker.health_transitions"),
+        negotiator_transitions: m.counter("negotiator.health_transitions"),
         broker_events,
         events_processed: tb.world.events_processed(),
         histories,
+        trace_fnv: fnv1a(trace.as_bytes()),
     }
 }
 
 #[test]
 fn adaptive_broker_drains_work_away_from_degraded_site() {
-    let baseline = degraded_site_run(77, false);
-    let adaptive = degraded_site_run(77, true);
+    let baseline = degraded_site_run(77, false, false);
+    let adaptive = degraded_site_run(77, true, false);
 
     // Both modes still deliver every job exactly once.
     assert_eq!(baseline.done, JOBS as u64, "baseline lost jobs");
@@ -145,8 +187,8 @@ fn adaptive_broker_drains_work_away_from_degraded_site() {
 
 #[test]
 fn adaptive_runs_are_seed_deterministic() {
-    let a = degraded_site_run(91, true);
-    let b = degraded_site_run(91, true);
+    let a = degraded_site_run(91, true, false);
+    let b = degraded_site_run(91, true, false);
     assert_eq!(
         a.events_processed, b.events_processed,
         "event count diverged"
@@ -158,4 +200,23 @@ fn adaptive_runs_are_seed_deterministic() {
     );
     assert_eq!(a.dead_site_failures, b.dead_site_failures);
     assert_eq!(a.done, JOBS as u64);
+}
+
+/// The negotiator's half of the loop: with a personal pool and glideins
+/// beside the same dead gatekeeper, the negotiator's own tracker must
+/// quarantine a site too (its ads are annotated with, and its machines
+/// skipped by, the grid weather), and every grid and pool task must still
+/// finish. The trace pins the whole run.
+#[test]
+fn negotiator_follows_the_weather_with_a_glidein_pool() {
+    let run = degraded_site_run(77, true, true);
+    assert_eq!(run.done, (JOBS + POOL_JOBS) as u64, "tasks lost");
+    assert!(
+        run.negotiator_transitions > 0,
+        "the negotiator made no health decision"
+    );
+    assert_eq!(
+        run.trace_fnv, 0x6c9e_e88a_69d6_82b0,
+        "pooled adaptive trace diverged"
+    );
 }

@@ -5,26 +5,32 @@
 //! exactly on any host. One lean campaign — 2,000 grid-universe jobs over a
 //! 10-site harness testbed, run to completion — is counted by a wrapper
 //! around the system allocator and held to half of what the same batch cost
-//! before the job path stopped scanning and re-deriving (ISSUE 21).
+//! before the job path stopped scanning and re-deriving (ISSUE 21). A
+//! grid-weather tick, once every site is known, is held to none at all.
 
+use condor_g_suite::gridsim::metrics::Metrics;
+use condor_g_suite::gridsim::obs::{HealthPolicy, SiteHealthTracker};
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig};
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
-/// `System`, counting calls and bytes requested while `COUNTING` is set.
+/// `System`, counting the calls and bytes a thread requests while its
+/// `COUNTING` is set. Per thread, so the test harness's own threads and a
+/// test running beside the counted one add nothing.
 struct Counting;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 fn note(bytes: usize) {
-    // Statistics only: nothing is published through these.
-    if COUNTING.load(Relaxed) {
-        CALLS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(bytes as u64, Relaxed);
+    if COUNTING.get() {
+        CALLS.set(CALLS.get() + 1);
+        BYTES.set(BYTES.get() + bytes as u64);
     }
 }
 
@@ -55,6 +61,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Run `f`, returning the allocator calls and bytes it asked for.
+fn counted(f: impl FnOnce()) -> (u64, u64) {
+    let before = (CALLS.get(), BYTES.get());
+    COUNTING.set(true);
+    f();
+    COUNTING.set(false);
+    (CALLS.get() - before.0, BYTES.get() - before.1)
+}
+
 const JOBS: u64 = 2_000;
 
 /// What this batch cost at `da38018`, the parent of ISSUE 21's change,
@@ -62,7 +77,9 @@ const JOBS: u64 = 2_000;
 /// calls and 21.9 KB a job (a debug build asks for one 42,000-byte block
 /// more). The change itself measures 274,268 calls and 20,419,773 bytes;
 /// `a5425bd` 273,327 and 19,009,837; since the job maps and the stable
-/// store stopped being B-trees, 269,887 calls and 16,753,969 bytes.
+/// store stopped being B-trees, 269,887 calls and 16,753,969 bytes; since
+/// each site's weather handles are resolved on first write, inside the
+/// counted window, 270,070 calls and 16,763,989 bytes.
 /// The full-size `gridbench` batches, which queue far deeper, are counted
 /// by an `LD_PRELOAD` shim instead; `CHANGES.md` has those.
 const PARENT_CALLS: u64 = 860_989;
@@ -94,19 +111,19 @@ fn a_lean_grid_batch_stays_within_half_the_parents_allocations() {
     let driver = CampaignDriver::new(tb.scheduler, &spec, DriverConfig::default());
     tb.world.add_component(tb.submit, "campaign", driver);
 
-    COUNTING.store(true, Relaxed);
     let horizon = SimTime::ZERO + Duration::from_days(20);
-    while CampaignDriver::done(&tb.world, tb.submit) + CampaignDriver::failed(&tb.world, tb.submit)
-        < JOBS
-        && tb.world.now() < horizon
-    {
-        let next = tb.world.now() + Duration::from_hours(6);
-        tb.world.run_until(next);
-    }
-    COUNTING.store(false, Relaxed);
+    let (calls, bytes) = counted(|| {
+        while CampaignDriver::done(&tb.world, tb.submit)
+            + CampaignDriver::failed(&tb.world, tb.submit)
+            < JOBS
+            && tb.world.now() < horizon
+        {
+            let next = tb.world.now() + Duration::from_hours(6);
+            tb.world.run_until(next);
+        }
+    });
 
     assert_eq!(CampaignDriver::done(&tb.world, tb.submit), JOBS);
-    let (calls, bytes) = (CALLS.load(Relaxed), BYTES.load(Relaxed));
     println!(
         "{calls} allocator calls, {bytes} bytes: {} calls and {} bytes a job",
         calls / JOBS,
@@ -120,4 +137,31 @@ fn a_lean_grid_batch_stays_within_half_the_parents_allocations() {
         bytes * 2 <= PARENT_BYTES,
         "{bytes} bytes requested is over half the parent's {PARENT_BYTES}"
     );
+}
+
+/// The adaptive broker's health tracker reads every site's weather on each
+/// GridManager tick. Once it has seen every site, a tick allocates
+/// nothing: it formats no name, builds no row and sorts nothing.
+#[test]
+fn a_weather_tick_allocates_nothing_once_every_site_is_known() {
+    let mut m = Metrics::new();
+    for i in 0..50 {
+        let site = m.site(&format!("site{i:03}"));
+        m.add(site.submits, 3);
+        m.add(site.completed, 2);
+        m.add(site.commits, 3);
+        m.gauge(&site.success_rate, SimTime::ZERO, 1.0);
+        for wait in [30.0, 10.0, 20.0] {
+            m.observe(&site.queue_wait, wait);
+        }
+    }
+    let mut tracker = SiteHealthTracker::new(HealthPolicy::default());
+    assert!(tracker.observe(&m, SimTime::ZERO).is_empty());
+    let (calls, bytes) = counted(|| {
+        for tick in 1..=100 {
+            let transitions = tracker.observe(&m, SimTime::ZERO + Duration::from_secs(30 * tick));
+            assert!(transitions.is_empty());
+        }
+    });
+    assert_eq!((calls, bytes), (0, 0), "100 ticks over 50 known sites");
 }

@@ -7,6 +7,76 @@ use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::gridsim::trace::jsonl;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig, UserConsole};
 use condor_g_trace::perfetto;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The bundle files [`BUNDLE_GOLDENS`] pins, in its column order.
+const BUNDLE_FILES: [&str; 4] = [
+    "metrics.json",
+    "metrics.prom",
+    "weather.json",
+    "telemetry.jsonl",
+];
+
+/// FNV-1a of each shipped scenario's [`BUNDLE_FILES`]. The traces are
+/// pinned (or checked for replay) below; these pin what the exporters,
+/// the weather table and the heartbeat derive from the same runs.
+const BUNDLE_GOLDENS: [(&str, [u64; 4]); 6] = [
+    (
+        "adaptive",
+        [
+            0x1519_c646_2168_657b,
+            0xa845_e48e_1335_09b9,
+            0xa318_cb3b_ed03_b1c4,
+            0x6ee0_6aed_ccfb_1ea5,
+        ],
+    ),
+    (
+        "demo",
+        [
+            0x47cf_113f_6fbe_46e0,
+            0x7cd7_a95b_8889_dca0,
+            0xb5aa_7114_7647_cf7e,
+            0x1241_a60a_bb32_8ced,
+        ],
+    ),
+    (
+        "glidein_campaign",
+        [
+            0xd812_4e1c_72f3_d6f7,
+            0x87ef_1002_c4cd_f4b6,
+            0x7a97_99bb_36f3_18bb,
+            0x7997_38f9_0aff_6e9a,
+        ],
+    ),
+    (
+        "heterogeneous",
+        [
+            0x1075_ce3a_e91c_f039,
+            0xa177_677e_11ef_4ee6,
+            0xf1f9_794d_40a6_8db2,
+            0xbaaf_0965_2d6c_d576,
+        ],
+    ),
+    (
+        "outage",
+        [
+            0x4525_faf6_b6c9_7d26,
+            0xa143_9e21_28ba_b257,
+            0x37ab_3f48_24d6_25e1,
+            0xbf1a_05f3_4479_8618,
+        ],
+    ),
+    (
+        "stagein_storm",
+        [
+            0xfeb6_3db9_c66f_7dcd,
+            0x2ba0_7e3d_b19c_35bc,
+            0x9986_d7cb_d066_4d05,
+            0xeca4_db7c_f70d_8eae,
+        ],
+    ),
+];
 
 fn campaign(seed: u64) -> (u64, u64, u64, u64, String) {
     let mut tb = build(TestbedConfig {
@@ -55,10 +125,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Run `condor-g-sim --report-dir` on a shipped scenario; returns the
-/// bundle's trace bytes and the report printed on stdout.
-fn run_traced(scenario: &str) -> (Vec<u8>, String) {
+/// bundle's files (every one but the wall-clock `profile.txt`), by name,
+/// and the report printed on stdout.
+fn run_bundle(scenario: &str) -> (BTreeMap<&'static str, Vec<u8>>, String) {
+    // Tests run in parallel and may run the same scenario: one dir per run.
+    static RUN: AtomicUsize = AtomicUsize::new(0);
     let exe = env!("CARGO_BIN_EXE_condor-g-sim");
-    let dir = std::env::temp_dir().join(format!("golden-{scenario}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "golden-{scenario}-{}-{}",
+        std::process::id(),
+        RUN.fetch_add(1, Ordering::Relaxed)
+    ));
     let out = std::process::Command::new(exe)
         .arg("--report-dir")
         .arg(&dir)
@@ -74,9 +151,24 @@ fn run_traced(scenario: &str) -> (Vec<u8>, String) {
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
-    let bytes = std::fs::read(dir.join("trace.jsonl")).expect("trace written");
+    let files = ["trace.jsonl"]
+        .into_iter()
+        .chain(BUNDLE_FILES)
+        .map(|name| {
+            (
+                name,
+                std::fs::read(dir.join(name)).expect("bundle file written"),
+            )
+        })
+        .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    (bytes, String::from_utf8(out.stdout).expect("utf8 report"))
+    (files, String::from_utf8(out.stdout).expect("utf8 report"))
+}
+
+/// The bundle's trace bytes and the report printed on stdout.
+fn run_traced(scenario: &str) -> (Vec<u8>, String) {
+    let (mut files, report) = run_bundle(scenario);
+    (files.remove("trace.jsonl").expect("trace read"), report)
 }
 
 fn line_count(bytes: &[u8]) -> usize {
@@ -171,6 +263,16 @@ fn adaptive_scenario_trace_is_reproducible() {
         hashes[0], hashes[1],
         "adaptive scenario diverged across runs"
     );
+}
+
+#[test]
+fn scenario_bundles_are_golden() {
+    let mut got = Vec::new();
+    for (scenario, _) in BUNDLE_GOLDENS {
+        let (files, _) = run_bundle(scenario);
+        got.push((scenario, BUNDLE_FILES.map(|name| fnv1a(&files[name]))));
+    }
+    assert_eq!(got, BUNDLE_GOLDENS, "columns: {BUNDLE_FILES:?}");
 }
 
 #[test]

@@ -11,10 +11,21 @@ use condor_g_suite::report::ReportDir;
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec};
 use condor_g_trace::Forensics;
 
+/// FNV-1a 64 over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// The acceptance scenario, through the loop `condor-g-campaign` runs:
 /// one dead gatekeeper, the quarantine-storm detector dumps the flight
 /// recorder's causal window into the report dir, and chain-to-root
-/// forensics on the dump decoded from disk blames the injected site.
+/// forensics on the dump decoded from disk blames the injected site. The
+/// bundle's weather table and heartbeats are pinned by FNV.
 #[test]
 fn dead_gatekeeper_campaign_auto_produces_attributing_dump() {
     let dir = std::env::temp_dir().join(format!("flight-dump-{}", std::process::id()));
@@ -36,12 +47,16 @@ fn dead_gatekeeper_campaign_auto_produces_attributing_dump() {
     run.run("dead-gatekeeper", Some(&report))
         .expect("report written");
     let bytes = std::fs::read(dir.join("flight.cgfr"));
-    let telemetry = std::fs::read_to_string(dir.join("telemetry.jsonl"));
+    let telemetry = std::fs::read(dir.join("telemetry.jsonl"));
+    let weather = std::fs::read(dir.join("weather.json"));
     let _ = std::fs::remove_dir_all(&dir);
     let bytes = bytes.expect("dead gatekeeper must trigger an anomaly and a dump");
-    assert!(
-        !telemetry.expect("telemetry written").is_empty(),
-        "no heartbeats"
+    let telemetry = telemetry.expect("telemetry written");
+    assert!(!telemetry.is_empty(), "no heartbeats");
+    assert_eq!(
+        (fnv1a(&weather.expect("weather written")), fnv1a(&telemetry)),
+        (0xcdae_2899_8f87_98dd, 0x8fb0_6125_a924_b732),
+        "weather.json, telemetry.jsonl"
     );
 
     // The dump decodes back into trace records: the storm anchors the
