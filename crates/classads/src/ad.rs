@@ -133,11 +133,6 @@ impl ClassAd {
         }
     }
 
-    /// Convenience: evaluate an attribute and view it as a bool.
-    pub fn get_bool(&self, name: &str) -> Option<bool> {
-        self.eval_attr(name).as_bool()
-    }
-
     /// Convenience: evaluate an attribute and view it as a float.
     pub fn get_real(&self, name: &str) -> Option<f64> {
         self.eval_attr(name).as_number()

@@ -36,11 +36,6 @@ impl Value {
         matches!(self, Value::Error)
     }
 
-    /// True if either `Undefined` or `Error`.
-    pub fn is_exceptional(&self) -> bool {
-        self.is_undefined() || self.is_error()
-    }
-
     /// Numeric view: integers and reals coerce to `f64`; booleans do *not*.
     pub fn as_number(&self) -> Option<f64> {
         match *self {

@@ -180,10 +180,6 @@ pub(crate) enum Effect {
     CrashNode {
         node: NodeId,
     },
-    RestartNode {
-        node: NodeId,
-        after: Duration,
-    },
     Halt,
 }
 
@@ -347,12 +343,6 @@ impl<'w> Ctx<'w> {
     /// state; messages in flight to it will be dropped at delivery time.
     pub fn crash_node(&mut self, node: NodeId) {
         self.effects.push(Effect::CrashNode { node });
-    }
-
-    /// Restart a crashed node after `after`; its boot hook re-creates
-    /// components from stable storage.
-    pub fn restart_node(&mut self, node: NodeId, after: Duration) {
-        self.effects.push(Effect::RestartNode { node, after });
     }
 
     /// Stop the simulation after the current event.

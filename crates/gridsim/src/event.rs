@@ -264,6 +264,11 @@ impl EventQueue {
         seq
     }
 
+    /// The sequence number the next `push` will get.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Schedule `kind` at `(time, seq)` for a `seq` obtained from
     /// [`reserve_seq`](Self::reserve_seq). The key must lie after every
     /// event already popped; it may lie before events already queued
@@ -437,10 +442,10 @@ impl EventQueue {
 
     /// Number of pending events across *every* level of the calendar —
     /// the active heap, all L0/L1 buckets, and the overflow heap. The
-    /// count is maintained on push/pop (bucket redistribution in
-    /// [`advance`](Self::advance) moves events between levels without
-    /// touching it), so the profiler's queue-depth samples always see the
-    /// true total, not just the active slot.
+    /// count is maintained on push/pop (bucket redistribution in `advance`
+    /// moves events between levels without touching it), so the profiler's
+    /// queue-depth samples always see the true total, not just the active
+    /// slot.
     pub fn len(&self) -> usize {
         self.len
     }

@@ -226,7 +226,7 @@ impl Network {
     /// Both simplifications are deliberate (and keep historical traces
     /// byte-identical); scenarios that care opt into flow mode, where
     /// transfers contend on declared links and loss is per-volume
-    /// ([`Network::flow_start`]).
+    /// (`Network::flow_start`).
     pub fn transfer_duration(
         &mut self,
         rng: &mut SimRng,

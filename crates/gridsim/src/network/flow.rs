@@ -23,7 +23,7 @@
 //!   for the whole network. Each time a flow's deadline changes the flow
 //!   is *stamped* with a sequence number reserved from the event queue
 //!   (and the causal ancestor of that moment) — the queue position an
-//!   event pushed right then would have had. [`FlowNet::next_due`] names
+//!   event pushed right then would have had. `FlowNet::next_due` names
 //!   the flow with the smallest `(deadline, stamp)`; the kernel keeps the
 //!   event for that one flow in the queue, pushed under its stamp, and an
 //!   event is valid only if it matches its flow's current deadline *and*

@@ -7,10 +7,10 @@
 //! store), and components re-read it from their boot hooks on restart.
 //!
 //! Values are byte strings; components encode their state with the
-//! [`crate::codec`] binary codec. A stored value's bytes are a function of
-//! the value alone — not of whether it was `put` whole, `append`ed to, or
-//! encoded from borrowed fields — so readers never care how a writer got
-//! there.
+//! [`crate::codec`](mod@crate::codec) binary codec. A stored value's bytes
+//! are a function of the value alone — not of whether it was `put` whole,
+//! `append`ed to, or encoded from borrowed fields — so readers never care
+//! how a writer got there.
 //!
 //! Each node's keys sit in one hash map. Every key is a string the program
 //! builds itself (`gm/<user>/job/<id>` and the like), never outside input,

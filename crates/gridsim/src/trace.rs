@@ -122,16 +122,6 @@ impl TraceSink {
         }
     }
 
-    /// Turn in-memory collection on/off (subscribers are unaffected).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether events are being collected into the in-memory vector.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Whether an emitted event would go anywhere at all (collected in
     /// memory or streamed to a subscriber). Callers use this to skip
     /// building detail strings entirely — see [`crate::Ctx::trace_with`].
@@ -142,11 +132,6 @@ impl TraceSink {
     /// Register a subscriber; it sees every event emitted from now on.
     pub fn subscribe(&mut self, sub: Box<dyn TraceSubscriber>) {
         self.subscribers.push(sub);
-    }
-
-    /// Number of registered subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
     }
 
     /// Flush all subscribers (call at end of run before reading exports).

@@ -142,6 +142,13 @@ struct CompEntry {
     /// Incarnation number: bumped every time the id is reused after a
     /// crash/kill, so stale timers from a previous life never fire.
     epoch: u32,
+    /// The queue's next sequence number when this incarnation took over a
+    /// recycled id (0 otherwise). A `Deliver` scheduled before it was
+    /// addressed to a dead incarnation and is dropped as
+    /// `net.dropped_dead_comp`, as it would be at full retention. Flow
+    /// completions schedule their `Deliver` when the flow finishes, so a
+    /// flow still running at the kill is not caught by this.
+    born: u64,
 }
 
 /// Handles of the `net.*` counters the kernel bumps per message, transfer
@@ -370,6 +377,7 @@ impl World {
             name: name.as_str().into(),
             comp: Some(comp),
             epoch,
+            born: 0,
         });
         self.nodes[node.0 as usize].comps.insert(id);
         self.names.insert((node, name), id);
@@ -519,19 +527,9 @@ impl World {
         &self.store
     }
 
-    /// Mutable stable storage (to pre-seed files, inspect state in tests).
-    pub fn store_mut(&mut self) -> &mut StableStore {
-        &mut self.store
-    }
-
     /// The network model (to install link overrides).
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.network
-    }
-
-    /// The world RNG (e.g. to fork streams for setup code).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 
     // ----- running ---------------------------------------------------------
@@ -619,9 +617,10 @@ impl World {
                     self.metrics.add(self.net.dropped_dead_node, 1);
                     return;
                 }
+                let seq = self.cur_event_id;
                 let alive = self
                     .comp(to.comp)
-                    .is_some_and(|c| c.comp.is_some() && c.addr == to);
+                    .is_some_and(|c| c.comp.is_some() && c.addr == to && seq >= c.born);
                 if !alive {
                     self.metrics.add(self.net.dropped_dead_comp, 1);
                     return;
@@ -964,8 +963,10 @@ impl World {
                     // The id may be a retired one being reused.
                     self.retired.remove(&(node, name.clone()));
                     let addr = Addr { node, comp: id };
-                    // Recycled ids carry their epoch with them; retired
+                    // Recycled ids carry their epoch with them and refuse
+                    // the messages already in flight to them; retired
                     // (same-name) reuse reads the epochs map as before.
+                    let born = epoch.map_or(0, |_| self.queue.next_seq());
                     let epoch =
                         epoch.unwrap_or_else(|| self.epochs.get(&id.0).copied().unwrap_or(0));
                     *self.comp_slot(id) = Some(CompEntry {
@@ -973,6 +974,7 @@ impl World {
                         name: name.as_str().into(),
                         comp: Some(comp),
                         epoch,
+                        born,
                     });
                     self.nodes[node.0 as usize].comps.insert(id);
                     self.names.insert((node, name), id);
@@ -987,11 +989,6 @@ impl World {
                     self.remove_component_transient(addr);
                 }
                 Effect::CrashNode { node } => self.do_crash(node),
-                Effect::RestartNode { node, after } => {
-                    let cause = self.cause_now();
-                    self.queue
-                        .push(self.now + after, EventKind::NodeRestart { node }, cause);
-                }
                 Effect::Halt => {
                     self.halted = true;
                 }
@@ -1508,6 +1505,81 @@ mod tests {
         assert_eq!(w.store().get::<u64>(n, "fired_count"), Some(1));
         // No retired-name residue from transient kills.
         assert!(w.lookup(n, "w0").is_none());
+    }
+
+    #[test]
+    fn recycled_id_is_not_delivered_a_stale_message() {
+        // A message still crossing the WAN when its receiver is transiently
+        // killed must not reach the component that recycles the id: full
+        // retention drops it as addressed to a dead component, and lean
+        // retention may deliver no more than that.
+        #[derive(Debug)]
+        struct Ping;
+        #[derive(Debug)]
+        struct PingTo(Addr);
+        #[derive(Debug)]
+        struct KillChild;
+        #[derive(Debug)]
+        struct SpawnChild(&'static str);
+        struct Worker;
+        impl Component for Worker {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, _msg: AnyMsg) {
+                let node = ctx.node();
+                let got: u64 = ctx.store().get(node, "pings").unwrap_or(0);
+                ctx.store().put(node, "pings", &(got + 1));
+            }
+        }
+        struct Sender;
+        impl Component for Sender {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+                let PingTo(to) = *msg.downcast::<PingTo>().unwrap();
+                ctx.send(to, Ping);
+            }
+        }
+        struct Boss {
+            child: Option<Addr>,
+        }
+        impl Component for Boss {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+                if msg.is::<KillChild>() {
+                    ctx.kill_transient(self.child.take().unwrap());
+                } else {
+                    let SpawnChild(name) = *msg.downcast::<SpawnChild>().unwrap();
+                    self.child = Some(ctx.spawn(ctx.node(), name, Worker));
+                }
+            }
+        }
+        let net = NetConfig {
+            default_latency: crate::rng::Dist::Constant(10.0),
+            ..NetConfig::default()
+        };
+        let mut w = World::new(Config::default().seed(1).net(net).lean());
+        let (a, b) = (w.add_node("a"), w.add_node("b"));
+        let boss = w.add_component(b, "boss", Boss { child: None });
+        let sender = w.add_component(a, "sender", Sender);
+        w.post(boss, SpawnChild("w0"));
+        w.run_until(w.now() + Duration::from_secs(1));
+        let first = w.lookup(b, "w0").unwrap();
+        // The ping lands 10 s from now; its receiver dies at 2 s and the
+        // id is reused at 3 s.
+        w.post(sender, PingTo(first));
+        w.run_until(w.now() + Duration::from_secs(1));
+        w.post(boss, KillChild);
+        w.run_until(w.now() + Duration::from_secs(1));
+        w.post(boss, SpawnChild("w1"));
+        w.run_until(w.now() + Duration::from_secs(1));
+        assert_eq!(w.lookup(b, "w1"), Some(first), "the id was recycled");
+        w.run_until_quiescent();
+        assert_eq!(
+            w.store().get::<u64>(b, "pings"),
+            None,
+            "stale ping delivered"
+        );
+        assert_eq!(w.metrics().counter("net.dropped_dead_comp"), 1);
+        // The new incarnation still hears what is sent to it afterwards.
+        w.post(sender, PingTo(first));
+        w.run_until_quiescent();
+        assert_eq!(w.store().get::<u64>(b, "pings"), Some(1));
     }
 
     // ----- flow network: the one armed completion event ------------------

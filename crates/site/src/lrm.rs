@@ -70,7 +70,6 @@ pub struct Lrm {
     reclaimed: u32,
     policy: Box<dyn SchedPolicy>,
     max_wall: Option<Duration>,
-    requeue_on_vacate: bool,
     churn: Option<ChurnModel>,
     /// The queue, in order, as the policy sees it: kept current on every
     /// enqueue and start rather than rebuilt for each scheduling pass.
@@ -122,7 +121,6 @@ impl Lrm {
             reclaimed: 0,
             policy: Box::new(policy),
             max_wall: None,
-            requeue_on_vacate: true,
             churn: None,
             queue: Vec::new(),
             queued: IdMap::default(),
@@ -155,13 +153,6 @@ impl Lrm {
     /// Enable opportunistic churn.
     pub fn with_churn(mut self, churn: ChurnModel) -> Lrm {
         self.churn = Some(churn);
-        self
-    }
-
-    /// Vacated jobs are lost (sent a terminal `Vacated` event) instead of
-    /// being requeued. Used when the "jobs" are glidein daemons.
-    pub fn vacate_is_terminal(mut self) -> Lrm {
-        self.requeue_on_vacate = false;
         self
     }
 
@@ -534,28 +525,15 @@ impl Lrm {
                 (now - run.started) * u64::from(run.spec.cpus),
             );
             self.take_terminal(victim);
-            if self.requeue_on_vacate {
-                ctx.send(
-                    run.submitter,
-                    LrmEvent {
-                        local_id: victim,
-                        state: LrmJobState::Queued,
-                        at: now,
-                    },
-                );
-                self.enqueue(victim, run.spec, run.submitter, now, true);
-            } else {
-                self.note_terminal(victim, LrmJobState::Vacated);
-                self.note_outcome(ctx, false);
-                ctx.send(
-                    run.submitter,
-                    LrmEvent {
-                        local_id: victim,
-                        state: LrmJobState::Vacated,
-                        at: now,
-                    },
-                );
-            }
+            ctx.send(
+                run.submitter,
+                LrmEvent {
+                    local_id: victim,
+                    state: LrmJobState::Queued,
+                    at: now,
+                },
+            );
+            self.enqueue(victim, run.spec, run.submitter, now, true);
         }
     }
 }

@@ -11,6 +11,9 @@ use condor_g_suite::gridsim::fault::FaultPlan;
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::gridsim::trace::jsonl;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig, UserConsole};
+use support::{assert_golden, fnv1a};
+
+mod support;
 
 const JOBS: usize = 24;
 /// Pool-universe tasks added when the run has a personal pool.
@@ -28,17 +31,7 @@ struct Outcome {
     events_processed: u64,
     histories: String,
     /// FNV-1a over the run's trace, one JSONL line per record.
-    trace_fnv: u64,
-}
-
-/// FNV-1a 64 over a byte stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    trace_fnv: String,
 }
 
 /// With `pool`, the testbed also runs a personal pool whose negotiator
@@ -215,8 +208,5 @@ fn negotiator_follows_the_weather_with_a_glidein_pool() {
         run.negotiator_transitions > 0,
         "the negotiator made no health decision"
     );
-    assert_eq!(
-        run.trace_fnv, 0x6c9e_e88a_69d6_82b0,
-        "pooled adaptive trace diverged"
-    );
+    assert_golden("adaptive.pool.trace.fnv", &run.trace_fnv);
 }

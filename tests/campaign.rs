@@ -6,15 +6,16 @@ use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig};
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
 use condor_g_suite::workloads::farm::{run_cells, Cell, CellResult, FarmStats};
-use std::process::{Command, Output};
+use support::{assert_golden, campaign};
 
-/// Run the compiled `condor-g-campaign` binary with whitespace-separated
-/// arguments.
-fn campaign_bin(args: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_condor-g-campaign"))
-        .args(args.split_whitespace())
-        .output()
-        .expect("binary runs")
+mod support;
+
+/// The value of a `RESULT` line's `name=` field.
+fn field<'a>(result: &'a str, name: &str) -> &'a str {
+    result
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix(name)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {name}= in {result}"))
 }
 
 /// Run one small campaign cell end to end through the lean stack and
@@ -139,17 +140,14 @@ fn lean_campaign_completes_and_reclaims_state() {
 
 #[test]
 fn campaign_binary_reproduces_the_recorded_digest() {
-    // Recorded at PR 13 (143,806 kernel events). A kernel or protocol
-    // change that moves it must say why and re-record it.
-    let out = campaign_bin("--jobs 2000 --sites 10 --users 50 --quiet");
-    assert!(out.status.success(), "exited {:?}", out.status.code());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let result = stdout.lines().last().unwrap_or_default();
-    assert!(
-        result.starts_with("RESULT jobs=2000 done=2000 failed=0 "),
-        "{result}"
-    );
-    assert!(result.ends_with(" digest=001d7918bf8e369a"), "{result}");
+    // A kernel or protocol change that moves the digest must say why and
+    // re-record the `campaign.2000.*` rows.
+    let run = campaign("--jobs 2000 --sites 10 --users 50 --quiet").ok();
+    let result = run.stdout.lines().last().unwrap_or_default();
+    assert!(result.starts_with("RESULT jobs=2000 "), "{result}");
+    assert_golden("campaign.2000.done", field(result, "done"));
+    assert_golden("campaign.2000.failed", field(result, "failed"));
+    assert_golden("campaign.2000.digest", field(result, "digest"));
 }
 
 #[test]
@@ -166,9 +164,9 @@ fn removed_flags_are_usage_errors() {
         "--stuck-horizon-hours",
         "--mean-runtime-secs",
     ] {
-        let out = campaign_bin(&format!("{flag} 4 --jobs 10"));
-        assert_eq!(out.status.code(), Some(2), "{flag}");
-        let err = String::from_utf8_lossy(&out.stderr);
+        let run = campaign(&format!("{flag} 4 --jobs 10"));
+        assert_eq!(run.code, Some(2), "{flag}");
+        let err = &run.stderr;
         assert!(err.starts_with("usage: condor-g-campaign"), "{flag}: {err}");
         assert!(!err.contains(flag), "{err}");
     }
@@ -179,46 +177,43 @@ fn sites_outside_the_grid_are_usage_errors() {
     // Also a report dir under a sweep, whose cells would race on its
     // files, and one that cannot be created: nothing is simulated.
     let uncreatable = format!("{}/Cargo.toml/x", env!("CARGO_MANIFEST_DIR"));
-    let sweep_dir = std::env::temp_dir().join(format!("sweep-report-{}", std::process::id()));
     for args in [
         "--sites 0 --dead-site 0 --jobs 10".to_string(),
         "--sites 2 --dead-site 5 --jobs 10".to_string(),
-        format!("--sweep 2 --jobs 10 --report-dir {}", sweep_dir.display()),
+        "--sweep 2 --jobs 10 --report-dir sweep".to_string(),
         format!("--jobs 10 --report-dir {uncreatable}"),
     ] {
-        let out = campaign_bin(&args);
-        assert_eq!(out.status.code(), Some(2), "{args}");
-        assert!(out.stdout.is_empty(), "{args} simulated");
-        let err = String::from_utf8_lossy(&out.stderr);
+        let run = campaign(&args);
+        assert_eq!(run.code, Some(2), "{args}");
+        assert!(run.stdout.is_empty(), "{args} simulated");
+        let err = &run.stderr;
         assert!(err.contains("usage: condor-g-campaign"), "{args}: {err}");
+        assert!(
+            !run.path("sweep").exists(),
+            "a refused sweep created its report dir"
+        );
     }
-    assert!(
-        !sweep_dir.exists(),
-        "a refused sweep created its report dir"
-    );
 }
 
 #[test]
 fn unsettled_campaign_prints_its_result_and_exits_1() {
-    // One site, dead from 30 minutes in: 23 jobs finish before it goes,
-    // 11 fail, and the rest never reach a terminal state. Sweeps apply
-    // the same rule to the merged totals: with no in-flight window no
-    // cell dispatches a job.
-    for (args, want) in [
-        (
-            "--jobs 50 --sites 1 --dead-site 0 --duration-hours 1 --quiet",
-            "RESULT jobs=50 done=23 failed=11 ",
-        ),
-        (
-            "--sweep 2 --jobs 5 --sites 1 --max-inflight 0 --quiet",
-            "RESULT jobs=0 done=0 failed=0 ",
-        ),
-    ] {
-        let out = campaign_bin(args);
-        assert_eq!(out.status.code(), Some(1), "{args}");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.starts_with(want), "{args}: {stdout}");
-    }
+    // One site, dead from 30 minutes in: some jobs finish before it
+    // goes, some fail, and the rest never reach a terminal state.
+    let run = campaign("--jobs 50 --sites 1 --dead-site 0 --duration-hours 1 --quiet");
+    let result = &run.stdout;
+    assert_eq!(run.code, Some(1), "{result}");
+    assert!(result.starts_with("RESULT jobs=50 "), "{result}");
+    assert_golden("campaign.one_site_outage.done", field(result, "done"));
+    assert_golden("campaign.one_site_outage.failed", field(result, "failed"));
+    // Sweeps apply the same rule to the merged totals: with no in-flight
+    // window no cell dispatches a job.
+    let run = campaign("--sweep 2 --jobs 5 --sites 1 --max-inflight 0 --quiet");
+    let result = &run.stdout;
+    assert_eq!(run.code, Some(1), "{result}");
+    assert!(
+        result.starts_with("RESULT jobs=0 done=0 failed=0 "),
+        "{result}"
+    );
 }
 
 #[test]

@@ -7,75 +7,19 @@ use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::gridsim::trace::jsonl;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig, UserConsole};
 use condor_g_trace::perfetto;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use support::{assert_golden, fnv1a, metric, sim, Run};
 
-/// The bundle files [`BUNDLE_GOLDENS`] pins, in its column order.
+mod support;
+
+/// The bundle files `bundle.<scenario>.<file>` pins for every shipped
+/// scenario: all but the wall-clock `profile.txt`. The traces are pinned
+/// (or checked for replay) below; these pin what the exporters, the
+/// weather table and the heartbeat derive from the same runs.
 const BUNDLE_FILES: [&str; 4] = [
     "metrics.json",
     "metrics.prom",
     "weather.json",
     "telemetry.jsonl",
-];
-
-/// FNV-1a of each shipped scenario's [`BUNDLE_FILES`]. The traces are
-/// pinned (or checked for replay) below; these pin what the exporters,
-/// the weather table and the heartbeat derive from the same runs.
-const BUNDLE_GOLDENS: [(&str, [u64; 4]); 6] = [
-    (
-        "adaptive",
-        [
-            0x1519_c646_2168_657b,
-            0xa845_e48e_1335_09b9,
-            0xa318_cb3b_ed03_b1c4,
-            0x6ee0_6aed_ccfb_1ea5,
-        ],
-    ),
-    (
-        "demo",
-        [
-            0x47cf_113f_6fbe_46e0,
-            0x7cd7_a95b_8889_dca0,
-            0xb5aa_7114_7647_cf7e,
-            0x1241_a60a_bb32_8ced,
-        ],
-    ),
-    (
-        "glidein_campaign",
-        [
-            0xd812_4e1c_72f3_d6f7,
-            0x87ef_1002_c4cd_f4b6,
-            0x7a97_99bb_36f3_18bb,
-            0x7997_38f9_0aff_6e9a,
-        ],
-    ),
-    (
-        "heterogeneous",
-        [
-            0x1075_ce3a_e91c_f039,
-            0xa177_677e_11ef_4ee6,
-            0xf1f9_794d_40a6_8db2,
-            0xbaaf_0965_2d6c_d576,
-        ],
-    ),
-    (
-        "outage",
-        [
-            0x4525_faf6_b6c9_7d26,
-            0xa143_9e21_28ba_b257,
-            0x37ab_3f48_24d6_25e1,
-            0xbf1a_05f3_4479_8618,
-        ],
-    ),
-    (
-        "stagein_storm",
-        [
-            0xfeb6_3db9_c66f_7dcd,
-            0x2ba0_7e3d_b19c_35bc,
-            0x9986_d7cb_d066_4d05,
-            0xeca4_db7c_f70d_8eae,
-        ],
-    ),
 ];
 
 fn campaign(seed: u64) -> (u64, u64, u64, u64, String) {
@@ -114,92 +58,28 @@ fn campaign(seed: u64) -> (u64, u64, u64, u64, String) {
     )
 }
 
-/// FNV-1a 64 over a byte stream — tiny, dependency-free fingerprint.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Run `condor-g-sim --report-dir` on a shipped scenario; returns the
-/// bundle's files (every one but the wall-clock `profile.txt`), by name,
-/// and the report printed on stdout.
-fn run_bundle(scenario: &str) -> (BTreeMap<&'static str, Vec<u8>>, String) {
-    // Tests run in parallel and may run the same scenario: one dir per run.
-    static RUN: AtomicUsize = AtomicUsize::new(0);
-    let exe = env!("CARGO_BIN_EXE_condor-g-sim");
-    let dir = std::env::temp_dir().join(format!(
-        "golden-{scenario}-{}-{}",
-        std::process::id(),
-        RUN.fetch_add(1, Ordering::Relaxed)
-    ));
-    let out = std::process::Command::new(exe)
-        .arg("--report-dir")
-        .arg(&dir)
-        .arg(format!(
-            "{}/scenarios/{scenario}.scn",
-            env!("CARGO_MANIFEST_DIR")
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "exit {:?}: {}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let files = ["trace.jsonl"]
-        .into_iter()
-        .chain(BUNDLE_FILES)
-        .map(|name| {
-            (
-                name,
-                std::fs::read(dir.join(name)).expect("bundle file written"),
-            )
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&dir);
-    (files, String::from_utf8(out.stdout).expect("utf8 report"))
-}
-
-/// The bundle's trace bytes and the report printed on stdout.
-fn run_traced(scenario: &str) -> (Vec<u8>, String) {
-    let (mut files, report) = run_bundle(scenario);
-    (files.remove("trace.jsonl").expect("trace read"), report)
+/// Run `condor-g-sim --report-dir r` on a shipped scenario.
+fn bundle(name: &str) -> Run {
+    let scenario = support::scenario(&format!("{name}.scn"));
+    sim(["--report-dir", "r", &scenario]).ok()
 }
 
 fn line_count(bytes: &[u8]) -> usize {
     bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
-/// The report's `events simulated` row.
-fn events_simulated(report: &str) -> u64 {
-    report
-        .lines()
-        .find_map(|l| l.strip_prefix("events simulated"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("an `events simulated` row")
-}
-
 /// The demo scenario's event trace is a *golden* artifact: byte-identical
 /// across runs, machines, and — the real point — across kernel/matchmaker
 /// optimizations. Any change to event ordering, trace rendering, or match
 /// outcomes shows up here as a hash mismatch. If a change is *supposed* to
-/// alter behaviour, regenerate with:
-/// `condor-g-sim --report-dir /tmp/r scenarios/demo.scn` and update the
-/// constant from `/tmp/r/trace.jsonl`.
+/// alter behaviour, rerun `condor-g-sim --report-dir r scenarios/demo.scn`
+/// and edit the `trace.demo.*` rows of `tests/goldens.txt` from
+/// `r/trace.jsonl`, and nothing else (DESIGN.md section 6).
 #[test]
 fn demo_scenario_trace_is_golden() {
-    let (bytes, _) = run_traced("demo");
-    assert_eq!(line_count(&bytes), 1002, "trace line count changed");
-    assert_eq!(
-        fnv1a(&bytes),
-        0x8236_2c72_acb4_9633,
-        "demo.scn trace diverged from the golden run"
-    );
+    let bytes = bundle("demo").read("r/trace.jsonl");
+    assert_golden("trace.demo.lines", line_count(&bytes));
+    assert_golden("trace.demo.fnv", fnv1a(&bytes));
 }
 
 /// The same for flow mode: the stage-in storm's trace (event ids and
@@ -209,14 +89,11 @@ fn demo_scenario_trace_is_golden() {
 /// this run took 4,961 events.
 #[test]
 fn stagein_storm_trace_is_golden_and_cheap() {
-    let (bytes, report) = run_traced("stagein_storm");
-    assert_eq!(line_count(&bytes), 771, "trace line count changed");
-    assert_eq!(
-        fnv1a(&bytes),
-        0x4094_7f0b_f9d9_464f,
-        "stagein_storm.scn trace diverged from the golden run"
-    );
-    let events = events_simulated(&report);
+    let run = bundle("stagein_storm");
+    let bytes = run.read("r/trace.jsonl");
+    assert_golden("trace.stagein_storm.lines", line_count(&bytes));
+    assert_golden("trace.stagein_storm.fnv", fnv1a(&bytes));
+    let events = metric(&run.stdout, "events simulated");
     assert!(events <= 2_000, "{events} events simulated");
 }
 
@@ -228,14 +105,14 @@ fn stagein_storm_trace_is_golden_and_cheap() {
 /// from the one kernel RNG, so a skipped message re-keys the whole run.
 #[test]
 fn glidein_campaign_trace_is_golden() {
-    let (bytes, report) = run_traced("glidein_campaign");
-    assert_eq!(line_count(&bytes), 864, "trace line count changed");
-    assert_eq!(
-        fnv1a(&bytes),
-        0x8988_6975_f7f1_2a6b,
-        "glidein_campaign.scn trace diverged from the golden run"
+    let run = bundle("glidein_campaign");
+    let bytes = run.read("r/trace.jsonl");
+    assert_golden("trace.glidein_campaign.lines", line_count(&bytes));
+    assert_golden("trace.glidein_campaign.fnv", fnv1a(&bytes));
+    assert_golden(
+        "trace.glidein_campaign.events",
+        metric(&run.stdout, "events simulated"),
     );
-    assert_eq!(events_simulated(&report), 40_568);
 }
 
 /// The adaptive scenario (weather-driven quarantine on) is just as
@@ -246,7 +123,7 @@ fn glidein_campaign_trace_is_golden() {
 fn adaptive_scenario_trace_is_reproducible() {
     let mut hashes = Vec::new();
     for run in 0..2 {
-        let (bytes, _) = run_traced("adaptive");
+        let bytes = bundle("adaptive").read("r/trace.jsonl");
         let text = String::from_utf8(bytes).expect("utf8 trace");
         // The adaptive machinery actually ran: its decisions are on the record.
         assert!(
@@ -267,12 +144,20 @@ fn adaptive_scenario_trace_is_reproducible() {
 
 #[test]
 fn scenario_bundles_are_golden() {
-    let mut got = Vec::new();
-    for (scenario, _) in BUNDLE_GOLDENS {
-        let (files, _) = run_bundle(scenario);
-        got.push((scenario, BUNDLE_FILES.map(|name| fnv1a(&files[name]))));
+    for scenario in [
+        "adaptive",
+        "demo",
+        "glidein_campaign",
+        "heterogeneous",
+        "outage",
+        "stagein_storm",
+    ] {
+        let run = bundle(scenario);
+        for name in BUNDLE_FILES {
+            let bytes = run.read(&format!("r/{name}"));
+            assert_golden(&format!("bundle.{scenario}.{name}"), fnv1a(&bytes));
+        }
     }
-    assert_eq!(got, BUNDLE_GOLDENS, "columns: {BUNDLE_FILES:?}");
 }
 
 #[test]

@@ -7,18 +7,23 @@ use condor_g_suite::campaign::CampaignRun;
 use condor_g_suite::gridsim::obs::FlightRecorder;
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::gridsim::trace::cgfr;
+use condor_g_suite::harness::Testbed;
 use condor_g_suite::report::ReportDir;
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec};
 use condor_g_trace::Forensics;
+use support::{assert_golden, fnv1a, Scratch};
 
-/// FNV-1a 64 over a byte stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+mod support;
+
+/// Run a campaign testbed in 6-hour steps until `jobs` settle or ten days
+/// have passed.
+fn settle(tb: &mut Testbed, jobs: u64) {
+    let settled = |tb: &Testbed| {
+        CampaignDriver::done(&tb.world, tb.submit) + CampaignDriver::failed(&tb.world, tb.submit)
+    };
+    while settled(tb) < jobs && tb.world.now() < SimTime::ZERO + Duration::from_days(10) {
+        tb.world.run_until(tb.world.now() + Duration::from_hours(6));
     }
-    h
 }
 
 /// The acceptance scenario, through the loop `condor-g-campaign` runs:
@@ -28,8 +33,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// bundle's weather table and heartbeats are pinned by FNV.
 #[test]
 fn dead_gatekeeper_campaign_auto_produces_attributing_dump() {
-    let dir = std::env::temp_dir().join(format!("flight-dump-{}", std::process::id()));
-    let report = ReportDir::create(&dir).expect("temp report dir");
+    let dir = Scratch::new();
+    let report = ReportDir::create(dir.path()).expect("temp report dir");
     // site000's gatekeeper host dies 30 minutes in and never returns.
     let run = CampaignRun {
         adaptive: true,
@@ -46,18 +51,13 @@ fn dead_gatekeeper_campaign_auto_produces_attributing_dump() {
     };
     run.run("dead-gatekeeper", Some(&report))
         .expect("report written");
-    let bytes = std::fs::read(dir.join("flight.cgfr"));
-    let telemetry = std::fs::read(dir.join("telemetry.jsonl"));
-    let weather = std::fs::read(dir.join("weather.json"));
-    let _ = std::fs::remove_dir_all(&dir);
-    let bytes = bytes.expect("dead gatekeeper must trigger an anomaly and a dump");
-    let telemetry = telemetry.expect("telemetry written");
+    let bytes = std::fs::read(report.file("flight.cgfr"))
+        .expect("dead gatekeeper must trigger an anomaly and a dump");
+    let telemetry = std::fs::read(report.file("telemetry.jsonl")).expect("telemetry written");
+    let weather = std::fs::read(report.file("weather.json")).expect("weather written");
     assert!(!telemetry.is_empty(), "no heartbeats");
-    assert_eq!(
-        (fnv1a(&weather.expect("weather written")), fnv1a(&telemetry)),
-        (0xcdae_2899_8f87_98dd, 0x8fb0_6125_a924_b732),
-        "weather.json, telemetry.jsonl"
-    );
+    assert_golden("flight.dead_gatekeeper.weather.json", fnv1a(&weather));
+    assert_golden("flight.dead_gatekeeper.telemetry.jsonl", fnv1a(&telemetry));
 
     // The dump decodes back into trace records: the storm anchors the
     // dead site...
@@ -107,15 +107,7 @@ fn flight_recorder_does_not_change_campaign_outcomes() {
     let run = |with_flight: bool| {
         let recorder = with_flight.then(|| FlightRecorder::new(4_096));
         let mut tb = CampaignRun::new(spec.clone()).testbed(recorder.as_ref());
-        let horizon = SimTime::ZERO + Duration::from_days(10);
-        loop {
-            tb.world.run_until(tb.world.now() + Duration::from_hours(6));
-            let settled = CampaignDriver::done(&tb.world, tb.submit)
-                + CampaignDriver::failed(&tb.world, tb.submit);
-            if settled >= spec.jobs || tb.world.now() >= horizon {
-                break;
-            }
-        }
+        settle(&mut tb, spec.jobs);
         if let Some(rec) = &recorder {
             assert!(rec.seen() > 0, "recorder saw traffic");
             assert!(!rec.is_empty());
@@ -147,15 +139,7 @@ fn ring_bounds_memory_and_whole_ring_dump_round_trips() {
     };
     let recorder = FlightRecorder::new(256);
     let mut tb = CampaignRun::new(spec.clone()).testbed(Some(&recorder));
-    let horizon = SimTime::ZERO + Duration::from_days(10);
-    loop {
-        tb.world.run_until(tb.world.now() + Duration::from_hours(6));
-        let settled = CampaignDriver::done(&tb.world, tb.submit)
-            + CampaignDriver::failed(&tb.world, tb.submit);
-        if settled >= spec.jobs || tb.world.now() >= horizon {
-            break;
-        }
-    }
+    settle(&mut tb, spec.jobs);
     assert!(recorder.len() <= 256, "ring never exceeds capacity");
     assert!(
         recorder.evicted() > 0,

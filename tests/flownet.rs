@@ -9,48 +9,18 @@ use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{
     build, SiteSpec, TestbedConfig, UserConsole, WanLinkSpec, WanTopology,
 };
-use std::process::Command;
+use support::{metric, scenario, sim_text};
 
-/// Run the compiled binary on scenario text, with extra CLI args.
-fn run_text(text: &str, tag: &str, args: &[&str]) -> String {
-    let exe = env!("CARGO_BIN_EXE_condor-g-sim");
-    let dir = std::env::temp_dir().join("condor-g-flownet-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.scn"));
-    std::fs::write(&path, text).unwrap();
-    let out = Command::new(exe)
-        .args(args)
-        .arg(&path)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{tag} exited {:?}: {}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf8 report")
+mod support;
+
+/// The report `condor-g-sim` prints for scenario `text`.
+fn report_of(text: &str) -> String {
+    sim_text(text, &[]).ok().stdout
 }
 
 /// The shipped stage-in storm scenario's text.
 fn storm_text() -> String {
-    std::fs::read_to_string(format!(
-        "{}/scenarios/stagein_storm.scn",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-    .expect("scenario file")
-}
-
-/// Extract the numeric value of a `metric  value` report row.
-fn metric(report: &str, name: &str) -> u64 {
-    report
-        .lines()
-        .find(|l| l.contains(name))
-        .unwrap_or_else(|| panic!("no row {name:?} in:\n{report}"))
-        .split_whitespace()
-        .filter_map(|w| w.parse().ok())
-        .next_back()
-        .unwrap_or_else(|| panic!("no number in row {name:?}"))
+    std::fs::read_to_string(scenario("stagein_storm.scn")).expect("scenario file")
 }
 
 /// Mean seconds of a named phase from the phase-summary table.
@@ -69,7 +39,7 @@ fn phase_mean(report: &str, phase: &str) -> f64 {
 #[test]
 fn contended_stage_in_is_slower_than_uncontended() {
     let storm = storm_text();
-    let contended = run_text(&storm, "storm", &[]);
+    let contended = report_of(&storm);
     assert_eq!(metric(&contended, "jobs done"), 24, "{contended}");
     assert_eq!(metric(&contended, "jobs failed"), 0);
     assert!(metric(&contended, "contended flows") > 0, "{contended}");
@@ -84,7 +54,7 @@ fn contended_stage_in_is_slower_than_uncontended() {
         })
         .map(|l| format!("{l}\n"))
         .collect();
-    let solo = run_text(&solo_text, "storm-solo", &[]);
+    let solo = report_of(&solo_text);
     assert_eq!(metric(&solo, "jobs done"), 24, "{solo}");
 
     let contended_mean = phase_mean(&contended, "stage_in");
@@ -99,14 +69,12 @@ fn contended_stage_in_is_slower_than_uncontended() {
 #[test]
 fn storm_is_same_seed_deterministic() {
     let storm = storm_text();
-    let dir = std::env::temp_dir().join("condor-g-flownet-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let r1 = dir.join("storm-a");
-    let r2 = dir.join("storm-b");
-    run_text(&storm, "storm-det", &["--report-dir", r1.to_str().unwrap()]);
-    run_text(&storm, "storm-det", &["--report-dir", r2.to_str().unwrap()]);
-    let a = std::fs::read(r1.join("trace.jsonl")).unwrap();
-    let b = std::fs::read(r2.join("trace.jsonl")).unwrap();
+    let trace = || {
+        sim_text(&storm, &["--report-dir", "r"])
+            .ok()
+            .read("r/trace.jsonl")
+    };
+    let (a, b) = (trace(), trace());
     assert!(!a.is_empty(), "trace written");
     assert_eq!(a, b, "same seed, same trace");
 }
@@ -178,7 +146,7 @@ fn link_outage_mid_transfer_recovers_via_retry() {
                 job grid app.exe 10m x4 stdout=1M\n\
                 linkdown wan at 10s for 5m\n\
                 run 4h\n";
-    let report = run_text(text, "linkdown", &[]);
+    let report = report_of(text);
     assert_eq!(metric(&report, "jobs done"), 4, "{report}");
     assert_eq!(metric(&report, "jobs failed"), 0);
     assert!(metric(&report, "flows aborted") >= 1, "{report}");
@@ -196,7 +164,7 @@ fn bandwidth_override_to_zero_stalls_then_resumes() {
                 job grid app.exe 10m x2 stdout=1M\n\
                 linkbw wan 0 at 5s for 10m\n\
                 run 4h\n";
-    let report = run_text(text, "stall", &[]);
+    let report = report_of(text);
     assert_eq!(metric(&report, "jobs done"), 2, "{report}");
     assert_eq!(metric(&report, "jobs failed"), 0);
     assert_eq!(metric(&report, "link rescales"), 2, "{report}");

@@ -5,35 +5,14 @@
 
 use condor_g_suite::gridsim::trace::jsonl;
 use condor_g_trace::Forensics;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use support::{assert_golden, scenario, sim};
 
-/// Run `condor-g-sim --report-dir <dir> scenarios/<scenario>`; returns the
-/// path of the bundle's trace.
-fn run_with_trace(scenario: &str, dir: &Path) -> PathBuf {
-    let exe = env!("CARGO_BIN_EXE_condor-g-sim");
-    let res = Command::new(exe)
-        .arg("--report-dir")
-        .arg(dir)
-        .arg(format!(
-            "{}/scenarios/{scenario}",
-            env!("CARGO_MANIFEST_DIR")
-        ))
-        .output()
-        .expect("binary runs");
-    assert!(
-        res.status.success(),
-        "{scenario} exited {:?}: {}",
-        res.status.code(),
-        String::from_utf8_lossy(&res.stderr)
-    );
-    dir.join("trace.jsonl")
-}
+mod support;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("forensics-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
+/// The trace `condor-g-sim --report-dir` writes for `outage.scn`.
+fn outage_trace() -> String {
+    let run = sim(["--report-dir", "r", &scenario("outage.scn")]).ok();
+    String::from_utf8(run.read("r/trace.jsonl")).expect("utf8 trace")
 }
 
 /// Same seed, same scenario => byte-identical trace. This is stronger than
@@ -41,28 +20,17 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// every fault injection must replay in the same order with the same ids.
 #[test]
 fn outage_trace_is_byte_identical_across_runs() {
-    let dir = temp_dir("determinism");
-    let a = run_with_trace("outage.scn", &dir.join("run-a"));
-    let b = run_with_trace("outage.scn", &dir.join("run-b"));
-    let bytes_a = std::fs::read(&a).expect("trace a");
-    let bytes_b = std::fs::read(&b).expect("trace b");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(!bytes_a.is_empty(), "trace is empty");
-    assert_eq!(
-        bytes_a, bytes_b,
-        "same-seed outage runs produced different traces"
-    );
+    let (a, b) = (outage_trace(), outage_trace());
+    assert!(!a.is_empty(), "trace is empty");
+    assert_eq!(a, b, "same-seed outage runs produced different traces");
 }
 
 /// The two halves of the JSONL codec agree on a real trace: every line the
 /// simulator wrote decodes, and encodes back to the same bytes.
 #[test]
 fn every_outage_trace_line_round_trips() {
-    let dir = temp_dir("round-trip");
-    let path = run_with_trace("outage.scn", &dir);
-    let text = std::fs::read_to_string(&path).expect("trace read");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(text.lines().count(), 379);
+    let text = outage_trace();
+    assert_golden("trace.outage.lines", text.lines().count());
     for line in text.lines() {
         let event = jsonl::decode_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         assert_eq!(jsonl::encode_line(&event), line);
@@ -76,11 +44,7 @@ fn every_outage_trace_line_round_trips() {
 /// gatekeeper crash.
 #[test]
 fn analyzer_attributes_outage_resubmissions_to_the_injected_crash() {
-    let dir = temp_dir("attribution");
-    let path = run_with_trace("outage.scn", &dir);
-    let text = std::fs::read_to_string(&path).expect("trace read");
-    let _ = std::fs::remove_dir_all(&dir);
-
+    let text = outage_trace();
     let records = jsonl::decode(&text).expect("trace decodes");
     let f = Forensics::build(records);
     assert!(!f.dag.is_empty(), "trace has no causal provenance");
