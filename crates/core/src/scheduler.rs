@@ -226,16 +226,12 @@ impl Scheduler {
             }
             return;
         }
-        // Append to the current (last, partial) chunk; a full chunk never
-        // grows again, so it gives back what `append`'s doubling left.
+        // Append to the current (last, partial) chunk.
         let key = self.log_key.key(self.log_len / Self::LOG_CHUNK);
         let (node, now) = (ctx.node(), ctx.now());
-        let store = ctx.store();
-        store.append(node, key, &(now.micros(), job.0, message.as_str()));
+        ctx.store()
+            .append(node, key, &(now.micros(), job.0, message.as_str()));
         self.log_len += 1;
-        if self.log_len.is_multiple_of(Self::LOG_CHUNK) {
-            store.seal(node, key);
-        }
     }
 
     fn push_status(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
@@ -439,8 +435,18 @@ impl Scheduler {
         match cmd {
             UserCmd::Submit { id, spec } => {
                 let job = GridJobId(self.next_id);
-                self.next_id += 1;
                 let node = ctx.node();
+                // An id is never handed out twice: not to a live job, and
+                // not over a finished job's stored record. (Lean retention
+                // deletes finished records, so there the stored `next_id`
+                // is what keeps an id from coming back.)
+                let key = Self::record_key(&mut self.job_key, job);
+                assert!(
+                    !self.jobs.contains_key(&job) && ctx.store().get_bytes(node, key).is_none(),
+                    "scheduler of {} would hand out {job} a second time",
+                    self.config.user
+                );
+                self.next_id += 1;
                 ctx.store().put(node, &self.next_id_key, &self.next_id);
                 // Remember the user's console for callbacks.
                 if self.config.user_addr.is_none() {
@@ -618,6 +624,56 @@ mod tests {
         let (id, back) = from_bytes::<(u64, JobRec)>(&bytes).unwrap();
         assert_eq!((id, &back.spec, &back.status), (7, &rec.spec, &rec.status));
         assert_eq!(to_bytes(&(id, &back)), bytes);
+    }
+
+    /// Puts job 0's queue record on its node's disk, then submits a job.
+    struct Squatter {
+        scheduler: Addr,
+    }
+
+    impl Component for Squatter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30));
+            let rec = JobRec {
+                spec: spec.clone(),
+                status: JobStatus::Done,
+                submitted_at: SimTime::ZERO,
+                seen_active: true,
+            };
+            let node = ctx.node();
+            ctx.store()
+                .put(node, "condor_g/jane/job/000000000000", &(0u64, &rec));
+            ctx.send(self.scheduler, UserCmd::Submit { id: 1, spec });
+        }
+    }
+
+    /// A fresh scheduler (`next_id` 0) on a disk that already holds job
+    /// 0's record refuses to issue id 0 again. At full retention that
+    /// record is what a finished job leaves; lean retention deletes it, so
+    /// there the stored `next_id` guards the id, not this check.
+    #[test]
+    #[should_panic(expected = "would hand out gj0 a second time")]
+    fn a_stored_record_keeps_its_id_from_being_issued_again() {
+        let mut ca = gsi::CertificateAuthority::new("/CN=CA", 5);
+        let proxy = ca
+            .issue_identity("/CN=jane", Duration::from_days(30))
+            .new_proxy(SimTime::ZERO, Duration::from_days(1));
+        let mut w = gridsim::World::new(gridsim::Config::default().seed(3));
+        let home = w.add_node("submit");
+        let config = SchedulerConfig {
+            user: "jane".into(),
+            credential: proxy,
+            gass: gridsim::world::EXTERNAL,
+            pool_schedd: None,
+            mailer: None,
+            user_addr: None,
+            gm: GmConfig::default(),
+            email_on_termination: false,
+        };
+        let broker = Box::new(crate::broker::StaticListBroker::new(Vec::new()));
+        let scheduler = w.add_component(home, "scheduler", Scheduler::new(config, broker));
+        w.add_component(home, "squatter", Squatter { scheduler });
+        w.run_until(SimTime::ZERO + Duration::from_mins(1));
     }
 
     proptest! {

@@ -54,26 +54,6 @@ pub fn encode_into<T: Encode + ?Sized>(out: &mut Vec<u8>, value: &T) {
     value.encode(out)
 }
 
-/// Append one element to an encoded sequence in place: `seq` holds the
-/// bytes of a `Vec<T>` (or is empty, for a sequence not yet written) and
-/// ends up holding the bytes [`to_bytes`] gives for that vector with
-/// `element` pushed — the leading `u64` count goes up by one and the
-/// element's encoding follows the rest.
-///
-/// Panics if a non-empty `seq` is shorter than its count: what a key holds
-/// is the caller's schema, not input.
-pub fn push_seq_element<T: Encode + ?Sized>(seq: &mut Vec<u8>, element: &T) {
-    if seq.is_empty() {
-        seq.extend_from_slice(&0u64.to_le_bytes());
-    }
-    let count = seq
-        .first_chunk::<8>()
-        .expect("sequence shorter than its count");
-    let count = u64::from_le_bytes(*count);
-    seq[..8].copy_from_slice(&(count + 1).to_le_bytes());
-    element.encode(seq)
-}
-
 /// Decode a `T` from bytes produced by [`to_bytes`]; the whole input must
 /// be that one value.
 pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {

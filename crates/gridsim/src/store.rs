@@ -12,35 +12,119 @@
 //! `append`ed to, or encoded from borrowed fields — so readers never care
 //! how a writer got there.
 //!
-//! Each node's keys sit in one hash map. Every key is a string the program
-//! builds itself (`gm/<user>/job/<id>` and the like), never outside input,
-//! so the map uses the fixed-seed [`IdHasher`](crate::hash::IdHasher).
-//! Point lookups are the hot path; prefix scans run only when a component
-//! recovers, and sort what they find, so callers see keys in the same
-//! order whatever the map's layout.
+//! Each node's records sit in one hash set. Every key is a string the
+//! program builds itself (`gm/<user>/job/<id>` and the like), never
+//! outside input, so the set uses the fixed-seed
+//! [`IdHasher`](crate::hash::IdHasher). Point lookups are the hot path;
+//! prefix scans run only when a component recovers, and sort what they
+//! find, so callers see keys in the same order whatever the set's layout.
+//!
+//! A record is one heap block, `[key length: u16 LE][key bytes][value
+//! bytes]`, sized exactly. Under full retention the store holds most of
+//! what a job leaves behind, so per-record overhead is per-job memory: a
+//! key and a value in blocks of their own cost a 40-byte bucket and two
+//! allocations, one block costs a 16-byte bucket and one. A record has no
+//! spare capacity, so a value that shrinks or stops growing strands
+//! nothing; the price is that `append` copies the record it grows.
 
 use crate::codec::{Decode, Encode};
 use crate::component::NodeId;
-use crate::hash::IdMap;
+use crate::hash::IdSet;
+use std::borrow::Borrow;
 use std::fmt::{self, Write};
+use std::hash::{Hash, Hasher};
 
-/// One node's keys and values.
-type NodeMap = IdMap<Box<str>, Vec<u8>>;
+/// One record: key and value in a single exact-size block, laid out as
+/// `[key length: u16 LE][key bytes][value bytes]`. It hashes and compares
+/// by its key bytes, so a set of records is looked up by `&[u8]`.
+#[derive(Debug)]
+struct Rec(Box<[u8]>);
+
+impl Rec {
+    /// A record holding `value` under `key`.
+    fn new(key: &str, value: &[u8]) -> Rec {
+        let key_len = u16::try_from(key.len()).expect("a store key under 64 KiB");
+        let mut block = Vec::with_capacity(2 + key.len() + value.len());
+        block.extend_from_slice(&key_len.to_le_bytes());
+        block.extend_from_slice(key.as_bytes());
+        block.extend_from_slice(value);
+        Rec(block.into_boxed_slice())
+    }
+
+    /// Where the value starts.
+    fn value_at(&self) -> usize {
+        2 + usize::from(u16::from_le_bytes([self.0[0], self.0[1]]))
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.0[2..self.value_at()]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.0[self.value_at()..]
+    }
+
+    fn value_mut(&mut self) -> &mut [u8] {
+        let at = self.value_at();
+        &mut self.0[at..]
+    }
+
+    /// This record with `element` (one encoded element) added to the
+    /// sequence its value holds: the block grows by exactly the element
+    /// and the leading `u64` count goes up by one.
+    ///
+    /// Panics if the value is shorter than its count: what a key holds is
+    /// the caller's schema, not input.
+    fn push_seq_element(self, element: &[u8]) -> Rec {
+        let at = self.value_at();
+        let count = self.0[at..]
+            .first_chunk::<8>()
+            .map(|count| u64::from_le_bytes(*count))
+            .expect("sequence shorter than its count");
+        let mut block = self.0.into_vec();
+        block[at..at + 8].copy_from_slice(&(count + 1).to_le_bytes());
+        block.reserve_exact(element.len());
+        block.extend_from_slice(element);
+        Rec(block.into_boxed_slice())
+    }
+}
+
+impl Borrow<[u8]> for Rec {
+    fn borrow(&self) -> &[u8] {
+        self.key()
+    }
+}
+
+impl Hash for Rec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state)
+    }
+}
+
+impl PartialEq for Rec {
+    fn eq(&self, other: &Rec) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Rec {}
+
+/// One node's records.
+type NodeMap = IdSet<Rec>;
 
 /// Durable, crash-surviving per-node key/value storage.
 ///
-/// One hash map per node (node ids are dense, so a `Vec` of maps), keyed
-/// by `Box<str>` so lookups borrow the caller's `&str`. A map that falls
-/// under a quarter of its capacity shrinks to twice its length, so a node
-/// whose records are retired gives the memory back.
+/// One hash set of records per node (node ids are dense, so a `Vec` of
+/// sets); lookups borrow the caller's key bytes. A set that falls under a
+/// quarter of its capacity shrinks to twice its length, so a node whose
+/// records are retired gives the memory back.
 #[derive(Debug, Default)]
 pub struct StableStore {
     nodes: Vec<NodeMap>,
-    /// Encode buffer shared by every [`StableStore::put`], so a write
-    /// allocates the stored value (exact size) and nothing else.
+    /// Encode buffer shared by [`StableStore::put`] and
+    /// [`StableStore::append`], so a write allocates the stored record
+    /// (exact size) and nothing else.
     scratch: Vec<u8>,
-    /// Write count (for reporting stable-storage traffic).
-    pub writes: u64,
 }
 
 impl StableStore {
@@ -63,26 +147,21 @@ impl StableStore {
 
     /// Write raw bytes under `(node, key)`.
     pub fn put_bytes(&mut self, node: NodeId, key: &str, value: &[u8]) {
-        self.writes += 1;
         let map = self.node_mut(node);
-        match map.get_mut(key) {
-            // Reuse the old allocation only where that strands no more
-            // than it already holds: a record that shrank (a tombstone
-            // over a live job) must give its capacity back.
-            Some(slot) if value.len() <= slot.capacity() && value.len() >= slot.capacity() / 2 => {
-                slot.clear();
-                slot.extend_from_slice(value);
+        let rec = match map.take(key.as_bytes()) {
+            // Same length: overwrite in place, no allocation.
+            Some(mut rec) if rec.value().len() == value.len() => {
+                rec.value_mut().copy_from_slice(value);
+                rec
             }
-            Some(slot) => *slot = value.to_vec(),
-            None => {
-                map.insert(key.into(), value.to_vec());
-            }
-        }
+            _ => Rec::new(key, value),
+        };
+        map.insert(rec);
     }
 
     /// Read raw bytes.
     pub fn get_bytes(&self, node: NodeId, key: &str) -> Option<&[u8]> {
-        self.node(node)?.get(key).map(Vec::as_slice)
+        self.node(node)?.get(key.as_bytes()).map(Rec::value)
     }
 
     /// Encode `value` with the binary codec and store it.
@@ -98,29 +177,18 @@ impl StableStore {
     /// key is an empty vector), leaving the bytes `put` of the whole vector
     /// would — at the cost of encoding one element, not all of them.
     pub fn append<T: Encode + ?Sized>(&mut self, node: NodeId, key: &str, element: &T) {
-        self.writes += 1;
+        // A one-element sequence: its count, then the element.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(&1u64.to_le_bytes());
+        element.encode(&mut scratch);
         let map = self.node_mut(node);
-        match map.get_mut(key) {
-            Some(seq) => crate::codec::push_seq_element(seq, element),
-            None => {
-                let mut seq = Vec::new();
-                crate::codec::push_seq_element(&mut seq, element);
-                map.insert(key.into(), seq);
-            }
-        }
-    }
-
-    /// Give back the spare capacity `append` left on `(node, key)`, for a
-    /// value that will not grow again. The bytes do not change and no
-    /// write is counted; an absent key is a no-op.
-    pub fn seal(&mut self, node: NodeId, key: &str) {
-        if let Some(value) = self
-            .nodes
-            .get_mut(node.0 as usize)
-            .and_then(|map| map.get_mut(key))
-        {
-            value.shrink_to_fit();
-        }
+        let rec = match map.take(key.as_bytes()) {
+            Some(rec) => rec.push_seq_element(&scratch[8..]),
+            None => Rec::new(key, &scratch),
+        };
+        map.insert(rec);
+        self.scratch = scratch;
     }
 
     /// Load and decode a value; `None` if the key is absent.
@@ -137,7 +205,7 @@ impl StableStore {
         let Some(map) = self.nodes.get_mut(node.0 as usize) else {
             return false;
         };
-        let present = map.remove(key).is_some();
+        let present = map.remove(key.as_bytes());
         if map.len() * 4 < map.capacity() {
             map.shrink_to(map.len() * 2);
         }
@@ -150,21 +218,13 @@ impl StableStore {
             return Vec::new();
         };
         let mut keys: Vec<String> = map
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .map(|k| k.to_string())
+            .iter()
+            .map(Rec::key)
+            .filter(|k| k.starts_with(prefix.as_bytes()))
+            .map(|k| String::from_utf8(k.to_vec()).expect("a store key is a str"))
             .collect();
         keys.sort_unstable();
         keys
-    }
-
-    /// Remove every key on `node` with the given prefix; returns how many.
-    pub fn remove_prefix(&mut self, node: NodeId, prefix: &str) -> usize {
-        let keys = self.keys_with_prefix(node, prefix);
-        for k in &keys {
-            self.remove(node, k);
-        }
-        keys.len()
     }
 }
 
@@ -251,26 +311,31 @@ mod tests {
             s.keys_with_prefix(NodeId(0), "job/"),
             vec!["job/1", "job/10", "job/2"]
         );
-        assert_eq!(s.remove_prefix(NodeId(0), "job/"), 3);
-        assert!(s.keys_with_prefix(NodeId(0), "job/").is_empty());
-        assert_eq!(s.get::<u8>(NodeId(0), "log/1"), Some(0));
-        assert_eq!(s.get::<u8>(NodeId(1), "job/9"), Some(0));
+    }
+
+    /// The heap block a record occupies, in bytes.
+    fn block_len(s: &StableStore, node: NodeId, key: &str) -> usize {
+        s.node(node).unwrap().get(key.as_bytes()).unwrap().0.len()
     }
 
     #[test]
     fn shrinking_overwrite_gives_its_capacity_back() {
         let mut s = StableStore::new();
         s.put_bytes(NodeId(0), "job", &[7u8; 300]);
+        assert_eq!(block_len(&s, NodeId(0), "job"), 2 + 3 + 300);
         s.put_bytes(NodeId(0), "job", &[9u8; 10]);
         assert_eq!(s.get_bytes(NodeId(0), "job"), Some(&[9u8; 10][..]));
-        assert_eq!(s.nodes[0]["job"].capacity(), 10);
+        assert_eq!(block_len(&s, NodeId(0), "job"), 2 + 3 + 10);
         // The same through the typed path, whose scratch buffer has seen
         // the long value.
         s.put(NodeId(0), "rec", &"x".repeat(300));
         s.put(NodeId(0), "rec", &"tombstone!");
         assert_eq!(s.get::<String>(NodeId(0), "rec").unwrap(), "tombstone!");
-        let stored = &s.nodes[0]["rec"];
-        assert_eq!(stored.capacity(), stored.len());
+        assert_eq!(block_len(&s, NodeId(0), "rec"), 2 + 3 + 8 + 10);
+        // And through `append`, one element at a time.
+        s.append(NodeId(0), "log", &5u32);
+        s.append(NodeId(0), "log", &6u32);
+        assert_eq!(block_len(&s, NodeId(0), "log"), 2 + 3 + 8 + 2 * 4);
     }
 
     #[test]
@@ -306,46 +371,36 @@ mod tests {
 
     proptest! {
         /// Appending element by element leaves the bytes `put` of the
-        /// whole vector writes, so readers cannot tell the two apart — and
-        /// sealing the value between appends changes no byte of it.
+        /// whole vector writes, so readers cannot tell the two apart.
         #[test]
         fn append_equals_put_of_the_whole_vec(
             entries in proptest::collection::vec(
                 (any::<u64>(), any::<u64>(), "[ -~]{0,40}"),
                 0..80,
             ),
-            seals in proptest::collection::vec(any::<bool>(), 80..81),
         ) {
             let mut s = StableStore::new();
             for (i, (t, j, m)) in entries.iter().enumerate() {
                 // Borrowed fields, as `Scheduler::log_event` writes them.
                 s.append(NodeId(0), "appended", &(*t, *j, m.as_str()));
-                if seals[i] {
-                    s.seal(NodeId(0), "appended");
-                    let stored = &s.nodes[0]["appended"];
-                    prop_assert_eq!(stored.capacity(), stored.len());
-                }
                 s.put(NodeId(0), "whole", &entries[..=i].to_vec());
                 prop_assert_eq!(
                     s.get_bytes(NodeId(0), "appended"),
                     s.get_bytes(NodeId(0), "whole")
                 );
             }
-            // One write per append, as one per `put`.
-            prop_assert_eq!(s.writes, 2 * entries.len() as u64);
             let back: Option<Vec<(u64, u64, String)>> = s.get(NodeId(0), "appended");
             prop_assert_eq!(back, (!entries.is_empty()).then_some(entries));
         }
 
-        /// Random writes, appends, seals and removals on two nodes read
-        /// back as a `BTreeMap` per node says they should: the same bytes
-        /// under every key, the same sorted keys under every prefix, one
-        /// write counted per `put`/`put_bytes`/`append`. A node emptied at
+        /// Random writes, appends and removals on two nodes read back as a
+        /// `BTreeMap` per node says they should: the same bytes under every
+        /// key, the same sorted keys under every prefix. A node emptied at
         /// the end holds no capacity.
         #[test]
         fn store_matches_a_btree_map_model(
             ops in proptest::collection::vec(
-                (0u8..6, 0u32..2, 0usize..3, 0u64..12, 0usize..40, any::<u8>()),
+                (0u8..4, 0u32..2, 0usize..3, 0u64..12, 0usize..40, any::<u8>()),
                 0..200,
             ),
         ) {
@@ -353,7 +408,6 @@ mod tests {
             use std::collections::BTreeMap;
             let mut s = StableStore::new();
             let mut model: [BTreeMap<String, Vec<u8>>; 2] = Default::default();
-            let mut writes = 0u64;
             let spaces = ["job/", "gm/", "log/"];
             for (op, node, space, n, len, byte) in ops {
                 let (at, m) = (NodeId(node), &mut model[node as usize]);
@@ -368,7 +422,6 @@ mod tests {
                             s.put_bytes(at, &key, &value);
                             m.insert(key, value);
                         }
-                        writes += 1;
                     }
                     2 => {
                         // Only `log/` keys hold sequences.
@@ -379,27 +432,12 @@ mod tests {
                             m.get(&key).map_or(Vec::new(), |b| from_bytes(b).unwrap());
                         seq.push(element);
                         m.insert(key, to_bytes(&seq));
-                        writes += 1;
                     }
-                    3 => {
-                        let key = format!("{}{n}", spaces[space]);
-                        s.seal(at, &key);
-                        if let Some(stored) = s.node(at).and_then(|map| map.get(key.as_str())) {
-                            prop_assert_eq!(stored.capacity(), stored.len());
-                        }
-                    }
-                    4 => {
+                    _ => {
                         let key = format!("{}{n}", spaces[space]);
                         prop_assert_eq!(s.remove(at, &key), m.remove(&key).is_some());
                     }
-                    _ => {
-                        let prefix = ["job/1", "log/", ""][space];
-                        let before = m.len();
-                        m.retain(|k, _| !k.starts_with(prefix));
-                        prop_assert_eq!(s.remove_prefix(at, prefix), before - m.len());
-                    }
                 }
-                prop_assert_eq!(s.writes, writes);
                 for (node, m) in model.iter().enumerate() {
                     let at = NodeId(node as u32);
                     for space in spaces {
@@ -416,7 +454,10 @@ mod tests {
                 }
             }
             for node in 0..s.nodes.len() {
-                s.remove_prefix(NodeId(node as u32), "");
+                let at = NodeId(node as u32);
+                for key in s.keys_with_prefix(at, "") {
+                    prop_assert!(s.remove(at, &key));
+                }
                 prop_assert_eq!(s.nodes[node].capacity(), 0);
             }
         }

@@ -79,7 +79,12 @@ const JOBS: u64 = 2_000;
 /// `a5425bd` 273,327 and 19,009,837; since the job maps and the stable
 /// store stopped being B-trees, 269,887 calls and 16,753,969 bytes; since
 /// each site's weather handles are resolved on first write, inside the
-/// counted window, 270,070 calls and 16,763,989 bytes.
+/// counted window, 270,070 calls and 16,763,989 bytes (16,771,669 at
+/// `7230568`); since a stable-store record is one exact-size block,
+/// 260,869 calls and 17,058,095 bytes: a new record asks for one block
+/// where it asked for two, but a rewrite that changes a value's length
+/// asks for a whole new record, key included, where the old value's
+/// spare capacity used to absorb it.
 /// The full-size `gridbench` batches, which queue far deeper, are counted
 /// by an `LD_PRELOAD` shim instead; `CHANGES.md` has those.
 const PARENT_CALLS: u64 = 860_989;
