@@ -445,8 +445,8 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The schedd's queue entry and its borrowed view, byte for byte as
-    /// `e025d0e` wrote them.
+    /// The schedd's queue entry and its borrowed view, byte for byte in
+    /// the varint layout.
     #[test]
     fn job_rec_disk_bytes_are_pinned() {
         use gridsim::codec::{from_bytes, to_bytes};
@@ -466,7 +466,7 @@ mod tests {
             submitter,
             attempts: rec.attempts,
         };
-        let pinned = "050000000000000058000000000000005b0a20202020546f74616c576f726b203d20313830303b0a202020204f776e6572203d20226a616e65223b0a20202020526571756972656d656e7473203d205441524745542e41726368203d3d2022494e54454c223b0a5d0400000040ed960400000000030000000900000002000000";
+        let pinned = "05585b0a20202020546f74616c576f726b203d20313830303b0a202020204f776e6572203d20226a616e65223b0a20202020526571756972656d656e7473203d205441524745542e41726368203d3d2022494e54454c223b0a5d04c0dadb24030902";
         assert_eq!(hex(&to_bytes(&owned)), pinned);
         assert_eq!(hex(&to_bytes(&rec.disk_view(JobId(5)))), pinned);
         let back = from_bytes::<JobRecDisk>(&to_bytes(&owned)).unwrap();

@@ -55,7 +55,6 @@ enum SlotPhase {
         contact: JobContact,
         startd: Addr,
     },
-    Dead,
 }
 
 struct Slot {
@@ -129,10 +128,7 @@ impl GlideinFactory {
     }
 
     fn live_at(&self, site_idx: usize) -> u32 {
-        self.slots
-            .iter()
-            .filter(|s| s.site_idx == site_idx && !matches!(s.phase, SlotPhase::Dead))
-            .count() as u32
+        self.slots.iter().filter(|s| s.site_idx == site_idx).count() as u32
     }
 
     fn submit_glidein(&mut self, ctx: &mut Ctx<'_>, site_idx: usize) {
@@ -193,8 +189,12 @@ impl GlideinFactory {
         };
     }
 
+    /// The slot's glidein is over: its daemon goes and the slot with it.
+    /// `remove` keeps the live slots in order, so every scan still visits
+    /// them, and sends, in the order they were submitted; a late reply for
+    /// the slot's `seq` or contact finds nothing and does nothing.
     fn slot_dead(&mut self, ctx: &mut Ctx<'_>, slot_idx: usize) {
-        let slot = &mut self.slots[slot_idx];
+        let slot = self.slots.remove(slot_idx);
         if let SlotPhase::Running { startd, .. } = slot.phase {
             // The daemon usually exits on its own at lease end; kill covers
             // early revocation (startd::on_stop vacates gracefully).
@@ -202,10 +202,7 @@ impl GlideinFactory {
             let now = ctx.now();
             ctx.metrics().gauge_delta("glidein.active", now, -1.0);
         }
-        if !matches!(slot.phase, SlotPhase::Dead) {
-            ctx.metrics().incr("glidein.ended", 1);
-        }
-        slot.phase = SlotPhase::Dead;
+        ctx.metrics().incr("glidein.ended", 1);
     }
 }
 

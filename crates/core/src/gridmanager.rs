@@ -1736,7 +1736,7 @@ mod tests {
     }
 
     /// The GridManager's per-job record and its borrowed view, byte for
-    /// byte as `e025d0e` wrote them.
+    /// byte in the varint layout.
     #[test]
     fn gm_record_bytes_are_pinned() {
         let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30))
@@ -1763,7 +1763,7 @@ mod tests {
             excluded: j.excluded.clone(),
             terminal: false,
         };
-        let pinned = "030000000000000061707012000000000000002f686f6d652f6a616e652f6170702e657865020000000000000008000000000000002d2d6576656e747303000000000000003530300000000000d2496b000000000100000000100000000000000000000000000000000000000002000000012900000000000000010400000000000000656173740102000000050000000101000000efbe000011000000000000002f636f6e646f725f672f6f75742f676a37020000000000000004000000000000007765737405000000000000006e6f72746800";
+        let pinned = "03617070122f686f6d652f6a616e652f6170702e65786502082d2d6576656e7473033530300080a4a7da060180200000000000000201290104656173740102050181808080f0dd2f112f636f6e646f725f672f6f75742f676a37020477657374056e6f72746800";
         assert_eq!(hex(&to_bytes(&owned)), pinned);
         assert_eq!(hex(&to_bytes(&j.disk_view())), pinned);
         let back = from_bytes::<GmJobDisk>(&to_bytes(&owned)).unwrap();

@@ -602,7 +602,7 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The persistent queue's record, byte for byte as `e025d0e` wrote it.
+    /// The persistent queue's record, byte for byte in the varint layout.
     #[test]
     fn job_record_bytes_are_pinned() {
         let rec = JobRec {
@@ -618,7 +618,7 @@ mod tests {
             submitted_at: SimTime(17),
             seen_active: true,
         };
-        let pinned = "0700000000000000030000000000000061707012000000000000002f686f6d652f6a616e652f6170702e657865020000000000000008000000000000002d2d6576656e747303000000000000003530300000000000d2496b00000000010000000010000000000000012d00000000000000010c000000000000004672656543707573203e20300108000000000000004672656543707573010000000000404e400002000000000000010500000000000000494e54454c040000000d0000000000000070726f78792065787069726564110000000000000001";
+        let pinned = "0703617070122f686f6d652f6a616e652f6170702e65786502082d2d6576656e7473033530300080a4a7da06018020012d010c4672656543707573203e203001084672656543707573010000000000404e4080040105494e54454c040d70726f787920657870697265641101";
         let bytes = to_bytes(&(7u64, &rec));
         assert_eq!(hex(&bytes), pinned);
         let (id, back) = from_bytes::<(u64, JobRec)>(&bytes).unwrap();

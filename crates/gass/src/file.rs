@@ -299,16 +299,13 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// A stored GASS file of each kind, byte for byte as `e025d0e` wrote it.
+    /// A stored GASS file of each kind, byte for byte in the varint layout.
     #[test]
     fn file_disk_bytes_are_pinned() {
         use gridsim::codec::{from_bytes, to_bytes};
         let inline = FileData::inline("ELF\x7f").to_disk();
         let bulk = FileData::bulk(1_000_000, 3).to_disk();
-        for (disk, pinned) in [
-            (inline, "000000000400000000000000454c467f"),
-            (bulk, "0100000040420f0000000000030080841e000000"),
-        ] {
+        for (disk, pinned) in [(inline, "0004454c467f"), (bulk, "01c0843d838080a4e803")] {
             let bytes = to_bytes(&disk);
             assert_eq!(hex(&bytes), pinned);
             assert_eq!(from_bytes::<FileDisk>(&bytes).unwrap(), disk);
@@ -317,9 +314,9 @@ mod tests {
 
     #[test]
     fn unknown_file_disk_indices_are_refused() {
-        use gridsim::codec::from_bytes;
+        use gridsim::codec::{from_bytes, to_bytes};
         for index in [2u32, u32::MAX] {
-            let mut bytes = index.to_le_bytes().to_vec();
+            let mut bytes = to_bytes(&index);
             bytes.extend_from_slice(&[0; 16]);
             assert!(from_bytes::<FileDisk>(&bytes).is_err());
         }

@@ -736,8 +736,8 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// GRAM's client-side job log and its borrowed view, byte for byte as
-    /// `e025d0e` wrote them.
+    /// GRAM's client-side job log and its borrowed view, byte for byte in
+    /// the varint layout.
     #[test]
     fn job_log_bytes_are_pinned() {
         let addr = Addr {
@@ -775,7 +775,7 @@ mod tests {
             stdout_sent: 17,
             exit_ok: true,
         };
-        let pinned = "07000000efbe00007d00000000000000262865786563757461626c653d676173733a2f2f6e332e63392f686f6d652f6a616e652f6170702e6578652928636f756e743d3429287374646f75743d676173733a2f2f6e332e63392f636f6e646f725f672f6f75742f676a37292873696d72756e74696d653d3138303029287374646f757473697a653d343039362904000000000000006a616e65010c0000000000000004000000110000000000000001";
+        let pinned = "87808080f0dd2f7d262865786563757461626c653d676173733a2f2f6e332e63392f686f6d652f6a616e652f6170702e6578652928636f756e743d3429287374646f75743d676173733a2f2f6e332e63392f636f6e646f725f672f6f75742f676a37292873696d72756e74696d653d3138303029287374646f757473697a653d3430393629046a616e65010c041101";
         assert_eq!(hex(&to_bytes(&owned)), pinned);
         assert_eq!(hex(&to_bytes(&jm.log_view())), pinned);
         let back = from_bytes::<JmLog>(&to_bytes(&owned)).unwrap();

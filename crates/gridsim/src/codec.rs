@@ -3,11 +3,23 @@
 //! The simulated "disk" ([`crate::store::StableStore`]) holds byte strings,
 //! so crash-recovery genuinely round-trips component state through a
 //! serialized form rather than cheating with in-memory clones. The format is
-//! bincode-like: fixed-width little-endian integers, `u64` length prefixes
-//! for sequences/strings/maps, a one-byte tag for `Option`, a `u32` variant
-//! index for enums, and struct fields and tuple elements back to back. It is
 //! positional (not self-describing), which is fine because readers always
-//! know the schema.
+//! know the schema:
+//!
+//! - `u16`, `u32`, `u64`, `char`, every sequence, string and map length, and
+//!   the enum variant index that [`codec!`](crate::codec!) writes are
+//!   shortest-form LEB128 varints: seven bits a byte, low bits first, the
+//!   high bit set while more bytes follow, so a value under 128 is one byte
+//!   and `u64::MAX` is ten;
+//! - `i16`, `i32` and `i64` are zigzag-mapped (0, -1, 1, -2, … → 0, 1, 2,
+//!   3, …) and then written as varints, so small negatives stay short;
+//! - `u8`, `i8` and `bool` are one byte, `f64` is eight little-endian
+//!   bytes, and `Option` is a one-byte tag (0 or 1) before its value;
+//! - struct fields and tuple elements sit back to back.
+//!
+//! Decoding refuses, with a [`CodecError`], a varint with a redundant
+//! trailing zero byte, one longer than ten bytes or past `u64::MAX`, and a
+//! value out of range for the type it is read as.
 //!
 //! A type is stored by implementing [`Encode`] and [`Decode`]; records do
 //! it with [`codec!`](crate::codec!), which lists a struct's fields in their
@@ -105,12 +117,67 @@ impl<'a> Reader<'a> {
     }
 
     fn take_len(&mut self) -> Result<usize, CodecError> {
-        let n = u64::from_le_bytes(self.array()?);
+        let n = self.varint()?;
         usize::try_from(n).map_err(|_| CodecError("length overflow".into()))
+    }
+
+    /// One shortest-form varint.
+    fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut value = 0;
+        for i in 0..MAX_VARINT {
+            let byte = self.take(1)?[0];
+            if i == MAX_VARINT - 1 && byte > 1 {
+                // Bits 63 and up: past u64::MAX, or an eleventh byte.
+                return Err(CodecError(format!(
+                    "varint overflows u64 at {}",
+                    self.pos - 1
+                )));
+            }
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(CodecError(format!("overlong varint at {}", self.pos - 1)));
+                }
+                return Ok(value);
+            }
+        }
+        unreachable!("the last byte either ends the varint or is refused")
     }
 }
 
-macro_rules! numbers {
+/// The most bytes a `u64` takes as a varint.
+const MAX_VARINT: usize = 10;
+
+/// `v` as a shortest-form varint: the first `len` of the returned bytes.
+pub(crate) fn varint(mut v: u64) -> ([u8; MAX_VARINT], usize) {
+    let mut bytes = [0; MAX_VARINT];
+    let mut len = 0;
+    while v >= 0x80 {
+        bytes[len] = v as u8 | 0x80;
+        v >>= 7;
+        len += 1;
+    }
+    bytes[len] = v as u8;
+    (bytes, len + 1)
+}
+
+fn put_varint(out: &mut Vec<u8>, v: u64) {
+    let (bytes, len) = varint(v);
+    out.extend_from_slice(&bytes[..len]);
+}
+
+/// The varint at the head of `bytes` and how many bytes it takes.
+pub(crate) fn leading_varint(bytes: &[u8]) -> Result<(u64, usize), CodecError> {
+    let mut r = Reader {
+        input: bytes,
+        pos: 0,
+    };
+    let v = r.varint()?;
+    Ok((v, r.pos))
+}
+
+/// Written as they are in memory, little-endian.
+macro_rules! fixed {
     ($($t:ty),*) => {$(
         impl Encode for $t {
             fn encode(&self, out: &mut Vec<u8>) {
@@ -125,7 +192,51 @@ macro_rules! numbers {
     )*};
 }
 
-numbers!(u8, u16, u32, u64, i8, i16, i32, i64, f64);
+fixed!(u8, i8, f64);
+
+/// Varints; a stored value too wide for the type is refused.
+macro_rules! unsigned {
+    ($($t:ty),*) => {$(
+        impl Encode for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                put_varint(out, u64::from(*self));
+            }
+        }
+        impl Decode for $t {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let v = r.varint()?;
+                <$t>::try_from(v).map_err(|_| {
+                    CodecError(format!("{v} out of range for {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+
+unsigned!(u16, u32, u64);
+
+/// Zigzag-mapped varints, so a value near zero of either sign is short.
+macro_rules! signed {
+    ($($t:ty),*) => {$(
+        impl Encode for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let v = i64::from(*self);
+                put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
+            }
+        }
+        impl Decode for $t {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let z = r.varint()?;
+                let v = (z >> 1) as i64 ^ -((z & 1) as i64);
+                <$t>::try_from(v).map_err(|_| {
+                    CodecError(format!("{v} out of range for {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+
+signed!(i16, i32, i64);
 
 impl Encode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -145,7 +256,7 @@ impl Decode for bool {
 
 impl Encode for char {
     fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u32).encode(out)
+        u32::from(*self).encode(out)
     }
 }
 
@@ -168,7 +279,7 @@ impl Decode for () {
 
 impl Encode for str {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
+        put_varint(out, self.len() as u64);
         out.extend_from_slice(self.as_bytes());
     }
 }
@@ -189,7 +300,7 @@ impl Decode for String {
 
 impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
+        put_varint(out, self.len() as u64);
         for item in self {
             item.encode(out);
         }
@@ -243,7 +354,7 @@ impl<T: Encode + ?Sized> Encode for &T {
 
 impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
+        put_varint(out, self.len() as u64);
         for (k, v) in self {
             k.encode(out);
             v.encode(out);
@@ -288,7 +399,8 @@ tuples!(A B C D E F G H I);
 
 /// Writes [`Encode`] and [`Decode`] for a struct, given its fields in
 /// on-disk order (`0` for a newtype's field), or for an enum, given every
-/// variant with its on-disk `u32` index and names for its fields:
+/// variant with its on-disk `u32` index (stored as a varint) and names for
+/// its fields:
 ///
 /// ```
 /// # use gridsim::codec::{from_bytes, to_bytes};
@@ -457,8 +569,8 @@ mod tests {
 
     #[test]
     fn a_length_past_the_address_space_is_refused_not_added() {
-        // 8 bytes in, the string claims u64::MAX more: `pos + n` would wrap.
-        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        // 10 bytes in, the string claims u64::MAX more: `pos + n` would wrap.
+        let mut bytes = to_bytes(&u64::MAX);
         bytes.extend_from_slice(b"tail");
         assert!(from_bytes::<String>(&bytes).is_err());
         assert!(from_bytes::<Vec<u8>>(&bytes).is_err());
@@ -473,8 +585,103 @@ mod tests {
     #[test]
     fn bad_utf8_rejected() {
         // length=1, byte 0xFF — not valid UTF-8.
-        let mut bytes = 1u64.to_le_bytes().to_vec();
-        bytes.push(0xFF);
-        assert!(from_bytes::<String>(&bytes).is_err());
+        assert!(from_bytes::<String>(&[1, 0xFF]).is_err());
+    }
+
+    fn hex<T: Encode>(v: T) -> String {
+        to_bytes(&v).iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn integers_are_shortest_form_varints() {
+        assert_eq!(hex(0u64), "00");
+        assert_eq!(hex(127u32), "7f");
+        assert_eq!(hex(128u16), "8001");
+        assert_eq!(hex(300u64), "ac02");
+        assert_eq!(hex(u64::MAX), "ffffffffffffffffff01");
+        // Zigzag: 0, -1, 1, -2, … become 0, 1, 2, 3, …
+        assert_eq!(hex(0i32), "00");
+        assert_eq!(hex(-1i64), "01");
+        assert_eq!(hex(1i16), "02");
+        assert_eq!(hex(-64i64), "7f");
+        assert_eq!(hex(64i64), "8001");
+        assert_eq!(hex(i64::MIN), "ffffffffffffffffff01");
+        assert_eq!(hex('λ'), "bb07");
+        // Lengths are varints too; one-byte and eight-byte fields are not.
+        assert_eq!(hex("ab"), "026162");
+        assert_eq!(hex(vec![7u8; 3]), "03070707");
+        assert_eq!(
+            hex((255u8, -1i8, true, Some(1.0f64))),
+            "ffff0101000000000000f03f"
+        );
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX] {
+            let (bytes, len) = varint(v);
+            assert_eq!(bytes[..len], to_bytes(&v), "{v}");
+            assert_eq!(leading_varint(&bytes), Ok((v, len)));
+        }
+    }
+
+    #[test]
+    fn integer_extremes_round_trip() {
+        round_trip(u64::MAX);
+        round_trip(i64::MIN);
+        round_trip(i64::MAX);
+        round_trip(u32::MAX);
+        round_trip(i32::MIN);
+        round_trip(i32::MAX);
+        round_trip(u16::MAX);
+        round_trip(i16::MIN);
+        round_trip(i16::MAX);
+        round_trip(char::MAX);
+    }
+
+    #[test]
+    fn malformed_varints_are_refused() {
+        // Overlong: a trailing zero group says nothing.
+        assert!(from_bytes::<u64>(&[0x80, 0x00]).is_err());
+        assert!(from_bytes::<u32>(&[0xff, 0x80, 0x00]).is_err());
+        assert!(from_bytes::<String>(&[0x80, 0x00]).is_err());
+        // The tenth byte carries bit 63 only: 2 and up overflow u64.
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(from_bytes::<u64>(&max), Ok(u64::MAX));
+        max[9] = 0x02;
+        assert!(from_bytes::<u64>(&max).is_err());
+        max[9] = 0x7f;
+        assert!(from_bytes::<u64>(&max).is_err());
+        // Eleven bytes is one too many, whatever they hold.
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0x00);
+        assert!(from_bytes::<u64>(&eleven).is_err());
+        eleven[9] = 0x81;
+        eleven[10] = 0x01;
+        assert!(from_bytes::<u64>(&eleven).is_err());
+        // A varint cut short.
+        assert!(from_bytes::<u64>(&[0x80]).is_err());
+        assert!(leading_varint(&[]).is_err());
+    }
+
+    #[test]
+    fn values_out_of_range_for_their_type_are_refused() {
+        assert!(from_bytes::<u16>(&to_bytes(&(u64::from(u16::MAX) + 1))).is_err());
+        assert!(from_bytes::<u32>(&to_bytes(&(u64::from(u32::MAX) + 1))).is_err());
+        assert!(from_bytes::<i16>(&to_bytes(&(i64::from(i16::MAX) + 1))).is_err());
+        assert!(from_bytes::<i16>(&to_bytes(&(i64::from(i16::MIN) - 1))).is_err());
+        assert!(from_bytes::<i32>(&to_bytes(&(i64::from(i32::MAX) + 1))).is_err());
+        assert!(from_bytes::<i32>(&to_bytes(&(i64::from(i32::MIN) - 1))).is_err());
+        assert!(from_bytes::<u32>(&to_bytes(&u64::MAX)).is_err());
+        assert!(from_bytes::<i32>(&to_bytes(&i64::MIN)).is_err());
+        // Not a scalar value: a surrogate, and one past the last.
+        assert!(from_bytes::<char>(&to_bytes(&0xD800u32)).is_err());
+        assert!(from_bytes::<char>(&to_bytes(&(u32::from(char::MAX) + 1))).is_err());
+        // The widest value each type holds still decodes.
+        assert_eq!(
+            from_bytes::<u16>(&to_bytes(&u64::from(u16::MAX))),
+            Ok(u16::MAX)
+        );
+        assert_eq!(
+            from_bytes::<i32>(&to_bytes(&i64::from(i32::MIN))),
+            Ok(i32::MIN)
+        );
     }
 }

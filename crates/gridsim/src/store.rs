@@ -27,7 +27,7 @@
 //! spare capacity, so a value that shrinks or stops growing strands
 //! nothing; the price is that `append` copies the record it grows.
 
-use crate::codec::{Decode, Encode};
+use crate::codec::{leading_varint, varint, Decode, Encode};
 use crate::component::NodeId;
 use crate::hash::IdSet;
 use std::borrow::Borrow;
@@ -70,20 +70,22 @@ impl Rec {
     }
 
     /// This record with `element` (one encoded element) added to the
-    /// sequence its value holds: the block grows by exactly the element
-    /// and the leading `u64` count goes up by one.
+    /// sequence its value holds: the varint count at the head of the value
+    /// goes up by one and the element goes on the end. The block grows by
+    /// exactly the element, and by one byte more when the count needs
+    /// another byte (at 128 elements, then 16,384, …); otherwise the count
+    /// is rewritten in place.
     ///
-    /// Panics if the value is shorter than its count: what a key holds is
-    /// the caller's schema, not input.
+    /// Panics if the value does not start with a count: what a key holds
+    /// is the caller's schema, not input.
     fn push_seq_element(self, element: &[u8]) -> Rec {
         let at = self.value_at();
-        let count = self.0[at..]
-            .first_chunk::<8>()
-            .map(|count| u64::from_le_bytes(*count))
-            .expect("sequence shorter than its count");
+        let (count, width) =
+            leading_varint(&self.0[at..]).expect("a sequence starts with its count");
+        let (count, len) = varint(count + 1);
         let mut block = self.0.into_vec();
-        block[at..at + 8].copy_from_slice(&(count + 1).to_le_bytes());
-        block.reserve_exact(element.len());
+        block.reserve_exact(len - width + element.len());
+        block.splice(at..at + width, count[..len].iter().copied());
         block.extend_from_slice(element);
         Rec(block.into_boxed_slice())
     }
@@ -177,14 +179,14 @@ impl StableStore {
     /// key is an empty vector), leaving the bytes `put` of the whole vector
     /// would — at the cost of encoding one element, not all of them.
     pub fn append<T: Encode + ?Sized>(&mut self, node: NodeId, key: &str, element: &T) {
-        // A one-element sequence: its count, then the element.
+        // A one-element sequence: its count (one byte), then the element.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        scratch.extend_from_slice(&1u64.to_le_bytes());
+        1u64.encode(&mut scratch);
         element.encode(&mut scratch);
         let map = self.node_mut(node);
         let rec = match map.take(key.as_bytes()) {
-            Some(rec) => rec.push_seq_element(&scratch[8..]),
+            Some(rec) => rec.push_seq_element(&scratch[1..]),
             None => Rec::new(key, &scratch),
         };
         map.insert(rec);
@@ -331,11 +333,13 @@ mod tests {
         s.put(NodeId(0), "rec", &"x".repeat(300));
         s.put(NodeId(0), "rec", &"tombstone!");
         assert_eq!(s.get::<String>(NodeId(0), "rec").unwrap(), "tombstone!");
-        assert_eq!(block_len(&s, NodeId(0), "rec"), 2 + 3 + 8 + 10);
-        // And through `append`, one element at a time.
+        // A one-byte length, then the ten bytes.
+        assert_eq!(block_len(&s, NodeId(0), "rec"), 2 + 3 + 1 + 10);
+        // And through `append`, one element at a time: a one-byte count,
+        // then one byte for each of 5 and 6.
         s.append(NodeId(0), "log", &5u32);
         s.append(NodeId(0), "log", &6u32);
-        assert_eq!(block_len(&s, NodeId(0), "log"), 2 + 3 + 8 + 2 * 4);
+        assert_eq!(block_len(&s, NodeId(0), "log"), 2 + 3 + 1 + 2);
     }
 
     #[test]
@@ -354,8 +358,9 @@ mod tests {
         assert!(!s.remove(NodeId(0), "x"));
     }
 
-    /// A user-log chunk built by `append`, byte for byte as `e025d0e`
-    /// wrote it.
+    /// A user-log chunk built by `append`, byte for byte: count 2, then
+    /// each entry's time, job and message length as varints
+    /// (90,000,000 is `80 95 f5 2a`).
     #[test]
     fn appended_log_chunk_bytes_are_pinned() {
         let mut s = StableStore::new();
@@ -363,10 +368,43 @@ mod tests {
         s.append(NodeId(0), "log/0", &(90_000_000u64, 3u64, "Done"));
         let bytes = s.get_bytes(NodeId(0), "log/0").unwrap();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, "0200000000000000110000000000000003000000000000000f000000000000007375626d6974746564202861707029804a5d050000000003000000000000000400000000000000446f6e65");
+        assert_eq!(
+            hex,
+            "0211030f7375626d69747465642028617070298095f52a0304446f6e65"
+        );
         let back: Vec<(u64, u64, String)> = s.get(NodeId(0), "log/0").unwrap();
         let want = [(17, 3, "submitted (app)"), (90_000_000, 3, "Done")];
         assert_eq!(back, want.map(|(t, j, m)| (t, j, m.to_string())));
+    }
+
+    /// The count of an appended sequence takes a second byte at 128
+    /// elements: the record grows by that byte and the element, and still
+    /// holds what `put` of the whole vector writes.
+    #[test]
+    fn append_widens_the_count_at_128_elements() {
+        let mut s = StableStore::new();
+        let mut whole = Vec::new();
+        for n in 1..=129u32 {
+            s.append(NodeId(0), "log", &n);
+            whole.push(n);
+            if n >= 127 {
+                s.put(NodeId(0), "whole", &whole);
+                assert_eq!(
+                    s.get_bytes(NodeId(0), "log"),
+                    s.get_bytes(NodeId(0), "whole")
+                );
+            }
+            if n == 127 {
+                // A one-byte count and 127 one-byte elements.
+                assert_eq!(block_len(&s, NodeId(0), "log"), 2 + 3 + 1 + 127);
+            }
+        }
+        // The count, 129, in two bytes, then 127 one-byte elements and two
+        // two-byte ones.
+        let value = s.get_bytes(NodeId(0), "log").unwrap();
+        assert_eq!(value[..2], [0x81, 0x01]);
+        assert_eq!(block_len(&s, NodeId(0), "log"), 2 + 3 + 2 + 127 + 2 * 2);
+        assert_eq!(s.get::<Vec<u32>>(NodeId(0), "log"), Some(whole));
     }
 
     proptest! {
@@ -376,7 +414,7 @@ mod tests {
         fn append_equals_put_of_the_whole_vec(
             entries in proptest::collection::vec(
                 (any::<u64>(), any::<u64>(), "[ -~]{0,40}"),
-                0..80,
+                0..200,
             ),
         ) {
             let mut s = StableStore::new();

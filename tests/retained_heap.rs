@@ -8,20 +8,23 @@
 //! bytes, and the growth from installing the campaign driver to the last
 //! job settling is reported per job.
 //!
-//! Measured by this test: 1,585 bytes a job at full retention and 402
-//! lean. At `7230568`, where each stable-store record was a 40-byte bucket
-//! with its key and its value in two heap blocks, it read 1,912 and
-//! 403-414; one exact-size block per record behind a 16-byte bucket is the
-//! difference. Earlier: 1,955 and 401 at `a5425bd`, before the
+//! Measured by this test: 1,304 bytes a job at full retention and 402
+//! lean. At `17e9d43`, where the codec wrote every integer in eight fixed
+//! bytes (four for a `u32`) and every length as a `u64`, it read 1,585 and
+//! 402; varint integers and lengths are the difference. At `7230568`,
+//! where each stable-store record was a 40-byte bucket with its key and its
+//! value in two heap blocks, it read 1,912 and 403-414; one exact-size
+//! block per record behind a 16-byte bucket is the difference. Earlier: 1,955 and 401 at `a5425bd`, before the
 //! GridManager's and the scheduler's job maps became dense id tables and
 //! the stable store a hash map per node. About one run in ten reads about
 //! 10 more on one side: some hash tables are randomly seeded, and where a
 //! table doubles can move by one doubling. At `6df8f3f`, where the
 //! scheduler kept every finished job and the whole user log in memory
 //! beside their stored copies, full retention read 3,093 (lean 401). The
-//! full-retention bound sits between 1,585 and 1,912, so a store that goes
-//! back to two blocks per record fails here, and so, by far, does a
-//! scheduler that keeps finished jobs again.
+//! full-retention bound sits between 1,304 and 1,585, so a codec that goes
+//! back to fixed-width integers fails here, and so, by far, do a store
+//! with two blocks per record and a scheduler that keeps finished jobs
+//! again.
 
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig};
@@ -116,6 +119,6 @@ fn settled_batch_retains_live_jobs_only() {
     let full = retained_bytes_per_job(false);
     let lean = retained_bytes_per_job(true);
     println!("retained heap per job: full {full} bytes, lean {lean} bytes");
-    assert!(full < 1_750, "full retention holds {full} bytes a job");
+    assert!(full < 1_450, "full retention holds {full} bytes a job");
     assert!(lean <= 450, "lean retention holds {lean} bytes a job");
 }
