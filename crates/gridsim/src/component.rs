@@ -13,8 +13,10 @@ use crate::rng::SimRng;
 use crate::store::StableStore;
 use crate::time::{Duration, SimTime};
 use crate::trace::TraceSink;
+use crate::world::CompTable;
 use std::any::Any;
 use std::fmt;
+use std::rc::Rc;
 
 /// Identifies a node (a machine) in the simulated grid.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -163,19 +165,15 @@ pub(crate) enum Effect {
     },
     Spawn {
         node: NodeId,
-        name: String,
+        name: Rc<str>,
         comp: Box<dyn Component>,
         id: CompId,
-        /// Set when `id` was recycled from the transient free list: the
-        /// epoch the new incarnation must start at so the old incarnation's
-        /// timers stay dead.
-        epoch: Option<u32>,
     },
     Kill {
         addr: Addr,
-    },
-    KillTransient {
-        addr: Addr,
+        /// Whether the name binding goes with the component
+        /// ([`Ctx::kill_transient`]) or stays for a restart ([`Ctx::kill`]).
+        release: bool,
     },
     CrashNode {
         node: NodeId,
@@ -196,13 +194,9 @@ pub struct Ctx<'w> {
     pub(crate) metrics: &'w mut Metrics,
     pub(crate) trace: &'w mut TraceSink,
     pub(crate) next_timer: &'w mut u64,
-    pub(crate) next_comp: &'w mut u32,
-    pub(crate) retired: &'w std::collections::HashMap<(NodeId, String), CompId>,
-    /// `(id, next_epoch)` pairs released by [`Ctx::kill_transient`], reused
-    /// by [`Ctx::spawn`] when the world runs with
-    /// [`crate::world::Config::lean`]. `None` when retention is full (the
-    /// default).
-    pub(crate) free_comps: Option<&'w mut Vec<(u32, u32)>>,
+    /// The world's component ids and the names bound to them, where
+    /// [`Ctx::spawn`] claims an id.
+    pub(crate) comps: &'w mut CompTable,
     /// Sequence number of the kernel event currently being processed;
     /// stamped onto trace records as their `id`.
     pub(crate) event_id: u64,
@@ -234,7 +228,7 @@ impl<'w> Ctx<'w> {
     /// drop a job's per-job records once it is settled.
     #[inline]
     pub fn lean(&self) -> bool {
-        self.free_comps.is_some()
+        self.comps.lean()
     }
 
     /// Send a message to `to` through the network model (latency, loss and
@@ -296,47 +290,45 @@ impl<'w> Ctx<'w> {
     /// Create a new component on `node`. Its `on_start` runs before any
     /// other pending event. Returns the address it will have.
     ///
-    /// Re-spawning under a name that previously existed on the node takes
-    /// over the old address (a restarted daemon listens on the same
-    /// host:port), with a fresh timer epoch.
+    /// Re-spawning under the name of a dead component on the node takes
+    /// over its address (a restarted daemon listens on the same
+    /// host:port): messages sent to the old incarnation reach the new one,
+    /// its timers do not. A handler may kill a component and spawn its
+    /// successor under the same name, which then gets a new address; a
+    /// spawn that finds its name's component still live panics.
     pub fn spawn<C: Component>(&mut self, node: NodeId, name: &str, comp: C) -> Addr {
-        let (id, epoch) = match self.retired.get(&(node, name.to_string())) {
-            Some(&old) => (old, None),
-            None => match self.free_comps.as_mut().and_then(|f| f.pop()) {
-                Some((recycled, epoch)) => (CompId(recycled), Some(epoch)),
-                None => {
-                    let id = CompId(*self.next_comp);
-                    *self.next_comp += 1;
-                    (id, None)
-                }
-            },
-        };
+        let (id, name) = self.comps.claim(node, name);
         self.effects.push(Effect::Spawn {
             node,
-            name: name.to_string(),
+            name,
             comp: Box::new(comp),
             id,
-            epoch,
         });
         Addr { node, comp: id }
     }
 
-    /// Gracefully remove a component (its `on_stop` runs).
+    /// Gracefully remove a component (its `on_stop` runs). Its name stays
+    /// bound to its address for the next spawn under that name.
     pub fn kill(&mut self, addr: Addr) {
-        self.effects.push(Effect::Kill { addr });
+        self.effects.push(Effect::Kill {
+            addr,
+            release: false,
+        });
     }
 
-    /// Gracefully remove a *transient* component (its `on_stop` runs)
-    /// without retiring its name for address reuse. Use for per-job
-    /// ephemera that are never re-spawned under the same name — e.g. a GRAM
-    /// JobManager after its done-ack — so a million-job campaign doesn't
-    /// accumulate a retired-name and epoch entry per finished job.
-    /// Outstanding timers and in-flight messages to the dead address are
-    /// still dropped (the component slot is empty). A later spawn under the
-    /// same name gets a *fresh* address rather than the old one; callers
-    /// must only use this where that distinction cannot matter.
+    /// Gracefully remove a *transient* component (its `on_stop` runs) and
+    /// release its name binding. Use for per-job ephemera that are never
+    /// re-spawned under the same name — e.g. a GRAM JobManager after its
+    /// done-ack — so a million-job campaign keeps no binding per finished
+    /// job. A later spawn under the same name gets a *fresh* address; in a
+    /// lean run ([`crate::world::Config::lean`]) the dead id itself goes to
+    /// the next spawn under any name, and nothing addressed to the dead
+    /// component — timer, message or bulk flow — reaches that one.
     pub fn kill_transient(&mut self, addr: Addr) {
-        self.effects.push(Effect::KillTransient { addr });
+        self.effects.push(Effect::Kill {
+            addr,
+            release: true,
+        });
     }
 
     /// Abruptly crash a node: every component on it loses its in-memory

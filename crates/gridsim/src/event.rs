@@ -38,7 +38,8 @@ use std::collections::BinaryHeap;
 /// What happens when an event fires.
 #[derive(Debug)]
 pub enum EventKind {
-    /// Deliver `msg` to `to` (dropped if the target is dead).
+    /// Deliver `msg` to `to` (dropped if the target is dead, or if its id
+    /// was bound to its current name after `created`).
     Deliver {
         /// Sender.
         from: Addr,
@@ -46,9 +47,12 @@ pub enum EventKind {
         to: Addr,
         /// Payload.
         msg: AnyMsg,
+        /// Queue sequence number the message exists since: the event's own
+        /// for a send, its flow's start for a bulk flow's completion.
+        created: u64,
     },
     /// Fire timer `id` with `tag` on `on` (dropped if cancelled, dead, or
-    /// belonging to an earlier incarnation of a restarted component).
+    /// older than the incarnation now at `on`).
     Timer {
         /// Owning component.
         on: Addr,
@@ -56,8 +60,6 @@ pub enum EventKind {
         id: TimerId,
         /// Caller-chosen discriminator.
         tag: u64,
-        /// Owner incarnation at scheduling time.
-        epoch: u32,
     },
     /// Crash a node (scripted by a fault plan or an operator component).
     NodeCrash {
@@ -491,7 +493,6 @@ mod tests {
                 },
                 id: TimerId(tag),
                 tag,
-                epoch: 0,
             },
             NO_CAUSE,
         );
@@ -745,7 +746,6 @@ mod tests {
                         },
                         id: TimerId(round),
                         tag: round,
-                        epoch: 0,
                     },
                 );
             }

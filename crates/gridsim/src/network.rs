@@ -16,12 +16,12 @@
 
 pub mod flow;
 
-use crate::component::{Addr, AnyMsg, NodeId};
+use crate::component::NodeId;
 use crate::event::EventQueue;
 use crate::hash::{IdMap, IdSet};
 use crate::rng::{Dist, SimRng};
 use crate::time::{Duration, SimTime};
-use flow::{AbortedFlow, FlowDue, FlowNet, LinkId};
+use flow::{FlowDue, FlowNet, LinkId, Parcel};
 
 /// Static configuration of the network model.
 #[derive(Clone, Debug)]
@@ -300,14 +300,8 @@ impl Network {
     /// Unlike the legacy model, loss here compounds per MB of payload: a
     /// transfer of `n` chunks survives with probability `(1 - p)^n` (still
     /// a single RNG draw, so the draw count per transfer is fixed).
-    pub(crate) fn flow_start(
-        &mut self,
-        rng: &mut SimRng,
-        from: Addr,
-        to: Addr,
-        bytes: u64,
-        msg: AnyMsg,
-    ) -> bool {
+    pub(crate) fn flow_start(&mut self, rng: &mut SimRng, parcel: Parcel) -> bool {
+        let (from, to, bytes) = (parcel.from, parcel.to, parcel.bytes);
         debug_assert!(from.node != to.node, "loopback stays on the legacy path");
         if !self.reachable(from.node, to.node) {
             self.dropped += 1;
@@ -334,26 +328,20 @@ impl Network {
         for &l in route {
             latency += Duration::from_secs_f64(flow.link_latency(l));
         }
-        flow.start(from, to, bytes, latency, cap, msg);
+        flow.start(parcel, latency, cap);
         true
     }
 
     /// Complete flow `id` if the firing event's `(now, stamp)` matches the
     /// flow's current deadline and stamp (an event armed before the flow
-    /// was last rescheduled returns `None`). On success: `(from, to,
-    /// payload)`.
-    pub(crate) fn flow_complete(
-        &mut self,
-        id: u64,
-        now: SimTime,
-        stamp: u64,
-    ) -> Option<(Addr, Addr, AnyMsg)> {
+    /// was last rescheduled returns `None`).
+    pub(crate) fn flow_complete(&mut self, id: u64, now: SimTime, stamp: u64) -> Option<Parcel> {
         self.flow.as_mut()?.complete(id, now, stamp)
     }
 
     /// Abort every flow whose endpoints are no longer mutually reachable
     /// (call after installing a partition).
-    pub(crate) fn flow_abort_unreachable(&mut self) -> Vec<AbortedFlow> {
+    pub(crate) fn flow_abort_unreachable(&mut self) -> Vec<Parcel> {
         let Some(flow) = self.flow.as_mut() else {
             return Vec::new();
         };
@@ -362,7 +350,7 @@ impl Network {
     }
 
     /// Abort every flow with an endpoint on `node` (call on node crash).
-    pub(crate) fn flow_abort_node(&mut self, node: NodeId) -> Vec<AbortedFlow> {
+    pub(crate) fn flow_abort_node(&mut self, node: NodeId) -> Vec<Parcel> {
         let Some(flow) = self.flow.as_mut() else {
             return Vec::new();
         };
@@ -371,7 +359,7 @@ impl Network {
 
     /// Take link `name` down and abort the flows crossing it. `None` for
     /// unknown names or flow mode off.
-    pub(crate) fn flow_link_down(&mut self, name: &str) -> Option<Vec<AbortedFlow>> {
+    pub(crate) fn flow_link_down(&mut self, name: &str) -> Option<Vec<Parcel>> {
         let flow = self.flow.as_mut()?;
         let id = flow.link_id(name)?;
         flow.set_link_up(name, false);
@@ -415,6 +403,7 @@ fn volume_loss(p: f64, bytes: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::{Addr, CompId};
 
     fn rng() -> SimRng {
         SimRng::new(11)
@@ -557,20 +546,27 @@ mod tests {
         net.set_flow_route(NodeId(1), NodeId(2), &[wan]);
         let from = Addr {
             node: NodeId(1),
-            comp: crate::component::CompId(0),
+            comp: CompId(0),
         };
         let to = Addr {
             node: NodeId(2),
-            comp: crate::component::CompId(0),
+            comp: CompId(0),
+        };
+        let parcel = || Parcel {
+            from,
+            to,
+            bytes: 1_000,
+            msg: Box::new(1u8),
+            started: 0,
         };
         net.partition(&[NodeId(1)], &[NodeId(2)]);
-        assert!(!net.flow_start(&mut r, from, to, 1_000, Box::new(1u8)));
+        assert!(!net.flow_start(&mut r, parcel()));
         net.heal(&[NodeId(1)], &[NodeId(2)]);
         assert!(net.set_flow_link_up("wan", false));
-        assert!(!net.flow_start(&mut r, from, to, 1_000, Box::new(1u8)));
+        assert!(!net.flow_start(&mut r, parcel()));
         assert_eq!(net.dropped, 2);
         assert!(net.set_flow_link_up("wan", true));
-        assert!(net.flow_start(&mut r, from, to, 1_000, Box::new(1u8)));
+        assert!(net.flow_start(&mut r, parcel()));
         assert_eq!(net.flows_active(), 1);
     }
 }

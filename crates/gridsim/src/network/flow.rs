@@ -125,24 +125,20 @@ struct Flow {
 
 const _: () = assert!(std::mem::size_of::<Flow>() == 64);
 
-/// What a flow carries and between whom: written by `start`, surrendered
-/// on completion or abort, never read by a refresh.
+/// What a flow carries and between whom: handed to `start`, surrendered
+/// on completion (the kernel delivers `msg` to `to`) or abort (the kernel
+/// wraps it in a [`BulkAborted`] delivered to `from`), never read by a
+/// refresh.
 #[derive(Debug)]
-struct Parcel {
-    from: Addr,
-    to: Addr,
-    bytes: u64,
-    msg: AnyMsg,
-}
-
-/// An aborted flow, as reported back to the kernel: the kernel wraps it in
-/// a [`BulkAborted`] delivered to `from`.
-#[derive(Debug)]
-pub(crate) struct AbortedFlow {
+pub(crate) struct Parcel {
     pub(crate) from: Addr,
     pub(crate) to: Addr,
     pub(crate) bytes: u64,
     pub(crate) msg: AnyMsg,
+    /// The queue's next sequence number when the flow started: what its
+    /// completion must be newer than to reach `to` (not the id of the
+    /// event that started it, which may predate `to`'s spawn).
+    pub(crate) started: u64,
 }
 
 /// The earliest pending completion: what the kernel's one armed
@@ -285,20 +281,12 @@ impl FlowNet {
 
     /// Register a new flow over [`FlowNet::route_for`] its endpoints' nodes
     /// (rates/deadlines are assigned by the next [`FlowNet::refresh`]).
-    pub(crate) fn start(
-        &mut self,
-        from: Addr,
-        to: Addr,
-        bytes: u64,
-        latency: Duration,
-        cap: f64,
-        msg: AnyMsg,
-    ) -> u64 {
+    pub(crate) fn start(&mut self, parcel: Parcel, latency: Duration, cap: f64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         // Few classes (at most the node pairs in use), and the refresh
         // that follows every start walks them all anyway.
-        let route = self.route_for(from.node, to.node);
+        let route = self.route_for(parcel.from.node, parcel.to.node);
         let known = self
             .classes
             .iter()
@@ -314,7 +302,7 @@ impl FlowNet {
         self.flows.push(Flow {
             id,
             // Zero-byte transfers still pay the latency tail.
-            remaining: (bytes.max(1)) as f64,
+            remaining: (parcel.bytes.max(1)) as f64,
             rate: 0.0,
             latency,
             class,
@@ -322,34 +310,22 @@ impl FlowNet {
             stamp: 0,
             cause: NO_CAUSE,
         });
-        self.parcels.push(Parcel {
-            from,
-            to,
-            bytes,
-            msg,
-        });
+        self.parcels.push(parcel);
         id
     }
 
     /// Complete flow `id` if `(now, stamp)` — the firing event's
     /// `(time, seq)` — matches the flow's current deadline and stamp; an
     /// event armed before the flow was last rescheduled returns `None`.
-    /// Returns `(from, to, payload)`. The caller is expected to
-    /// [`FlowNet::refresh`] afterwards.
-    pub(crate) fn complete(
-        &mut self,
-        id: u64,
-        now: SimTime,
-        stamp: u64,
-    ) -> Option<(Addr, Addr, AnyMsg)> {
+    /// The caller is expected to [`FlowNet::refresh`] afterwards.
+    pub(crate) fn complete(&mut self, id: u64, now: SimTime, stamp: u64) -> Option<Parcel> {
         let i = self.flows.binary_search_by_key(&id, |f| f.id).ok()?;
         let f = &self.flows[i];
         if f.deadline != now || f.stamp != stamp {
             return None;
         }
         self.flows.remove(i);
-        let p = self.parcels.remove(i);
-        Some((p.from, p.to, p.msg))
+        Some(self.parcels.remove(i))
     }
 
     /// Remove and return, in id order, every flow matching
@@ -358,7 +334,7 @@ impl FlowNet {
     pub(crate) fn abort_where(
         &mut self,
         mut pred: impl FnMut(NodeId, NodeId, &[LinkId]) -> bool,
-    ) -> Vec<AbortedFlow> {
+    ) -> Vec<Parcel> {
         let doomed: Vec<bool> = (self.flows.iter().zip(&self.parcels))
             .map(|(f, p)| {
                 pred(
@@ -374,12 +350,6 @@ impl FlowNet {
         let mut verdict = doomed.iter();
         self.parcels
             .extract_if(.., |_| *verdict.next().expect("one per flow"))
-            .map(|p| AbortedFlow {
-                from: p.from,
-                to: p.to,
-                bytes: p.bytes,
-                msg: p.msg,
-            })
             .collect()
     }
 
@@ -603,8 +573,15 @@ mod tests {
         }
     }
 
-    fn payload() -> AnyMsg {
-        Box::new(42u64)
+    /// `bytes` from node 1 to node `to`, carrying a `u64`.
+    fn parcel(to: u32, bytes: u64) -> Parcel {
+        Parcel {
+            from: addr(1),
+            to: addr(to),
+            bytes,
+            msg: Box::new(42u64),
+            started: 0,
+        }
     }
 
     /// The flow id a proptest parcel was stamped with.
@@ -646,7 +623,7 @@ mod tests {
     /// Start a `bytes`-sized flow from node 1 to `to` with a huge
     /// endpoint cap so only the shared link constrains it.
     fn start(net: &mut FlowNet, to: u32, bytes: u64) -> u64 {
-        net.start(addr(1), addr(to), bytes, Duration::ZERO, 1e12, payload())
+        net.start(parcel(to, bytes), Duration::ZERO, 1e12)
     }
 
     #[test]
@@ -739,15 +716,8 @@ mod tests {
         net.set_route(NodeId(1), NodeId(2), &[wan]);
         net.set_route(NodeId(1), NodeId(3), &[wan]);
         // a is NIC-capped at 100 kB/s; b should absorb the slack (900 kB/s).
-        let a = net.start(
-            addr(1),
-            addr(2),
-            1_000_000,
-            Duration::ZERO,
-            100_000.0,
-            payload(),
-        );
-        let b = net.start(addr(1), addr(3), 1_000_000, Duration::ZERO, 1e12, payload());
+        let a = net.start(parcel(2, 1_000_000), Duration::ZERO, 100_000.0);
+        let b = net.start(parcel(3, 1_000_000), Duration::ZERO, 1e12);
         refresh(&mut net, &mut q, SimTime::ZERO);
         assert_eq!(net.flow(a).rate, 100_000.0);
         assert_eq!(net.flow(b).rate, 900_000.0);
@@ -804,14 +774,7 @@ mod tests {
         let wan = net.add_link("wan", 1_000_000.0, 0.050);
         net.set_route(NodeId(1), NodeId(2), &[wan]);
         net.set_route(NodeId(1), NodeId(3), &[wan]);
-        let a = net.start(
-            addr(1),
-            addr(2),
-            1_000_000,
-            Duration::from_millis(50),
-            1e12,
-            payload(),
-        );
+        let a = net.start(parcel(2, 1_000_000), Duration::from_millis(50), 1e12);
         refresh(&mut net, &mut q, SimTime::ZERO);
         let due = net.next_due().expect("a is due");
         assert_eq!(due.at, SimTime::ZERO + Duration::from_millis(1050));
@@ -1051,7 +1014,9 @@ mod tests {
                         let comp = CompId(next as u32);
                         let from = Addr { node: NodeId(1), comp };
                         let to = Addr { node: NodeId(10 + route as u32), comp };
-                        let id = net.start(from, to, bytes, latency, cap, Box::new(next));
+                        let msg = Box::new(next);
+                        let p = Parcel { from, to, bytes, msg, started: 0 };
+                        let id = net.start(p, latency, cap);
                         prop_assert_eq!(id, next);
                         sent.insert(id, (from, to, bytes));
                         reference.flows.insert(id, PerFlow {
@@ -1078,9 +1043,9 @@ mod tests {
                         now = due.at;
                         let done = net.complete(due.flow, due.at, due.stamp);
                         prop_assert!(done.is_some());
-                        let (from, to, msg) = done.expect("checked");
-                        prop_assert_eq!(tag(&msg), Some(due.flow));
-                        prop_assert_eq!((from, to), (sent[&due.flow].0, sent[&due.flow].1));
+                        let p = done.expect("checked");
+                        prop_assert_eq!(tag(&p.msg), Some(due.flow));
+                        prop_assert_eq!((p.from, p.to), (sent[&due.flow].0, sent[&due.flow].1));
                         reference.flows.remove(&due.flow);
                     }
                     Op::Abort { dt, link } => {

@@ -2,12 +2,12 @@
 //! components, the network, stable storage, metrics and traces, and drives
 //! everything to completion.
 
-use crate::component::{Addr, CompId, Component, Ctx, Effect, Message, NodeId, TimerId};
+use crate::component::{Addr, AnyMsg, CompId, Component, Ctx, Effect, Message, NodeId, TimerId};
 use crate::event::{EventKind, EventQueue, NO_CAUSE};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::hash::{IdMap, IdSet};
 use crate::metrics::{CounterId, Metrics};
-use crate::network::flow::{AbortedFlow, BulkAborted};
+use crate::network::flow::{BulkAborted, Parcel};
 use crate::network::{NetConfig, Network};
 use crate::obs::Profiler;
 use crate::rng::SimRng;
@@ -15,6 +15,7 @@ use crate::store::StableStore;
 use crate::time::{Duration, SimTime};
 use crate::trace::TraceSink;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// The address used by [`World::post`] for externally injected messages.
 /// Components may reply to it; such replies are silently dropped.
@@ -40,10 +41,12 @@ pub struct Config {
     /// it is settled, so memory tracks the *in-flight* jobs rather than
     /// the lifetime total. The kernel recycles the ids of transiently
     /// killed components ([`Ctx::kill_transient`]) into later spawns,
-    /// keeping the dense component table sized by the active set; every
-    /// protocol layer reads the same value through [`Ctx::lean`] to decide
-    /// whether to reclaim its own records. Off by default because reuse
-    /// renumbers components and therefore changes trace output.
+    /// keeping the dense component table sized by the active set; the one
+    /// staleness rule (`CompTable`) keeps what was addressed to a dead
+    /// id from reaching its next owner, so recycling changes no outcome.
+    /// Every protocol layer reads the same value through [`Ctx::lean`] to
+    /// decide whether to reclaim its own records. Off by default because
+    /// reuse renumbers components and therefore changes trace output.
     pub lean: bool,
 }
 
@@ -126,29 +129,181 @@ struct NodeEntry {
     name: String,
     up: bool,
     boot: Option<BootHook>,
-    /// Components hosted here. A set (not a Vec) so the per-job
-    /// spawn/kill churn of GRAM JobManagers stays O(log n) per kill
-    /// instead of an O(n) scan; iteration order (by id) is deterministic.
-    comps: std::collections::BTreeSet<CompId>,
 }
 
-/// Per-component bookkeeping.
+/// A live component.
 struct CompEntry {
     addr: Addr,
-    /// Interned: shared with profiler lookups, so the hot dispatch path
-    /// never copies the name.
-    name: std::rc::Rc<str>,
+    /// The key of its name binding, shared with the profiler, so the hot
+    /// dispatch path never copies the name.
+    name: Rc<str>,
+    /// `None` while its own handler runs.
     comp: Option<Box<dyn Component>>,
-    /// Incarnation number: bumped every time the id is reused after a
-    /// crash/kill, so stale timers from a previous life never fire.
-    epoch: u32,
-    /// The queue's next sequence number when this incarnation took over a
-    /// recycled id (0 otherwise). A `Deliver` scheduled before it was
-    /// addressed to a dead incarnation and is dropped as
-    /// `net.dropped_dead_comp`, as it would be at full retention. Flow
-    /// completions schedule their `Deliver` when the flow finishes, so a
-    /// flow still running at the kill is not caught by this.
+}
+
+/// One component id. The marks are queue sequence numbers and outlive
+/// the component: a dead slot keeps them until a spawn refills it.
+#[derive(Default)]
+struct Slot {
+    live: Option<CompEntry>,
+    /// The queue's next sequence number when the id was bound to its
+    /// current name. A same-name respawn keeps it.
+    bound: u64,
+    /// The queue's next sequence number when the current (or last)
+    /// incarnation was spawned.
     born: u64,
+}
+
+/// What an event must be newer than to reach a slot.
+#[derive(Clone, Copy)]
+enum Mark {
+    /// The name binding: a message or a flow completion follows its
+    /// address across restarts of the same name.
+    Binding,
+    /// The incarnation: a timer dies with the component that set it.
+    Incarnation,
+}
+
+/// Every component id the world has handed out and every name bound to
+/// one, under one staleness rule: an event reaches a slot only if it was
+/// created after what it is addressed to ([`Mark`]). Both marks are queue
+/// sequence numbers, compared against the one the event was created at:
+/// its own for a timer or a message, its flow's start for a bulk flow's
+/// completion.
+///
+/// A dead component's name stays bound to its id, so the next spawn under
+/// that name on that node takes the address back (services restart on the
+/// same host:port). [`Ctx::kill_transient`] releases the binding instead,
+/// and in a lean run puts the id on the free list for the next spawn under
+/// any name.
+pub(crate) struct CompTable {
+    /// Indexed by `CompId`: ids are handed out densely, so the hot
+    /// dispatch path is one array index, not a hash lookup.
+    slots: Vec<Slot>,
+    /// Per node: name → id, for live components and for dead ones whose
+    /// name a restart takes back.
+    names: Vec<HashMap<Rc<str>, CompId>>,
+    /// Ids released by transient kills. `Some` only when [`Config::lean`]
+    /// is on.
+    free: Option<Vec<u32>>,
+}
+
+impl CompTable {
+    fn new(lean: bool) -> CompTable {
+        CompTable {
+            slots: Vec::new(),
+            names: Vec::new(),
+            free: lean.then(Vec::new),
+        }
+    }
+
+    /// Whether the run recycles ids ([`Config::lean`]).
+    pub(crate) fn lean(&self) -> bool {
+        self.free.is_some()
+    }
+
+    /// The id and name key a spawn of `name` on `node` takes: the id a
+    /// dead component's binding holds, else a recycled one, else a fresh
+    /// one. The binding itself is made when the spawn fills the slot, so a
+    /// handler may kill a component and spawn its successor under the
+    /// same name: the successor gets a new id.
+    pub(crate) fn claim(&mut self, node: NodeId, name: &str) -> (CompId, Rc<str>) {
+        let bound = self.names.get(node.0 as usize);
+        let key = match bound.and_then(|names| names.get_key_value(name)) {
+            Some((key, &id)) if self.slots[id.0 as usize].live.is_none() => {
+                return (id, key.clone());
+            }
+            Some((key, _)) => key.clone(),
+            None => name.into(),
+        };
+        let id = match self.free.as_mut().and_then(Vec::pop) {
+            Some(id) => id,
+            None => {
+                self.slots.push(Slot::default());
+                self.slots.len() as u32 - 1
+            }
+        };
+        (CompId(id), key)
+    }
+
+    /// Put `comp` into its claimed slot at `addr`, bound to `name`, as of
+    /// queue sequence number `seq`. A name whose component is live is
+    /// never spawned again.
+    fn fill(&mut self, addr: Addr, name: Rc<str>, comp: Box<dyn Component>, seq: u64) {
+        let node = addr.node.0 as usize;
+        if self.names.len() <= node {
+            self.names.resize_with(node + 1, HashMap::new);
+        }
+        let prior = self.names[node].insert(name.clone(), addr.comp);
+        assert!(
+            prior.is_none_or(|id| self.slots[id.0 as usize].live.is_none()),
+            "spawning {name} on {:?} while it is live",
+            addr.node
+        );
+        let slot = &mut self.slots[addr.comp.0 as usize];
+        if prior != Some(addr.comp) {
+            slot.bound = seq;
+        }
+        slot.born = seq;
+        slot.live = Some(CompEntry {
+            addr,
+            name,
+            comp: Some(comp),
+        });
+    }
+
+    /// Empty the slot at `addr`, keeping its name binding for a restart
+    /// or, with `release`, dropping it (and recycling the id in a lean
+    /// run). Returns whether a component was there.
+    fn vacate(&mut self, addr: Addr, release: bool) -> bool {
+        let slot = self.slots.get_mut(addr.comp.0 as usize);
+        let Some(entry) = slot.and_then(|s| s.live.take_if(|e| e.addr == addr)) else {
+            return false;
+        };
+        if release {
+            self.names[addr.node.0 as usize].remove(&entry.name);
+            if let Some(free) = &mut self.free {
+                free.push(addr.comp.0);
+            }
+        }
+        true
+    }
+
+    /// Empty every slot on `node`, keeping their bindings. Every live
+    /// component is bound, so the node's names reach them all; their order
+    /// is immaterial, as nothing observes a component being dropped.
+    fn vacate_node(&mut self, node: NodeId) {
+        let Some(names) = self.names.get(node.0 as usize) else {
+            return;
+        };
+        for &id in names.values() {
+            self.slots[id.0 as usize].live = None;
+        }
+    }
+
+    fn live_mut(&mut self, id: CompId) -> Option<&mut CompEntry> {
+        self.slots.get_mut(id.0 as usize)?.live.as_mut()
+    }
+
+    /// The live component bound to `name` on `node`.
+    fn lookup(&self, node: NodeId, name: &str) -> Option<CompId> {
+        let &id = self.names.get(node.0 as usize)?.get(name)?;
+        self.slots[id.0 as usize].live.as_ref().map(|_| id)
+    }
+
+    /// The rule: whether an event created at queue sequence number
+    /// `created` reaches a live component at `to`, being no older than its
+    /// `mark`.
+    fn reaches(&self, to: Addr, created: u64, mark: Mark) -> bool {
+        let Some(slot) = self.slots.get(to.comp.0 as usize) else {
+            return false;
+        };
+        let since = match mark {
+            Mark::Binding => slot.bound,
+            Mark::Incarnation => slot.born,
+        };
+        slot.live.as_ref().is_some_and(|c| c.addr == to) && created >= since
+    }
 }
 
 /// Handles of the `net.*` counters the kernel bumps per message, transfer
@@ -193,28 +348,14 @@ pub struct World {
     /// Timers cancelled but not yet popped from the queue.
     cancelled: IdSet<TimerId>,
     nodes: Vec<NodeEntry>,
-    /// Component table indexed directly by `CompId` (ids are allocated
-    /// sequentially, so the table is dense). Dead slots are `None`; the
-    /// hot event-dispatch path is two array indexes, not hash lookups.
-    comps: Vec<Option<CompEntry>>,
-    names: HashMap<(NodeId, String), CompId>,
+    comps: CompTable,
     network: Network,
     store: StableStore,
     rng: SimRng,
     metrics: Metrics,
     net: NetCounters,
     trace: TraceSink,
-    next_comp: u32,
     next_timer: u64,
-    /// Names of components that died (crash or kill), so a component
-    /// re-created under the same name on the same node keeps its address —
-    /// services restart on the same host:port.
-    retired: HashMap<(NodeId, String), CompId>,
-    /// Next epoch for a reused component id.
-    epochs: HashMap<u32, u32>,
-    /// Ids released by transient kills, with the epoch their next
-    /// incarnation must start at. `Some` only when [`Config::lean`] is on.
-    free_comps: Option<Vec<(u32, u32)>>,
     halted: bool,
     events_processed: u64,
     max_time: Option<SimTime>,
@@ -275,19 +416,14 @@ impl World {
             fifo: IdMap::default(),
             cancelled: IdSet::default(),
             nodes: Vec::new(),
-            comps: Vec::new(),
-            names: HashMap::new(),
+            comps: CompTable::new(config.lean),
             network: Network::new(config.net),
             store: StableStore::new(),
             rng: SimRng::new(config.seed),
             metrics,
             net,
             trace: TraceSink::new(config.trace),
-            next_comp: 0,
             next_timer: 0,
-            retired: HashMap::new(),
-            epochs: HashMap::new(),
-            free_comps: config.lean.then(Vec::new),
             halted: false,
             events_processed: 0,
             max_time: config.max_time,
@@ -322,7 +458,6 @@ impl World {
             name: name.to_string(),
             up: true,
             boot: None,
-            comps: std::collections::BTreeSet::new(),
         });
         id
     }
@@ -339,63 +474,22 @@ impl World {
             self.nodes[node.0 as usize].up,
             "adding component to crashed node"
         );
-        let addr = self.insert_component(node, name.to_string(), Box::new(comp));
-        self.dispatch_start(addr);
-        addr
-    }
-
-    /// Borrow the live entry for `id`, if any.
-    fn comp(&self, id: CompId) -> Option<&CompEntry> {
-        self.comps.get(id.0 as usize).and_then(|s| s.as_ref())
-    }
-
-    /// The (possibly empty) table slot for `id`, growing the table on
-    /// first use of a fresh id.
-    fn comp_slot(&mut self, id: CompId) -> &mut Option<CompEntry> {
-        let idx = id.0 as usize;
-        if self.comps.len() <= idx {
-            self.comps.resize_with(idx + 1, || None);
-        }
-        &mut self.comps[idx]
-    }
-
-    fn insert_component(&mut self, node: NodeId, name: String, comp: Box<dyn Component>) -> Addr {
-        // A component re-created under a name that previously existed on
-        // this node takes over the old address (stable host:port).
-        let id = match self.retired.remove(&(node, name.clone())) {
-            Some(old) => old,
-            None => {
-                let id = CompId(self.next_comp);
-                self.next_comp += 1;
-                id
-            }
-        };
-        let epoch = self.epochs.get(&id.0).copied().unwrap_or(0);
+        let (id, name) = self.comps.claim(node, name);
         let addr = Addr { node, comp: id };
-        *self.comp_slot(id) = Some(CompEntry {
-            addr,
-            name: name.as_str().into(),
-            comp: Some(comp),
-            epoch,
-            born: 0,
-        });
-        self.nodes[node.0 as usize].comps.insert(id);
-        self.names.insert((node, name), id);
+        self.install(addr, name, Box::new(comp));
         addr
     }
 
-    /// Mark a component id dead: retire its name for address reuse and bump
-    /// the epoch so its outstanding timers die with it.
-    fn retire(&mut self, node: NodeId, name: String, id: CompId) {
-        *self.epochs.entry(id.0).or_insert(0) += 1;
-        self.retired.insert((node, name), id);
+    /// Fill a claimed slot and run the component's `on_start`.
+    fn install(&mut self, addr: Addr, name: Rc<str>, comp: Box<dyn Component>) {
+        self.comps.fill(addr, name, comp, self.queue.next_seq());
+        self.dispatch_start(addr);
     }
 
-    /// Find a component by `(node, name)`.
+    /// Find a live component by `(node, name)`.
     pub fn lookup(&self, node: NodeId, name: &str) -> Option<Addr> {
-        self.names
-            .get(&(node, name.to_string()))
-            .map(|&comp| Addr { node, comp })
+        let comp = self.comps.lookup(node, name)?;
+        Some(Addr { node, comp })
     }
 
     /// The name a node was registered with.
@@ -413,15 +507,15 @@ impl World {
     /// Inject a message from outside the simulation (delivered at the
     /// current instant, reliable). The receiver sees [`EXTERNAL`] as sender.
     pub fn post<M: Message>(&mut self, to: Addr, msg: M) {
-        self.queue.push(
-            self.now,
-            EventKind::Deliver {
-                from: EXTERNAL,
-                to,
-                msg: Box::new(msg),
-            },
-            NO_CAUSE,
-        );
+        let created = self.queue.next_seq();
+        let msg = Box::new(msg);
+        let post = EventKind::Deliver {
+            from: EXTERNAL,
+            to,
+            msg,
+            created,
+        };
+        self.queue.push(self.now, post, NO_CAUSE);
     }
 
     /// Schedule the actions of a fault plan.
@@ -467,8 +561,7 @@ impl World {
     /// no `on_stop` runs, its timers die, in-flight messages to it drop.
     /// Fault-injection only; see [`crate::Ctx::kill`] for graceful removal.
     pub fn kill_component_now(&mut self, addr: Addr) {
-        if self.comp(addr.comp).is_some_and(|c| c.addr == addr) {
-            self.remove_component(addr);
+        if self.comps.vacate(addr, false) {
             self.metrics.incr("comp.killed", 1);
         }
     }
@@ -612,29 +705,27 @@ impl World {
 
     fn process(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Deliver { from, to, msg } => {
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                created,
+            } => {
                 if !self.nodes.get(to.node.0 as usize).is_some_and(|n| n.up) {
                     self.metrics.add(self.net.dropped_dead_node, 1);
                     return;
                 }
-                let seq = self.cur_event_id;
-                let alive = self
-                    .comp(to.comp)
-                    .is_some_and(|c| c.comp.is_some() && c.addr == to && seq >= c.born);
-                if !alive {
+                if !self.comps.reaches(to, created, Mark::Binding) {
                     self.metrics.add(self.net.dropped_dead_comp, 1);
                     return;
                 }
                 self.dispatch(to, |comp, ctx| comp.on_message(ctx, from, msg));
             }
-            EventKind::Timer { on, id, tag, epoch } => {
+            EventKind::Timer { on, id, tag } => {
                 if !self.nodes.get(on.node.0 as usize).is_some_and(|n| n.up) {
                     return;
                 }
-                let alive = self
-                    .comp(on.comp)
-                    .is_some_and(|c| c.comp.is_some() && c.addr == on && c.epoch == epoch);
-                if !alive {
+                if !self.comps.reaches(on, self.cur_event_id, Mark::Incarnation) {
                     return;
                 }
                 self.dispatch(on, |comp, ctx| comp.on_timer(ctx, id, tag));
@@ -691,11 +782,9 @@ impl World {
                 let armed = self.flow_armed.pop();
                 debug_assert_eq!(armed, Some((at, stamp)));
                 match self.network.flow_complete(flow, at, stamp) {
-                    Some((from, to, msg)) => {
+                    Some(p) => {
                         self.metrics.add(self.net.flows_done, 1);
-                        let cause = self.cause_now();
-                        self.queue
-                            .push(self.now, EventKind::Deliver { from, to, msg }, cause);
+                        self.send_at(self.now, p.from, p.to, p.msg, p.started);
                         self.flow_refresh();
                     }
                     // The flow was rescheduled after this was armed.
@@ -769,25 +858,30 @@ impl World {
     /// Deliver a [`BulkAborted`] notice to the sender of every aborted
     /// flow (at the current instant — the sender-side stack observes the
     /// break immediately, like a TCP reset), then rescale the survivors.
-    fn finish_flow_aborts(&mut self, aborted: Vec<AbortedFlow>) {
-        let cause = self.cause_now();
+    fn finish_flow_aborts(&mut self, aborted: Vec<Parcel>) {
         for a in aborted {
             self.metrics.add(self.net.flows_aborted, 1);
-            self.queue.push(
-                self.now,
-                EventKind::Deliver {
-                    from: a.to,
-                    to: a.from,
-                    msg: Box::new(BulkAborted {
-                        to: a.to,
-                        bytes: a.bytes,
-                        msg: a.msg,
-                    }),
-                },
-                cause,
-            );
+            let notice = Box::new(BulkAborted {
+                to: a.to,
+                bytes: a.bytes,
+                msg: a.msg,
+            });
+            self.send_at(self.now, a.to, a.from, notice, self.queue.next_seq());
         }
         self.flow_refresh();
+    }
+
+    /// Queue `msg` for delivery to `to` at `at`, as a message that exists
+    /// since queue sequence number `created` (see [`EventKind::Deliver`]).
+    fn send_at(&mut self, at: SimTime, from: Addr, to: Addr, msg: AnyMsg, created: u64) {
+        let cause = self.cause_now();
+        let deliver = EventKind::Deliver {
+            from,
+            to,
+            msg,
+            created,
+        };
+        self.queue.push(at, deliver, cause);
     }
 
     /// Record a kernel-injected fault in the trace (roots of the causal
@@ -814,11 +908,7 @@ impl World {
     where
         F: FnOnce(&mut dyn Component, &mut Ctx<'_>),
     {
-        let Some(entry) = self
-            .comps
-            .get_mut(addr.comp.0 as usize)
-            .and_then(|s| s.as_mut())
-        else {
+        let Some(entry) = self.comps.live_mut(addr.comp) else {
             return;
         };
         let Some(mut comp) = entry.comp.take() else {
@@ -834,9 +924,7 @@ impl World {
             metrics: &mut self.metrics,
             trace: &mut self.trace,
             next_timer: &mut self.next_timer,
-            next_comp: &mut self.next_comp,
-            retired: &self.retired,
-            free_comps: self.free_comps.as_mut(),
+            comps: &mut self.comps,
             event_id: self.cur_event_id,
             event_cause: self.cur_inherited,
         };
@@ -847,11 +935,7 @@ impl World {
         {
             p.note_handler(&name, t0.elapsed());
         }
-        if let Some(entry) = self
-            .comps
-            .get_mut(addr.comp.0 as usize)
-            .and_then(|s| s.as_mut())
-        {
+        if let Some(entry) = self.comps.live_mut(addr.comp) {
             // The slot can only still be empty (crash removes the entry
             // entirely, and effects haven't been applied yet).
             entry.comp = Some(comp);
@@ -878,9 +962,7 @@ impl World {
                                 at = *slot;
                             }
                             *slot = at;
-                            let cause = self.cause_now();
-                            self.queue
-                                .push(at, EventKind::Deliver { from, to, msg }, cause);
+                            self.send_at(at, from, to, msg, self.queue.next_seq());
                         }
                         None => {
                             self.metrics.add(self.net.lost, 1);
@@ -894,7 +976,14 @@ impl World {
                         // Flow mode: the transfer contends with every other
                         // flow on its route; its completion time moves with
                         // them instead of being fixed at start.
-                        if self.network.flow_start(&mut self.rng, from, to, bytes, msg) {
+                        let parcel = Parcel {
+                            from,
+                            to,
+                            bytes,
+                            msg,
+                            started: self.queue.next_seq(),
+                        };
+                        if self.network.flow_start(&mut self.rng, parcel) {
                             self.metrics.add(self.net.flows_started, 1);
                             self.flow_refresh();
                         } else {
@@ -907,12 +996,7 @@ impl World {
                         .transfer_duration(&mut self.rng, from.node, to.node, bytes)
                     {
                         Some(delay) => {
-                            let cause = self.cause_now();
-                            self.queue.push(
-                                self.now + delay,
-                                EventKind::Deliver { from, to, msg },
-                                cause,
-                            );
+                            self.send_at(self.now + delay, from, to, msg, self.queue.next_seq());
                         }
                         None => {
                             self.metrics.add(self.net.lost, 1);
@@ -924,26 +1008,12 @@ impl World {
                         .network
                         .route(&mut self.rng, from.node, from.node)
                         .expect("loopback never drops");
-                    let cause = self.cause_now();
-                    self.queue.push(
-                        self.now + latency,
-                        EventKind::Deliver { from, to, msg },
-                        cause,
-                    );
+                    self.send_at(self.now + latency, from, to, msg, self.queue.next_seq());
                 }
                 Effect::SetTimer { id, after, tag } => {
-                    let epoch = self.comp(from.comp).map_or(0, |c| c.epoch);
                     let cause = self.cause_now();
-                    self.queue.push(
-                        self.now + after,
-                        EventKind::Timer {
-                            on: from,
-                            id,
-                            tag,
-                            epoch,
-                        },
-                        cause,
-                    );
+                    let timer = EventKind::Timer { on: from, id, tag };
+                    self.queue.push(self.now + after, timer, cause);
                 }
                 Effect::CancelTimer { id } => {
                     self.cancelled.insert(id);
@@ -953,40 +1023,16 @@ impl World {
                     name,
                     comp,
                     id,
-                    epoch,
                 } => {
-                    if !self.nodes[node.0 as usize].up {
-                        // Spawning onto a dead node fails silently, like
-                        // forking on a crashed machine.
-                        continue;
+                    // Spawning onto a dead node fails silently, like
+                    // forking on a crashed machine.
+                    if self.nodes[node.0 as usize].up {
+                        self.install(Addr { node, comp: id }, name, comp);
                     }
-                    // The id may be a retired one being reused.
-                    self.retired.remove(&(node, name.clone()));
-                    let addr = Addr { node, comp: id };
-                    // Recycled ids carry their epoch with them and refuse
-                    // the messages already in flight to them; retired
-                    // (same-name) reuse reads the epochs map as before.
-                    let born = epoch.map_or(0, |_| self.queue.next_seq());
-                    let epoch =
-                        epoch.unwrap_or_else(|| self.epochs.get(&id.0).copied().unwrap_or(0));
-                    *self.comp_slot(id) = Some(CompEntry {
-                        addr,
-                        name: name.as_str().into(),
-                        comp: Some(comp),
-                        epoch,
-                        born,
-                    });
-                    self.nodes[node.0 as usize].comps.insert(id);
-                    self.names.insert((node, name), id);
-                    self.dispatch_start(addr);
                 }
-                Effect::Kill { addr } => {
+                Effect::Kill { addr, release } => {
                     self.dispatch(addr, |comp, ctx| comp.on_stop(ctx));
-                    self.remove_component(addr);
-                }
-                Effect::KillTransient { addr } => {
-                    self.dispatch(addr, |comp, ctx| comp.on_stop(ctx));
-                    self.remove_component_transient(addr);
+                    self.comps.vacate(addr, release);
                 }
                 Effect::CrashNode { node } => self.do_crash(node),
                 Effect::Halt => {
@@ -999,53 +1045,13 @@ impl World {
         }
     }
 
-    fn remove_component(&mut self, addr: Addr) {
-        if let Some(entry) = self
-            .comps
-            .get_mut(addr.comp.0 as usize)
-            .and_then(|s| s.take())
-        {
-            let name = entry.name.to_string();
-            self.names.remove(&(addr.node, name.clone()));
-            self.nodes[addr.node.0 as usize].comps.remove(&addr.comp);
-            self.retire(addr.node, name, addr.comp);
-        }
-    }
-
-    /// Remove a component without retiring its name: no `retired` or
-    /// `epochs` entry survives it, so per-job transients (JobManagers) cost
-    /// zero residual kernel memory. Stale timers and deliveries still drop
-    /// because the slot is empty and the id is never reused.
-    fn remove_component_transient(&mut self, addr: Addr) {
-        if let Some(entry) = self
-            .comps
-            .get_mut(addr.comp.0 as usize)
-            .and_then(|s| s.take())
-        {
-            self.names.remove(&(addr.node, entry.name.to_string()));
-            self.nodes[addr.node.0 as usize].comps.remove(&addr.comp);
-            if let Some(free) = &mut self.free_comps {
-                // Bump the epoch so the dead incarnation's timers cannot
-                // fire into whatever reuses the id.
-                free.push((addr.comp.0, entry.epoch + 1));
-            }
-        }
-    }
-
     fn do_crash(&mut self, node: NodeId) {
         let entry = &mut self.nodes[node.0 as usize];
         if !entry.up {
             return;
         }
         entry.up = false;
-        let comps = std::mem::take(&mut entry.comps);
-        for id in comps {
-            if let Some(e) = self.comps.get_mut(id.0 as usize).and_then(|s| s.take()) {
-                let name = e.name.to_string();
-                self.names.remove(&(node, name.clone()));
-                self.retire(node, name, id);
-            }
-        }
+        self.comps.vacate_node(node);
         self.metrics.incr("node.crashes", 1);
     }
 
@@ -1070,8 +1076,8 @@ impl World {
         let spawns = bctx.spawns;
         self.nodes[node.0 as usize].boot = Some(boot);
         for (name, comp) in spawns {
-            let addr = self.insert_component(node, name, comp);
-            self.dispatch_start(addr);
+            let (id, name) = self.comps.claim(node, &name);
+            self.install(Addr { node, comp: id }, name, comp);
         }
     }
 }
@@ -1509,35 +1515,53 @@ mod tests {
 
     #[test]
     fn recycled_id_is_not_delivered_a_stale_message() {
-        // A message still crossing the WAN when its receiver is transiently
-        // killed must not reach the component that recycles the id: full
-        // retention drops it as addressed to a dead component, and lean
-        // retention may deliver no more than that.
+        // A message still crossing the WAN, or a bulk flow still on its
+        // link, when its receiver is transiently killed must not reach the
+        // component that recycles the id: full retention drops them as
+        // addressed to a dead component, and lean retention may deliver no
+        // more than that. A flow to the new incarnation is delivered even
+        // when the event that starts it was queued before the respawn.
         #[derive(Debug)]
         struct Ping;
         #[derive(Debug)]
-        struct PingTo(Addr);
+        enum Order {
+            Ping(Addr),
+            Bulk(Addr, &'static str),
+            BulkAt5s(Addr),
+        }
         #[derive(Debug)]
         struct KillChild;
         #[derive(Debug)]
         struct SpawnChild(&'static str);
-        struct Worker;
+        struct Worker(Log);
         impl Component for Worker {
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, _msg: AnyMsg) {
-                let node = ctx.node();
-                let got: u64 = ctx.store().get(node, "pings").unwrap_or(0);
-                ctx.store().put(node, "pings", &(got + 1));
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+                let got = match msg.downcast::<Blob>() {
+                    Ok(blob) => blob.0,
+                    Err(_) => "ping",
+                };
+                self.0.borrow_mut().push(got);
             }
         }
-        struct Sender;
+        struct Sender(Option<Addr>);
         impl Component for Sender {
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
-                let PingTo(to) = *msg.downcast::<PingTo>().unwrap();
-                ctx.send(to, Ping);
+                match *msg.downcast::<Order>().unwrap() {
+                    Order::Ping(to) => ctx.send(to, Ping),
+                    Order::Bulk(to, name) => ctx.send_bulk(to, 10_000_000, Blob(name)),
+                    Order::BulkAt5s(to) => {
+                        self.0 = Some(to);
+                        ctx.set_timer(Duration::from_secs(4), 0);
+                    }
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+                ctx.send_bulk(self.0.unwrap(), 1_000_000, Blob("fresh"));
             }
         }
         struct Boss {
             child: Option<Addr>,
+            log: Log,
         }
         impl Component for Boss {
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
@@ -1545,7 +1569,8 @@ mod tests {
                     ctx.kill_transient(self.child.take().unwrap());
                 } else {
                     let SpawnChild(name) = *msg.downcast::<SpawnChild>().unwrap();
-                    self.child = Some(ctx.spawn(ctx.node(), name, Worker));
+                    let worker = Worker(self.log.clone());
+                    self.child = Some(ctx.spawn(ctx.node(), name, worker));
                 }
             }
         }
@@ -1555,14 +1580,27 @@ mod tests {
         };
         let mut w = World::new(Config::default().seed(1).net(net).lean());
         let (a, b) = (w.add_node("a"), w.add_node("b"));
-        let boss = w.add_component(b, "boss", Boss { child: None });
-        let sender = w.add_component(a, "sender", Sender);
+        let wan = w.network_mut().add_flow_link("wan", 1e6, 0.0);
+        w.network_mut().set_flow_route(a, b, &[wan]);
+        let log = Log::default();
+        let boss = w.add_component(
+            b,
+            "boss",
+            Boss {
+                child: None,
+                log: log.clone(),
+            },
+        );
+        let sender = w.add_component(a, "sender", Sender(None));
         w.post(boss, SpawnChild("w0"));
         w.run_until(w.now() + Duration::from_secs(1));
         let first = w.lookup(b, "w0").unwrap();
-        // The ping lands 10 s from now; its receiver dies at 2 s and the
-        // id is reused at 3 s.
-        w.post(sender, PingTo(first));
+        // The ping lands 10 s from now and the 10 MB flow at 21 s; their
+        // receiver dies at 2 s and the id is reused at 3 s. The timer that
+        // starts a flow to the new incarnation at 5 s is queued now.
+        w.post(sender, Order::Ping(first));
+        w.post(sender, Order::Bulk(first, "stale"));
+        w.post(sender, Order::BulkAt5s(first));
         w.run_until(w.now() + Duration::from_secs(1));
         w.post(boss, KillChild);
         w.run_until(w.now() + Duration::from_secs(1));
@@ -1570,16 +1608,58 @@ mod tests {
         w.run_until(w.now() + Duration::from_secs(1));
         assert_eq!(w.lookup(b, "w1"), Some(first), "the id was recycled");
         w.run_until_quiescent();
-        assert_eq!(
-            w.store().get::<u64>(b, "pings"),
-            None,
-            "stale ping delivered"
-        );
-        assert_eq!(w.metrics().counter("net.dropped_dead_comp"), 1);
+        assert_eq!(*log.borrow(), ["fresh"], "only the fresh flow arrives");
+        assert_eq!(w.metrics().counter("net.flows_done"), 2);
+        assert_eq!(w.metrics().counter("net.dropped_dead_comp"), 2);
         // The new incarnation still hears what is sent to it afterwards.
-        w.post(sender, PingTo(first));
+        w.post(sender, Order::Ping(first));
         w.run_until_quiescent();
-        assert_eq!(w.store().get::<u64>(b, "pings"), Some(1));
+        assert_eq!(*log.borrow(), ["fresh", "ping"]);
+    }
+
+    #[test]
+    fn a_restart_keeps_messages_in_flight_and_drops_old_timers() {
+        // A daemon restarted under its name takes its address back: the
+        // ping sent to the old incarnation reaches the new one, and only
+        // the new incarnation's timer fires in it.
+        struct Daemon(Log);
+        impl Component for Daemon {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(Duration::from_secs(5), 0);
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: Addr, _msg: AnyMsg) {
+                self.0.borrow_mut().push("ping");
+            }
+            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+                self.0.borrow_mut().push("timer");
+            }
+        }
+        struct Relay(Addr);
+        impl Component for Relay {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, _msg: AnyMsg) {
+                ctx.send(self.0, Hit(0));
+            }
+        }
+        let net = NetConfig {
+            default_latency: crate::rng::Dist::Constant(10.0),
+            ..NetConfig::default()
+        };
+        let mut w = World::new(Config::default().seed(1).net(net));
+        let (a, b) = (w.add_node("a"), w.add_node("b"));
+        let log = Log::default();
+        let daemon = w.add_component(b, "daemon", Daemon(log.clone()));
+        let relay = w.add_component(a, "relay", Relay(daemon));
+        // The ping lands at 10 s; the first timer was due at 5 s, the
+        // restarted daemon's at 7 s.
+        w.post(relay, Hit(0));
+        w.run_until(SimTime::ZERO + Duration::from_secs(1));
+        w.kill_component_now(daemon);
+        w.run_until(SimTime::ZERO + Duration::from_secs(2));
+        let again = w.add_component(b, "daemon", Daemon(log.clone()));
+        assert_eq!(again, daemon, "a restart keeps its address");
+        w.run_until_quiescent();
+        assert_eq!(*log.borrow(), ["timer", "ping"]);
+        assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(10));
     }
 
     // ----- flow network: the one armed completion event ------------------

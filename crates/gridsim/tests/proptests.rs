@@ -102,7 +102,6 @@ proptest! {
                     on: Addr { node: NodeId(0), comp: CompId(0) },
                     id: TimerId(i as u64),
                     tag: i as u64,
-                    epoch: 0,
                 },
                 gridsim::event::NO_CAUSE,
             );
@@ -165,7 +164,6 @@ proptest! {
             on: Addr { node: NodeId(0), comp: CompId(0) },
             id: TimerId(tag),
             tag,
-            epoch: 0,
         };
         let drain = |q: &mut EventQueue,
                          reference: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,

@@ -108,33 +108,40 @@ fn lean_campaign_completes_and_reclaims_state() {
     // The one retention value reaches every layer: a lean run leaves no
     // per-job record anywhere once the campaign settles, a full run keeps
     // one per job in the queue, the GridManager and the JobManager logs.
+    // And it changes no outcome: at every seed both retentions settle the
+    // same jobs, with the same digest, at the same sim time.
     const JOBS: usize = 400;
     let per_job = ["condor_g/jane/job/", "gm/jane/job/", "gram/jm/"];
-    for lean in [true, false] {
-        let (r, tb) = run_campaign(11, JOBS as u64, lean);
-        assert_eq!(r.jobs_done + r.jobs_failed, 400, "lean={lean}: {r:?}");
-        assert!(r.jobs_done >= 390, "lean={lean}: {r:?}");
-        assert_ne!(r.digest, 0xcbf2_9ce4_8422_2325, "digest never advanced");
-        let dedup: usize = tb
-            .sites
-            .iter()
-            .map(|s| keys_under(&tb, &format!("gram/gk/{}/dedup/", s.name)))
-            .sum();
-        let staged = keys_under(&tb, "gassfs/condor_g/out/");
-        if lean {
-            for prefix in per_job {
-                assert_eq!(keys_under(&tb, prefix), 0, "lean run kept {prefix}");
+    for seed in [3, 11, 42] {
+        let [lean, full] = [true, false].map(|lean| {
+            let (r, tb) = run_campaign(seed, JOBS as u64, lean);
+            assert_eq!(r.jobs_done + r.jobs_failed, 400, "lean={lean}: {r:?}");
+            assert!(r.jobs_done >= 390, "lean={lean}: {r:?}");
+            assert_ne!(r.digest, 0xcbf2_9ce4_8422_2325, "digest never advanced");
+            let dedup: usize = tb
+                .sites
+                .iter()
+                .map(|s| keys_under(&tb, &format!("gram/gk/{}/dedup/", s.name)))
+                .sum();
+            let staged = keys_under(&tb, "gassfs/condor_g/out/");
+            if lean {
+                for prefix in per_job {
+                    assert_eq!(keys_under(&tb, prefix), 0, "lean run kept {prefix}");
+                }
+                assert_eq!(dedup, 0, "lean run kept dedup records");
+                assert_eq!(staged, 0, "lean run kept staged output");
+            } else {
+                for prefix in per_job {
+                    assert_eq!(keys_under(&tb, prefix), JOBS, "full run under {prefix}");
+                }
+                assert_eq!(dedup, JOBS, "full run's dedup records");
+                // Only jobs with stdout stage any, but the prefix is live.
+                assert!(staged > 0, "full run staged no output");
             }
-            assert_eq!(dedup, 0, "lean run kept dedup records");
-            assert_eq!(staged, 0, "lean run kept staged output");
-        } else {
-            for prefix in per_job {
-                assert_eq!(keys_under(&tb, prefix), JOBS, "full run under {prefix}");
-            }
-            assert_eq!(dedup, JOBS, "full run's dedup records");
-            // Only jobs with stdout stage any, but the prefix is live.
-            assert!(staged > 0, "full run staged no output");
-        }
+            r
+        });
+        let outcome = |r: &CellResult| (r.jobs_done, r.jobs_failed, r.digest, r.sim_secs);
+        assert_eq!(outcome(&lean), outcome(&full), "seed {seed}: lean vs full");
     }
 }
 
