@@ -166,10 +166,11 @@ impl Component for GCat {
             return;
         }
         if let Some(aborted) = msg.downcast_ref::<BulkAborted>() {
-            // Flow mode: our in-flight chunk was cut mid-transfer by a
-            // partition or link failure. Resend immediately — WriteAt at a
-            // fixed offset is idempotent — and keep the deadline timer as
-            // the backstop if the route is still dead.
+            // Our in-flight chunk, a flow over a declared link, was cut
+            // mid-transfer by a partition or link failure. Resend
+            // immediately — WriteAt at a fixed offset is idempotent — and
+            // keep the deadline timer as the backstop if the route is
+            // still dead.
             if self.in_flight.is_some() {
                 ctx.metrics().incr("gcat.retries", 1);
                 let bytes = aborted.bytes;

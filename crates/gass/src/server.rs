@@ -129,9 +129,10 @@ impl Component for GassServer {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
-        // Flow mode: a bulk reply we sent was cut mid-flight (partition,
-        // link failure). Surface a *retryable* failure to the requester as
-        // a small control message — the file is fine, the route died.
+        // A bulk reply we sent, a flow over a declared link, was cut
+        // mid-flight (partition, crash, link failure). Surface a
+        // *retryable* failure to the requester as a small control message
+        // — the file is fine, the route died.
         let msg = match msg.downcast::<BulkAborted>() {
             Ok(aborted) => {
                 ctx.metrics().incr("gass.aborted_transfers", 1);

@@ -606,10 +606,11 @@ impl Component for JobManager {
             }
             return;
         }
-        // Flow mode: our own bulk send (the stdout WriteAt) was cut in
-        // flight. Resend immediately — the positioned write is idempotent
-        // — with the armed retry timer as the backstop if the route is
-        // still dead (the immediate resend is then dropped at flow start).
+        // Our own bulk send (the stdout WriteAt), a flow over a declared
+        // link, was cut in flight. Resend immediately — the positioned
+        // write is idempotent — with the armed retry timer as the backstop
+        // if the route is still dead (the immediate resend is then dropped
+        // at send).
         if let Some(aborted) = msg.downcast_ref::<BulkAborted>() {
             if self.stdout_req.is_some() {
                 ctx.metrics().incr("gram.stage_retries", 1);

@@ -242,15 +242,14 @@ impl<'w> Ctx<'w> {
     }
 
     /// Send `bytes` of bulk data to `to`, delivering `msg` when the
-    /// transfer completes. In the legacy (uncontended) model the delivery
-    /// delay is one latency sample plus `bytes / bandwidth` for the link,
-    /// and loss/partition rules apply once, to the whole transfer,
-    /// regardless of its size. When the world declares flow links
-    /// (`Network::add_flow_link`) and the endpoints are on different
-    /// nodes, the transfer becomes a *flow* instead: it shares routed
-    /// link capacity max-min fairly with concurrent flows, loss compounds
-    /// per megabyte, and a partition or link failure mid-transfer aborts
-    /// it — the *sender* then receives a
+    /// transfer completes. Its fate is decided at send, like a message's,
+    /// except that loss compounds per megabyte. If the route from here to
+    /// `to` crosses no declared link (`Network::set_flow_route`), it is a
+    /// sized message: delivered after one latency sample plus
+    /// `bytes / bandwidth` of the pair. If it crosses one, the transfer is
+    /// a *flow*: it shares routed link capacity max-min fairly with
+    /// concurrent flows, and a partition, crash or link failure
+    /// mid-transfer aborts it — the *sender* then receives a
     /// [`crate::network::flow::BulkAborted`] carrying the undelivered
     /// payload, so protocols can retry.
     pub fn send_bulk<M: Message>(&mut self, to: Addr, bytes: u64, msg: M) {

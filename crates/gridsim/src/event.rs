@@ -100,17 +100,17 @@ pub enum EventKind {
         /// The flow id.
         flow: u64,
     },
-    /// Take a flow-mode topology link down (crossing flows abort).
+    /// Take a declared topology link down (crossing flows abort).
     LinkDown {
         /// The link name.
         link: String,
     },
-    /// Bring a downed flow-mode link back up.
+    /// Bring a downed topology link back up.
     LinkUp {
         /// The link name.
         link: String,
     },
-    /// Override a flow-mode link's capacity; active flows rescale.
+    /// Override a topology link's capacity; active flows rescale.
     LinkBandwidth {
         /// The link name.
         link: String,

@@ -23,7 +23,7 @@ pub enum FaultAction {
     Heal(Vec<NodeId>, Vec<NodeId>),
     /// Set the global message loss rate (`None` restores the configured rate).
     SetLoss(Option<f64>),
-    /// Take a named flow-mode topology link down (crossing flows abort).
+    /// Take a named topology link down (crossing flows abort).
     LinkDown(String),
     /// Bring a downed link back up.
     LinkUp(String),

@@ -5,23 +5,26 @@
 //!
 //! * per-pair (or default) one-way latency distributions,
 //! * a global plus per-link message loss probability,
-//! * named partitions (pairwise unreachability between node groups), and
-//! * per-link bandwidth used by the bulk-transfer helpers in the `gass`
-//!   crate to compute transfer durations.
+//! * named partitions (pairwise unreachability between node groups),
+//! * per-pair bandwidth, and
+//! * declared capacitated links (see [`flow`]).
 //!
-//! Control messages (everything sent with `Ctx::send`) are "small": they pay
-//! latency and may be lost, but don't consume bandwidth. Bulk data (GASS /
-//! GridFTP staging) is modelled explicitly by `gass` on top of
-//! [`Network::transfer_duration`].
+//! One fate function, [`Network::route`], decides whether a message or a
+//! bulk transfer of a given size arrives and after what latency. Control
+//! messages (everything sent with `Ctx::send`) are "small": they pay
+//! latency and may be lost, but don't consume bandwidth. A bulk transfer
+//! (GASS / GridFTP staging, `Ctx::send_bulk`) is a *flow* exactly when its
+//! route crosses a declared link: it then shares that link's capacity with
+//! the other flows on it. Otherwise it is a sized message, delivered after
+//! the latency plus `bytes / bandwidth` of its pair.
 
 pub mod flow;
 
 use crate::component::NodeId;
-use crate::event::EventQueue;
 use crate::hash::{IdMap, IdSet};
 use crate::rng::{Dist, SimRng};
-use crate::time::{Duration, SimTime};
-use flow::{FlowDue, FlowNet, LinkId, Parcel};
+use crate::time::Duration;
+use flow::{FlowNet, LinkId, Parcel};
 
 /// Static configuration of the network model.
 #[derive(Clone, Debug)]
@@ -70,11 +73,9 @@ pub struct Network {
     partitioned: IdSet<(NodeId, NodeId)>,
     /// Dynamic loss rate override (set by fault plans); falls back to config.
     dynamic_loss: Option<f64>,
-    /// Shared-bandwidth topology + active flows; `Some` iff flow mode is
-    /// enabled (by declaring at least one link). See [`flow`].
-    flow: Option<FlowNet>,
-    /// Messages dropped so far (for reporting).
-    pub dropped: u64,
+    /// Declared links, the routes over them, and the bulk transfers in
+    /// flight as flows. See [`flow`].
+    pub(crate) flow: FlowNet,
 }
 
 fn pair_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -93,8 +94,7 @@ impl Network {
             overrides: IdMap::default(),
             partitioned: IdSet::default(),
             dynamic_loss: None,
-            flow: None,
-            dropped: 0,
+            flow: FlowNet::default(),
         }
     }
 
@@ -164,22 +164,29 @@ impl Network {
         a == b || !self.partitioned.contains(&pair_key(a, b))
     }
 
-    /// Decide the fate of a message on `from → to`: `Some(latency)` if it
-    /// will be delivered, `None` if dropped (loss or partition).
+    /// Decide the fate of a message or a bulk transfer of `bytes` (0 for a
+    /// message) on `from → to`: `Some(latency)` if it will be delivered,
+    /// `None` if dropped (loss or partition).
     ///
     /// Note that a *partitioned* link drops deterministically, modelling an
-    /// unreachable route, while *loss* is sampled.
-    pub fn route(&mut self, rng: &mut SimRng, from: NodeId, to: NodeId) -> Option<Duration> {
+    /// unreachable route, while *loss* is sampled: one draw, at the pair's
+    /// rate compounded per started megabyte (so a message, or a transfer
+    /// of up to 1 MB, is lost at exactly the rate), then one latency draw
+    /// if it survives, whatever the size.
+    pub fn route(
+        &mut self,
+        rng: &mut SimRng,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+    ) -> Option<Duration> {
         if from == to {
             return Some(rng.duration(&self.config.loopback_latency));
         }
         if !self.reachable(from, to) {
-            self.dropped += 1;
             return None;
         }
-        let loss = self.loss_for(from, to);
-        if rng.chance(loss) {
-            self.dropped += 1;
+        if rng.chance(volume_loss(self.loss_for(from, to), bytes)) {
             return None;
         }
         let dist = self
@@ -216,169 +223,53 @@ impl Network {
             .unwrap_or(self.config.default_bandwidth)
     }
 
-    /// Time to move `bytes` across `from → to` at the link bandwidth plus
-    /// one latency sample. Used by the `gass` bulk-transfer model.
-    ///
-    /// **Legacy (uncontended) model.** The pipe is private — concurrent
-    /// transfers don't slow each other down — and loss is sampled exactly
-    /// *once* via [`Network::route`] regardless of size, so a 10 GB
-    /// stage-in and a 200-byte control message share a drop probability.
-    /// Both simplifications are deliberate (and keep historical traces
-    /// byte-identical); scenarios that care opt into flow mode, where
-    /// transfers contend on declared links and loss is per-volume
-    /// (`Network::flow_start`).
-    pub fn transfer_duration(
-        &mut self,
-        rng: &mut SimRng,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) -> Option<Duration> {
-        let latency = self.route(rng, from, to)?;
-        let bw = self.bandwidth(from, to);
-        Some(latency + Duration::from_secs_f64(bytes as f64 / bw))
-    }
-
-    // ---- flow mode (shared-bandwidth topology) ----------------------
-
-    /// True once a topology link has been declared: bulk transfers are
-    /// then scheduled by the fair-share flow model instead of
-    /// [`Network::transfer_duration`].
-    pub fn flow_enabled(&self) -> bool {
-        self.flow.is_some()
-    }
-
-    /// Number of in-flight flows (0 when flow mode is off).
+    /// Number of in-flight flows.
     pub fn flows_active(&self) -> usize {
-        self.flow.as_ref().map_or(0, FlowNet::active)
+        self.flow.active()
     }
 
-    /// Declare (or re-declare) a capacitated topology link, enabling flow
-    /// mode. `latency_secs` is the link's propagation delay, paid once per
-    /// flow on top of the sampled end-to-end latency.
+    /// Declare (or re-declare) a capacitated topology link.
+    /// `latency_secs` is the link's propagation delay, paid once per flow
+    /// on top of the sampled end-to-end latency.
     pub fn add_flow_link(&mut self, name: &str, capacity: f64, latency_secs: f64) -> LinkId {
-        self.flow
-            .get_or_insert_with(FlowNet::default)
-            .add_link(name, capacity, latency_secs)
+        self.flow.add_link(name, capacity, latency_secs)
     }
 
     /// Route every bulk transfer between `a` and `b` (both directions)
-    /// over `links`. Pairs without a route use an empty route: scheduled
-    /// as flows (per-pair cap, per-volume loss) but link-unconstrained.
+    /// over `links`. A transfer whose route crosses no link stays a sized
+    /// message.
     pub fn set_flow_route(&mut self, a: NodeId, b: NodeId, links: &[LinkId]) {
-        self.flow
-            .get_or_insert_with(FlowNet::default)
-            .set_route(a, b, links);
+        self.flow.set_route(a, b, links);
     }
 
-    /// Mark a link up/down without touching in-flight flows (static setup;
-    /// fault-driven changes go through the kernel's `LinkDown`/`LinkUp`
-    /// events so crossing flows abort/rescale). False for unknown names.
-    pub fn set_flow_link_up(&mut self, name: &str, up: bool) -> bool {
-        self.flow.as_mut().is_some_and(|f| f.set_link_up(name, up))
-    }
+    // The methods below change the flow set and leave rates and deadlines
+    // stale: the kernel follows each with one [`FlowNet::refresh`], after
+    // it has pushed whatever events the change itself produces, so
+    // sequence numbers are reserved in the order the kernel schedules
+    // things.
 
-    /// Set (or with `None`, clear) a link's capacity override. False for
-    /// unknown names.
-    pub fn set_flow_link_capacity(&mut self, name: &str, cap: Option<f64>) -> bool {
-        self.flow
-            .as_mut()
-            .is_some_and(|f| f.set_link_override(name, cap))
-    }
-
-    // The methods below change the flow set or the topology and leave
-    // rates and deadlines stale: the kernel follows each with one
-    // [`Network::flow_refresh`], after it has pushed whatever events the
-    // change itself produces, so sequence numbers are reserved in the
-    // order the kernel schedules things.
-
-    /// Decide the fate of a bulk transfer in flow mode and, if it goes
-    /// through, register the flow. Returns `false` (payload dropped, after
-    /// `dropped` is bumped) on partition, a down link on the route, or a
-    /// per-volume loss draw.
-    ///
-    /// Unlike the legacy model, loss here compounds per MB of payload: a
-    /// transfer of `n` chunks survives with probability `(1 - p)^n` (still
-    /// a single RNG draw, so the draw count per transfer is fixed).
-    pub(crate) fn flow_start(&mut self, rng: &mut SimRng, parcel: Parcel) -> bool {
-        let (from, to, bytes) = (parcel.from, parcel.to, parcel.bytes);
-        debug_assert!(from.node != to.node, "loopback stays on the legacy path");
-        if !self.reachable(from.node, to.node) {
-            self.dropped += 1;
-            return false;
-        }
-        let p = volume_loss(self.loss_for(from.node, to.node), bytes);
-        if rng.chance(p) {
-            self.dropped += 1;
-            return false;
-        }
-        let dist = self
-            .overrides
-            .get(&(from.node, to.node))
-            .and_then(|l| l.latency)
-            .unwrap_or(self.config.default_latency);
-        let mut latency = rng.duration(&dist);
-        let cap = self.bandwidth(from.node, to.node);
-        let flow = self.flow.as_mut().expect("flow_start requires flow mode");
-        let route = flow.route_for(from.node, to.node);
-        if route.iter().any(|&l| !flow.link_is_up(l)) {
-            self.dropped += 1;
+    /// Register `parcel` as a flow over its route, once [`Network::route`]
+    /// has let it through with `latency`. Returns `false` (payload dropped)
+    /// if a link on the route is down.
+    pub(crate) fn flow_start(&mut self, parcel: Parcel, mut latency: Duration) -> bool {
+        let cap = self.bandwidth(parcel.from.node, parcel.to.node);
+        let route = self.flow.route_for(parcel.from.node, parcel.to.node);
+        if route.iter().any(|&l| !self.flow.link_is_up(l)) {
             return false;
         }
         for &l in route {
-            latency += Duration::from_secs_f64(flow.link_latency(l));
+            latency += Duration::from_secs_f64(self.flow.link_latency(l));
         }
-        flow.start(parcel, latency, cap);
+        self.flow.start(parcel, latency, cap);
         true
-    }
-
-    /// Complete flow `id` if the firing event's `(now, stamp)` matches the
-    /// flow's current deadline and stamp (an event armed before the flow
-    /// was last rescheduled returns `None`).
-    pub(crate) fn flow_complete(&mut self, id: u64, now: SimTime, stamp: u64) -> Option<Parcel> {
-        self.flow.as_mut()?.complete(id, now, stamp)
     }
 
     /// Abort every flow whose endpoints are no longer mutually reachable
     /// (call after installing a partition).
     pub(crate) fn flow_abort_unreachable(&mut self) -> Vec<Parcel> {
-        let Some(flow) = self.flow.as_mut() else {
-            return Vec::new();
-        };
         let partitioned = &self.partitioned;
-        flow.abort_where(|a, b, _| a != b && partitioned.contains(&pair_key(a, b)))
-    }
-
-    /// Abort every flow with an endpoint on `node` (call on node crash).
-    pub(crate) fn flow_abort_node(&mut self, node: NodeId) -> Vec<Parcel> {
-        let Some(flow) = self.flow.as_mut() else {
-            return Vec::new();
-        };
-        flow.abort_where(|a, b, _| a == node || b == node)
-    }
-
-    /// Take link `name` down and abort the flows crossing it. `None` for
-    /// unknown names or flow mode off.
-    pub(crate) fn flow_link_down(&mut self, name: &str) -> Option<Vec<Parcel>> {
-        let flow = self.flow.as_mut()?;
-        let id = flow.link_id(name)?;
-        flow.set_link_up(name, false);
-        Some(flow.abort_where(|_, _, route| route.contains(&id)))
-    }
-
-    /// Settle every flow up to `now`, re-run the fair share, and stamp
-    /// each changed completion deadline with a sequence number reserved
-    /// from `queue` and with `cause` (see [`flow::FlowNet::refresh`]).
-    pub(crate) fn flow_refresh(&mut self, now: SimTime, cause: u64, queue: &mut EventQueue) {
-        if let Some(flow) = self.flow.as_mut() {
-            flow.refresh(now, cause, queue);
-        }
-    }
-
-    /// The earliest pending flow completion as of the last
-    /// [`Network::flow_refresh`].
-    pub(crate) fn flow_next_due(&self) -> Option<FlowDue> {
-        self.flow.as_ref()?.next_due()
+        self.flow
+            .abort_where(|a, b, _| a != b && partitioned.contains(&pair_key(a, b)))
     }
 }
 
@@ -394,7 +285,7 @@ fn volume_loss(p: f64, bytes: u64) -> f64 {
     const CHUNK: u64 = 1_000_000;
     let chunks = (bytes.div_ceil(CHUNK)).max(1).min(i32::MAX as u64);
     if chunks == 1 {
-        // Single chunk: exactly the configured rate (matches legacy).
+        // Single chunk (every message): exactly the configured rate.
         return p;
     }
     1.0 - (1.0 - p).powi(chunks as i32)
@@ -418,11 +309,10 @@ mod tests {
         let mut r = rng();
         for _ in 0..100 {
             let d = net
-                .route(&mut r, NodeId(1), NodeId(1))
+                .route(&mut r, NodeId(1), NodeId(1), 0)
                 .expect("loopback lost");
             assert!(d <= Duration::from_millis(1));
         }
-        assert_eq!(net.dropped, 0);
     }
 
     #[test]
@@ -430,13 +320,13 @@ mod tests {
         let mut net = Network::new(NetConfig::default());
         let mut r = rng();
         net.partition(&[NodeId(1)], &[NodeId(2), NodeId(3)]);
-        assert!(net.route(&mut r, NodeId(1), NodeId(2)).is_none());
-        assert!(net.route(&mut r, NodeId(2), NodeId(1)).is_none());
-        assert!(net.route(&mut r, NodeId(1), NodeId(3)).is_none());
+        assert!(net.route(&mut r, NodeId(1), NodeId(2), 0).is_none());
+        assert!(net.route(&mut r, NodeId(2), NodeId(1), 0).is_none());
+        assert!(net.route(&mut r, NodeId(1), NodeId(3), 0).is_none());
         // Unrelated pair still connected.
-        assert!(net.route(&mut r, NodeId(2), NodeId(3)).is_some());
+        assert!(net.route(&mut r, NodeId(2), NodeId(3), 0).is_some());
         net.heal(&[NodeId(1)], &[NodeId(2), NodeId(3)]);
-        assert!(net.route(&mut r, NodeId(1), NodeId(2)).is_some());
+        assert!(net.route(&mut r, NodeId(1), NodeId(2), 0).is_some());
     }
 
     #[test]
@@ -449,7 +339,7 @@ mod tests {
         let mut r = rng();
         let n = 20_000;
         let delivered = (0..n)
-            .filter(|_| net.route(&mut r, NodeId(0), NodeId(1)).is_some())
+            .filter(|_| net.route(&mut r, NodeId(0), NodeId(1), 0).is_some())
             .count();
         let rate = 1.0 - delivered as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "observed loss {rate}");
@@ -460,26 +350,69 @@ mod tests {
         let mut net = Network::new(NetConfig::default());
         let mut r = rng();
         net.set_link_loss(NodeId(0), NodeId(1), 1.0);
-        assert!(net.route(&mut r, NodeId(0), NodeId(1)).is_none());
+        assert!(net.route(&mut r, NodeId(0), NodeId(1), 0).is_none());
         // Reverse direction unaffected.
-        assert!(net.route(&mut r, NodeId(1), NodeId(0)).is_some());
+        assert!(net.route(&mut r, NodeId(1), NodeId(0), 0).is_some());
         net.set_link_latency(NodeId(2), NodeId(3), Dist::Constant(5.0));
-        let d = net.route(&mut r, NodeId(2), NodeId(3)).unwrap();
+        let d = net.route(&mut r, NodeId(2), NodeId(3), 0).unwrap();
         assert_eq!(d, Duration::from_secs(5));
     }
 
-    #[test]
-    fn transfer_duration_scales_with_size() {
-        let mut net = Network::new(NetConfig {
-            default_latency: Dist::Constant(0.0),
-            default_bandwidth: 1_000_000.0,
+    /// A network at loss `p` with a latency that is a real draw.
+    fn lossy(p: f64) -> Network {
+        Network::new(NetConfig {
+            loss_rate: p,
             ..NetConfig::default()
-        });
+        })
+    }
+
+    #[test]
+    fn large_transfers_lose_per_megabyte() {
+        // Finding 10 holds for a transfer that crosses no declared link:
+        // at loss 0.1 a 10 MB transfer survives at 0.9^10, not 0.9.
+        let mut net = lossy(0.1);
         let mut r = rng();
-        let d = net
-            .transfer_duration(&mut r, NodeId(0), NodeId(1), 10_000_000)
-            .unwrap();
-        assert_eq!(d, Duration::from_secs(10));
+        let n = 20_000;
+        let delivered = (0..n)
+            .filter(|_| {
+                net.route(&mut r, NodeId(0), NodeId(1), 10_000_000)
+                    .is_some()
+            })
+            .count();
+        let rate = delivered as f64 / n as f64;
+        assert!((rate - 0.9f64.powi(10)).abs() < 0.02, "survival {rate}");
+    }
+
+    #[test]
+    fn a_megabyte_or_less_keeps_the_message_rate() {
+        // Same seed, same draws: a transfer of up to one chunk meets
+        // exactly the fate a message would, every time.
+        let mut net = lossy(0.25);
+        let (mut msg, mut bulk) = (rng(), rng());
+        for _ in 0..2_000 {
+            assert_eq!(
+                net.route(&mut msg, NodeId(0), NodeId(1), 0),
+                net.route(&mut bulk, NodeId(0), NodeId(1), 1_000_000)
+            );
+        }
+    }
+
+    #[test]
+    fn a_transfer_draws_what_a_message_draws() {
+        // One loss draw, then one latency draw, whatever the size. At a
+        // loss this small both get through, with the same latency sample,
+        // and leave the generator in the same state.
+        let mut net = lossy(1e-12);
+        let (mut msg, mut bulk) = (rng(), rng());
+        let a = net.route(&mut msg, NodeId(0), NodeId(1), 0);
+        let b = net.route(&mut bulk, NodeId(0), NodeId(1), 10_000_000);
+        assert!(a.is_some());
+        assert_eq!(a, b);
+        let mut two = rng();
+        two.f64();
+        two.f64();
+        let next = two.f64();
+        assert_eq!((msg.f64(), bulk.f64()), (next, next));
     }
 
     #[test]
@@ -487,9 +420,9 @@ mod tests {
         let mut net = Network::new(NetConfig::default());
         let mut r = rng();
         net.set_global_loss(Some(1.0));
-        assert!(net.route(&mut r, NodeId(0), NodeId(1)).is_none());
+        assert!(net.route(&mut r, NodeId(0), NodeId(1), 0).is_none());
         net.set_global_loss(None);
-        assert!(net.route(&mut r, NodeId(0), NodeId(1)).is_some());
+        assert!(net.route(&mut r, NodeId(0), NodeId(1), 0).is_some());
     }
 
     #[test]
@@ -500,14 +433,14 @@ mod tests {
         let mut r = rng();
         net.set_link_loss(NodeId(0), NodeId(1), 0.0);
         net.set_global_loss(Some(1.0));
-        assert!(net.route(&mut r, NodeId(0), NodeId(1)).is_none());
+        assert!(net.route(&mut r, NodeId(0), NodeId(1), 0).is_none());
         // And the max cuts the other way too: a lossy link stays lossy
         // when the dynamic rate is lower.
         net.set_link_loss(NodeId(2), NodeId(3), 1.0);
         net.set_global_loss(Some(0.0));
-        assert!(net.route(&mut r, NodeId(2), NodeId(3)).is_none());
+        assert!(net.route(&mut r, NodeId(2), NodeId(3), 0).is_none());
         net.set_global_loss(None);
-        assert!(net.route(&mut r, NodeId(0), NodeId(1)).is_some());
+        assert!(net.route(&mut r, NodeId(0), NodeId(1), 0).is_some());
     }
 
     #[test]
@@ -518,11 +451,11 @@ mod tests {
         // Healing a pair that was never partitioned must not disturb the
         // real partition or the healthy pairs.
         net.heal(&[NodeId(3)], &[NodeId(4)]);
-        assert!(net.route(&mut r, NodeId(3), NodeId(4)).is_some());
-        assert!(net.route(&mut r, NodeId(1), NodeId(2)).is_none());
+        assert!(net.route(&mut r, NodeId(3), NodeId(4), 0).is_some());
+        assert!(net.route(&mut r, NodeId(1), NodeId(2), 0).is_none());
         net.heal(&[NodeId(1)], &[NodeId(2)]);
         net.heal(&[NodeId(1)], &[NodeId(2)]); // double-heal: still a no-op
-        assert!(net.route(&mut r, NodeId(1), NodeId(2)).is_some());
+        assert!(net.route(&mut r, NodeId(1), NodeId(2), 0).is_some());
     }
 
     #[test]
@@ -544,29 +477,27 @@ mod tests {
         let mut r = rng();
         let wan = net.add_flow_link("wan", 1e6, 0.0);
         net.set_flow_route(NodeId(1), NodeId(2), &[wan]);
-        let from = Addr {
-            node: NodeId(1),
-            comp: CompId(0),
-        };
-        let to = Addr {
-            node: NodeId(2),
-            comp: CompId(0),
-        };
         let parcel = || Parcel {
-            from,
-            to,
+            from: Addr {
+                node: NodeId(1),
+                comp: CompId(0),
+            },
+            to: Addr {
+                node: NodeId(2),
+                comp: CompId(0),
+            },
             bytes: 1_000,
             msg: Box::new(1u8),
             started: 0,
         };
         net.partition(&[NodeId(1)], &[NodeId(2)]);
-        assert!(!net.flow_start(&mut r, parcel()));
+        assert!(net.route(&mut r, NodeId(1), NodeId(2), 1_000).is_none());
         net.heal(&[NodeId(1)], &[NodeId(2)]);
-        assert!(net.set_flow_link_up("wan", false));
-        assert!(!net.flow_start(&mut r, parcel()));
-        assert_eq!(net.dropped, 2);
-        assert!(net.set_flow_link_up("wan", true));
-        assert!(net.flow_start(&mut r, parcel()));
+        let latency = net.route(&mut r, NodeId(1), NodeId(2), 1_000).unwrap();
+        assert!(net.flow.set_link_up("wan", false));
+        assert!(!net.flow_start(parcel(), latency));
+        assert!(net.flow.set_link_up("wan", true));
+        assert!(net.flow_start(parcel(), latency));
         assert_eq!(net.flows_active(), 1);
     }
 }

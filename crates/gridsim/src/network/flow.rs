@@ -2,16 +2,16 @@
 //! capacity, plus a max-min fair-share allocator over the bulk transfers
 //! ("flows") currently crossing them.
 //!
-//! The legacy model in [`super::Network::transfer_duration`] gives every
-//! bulk transfer a private, uncontended pipe whose fate is decided entirely
-//! at start time. That is fine for control traffic but wrong for the
-//! paper's hardest production lessons (§6): stage-in storms, checkpoint
-//! traffic and links that degrade mid-run are all *contention* phenomena.
-//! In flow mode a transfer instead becomes a kernel-visible object:
+//! A bulk transfer whose route crosses no declared link is a sized message:
+//! a private, uncontended pipe whose fate is decided entirely at send time.
+//! That is wrong for the paper's hardest production lessons (§6): stage-in
+//! storms, checkpoint traffic and links that degrade mid-run are all
+//! *contention* phenomena. A transfer whose route crosses a declared link
+//! instead becomes a kernel-visible object, a flow:
 //!
 //! * each flow follows a route — an ordered list of [`LinkId`]s declared by
-//!   the scenario — and is additionally capped by the legacy per-pair
-//!   bandwidth (modelling the endpoint NIC / disk);
+//!   the scenario — and is additionally capped by the per-pair bandwidth
+//!   (modelling the endpoint NIC / disk);
 //! * whenever the flow set or the topology changes, every flow's rate is
 //!   recomputed by **max-min fair share** (progressive filling): repeatedly
 //!   give every unfixed flow the smallest per-link fair share
@@ -91,7 +91,7 @@ impl Link {
 #[derive(Debug)]
 struct Class {
     route: Vec<LinkId>,
-    /// Per-flow ceiling (the legacy per-pair bandwidth — endpoint NIC).
+    /// Per-flow ceiling (the per-pair bandwidth — endpoint NIC).
     cap: f64,
 }
 
@@ -172,7 +172,7 @@ struct Waterfill {
     used: Vec<f64>,
 }
 
-/// The flow-mode network state: topology plus active flows.
+/// The declared links, the routes over them, and the active flows.
 #[derive(Debug, Default)]
 pub(crate) struct FlowNet {
     /// Looked up by name only at declaration and on fault events, so a
@@ -231,8 +231,8 @@ impl FlowNet {
         self.routes.insert((b, a), route.to_vec());
     }
 
-    /// The route for `from → to`; empty (capacity-unconstrained, still
-    /// flow-scheduled) when none is declared.
+    /// The route for `from → to`; empty when none is declared, and then a
+    /// transfer on it is a sized message, not a flow.
     pub(crate) fn route_for(&self, from: NodeId, to: NodeId) -> &[LinkId] {
         self.routes.get(&(from, to)).map_or(&[], Vec::as_slice)
     }
@@ -255,6 +255,14 @@ impl FlowNet {
             }
             None => false,
         }
+    }
+
+    /// Take link `name` down and abort the flows crossing it. `None` for
+    /// unknown names.
+    pub(crate) fn link_down(&mut self, name: &str) -> Option<Vec<Parcel>> {
+        let id = self.link_id(name)?;
+        self.links[id.0 as usize].up = false;
+        Some(self.abort_where(|_, _, route| route.contains(&id)))
     }
 
     /// Set (or with `None`, clear) a link's capacity override.

@@ -735,10 +735,11 @@ impl World {
                 // (boot chains, retries) links back to this record.
                 self.trace_fault("fault.crash", |w| format!("node={}", w.node_name(node)));
                 self.do_crash(node);
-                if self.network.flow_enabled() {
-                    let aborted = self.network.flow_abort_node(node);
-                    self.finish_flow_aborts(aborted);
-                }
+                let aborted = self
+                    .network
+                    .flow
+                    .abort_where(|a, b, _| a == node || b == node);
+                self.finish_flow_aborts(aborted);
             }
             EventKind::NodeRestart { node } => {
                 self.trace_fault("fault.restart", |w| format!("node={}", w.node_name(node)));
@@ -754,10 +755,8 @@ impl World {
                 });
                 self.network.partition(&group_a, &group_b);
                 self.metrics.incr("net.partitions", 1);
-                if self.network.flow_enabled() {
-                    let aborted = self.network.flow_abort_unreachable();
-                    self.finish_flow_aborts(aborted);
-                }
+                let aborted = self.network.flow_abort_unreachable();
+                self.finish_flow_aborts(aborted);
             }
             EventKind::PartitionEnd { group_a, group_b } => {
                 self.trace_fault("fault.heal", |w| {
@@ -781,7 +780,7 @@ impl World {
                 let (at, stamp) = (self.now, self.cur_event_id);
                 let armed = self.flow_armed.pop();
                 debug_assert_eq!(armed, Some((at, stamp)));
-                match self.network.flow_complete(flow, at, stamp) {
+                match self.network.flow.complete(flow, at, stamp) {
                     Some(p) => {
                         self.metrics.add(self.net.flows_done, 1);
                         self.send_at(self.now, p.from, p.to, p.msg, p.started);
@@ -793,14 +792,14 @@ impl World {
             }
             EventKind::LinkDown { link } => {
                 self.trace_fault("fault.link_down", |_| format!("link={link}"));
-                if let Some(aborted) = self.network.flow_link_down(&link) {
+                if let Some(aborted) = self.network.flow.link_down(&link) {
                     self.metrics.incr("net.link_downs", 1);
                     self.finish_flow_aborts(aborted);
                 }
             }
             EventKind::LinkUp { link } => {
                 self.trace_fault("fault.link_up", |_| format!("link={link}"));
-                if self.network.set_flow_link_up(&link, true) {
+                if self.network.flow.set_link_up(&link, true) {
                     self.flow_refresh();
                 }
             }
@@ -813,7 +812,7 @@ impl World {
                 } else {
                     Some(capacity)
                 };
-                if self.network.set_flow_link_capacity(&link, cap) {
+                if self.network.flow.set_link_override(&link, cap) {
                     self.metrics.incr("net.link_rescales", 1);
                     self.flow_refresh();
                 }
@@ -828,7 +827,7 @@ impl World {
     /// change schedules.
     fn flow_refresh(&mut self) {
         let cause = self.cause_now();
-        self.network.flow_refresh(self.now, cause, &mut self.queue);
+        self.network.flow.refresh(self.now, cause, &mut self.queue);
         if let Some(p) = &mut self.profiler {
             p.note_flow_refresh(self.network.flows_active());
         }
@@ -844,7 +843,7 @@ impl World {
     /// fires first, matches no current `(deadline, stamp)`, and re-arms
     /// from here.
     fn arm_flow_done(&mut self) {
-        let Some(due) = self.network.flow_next_due() else {
+        let Some(due) = self.network.flow.next_due() else {
             return;
         };
         let key = (due.at, due.stamp);
@@ -858,7 +857,12 @@ impl World {
     /// Deliver a [`BulkAborted`] notice to the sender of every aborted
     /// flow (at the current instant — the sender-side stack observes the
     /// break immediately, like a TCP reset), then rescale the survivors.
+    /// Nothing aborted, nothing to rescale: a crash or partition that
+    /// touches no flow costs no refresh.
     fn finish_flow_aborts(&mut self, aborted: Vec<Parcel>) {
+        if aborted.is_empty() {
+            return;
+        }
         for a in aborted {
             self.metrics.add(self.net.flows_aborted, 1);
             let notice = Box::new(BulkAborted {
@@ -952,7 +956,7 @@ impl World {
             match effect {
                 Effect::Send { to, msg } => {
                     self.metrics.add(self.net.sent, 1);
-                    match self.network.route(&mut self.rng, from.node, to.node) {
+                    match self.network.route(&mut self.rng, from.node, to.node, 0) {
                         Some(latency) => {
                             // FIFO per directed link: never deliver before a
                             // message sent earlier on the same link.
@@ -972,41 +976,40 @@ impl World {
                 Effect::SendBulk { to, bytes, msg } => {
                     self.metrics.add(self.net.bulk_transfers, 1);
                     self.metrics.add(self.net.bulk_bytes, bytes);
-                    if self.network.flow_enabled() && from.node != to.node {
-                        // Flow mode: the transfer contends with every other
-                        // flow on its route; its completion time moves with
-                        // them instead of being fixed at start.
-                        let parcel = Parcel {
-                            from,
-                            to,
-                            bytes,
-                            msg,
-                            started: self.queue.next_seq(),
-                        };
-                        if self.network.flow_start(&mut self.rng, parcel) {
-                            self.metrics.add(self.net.flows_started, 1);
-                            self.flow_refresh();
-                        } else {
-                            self.metrics.add(self.net.lost, 1);
-                        }
+                    let Some(latency) =
+                        self.network.route(&mut self.rng, from.node, to.node, bytes)
+                    else {
+                        self.metrics.add(self.net.lost, 1);
+                        continue;
+                    };
+                    if self.network.flow.route_for(from.node, to.node).is_empty() {
+                        // No declared link on the way: a sized message.
+                        let bw = self.network.bandwidth(from.node, to.node);
+                        let delay = latency + Duration::from_secs_f64(bytes as f64 / bw);
+                        self.send_at(self.now + delay, from, to, msg, self.queue.next_seq());
                         continue;
                     }
-                    match self
-                        .network
-                        .transfer_duration(&mut self.rng, from.node, to.node, bytes)
-                    {
-                        Some(delay) => {
-                            self.send_at(self.now + delay, from, to, msg, self.queue.next_seq());
-                        }
-                        None => {
-                            self.metrics.add(self.net.lost, 1);
-                        }
+                    // A flow: the transfer contends with every other flow
+                    // on its route; its completion time moves with them
+                    // instead of being fixed at start.
+                    let parcel = Parcel {
+                        from,
+                        to,
+                        bytes,
+                        msg,
+                        started: self.queue.next_seq(),
+                    };
+                    if self.network.flow_start(parcel, latency) {
+                        self.metrics.add(self.net.flows_started, 1);
+                        self.flow_refresh();
+                    } else {
+                        self.metrics.add(self.net.lost, 1);
                     }
                 }
                 Effect::SendLocal { to, msg } => {
                     let latency = self
                         .network
-                        .route(&mut self.rng, from.node, from.node)
+                        .route(&mut self.rng, from.node, from.node, 0)
                         .expect("loopback never drops");
                     self.send_at(self.now + latency, from, to, msg, self.queue.next_seq());
                 }
@@ -1816,6 +1819,32 @@ mod tests {
         w.run_until_quiescent();
         assert_eq!(*log.borrow(), ["B", "A"]);
         assert_eq!(w.profiler().expect("enabled").event_kinds()["flow_done"], 2);
+    }
+
+    #[test]
+    fn a_transfer_is_a_flow_only_where_its_route_crosses_a_link() {
+        // A (1 MB to `dst`) crosses `wan` and is a flow. B (10 MB to a
+        // node with no route) is a sized message: it lands after its
+        // latency (0 here) plus 10 MB at the pair's 1 MB/s.
+        struct Source(Addr, Addr);
+        impl Component for Source {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.send_bulk(self.0, 1_000_000, Blob("A"));
+                ctx.send_bulk(self.1, 10_000_000, Blob("B"));
+            }
+        }
+        let (mut w, src, dst) = flow_world();
+        let other = w.add_node("other");
+        w.network_mut().set_link_bandwidth(src, other, 1e6);
+        let log = Log::default();
+        let a = w.add_component(dst, "sink", Sink(log.clone()));
+        let b = w.add_component(other, "sink", Sink(log.clone()));
+        w.add_component(src, "source", Source(a, b));
+        w.run_until_quiescent();
+        assert_eq!(*log.borrow(), ["A", "B"]);
+        assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(10));
+        assert_eq!(w.metrics().counter("net.flows_started"), 1);
+        assert_eq!(w.metrics().counter("net.flows_done"), 1);
     }
 
     #[test]

@@ -268,7 +268,7 @@ proptest! {
         let n = 4000;
         let mut delivered = 0;
         for _ in 0..n {
-            if let Some(lat) = net.route(&mut rng, NodeId(0), NodeId(1)) {
+            if let Some(lat) = net.route(&mut rng, NodeId(0), NodeId(1), 0) {
                 delivered += 1;
                 prop_assert!(lat >= Duration::from_millis(10));
                 prop_assert!(lat <= Duration::from_millis(20));

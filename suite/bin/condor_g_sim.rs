@@ -28,11 +28,12 @@
 //! run 24h
 //! ```
 //!
-//! Declaring any `link` switches inter-node bulk transfers onto the
-//! shared-bandwidth flow model: concurrent stage-ins routed over the same
-//! link divide its capacity max-min fairly, and `linkdown`/`partition`
-//! windows abort transfers in flight (the JobManager retries them with
-//! backed-off timers).
+//! A bulk transfer whose route crosses a declared `link` is a flow in the
+//! shared-bandwidth model: concurrent stage-ins routed over the same link
+//! divide its capacity max-min fairly, and `linkdown`/`partition` windows
+//! abort transfers in flight (the JobManager retries them with backed-off
+//! timers). Every other transfer is a sized message on its pair's
+//! dedicated bandwidth.
 //!
 //! `--report-dir DIR` writes the run's bundle (`condor_g_suite::report`):
 //! the trace, heartbeats, metrics and weather snapshots, and the kernel

@@ -169,11 +169,12 @@ pub struct WanLinkSpec {
 
 /// A shared-bandwidth WAN between the submit machine and the sites.
 ///
-/// Declaring any link switches inter-node bulk transfers onto the
-/// fair-share flow model (`gridsim::network::flow`): concurrent stage-ins
-/// crossing the same link slow each other down, and link failures abort
-/// in-flight transfers. Sites without a route keep dedicated (legacy)
-/// bandwidth.
+/// Transfers between the submit machine and a routed site cross the
+/// site's links, so they are flows in the fair-share model
+/// (`gridsim::network::flow`): concurrent stage-ins crossing the same link
+/// slow each other down, and link failures abort in-flight transfers.
+/// Every other transfer, to a site without a route included, crosses no
+/// link and is a sized message on its pair's dedicated bandwidth.
 #[derive(Clone, Debug, Default)]
 pub struct WanTopology {
     /// The shared links.
@@ -220,8 +221,8 @@ pub struct TestbedConfig {
     /// million-job campaigns run in flat RSS. Off by default (trace output
     /// is not byte-identical to non-lean runs: component ids differ).
     pub lean: bool,
-    /// Shared-bandwidth WAN topology (flow mode). `None` keeps the legacy
-    /// uncontended network model.
+    /// Shared-bandwidth WAN topology. `None` declares no link, so every
+    /// bulk transfer is a sized message on its pair's dedicated bandwidth.
     pub wan: Option<WanTopology>,
     /// Size in bytes of the staged executable images (`app.exe` and
     /// `worker.exe`) preloaded on the submit GASS server. `0` keeps the

@@ -3,7 +3,7 @@
 //! serial/parallel equivalence.
 
 use condor_g_suite::gridsim::prelude::*;
-use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig};
+use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig, WanLinkSpec, WanTopology};
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
 use condor_g_suite::workloads::farm::{run_cells, Cell, CellResult, FarmStats};
 use support::{assert_golden, campaign};
@@ -21,7 +21,7 @@ fn field<'a>(result: &'a str, name: &str) -> &'a str {
 /// Run one small campaign cell end to end through the lean stack and
 /// return its merged outcome. Deterministic in `seed`.
 fn run_cell(seed: u64, jobs: u64) -> CellResult {
-    run_campaign(seed, jobs, true).0
+    run_campaign(seed, jobs, true, None).0
 }
 
 /// Stable-store keys under `prefix`, summed over every node of the testbed.
@@ -33,8 +33,14 @@ fn keys_under(tb: &Testbed, prefix: &str) -> usize {
         .sum()
 }
 
-/// [`run_cell`] at either retention, also handing back the settled testbed.
-fn run_campaign(seed: u64, jobs: u64, lean: bool) -> (CellResult, Testbed) {
+/// [`run_cell`] at either retention and over an optional WAN topology, also
+/// handing back the settled testbed.
+fn run_campaign(
+    seed: u64,
+    jobs: u64,
+    lean: bool,
+    wan: Option<WanTopology>,
+) -> (CellResult, Testbed) {
     let spec = CampaignSpec {
         seed,
         jobs,
@@ -53,6 +59,7 @@ fn run_campaign(seed: u64, jobs: u64, lean: bool) -> (CellResult, Testbed) {
         seed: spec.seed,
         sites,
         lean,
+        wan,
         proxy_lifetime: Duration::from_days(30),
         ..TestbedConfig::default()
     });
@@ -114,7 +121,7 @@ fn lean_campaign_completes_and_reclaims_state() {
     let per_job = ["condor_g/jane/job/", "gm/jane/job/", "gram/jm/"];
     for seed in [3, 11, 42] {
         let [lean, full] = [true, false].map(|lean| {
-            let (r, tb) = run_campaign(seed, JOBS as u64, lean);
+            let (r, tb) = run_campaign(seed, JOBS as u64, lean, None);
             assert_eq!(r.jobs_done + r.jobs_failed, 400, "lean={lean}: {r:?}");
             assert!(r.jobs_done >= 390, "lean={lean}: {r:?}");
             assert_ne!(r.digest, 0xcbf2_9ce4_8422_2325, "digest never advanced");
@@ -143,6 +150,31 @@ fn lean_campaign_completes_and_reclaims_state() {
         let outcome = |r: &CellResult| (r.jobs_done, r.jobs_failed, r.digest, r.sim_secs);
         assert_eq!(outcome(&lean), outcome(&full), "seed {seed}: lean vs full");
     }
+}
+
+#[test]
+fn a_link_no_route_crosses_changes_nothing() {
+    // A bulk transfer is a flow only where its route crosses a declared
+    // link. Declaring a link that no site routes over leaves every
+    // transfer a sized message: the same jobs settle with the same digest,
+    // at the same sim time, through the same events.
+    let wan = WanTopology {
+        links: vec![WanLinkSpec {
+            name: "wan".into(),
+            capacity: 1e6,
+            latency: 0.03,
+        }],
+        site_routes: vec![],
+    };
+    let [bare, linked] = [None, Some(wan)].map(|wan| {
+        let (r, tb) = run_campaign(42, 400, true, wan);
+        assert!(r.jobs_done >= 390, "{r:?}");
+        let flows = tb.world.metrics().counter("net.flows_started");
+        assert_eq!(flows, 0, "{r:?}");
+        let outcome = (r.jobs_done, r.jobs_failed, r.digest, r.sim_secs);
+        (outcome, tb.world.events_processed())
+    });
+    assert_eq!(bare, linked, "(done, failed, digest, sim_secs), events");
 }
 
 #[test]

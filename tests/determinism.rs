@@ -77,12 +77,17 @@ fn line_count(bytes: &[u8]) -> usize {
 /// `r/trace.jsonl`, and nothing else (DESIGN.md section 6).
 #[test]
 fn demo_scenario_trace_is_golden() {
-    let bytes = bundle("demo").read("r/trace.jsonl");
+    let run = bundle("demo");
+    // The demo declares no link, so its site crash aborts no flow and
+    // costs no flow refresh either.
+    let profile = String::from_utf8(run.read("r/profile.txt")).expect("utf8 profile");
+    assert!(profile.contains("flow refreshes: 0,"), "{profile}");
+    let bytes = run.read("r/trace.jsonl");
     assert_golden("trace.demo.lines", line_count(&bytes));
     assert_golden("trace.demo.fnv", fnv1a(&bytes));
 }
 
-/// The same for flow mode: the stage-in storm's trace (event ids and
+/// The same for flows: the stage-in storm's trace (event ids and
 /// causes included) pins the order in which flow completions interleave
 /// with everything else, and the event count pins that a moved deadline
 /// costs no event of its own — with one `flow_done` per changed deadline

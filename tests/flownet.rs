@@ -1,7 +1,7 @@
 //! End-to-end tests of the shared-bandwidth flow network: contention
 //! measurably slows stage-in, in-flight transfers survive partitions via
-//! abort-and-retry, and flow mode keeps the kernel's determinism
-//! guarantee (same seed, same trace).
+//! abort-and-retry, and flows keep the kernel's determinism guarantee
+//! (same seed, same trace).
 
 use condor_g_suite::condor_g::api::GridJobSpec;
 use condor_g_suite::gridsim::fault::FaultPlan;
@@ -45,7 +45,7 @@ fn contended_stage_in_is_slower_than_uncontended() {
     assert!(metric(&contended, "contended flows") > 0, "{contended}");
 
     // Same workload with the link/route/linkbw directives stripped: every
-    // transfer gets private legacy bandwidth.
+    // transfer is a sized message on its pair's private bandwidth.
     let solo_text: String = storm
         .lines()
         .filter(|l| {

@@ -29,3 +29,13 @@ result_field() {
     for (i = 2; i <= NF; i++) if (index($i, k) == 1) { print substr($i, length(k) + 1); exit }
   }' "$1"
 }
+
+# FNV-1a 64 of FILE's bytes as 16 hex digits (the NAME check_rows passes
+# is ignored). Bash arithmetic wraps at 64 bits, as FNV's multiply does.
+fnv_of() {
+  h=$((0xcbf29ce484222325))
+  for b in $(od -An -v -tu1 "$1"); do
+    h=$(( (h ^ b) * 0x100000001b3 ))
+  done
+  printf '%016x\n' "$h"
+}
