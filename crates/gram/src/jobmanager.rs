@@ -90,7 +90,8 @@ pub struct JobManager {
     recovering: bool,
     staging: Staging,
     next_req: u64,
-    /// Outstanding stdout write request id.
+    /// Outstanding stdout write: the last request id sent, or `next_req`
+    /// for a predecessor's write this JobManager adopted on restart.
     stdout_req: Option<u64>,
     /// LRM events that raced ahead of the Submitted reply.
     pending_events: Vec<LrmEvent>,
@@ -248,6 +249,11 @@ impl JobManager {
 
     /// Issue (or re-issue) the stage-in GETs; arms the retry timer.
     fn send_stage_requests(&mut self, ctx: &mut Ctx<'_>) -> u32 {
+        assert!(
+            !self.stage_in_arriving(ctx),
+            "{}: stage_in GET issued while its flow is still arriving",
+            self.contact
+        );
         let mut outstanding = 0;
         for url in self.stage_in.iter().flatten() {
             self.next_req += 1;
@@ -265,16 +271,73 @@ impl JobManager {
         }
         if outstanding > 0 {
             self.staging = Staging::Fetching { outstanding };
-            // Allow generous time for the payload itself before retrying,
-            // doubling per consecutive retry (shared links under a
-            // stage-in storm legitimately run far below the floor
-            // bandwidth — hammering them makes it worse).
-            let payload = self.rsl.image_size.max(1_000_000);
-            let timeout = (STAGE_RETRY + Duration::from_secs(payload / RETRY_FLOOR_BW))
-                * (1u64 << self.stage_backoff);
-            ctx.set_timer(timeout, TAG_STAGE_IN);
+            ctx.set_timer(self.stage_in_timeout(), TAG_STAGE_IN);
         }
         outstanding
+    }
+
+    /// How long to wait for the stage-in payload before retrying: generous
+    /// time for the image itself (shared links under a stage-in storm
+    /// legitimately run far below the floor bandwidth — hammering them
+    /// makes it worse).
+    fn stage_in_timeout(&self) -> Duration {
+        self.stage_timeout(self.rsl.image_size.max(1_000_000))
+    }
+
+    /// How long to wait for the stdout still to send before resending it.
+    fn stage_out_timeout(&self) -> Duration {
+        self.stage_timeout(self.rsl.stdout_size.saturating_sub(self.stdout_sent))
+    }
+
+    /// The retry timeout for a staging transfer of `payload` bytes: the
+    /// payload at the floor bandwidth, doubled per consecutive retry.
+    fn stage_timeout(&self, payload: u64) -> Duration {
+        (STAGE_RETRY + Duration::from_secs(payload / RETRY_FLOOR_BW)) * (1u64 << self.stage_backoff)
+    }
+
+    /// Whether a stage-in flow from one of the staging servers is still
+    /// arriving here: evidence that the transfer is slow, not lost.
+    fn stage_in_arriving(&self, ctx: &Ctx<'_>) -> bool {
+        let me = ctx.self_addr();
+        self.stage_in
+            .iter()
+            .flatten()
+            .any(|url| ctx.flow_live(url.server, me))
+    }
+
+    /// Whether the stdout `WriteAt` flow is still leaving for its server.
+    fn stage_out_leaving(&self, ctx: &Ctx<'_>) -> bool {
+        let me = ctx.self_addr();
+        self.stdout_url
+            .as_ref()
+            .is_some_and(|url| ctx.flow_live(me, url.server))
+    }
+
+    /// Re-drive stage-in, unless a flow from a staging server is still
+    /// arriving: a transfer whose flow is moving is slow, not lost, and a
+    /// second copy would only crowd the link it is already short of.
+    /// Returns whether it re-drove; if not, the armed `TAG_STAGE_IN` timer
+    /// looks again.
+    fn retry_stage_in(&mut self, ctx: &mut Ctx<'_>) -> bool {
+        if self.stage_in_arriving(ctx) {
+            return false;
+        }
+        ctx.metrics().incr("gram.stage_retries", 1);
+        self.bump_backoff();
+        self.send_stage_requests(ctx);
+        true
+    }
+
+    /// Resend the stdout, unless its `WriteAt` flow is still leaving (the
+    /// same rule as [`JobManager::retry_stage_in`]).
+    fn retry_stage_out(&mut self, ctx: &mut Ctx<'_>) -> bool {
+        if self.stage_out_leaving(ctx) {
+            return false;
+        }
+        ctx.metrics().incr("gram.stage_retries", 1);
+        self.bump_backoff();
+        self.send_stdout_chunk(ctx);
+        true
     }
 
     /// Bump the staging-retry backoff (doubles the timeout, capped at 16x).
@@ -339,6 +402,15 @@ impl JobManager {
         });
         self.callback(ctx, GramJobState::StageOut);
         match self.stdout_url {
+            // A `WriteAt` is already leaving: this JobManager's own, when
+            // the client re-points it mid-transfer, or its predecessor's
+            // at this address, after a restart. Await that one's reply.
+            Some(_) if self.stage_out_leaving(ctx) => {
+                if self.stdout_req.is_none() {
+                    self.stdout_req = Some(self.next_req);
+                    ctx.set_timer(self.stage_out_timeout(), TAG_STAGE_OUT);
+                }
+            }
             Some(_) => self.send_stdout_chunk(ctx),
             None => {
                 // Site-local stdout: nothing to ship.
@@ -360,6 +432,11 @@ impl JobManager {
         if remaining == 0 {
             return;
         }
+        assert!(
+            !self.stage_out_leaving(ctx),
+            "{}: stage_out WriteAt issued while its flow is still leaving",
+            self.contact
+        );
         self.next_req += 1;
         self.stdout_req = Some(self.next_req);
         let chunk = FileData::bulk(remaining, self.contact.0 ^ self.stdout_sent);
@@ -377,9 +454,7 @@ impl JobManager {
         // The retry timeout must cover the transfer itself, or large
         // outputs would be retransmitted while still in flight; consecutive
         // retries back off exponentially (see `stage_backoff`).
-        let timeout = (STAGE_RETRY + Duration::from_secs(remaining / RETRY_FLOOR_BW))
-            * (1u64 << self.stage_backoff);
-        ctx.set_timer(timeout, TAG_STAGE_OUT);
+        ctx.set_timer(self.stage_out_timeout(), TAG_STAGE_OUT);
     }
 
     fn on_lrm_event(&mut self, ctx: &mut Ctx<'_>, ev: &LrmEvent) {
@@ -444,17 +519,19 @@ impl Component for JobManager {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
         match tag {
-            TAG_STAGE_IN => {
-                if matches!(self.staging, Staging::Fetching { .. }) {
-                    ctx.metrics().incr("gram.stage_retries", 1);
-                    self.bump_backoff();
-                    self.send_stage_requests(ctx);
+            // A transfer still moving gets another period, with the same
+            // timeout and backoff.
+            TAG_STAGE_IN if matches!(self.staging, Staging::Fetching { .. }) => {
+                let moving = !self.retry_stage_in(ctx);
+                if moving {
+                    ctx.set_timer(self.stage_in_timeout(), TAG_STAGE_IN);
                 }
             }
             TAG_STAGE_OUT if self.stdout_req.is_some() => {
-                ctx.metrics().incr("gram.stage_retries", 1);
-                self.bump_backoff();
-                self.send_stdout_chunk(ctx);
+                let moving = !self.retry_stage_out(ctx);
+                if moving {
+                    ctx.set_timer(self.stage_out_timeout(), TAG_STAGE_OUT);
+                }
             }
             TAG_STATUS_POLL if !self.state.is_terminal() => {
                 if let Some(local_id) = self.local_id {
@@ -613,11 +690,9 @@ impl Component for JobManager {
         // at send).
         if let Some(aborted) = msg.downcast_ref::<BulkAborted>() {
             if self.stdout_req.is_some() {
-                ctx.metrics().incr("gram.stage_retries", 1);
                 let bytes = aborted.bytes;
                 ctx.trace_with("jm.stage_out_aborted", || format!("bytes={bytes}"));
-                self.bump_backoff();
-                self.send_stdout_chunk(ctx);
+                self.retry_stage_out(ctx);
             }
             return;
         }
@@ -654,17 +729,14 @@ impl Component for JobManager {
                     // whichever staging phase is active instead of failing
                     // the job — if the network is still down the resent
                     // requests are lost and the (backed-off) retry timer
-                    // takes over.
+                    // takes over, as it does when another file's flow is
+                    // still arriving on a route that lived.
                     ctx.metrics().incr("gram.staging_aborts", 1);
                     ctx.trace_with("jm.staging_aborted", || error.to_string());
                     if matches!(self.staging, Staging::Fetching { .. }) {
-                        ctx.metrics().incr("gram.stage_retries", 1);
-                        self.bump_backoff();
-                        self.send_stage_requests(ctx);
+                        self.retry_stage_in(ctx);
                     } else if self.stdout_req.is_some() {
-                        ctx.metrics().incr("gram.stage_retries", 1);
-                        self.bump_backoff();
-                        self.send_stdout_chunk(ctx);
+                        self.retry_stage_out(ctx);
                     }
                 }
                 GassReply::Failed { ref error, .. } => {

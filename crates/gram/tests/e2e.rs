@@ -5,6 +5,7 @@
 use gass::{FileData, GassServer, GassUrl};
 use gram::proto::{GramReply, GramRequest, JmMsg, JobContact};
 use gram::{Gatekeeper, RslSpec, SubmitSession};
+use gridsim::fault::FaultPlan;
 use gridsim::prelude::*;
 use gridsim::{AnyMsg, Config, World};
 use gsi::{CertificateAuthority, GridMap, ProxyCredential};
@@ -456,6 +457,49 @@ fn gatekeeper_crash_recovery_resumes_the_job() {
         Some(2048)
     );
     let _ = (r.client, r.gatekeeper);
+}
+
+#[test]
+fn split_stage_in_waits_for_the_file_still_arriving() {
+    // The executable and stdin come from two GASS servers, each behind
+    // its own 100 KB/s link. Link `a` dies while both 64 MB files are
+    // crossing: its server reports the GET aborted, but the stdin is
+    // still arriving over `b`. A re-drive fetches every file, so the
+    // JobManager does not re-drive now, which would put a second copy of
+    // the stdin on `b`; its retry timer re-drives once nothing is
+    // arriving. Re-driving on the abort and on every timer regardless of
+    // the flows took 20 flows and 11 retries.
+    let r = rig(13, vec![], |client, w| {
+        let site = client.gatekeeper.node;
+        let trust = CertificateAuthority::new("/CN=Globus CA", 1).trust_root();
+        let urls: Vec<String> = ["a", "b"]
+            .into_iter()
+            .map(|name| {
+                let node = w.add_node(&format!("{name}.data.edu"));
+                let link = w.network_mut().add_flow_link(name, 100_000.0, 0.030);
+                w.network_mut().set_flow_route(node, site, &[link]);
+                let file = FileData::bulk(64_000_000, 7);
+                let server = GassServer::new(trust.clone()).preload("/big", file);
+                let gass = w.add_component(node, "gass", server);
+                GassUrl::gass(gass, "/big").to_string()
+            })
+            .collect();
+        let spec = RslSpec::job(&urls[0], Duration::from_mins(10)).with_stdin(&urls[1]);
+        client.jobs = vec![spec];
+    });
+    let mut w = r.world;
+    let down = SimTime::ZERO + Duration::from_mins(1);
+    w.apply_fault_plan(&FaultPlan::new().link_down_window("a", down, Duration::from_mins(5)));
+    w.run_until_quiescent();
+    let cbs = callbacks_of(&w, r.client_node, 0);
+    assert_eq!(cbs.last().map(String::as_str), Some("Done+"), "{cbs:?}");
+    let m = w.metrics();
+    assert_eq!(m.counter("net.flows_aborted"), 1, "the executable's");
+    assert_eq!(m.counter("gram.staging_aborts"), 1);
+    // The two first flows, then one re-drive of both files.
+    assert_eq!(m.counter("gram.stage_retries"), 1);
+    assert_eq!(m.counter("net.flows_started"), 4);
+    assert_eq!(m.counter("site.completed"), 1);
 }
 
 #[test]

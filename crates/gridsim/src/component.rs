@@ -9,6 +9,7 @@
 //! the world.
 
 use crate::metrics::Metrics;
+use crate::network::flow::FlowNet;
 use crate::rng::SimRng;
 use crate::store::StableStore;
 use crate::time::{Duration, SimTime};
@@ -197,6 +198,8 @@ pub struct Ctx<'w> {
     /// The world's component ids and the names bound to them, where
     /// [`Ctx::spawn`] claims an id.
     pub(crate) comps: &'w mut CompTable,
+    /// The flows in flight, for [`Ctx::flow_live`].
+    pub(crate) flows: &'w FlowNet,
     /// Sequence number of the kernel event currently being processed;
     /// stamped onto trace records as their `id`.
     pub(crate) event_id: u64,
@@ -258,6 +261,20 @@ impl<'w> Ctx<'w> {
             bytes,
             msg: Box::new(msg),
         });
+    }
+
+    /// Whether a bulk flow from `from` to `to` is in flight and would be
+    /// delivered: both ends can see its bytes moving, so the transfer is
+    /// progressing, however slowly. A flow started by or addressed to a
+    /// predecessor of a recycled id does not count; one that a same-name
+    /// restart inherits does. A transfer that crosses no declared link is
+    /// a sized message, never a flow, so between such a pair this is
+    /// always false.
+    pub fn flow_live(&self, from: Addr, to: Addr) -> bool {
+        self.flows
+            .parcels()
+            .iter()
+            .any(|p| p.from == from && p.to == to && self.comps.owns(p))
     }
 
     /// Send a message to a component on this same node, bypassing the

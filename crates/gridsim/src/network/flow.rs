@@ -281,6 +281,11 @@ impl FlowNet {
         self.flows.len()
     }
 
+    /// What the in-flight flows carry, in creation order.
+    pub(crate) fn parcels(&self) -> &[Parcel] {
+        &self.parcels
+    }
+
     /// The earliest pending completion as of the last
     /// [`FlowNet::refresh`], if any flow has a finite deadline.
     pub(crate) fn next_due(&self) -> Option<FlowDue> {

@@ -304,6 +304,16 @@ impl CompTable {
         };
         slot.live.as_ref().is_some_and(|c| c.addr == to) && created >= since
     }
+
+    /// Whether `parcel`'s flow is still its two ends' own: completing now,
+    /// it would reach its receiver, and its sender's id has not been bound
+    /// anew since it started. A recycled id, at either end, never takes a
+    /// predecessor's flow for its own; a same-name restart keeps it.
+    pub(crate) fn owns(&self, parcel: &Parcel) -> bool {
+        let sender = self.slots.get(parcel.from.comp.0 as usize);
+        self.reaches(parcel.to, parcel.started, Mark::Binding)
+            && sender.is_some_and(|slot| slot.bound <= parcel.started)
+    }
 }
 
 /// Handles of the `net.*` counters the kernel bumps per message, transfer
@@ -929,6 +939,7 @@ impl World {
             trace: &mut self.trace,
             next_timer: &mut self.next_timer,
             comps: &mut self.comps,
+            flows: &self.network.flow,
             event_id: self.cur_event_id,
             event_cause: self.cur_inherited,
         };
@@ -1618,6 +1629,114 @@ mod tests {
         w.post(sender, Order::Ping(first));
         w.run_until_quiescent();
         assert_eq!(*log.borrow(), ["fresh", "ping"]);
+    }
+
+    #[test]
+    fn flow_live_counts_only_flows_their_ends_own() {
+        // `Ctx::flow_live` is either end's evidence that a transfer is
+        // moving. A transfer between a link-free pair is a sized message,
+        // never a flow; a flow started by or addressed to the predecessor
+        // of a recycled id is not the new component's; a same-name restart
+        // keeps its binding, and with it the flow.
+        #[derive(Debug)]
+        struct Ask(Addr, Addr);
+        struct Probe(std::rc::Rc<std::cell::RefCell<Vec<bool>>>);
+        impl Component for Probe {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+                let Ask(from, to) = *msg.downcast::<Ask>().unwrap();
+                self.0.borrow_mut().push(ctx.flow_live(from, to));
+            }
+        }
+        #[derive(Debug)]
+        struct Ship(Addr);
+        struct Shipper;
+        impl Component for Shipper {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+                let Ship(to) = *msg.downcast::<Ship>().unwrap();
+                ctx.send_bulk(to, 10_000_000, Blob("payload"));
+            }
+        }
+        #[derive(Debug)]
+        enum Order {
+            Spawn(&'static str),
+            SpawnShipper(&'static str),
+            Reap(Addr),
+        }
+        struct Boss(Log);
+        impl Component for Boss {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+                match *msg.downcast::<Order>().unwrap() {
+                    Order::Spawn(name) => {
+                        ctx.spawn(ctx.node(), name, Sink(self.0.clone()));
+                    }
+                    Order::SpawnShipper(name) => {
+                        ctx.spawn(ctx.node(), name, Shipper);
+                    }
+                    Order::Reap(addr) => ctx.kill_transient(addr),
+                }
+            }
+        }
+        let net = NetConfig {
+            default_latency: crate::rng::Dist::Constant(0.0),
+            default_bandwidth: 1e6,
+            ..NetConfig::default()
+        };
+        let mut w = World::new(Config::default().seed(1).net(net).lean());
+        let (a, b, c) = (w.add_node("a"), w.add_node("b"), w.add_node("c"));
+        let wan = w.network_mut().add_flow_link("wan", 1e6, 0.0);
+        w.network_mut().set_flow_route(a, b, &[wan]);
+        let (asked, log) = (std::rc::Rc::default(), Log::default());
+        let probe = w.add_component(a, "probe", Probe(std::rc::Rc::clone(&asked)));
+        let shipper = w.add_component(a, "shipper", Shipper);
+        let boss = w.add_component(b, "boss", Boss(log.clone()));
+        let daemon = w.add_component(b, "daemon", Sink(log.clone()));
+        let island = w.add_component(c, "island", Sink(log.clone()));
+        let inbox = w.add_component(a, "inbox", Sink(log.clone()));
+        fn tell<M: Message>(w: &mut World, to: Addr, msg: M) {
+            w.post(to, msg);
+            w.run_until(w.now() + Duration::from_secs(1));
+        }
+        let ask = |w: &mut World, from: Addr, to: Addr| {
+            tell(w, probe, Ask(from, to));
+            asked.borrow_mut().pop().unwrap()
+        };
+        tell(&mut w, boss, Order::Spawn("w0"));
+        let first = w.lookup(b, "w0").unwrap();
+        // Three 10 MB transfers: two flows sharing the 1 MB/s link for
+        // 20 s, and a sized message to the island for 10 s.
+        for to in [first, daemon, island] {
+            w.post(shipper, Ship(to));
+        }
+        w.run_until(w.now() + Duration::from_secs(1));
+        assert!(ask(&mut w, shipper, first), "a flow on its link is live");
+        assert!(ask(&mut w, shipper, daemon));
+        assert!(
+            !ask(&mut w, shipper, island),
+            "a link-free transfer is no flow"
+        );
+        assert!(!ask(&mut w, daemon, shipper), "a flow has a direction");
+        tell(&mut w, boss, Order::Reap(first));
+        tell(&mut w, boss, Order::Spawn("w1"));
+        assert_eq!(w.lookup(b, "w1"), Some(first), "the id was recycled");
+        assert!(!ask(&mut w, shipper, first), "not the recycled id's flow");
+        // The sending end: a transient shipper's flow is its own, and not
+        // its recycled id's.
+        tell(&mut w, boss, Order::SpawnShipper("s0"));
+        let sender = w.lookup(b, "s0").unwrap();
+        tell(&mut w, sender, Ship(inbox));
+        assert!(ask(&mut w, sender, inbox), "a sender sees its flow leave");
+        tell(&mut w, boss, Order::Reap(sender));
+        tell(&mut w, boss, Order::Spawn("w2"));
+        assert_eq!(w.lookup(b, "w2"), Some(sender), "the id was recycled");
+        assert!(!ask(&mut w, sender, inbox), "not the recycled id's flow");
+        w.kill_component_now(daemon);
+        let again = w.add_component(b, "daemon", Sink(log.clone()));
+        assert_eq!(again, daemon, "a restart keeps its address");
+        assert!(ask(&mut w, shipper, daemon), "a restart keeps its flow");
+        w.run_until_quiescent();
+        assert!(!ask(&mut w, shipper, daemon), "a delivered flow is over");
+        assert_eq!(*log.borrow(), ["payload"; 3]);
+        assert_eq!(w.metrics().counter("net.flows_done"), 3);
     }
 
     #[test]
