@@ -468,6 +468,18 @@ mod tests {
         assert!(!symmetric_match(&job, &sparc));
         assert_eq!(rank(&job, &good), 300.0);
         assert_eq!(rank(&job, &sparc), 0.0);
+
+        // A literal on the left compares in source order.
+        let literal_first = ClassAd::new().with_parsed("Requirements", "64 <= TARGET.Memory");
+        let big = ClassAd::new().with("Memory", 128i64);
+        assert!(half_match(&literal_first, &big));
+        assert!(!half_match(&literal_first, &small));
+        // A top-level || accepts whichever arm holds.
+        let either = ClassAd::new().with_parsed(
+            "Requirements",
+            "TARGET.Arch == \"INTEL\" || TARGET.Arch == \"SPARC\"",
+        );
+        assert!(half_match(&either, &sparc));
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! * a library of the builtin functions matchmaking policies actually use,
 //!   and
 //! * the symmetric match + rank entry points used by the `condor` and
-//!   `condor-g` crates.
+//!   `condor-g` crates. `half_match_expr` and `rank_expr` take an
+//!   expression already looked up, so a matchmaker pays each ad's
+//!   attribute lookup once, not once per pair; every match decision still
+//!   goes through the one evaluator.
 //!
 //! # Example
 //!
@@ -51,12 +54,12 @@ pub mod expr;
 pub mod funcs;
 pub mod lexer;
 pub mod parser;
-pub mod prefilter;
+#[cfg(test)]
+mod prefilter;
 pub mod value;
 
 pub use ad::ClassAd;
 pub use eval::{half_match_expr, rank, rank_expr, symmetric_match, EvalCtx};
 pub use expr::{BinOp, Expr, UnOp};
 pub use parser::{parse_ad, parse_expr, ParseError};
-pub use prefilter::{LiteralAttrs, RequirementsPrefilter};
 pub use value::Value;

@@ -1,221 +1,16 @@
-//! A conservative pre-filter for matchmaking: cheaply reject candidate ads
-//! that a `Requirements` expression can never accept.
-//!
-//! The negotiator matches every idle job against every unclaimed machine,
-//! so the inner loop is `jobs × machines` full evaluations. Most real
-//! requirements are a conjunction of simple comparisons against candidate
-//! attributes (`TARGET.Arch == "INTEL" && TARGET.Memory >= 64`), and most
-//! candidate attributes are literals. This module extracts those comparisons
-//! once per job and tests them against a pre-built literal-attribute index
-//! per machine — no expression-tree walk, no scope-chain lookups.
-//!
-//! # Soundness
-//!
-//! A match requires `Requirements` to evaluate to exactly `Bool(true)`.
-//! Under the three-valued `&&` (see [`crate::eval`]), a conjunction is
-//! `true` iff *every* top-level conjunct is `true` — `UNDEFINED` and
-//! `ERROR` leaves poison the result even when another leaf is `false`.
-//! So if any one extracted conjunct provably evaluates to something other
-//! than `true`, the whole expression cannot accept the candidate and the
-//! pair can be skipped without evaluating anything else.
-//!
-//! The extractor only keeps conjuncts whose comparison the evaluator would
-//! resolve entirely from the candidate ad:
-//!
-//! * the attribute side must be `TARGET.`-scoped, or unqualified *and*
-//!   absent from the owning ad (unqualified lookup tries `MY` first);
-//! * the other side must be a literal.
-//!
-//! [`RequirementsPrefilter::rejects`] then mirrors the evaluator exactly:
-//! missing attribute ⇒ `UNDEFINED` conjunct ⇒ reject; `ERROR`/`UNDEFINED`
-//! operands ⇒ reject; otherwise the same `loose_eq`/`loose_cmp` the
-//! evaluator uses, in the same operand order. Attributes bound to
-//! non-literal expressions make the test inconclusive and are skipped, so
-//! the filter only ever rejects pairs the full evaluation would reject.
+//! The (job, machine) pairs a literal `Requirements` pre-filter would have
+//! to judge. The negotiator keeps no such filter: every pair goes through
+//! [`crate::eval`], so these tests pin the evaluator's verdict on each case
+//! a filter gets wrong most easily.
 
-use crate::ad::ClassAd;
-use crate::expr::{BinOp, Expr, Scope};
-use crate::value::Value;
-use std::cmp::Ordering;
-use std::collections::HashMap;
-
-/// One extracted conjunct: `attr op literal` (or reversed).
-#[derive(Clone, Debug)]
-struct Test {
-    /// Candidate attribute name, lowercased for index lookup.
-    attr: String,
-    op: BinOp,
-    lit: Value,
-    /// Whether the attribute was the left operand in the source expression;
-    /// preserved so the comparison runs with the evaluator's operand order.
-    attr_on_left: bool,
-}
-
-/// Literal attributes of a candidate ad, keyed by lowercase name.
-///
-/// `Some(value)` for attributes bound to literals, `None` for attributes
-/// bound to computed expressions (those make prefilter tests inconclusive).
-pub struct LiteralAttrs(HashMap<String, Option<Value>>);
-
-impl LiteralAttrs {
-    /// Build the index for a candidate ad. O(attributes), done once per
-    /// machine per negotiation cycle rather than once per (job, machine).
-    pub fn of(ad: &ClassAd) -> LiteralAttrs {
-        let mut map = HashMap::with_capacity(ad.len());
-        for (name, expr) in ad.iter() {
-            let lit = match expr {
-                Expr::Lit(v) => Some(v.clone()),
-                _ => None,
-            };
-            map.insert(name.to_ascii_lowercase(), lit);
-        }
-        LiteralAttrs(map)
-    }
-}
-
-/// The compiled pre-filter for one ad's `Requirements`.
-pub struct RequirementsPrefilter {
-    tests: Vec<Test>,
-}
-
-impl RequirementsPrefilter {
-    /// Extract candidate-only comparisons from `requirements` (as owned by
-    /// `owner`, whose attributes shadow unqualified references). A missing
-    /// or unanalyzable expression yields an empty filter that rejects
-    /// nothing.
-    pub fn for_requirements(requirements: Option<&Expr>, owner: &ClassAd) -> RequirementsPrefilter {
-        let mut tests = Vec::new();
-        if let Some(req) = requirements {
-            collect_conjuncts(req, owner, &mut tests);
-        }
-        RequirementsPrefilter { tests }
-    }
-
-    /// Convenience: compile from the ad's own `Requirements` attribute.
-    pub fn for_ad(owner: &ClassAd) -> RequirementsPrefilter {
-        RequirementsPrefilter::for_requirements(owner.get("Requirements"), owner)
-    }
-
-    /// True if no conjuncts were extractable (the filter is a no-op).
-    pub fn is_empty(&self) -> bool {
-        self.tests.is_empty()
-    }
-
-    /// Can this candidate be skipped? `true` means the full evaluation is
-    /// guaranteed not to yield `Bool(true)`; `false` decides nothing.
-    pub fn rejects(&self, candidate: &LiteralAttrs) -> bool {
-        self.tests.iter().any(|t| match candidate.0.get(&t.attr) {
-            // Absent attribute: the conjunct evaluates to UNDEFINED,
-            // which can never be absorbed back to `true` by `&&`.
-            None => true,
-            // Bound to a computed expression: inconclusive, keep the pair.
-            Some(None) => false,
-            Some(Some(v)) => !test_definitely_true(t, v),
-        })
-    }
-}
-
-/// Walk the top-level `&&` spine, extracting analyzable comparisons.
-fn collect_conjuncts(expr: &Expr, owner: &ClassAd, out: &mut Vec<Test>) {
-    match expr {
-        Expr::Binary(BinOp::And, a, b) => {
-            collect_conjuncts(a, owner, out);
-            collect_conjuncts(b, owner, out);
-        }
-        Expr::Binary(op, a, b) if is_comparison(*op) => {
-            let test = match (a.as_ref(), b.as_ref()) {
-                (Expr::Attr(scope, name), Expr::Lit(v))
-                    if is_candidate_attr(*scope, name, owner) =>
-                {
-                    Some(Test {
-                        attr: name.to_ascii_lowercase(),
-                        op: *op,
-                        lit: v.clone(),
-                        attr_on_left: true,
-                    })
-                }
-                (Expr::Lit(v), Expr::Attr(scope, name))
-                    if is_candidate_attr(*scope, name, owner) =>
-                {
-                    Some(Test {
-                        attr: name.to_ascii_lowercase(),
-                        op: *op,
-                        lit: v.clone(),
-                        attr_on_left: false,
-                    })
-                }
-                _ => None,
-            };
-            out.extend(test);
-        }
-        _ => {}
-    }
-}
-
-fn is_comparison(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-    )
-}
-
-/// Would the evaluator resolve this attribute reference in the *candidate*
-/// (TARGET) ad? Unqualified names resolve in the owning ad first, so they
-/// only reach the candidate when the owner lacks them.
-fn is_candidate_attr(scope: Scope, name: &str, owner: &ClassAd) -> bool {
-    match scope {
-        Scope::Target => true,
-        Scope::Unqualified => owner.get(name).is_none(),
-        Scope::My => false,
-    }
-}
-
-/// Does this conjunct provably evaluate to `Bool(true)` for a candidate
-/// whose attribute is the literal `attr_val`? Mirrors
-/// [`crate::eval::EvalCtx::eval`] on `Binary(op, ..)`: exceptional operands
-/// propagate before the loose comparison runs, and `None` from the loose
-/// comparison means `ERROR`. Anything other than a definite `true` lets
-/// [`RequirementsPrefilter::rejects`] skip the pair.
-fn test_definitely_true(t: &Test, attr_val: &Value) -> bool {
-    if attr_val.is_error() || attr_val.is_undefined() || t.lit.is_error() || t.lit.is_undefined() {
-        return false;
-    }
-    let (l, r) = if t.attr_on_left {
-        (attr_val, &t.lit)
-    } else {
-        (&t.lit, attr_val)
-    };
-    match t.op {
-        BinOp::Eq => l.loose_eq(r) == Some(true),
-        BinOp::Ne => l.loose_eq(r) == Some(false),
-        BinOp::Lt => l.loose_cmp(r) == Some(Ordering::Less),
-        BinOp::Le => matches!(l.loose_cmp(r), Some(Ordering::Less | Ordering::Equal)),
-        BinOp::Gt => l.loose_cmp(r) == Some(Ordering::Greater),
-        BinOp::Ge => matches!(l.loose_cmp(r), Some(Ordering::Greater | Ordering::Equal)),
-        _ => unreachable!("only comparison ops are extracted"),
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::eval::half_match;
+    use crate::ClassAd;
 
     fn job(requirements: &str) -> ClassAd {
         ClassAd::new()
             .with("ImageSize", 32i64)
             .with_parsed("Requirements", requirements)
-    }
-
-    fn check_sound(j: &ClassAd, machine: &ClassAd) {
-        let pf = RequirementsPrefilter::for_ad(j);
-        let lits = LiteralAttrs::of(machine);
-        if pf.rejects(&lits) {
-            assert!(
-                !half_match(j, machine),
-                "prefilter rejected a pair the evaluator accepts:\n{j}\nvs\n{machine}"
-            );
-        }
     }
 
     #[test]
@@ -224,126 +19,83 @@ mod tests {
         let good = ClassAd::new().with("Arch", "INTEL").with("Memory", 128i64);
         let wrong_arch = ClassAd::new().with("Arch", "SPARC").with("Memory", 128i64);
         let small = ClassAd::new().with("Arch", "INTEL").with("Memory", 16i64);
-        let pf = RequirementsPrefilter::for_ad(&j);
-        assert!(!pf.rejects(&LiteralAttrs::of(&good)));
-        assert!(pf.rejects(&LiteralAttrs::of(&wrong_arch)));
-        assert!(pf.rejects(&LiteralAttrs::of(&small)));
-        for m in [&good, &wrong_arch, &small] {
-            check_sound(&j, m);
-        }
+        assert!(half_match(&j, &good));
+        assert!(!half_match(&j, &wrong_arch));
+        assert!(!half_match(&j, &small));
     }
 
     #[test]
     fn missing_attribute_rejects() {
-        // UNDEFINED conjuncts can never become true, even when another
-        // conjunct would be false.
+        // An UNDEFINED conjunct can never become true.
         let j = job("TARGET.Arch == \"INTEL\"");
         let bare = ClassAd::new().with("Memory", 128i64);
-        let pf = RequirementsPrefilter::for_ad(&j);
-        assert!(pf.rejects(&LiteralAttrs::of(&bare)));
-        check_sound(&j, &bare);
+        assert!(!half_match(&j, &bare));
     }
 
     #[test]
     fn computed_attribute_is_inconclusive() {
+        // A computed attribute has no literal to compare against; only
+        // evaluating it decides the pair.
         let j = job("TARGET.Memory >= 64");
         let computed = ClassAd::new()
             .with("Base", 32i64)
             .with_parsed("Memory", "Base * 4");
-        let pf = RequirementsPrefilter::for_ad(&j);
-        assert!(!pf.rejects(&LiteralAttrs::of(&computed)));
-        // The evaluator does accept it: 32 * 4 = 128 >= 64.
         assert!(half_match(&j, &computed));
+        let computed_small = ClassAd::new()
+            .with("Base", 8i64)
+            .with_parsed("Memory", "Base * 4");
+        assert!(!half_match(&j, &computed_small));
     }
 
     #[test]
     fn my_and_shadowed_references_are_not_extracted() {
-        // MY.-scoped and owner-shadowed unqualified names never describe the
-        // candidate, so they must not produce candidate tests.
+        // MY.-scoped and owner-shadowed unqualified names describe the job,
+        // never the candidate: the candidate's Memory changes nothing.
         let j = ClassAd::new()
             .with("Memory", 4i64)
             .with_parsed("Requirements", "MY.ImageSize < 64 && Memory > 1000");
-        let pf = RequirementsPrefilter::for_ad(&j);
-        assert!(pf.is_empty());
-        // Unqualified name *absent* from the owner does get extracted.
-        let k = ClassAd::new().with_parsed("Requirements", "Memory > 1000");
-        let pf = RequirementsPrefilter::for_ad(&k);
-        assert!(!pf.is_empty());
+        let big = ClassAd::new()
+            .with("ImageSize", 1i64)
+            .with("Memory", 2048i64);
+        assert!(!half_match(&j, &big));
+        let shadowing = ClassAd::new()
+            .with("ImageSize", 32i64)
+            .with("Memory", 2048i64)
+            .with_parsed("Requirements", "MY.ImageSize < 64 && Memory > 1000");
         let small = ClassAd::new().with("Memory", 128i64);
-        assert!(pf.rejects(&LiteralAttrs::of(&small)));
-        check_sound(&k, &small);
+        assert!(half_match(&shadowing, &small));
+        // An unqualified name absent from the job resolves in the candidate.
+        let k = ClassAd::new().with_parsed("Requirements", "Memory > 1000");
+        assert!(!half_match(&k, &small));
+        assert!(half_match(&k, &big));
     }
 
     #[test]
     fn reversed_operand_order_is_preserved() {
         let j = job("64 <= TARGET.Memory");
-        let pf = RequirementsPrefilter::for_ad(&j);
         let big = ClassAd::new().with("Memory", 128i64);
         let small = ClassAd::new().with("Memory", 16i64);
-        assert!(!pf.rejects(&LiteralAttrs::of(&big)));
-        assert!(pf.rejects(&LiteralAttrs::of(&small)));
-        check_sound(&j, &small);
+        assert!(half_match(&j, &big));
+        assert!(!half_match(&j, &small));
     }
 
     #[test]
     fn non_conjunctive_requirements_reject_nothing() {
-        // || at the top level means no conjunct is individually necessary.
+        // With || at the top level no single comparison is necessary.
         let j = job("TARGET.Arch == \"INTEL\" || TARGET.Arch == \"SPARC\"");
-        let pf = RequirementsPrefilter::for_ad(&j);
-        assert!(pf.is_empty());
         let sparc = ClassAd::new().with("Arch", "SPARC");
-        assert!(!pf.rejects(&LiteralAttrs::of(&sparc)));
+        let intel = ClassAd::new().with("Arch", "INTEL");
+        let alpha = ClassAd::new().with("Arch", "ALPHA");
         assert!(half_match(&j, &sparc));
+        assert!(half_match(&j, &intel));
+        assert!(!half_match(&j, &alpha));
     }
 
     #[test]
     fn type_mismatch_comparison_rejects_like_the_evaluator() {
-        // 1 == "x" is ERROR in the evaluator; the conjunct can't be true.
-        let j = job("TARGET.Memory == \"lots\"");
+        // 128 == "lots" is ERROR, not false, so neither == nor != holds.
         let m = ClassAd::new().with("Memory", 128i64);
-        let pf = RequirementsPrefilter::for_ad(&j);
-        assert!(pf.rejects(&LiteralAttrs::of(&m)));
-        check_sound(&j, &m);
-    }
-
-    #[test]
-    fn randomized_agreement_with_full_evaluation() {
-        // Drive the filter across a grid of requirements × machines and
-        // assert the soundness contract everywhere: rejects ⇒ no match.
-        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let reqs = [
-            "TARGET.Memory >= 64",
-            "TARGET.Memory < 64 && TARGET.Arch == \"INTEL\"",
-            "TARGET.Arch != \"SPARC\" && TARGET.Mips > 100",
-            "Memory >= ImageSize && TARGET.Arch == \"INTEL\"",
-            "TARGET.Memory >= MY.ImageSize",
-            "32 < TARGET.Memory && TARGET.HasGass == true",
-        ];
-        let arches = ["INTEL", "SPARC", "ALPHA"];
-        for req in reqs {
-            let j = job(req);
-            for _ in 0..50 {
-                let mut m = ClassAd::new();
-                if next() % 4 != 0 {
-                    m.set("Memory", (next() % 256) as i64);
-                }
-                if next() % 4 != 0 {
-                    m.set("Arch", arches[(next() % 3) as usize]);
-                }
-                if next() % 2 == 0 {
-                    m.set("Mips", (next() % 500) as i64);
-                }
-                if next() % 3 == 0 {
-                    m.set("HasGass", next() % 2 == 0);
-                }
-                check_sound(&j, &m);
-            }
-        }
+        assert!(!half_match(&job("TARGET.Memory == \"lots\""), &m));
+        assert!(!half_match(&job("TARGET.Memory != \"lots\""), &m));
     }
 }

@@ -12,46 +12,23 @@
 //! and `Rank` expressions can steer on site health, and machines at
 //! quarantined sites sit the cycle out entirely — the matchmaking half of
 //! the adaptive-brokering loop.
+//!
+//! Every pair is decided by the one ClassAd evaluator. A cycle takes the
+//! collector's shared ad handles as they come (annotated first in weather
+//! mode), looks each free machine's `Requirements` up once and each job's
+//! `Requirements` and `Rank` once, and evaluates every remaining pair in
+//! full; nothing is cached from one cycle to the next.
 
 use crate::proto::{
     AdKind, CollectorAds, CollectorQuery, IdleJobs, MatchNotify, NegotiationRequest,
 };
-use classads::{half_match_expr, rank_expr, ClassAd, Expr, LiteralAttrs, RequirementsPrefilter};
+use classads::{half_match_expr, rank_expr, ClassAd};
 use gridsim::obs::{site_weather, HealthPolicy, SiteHealthTracker, SiteWeather};
 use gridsim::prelude::*;
 use gridsim::AnyMsg;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 const TAG_CYCLE: u64 = 1;
-
-/// A machine prepared for matchmaking: its `Requirements` pre-extracted and
-/// its literal attributes indexed for job-side pre-filters. Built once per
-/// ad and reused across cycles while the collector keeps serving the same
-/// handle, which it does until the startd's state changes (a periodic
-/// re-advertisement re-sends the handle; a new ad is a new handle, which
-/// invalidates the cache entry via pointer identity).
-struct MachineInfo {
-    ad: Rc<ClassAd>,
-    /// The machine's own `Requirements` (cloned out of the ad so the struct
-    /// isn't self-referential).
-    requirements: Option<Expr>,
-    literals: LiteralAttrs,
-}
-
-impl MachineInfo {
-    fn prepare(ad: Rc<ClassAd>) -> MachineInfo {
-        #[cfg(test)]
-        tests::PREPARES.with(|n| n.set(n.get() + 1));
-        let requirements = ad.get("Requirements").cloned();
-        let literals = LiteralAttrs::of(&ad);
-        MachineInfo {
-            ad,
-            requirements,
-            literals,
-        }
-    }
-}
 
 /// Where a cycle stands.
 enum Phase {
@@ -75,8 +52,6 @@ pub struct Negotiator {
     period: Duration,
     cycle: u64,
     phase: Phase,
-    /// Prepared machines from the previous cycle, keyed by name.
-    machine_cache: HashMap<String, MachineInfo>,
     /// Weather-driven adaptation, if enabled (see
     /// [`Negotiator::with_weather`]).
     weather: Option<SiteHealthTracker>,
@@ -94,7 +69,6 @@ impl Negotiator {
             period,
             cycle: 0,
             phase: Phase::Idle,
-            machine_cache: HashMap::new(),
             weather: None,
         }
     }
@@ -196,68 +170,55 @@ impl Negotiator {
                 });
             }
         }
-        // Prepare machines, reusing last cycle's work whenever the
-        // collector handed back the same ad (pointer identity on the shared
-        // handle — a machine whose state changed advertises a fresh handle
-        // and gets a fresh entry). Anything left in the cache afterwards
-        // vanished from the pool, so it is dropped. Weather annotations
-        // rewrite the ads, so adaptive cycles skip the cache and prepare
-        // fresh.
-        let mut free: Vec<(String, Addr, MachineInfo)> = machines
+        // The collector's handles as they come. In adaptive mode a glidein's
+        // ad is first annotated with its site's weather, or sits the cycle
+        // out while that site is quarantined.
+        let machines: Vec<(String, Addr, Rc<ClassAd>)> = machines
             .into_iter()
             .filter_map(|(name, startd, ad)| {
-                let info = match &self.weather {
-                    Some(tracker) => match ad.get_str("GlideinSite") {
-                        Some(site) if tracker.is_quarantined(&site) => {
-                            ctx.trace_with("negotiator.skip_quarantined", || {
-                                format!("{name} site={site}")
-                            });
-                            return None;
-                        }
-                        Some(site) => {
-                            let handles = ctx.metrics().site(&site);
-                            let row = site_weather(ctx.metrics(), &site, &handles);
-                            MachineInfo::prepare(Rc::new(Negotiator::annotate(&ad, &row)))
-                        }
-                        None => MachineInfo::prepare(ad),
-                    },
-                    None => match self.machine_cache.remove(&name) {
-                        Some(info) if Rc::ptr_eq(&info.ad, &ad) => info,
-                        _ => MachineInfo::prepare(ad),
-                    },
+                let Some(tracker) = &self.weather else {
+                    return Some((name, startd, ad));
                 };
-                Some((name, startd, info))
+                let ad = match ad.get_str("GlideinSite") {
+                    Some(site) if tracker.is_quarantined(&site) => {
+                        ctx.trace_with("negotiator.skip_quarantined", || {
+                            format!("{name} site={site}")
+                        });
+                        return None;
+                    }
+                    Some(site) => {
+                        let handles = ctx.metrics().site(&site);
+                        let row = site_weather(ctx.metrics(), &site, &handles);
+                        Rc::new(Negotiator::annotate(&ad, &row))
+                    }
+                    None => ad,
+                };
+                Some((name, startd, ad))
             })
             .collect();
-        self.machine_cache.clear();
+        // Each free machine's own Requirements, looked up once per cycle.
+        let mut free: Vec<_> = machines
+            .iter()
+            .map(|(name, startd, ad)| (name, *startd, ad, ad.get("Requirements")))
+            .collect();
         // Greedy: jobs in arrival order, each taking its best-ranked
         // compatible machine.
         let mut matched = 0u64;
         for (schedd, job, job_ad) in jobs {
-            // Pull the job's Requirements and Rank once, not per machine,
-            // and compile the Requirements into a literal pre-filter.
+            // Pull the job's Requirements and Rank once, not per machine.
             let req = job_ad.get("Requirements");
             let rank = job_ad.get("Rank");
-            let prefilter = RequirementsPrefilter::for_requirements(req, &job_ad);
             let mut best: Option<(usize, f64)> = None;
-            for (i, (_, _, m)) in free.iter().enumerate() {
-                // The pre-filter only rejects machines whose full evaluation
-                // could not return true, so the match outcome (and therefore
-                // the trace) is exactly the unfiltered one.
-                if prefilter.rejects(&m.literals) {
-                    continue;
-                }
-                if half_match_expr(req, &job_ad, &m.ad)
-                    && half_match_expr(m.requirements.as_ref(), &m.ad, &job_ad)
-                {
-                    let r = rank_expr(rank, &job_ad, &m.ad);
+            for (i, (_, _, ad, machine_req)) in free.iter().enumerate() {
+                if half_match_expr(req, &job_ad, ad) && half_match_expr(*machine_req, ad, &job_ad) {
+                    let r = rank_expr(rank, &job_ad, ad);
                     if best.is_none_or(|(_, br)| r > br) {
                         best = Some((i, r));
                     }
                 }
             }
             if let Some((i, _)) = best {
-                let (name, startd, info) = free.remove(i);
+                let (name, startd, ad, _) = free.remove(i);
                 matched += 1;
                 ctx.trace_with("negotiator.match", || format!("{job} -> {name}"));
                 ctx.send(
@@ -265,14 +226,10 @@ impl Negotiator {
                     MatchNotify {
                         job,
                         startd,
-                        machine_ad: info.ad,
+                        machine_ad: Rc::clone(ad),
                     },
                 );
             }
-        }
-        // Unmatched machines carry their prepared state into the next cycle.
-        for (name, _, info) in free {
-            self.machine_cache.insert(name, info);
         }
         ctx.metrics().incr("negotiator.matches", matched);
     }
@@ -339,56 +296,76 @@ mod tests {
     use crate::schedd::Schedd;
     use crate::startd::Startd;
     use gridsim::{Config, World};
-    use std::cell::Cell;
 
-    thread_local! {
-        /// `MachineInfo::prepare` calls made on this thread.
-        pub(super) static PREPARES: Cell<u64> = const { Cell::new(0) };
+    /// Six unclaimed startds of which two can run the job, two identical
+    /// jobs, one hour; returns the `negotiator.match` details in order.
+    fn mixed_pool_matches(weather: bool) -> Vec<String> {
+        let mut w = World::new(Config::default().seed(7).with_trace());
+        let central = w.add_node("central");
+        let collector = w.add_component(central, "collector", Collector::new());
+        let mut negotiator = Negotiator::new(collector, Duration::from_mins(1));
+        if weather {
+            negotiator = negotiator.with_weather(HealthPolicy::default());
+        }
+        w.add_component(central, "negotiator", negotiator);
+        let intel = || ClassAd::new().with("Arch", "INTEL");
+        let machines = [
+            (
+                "sparc",
+                ClassAd::new().with("Arch", "SPARC").with("Memory", 512i64),
+            ),
+            ("no_memory", intel()),
+            ("small", intel().with("Memory", 32i64)),
+            (
+                "computed",
+                intel()
+                    .with("Base", 32i64)
+                    .with_parsed("Memory", "Base * 4"),
+            ),
+            ("medium", intel().with("Memory", 96i64)),
+            (
+                "picky",
+                intel()
+                    .with("Memory", 1024i64)
+                    .with_parsed("Requirements", "TARGET.Owner == \"root\""),
+            ),
+        ];
+        for (name, ad) in machines {
+            let node = w.add_node(name);
+            w.add_component(node, "startd", Startd::new(name, ad, collector));
+        }
+        let submit = w.add_node("submit");
+        let schedd = w.add_component(submit, "schedd", Schedd::new("schedd1", vec![collector]));
+        for client_id in 0..2 {
+            let ad = ClassAd::new()
+                .with("TotalWork", 600i64)
+                .with("Owner", "jane")
+                .with_parsed(
+                    "Requirements",
+                    "TARGET.Arch == \"INTEL\" && TARGET.Memory >= 64",
+                )
+                .with_parsed("Rank", "TARGET.Memory");
+            w.post(schedd, PoolSubmit { client_id, ad });
+        }
+        w.run_until(SimTime::ZERO + Duration::from_mins(60));
+        assert_eq!(w.metrics().counter("negotiator.matches"), 2);
+        assert_eq!(w.metrics().counter("schedd.completed"), 2);
+        w.trace()
+            .events()
+            .iter()
+            .filter(|e| e.kind == "negotiator.match")
+            .map(|e| e.detail.clone())
+            .collect()
     }
 
     #[test]
-    fn unchanged_machine_is_prepared_once_per_state_change() {
-        PREPARES.with(|n| n.set(0));
-        let mut w = World::new(Config::default().seed(7));
-        let central = w.add_node("central");
-        let collector = w.add_component(central, "collector", Collector::new());
-        w.add_component(
-            central,
-            "negotiator",
-            Negotiator::new(collector, Duration::from_mins(1)),
-        );
-        let exec = w.add_node("exec0");
-        let machine = ClassAd::new().with("Arch", "INTEL");
-        w.add_component(exec, "startd", Startd::new("exec0", machine, collector));
-        let submit = w.add_node("submit");
-        let schedd = w.add_component(submit, "schedd", Schedd::new("schedd1", vec![collector]));
-
-        // Twenty cycles over ten re-advertisements of one unclaimed machine.
-        w.run_until(SimTime::ZERO + Duration::from_mins(20));
-        assert!(w.metrics().counter("negotiator.cycles") >= 20);
-        assert!(w.metrics().counter("collector.advertisements") >= 10);
-        assert_eq!(PREPARES.with(Cell::get), 1);
-
-        // Unclaimed -> Claimed -> Busy -> Claimed -> Unclaimed. The match
-        // consumes the cached entry; the machine's return is a new ad and
-        // one more `prepare`. (A cycle that falls between the match and the
-        // startd's next advertisement still sees the old Unclaimed ad and
-        // prepares it again, so the round trip costs one or two.)
-        w.post(
-            schedd,
-            PoolSubmit {
-                client_id: 0,
-                ad: ClassAd::new().with("TotalWork", 600i64),
-            },
-        );
-        w.run_until(SimTime::ZERO + Duration::from_mins(60));
-        assert_eq!(w.metrics().counter("negotiator.matches"), 1);
-        assert_eq!(w.metrics().counter("schedd.completed"), 1);
-        let after_round_trip = PREPARES.with(Cell::get);
-        assert!((2..=3).contains(&after_round_trip), "{after_round_trip}");
-
-        // Back to steady state: twenty more cycles, no more work.
-        w.run_until(SimTime::ZERO + Duration::from_mins(80));
-        assert_eq!(PREPARES.with(Cell::get), after_round_trip);
+    fn mixed_pool_gives_each_job_its_best_compatible_machine() {
+        // The SPARC machine, the one with no Memory, the 32 MB one and the
+        // large one whose own Requirements refuse the job never match; the
+        // computed Memory (128) outranks 96. Weather cycles, which annotate
+        // and filter the collector's ads, pick the same machines.
+        let expected = ["job0 -> computed", "job1 -> medium"];
+        assert_eq!(mixed_pool_matches(false), expected);
+        assert_eq!(mixed_pool_matches(true), expected);
     }
 }

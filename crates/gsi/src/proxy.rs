@@ -74,7 +74,8 @@ impl ProxyCredential {
     ///
     /// Walks: the root CA signs `chain[0]`; each `chain[i]` signs
     /// `chain[i+1]` and must name it as issuer; every element must be
-    /// within its validity window.
+    /// within its validity window. A success past the effective expiry is
+    /// a broken invariant, not a verdict: it panics, in release builds too.
     pub fn verify(&self, now: SimTime, trust: &TrustRoot) -> Result<String, AuthError> {
         let first = self.chain.first().ok_or(AuthError::EmptyChain)?;
         let ca_key = trust
@@ -112,6 +113,12 @@ impl ProxyCredential {
                 });
             }
         }
+        assert!(
+            now < self.expires_at(),
+            "proxy of {} verified at {now}, past its expiry {}",
+            self.subject(),
+            self.expires_at()
+        );
         Ok(first.subject.clone())
     }
 
@@ -174,6 +181,22 @@ mod tests {
             proxy.verify(late, &ca.trust_root()),
             Err(AuthError::Expired { .. })
         ));
+    }
+
+    #[test]
+    fn expiry_boundary_is_exclusive() {
+        let (ca, id) = setup();
+        let proxy = id.new_proxy(SimTime::ZERO, Duration::from_hours(12));
+        let expiry = proxy.expires_at();
+        assert_eq!(expiry, SimTime::ZERO + Duration::from_hours(12));
+        assert!(proxy.is_expired(expiry));
+        assert!(matches!(
+            proxy.verify(expiry, &ca.trust_root()),
+            Err(AuthError::Expired { .. })
+        ));
+        let just_before = SimTime::ZERO + (Duration::from_hours(12) - Duration::from_micros(1));
+        assert!(!proxy.is_expired(just_before));
+        assert!(proxy.verify(just_before, &ca.trust_root()).is_ok());
     }
 
     #[test]
