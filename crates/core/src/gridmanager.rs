@@ -208,6 +208,27 @@ enum Phase {
     Terminal,
 }
 
+impl Phase {
+    /// A JobManager learned of at `now`: a new one awaiting the commit, or
+    /// (`committed`) one reattached to a job past it, taken to be queued
+    /// until it says otherwise.
+    fn live(jm: Addr, now: SimTime, committed: bool) -> Phase {
+        Phase::Live {
+            jm,
+            probe_sent: None,
+            last_contact: now,
+            missed: 0,
+            gram_state: if committed {
+                GramJobState::Pending
+            } else {
+                GramJobState::PendingCommit
+            },
+            commit_acked: committed,
+            pending_since: Some(now),
+        }
+    }
+}
+
 struct GmJob {
     spec: GridJobSpec,
     attempts: u32,
@@ -590,6 +611,20 @@ impl GridManager {
             let failures = ctx.metrics().site(site).attempt_failures;
             ctx.metrics().add(failures, 1);
         }
+        if j.attempts > max_retries {
+            let reason = format!("{why} (after {} attempts)", j.attempts);
+            self.finish(ctx, job, JobStatus::Failed(reason));
+        } else {
+            self.resubmit_elsewhere(ctx, job);
+        }
+    }
+
+    /// Leave `job`'s current site for good: exclude it, drop the attempt's
+    /// seq and contact, and submit elsewhere.
+    fn resubmit_elsewhere(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
+        let Some(j) = self.jobs.get_mut(&job) else {
+            return;
+        };
         if let Some(site) = j.site.take() {
             if !j.excluded.contains(&site) {
                 j.excluded.push(site);
@@ -597,19 +632,21 @@ impl GridManager {
         }
         j.gatekeeper = None;
         let (old_seq, old_contact) = (j.seq.take(), j.contact.take());
-        if j.attempts > max_retries {
-            j.phase = Phase::Terminal;
-            let reason = format!("{why} (after {} attempts)", j.attempts);
-            self.unindex(old_seq, old_contact);
-            self.persist_job(ctx, job);
-            self.report(ctx, job, JobStatus::Failed(reason));
-            self.retire(ctx, job);
-        } else {
-            j.phase = Phase::NeedSite;
-            self.unindex(old_seq, old_contact);
-            self.persist_job(ctx, job);
-            self.begin_submit(ctx, job);
-        }
+        j.phase = Phase::NeedSite;
+        self.unindex(old_seq, old_contact);
+        self.persist_job(ctx, job);
+        self.begin_submit(ctx, job);
+    }
+
+    /// `job` is over: tombstone it, report `status` and evict it.
+    fn finish(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, status: JobStatus) {
+        let Some(j) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        j.phase = Phase::Terminal;
+        self.persist_job(ctx, job);
+        self.report(ctx, job, status);
+        self.retire(ctx, job);
     }
 
     /// Drop a job's seq/contact index entries (site abandoned or job moved).
@@ -712,7 +749,7 @@ impl GridManager {
                         self.begin_submit(ctx, job);
                     }
                     Phase::Live { gram_state, .. } => {
-                        let status = gram_state_to_status(gram_state, true);
+                        let status = gram_state_to_status(gram_state);
                         self.report(ctx, job, status);
                     }
                     Phase::Submitting { .. }
@@ -976,12 +1013,7 @@ impl GridManager {
                         ctx.send(*jm, JmMsg::Cancel);
                     }
                     Phase::Terminal => {}
-                    _ => {
-                        j.phase = Phase::Terminal;
-                        self.persist_job(ctx, job);
-                        self.report(ctx, job, JobStatus::Removed);
-                        self.retire(ctx, job);
-                    }
+                    _ => self.finish(ctx, job, JobStatus::Removed),
                 }
                 self.refresh_due(job);
             }
@@ -1004,15 +1036,7 @@ impl GridManager {
                         SubmitAction::SendCommit { jobmanager, .. } => {
                             ctx.send(jobmanager, JmMsg::Commit);
                             j.contact = Some(*contact);
-                            j.phase = Phase::Live {
-                                jm: jobmanager,
-                                probe_sent: None,
-                                last_contact: ctx.now(),
-                                missed: 0,
-                                gram_state: GramJobState::PendingCommit,
-                                commit_acked: false,
-                                pending_since: Some(ctx.now()),
-                            };
+                            j.phase = Phase::live(jobmanager, ctx.now(), false);
                             self.persist_job(ctx, job);
                         }
                         SubmitAction::GiveUp(_) | SubmitAction::Ignore => {}
@@ -1023,15 +1047,7 @@ impl GridManager {
                 ) {
                     // A duplicate submit answer can double as recovery.
                     j.contact = Some(*contact);
-                    j.phase = Phase::Live {
-                        jm: *jobmanager,
-                        probe_sent: None,
-                        last_contact: ctx.now(),
-                        missed: 0,
-                        gram_state: GramJobState::Pending,
-                        commit_acked: true,
-                        pending_since: Some(ctx.now()),
-                    };
+                    j.phase = Phase::live(*jobmanager, ctx.now(), true);
                     self.persist_job(ctx, job);
                 }
                 // Either branch may have learned the contact just now.
@@ -1091,15 +1107,7 @@ impl GridManager {
                 );
                 ctx.metrics().incr("gm.jm_restarted", 1);
                 let j = self.jobs.get_mut(&job).expect("job exists");
-                j.phase = Phase::Live {
-                    jm: *jobmanager,
-                    probe_sent: None,
-                    last_contact: ctx.now(),
-                    missed: 0,
-                    gram_state: GramJobState::Pending,
-                    commit_acked: true,
-                    pending_since: Some(ctx.now()),
-                };
+                j.phase = Phase::live(*jobmanager, ctx.now(), true);
                 self.persist_job(ctx, job);
             }
             GramReply::RestartFailed { error, .. } => {
@@ -1111,84 +1119,7 @@ impl GridManager {
     /// A JobManager's word about `job` (which is in the map).
     fn on_jm_msg(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, jm_msg: &JmMsg) {
         match jm_msg {
-            JmMsg::Callback { state, exit_ok, .. } => {
-                let j = self.jobs.get_mut(&job).expect("job exists");
-                if let Phase::Live {
-                    last_contact,
-                    gram_state,
-                    commit_acked,
-                    pending_since,
-                    ..
-                } = &mut j.phase
-                {
-                    *last_contact = ctx.now();
-                    *commit_acked = true; // progress implies the commit landed
-                                          // Track time-in-queue for migration decisions.
-                    let was_queued = matches!(
-                        gram_state,
-                        GramJobState::Pending | GramJobState::PendingCommit
-                    );
-                    let is_queued =
-                        matches!(state, GramJobState::Pending | GramJobState::PendingCommit);
-                    if is_queued && !was_queued {
-                        *pending_since = Some(ctx.now());
-                    } else if !is_queued {
-                        *pending_since = None;
-                    }
-                    *gram_state = *state;
-                }
-                match state {
-                    GramJobState::Done if *exit_ok => {
-                        if let Phase::Live { jm, .. } = j.phase {
-                            ctx.send(jm, JmMsg::DoneAck);
-                        }
-                        j.phase = Phase::Terminal;
-                        self.persist_job(ctx, job);
-                        ctx.metrics().incr("gm.jobs_done", 1);
-                        self.report(ctx, job, JobStatus::Done);
-                        self.retire(ctx, job);
-                    }
-                    GramJobState::Done | GramJobState::Failed => {
-                        if let Phase::Live { jm, .. } = j.phase {
-                            ctx.send(jm, JmMsg::DoneAck);
-                        }
-                        self.attempt_failed(ctx, job, "remote execution failed");
-                    }
-                    GramJobState::Removed if j.migrating => {
-                        // The cancel was ours: move the job.
-                        if let Phase::Live { jm, .. } = j.phase {
-                            ctx.send(jm, JmMsg::DoneAck);
-                        }
-                        j.migrating = false;
-                        if let Some(site) = j.site.take() {
-                            if !j.excluded.contains(&site) {
-                                j.excluded.push(site);
-                            }
-                        }
-                        j.gatekeeper = None;
-                        let (old_seq, old_contact) = (j.seq.take(), j.contact.take());
-                        j.phase = Phase::NeedSite;
-                        self.unindex(old_seq, old_contact);
-                        self.persist_job(ctx, job);
-                        self.begin_submit(ctx, job);
-                    }
-                    GramJobState::Removed => {
-                        if let Phase::Live { jm, .. } = j.phase {
-                            ctx.send(jm, JmMsg::DoneAck);
-                        }
-                        j.phase = Phase::Terminal;
-                        self.persist_job(ctx, job);
-                        self.report(ctx, job, JobStatus::Removed);
-                        self.retire(ctx, job);
-                    }
-                    state => {
-                        if !self.held {
-                            let status = gram_state_to_status(*state, false);
-                            self.report(ctx, job, status);
-                        }
-                    }
-                }
-            }
+            JmMsg::Callback { state, .. } => self.observe_jm(ctx, job, *state),
             JmMsg::CommitAck { .. } => {
                 let j = self.jobs.get_mut(&job).expect("job exists");
                 if let Phase::Live {
@@ -1204,52 +1135,64 @@ impl GridManager {
             JmMsg::ProbeReply { state, .. } => {
                 let j = self.jobs.get_mut(&job).expect("job exists");
                 if let Phase::Live {
-                    probe_sent,
-                    last_contact,
-                    missed,
-                    gram_state,
-                    ..
+                    probe_sent, missed, ..
                 } = &mut j.phase
                 {
                     *probe_sent = None;
                     *missed = 0;
-                    *last_contact = ctx.now();
-                    *gram_state = *state;
                 }
-                // A terminal state learned via probe means the actual
-                // callback was lost (e.g. to a partition): act on it.
-                match state {
-                    GramJobState::Done => {
-                        // The JobManager's Done state implies a clean
-                        // exit (failures end in Failed).
-                        if let Phase::Live { jm, .. } = j.phase {
-                            ctx.send(jm, JmMsg::DoneAck);
-                        }
-                        j.phase = Phase::Terminal;
-                        self.persist_job(ctx, job);
-                        ctx.metrics().incr("gm.jobs_done", 1);
-                        self.report(ctx, job, JobStatus::Done);
-                        self.retire(ctx, job);
-                    }
-                    GramJobState::Failed => {
-                        if let Phase::Live { jm, .. } = j.phase {
-                            ctx.send(jm, JmMsg::DoneAck);
-                        }
-                        self.attempt_failed(ctx, job, "remote execution failed");
-                    }
-                    GramJobState::Removed => {
-                        if let Phase::Live { jm, .. } = j.phase {
-                            ctx.send(jm, JmMsg::DoneAck);
-                        }
-                        j.phase = Phase::Terminal;
-                        self.persist_job(ctx, job);
-                        self.report(ctx, job, JobStatus::Removed);
-                        self.retire(ctx, job);
-                    }
-                    _ => {}
-                }
+                self.observe_jm(ctx, job, *state);
             }
             _ => {}
+        }
+    }
+
+    /// The JobManager says `job` (which is in the map) is in `state`,
+    /// pushed (`Callback`) or polled (`ProbeReply`, whose state is what a
+    /// lost callback carried): both take this one path to the protocol's
+    /// actions.
+    fn observe_jm(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, state: GramJobState) {
+        let now = ctx.now();
+        let j = self.jobs.get_mut(&job).expect("job exists");
+        if let Phase::Live {
+            jm,
+            last_contact,
+            gram_state,
+            commit_acked,
+            pending_since,
+            ..
+        } = &mut j.phase
+        {
+            if state.is_terminal() {
+                // The outcome is the GridManager's now: the JobManager may go.
+                ctx.send(*jm, JmMsg::DoneAck);
+            }
+            *last_contact = now;
+            // Progress implies the commit landed.
+            *commit_acked |= state != GramJobState::PendingCommit;
+            // Track time-in-queue for migration decisions.
+            let queued = |s| matches!(s, GramJobState::Pending | GramJobState::PendingCommit);
+            if !queued(state) {
+                *pending_since = None;
+            } else if !queued(*gram_state) {
+                *pending_since = Some(now);
+            }
+            *gram_state = state;
+        }
+        match state {
+            GramJobState::Done => {
+                ctx.metrics().incr("gm.jobs_done", 1);
+                self.finish(ctx, job, JobStatus::Done);
+            }
+            GramJobState::Failed => self.attempt_failed(ctx, job, "remote execution failed"),
+            GramJobState::Removed if j.migrating => {
+                // The cancel was ours: move the job.
+                j.migrating = false;
+                self.resubmit_elsewhere(ctx, job);
+            }
+            GramJobState::Removed => self.finish(ctx, job, JobStatus::Removed),
+            _ if self.held => {}
+            _ => self.report(ctx, job, gram_state_to_status(state)),
         }
     }
 
@@ -1287,18 +1230,12 @@ impl GridManager {
     }
 }
 
-fn gram_state_to_status(state: GramJobState, exit_ok: bool) -> JobStatus {
+fn gram_state_to_status(state: GramJobState) -> JobStatus {
     match state {
         GramJobState::PendingCommit | GramJobState::Pending => JobStatus::Pending,
         GramJobState::StageIn | GramJobState::StageOut => JobStatus::Staging,
         GramJobState::Active => JobStatus::Active,
-        GramJobState::Done => {
-            if exit_ok {
-                JobStatus::Done
-            } else {
-                JobStatus::Failed("job exited abnormally".into())
-            }
-        }
+        GramJobState::Done => JobStatus::Done,
         GramJobState::Failed => JobStatus::Failed("remote failure".into()),
         GramJobState::Removed => JobStatus::Removed,
     }
@@ -1692,6 +1629,84 @@ mod tests {
             }
             assert_eq!(by_table.len(), every_job.len());
         }
+    }
+
+    /// A GridManager a test can look into after the world has run.
+    struct Shared(Rc<RefCell<GridManager>>);
+
+    impl Component for Shared {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
+            self.0.borrow_mut().on_message(ctx, from, msg);
+        }
+    }
+
+    /// `seeded`'s job with `contact` (queued at east since time zero) has
+    /// west back on offer, and its JobManager answers a probe with
+    /// `state`. The sink never calls back, so the probe stands in for a
+    /// lost callback. Returns what the sinks were sent and the
+    /// GridManager one second on.
+    fn probe_says(contact: u64, state: GramJobState) -> (Vec<String>, Rc<RefCell<GridManager>>) {
+        let mut ca = CertificateAuthority::new("/CN=CA", 5);
+        let proxy = ca
+            .issue_identity("/CN=jane", Duration::from_days(30))
+            .new_proxy(SimTime::ZERO, Duration::from_days(1));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut w = World::new(Config::default().seed(9));
+        let (home, away) = (w.add_node("submit"), w.add_node("site"));
+        let peer = w.add_component(away, "peer", Sink { log: log.clone() });
+        let scheduler = w.add_component(home, "scheduler", Sink { log: log.clone() });
+        let mut gm = seeded(GmConfig::default(), &proxy, scheduler, peer);
+        let job = gm.by_contact[&JobContact(contact)];
+        gm.jobs.get_mut(&job).expect("seeded").excluded.clear();
+        let gm = Rc::new(RefCell::new(gm));
+        let at = w.add_component(home, "gm", Shared(gm.clone()));
+        let contact = JobContact(contact);
+        w.post(
+            at,
+            JmMsg::ProbeReply {
+                nonce: 0,
+                contact,
+                state,
+            },
+        );
+        w.run_until(SimTime::ZERO + Duration::from_secs(1));
+        let seen = log.borrow().clone();
+        (seen, gm)
+    }
+
+    #[test]
+    fn a_probe_learned_removed_moves_a_migrating_job() {
+        // Contact 81 is mid-move: the probe's Removed is the GridManager's
+        // own cancel, so the job goes to west instead of ending removed.
+        let (seen, gm) = probe_says(81, GramJobState::Removed);
+        assert!(seen.iter().any(|l| l.ends_with("DoneAck")), "{seen:#?}");
+        assert!(!seen.iter().any(|l| l.contains("Removed")), "{seen:#?}");
+        let gm = gm.borrow();
+        let j = &gm.jobs[&GridJobId(89)];
+        // The sink answers the new submission (seq 1000) as contact 6000.
+        assert_eq!(j.contact, Some(JobContact(6000)));
+        assert_eq!(j.site.as_deref(), Some("west"));
+        assert_eq!(j.excluded, ["east"]);
+        assert!(!j.migrating);
+        assert!(!gm.by_contact.contains_key(&JobContact(81)));
+    }
+
+    #[test]
+    fn a_probe_learned_active_is_reported_and_ends_the_queue_wait() {
+        let (seen, gm) = probe_says(80, GramJobState::Active);
+        let updates: Vec<_> = seen.iter().filter(|l| l.contains("GmUpdate")).collect();
+        assert_eq!(updates.len(), 1, "{seen:#?}");
+        assert!(updates[0].ends_with("status: Active }"), "{seen:#?}");
+        let Phase::Live {
+            gram_state,
+            pending_since,
+            ..
+        } = gm.borrow().jobs[&GridJobId(90)].phase
+        else {
+            panic!("the job left Live");
+        };
+        assert_eq!(gram_state, GramJobState::Active);
+        assert_eq!(pending_since, None);
     }
 
     #[test]

@@ -33,12 +33,10 @@ pub struct JmLog {
     pub state: GramJobState,
     /// Bytes of stdout already pushed to the client.
     pub stdout_sent: u64,
-    /// Exit status once Done.
-    pub exit_ok: bool,
 }
 
 gridsim::codec! {
-    struct JmLog { contact, rsl, local_user, local_id, state, stdout_sent, exit_ok }
+    struct JmLog { contact, rsl, local_user, local_id, state, stdout_sent }
 }
 
 impl JmLog {
@@ -84,7 +82,6 @@ pub struct JobManager {
     state: GramJobState,
     local_id: Option<u64>,
     stdout_sent: u64,
-    exit_ok: bool,
     auto_commit: bool,
     /// Recovery mode: query the scheduler instead of submitting anew.
     recovering: bool,
@@ -93,8 +90,6 @@ pub struct JobManager {
     /// Outstanding stdout write: the last request id sent, or `next_req`
     /// for a predecessor's write this JobManager adopted on restart.
     stdout_req: Option<u64>,
-    /// LRM events that raced ahead of the Submitted reply.
-    pending_events: Vec<LrmEvent>,
     /// Set once execution has commenced; duplicate Commits are then inert.
     committed: bool,
     /// The site's weather handles, shared by its gatekeeper.
@@ -151,13 +146,11 @@ impl JobManager {
             state: GramJobState::PendingCommit,
             local_id: None,
             stdout_sent: 0,
-            exit_ok: false,
             auto_commit,
             recovering: false,
             staging: Staging::NotStarted,
             next_req: 0,
             stdout_req: None,
-            pending_events: Vec::new(),
             committed: false,
             weather,
             notify_exit: None,
@@ -183,32 +176,17 @@ impl JobManager {
         weather: Rc<SiteMetrics>,
     ) -> JobManager {
         let rsl = crate::rsl::parse(&log.rsl).expect("logged RSL re-parses");
+        let (contact, user) = (log.contact, &log.local_user);
         JobManager {
-            contact: log.contact,
-            rsl_text: rsl.render(),
-            log_key: JmLog::key(log.contact),
-            stage_in: stage_in_urls(&rsl),
-            stdout_url: rsl.stdout.as_ref().and_then(|u| u.parse().ok()),
-            rsl,
-            credential,
-            client,
-            gass,
-            lrm,
-            local_user: log.local_user,
             state: log.state,
             local_id: log.local_id,
             stdout_sent: stdout_have.min(log.stdout_sent),
-            exit_ok: log.exit_ok,
-            auto_commit: false,
             recovering: true,
             staging: Staging::Done,
-            next_req: 0,
-            stdout_req: None,
-            pending_events: Vec::new(),
             committed: true,
-            weather,
-            notify_exit: None,
-            stage_backoff: 0,
+            ..JobManager::new(
+                contact, rsl, credential, client, gass, lrm, user, false, weather,
+            )
         }
     }
 
@@ -223,7 +201,6 @@ impl JobManager {
             self.local_id,
             self.state,
             self.stdout_sent,
-            self.exit_ok,
         )
     }
 
@@ -232,7 +209,15 @@ impl JobManager {
         ctx.store().put(node, &self.log_key, &self.log_view());
     }
 
+    /// Enter `state` and announce it. A terminal state is the last one a
+    /// JobManager announces; a restarted one may only repeat it.
     fn callback(&mut self, ctx: &mut Ctx<'_>, state: GramJobState) {
+        assert!(
+            !self.state.is_terminal() || self.state == state,
+            "{}: announced {state:?} after terminal {:?}",
+            self.contact,
+            self.state
+        );
         self.state = state;
         self.persist(ctx);
         ctx.trace_with("jm.state", || format!("{} -> {state:?}", self.contact));
@@ -241,7 +226,6 @@ impl JobManager {
             JmMsg::Callback {
                 contact: self.contact,
                 state,
-                exit_ok: self.exit_ok,
                 at: ctx.now(),
             },
         );
@@ -385,15 +369,9 @@ impl JobManager {
 
     fn begin_stage_out(&mut self, ctx: &mut Ctx<'_>) {
         self.stage_backoff = 0;
-        if self.rsl.stdout.is_none() {
-            // No output to stage: straight to Done.
-            self.exit_ok = true;
-            self.callback(ctx, GramJobState::Done);
-            return;
-        }
         let remaining = self.rsl.stdout_size.saturating_sub(self.stdout_sent);
-        if remaining == 0 {
-            self.exit_ok = true;
+        if self.rsl.stdout.is_none() || remaining == 0 {
+            // No output (left) to stage: straight to Done.
             self.callback(ctx, GramJobState::Done);
             return;
         }
@@ -415,7 +393,6 @@ impl JobManager {
             None => {
                 // Site-local stdout: nothing to ship.
                 self.stdout_sent = self.rsl.stdout_size;
-                self.exit_ok = true;
                 self.callback(ctx, GramJobState::Done);
             }
         }
@@ -457,34 +434,39 @@ impl JobManager {
         ctx.set_timer(self.stage_out_timeout(), TAG_STAGE_OUT);
     }
 
-    fn on_lrm_event(&mut self, ctx: &mut Ctx<'_>, ev: &LrmEvent) {
-        if Some(ev.local_id) != self.local_id {
+    /// What the site scheduler says of the job, pushed (`LrmEvent`) or
+    /// polled (`StatusIs`, `None` when it does not know the job), mapped to
+    /// GRAM states. Only news acts, and nothing once the job is terminal,
+    /// so each transition is announced and counted once however it was
+    /// learned.
+    fn observe_lrm(&mut self, ctx: &mut Ctx<'_>, state: Option<LrmJobState>) {
+        if self.state.is_terminal() {
             return;
         }
-        match ev.state {
-            LrmJobState::Running => {
+        match state {
+            Some(LrmJobState::Running) if self.state != GramJobState::Active => {
                 ctx.metrics().incr("gram.jobs_started", 1);
                 ctx.trace_with("span", || {
                     format!("contact={} phase=active", self.contact.0)
                 });
                 self.callback(ctx, GramJobState::Active);
             }
-            LrmJobState::Queued => {
-                // Vacated-and-requeued by the site: back to Pending.
+            // Submitted, or vacated and requeued by the site.
+            Some(LrmJobState::Queued) if self.state != GramJobState::Pending => {
                 self.callback(ctx, GramJobState::Pending);
             }
-            LrmJobState::Completed => {
+            Some(LrmJobState::Completed) if self.state != GramJobState::StageOut => {
                 ctx.metrics().incr("gram.jobs_completed", 1);
                 self.begin_stage_out(ctx);
             }
-            LrmJobState::WallTimeExceeded | LrmJobState::Vacated => {
+            // `None`: the scheduler lost the job (its machine lost state),
+            // so report failure and let the client resubmit.
+            Some(LrmJobState::WallTimeExceeded | LrmJobState::Vacated) | None => {
                 ctx.metrics().incr("gram.jobs_failed", 1);
-                self.exit_ok = false;
                 self.callback(ctx, GramJobState::Failed);
             }
-            LrmJobState::Removed => {
-                self.callback(ctx, GramJobState::Removed);
-            }
+            Some(LrmJobState::Removed) => self.callback(ctx, GramJobState::Removed),
+            Some(_) => {}
         }
     }
 }
@@ -576,15 +558,13 @@ impl Component for JobManager {
                         },
                     );
                 }
-                JmMsg::Cancel => {
-                    if let Some(local_id) = self.local_id {
-                        if !self.state.is_terminal() {
-                            ctx.send(self.lrm, LrmRequest::Cancel { local_id });
-                        }
-                    } else {
-                        self.callback(ctx, GramJobState::Removed);
-                    }
-                }
+                // Too late: the client learns the outcome from its callback
+                // or its next probe.
+                JmMsg::Cancel if self.state.is_terminal() => {}
+                JmMsg::Cancel => match self.local_id {
+                    Some(local_id) => ctx.send(self.lrm, LrmRequest::Cancel { local_id }),
+                    None => self.callback(ctx, GramJobState::Removed),
+                },
                 JmMsg::UpdateGass { gass, stdout_have } => {
                     self.gass = gass.clone();
                     self.stdout_sent = *stdout_have;
@@ -625,61 +605,23 @@ impl Component for JobManager {
         // Scheduler replies and events.
         if let Some(reply) = msg.downcast_ref::<LrmReply>() {
             match reply {
+                // The scheduler holds the job now, queued.
                 LrmReply::Submitted { local_id, .. } => {
                     self.local_id = Some(*local_id);
-                    self.callback(ctx, GramJobState::Pending);
-                    // Replay any events that raced ahead of this reply.
-                    for ev in std::mem::take(&mut self.pending_events) {
-                        self.on_lrm_event(ctx, &ev);
-                    }
+                    self.observe_lrm(ctx, Some(LrmJobState::Queued));
                 }
-                LrmReply::StatusIs { state, .. } => {
-                    // Recovery and periodic-poll path: translate the
-                    // scheduler's view, announcing only actual changes.
-                    if self.state.is_terminal() {
-                        return;
-                    }
-                    match state {
-                        Some(LrmJobState::Running) => {
-                            if self.state != GramJobState::Active {
-                                self.callback(ctx, GramJobState::Active);
-                            }
-                        }
-                        Some(LrmJobState::Queued) => {
-                            if self.state != GramJobState::Pending {
-                                self.callback(ctx, GramJobState::Pending);
-                            }
-                        }
-                        Some(LrmJobState::Completed) => {
-                            if self.state != GramJobState::StageOut || self.stdout_req.is_none() {
-                                self.begin_stage_out(ctx);
-                            }
-                        }
-                        Some(LrmJobState::WallTimeExceeded) | Some(LrmJobState::Vacated) => {
-                            self.exit_ok = false;
-                            self.callback(ctx, GramJobState::Failed);
-                        }
-                        Some(LrmJobState::Removed) => self.callback(ctx, GramJobState::Removed),
-                        None => {
-                            // The scheduler does not know the job (its
-                            // machine lost state): report failure so the
-                            // client can resubmit.
-                            self.exit_ok = false;
-                            self.callback(ctx, GramJobState::Failed);
-                        }
-                    }
-                }
+                // Recovery and periodic-poll path.
+                LrmReply::StatusIs { state, .. } => self.observe_lrm(ctx, *state),
                 LrmReply::Info(_) => {}
             }
             return;
         }
+        // Control messages arrive in send order per node pair, so an event
+        // never overtakes its job's Submitted reply: one for another
+        // local id (or before any) is stale.
         if let Some(ev) = msg.downcast_ref::<LrmEvent>() {
-            if self.local_id.is_none() {
-                // The LRM's first event can overtake its Submitted reply
-                // (independent network latencies); hold it until then.
-                self.pending_events.push(ev.clone());
-            } else {
-                self.on_lrm_event(ctx, ev);
+            if Some(ev.local_id) == self.local_id {
+                self.observe_lrm(ctx, Some(ev.state));
             }
             return;
         }
@@ -718,7 +660,6 @@ impl Component for JobManager {
                     if self.stdout_req.is_some() && new_size >= self.rsl.stdout_size {
                         self.stdout_req = None;
                         self.stdout_sent = self.rsl.stdout_size;
-                        self.exit_ok = true;
                         ctx.metrics().incr("gram.staged_out", 1);
                         self.callback(ctx, GramJobState::Done);
                     }
@@ -742,7 +683,6 @@ impl Component for JobManager {
                 GassReply::Failed { ref error, .. } => {
                     ctx.metrics().incr("gram.staging_failures", 1);
                     ctx.trace_with("jm.staging_failed", || error.to_string());
-                    self.exit_ok = false;
                     self.callback(ctx, GramJobState::Failed);
                 }
                 GassReply::Size { .. } => {}
@@ -759,8 +699,8 @@ mod tests {
     use gsi::CertificateAuthority;
     use proptest::prelude::*;
 
-    #[test]
-    fn borrowed_log_view_encodes_as_the_owned_log() {
+    /// A JobManager for a four-CPU job with a 4 KB stdout, and its RSL.
+    fn fixture() -> (JobManager, RslSpec) {
         let addr = Addr {
             node: NodeId(3),
             comp: CompId(9),
@@ -772,7 +712,7 @@ mod tests {
         let rsl = RslSpec::job("gass://n3.c9/home/jane/app.exe", Duration::from_mins(30))
             .with_stdout("gass://n3.c9/condor_g/out/gj7", 4096)
             .with_count(4);
-        let mut jm = JobManager::new(
+        let jm = JobManager::new(
             JobContact(0xbeef_0000_0007),
             rsl.clone(),
             proxy,
@@ -783,6 +723,12 @@ mod tests {
             false,
             gridsim::metrics::Metrics::new().site("wisc"),
         );
+        (jm, rsl)
+    }
+
+    #[test]
+    fn borrowed_log_view_encodes_as_the_owned_log() {
+        let (mut jm, rsl) = fixture();
         for (local_id, state) in [
             (None, GramJobState::PendingCommit),
             (Some(12), GramJobState::StageOut),
@@ -797,7 +743,6 @@ mod tests {
                 local_id,
                 state,
                 stdout_sent: 17,
-                exit_ok: false,
             };
             assert_eq!(to_bytes(&jm.log_view()), to_bytes(&owned));
         }
@@ -813,32 +758,10 @@ mod tests {
     /// the varint layout.
     #[test]
     fn job_log_bytes_are_pinned() {
-        let addr = Addr {
-            node: NodeId(3),
-            comp: CompId(9),
-        };
-        let mut ca = CertificateAuthority::new("/CN=CA", 1);
-        let proxy = ca
-            .issue_identity("/CN=jane", Duration::from_days(1))
-            .new_proxy(SimTime::ZERO, Duration::from_hours(12));
-        let rsl = RslSpec::job("gass://n3.c9/home/jane/app.exe", Duration::from_mins(30))
-            .with_stdout("gass://n3.c9/condor_g/out/gj7", 4096)
-            .with_count(4);
-        let mut jm = JobManager::new(
-            JobContact(0xbeef_0000_0007),
-            rsl.clone(),
-            proxy,
-            addr,
-            GassUrl::gass(addr, ""),
-            addr,
-            "jane",
-            false,
-            gridsim::metrics::Metrics::new().site("wisc"),
-        );
+        let (mut jm, rsl) = fixture();
         jm.local_id = Some(12);
         jm.state = GramJobState::StageOut;
         jm.stdout_sent = 17;
-        jm.exit_ok = true;
         let owned = JmLog {
             contact: jm.contact,
             rsl: rsl.to_string(),
@@ -846,9 +769,8 @@ mod tests {
             local_id: Some(12),
             state: GramJobState::StageOut,
             stdout_sent: 17,
-            exit_ok: true,
         };
-        let pinned = "87808080f0dd2f7d262865786563757461626c653d676173733a2f2f6e332e63392f686f6d652f6a616e652f6170702e6578652928636f756e743d3429287374646f75743d676173733a2f2f6e332e63392f636f6e646f725f672f6f75742f676a37292873696d72756e74696d653d3138303029287374646f757473697a653d3430393629046a616e65010c041101";
+        let pinned = "87808080f0dd2f7d262865786563757461626c653d676173733a2f2f6e332e63392f686f6d652f6a616e652f6170702e6578652928636f756e743d3429287374646f75743d676173733a2f2f6e332e63392f636f6e646f725f672f6f75742f676a37292873696d72756e74696d653d3138303029287374646f757473697a653d3430393629046a616e65010c0411";
         assert_eq!(hex(&to_bytes(&owned)), pinned);
         assert_eq!(hex(&to_bytes(&jm.log_view())), pinned);
         let back = from_bytes::<JmLog>(&to_bytes(&owned)).unwrap();
@@ -875,7 +797,6 @@ mod tests {
                 local_id: Some(3),
                 state: GramJobState::Active,
                 stdout_sent: 0,
-                exit_ok: false,
             };
             // The gatekeeper writes its record from a borrowed DN.
             let entry = to_bytes(&(dn.as_str(), 4u64, 9u64));

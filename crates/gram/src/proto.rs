@@ -33,7 +33,8 @@ pub enum GramJobState {
     Active,
     /// Pushing stdout back to the client's GASS server.
     StageOut,
-    /// Finished; `exit_ok` in the callback says how.
+    /// Finished cleanly, its stdout staged out (every failure ends in
+    /// `Failed`).
     Done,
     /// Failed (stage-in error, wall-time kill, vacated without requeue...).
     Failed,
@@ -211,8 +212,6 @@ pub enum JmMsg {
         contact: JobContact,
         /// State entered.
         state: GramJobState,
-        /// For `Done`: whether the job exited cleanly.
-        exit_ok: bool,
         /// When the transition happened.
         at: SimTime,
     },

@@ -170,18 +170,12 @@ impl Component for TestClient {
             }
             return;
         }
-        if let Some(JmMsg::Callback {
-            contact,
-            state,
-            exit_ok,
-            ..
-        }) = msg.downcast_ref::<JmMsg>()
-        {
+        if let Some(JmMsg::Callback { contact, state, .. }) = msg.downcast_ref::<JmMsg>() {
             let seq = self.contacts.get(&contact.0).copied().unwrap_or(u64::MAX);
             self.callbacks
                 .entry(seq)
                 .or_default()
-                .push(format!("{state:?}{}", if *exit_ok { "+" } else { "" }));
+                .push(format!("{state:?}"));
             self.persist(ctx);
             if state.is_terminal() {
                 ctx.send(from, JmMsg::DoneAck);
@@ -194,6 +188,7 @@ struct Rig {
     world: World,
     client_node: NodeId,
     gk_node: NodeId,
+    cluster_node: NodeId,
     client: Addr,
     gatekeeper: Addr,
 }
@@ -245,6 +240,7 @@ fn rig(seed: u64, jobs: Vec<RslSpec>, configure: impl FnOnce(&mut TestClient, &m
         world: w,
         client_node: submit,
         gk_node: interface,
+        cluster_node: cluster,
         client: client_addr,
         gatekeeper: gk,
     }
@@ -289,7 +285,7 @@ fn figure1_happy_path() {
     let cbs = callbacks_of(&w, r.client_node, 0);
     assert_eq!(
         cbs,
-        vec!["StageIn", "Pending", "Active", "StageOut", "Done+"],
+        vec!["StageIn", "Pending", "Active", "StageOut", "Done"],
         "callback ladder mismatch: {cbs:?}"
     );
     // stdout visible on the submit machine's GASS server.
@@ -319,7 +315,7 @@ fn many_jobs_all_complete() {
         let cbs = callbacks_of(&w, r.client_node, seq);
         assert_eq!(
             cbs.last().map(String::as_str),
-            Some("Done+"),
+            Some("Done"),
             "job {seq}: {cbs:?}"
         );
     }
@@ -343,7 +339,7 @@ fn two_phase_is_exactly_once_under_reply_loss() {
     w.network_mut().set_link_loss(r.gk_node, r.client_node, 0.0);
     w.run_until_quiescent();
     let cbs = callbacks_of(&w, r.client_node, 0);
-    assert_eq!(cbs.last().map(String::as_str), Some("Done+"), "{cbs:?}");
+    assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
     // Several submits arrived, but only one job ever existed.
     assert!(w.metrics().counter("gram.duplicate_submits") >= 1);
     assert_eq!(w.metrics().counter("gram.submits"), 1);
@@ -412,7 +408,7 @@ fn exactly_once_when_retransmits_cross_a_gatekeeper_crash() {
     w.network_mut().set_link_loss(r.gk_node, r.client_node, 0.0);
     w.run_until_quiescent();
     let cbs = callbacks_of(&w, r.client_node, 0);
-    assert_eq!(cbs.last().map(String::as_str), Some("Done+"), "{cbs:?}");
+    assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
     assert_eq!(
         w.metrics().counter("gram.submits"),
         1,
@@ -448,7 +444,7 @@ fn gatekeeper_crash_recovery_resumes_the_job() {
     w.restart_node_now(r.gk_node);
     w.run_until_quiescent();
     let cbs = callbacks_of(&w, r.client_node, 0);
-    assert_eq!(cbs.last().map(String::as_str), Some("Done+"), "{cbs:?}");
+    assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
     assert_eq!(w.metrics().counter("gram.jm_restarts"), 1);
     // stdout staged despite the crash.
     assert_eq!(
@@ -457,6 +453,35 @@ fn gatekeeper_crash_recovery_resumes_the_job() {
         Some(2048)
     );
     let _ = (r.client, r.gatekeeper);
+}
+
+#[test]
+fn a_completion_learned_by_poll_counts_once() {
+    // The interface machine loses the cluster from minute 8 to 12, so the
+    // LRM's Completed event (minute 10) is lost and a status poll learns
+    // of it: the job is counted and staged out as if the event had come.
+    let r = rig(17, vec![], |client, _| {
+        client.jobs = vec![job_rsl(&client.gass_url, 600, 2048)];
+    });
+    let mut w = r.world;
+    w.apply_fault_plan(&FaultPlan::new().partition_window(
+        vec![r.gk_node],
+        vec![r.cluster_node],
+        SimTime::ZERO + Duration::from_mins(8),
+        Duration::from_mins(4),
+    ));
+    w.run_until_quiescent();
+    let cbs = callbacks_of(&w, r.client_node, 0);
+    assert_eq!(
+        cbs,
+        vec!["StageIn", "Pending", "Active", "StageOut", "Done"]
+    );
+    let m = w.metrics();
+    assert!(m.counter("net.lost") > 0, "the partition dropped nothing");
+    assert_eq!(m.counter("site.completed"), 1);
+    assert_eq!(m.counter("gram.jobs_started"), 1);
+    assert_eq!(m.counter("gram.jobs_completed"), 1);
+    assert_eq!(m.counter("gram.staged_out"), 1);
 }
 
 #[test]
@@ -492,7 +517,7 @@ fn split_stage_in_waits_for_the_file_still_arriving() {
     w.apply_fault_plan(&FaultPlan::new().link_down_window("a", down, Duration::from_mins(5)));
     w.run_until_quiescent();
     let cbs = callbacks_of(&w, r.client_node, 0);
-    assert_eq!(cbs.last().map(String::as_str), Some("Done+"), "{cbs:?}");
+    assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
     let m = w.metrics();
     assert_eq!(m.counter("net.flows_aborted"), 1, "the executable's");
     assert_eq!(m.counter("gram.staging_aborts"), 1);

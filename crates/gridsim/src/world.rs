@@ -1247,6 +1247,44 @@ mod tests {
     }
 
     #[test]
+    fn control_messages_arrive_in_send_order_per_node_pair() {
+        // Each message draws its own latency in [1 ms, 1 s), yet none
+        // overtakes one sent before it over the same directed node pair.
+        // GRAM leans on this: an LRM event never overtakes its job's
+        // Submitted reply.
+        struct Burst(Addr);
+        impl Component for Burst {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                (0..200).for_each(|n| ctx.send(self.0, Hit(n)));
+            }
+        }
+        type Seen = std::rc::Rc<std::cell::RefCell<Vec<(SimTime, u32)>>>;
+        struct Arrivals(Seen);
+        impl Component for Arrivals {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _: Addr, msg: AnyMsg) {
+                let Hit(n) = *msg.downcast::<Hit>().unwrap();
+                self.0.borrow_mut().push((ctx.now(), n));
+            }
+        }
+        let default_latency = crate::rng::Dist::Uniform { lo: 0.001, hi: 1.0 };
+        let net = NetConfig {
+            default_latency,
+            ..NetConfig::default()
+        };
+        let mut w = World::new(Config::default().seed(5).net(net));
+        let (a, b) = (w.add_node("a"), w.add_node("b"));
+        let seen = Seen::default();
+        let sink = w.add_component(b, "sink", Arrivals(seen.clone()));
+        w.add_component(a, "burst", Burst(sink));
+        w.run_until_quiescent();
+        let seen = seen.borrow();
+        let order: Vec<u32> = seen.iter().map(|&(_, n)| n).collect();
+        assert_eq!(order, (0..200).collect::<Vec<_>>());
+        // One latency for all would have landed the burst at one instant.
+        assert!(seen[0].0 < seen[199].0);
+    }
+
+    #[test]
     fn timers_fire_and_cancel() {
         struct TimerUser {
             fired: Vec<u64>,
