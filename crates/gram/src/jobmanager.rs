@@ -92,6 +92,9 @@ pub struct JobManager {
     stdout_req: Option<u64>,
     /// Set once execution has commenced; duplicate Commits are then inert.
     committed: bool,
+    /// A `Cancel` came while the LRM `Submit` was in flight: it goes on to
+    /// the LRM once the `Submitted` reply names the job.
+    cancel_held: bool,
     /// The site's weather handles, shared by its gatekeeper.
     weather: Rc<SiteMetrics>,
     /// Lean (campaign) mode: tell this gatekeeper we are exiting after the
@@ -102,6 +105,12 @@ pub struct JobManager {
     /// progressively gentler retransmission instead of a retry storm.
     /// Reset when a staging phase starts or completes.
     stage_backoff: u32,
+    /// The armed status poll, cancelled once the job is terminal.
+    poll_timer: Option<TimerId>,
+    /// The gap the armed poll waits. Each poll doubles it for the next,
+    /// up to `STATUS_POLL_MAX`; an `LrmEvent` for the job puts it back to
+    /// `STATUS_POLL`, so the doubling starts over.
+    poll_every: Duration,
 }
 
 /// Retry timer tags.
@@ -110,10 +119,13 @@ const TAG_STAGE_OUT: u64 = 2;
 /// Conservative floor bandwidth (bytes/s) for sizing staging-retry
 /// timeouts: a transfer slower than this is presumed lost.
 const RETRY_FLOOR_BW: u64 = 125_000;
-/// Periodic scheduler-status poll: pushed LRM events can be lost to the
-/// network or to a JobManager restart, so the JobManager also polls.
+/// Scheduler-status poll: pushed LRM events can be lost to the network or
+/// to a JobManager restart, so the JobManager also polls. While the LRM is
+/// quiet the gap doubles from `STATUS_POLL` to `STATUS_POLL_MAX`, so a lost
+/// event or a lost LRM job is noticed within `STATUS_POLL_MAX`.
 const TAG_STATUS_POLL: u64 = 3;
 const STATUS_POLL: Duration = Duration::from_mins(5);
+const STATUS_POLL_MAX: Duration = Duration::from_mins(40);
 /// How long to wait for a staging reply before retransmitting.
 const STAGE_RETRY: Duration = Duration::from_secs(60);
 
@@ -152,9 +164,12 @@ impl JobManager {
             next_req: 0,
             stdout_req: None,
             committed: false,
+            cancel_held: false,
             weather,
             notify_exit: None,
             stage_backoff: 0,
+            poll_timer: None,
+            poll_every: STATUS_POLL,
         }
     }
 
@@ -204,6 +219,10 @@ impl JobManager {
         )
     }
 
+    fn arm_poll(&mut self, ctx: &mut Ctx<'_>) {
+        self.poll_timer = Some(ctx.set_timer(self.poll_every, TAG_STATUS_POLL));
+    }
+
     fn persist(&self, ctx: &mut Ctx<'_>) {
         let node = ctx.node();
         ctx.store().put(node, &self.log_key, &self.log_view());
@@ -219,6 +238,11 @@ impl JobManager {
             self.state
         );
         self.state = state;
+        if state.is_terminal() {
+            if let Some(poll) = self.poll_timer.take() {
+                ctx.cancel_timer(poll);
+            }
+        }
         self.persist(ctx);
         ctx.trace_with("jm.state", || format!("{} -> {state:?}", self.contact));
         ctx.send(
@@ -474,7 +498,7 @@ impl JobManager {
 impl Component for JobManager {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.persist(ctx);
-        ctx.set_timer(STATUS_POLL, TAG_STATUS_POLL);
+        self.arm_poll(ctx);
         if self.recovering {
             match (self.state, self.local_id) {
                 // Terminal already: re-announce it so the client learns.
@@ -515,11 +539,12 @@ impl Component for JobManager {
                     ctx.set_timer(self.stage_out_timeout(), TAG_STAGE_OUT);
                 }
             }
-            TAG_STATUS_POLL if !self.state.is_terminal() => {
+            TAG_STATUS_POLL => {
                 if let Some(local_id) = self.local_id {
                     ctx.send(self.lrm, LrmRequest::Status { local_id });
                 }
-                ctx.set_timer(STATUS_POLL, TAG_STATUS_POLL);
+                self.poll_every = (self.poll_every * 2).min(STATUS_POLL_MAX);
+                self.arm_poll(ctx);
             }
             _ => {}
         }
@@ -561,8 +586,13 @@ impl Component for JobManager {
                 // Too late: the client learns the outcome from its callback
                 // or its next probe.
                 JmMsg::Cancel if self.state.is_terminal() => {}
+                // Once the LRM `Submit` is sent, the LRM's own `Removed`
+                // event announces the cancel; while the `Submit` is in
+                // flight there is no job to cancel yet, so the cancel waits
+                // for the `Submitted` reply.
                 JmMsg::Cancel => match self.local_id {
                     Some(local_id) => ctx.send(self.lrm, LrmRequest::Cancel { local_id }),
+                    None if self.staging == Staging::Done => self.cancel_held = true,
                     None => self.callback(ctx, GramJobState::Removed),
                 },
                 JmMsg::UpdateGass { gass, stdout_have } => {
@@ -607,7 +637,11 @@ impl Component for JobManager {
             match reply {
                 // The scheduler holds the job now, queued.
                 LrmReply::Submitted { local_id, .. } => {
-                    self.local_id = Some(*local_id);
+                    let local_id = *local_id;
+                    self.local_id = Some(local_id);
+                    if self.cancel_held {
+                        ctx.send(self.lrm, LrmRequest::Cancel { local_id });
+                    }
                     self.observe_lrm(ctx, Some(LrmJobState::Queued));
                 }
                 // Recovery and periodic-poll path.
@@ -618,9 +652,11 @@ impl Component for JobManager {
         }
         // Control messages arrive in send order per node pair, so an event
         // never overtakes its job's Submitted reply: one for another
-        // local id (or before any) is stale.
+        // local id (or before any) is stale. The LRM is not quiet, so the
+        // poll gap starts over.
         if let Some(ev) = msg.downcast_ref::<LrmEvent>() {
             if Some(ev.local_id) == self.local_id {
+                self.poll_every = STATUS_POLL;
                 self.observe_lrm(ctx, Some(ev.state));
             }
             return;

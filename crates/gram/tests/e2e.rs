@@ -7,11 +7,14 @@ use gram::proto::{GramReply, GramRequest, JmMsg, JobContact};
 use gram::{Gatekeeper, RslSpec, SubmitSession};
 use gridsim::fault::FaultPlan;
 use gridsim::prelude::*;
+use gridsim::rng::Dist;
 use gridsim::{AnyMsg, Config, World};
 use gsi::{CertificateAuthority, GridMap, ProxyCredential};
 use site::policy::Fifo;
-use site::Lrm;
+use site::{Lrm, LrmRequest};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// A scripted GRAM client: submits `jobs` with retransmission, commits on
 /// reply, records every callback, optionally asks for a JobManager restart
@@ -184,6 +187,33 @@ impl Component for TestClient {
     }
 }
 
+/// Every `LrmRequest::Status` that reached the site scheduler: the job's
+/// local id and the arrival time.
+type Polls = Rc<RefCell<Vec<(u64, SimTime)>>>;
+
+/// The site scheduler, noting each status poll that reaches it.
+struct PollTap {
+    lrm: Lrm,
+    polls: Polls,
+}
+
+impl Component for PollTap {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.lrm.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
+        if let Some(LrmRequest::Status { local_id }) = msg.downcast_ref::<LrmRequest>() {
+            self.polls.borrow_mut().push((*local_id, ctx.now()));
+        }
+        self.lrm.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId, tag: u64) {
+        self.lrm.on_timer(ctx, timer, tag);
+    }
+}
+
 struct Rig {
     world: World,
     client_node: NodeId,
@@ -191,6 +221,7 @@ struct Rig {
     cluster_node: NodeId,
     client: Addr,
     gatekeeper: Addr,
+    polls: Polls,
 }
 
 /// Build a standard rig: submit machine (client + GASS server) and an
@@ -212,7 +243,12 @@ fn rig(seed: u64, jobs: Vec<RslSpec>, configure: impl FnOnce(&mut TestClient, &m
         "gass",
         GassServer::new(ca.trust_root()).preload("/home/jane/sim.exe", FileData::inline("ELF")),
     );
-    let lrm = w.add_component(cluster, "lrm", Lrm::new("pbs", 4, Fifo));
+    let polls = Polls::default();
+    let tap = PollTap {
+        lrm: Lrm::new("pbs", 4, Fifo),
+        polls: polls.clone(),
+    };
+    let lrm = w.add_component(cluster, "lrm", tap);
     let gk = w.add_component(
         interface,
         "gatekeeper",
@@ -243,7 +279,32 @@ fn rig(seed: u64, jobs: Vec<RslSpec>, configure: impl FnOnce(&mut TestClient, &m
         cluster_node: cluster,
         client: client_addr,
         gatekeeper: gk,
+        polls,
     }
+}
+
+/// The minutes between successive status polls for `local_id`, rounded.
+fn poll_gaps(polls: &Polls, local_id: u64) -> Vec<u64> {
+    let times: Vec<SimTime> = polls
+        .borrow()
+        .iter()
+        .filter(|(id, _)| *id == local_id)
+        .map(|(_, at)| *at)
+        .collect();
+    times
+        .windows(2)
+        .map(|w| (w[1].since(w[0]).as_secs_f64() / 60.0).round() as u64)
+        .collect()
+}
+
+/// When the first trace record of `kind` whose detail ends in `suffix`
+/// was written.
+fn traced_at(w: &World, kind: &str, suffix: &str) -> SimTime {
+    w.trace()
+        .of_kind(kind)
+        .find(|e| e.detail.ends_with(suffix))
+        .unwrap_or_else(|| panic!("no {kind} record ending {suffix:?}"))
+        .time
 }
 
 fn job_rsl(gass: &GassUrl, runtime_secs: u64, stdout_size: u64) -> RslSpec {
@@ -482,6 +543,120 @@ fn a_completion_learned_by_poll_counts_once() {
     assert_eq!(m.counter("gram.jobs_started"), 1);
     assert_eq!(m.counter("gram.jobs_completed"), 1);
     assert_eq!(m.counter("gram.staged_out"), 1);
+}
+
+#[test]
+fn a_quiet_job_is_polled_ever_more_rarely() {
+    // Nothing happens at the site for the three hours the job runs, so
+    // each poll waits twice as long as the one before, up to 40 minutes:
+    // 6 polls instead of one every 5 minutes (36).
+    let r = rig(18, vec![], |client, _| {
+        client.jobs = vec![job_rsl(&client.gass_url, 3 * 3600, 0)];
+    });
+    let mut w = r.world;
+    w.run_until_quiescent();
+    let cbs = callbacks_of(&w, r.client_node, 0);
+    assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
+    assert_eq!(r.polls.borrow().len(), 6, "{:?}", r.polls);
+    let first = r.polls.borrow()[0].1.since(SimTime::ZERO).as_secs_f64();
+    assert!((300.0..306.0).contains(&first), "first poll at {first} s");
+    assert_eq!(poll_gaps(&r.polls, 0), [10, 20, 40, 40, 40]);
+}
+
+#[test]
+fn a_lost_completion_is_noticed_within_the_longest_poll_gap() {
+    // The job ends at minute 156, just after its minute-155 poll, and the
+    // interface machine loses the cluster over that minute, so the LRM's
+    // Completed event is lost. The 40-minute poll that follows learns of
+    // it: the job is staged out no later than 40 minutes and a round trip
+    // after it ended.
+    let r = rig(19, vec![], |client, _| {
+        client.jobs = vec![job_rsl(&client.gass_url, 156 * 60, 2048)];
+    });
+    let mut w = r.world;
+    w.apply_fault_plan(&FaultPlan::new().partition_window(
+        vec![r.gk_node],
+        vec![r.cluster_node],
+        SimTime::ZERO + Duration::from_secs(155 * 60 + 30),
+        Duration::from_mins(2),
+    ));
+    w.run_until_quiescent();
+    let cbs = callbacks_of(&w, r.client_node, 0);
+    assert_eq!(
+        cbs,
+        vec!["StageIn", "Pending", "Active", "StageOut", "Done"]
+    );
+    assert!(
+        w.metrics().counter("net.lost") > 0,
+        "the partition dropped nothing"
+    );
+    let ended = traced_at(&w, "lrm.done", "");
+    let done = traced_at(&w, "jm.state", "-> Done");
+    let late = done.since(ended);
+    assert!(
+        late <= Duration::from_mins(40) + Duration::from_secs(1),
+        "Done {late:?} after the job ended"
+    );
+    assert_eq!(w.metrics().counter("gram.jobs_completed"), 1);
+}
+
+#[test]
+fn an_lrm_event_starts_the_poll_backoff_over() {
+    // Two four-CPU jobs on four CPUs: the second waits three hours in the
+    // queue, its polls backing off to 40 minutes. Its Running event puts
+    // the gap back to 5 minutes, so the poll after the one already armed
+    // comes 10 minutes later and the doubling starts over.
+    let r = rig(20, vec![], |client, _| {
+        let job = job_rsl(&client.gass_url, 3 * 3600, 0).with_count(4);
+        client.jobs = vec![job.clone(), job];
+    });
+    let mut w = r.world;
+    w.run_until_quiescent();
+    for seq in 0..2 {
+        let cbs = callbacks_of(&w, r.client_node, seq);
+        assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
+    }
+    let waited = w
+        .trace()
+        .of_kind("lrm.start")
+        .last()
+        .map(|e| e.detail.clone())
+        .expect("two starts");
+    let local_id: u64 = waited
+        .split(' ')
+        .nth(2)
+        .and_then(|id| id.parse().ok())
+        .unwrap_or_else(|| panic!("no job id in {waited:?}"));
+    // Queued: 5, 15, 35, 75, 115, 155, 195 minutes. Running from minute
+    // 180: 205, 225, 265, 305, 345; done at 360.
+    assert_eq!(
+        poll_gaps(&r.polls, local_id),
+        [10, 20, 40, 40, 40, 40, 10, 20, 40, 40, 40]
+    );
+}
+
+#[test]
+fn a_cancel_during_the_lrm_submit_removes_the_site_job() {
+    // A minute each way between the interface machine and the cluster,
+    // so the Cancel reaches the JobManager 30 s in, while its LRM Submit
+    // is still in flight. The JobManager holds it until the Submitted
+    // reply names the job, cancels that, and announces Removed when the
+    // LRM has the job out; announcing at once would leave the site
+    // running a job the client saw removed.
+    let r = rig(12, vec![], |client, _| {
+        client.jobs = vec![job_rsl(&client.gass_url, 600, 0)];
+        client.cancel_at = Some((Duration::from_secs(30), 0));
+    });
+    let mut w = r.world;
+    for (from, to) in [(r.gk_node, r.cluster_node), (r.cluster_node, r.gk_node)] {
+        w.network_mut()
+            .set_link_latency(from, to, Dist::Constant(60.0));
+    }
+    w.run_until_quiescent();
+    let cbs = callbacks_of(&w, r.client_node, 0);
+    assert_eq!(cbs.last().map(String::as_str), Some("Removed"), "{cbs:?}");
+    assert_eq!(w.metrics().counter("site.cancelled"), 1);
+    assert_eq!(w.metrics().counter("site.completed"), 0);
 }
 
 #[test]
