@@ -17,6 +17,7 @@ use classads::{symmetric_match, ClassAd};
 use gridsim::prelude::*;
 use gridsim::rng::Dist;
 use gridsim::AnyMsg;
+use std::ops::RangeInclusive;
 use std::rc::Rc;
 
 /// Desktop-owner activity model: the machine alternates between available
@@ -33,14 +34,22 @@ pub struct OwnerModel {
 #[derive(Debug)]
 pub struct ReleaseClaim;
 
-/// Internal state machine.
+/// Internal state machine. Each state holds the timers it armed; leaving
+/// it cancels them ([`Startd::enter`]), and a timer takes its id back out
+/// when it fires, so a state-owned timer only ever fires in its own state.
 enum State {
     /// Owner is using the machine.
     Owner,
-    /// Available for claims.
-    Unclaimed,
-    /// Claimed by a shadow, not yet (or no longer) running.
-    Claimed { shadow: Addr },
+    /// Available for claims; exits after the idle timeout, if one is set.
+    Unclaimed { idle: Option<TimerId> },
+    /// Claimed by a shadow, not yet (or no longer) running. An idle claim
+    /// expires after `CLAIM_LEASE` without shadow activity — the shadow
+    /// machine crashed (§4.2's "crash of the machine on which the
+    /// GridManager is executing" reaches the pool as orphaned claims).
+    Claimed {
+        shadow: Addr,
+        lease: Option<TimerId>,
+    },
     /// Running a job.
     Busy(Box<Running>),
 }
@@ -49,35 +58,50 @@ struct Running {
     shadow: Addr,
     job: JobId,
     global_id: String,
+    total_work: Duration,
     /// Work completed before this activation (from checkpoints).
     prior_work: Duration,
     /// Work persisted by the last checkpoint this activation.
     ckpt_work: Duration,
     started: SimTime,
-    end_timer: TimerId,
-    ckpt_timer: Option<TimerId>,
-    io_timer: Option<TimerId>,
+    end: Option<TimerId>,
+    ckpt: Option<TimerId>,
+    io: Option<TimerId>,
+    keepalive: Option<TimerId>,
     io_seq: u64,
     io_interval: Option<Duration>,
     io_bytes: u64,
 }
 
+impl State {
+    /// Where this state keeps its timer of `tag`, if it holds one.
+    fn slot(&mut self, tag: u64) -> Option<&mut Option<TimerId>> {
+        match (self, tag) {
+            (State::Unclaimed { idle }, TAG_IDLE) => Some(idle),
+            (State::Claimed { lease, .. }, TAG_CLAIM_LEASE) => Some(lease),
+            (State::Busy(run), TAG_END) => Some(&mut run.end),
+            (State::Busy(run), TAG_CKPT) => Some(&mut run.ckpt),
+            (State::Busy(run), TAG_IO) => Some(&mut run.io),
+            (State::Busy(run), TAG_KEEPALIVE) => Some(&mut run.keepalive),
+            _ => None,
+        }
+    }
+}
+
 const TAG_ADVERTISE: u64 = 1;
 const TAG_OWNER: u64 = 2;
-const TAG_END: u64 = 3;
-const TAG_CKPT: u64 = 4;
-const TAG_IO: u64 = 5;
-const TAG_LEASE: u64 = 6;
-const TAG_IDLE: u64 = 7;
-const TAG_KEEPALIVE: u64 = 8;
+const TAG_LEASE: u64 = 3;
+const TAG_END: u64 = 4;
+const TAG_CKPT: u64 = 5;
+const TAG_IO: u64 = 6;
+const TAG_KEEPALIVE: u64 = 7;
+const TAG_IDLE: u64 = 8;
+const TAG_CLAIM_LEASE: u64 = 9;
+/// The timers a state owns, and their names.
+const STATE_TIMERS: RangeInclusive<u64> = TAG_END..=TAG_CLAIM_LEASE;
+const STATE_TIMER_NAMES: [&str; 6] = ["end", "ckpt", "io", "keepalive", "idle", "claim lease"];
 /// Busy startds ping their shadow this often.
 const KEEPALIVE: Duration = Duration::from_mins(10);
-/// Claim-lease timers encode the claim sequence number above this base.
-const TAG_CLAIM_LEASE_BASE: u64 = 1_000;
-/// An idle (not yet / no longer activated) claim expires after this long
-/// without shadow activity — the shadow machine crashed (§4.2's "crash of
-/// the machine on which the GridManager is executing" reaches the pool as
-/// orphaned claims).
 const CLAIM_LEASE: Duration = Duration::from_mins(20);
 
 /// The startd component.
@@ -97,9 +121,6 @@ pub struct Startd {
     /// Exit if unclaimed this long (glideins).
     idle_timeout: Option<Duration>,
     state: State,
-    idle_since: SimTime,
-    /// Bumped on every claim-state change; guards stale lease timers.
-    claim_seq: u64,
     /// The ad last sent to the collector and the state name in it. Every
     /// period re-sends this handle; only a state change builds a new ad.
     advertised: Option<(&'static str, Rc<ClassAd>)>,
@@ -118,9 +139,7 @@ impl Startd {
             owner_model: None,
             lease: None,
             idle_timeout: None,
-            state: State::Unclaimed,
-            idle_since: SimTime::ZERO,
-            claim_seq: 0,
+            state: State::Unclaimed { idle: None },
             advertised: None,
         }
     }
@@ -156,18 +175,41 @@ impl Startd {
         self
     }
 
-    /// Enter the Claimed state and arm a lease that releases the claim if
-    /// the shadow goes silent before activating (or re-activating) it.
-    fn enter_claimed(&mut self, ctx: &mut Ctx<'_>, shadow: Addr) {
-        self.state = State::Claimed { shadow };
-        self.claim_seq += 1;
-        ctx.set_timer(CLAIM_LEASE, TAG_CLAIM_LEASE_BASE + self.claim_seq);
+    /// Leave the current state for `next`: arm `next`'s entry timers,
+    /// cancel whatever the old state still holds, and hand the old state
+    /// back. Every state change goes through here.
+    fn enter(&mut self, ctx: &mut Ctx<'_>, mut next: State) -> State {
+        match &mut next {
+            State::Owner => {}
+            State::Unclaimed { idle } => {
+                *idle = self.idle_timeout.map(|t| ctx.set_timer(t, TAG_IDLE));
+            }
+            State::Claimed { lease, .. } => {
+                *lease = Some(ctx.set_timer(CLAIM_LEASE, TAG_CLAIM_LEASE))
+            }
+            State::Busy(run) => {
+                let remaining = run.total_work.saturating_sub(run.prior_work);
+                run.end = Some(ctx.set_timer(remaining, TAG_END));
+                run.ckpt = self
+                    .ckpt_interval
+                    .map(|every| ctx.set_timer(every, TAG_CKPT));
+                run.io = run.io_interval.map(|every| ctx.set_timer(every, TAG_IO));
+                run.keepalive = Some(ctx.set_timer(KEEPALIVE, TAG_KEEPALIVE));
+            }
+        }
+        let mut old = std::mem::replace(&mut self.state, next);
+        for tag in STATE_TIMERS {
+            if let Some(id) = old.slot(tag).and_then(Option::take) {
+                ctx.cancel_timer(id);
+            }
+        }
+        old
     }
 
     fn state_name(&self) -> &'static str {
         match self.state {
             State::Owner => "Owner",
-            State::Unclaimed => "Unclaimed",
+            State::Unclaimed { .. } => "Unclaimed",
             State::Claimed { .. } => "Claimed",
             State::Busy(_) => "Busy",
         }
@@ -204,57 +246,17 @@ impl Startd {
         ad
     }
 
-    /// Work completed so far in the current activation (wall time == CPU
-    /// time for a dedicated claim).
-    fn progress(run: &Running, now: SimTime) -> Duration {
-        run.prior_work + (now - run.started)
-    }
-
-    fn do_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
+    /// Give the machine up to its owner (owner return, lease expiry,
+    /// exit): a running job is vacated, and its shadow told the last
+    /// checkpointed progress.
+    fn vacate(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let State::Busy(run) = &mut self.state else {
-            return;
-        };
-        let done = Startd::progress(run, now);
-        run.ckpt_work = done;
-        let image_bytes = 8_000_000; // a paper-era checkpoint image
-        let ckpt = Checkpoint {
-            job: run.job,
-            global_id: run.global_id.clone(),
-            done_work: done,
-            image_bytes,
-        };
-        ctx.metrics().incr("condor.checkpoints", 1);
-        let shadow = run.shadow;
-        let next = self
-            .ckpt_interval
-            .map(|every| ctx.set_timer(every, TAG_CKPT));
-        ctx.send_bulk(shadow, image_bytes, ckpt.clone());
-        if let Some(server) = self.ckpt_server {
-            ctx.send_bulk(server, image_bytes, ckpt);
-        }
-        if let State::Busy(run) = &mut self.state {
-            run.ckpt_timer = next;
-        }
-    }
-
-    /// Vacate a running job (owner return / lease expiry): notify the
-    /// shadow with the last checkpointed progress.
-    fn vacate(&mut self, ctx: &mut Ctx<'_>, next: State) {
-        let now = ctx.now();
-        if let State::Busy(run) = std::mem::replace(&mut self.state, next) {
+        if let State::Busy(run) = self.enter(ctx, State::Owner) {
             ctx.metrics().gauge_delta("condor.busy_startds", now, -1.0);
             ctx.metrics().incr("condor.vacated", 1);
             ctx.trace_with("startd.vacate", || {
                 format!("{} {} at {}", self.name, run.job, now)
             });
-            ctx.cancel_timer(run.end_timer);
-            if let Some(t) = run.ckpt_timer {
-                ctx.cancel_timer(t);
-            }
-            if let Some(t) = run.io_timer {
-                ctx.cancel_timer(t);
-            }
             ctx.send(
                 run.shadow,
                 VacateNotice {
@@ -263,13 +265,12 @@ impl Startd {
                 },
             );
         }
-        self.idle_since = now;
     }
 
     fn shutdown(&mut self, ctx: &mut Ctx<'_>, why: &str) {
         ctx.trace_with("startd.exit", || format!("{} ({why})", self.name));
         ctx.metrics().incr("condor.startd_exits", 1);
-        self.vacate(ctx, State::Owner);
+        self.vacate(ctx);
         ctx.send(
             self.collector,
             Invalidate {
@@ -283,7 +284,6 @@ impl Startd {
 
 impl Component for Startd {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.idle_since = ctx.now();
         self.advertise(ctx);
         ctx.set_timer(self.advertise_period, TAG_ADVERTISE);
         if let Some(model) = &self.owner_model {
@@ -293,73 +293,90 @@ impl Component for Startd {
         if let Some(lease) = self.lease {
             ctx.set_timer(lease, TAG_LEASE);
         }
-        if let Some(idle) = self.idle_timeout {
-            ctx.set_timer(idle, TAG_IDLE);
-        }
+        self.enter(ctx, State::Unclaimed { idle: None });
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
-        match tag {
-            TAG_ADVERTISE => {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: TimerId, tag: u64) {
+        // A state-owned timer takes its id out of its state as it fires.
+        // One that its state does not hold is one a transition failed to
+        // cancel: stop the run, release builds too.
+        if STATE_TIMERS.contains(&tag) {
+            let held = self.state.slot(tag).and_then(Option::take);
+            assert!(
+                held == Some(id),
+                "startd {}: {} timer fired as {id:?} in state {}, which holds {held:?}",
+                self.name,
+                STATE_TIMER_NAMES[(tag - TAG_END) as usize],
+                self.state_name()
+            );
+        }
+        match (tag, &mut self.state) {
+            (TAG_ADVERTISE, _) => {
                 self.advertise(ctx);
                 ctx.set_timer(self.advertise_period, TAG_ADVERTISE);
             }
-            TAG_OWNER => {
+            (TAG_OWNER, _) => {
                 let Some(model) = self.owner_model.clone() else {
                     return;
                 };
-                match self.state {
-                    State::Owner => {
-                        // Owner leaves: machine available again.
-                        self.state = State::Unclaimed;
-                        self.idle_since = ctx.now();
-                        let next = ctx.rng().duration(&model.available_for);
-                        ctx.set_timer(next, TAG_OWNER);
-                    }
-                    _ => {
-                        // Owner returns: preempt whatever is here.
-                        self.vacate(ctx, State::Owner);
-                        let next = ctx.rng().duration(&model.occupied_for);
-                        ctx.set_timer(next, TAG_OWNER);
-                    }
-                }
+                let next = if matches!(self.state, State::Owner) {
+                    // Owner leaves: machine available again.
+                    self.enter(ctx, State::Unclaimed { idle: None });
+                    &model.available_for
+                } else {
+                    // Owner returns: preempt whatever is here.
+                    self.vacate(ctx);
+                    &model.occupied_for
+                };
+                let next = ctx.rng().duration(next);
+                ctx.set_timer(next, TAG_OWNER);
                 self.advertise(ctx);
             }
-            TAG_END => {
+            (TAG_END, State::Busy(run)) => {
                 let now = ctx.now();
-                if let State::Busy(run) = std::mem::replace(&mut self.state, State::Unclaimed) {
-                    let cpu_time = now - run.started;
-                    ctx.metrics().incr("condor.jobs_finished", 1);
-                    ctx.metrics()
-                        .observe("condor.job_cpu_seconds", cpu_time.as_secs_f64());
-                    ctx.trace_with("startd.done", || format!("{} {}", self.name, run.job));
-                    if let Some(t) = run.ckpt_timer {
-                        ctx.cancel_timer(t);
-                    }
-                    if let Some(t) = run.io_timer {
-                        ctx.cancel_timer(t);
-                    }
-                    self.enter_claimed(ctx, run.shadow);
-                    ctx.send(
-                        run.shadow,
-                        JobExited {
-                            job: run.job,
-                            ok: true,
-                            cpu_time,
-                        },
-                    );
-                    ctx.metrics().gauge_delta("condor.busy_startds", now, -1.0);
-                }
+                let (shadow, job, cpu_time) = (run.shadow, run.job, now - run.started);
+                ctx.metrics().incr("condor.jobs_finished", 1);
+                ctx.metrics()
+                    .observe("condor.job_cpu_seconds", cpu_time.as_secs_f64());
+                ctx.trace_with("startd.done", || format!("{} {job}", self.name));
+                self.enter(
+                    ctx,
+                    State::Claimed {
+                        shadow,
+                        lease: None,
+                    },
+                );
+                ctx.send(
+                    shadow,
+                    JobExited {
+                        job,
+                        ok: true,
+                        cpu_time,
+                    },
+                );
+                ctx.metrics().gauge_delta("condor.busy_startds", now, -1.0);
             }
-            TAG_CKPT => {
-                if matches!(self.state, State::Busy(_)) {
-                    self.do_checkpoint(ctx);
-                }
-            }
-            TAG_IO => {
-                let State::Busy(run) = &mut self.state else {
-                    return;
+            (TAG_CKPT, State::Busy(run)) => {
+                // Work done so far (wall time == CPU time on a dedicated claim).
+                let done = run.prior_work + (ctx.now() - run.started);
+                run.ckpt_work = done;
+                let image_bytes = 8_000_000; // a paper-era checkpoint image
+                let ckpt = Checkpoint {
+                    job: run.job,
+                    global_id: run.global_id.clone(),
+                    done_work: done,
+                    image_bytes,
                 };
+                ctx.metrics().incr("condor.checkpoints", 1);
+                run.ckpt = self
+                    .ckpt_interval
+                    .map(|every| ctx.set_timer(every, TAG_CKPT));
+                ctx.send_bulk(run.shadow, image_bytes, ckpt.clone());
+                if let Some(server) = self.ckpt_server {
+                    ctx.send_bulk(server, image_bytes, ckpt);
+                }
+            }
+            (TAG_IO, State::Busy(run)) => {
                 run.io_seq += 1;
                 let batch = SyscallBatch {
                     bytes: run.io_bytes,
@@ -367,42 +384,21 @@ impl Component for Startd {
                 };
                 ctx.metrics().incr("condor.syscall_batches", 1);
                 ctx.metrics().incr("condor.syscall_bytes", run.io_bytes);
-                let (shadow, bytes, interval) = (run.shadow, run.io_bytes, run.io_interval);
-                let next = interval.map(|every| ctx.set_timer(every, TAG_IO));
-                ctx.send_bulk(shadow, bytes, batch);
-                if let State::Busy(run) = &mut self.state {
-                    run.io_timer = next;
-                }
+                run.io = run.io_interval.map(|every| ctx.set_timer(every, TAG_IO));
+                ctx.send_bulk(run.shadow, run.io_bytes, batch);
             }
-            TAG_KEEPALIVE => {
-                if let State::Busy(run) = &self.state {
-                    ctx.send(run.shadow, StartdKeepalive);
-                    ctx.set_timer(KEEPALIVE, TAG_KEEPALIVE);
-                }
+            (TAG_KEEPALIVE, State::Busy(run)) => {
+                ctx.send(run.shadow, StartdKeepalive);
+                run.keepalive = Some(ctx.set_timer(KEEPALIVE, TAG_KEEPALIVE));
             }
-            TAG_LEASE => self.shutdown(ctx, "allocation lease expired"),
-            t if t > TAG_CLAIM_LEASE_BASE
-                // Idle-claim lease expired: if the claim is still the same
-                // one and never activated, release the machine.
-                && t - TAG_CLAIM_LEASE_BASE == self.claim_seq
-                    && matches!(self.state, State::Claimed { .. }) =>
-            {
+            (TAG_LEASE, _) => self.shutdown(ctx, "allocation lease expired"),
+            (TAG_CLAIM_LEASE, _) => {
+                // The shadow went silent on an idle claim: release it.
                 ctx.metrics().incr("condor.claim_leases_expired", 1);
-                self.state = State::Unclaimed;
-                self.idle_since = ctx.now();
+                self.enter(ctx, State::Unclaimed { idle: None });
                 self.advertise(ctx);
             }
-            TAG_IDLE => {
-                let should_exit = matches!(self.state, State::Unclaimed)
-                    && self
-                        .idle_timeout
-                        .is_some_and(|t| ctx.now() - self.idle_since >= t);
-                if should_exit {
-                    self.shutdown(ctx, "idle timeout");
-                } else if let Some(t) = self.idle_timeout {
-                    ctx.set_timer(t, TAG_IDLE);
-                }
-            }
+            (TAG_IDLE, _) => self.shutdown(ctx, "idle timeout"),
             _ => {}
         }
     }
@@ -410,7 +406,7 @@ impl Component for Startd {
     fn on_stop(&mut self, ctx: &mut Ctx<'_>) {
         // Graceful teardown (glidein allocation revoked): vacate the job
         // with its last checkpoint and withdraw the ad.
-        self.vacate(ctx, State::Owner);
+        self.vacate(ctx);
         ctx.send(
             self.collector,
             Invalidate {
@@ -422,10 +418,16 @@ impl Component for Startd {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
         if let Some(req) = msg.downcast_ref::<RequestClaim>() {
-            let accept = matches!(self.state, State::Unclaimed)
+            let accept = matches!(self.state, State::Unclaimed { .. })
                 && symmetric_match(&self.machine_ad(), &req.job_ad);
             if accept {
-                self.enter_claimed(ctx, from);
+                self.enter(
+                    ctx,
+                    State::Claimed {
+                        shadow: from,
+                        lease: None,
+                    },
+                );
                 ctx.metrics().incr("condor.claims", 1);
                 ctx.send(from, ClaimReply::Accepted);
             } else {
@@ -441,30 +443,25 @@ impl Component for Startd {
         }
         if let Some(act) = msg.downcast_ref::<ActivateClaim>() {
             match self.state {
-                State::Claimed { shadow } if shadow == from => {
+                State::Claimed { shadow, .. } if shadow == from => {
                     let now = ctx.now();
-                    self.claim_seq += 1; // activation voids the idle lease
-                    let remaining = act.total_work.saturating_sub(act.done_work);
-                    let end_timer = ctx.set_timer(remaining, TAG_END);
-                    let ckpt_timer = self
-                        .ckpt_interval
-                        .map(|every| ctx.set_timer(every, TAG_CKPT));
-                    let io_timer = act.io_interval.map(|every| ctx.set_timer(every, TAG_IO));
-                    ctx.set_timer(KEEPALIVE, TAG_KEEPALIVE);
-                    self.state = State::Busy(Box::new(Running {
+                    let run = Running {
                         shadow,
                         job: act.job,
                         global_id: act.global_id.clone(),
+                        total_work: act.total_work,
                         prior_work: act.done_work,
                         ckpt_work: act.done_work,
                         started: now,
-                        end_timer,
-                        ckpt_timer,
-                        io_timer,
+                        end: None,
+                        ckpt: None,
+                        io: None,
+                        keepalive: None,
                         io_seq: 0,
                         io_interval: act.io_interval,
                         io_bytes: act.io_bytes,
-                    }));
+                    };
+                    self.enter(ctx, State::Busy(Box::new(run)));
                     ctx.metrics().gauge_delta("condor.busy_startds", now, 1.0);
                 }
                 _ => {
@@ -482,14 +479,8 @@ impl Component for Startd {
             return;
         }
         if msg.is::<ReleaseClaim>() {
-            if let State::Claimed { shadow } = self.state {
-                if shadow == from {
-                    self.state = State::Unclaimed;
-                    self.idle_since = ctx.now();
-                    if let Some(t) = self.idle_timeout {
-                        ctx.set_timer(t, TAG_IDLE);
-                    }
-                }
+            if matches!(self.state, State::Claimed { shadow, .. } if shadow == from) {
+                self.enter(ctx, State::Unclaimed { idle: None });
             }
             return;
         }
@@ -497,5 +488,165 @@ impl Component for Startd {
             // Flow control would live here; the model treats replies as
             // fire-and-forget acknowledgements.
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsim::{Config, World};
+    use std::cell::RefCell;
+
+    /// A message between two components of one node takes the default
+    /// loopback latency.
+    const HOP: Duration = Duration::from_micros(100);
+    const IDLE: Duration = Duration::from_mins(30);
+
+    /// What the shadow saw: keepalives per activation, and when it sent
+    /// its `ReleaseClaim`.
+    #[derive(Default)]
+    struct Seen {
+        keepalives: Vec<u32>,
+        exits: u32,
+        released: Option<SimTime>,
+    }
+
+    /// A shadow that claims the startd once and runs `jobs` on the claim
+    /// one after another, activating each `think` after the claim is
+    /// accepted or the job before it exits, then releases the claim.
+    /// With no jobs it claims and falls silent.
+    struct Shadow {
+        startd: Addr,
+        jobs: Vec<Duration>,
+        think: Duration,
+        seen: Rc<RefCell<Seen>>,
+    }
+
+    impl Shadow {
+        fn next_job(&mut self, ctx: &mut Ctx<'_>) {
+            if !self.jobs.is_empty() {
+                ctx.set_timer(self.think, 0);
+            } else if !self.seen.borrow().keepalives.is_empty() {
+                ctx.send(self.startd, ReleaseClaim);
+                self.seen.borrow_mut().released = Some(ctx.now());
+            }
+        }
+    }
+
+    impl Component for Shadow {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let job_ad = Rc::new(ClassAd::new());
+            ctx.send(
+                self.startd,
+                RequestClaim {
+                    job_ad,
+                    job: JobId(0),
+                },
+            );
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+            let mut seen = self.seen.borrow_mut();
+            let job = JobId(seen.keepalives.len() as u64);
+            seen.keepalives.push(0);
+            ctx.send(
+                self.startd,
+                ActivateClaim {
+                    job,
+                    global_id: job.to_string(),
+                    total_work: self.jobs.remove(0),
+                    done_work: Duration::ZERO,
+                    io_interval: None,
+                    io_bytes: 0,
+                },
+            );
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+            if msg.is::<StartdKeepalive>() {
+                *self.seen.borrow_mut().keepalives.last_mut().unwrap() += 1;
+            } else if msg.is::<JobExited>() {
+                self.seen.borrow_mut().exits += 1;
+                self.next_job(ctx);
+            } else if matches!(msg.downcast_ref(), Some(ClaimReply::Accepted)) {
+                self.next_job(ctx);
+            }
+        }
+    }
+
+    /// Swallows the startd's adverts.
+    struct Collector;
+    impl Component for Collector {}
+
+    /// A glidein startd (idle timeout `IDLE`) and one shadow, run for a
+    /// day: the trace and what the shadow saw.
+    fn run(jobs: Vec<Duration>, think: Duration) -> (World, Seen) {
+        let mut w = World::new(Config::default().seed(5).with_trace());
+        let node = w.add_node("glidein");
+        let collector = w.add_component(node, "collector", Collector);
+        let startd = Startd::new("glidein", ClassAd::new(), collector)
+            .with_lease(Duration::from_days(2))
+            .with_idle_timeout(IDLE);
+        let startd = w.add_component(node, "startd", startd);
+        let seen = Rc::new(RefCell::new(Seen::default()));
+        let shadow = Shadow {
+            startd,
+            jobs,
+            think,
+            seen: Rc::clone(&seen),
+        };
+        w.add_component(node, "shadow", shadow);
+        w.run_until(SimTime::ZERO + Duration::from_days(1));
+        (w, seen.take())
+    }
+
+    fn exited_at(w: &World) -> SimTime {
+        let exits: Vec<_> = w.trace().of_kind("startd.exit").collect();
+        assert_eq!(exits.len(), 1, "the startd exits once");
+        exits[0].time
+    }
+
+    #[test]
+    fn back_to_back_jobs_get_one_keepalive_chain_each() {
+        // 35 minutes each: keepalives at 10, 20 and 30 minutes into every
+        // activation. Before each activation cancelled its own chain at
+        // the end, the first job's chain went on into the second job
+        // (gap 0 < 10 minutes), and the second's into the third.
+        let (w, seen) = run(vec![Duration::from_mins(35); 3], Duration::ZERO);
+        assert_eq!(seen.exits, 3);
+        assert_eq!(seen.keepalives, [3, 3, 3]);
+        assert_eq!(w.metrics().counter("condor.startd_exits"), 1);
+    }
+
+    #[test]
+    fn a_glidein_exits_idle_timeout_after_its_last_release() {
+        let (w, seen) = run(vec![Duration::from_mins(15); 2], Duration::from_mins(3));
+        assert_eq!(seen.exits, 2);
+        let released = seen.released.expect("released") + HOP;
+        assert_eq!(exited_at(&w), released + IDLE);
+    }
+
+    #[test]
+    fn a_glidein_exits_idle_timeout_after_a_claim_lease_expiry() {
+        // Claimed at HOP and never activated: the claim lease gives the
+        // machine back 20 minutes later, and the idle clock starts there,
+        // not at boot.
+        let (w, seen) = run(Vec::new(), Duration::ZERO);
+        assert!(seen.keepalives.is_empty());
+        assert_eq!(w.metrics().counter("condor.claim_leases_expired"), 1);
+        assert_eq!(exited_at(&w), SimTime::ZERO + HOP + CLAIM_LEASE + IDLE);
+    }
+
+    #[test]
+    fn a_claim_activated_inside_its_lease_is_not_released_by_it() {
+        // Each activation comes 19 minutes into a 20-minute claim lease:
+        // after the claim is accepted, and after each job leaves the
+        // claim idle again.
+        let (w, seen) = run(vec![Duration::from_mins(45); 3], Duration::from_mins(19));
+        assert_eq!(w.metrics().counter("condor.claim_leases_expired"), 0);
+        assert_eq!(seen.exits, 3);
+        assert_eq!(seen.keepalives, [4, 4, 4]);
+        let released = seen.released.expect("released") + HOP;
+        assert_eq!(exited_at(&w), released + IDLE);
     }
 }

@@ -105,6 +105,9 @@ pub struct JobManager {
     /// progressively gentler retransmission instead of a retry storm.
     /// Reset when a staging phase starts or completes.
     stage_backoff: u32,
+    /// The armed staging retry timer (stage-in's or stage-out's): a
+    /// re-drive replaces it, and the end of its phase cancels it.
+    stage_timer: Option<TimerId>,
     /// The armed status poll, cancelled once the job is terminal.
     poll_timer: Option<TimerId>,
     /// The gap the armed poll waits. Each poll doubles it for the next,
@@ -168,6 +171,7 @@ impl JobManager {
             weather,
             notify_exit: None,
             stage_backoff: 0,
+            stage_timer: None,
             poll_timer: None,
             poll_every: STATUS_POLL,
         }
@@ -223,6 +227,21 @@ impl JobManager {
         self.poll_timer = Some(ctx.set_timer(self.poll_every, TAG_STATUS_POLL));
     }
 
+    /// Arm the staging retry timer, replacing the one armed before: a
+    /// phase has one retry chain however often it is re-driven.
+    fn arm_stage(&mut self, ctx: &mut Ctx<'_>, after: Duration, tag: u64) {
+        if let Some(old) = self.stage_timer.replace(ctx.set_timer(after, tag)) {
+            ctx.cancel_timer(old);
+        }
+    }
+
+    /// The staging phase is over: its retry timer goes.
+    fn end_stage(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(timer) = self.stage_timer.take() {
+            ctx.cancel_timer(timer);
+        }
+    }
+
     fn persist(&self, ctx: &mut Ctx<'_>) {
         let node = ctx.node();
         ctx.store().put(node, &self.log_key, &self.log_view());
@@ -239,9 +258,11 @@ impl JobManager {
         );
         self.state = state;
         if state.is_terminal() {
+            // A terminal job neither polls nor stages any more.
             if let Some(poll) = self.poll_timer.take() {
                 ctx.cancel_timer(poll);
             }
+            self.end_stage(ctx);
         }
         self.persist(ctx);
         ctx.trace_with("jm.state", || format!("{} -> {state:?}", self.contact));
@@ -279,7 +300,7 @@ impl JobManager {
         }
         if outstanding > 0 {
             self.staging = Staging::Fetching { outstanding };
-            ctx.set_timer(self.stage_in_timeout(), TAG_STAGE_IN);
+            self.arm_stage(ctx, self.stage_in_timeout(), TAG_STAGE_IN);
         }
         outstanding
     }
@@ -410,7 +431,7 @@ impl JobManager {
             Some(_) if self.stage_out_leaving(ctx) => {
                 if self.stdout_req.is_none() {
                     self.stdout_req = Some(self.next_req);
-                    ctx.set_timer(self.stage_out_timeout(), TAG_STAGE_OUT);
+                    self.arm_stage(ctx, self.stage_out_timeout(), TAG_STAGE_OUT);
                 }
             }
             Some(_) => self.send_stdout_chunk(ctx),
@@ -455,7 +476,7 @@ impl JobManager {
         // The retry timeout must cover the transfer itself, or large
         // outputs would be retransmitted while still in flight; consecutive
         // retries back off exponentially (see `stage_backoff`).
-        ctx.set_timer(self.stage_out_timeout(), TAG_STAGE_OUT);
+        self.arm_stage(ctx, self.stage_out_timeout(), TAG_STAGE_OUT);
     }
 
     /// What the site scheduler says of the job, pushed (`LrmEvent`) or
@@ -523,20 +544,27 @@ impl Component for JobManager {
         // Otherwise wait for the client's Commit (two-phase).
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: TimerId, tag: u64) {
         match tag {
-            // A transfer still moving gets another period, with the same
-            // timeout and backoff.
-            TAG_STAGE_IN if matches!(self.staging, Staging::Fetching { .. }) => {
-                let moving = !self.retry_stage_in(ctx);
-                if moving {
-                    ctx.set_timer(self.stage_in_timeout(), TAG_STAGE_IN);
-                }
-            }
-            TAG_STAGE_OUT if self.stdout_req.is_some() => {
-                let moving = !self.retry_stage_out(ctx);
-                if moving {
-                    ctx.set_timer(self.stage_out_timeout(), TAG_STAGE_OUT);
+            // Only the armed staging timer fires: a re-drive replaced any
+            // other, and the end of its phase cancelled it. A transfer
+            // still moving gets another period, with the same timeout and
+            // backoff.
+            TAG_STAGE_IN | TAG_STAGE_OUT => {
+                let armed = self.stage_timer.take();
+                assert_eq!(
+                    armed,
+                    Some(id),
+                    "{}: a staging timer fired that is not the armed one",
+                    self.contact
+                );
+                let (redriven, wait) = if tag == TAG_STAGE_IN {
+                    (self.retry_stage_in(ctx), self.stage_in_timeout())
+                } else {
+                    (self.retry_stage_out(ctx), self.stage_out_timeout())
+                };
+                if !redriven {
+                    self.arm_stage(ctx, wait, tag);
                 }
             }
             TAG_STATUS_POLL => {
@@ -677,16 +705,19 @@ impl Component for JobManager {
         // GASS staging replies.
         if let Ok(reply) = msg.downcast::<GassReply>() {
             match *reply {
-                GassReply::Data { .. } => {
+                // A job removed or failed during stage-in submits nothing.
+                GassReply::Data { .. } if !self.state.is_terminal() => {
                     if let Staging::Fetching { outstanding } = &mut self.staging {
                         *outstanding -= 1;
                         if *outstanding == 0 {
                             self.staging = Staging::Done;
+                            self.end_stage(ctx);
                             ctx.metrics().incr("gram.staged_in", 1);
                             self.submit_to_lrm(ctx);
                         }
                     }
                 }
+                GassReply::Data { .. } => {}
                 GassReply::Ok { new_size, .. } => {
                     // Positioned writes are idempotent, so an Ok from *any*
                     // (possibly retransmitted) stdout write that shows the

@@ -854,3 +854,71 @@ fn capability_grants_access_without_gridmap_entry() {
     assert_eq!(done, 0);
     assert!(refusal.contains("no gridmap entry"), "{refusal}");
 }
+
+#[test]
+fn a_cancel_during_stage_in_submits_nothing() {
+    // A minute each way between the client and the interface machine, so
+    // a Cancel sent 100-180 s in reaches the JobManager while its GET is
+    // out. The JobManager announces Removed at once; the GASS Data that
+    // follows must not reach the site scheduler.
+    for cancel_secs in (100..=180).step_by(20) {
+        let r = rig(12, vec![], |client, _| {
+            client.jobs = vec![job_rsl(&client.gass_url, 600, 0)];
+            client.cancel_at = Some((Duration::from_secs(cancel_secs), 0));
+        });
+        let mut w = r.world;
+        for (from, to) in [(r.client_node, r.gk_node), (r.gk_node, r.client_node)] {
+            w.network_mut()
+                .set_link_latency(from, to, Dist::Constant(60.0));
+        }
+        w.run_until_quiescent();
+        let cbs = callbacks_of(&w, r.client_node, 0);
+        assert_eq!(cbs, ["StageIn", "Removed"], "cancel at {cancel_secs} s");
+        assert_eq!(
+            w.metrics().counter("site.completed"),
+            0,
+            "cancel at {cancel_secs} s"
+        );
+    }
+}
+
+#[test]
+fn a_stage_in_cut_by_a_dead_link_has_one_retry_chain() {
+    // A 64 MB executable behind its own 100 KB/s link, which dies a
+    // minute into the transfer and stays down for two hours: the GETs
+    // still reach the server, but no Data can come back. The abort
+    // re-drives at once; after that only the retry timer re-drives, once
+    // per period, and each period doubles (68 s for an RSL that declares
+    // no image size, x2 per retry, capped at x16). A re-drive that left
+    // the timer it found armed would run a second chain beside it.
+    let r = rig(14, vec![], |client, w| {
+        let site = client.gatekeeper.node;
+        let trust = CertificateAuthority::new("/CN=Globus CA", 1).trust_root();
+        let node = w.add_node("a.data.edu");
+        let link = w.network_mut().add_flow_link("a", 100_000.0, 0.030);
+        w.network_mut().set_flow_route(node, site, &[link]);
+        let file = FileData::bulk(64_000_000, 7);
+        let server = GassServer::new(trust).preload("/big", file);
+        let gass = w.add_component(node, "gass", server);
+        let exe = GassUrl::gass(gass, "/big").to_string();
+        client.jobs = vec![RslSpec::job(&exe, Duration::from_mins(10))];
+    });
+    let mut w = r.world;
+    let down = SimTime::ZERO + Duration::from_mins(1);
+    w.apply_fault_plan(&FaultPlan::new().link_down_window("a", down, Duration::from_hours(2)));
+    w.run_until_quiescent();
+    let cbs = callbacks_of(&w, r.client_node, 0);
+    assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
+    assert_eq!(w.metrics().counter("gram.staging_aborts"), 1);
+    // The first GET, the abort's re-drive at one minute, then the
+    // timer's: the last one after the link came back.
+    let gets: Vec<SimTime> = w.trace().of_kind("gass.get").map(|e| e.time).collect();
+    assert_eq!(gets[1].since(SimTime::ZERO).as_secs_f64().round(), 60.0);
+    let gaps: Vec<u64> = gets[1..]
+        .windows(2)
+        .map(|g| g[1].since(g[0]).as_secs_f64().round() as u64)
+        .collect();
+    assert_eq!(gaps, [136, 272, 544, 1088, 1088, 1088, 1088, 1088, 1088]);
+    assert_eq!(w.metrics().counter("gram.stage_retries"), 10);
+    assert_eq!(w.metrics().counter("site.completed"), 1);
+}
