@@ -115,7 +115,6 @@ fn run(failure: Failure, recovery: bool, seed: u64) -> Outcome {
                 gass,
                 pool_schedd: None,
                 mailer: Some(mailer),
-                user_addr: None,
                 gm: GmConfig {
                     user: "jane".into(),
                     recovery,

@@ -73,17 +73,9 @@ fn run_flocking() -> Outcome {
     let remote = w.add_node("remote-central");
     let submit = w.add_node("submit");
     let home_collector = w.add_component(home, "collector", Collector::new());
-    w.add_component(
-        home,
-        "negotiator",
-        Negotiator::new(home_collector, Duration::from_mins(1)),
-    );
+    w.add_component(home, "negotiator", Negotiator::new(home_collector));
     let remote_collector = w.add_component(remote, "collector", Collector::new());
-    w.add_component(
-        remote,
-        "negotiator",
-        Negotiator::new(remote_collector, Duration::from_mins(1)),
-    );
+    w.add_component(remote, "negotiator", Negotiator::new(remote_collector));
     let machine_ad = || ClassAd::new().with("Arch", "INTEL").with("OpSys", "LINUX");
     for i in 0..16 {
         let n = w.add_node(&format!("home-exec{i}"));

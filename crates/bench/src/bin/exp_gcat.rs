@@ -57,11 +57,7 @@ fn run(wan_loss: f64, wan_bw: f64, seed: u64) -> RunResult {
     let mss = w.add_component(mss_node, "mss", GassServer::new(ca.trust_root()));
     w.network_mut().set_link_loss(exec, mss_node, wan_loss);
     w.network_mut().set_link_bandwidth(exec, mss_node, wan_bw);
-    let gcat = w.add_component(
-        exec,
-        "gcat",
-        GCat::new(mss, "/mss/jane/g98.out", cred, Duration::from_secs(30)),
-    );
+    let gcat = w.add_component(exec, "gcat", GCat::new(mss, "/mss/jane/g98.out", cred));
     w.add_component(
         exec,
         "gaussian",

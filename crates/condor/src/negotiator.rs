@@ -23,12 +23,14 @@ use crate::proto::{
     AdKind, CollectorAds, CollectorQuery, IdleJobs, MatchNotify, NegotiationRequest,
 };
 use classads::{half_match_expr, rank_expr, ClassAd};
-use gridsim::obs::{site_weather, HealthPolicy, SiteHealthTracker, SiteWeather};
+use gridsim::obs::{site_weather, SiteHealthTracker, SiteWeather};
 use gridsim::prelude::*;
 use gridsim::AnyMsg;
 use std::rc::Rc;
 
 const TAG_CYCLE: u64 = 1;
+/// The negotiation cycle: one round of matchmaking a minute.
+const CYCLE: Duration = Duration::from_mins(1);
 
 /// Where a cycle stands.
 enum Phase {
@@ -49,7 +51,6 @@ enum Phase {
 /// The negotiator component.
 pub struct Negotiator {
     collector: Addr,
-    period: Duration,
     cycle: u64,
     phase: Phase,
     /// Weather-driven adaptation, if enabled (see
@@ -62,11 +63,10 @@ const REQ_SUBMITTERS: u64 = 2;
 
 impl Negotiator {
     /// A matchmaker for the pool rooted at `collector`, cycling every
-    /// `period`.
-    pub fn new(collector: Addr, period: Duration) -> Negotiator {
+    /// minute.
+    pub fn new(collector: Addr) -> Negotiator {
         Negotiator {
             collector,
-            period,
             cycle: 0,
             phase: Phase::Idle,
             weather: None,
@@ -78,8 +78,8 @@ impl Negotiator {
     /// quarantined sites are skipped, and health transitions are traced
     /// as `broker.*` events. Off by default — the vanilla negotiator's
     /// matches (and its trace) stay byte-identical.
-    pub fn with_weather(mut self, policy: HealthPolicy) -> Negotiator {
-        self.weather = Some(SiteHealthTracker::new(policy));
+    pub fn with_weather(mut self) -> Negotiator {
+        self.weather = Some(SiteHealthTracker::new());
         self
     }
 
@@ -122,7 +122,7 @@ impl Negotiator {
                 constraint: "TRUE".into(),
             },
         );
-        ctx.set_timer(self.period, TAG_CYCLE);
+        ctx.set_timer(CYCLE, TAG_CYCLE);
     }
 
     fn maybe_negotiate(&mut self, ctx: &mut Ctx<'_>) {
@@ -303,9 +303,9 @@ mod tests {
         let mut w = World::new(Config::default().seed(7).with_trace());
         let central = w.add_node("central");
         let collector = w.add_component(central, "collector", Collector::new());
-        let mut negotiator = Negotiator::new(collector, Duration::from_mins(1));
+        let mut negotiator = Negotiator::new(collector);
         if weather {
-            negotiator = negotiator.with_weather(HealthPolicy::default());
+            negotiator = negotiator.with_weather();
         }
         w.add_component(central, "negotiator", negotiator);
         let intel = || ClassAd::new().with("Arch", "INTEL");

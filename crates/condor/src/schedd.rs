@@ -393,11 +393,7 @@ mod tests {
     fn pool(w: &mut World, machines: u32, owner_model: Option<OwnerModel>) -> (Addr, Addr) {
         let central = w.add_node("central");
         let collector = w.add_component(central, "collector", Collector::new());
-        let negotiator = w.add_component(
-            central,
-            "negotiator",
-            Negotiator::new(collector, Duration::from_mins(1)),
-        );
+        let negotiator = w.add_component(central, "negotiator", Negotiator::new(collector));
         for i in 0..machines {
             let n = w.add_node(&format!("exec{i}"));
             let mut startd = Startd::new(&format!("exec{i}"), machine_ad(), collector);
@@ -640,11 +636,7 @@ mod tests {
         let (collector_a, _) = pool(&mut w, 1, None);
         let central_b = w.add_node("centralB");
         let collector_b = w.add_component(central_b, "collectorB", Collector::new());
-        w.add_component(
-            central_b,
-            "negotiatorB",
-            Negotiator::new(collector_b, Duration::from_mins(1)),
-        );
+        w.add_component(central_b, "negotiatorB", Negotiator::new(collector_b));
         for i in 0..3 {
             let n = w.add_node(&format!("poolB-exec{i}"));
             w.add_component(

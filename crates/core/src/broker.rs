@@ -40,9 +40,9 @@ pub trait Broker: Send + 'static {
     /// (recent failures there). `None` = nothing suitable right now.
     fn select(&mut self, spec: &GridJobSpec, exclude: &[String]) -> Option<GatekeeperInfo>;
 
-    /// Feed a fresh batch of resource ads (from an MDS query). Static
-    /// brokers ignore this.
-    fn update_ads(&mut self, _ads: Vec<(Addr, ClassAd)>, _at: SimTime) {}
+    /// Feed a fresh batch of resource ads (from an MDS query), which
+    /// replaces the last. Static brokers ignore this.
+    fn update_ads(&mut self, _ads: Vec<(Addr, ClassAd)>) {}
 
     /// Record submission feedback so load spreads (a site just received a
     /// job / just failed one).
@@ -97,10 +97,11 @@ impl Broker for StaticListBroker {
 ///
 /// Site ads must carry a `Gatekeeper` attribute (encoded with
 /// [`mds::addr_to_attr`]) naming the site's gatekeeper. Job requirements
-/// and rank come from the spec; ads older than `max_age` are ignored.
+/// and rank come from the spec. The ads are those of the last MDS
+/// answer: a site the directory stopped listing is gone at once.
+#[derive(Default)]
 pub struct MdsBroker {
-    ads: Vec<(Addr, ClassAd, SimTime)>,
-    max_age: gridsim::Duration,
+    ads: Vec<(Addr, ClassAd)>,
     /// Jobs steered to each site since the last ad refresh (keeps a burst
     /// of submissions from all landing on the site that looked best at the
     /// last poll).
@@ -108,13 +109,9 @@ pub struct MdsBroker {
 }
 
 impl MdsBroker {
-    /// A broker dropping ads older than `max_age`.
-    pub fn new(max_age: gridsim::Duration) -> MdsBroker {
-        MdsBroker {
-            ads: Vec::new(),
-            max_age,
-            recent: Default::default(),
-        }
+    /// A broker with no ads yet.
+    pub fn new() -> MdsBroker {
+        MdsBroker::default()
     }
 
     fn job_ad(spec: &GridJobSpec) -> ClassAd {
@@ -135,7 +132,7 @@ impl Broker for MdsBroker {
     fn select(&mut self, spec: &GridJobSpec, exclude: &[String]) -> Option<GatekeeperInfo> {
         let job_ad = MdsBroker::job_ad(spec);
         let mut best: Option<(f64, f64, GatekeeperInfo)> = None;
-        for (gk, ad, _) in &self.ads {
+        for (gk, ad) in &self.ads {
             let site = ad.get_str("Name").unwrap_or_default();
             if exclude.contains(&site) {
                 continue;
@@ -167,12 +164,9 @@ impl Broker for MdsBroker {
         best.map(|(_, _, info)| info)
     }
 
-    fn update_ads(&mut self, ads: Vec<(Addr, ClassAd)>, at: SimTime) {
-        self.ads = ads.into_iter().map(|(a, ad)| (a, ad, at)).collect();
+    fn update_ads(&mut self, ads: Vec<(Addr, ClassAd)>) {
+        self.ads = ads;
         self.recent.clear();
-        // Age-out happens on refresh: the GridManager polls MDS often
-        // enough that a missing refresh means the directory lost the site.
-        self.ads.retain(|(_, _, t)| at - *t <= self.max_age);
     }
 
     fn note_submission(&mut self, site: &str) {
@@ -192,9 +186,12 @@ pub struct AdaptiveBroker {
 }
 
 impl AdaptiveBroker {
-    /// Wrap `inner` with the given health tracker.
-    pub fn new(inner: Box<dyn Broker>, tracker: SiteHealthTracker) -> AdaptiveBroker {
-        AdaptiveBroker { inner, tracker }
+    /// Wrap `inner` with a health tracker that has seen no site yet.
+    pub fn new(inner: Box<dyn Broker>) -> AdaptiveBroker {
+        AdaptiveBroker {
+            inner,
+            tracker: SiteHealthTracker::new(),
+        }
     }
 
     /// The health tracker's view (for reports/tests).
@@ -219,8 +216,8 @@ impl Broker for AdaptiveBroker {
         }
     }
 
-    fn update_ads(&mut self, ads: Vec<(Addr, ClassAd)>, at: SimTime) {
-        self.inner.update_ads(ads, at);
+    fn update_ads(&mut self, ads: Vec<(Addr, ClassAd)>) {
+        self.inner.update_ads(ads);
     }
 
     fn note_submission(&mut self, site: &str) {
@@ -294,15 +291,12 @@ mod tests {
 
     #[test]
     fn mds_broker_matches_requirements_and_ranks() {
-        let mut b = MdsBroker::new(Duration::from_mins(30));
-        b.update_ads(
-            vec![
-                (addr(1), site_ad("intel-small", 2, "INTEL")),
-                (addr(2), site_ad("intel-big", 40, "INTEL")),
-                (addr(3), site_ad("sparc", 100, "SUN4u")),
-            ],
-            SimTime::ZERO,
-        );
+        let mut b = MdsBroker::new();
+        b.update_ads(vec![
+            (addr(1), site_ad("intel-small", 2, "INTEL")),
+            (addr(2), site_ad("intel-big", 40, "INTEL")),
+            (addr(3), site_ad("sparc", 100, "SUN4u")),
+        ]);
         let spec = spec()
             .with_requirements("TARGET.Arch == \"INTEL\" && TARGET.FreeCpus > 0")
             .with_rank("TARGET.FreeCpus");
@@ -319,14 +313,11 @@ mod tests {
 
     #[test]
     fn mds_broker_spreads_load_between_refreshes() {
-        let mut b = MdsBroker::new(Duration::from_mins(30));
-        b.update_ads(
-            vec![
-                (addr(1), site_ad("a", 3, "INTEL")),
-                (addr(2), site_ad("b", 2, "INTEL")),
-            ],
-            SimTime::ZERO,
-        );
+        let mut b = MdsBroker::new();
+        b.update_ads(vec![
+            (addr(1), site_ad("a", 3, "INTEL")),
+            (addr(2), site_ad("b", 2, "INTEL")),
+        ]);
         let spec = spec(); // no rank: headroom decides
         let mut picks = Vec::new();
         for _ in 0..5 {
@@ -341,7 +332,7 @@ mod tests {
 
     #[test]
     fn mds_broker_with_no_ads_yields_none() {
-        let mut b = MdsBroker::new(Duration::from_mins(30));
+        let mut b = MdsBroker::new();
         assert!(b.select(&spec(), &[]).is_none());
     }
 
@@ -358,7 +349,7 @@ mod tests {
     #[test]
     fn adaptive_broker_routes_around_quarantined_sites() {
         let inner = StaticListBroker::new(vec![info("a", 1), info("b", 2), info("c", 3)]);
-        let mut b = AdaptiveBroker::new(Box::new(inner), SiteHealthTracker::default());
+        let mut b = AdaptiveBroker::new(Box::new(inner));
         // Site `a` fails: weather shows an attempt failure → quarantine.
         let evs = b.observe_weather(&weather(&[("a", 1), ("b", 0), ("c", 0)]), SimTime::ZERO);
         assert_eq!(evs.len(), 1);
@@ -373,7 +364,7 @@ mod tests {
     #[test]
     fn adaptive_broker_falls_back_when_everything_is_sick() {
         let inner = StaticListBroker::new(vec![info("a", 1)]);
-        let mut b = AdaptiveBroker::new(Box::new(inner), SiteHealthTracker::default());
+        let mut b = AdaptiveBroker::new(Box::new(inner));
         b.observe_weather(&weather(&[("a", 2)]), SimTime::ZERO);
         assert!(b.tracker().is_quarantined("a"));
         // The only site is quarantined: still pick it rather than strand

@@ -64,6 +64,10 @@ struct Slot {
 }
 
 const TAG_TICK: u64 = 1;
+/// How often the factory tops each site up to its target.
+const TICK: Duration = Duration::from_mins(1);
+/// Glidein daemons exit if unclaimed this long.
+const IDLE_TIMEOUT: Duration = Duration::from_mins(20);
 
 /// Keeps `target` glideins alive at each configured site.
 pub struct GlideinFactory {
@@ -74,8 +78,6 @@ pub struct GlideinFactory {
     /// The submit machine's GASS server (glidein stdout sink, unused here
     /// but part of the GRAM request).
     gass: Addr,
-    /// Glidein daemons exit if unclaimed this long.
-    idle_timeout: Duration,
     /// Checkpoint interval for jobs running on glideins.
     ckpt_interval: Option<Duration>,
     /// Checkpoint server copies (in addition to the shadow).
@@ -83,7 +85,6 @@ pub struct GlideinFactory {
     slots: Vec<Slot>,
     next_seq: u64,
     next_glidein: u64,
-    tick: Duration,
 }
 
 impl GlideinFactory {
@@ -99,20 +100,12 @@ impl GlideinFactory {
             collector,
             credential,
             gass,
-            idle_timeout: Duration::from_mins(20),
             ckpt_interval: Some(Duration::from_mins(10)),
             ckpt_server: None,
             slots: Vec::new(),
             next_seq: 0,
             next_glidein: 0,
-            tick: Duration::from_mins(1),
         }
-    }
-
-    /// Set the glidein idle timeout.
-    pub fn with_idle_timeout(mut self, t: Duration) -> GlideinFactory {
-        self.idle_timeout = t;
-        self
     }
 
     /// Set the checkpoint interval for glidein startds.
@@ -168,7 +161,7 @@ impl GlideinFactory {
         ad.set("GlideinSite", site.site.as_str());
         let mut startd = Startd::new(&name, ad, self.collector)
             .with_lease(site.lease)
-            .with_idle_timeout(self.idle_timeout)
+            .with_idle_timeout(IDLE_TIMEOUT)
             .with_ckpt_interval(self.ckpt_interval);
         if let Some(server) = self.ckpt_server {
             startd = startd.with_ckpt_server(server);
@@ -213,7 +206,7 @@ impl Component for GlideinFactory {
                 self.submit_glidein(ctx, i);
             }
         }
-        ctx.set_timer(self.tick, TAG_TICK);
+        ctx.set_timer(TICK, TAG_TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
@@ -247,7 +240,7 @@ impl Component for GlideinFactory {
                 self.submit_glidein(ctx, i);
             }
         }
-        ctx.set_timer(self.tick, TAG_TICK);
+        ctx.set_timer(TICK, TAG_TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {

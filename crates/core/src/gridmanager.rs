@@ -57,20 +57,12 @@ pub struct GmConfig {
     pub myproxy: Option<MyProxySettings>,
     /// Mail spool for alarms and hold notices.
     pub mailer: Option<Addr>,
-    /// JobManager probe period.
-    pub probe_interval: Duration,
-    /// Internal bookkeeping tick.
-    pub tick: Duration,
     /// Submit retransmission period.
     pub submit_retry: Duration,
-    /// Resubmission budget per job before it fails for good.
-    pub max_retries: u32,
     /// E-mail an alarm when less than this much proxy life remains.
     pub warn_before: Duration,
     /// Hold jobs when less than this much proxy life remains.
     pub hold_before: Duration,
-    /// MDS poll period.
-    pub mds_poll: Duration,
     /// §4.4: migrate a job that has been *queued* at a site this long to
     /// another candidate site ("Monitoring of actual queuing and execution
     /// times allows... to migrate queued jobs"). `None` disables.
@@ -87,13 +79,9 @@ impl Default for GmConfig {
             giis: None,
             myproxy: None,
             mailer: None,
-            probe_interval: Duration::from_mins(5),
-            tick: Duration::from_secs(30),
             submit_retry: Duration::from_secs(30),
-            max_retries: 5,
             warn_before: Duration::from_hours(2),
             hold_before: Duration::from_mins(15),
-            mds_poll: Duration::from_mins(5),
             migrate_pending_after: None,
             recovery: true,
         }
@@ -295,14 +283,14 @@ impl GmJob {
                     _ => SimTime::MAX,
                 };
                 let probe = if config.recovery {
-                    probe_sent.unwrap_or(*last_contact) + config.probe_interval
+                    probe_sent.unwrap_or(*last_contact) + PROBE_INTERVAL
                 } else {
                     SimTime::MAX
                 };
                 migrate.min(probe)
             }
-            Phase::PingingGk { last_ping } => *last_ping + config.probe_interval,
-            Phase::AwaitRestart { since } => *since + config.probe_interval * 2,
+            Phase::PingingGk { last_ping } => *last_ping + PROBE_INTERVAL,
+            Phase::AwaitRestart { since } => *since + PROBE_INTERVAL * 2,
         }
     }
 
@@ -325,6 +313,17 @@ impl GmJob {
 }
 
 const TAG_TICK: u64 = 1;
+/// The GridManager's bookkeeping period: every job's due work, the
+/// credential check and the weather are looked at this often.
+const TICK: Duration = Duration::from_secs(30);
+/// §4.2's probe period: a JobManager unheard-of this long is probed, an
+/// unanswered probe sends a gatekeeper ping after as long again, and a
+/// restart is given twice as long before the next ping.
+const PROBE_INTERVAL: Duration = Duration::from_mins(5);
+/// Resubmissions per job before it fails for good.
+const MAX_RETRIES: u32 = 5;
+/// How often the MDS index is asked for candidate sites.
+const MDS_POLL: Duration = Duration::from_mins(5);
 
 /// The GridManager component.
 pub struct GridManager {
@@ -360,7 +359,7 @@ pub struct GridManager {
     held: bool,
     warned: bool,
     myproxy_req: u64,
-    last_mds_poll: Option<SimTime>,
+    mds_asked_at: Option<SimTime>,
     mds_req: u64,
     /// Correlation ids for lean-mode GASS cache cleanup requests.
     gass_req: u64,
@@ -396,7 +395,7 @@ impl GridManager {
             held: false,
             warned: false,
             myproxy_req: 0,
-            last_mds_poll: None,
+            mds_asked_at: None,
             mds_req: 0,
             gass_req: 0,
             recovering,
@@ -594,7 +593,6 @@ impl GridManager {
     /// A remote attempt failed: exclude the site and resubmit elsewhere,
     /// or give up after the retry budget.
     fn attempt_failed(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, why: &str) {
-        let max_retries = self.config.max_retries;
         let Some(j) = self.jobs.get_mut(&job) else {
             return;
         };
@@ -611,7 +609,7 @@ impl GridManager {
             let failures = ctx.metrics().site(site).attempt_failures;
             ctx.metrics().add(failures, 1);
         }
-        if j.attempts > max_retries {
+        if j.attempts > MAX_RETRIES {
             let reason = format!("{why} (after {} attempts)", j.attempts);
             self.finish(ctx, job, JobStatus::Failed(reason));
         } else {
@@ -782,7 +780,6 @@ impl GridManager {
     /// Whatever is due for `job`, which sits in `slot` of `jobs`.
     fn tick_job(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, slot: usize) {
         let now = ctx.now();
-        let probe_interval = self.config.probe_interval;
         let submit_retry = self.config.submit_retry;
         let Some(j) = self.jobs.at_mut(slot) else {
             return;
@@ -852,7 +849,7 @@ impl GridManager {
                     return; // ablation: no probing, no failure detection
                 }
                 match probe_sent {
-                    Some(sent) if now - *sent >= probe_interval => {
+                    Some(sent) if now - *sent >= PROBE_INTERVAL => {
                         // Probe timed out unanswered.
                         *missed += 1;
                         *probe_sent = None;
@@ -865,7 +862,7 @@ impl GridManager {
                             j.phase = Phase::PingingGk { last_ping: now };
                         }
                     }
-                    None if now - *last_contact >= probe_interval => {
+                    None if now - *last_contact >= PROBE_INTERVAL => {
                         let nonce = now.micros();
                         ctx.metrics().incr("gm.probes", 1);
                         ctx.send(*jm, JmMsg::Probe { nonce });
@@ -875,7 +872,7 @@ impl GridManager {
                 }
             }
             Phase::PingingGk { last_ping } => {
-                if now - *last_ping >= probe_interval {
+                if now - *last_ping >= PROBE_INTERVAL {
                     // "the GridManager waits until it can reestablish
                     // contact with the remote machine" — keep pinging.
                     let gk = j.gatekeeper.expect("pinging job has a gatekeeper");
@@ -884,7 +881,7 @@ impl GridManager {
                 }
             }
             Phase::AwaitRestart { since } => {
-                if now - *since >= probe_interval * 2 {
+                if now - *since >= PROBE_INTERVAL * 2 {
                     // The restart request was lost: ping again.
                     let gk = j.gatekeeper.expect("job has a gatekeeper");
                     ctx.send(gk, GramRequest::Ping { nonce: job.0 });
@@ -1198,13 +1195,11 @@ impl GridManager {
 
     fn poll_mds(&mut self, ctx: &mut Ctx<'_>) {
         let Some(giis) = self.config.giis else { return };
-        let due = self
-            .last_mds_poll
-            .is_none_or(|t| ctx.now() - t >= self.config.mds_poll);
+        let due = self.mds_asked_at.is_none_or(|t| ctx.now() - t >= MDS_POLL);
         if !due {
             return;
         }
-        self.last_mds_poll = Some(ctx.now());
+        self.mds_asked_at = Some(ctx.now());
         self.mds_req += 1;
         ctx.send(
             giis,
@@ -1243,7 +1238,7 @@ fn gram_state_to_status(state: GramJobState) -> JobStatus {
 
 impl Component for GridManager {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.config.tick, TAG_TICK);
+        ctx.set_timer(TICK, TAG_TICK);
         if self.recovering {
             let node = ctx.node();
             if let Some(seq) = ctx.store().get::<u64>(node, &self.seq_key) {
@@ -1264,7 +1259,7 @@ impl Component for GridManager {
             self.tick_due_jobs(ctx);
         }
         self.maybe_exit(ctx);
-        ctx.set_timer(self.config.tick, TAG_TICK);
+        ctx.set_timer(TICK, TAG_TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
@@ -1327,7 +1322,7 @@ impl Component for GridManager {
                     })
                     .collect();
                 if let Some(broker) = self.broker.as_mut() {
-                    broker.update_ads(parsed, ctx.now());
+                    broker.update_ads(parsed);
                 }
                 // Jobs stuck waiting for a site can move now.
                 let waiting = self.jobs.sorted_ids(|j| matches!(j.phase, Phase::NeedSite));
@@ -1419,7 +1414,7 @@ mod tests {
                 }
             }
             self.gm.maybe_exit(ctx);
-            ctx.set_timer(self.gm.config.tick, TAG_TICK);
+            ctx.set_timer(TICK, TAG_TICK);
         }
     }
 
@@ -1579,7 +1574,7 @@ mod tests {
         let scheduler = w.add_component(home, "scheduler", Sink { log: log.clone() });
         let gm = seeded(config.clone(), &proxy, scheduler, peer);
         w.add_component(home, "gm", Ticker { gm, every_job });
-        w.run_until(SimTime::ZERO + config.tick * 40 + Duration::from_secs(1));
+        w.run_until(SimTime::ZERO + TICK * 40 + Duration::from_secs(1));
         let mut seen = log.borrow().clone();
         for key in w.store().keys_with_prefix(home, "") {
             seen.push(format!("{key} = {:?}", w.store().get_bytes(home, &key)));

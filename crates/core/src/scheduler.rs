@@ -32,8 +32,6 @@ pub struct SchedulerConfig {
     pub pool_schedd: Option<Addr>,
     /// Mail spool for notifications.
     pub mailer: Option<Addr>,
-    /// Where to push user events (the user's console component).
-    pub user_addr: Option<Addr>,
     /// GridManager tuning.
     pub gm: GmConfig,
     /// Send an e-mail on every terminal job state.
@@ -89,6 +87,9 @@ pub struct Scheduler {
     /// log held in memory.
     recent_log: Vec<LogEntry>,
     gridmanager: Option<Addr>,
+    /// Where to push user events: the console that sent the first
+    /// `Submit`.
+    user_addr: Option<Addr>,
     /// True when this instance was rebuilt from stable storage.
     recovered: bool,
 }
@@ -110,6 +111,7 @@ impl Scheduler {
             log_len: 0,
             recent_log: Vec::new(),
             gridmanager: None,
+            user_addr: None,
             recovered: false,
         }
     }
@@ -239,7 +241,7 @@ impl Scheduler {
             return;
         };
         let status = &rec.status;
-        if let Some(user) = self.config.user_addr {
+        if let Some(user) = self.user_addr {
             ctx.send(
                 user,
                 UserEvent::Status {
@@ -449,8 +451,8 @@ impl Scheduler {
                 self.next_id += 1;
                 ctx.store().put(node, &self.next_id_key, &self.next_id);
                 // Remember the user's console for callbacks.
-                if self.config.user_addr.is_none() {
-                    self.config.user_addr = Some(from);
+                if self.user_addr.is_none() {
+                    self.user_addr = Some(from);
                 }
                 ctx.metrics().incr("condor_g.submitted", 1);
                 let message = format!("submitted ({})", spec.name);
@@ -666,7 +668,6 @@ mod tests {
             gass: gridsim::world::EXTERNAL,
             pool_schedd: None,
             mailer: None,
-            user_addr: None,
             gm: GmConfig::default(),
             email_on_termination: false,
         };

@@ -46,8 +46,6 @@ pub struct GCat {
     remote_path: String,
     /// Credential used for MSS appends.
     credential: ProxyCredential,
-    /// Poll interval for the scratch file.
-    poll: Duration,
     /// Scratch buffer: bytes produced but not yet shipped.
     buffered: Vec<FileData>,
     buffered_bytes: u64,
@@ -61,17 +59,18 @@ pub struct GCat {
 }
 
 const POLL_TAG: u64 = 1;
+/// How often the scratch file is polled for new output.
+const POLL: Duration = Duration::from_secs(30);
 /// Assumed floor bandwidth for sizing the retransmit deadline.
 const RETRY_FLOOR_BW: u64 = 50_000;
 
 impl GCat {
     /// Create a streamer shipping to `remote_path` on `mss`.
-    pub fn new(mss: Addr, remote_path: &str, credential: ProxyCredential, poll: Duration) -> GCat {
+    pub fn new(mss: Addr, remote_path: &str, credential: ProxyCredential) -> GCat {
         GCat {
             mss,
             remote_path: remote_path.to_string(),
             credential,
-            poll,
             buffered: Vec::new(),
             buffered_bytes: 0,
             shipped: 0,
@@ -130,7 +129,7 @@ impl GCat {
 
 impl Component for GCat {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.poll, POLL_TAG);
+        ctx.set_timer(POLL, POLL_TAG);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
@@ -142,7 +141,7 @@ impl Component for GCat {
                 self.transmit(ctx);
             }
             self.ship_next(ctx);
-            ctx.set_timer(self.poll, POLL_TAG);
+            ctx.set_timer(POLL, POLL_TAG);
         }
     }
 
@@ -245,11 +244,7 @@ mod tests {
         let n_mss = w.add_node("mss.ncsa.edu");
         let n_exec = w.add_node("exec");
         let mss = w.add_component(n_mss, "mss", GassServer::new(ca.trust_root()));
-        let gcat = w.add_component(
-            n_exec,
-            "gcat",
-            GCat::new(mss, "/mss/jane/g98.out", cred, Duration::from_secs(30)),
-        );
+        let gcat = w.add_component(n_exec, "gcat", GCat::new(mss, "/mss/jane/g98.out", cred));
         w.add_component(
             n_exec,
             "gaussian",
@@ -287,11 +282,7 @@ mod tests {
         let n_mss = w.add_node("mss");
         let n_exec = w.add_node("exec");
         let mss = w.add_component(n_mss, "mss", GassServer::new(ca.trust_root()));
-        let gcat = w.add_component(
-            n_exec,
-            "gcat",
-            GCat::new(mss, "/out", cred, Duration::from_secs(10)),
-        );
+        let gcat = w.add_component(n_exec, "gcat", GCat::new(mss, "/out", cred));
         w.add_component(
             n_exec,
             "job",

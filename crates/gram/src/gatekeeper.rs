@@ -9,12 +9,13 @@
 
 use crate::jobmanager::{JmLog, JobManager};
 use crate::proto::{GramError, GramReply, GramRequest, JmMsg, JobContact};
+use gass::GassUrl;
 use gridsim::hash::IdMap;
 use gridsim::metrics::SiteMetrics;
 use gridsim::prelude::*;
 use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
-use gsi::{Capability, GridMap, PublicKey, TrustRoot};
+use gsi::{Capability, GridMap, ProxyCredential, PublicKey, TrustRoot};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -165,6 +166,34 @@ impl Gatekeeper {
         addr
     }
 
+    /// Rebuild the JobManager for `contact` from its stable log, as
+    /// forking a fresh jobmanager process would, and return its address;
+    /// `None` if the site holds no log for it. Both a retransmitted submit
+    /// whose JobManager is gone and a `RestartJobManager` come here.
+    fn respawn(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        contact: JobContact,
+        callback: Addr,
+        gass: GassUrl,
+        credential: ProxyCredential,
+        stdout_have: u64,
+    ) -> Option<Addr> {
+        let node = ctx.node();
+        let log = ctx.store().get::<JmLog>(node, self.jm_key.key(contact))?;
+        let weather = self.weather(ctx);
+        let jm = JobManager::recover(
+            log,
+            self.lrm,
+            callback,
+            gass,
+            credential,
+            stdout_have,
+            weather,
+        );
+        Some(self.spawn_jobmanager(ctx, contact, jm))
+    }
+
     /// Reclamation on a JobManager's exit notice: every per-job record this
     /// site holds goes away — registration, persisted JobManager log, and
     /// the dedup entry, found through the dedup record it is stored with.
@@ -221,55 +250,24 @@ impl Component for Gatekeeper {
                     if let Some(&contact) = known {
                         ctx.metrics().incr("gram.duplicate_submits", 1);
                         ctx.trace_with("gram.dedup", || format!("dn={dn} seq={seq} -> {contact}"));
-                        if let Some(&jm) = self.jobmanagers.get(&contact) {
-                            ctx.send(
-                                from,
-                                GramReply::Submitted {
-                                    seq,
-                                    contact,
-                                    jobmanager: jm,
-                                },
-                            );
-                        } else {
-                            // JobManager gone (e.g. machine restarted):
-                            // restart it from its log.
-                            let node = ctx.node();
-                            match ctx.store().get::<JmLog>(node, self.jm_key.key(contact)) {
-                                Some(log) => {
-                                    let weather = self.weather(ctx);
-                                    let jm = self.spawn_jobmanager(
-                                        ctx,
-                                        contact,
-                                        JobManager::recover(
-                                            log,
-                                            self.lrm,
-                                            callback,
-                                            gass,
-                                            credential.clone(),
-                                            0,
-                                            weather,
-                                        ),
-                                    );
-                                    ctx.send(
-                                        from,
-                                        GramReply::Submitted {
-                                            seq,
-                                            contact,
-                                            jobmanager: jm,
-                                        },
-                                    );
-                                }
-                                None => {
-                                    ctx.send(
-                                        from,
-                                        GramReply::SubmitFailed {
-                                            seq,
-                                            error: GramError::UnknownJob,
-                                        },
-                                    );
-                                }
-                            }
-                        }
+                        // A JobManager that is gone (e.g. its machine
+                        // restarted) is restarted from its log.
+                        let jm = match self.jobmanagers.get(&contact) {
+                            Some(&jm) => Some(jm),
+                            None => self.respawn(ctx, contact, callback, gass, credential, 0),
+                        };
+                        let reply = match jm {
+                            Some(jobmanager) => GramReply::Submitted {
+                                seq,
+                                contact,
+                                jobmanager,
+                            },
+                            None => GramReply::SubmitFailed {
+                                seq,
+                                error: GramError::UnknownJob,
+                            },
+                        };
+                        ctx.send(from, reply);
                         return;
                     }
                 }
@@ -342,43 +340,22 @@ impl Component for Gatekeeper {
                 if let Some(jm) = self.jobmanagers.remove(&contact) {
                     ctx.kill(jm);
                 }
-                let node = ctx.node();
-                match ctx.store().get::<JmLog>(node, self.jm_key.key(contact)) {
-                    Some(log) => {
-                        ctx.metrics().incr("gram.jm_restarts", 1);
-                        ctx.trace_with("gram.jm_restart", || format!("{contact}"));
-                        let weather = self.weather(ctx);
-                        let jm = self.spawn_jobmanager(
-                            ctx,
-                            contact,
-                            JobManager::recover(
-                                log,
-                                self.lrm,
-                                callback,
-                                gass,
-                                credential,
-                                stdout_have,
-                                weather,
-                            ),
-                        );
-                        ctx.send(
-                            from,
+                let reply =
+                    match self.respawn(ctx, contact, callback, gass, credential, stdout_have) {
+                        Some(jobmanager) => {
+                            ctx.metrics().incr("gram.jm_restarts", 1);
+                            ctx.trace_with("gram.jm_restart", || format!("{contact}"));
                             GramReply::Restarted {
                                 contact,
-                                jobmanager: jm,
-                            },
-                        );
-                    }
-                    None => {
-                        ctx.send(
-                            from,
-                            GramReply::RestartFailed {
-                                contact,
-                                error: GramError::UnknownJob,
-                            },
-                        );
-                    }
-                }
+                                jobmanager,
+                            }
+                        }
+                        None => GramReply::RestartFailed {
+                            contact,
+                            error: GramError::UnknownJob,
+                        },
+                    };
+                ctx.send(from, reply);
             }
         }
     }

@@ -663,11 +663,12 @@ fn a_cancel_during_the_lrm_submit_removes_the_site_job() {
 fn split_stage_in_waits_for_the_file_still_arriving() {
     // The executable and stdin come from two GASS servers, each behind
     // its own 100 KB/s link. Link `a` dies while both 64 MB files are
-    // crossing: its server reports the GET aborted, but the stdin is
+    // crossing: the executable's flow is cut, and its server's abort
+    // notice is dropped at send on the same dead link. The stdin is
     // still arriving over `b`. A re-drive fetches every file, so the
-    // JobManager does not re-drive now, which would put a second copy of
-    // the stdin on `b`; its retry timer re-drives once nothing is
-    // arriving. Re-driving on the abort and on every timer regardless of
+    // JobManager's retry timer does not re-drive while the stdin
+    // arrives, which would put a second copy of it on `b`; it re-drives
+    // once nothing is arriving. Re-driving on every timer regardless of
     // the flows took 20 flows and 11 retries.
     let r = rig(13, vec![], |client, w| {
         let site = client.gatekeeper.node;
@@ -695,7 +696,8 @@ fn split_stage_in_waits_for_the_file_still_arriving() {
     assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
     let m = w.metrics();
     assert_eq!(m.counter("net.flows_aborted"), 1, "the executable's");
-    assert_eq!(m.counter("gram.staging_aborts"), 1);
+    assert_eq!(m.counter("net.lost"), 1, "the abort notice");
+    assert_eq!(m.counter("gram.staging_aborts"), 0);
     // The two first flows, then one re-drive of both files.
     assert_eq!(m.counter("gram.stage_retries"), 1);
     assert_eq!(m.counter("net.flows_started"), 4);
@@ -885,12 +887,14 @@ fn a_cancel_during_stage_in_submits_nothing() {
 #[test]
 fn a_stage_in_cut_by_a_dead_link_has_one_retry_chain() {
     // A 64 MB executable behind its own 100 KB/s link, which dies a
-    // minute into the transfer and stays down for two hours: the GETs
-    // still reach the server, but no Data can come back. The abort
-    // re-drives at once; after that only the retry timer re-drives, once
-    // per period, and each period doubles (68 s for an RSL that declares
-    // no image size, x2 per retry, capped at x16). A re-drive that left
-    // the timer it found armed would run a second chain beside it.
+    // minute into the transfer and stays down for two hours. A down link
+    // refuses messages as it refuses flows, at send: the server's abort
+    // notice and every GET re-driven while the link is down are dropped
+    // and counted lost, and none reaches the server. Only the retry
+    // timer re-drives, once per period, and each period doubles (68 s
+    // for an RSL that declares no image size, x2 per retry, capped at
+    // x16). A re-drive that left the timer it found armed would run a
+    // second chain beside it.
     let r = rig(14, vec![], |client, w| {
         let site = client.gatekeeper.node;
         let trust = CertificateAuthority::new("/CN=Globus CA", 1).trust_root();
@@ -909,16 +913,22 @@ fn a_stage_in_cut_by_a_dead_link_has_one_retry_chain() {
     w.run_until_quiescent();
     let cbs = callbacks_of(&w, r.client_node, 0);
     assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
-    assert_eq!(w.metrics().counter("gram.staging_aborts"), 1);
-    // The first GET, the abort's re-drive at one minute, then the
-    // timer's: the last one after the link came back.
-    let gets: Vec<SimTime> = w.trace().of_kind("gass.get").map(|e| e.time).collect();
-    assert_eq!(gets[1].since(SimTime::ZERO).as_secs_f64().round(), 60.0);
-    let gaps: Vec<u64> = gets[1..]
-        .windows(2)
-        .map(|g| g[1].since(g[0]).as_secs_f64().round() as u64)
+    // The server sees the first GET and the tenth re-drive, the first
+    // after the link came back: one chain of 68 + 136 + 272 + 544 + 6 x
+    // 1,088 s. Nothing while the link was down.
+    let gets: Vec<u64> = w
+        .trace()
+        .of_kind("gass.get")
+        .map(|e| e.time.since(SimTime::ZERO).as_secs_f64().round() as u64)
         .collect();
-    assert_eq!(gaps, [136, 272, 544, 1088, 1088, 1088, 1088, 1088, 1088]);
+    assert!(
+        gets.iter().all(|t| !(60..=7260).contains(t)),
+        "a GET crossed the dead link: {gets:?}"
+    );
+    assert_eq!(gets, [0, 7548]);
+    assert_eq!(w.metrics().counter("gram.staging_aborts"), 0);
     assert_eq!(w.metrics().counter("gram.stage_retries"), 10);
+    // Nine re-driven GETs and the abort notice.
+    assert_eq!(w.metrics().counter("net.lost"), 10);
     assert_eq!(w.metrics().counter("site.completed"), 1);
 }

@@ -26,35 +26,19 @@ use crate::rng::{Dist, SimRng};
 use crate::time::Duration;
 use flow::{FlowNet, LinkId, Parcel};
 
-/// Static configuration of the network model.
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// Default one-way latency for node pairs without an override (seconds).
-    pub default_latency: Dist,
-    /// Latency for messages between components on the same node (seconds).
-    pub loopback_latency: Dist,
-    /// Global probability that an inter-node message is silently dropped.
-    pub loss_rate: f64,
-    /// Default link bandwidth in bytes/second (for bulk transfers).
-    pub default_bandwidth: f64,
-}
+/// One-way latency of a node pair without an override (seconds): a
+/// wide-area RTT of ~60 ms in 2001, so ~30 ms one way, with jitter.
+const DEFAULT_LATENCY: Dist = Dist::Uniform {
+    lo: 0.020,
+    hi: 0.040,
+};
 
-impl Default for NetConfig {
-    fn default() -> NetConfig {
-        NetConfig {
-            // Wide-area RTT ~60 ms in 2001 => ~30 ms one-way, with jitter.
-            default_latency: Dist::Uniform {
-                lo: 0.020,
-                hi: 0.040,
-            },
-            loopback_latency: Dist::Constant(0.000_1),
-            loss_rate: 0.0,
-            // ~10 Mbit/s effective wide-area throughput, a fair match for
-            // the paper's era.
-            default_bandwidth: 1.25e6,
-        }
-    }
-}
+/// Latency between components on the same node (seconds).
+const LOOPBACK_LATENCY: Dist = Dist::Constant(0.000_1);
+
+/// Bandwidth of a node pair without an override (bytes/s): ~10 Mbit/s
+/// effective wide-area throughput, a fair match for the paper's era.
+const DEFAULT_BANDWIDTH: f64 = 1.25e6;
 
 /// Per-directed-link overrides.
 #[derive(Clone, Debug)]
@@ -64,14 +48,15 @@ struct LinkOverride {
     bandwidth: Option<f64>,
 }
 
-/// The live network state: configuration plus dynamic partitions/loss.
-#[derive(Debug)]
+/// The live network state: per-pair overrides of the defaults, plus
+/// dynamic partitions and loss. No message is lost unless a per-pair or
+/// dynamic loss rate says so.
+#[derive(Debug, Default)]
 pub struct Network {
-    config: NetConfig,
     overrides: IdMap<(NodeId, NodeId), LinkOverride>,
     /// Unordered pairs currently partitioned from each other.
     partitioned: IdSet<(NodeId, NodeId)>,
-    /// Dynamic loss rate override (set by fault plans); falls back to config.
+    /// Dynamic loss rate override (set by fault plans).
     dynamic_loss: Option<f64>,
     /// Declared links, the routes over them, and the bulk transfers in
     /// flight as flows. See [`flow`].
@@ -87,15 +72,9 @@ fn pair_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 }
 
 impl Network {
-    /// Build a network from configuration.
-    pub fn new(config: NetConfig) -> Network {
-        Network {
-            config,
-            overrides: IdMap::default(),
-            partitioned: IdSet::default(),
-            dynamic_loss: None,
-            flow: FlowNet::default(),
-        }
+    /// A network with every pair at the defaults and no link declared.
+    pub fn new() -> Network {
+        Network::default()
     }
 
     /// Override the latency distribution for the directed link `from → to`.
@@ -166,13 +145,15 @@ impl Network {
 
     /// Decide the fate of a message or a bulk transfer of `bytes` (0 for a
     /// message) on `from → to`: `Some(latency)` if it will be delivered,
-    /// `None` if dropped (loss or partition).
+    /// `None` if dropped (loss, partition, or a down link on the pair's
+    /// declared route).
     ///
-    /// Note that a *partitioned* link drops deterministically, modelling an
-    /// unreachable route, while *loss* is sampled: one draw, at the pair's
-    /// rate compounded per started megabyte (so a message, or a transfer
-    /// of up to 1 MB, is lost at exactly the rate), then one latency draw
-    /// if it survives, whatever the size.
+    /// Note that a partition or a down link drops deterministically,
+    /// without a draw, modelling an unreachable route, while *loss* is
+    /// sampled: one draw, at the pair's rate compounded per started
+    /// megabyte (so a message, or a transfer of up to 1 MB, is lost at
+    /// exactly the rate), then one latency draw if it survives, whatever
+    /// the size.
     pub fn route(
         &mut self,
         rng: &mut SimRng,
@@ -181,9 +162,9 @@ impl Network {
         bytes: u64,
     ) -> Option<Duration> {
         if from == to {
-            return Some(rng.duration(&self.config.loopback_latency));
+            return Some(rng.duration(&LOOPBACK_LATENCY));
         }
-        if !self.reachable(from, to) {
+        if !self.reachable(from, to) || self.flow.crosses_down_link(from, to) {
             return None;
         }
         if rng.chance(volume_loss(self.loss_for(from, to), bytes)) {
@@ -193,7 +174,7 @@ impl Network {
             .overrides
             .get(&(from, to))
             .and_then(|l| l.latency)
-            .unwrap_or(self.config.default_latency);
+            .unwrap_or(DEFAULT_LATENCY);
         Some(rng.duration(&dist))
     }
 
@@ -207,7 +188,7 @@ impl Network {
             (Some(l), Some(d)) => l.max(d),
             (Some(l), None) => l,
             (None, Some(d)) => d,
-            (None, None) => self.config.loss_rate,
+            (None, None) => 0.0,
         }
     }
 
@@ -220,7 +201,7 @@ impl Network {
         self.overrides
             .get(&(from, to))
             .and_then(|l| l.bandwidth)
-            .unwrap_or(self.config.default_bandwidth)
+            .unwrap_or(DEFAULT_BANDWIDTH)
     }
 
     /// Number of in-flight flows.
@@ -249,19 +230,13 @@ impl Network {
     // things.
 
     /// Register `parcel` as a flow over its route, once [`Network::route`]
-    /// has let it through with `latency`. Returns `false` (payload dropped)
-    /// if a link on the route is down.
-    pub(crate) fn flow_start(&mut self, parcel: Parcel, mut latency: Duration) -> bool {
+    /// has let it through with `latency` (so every link on it is up).
+    pub(crate) fn flow_start(&mut self, parcel: Parcel, mut latency: Duration) {
         let cap = self.bandwidth(parcel.from.node, parcel.to.node);
-        let route = self.flow.route_for(parcel.from.node, parcel.to.node);
-        if route.iter().any(|&l| !self.flow.link_is_up(l)) {
-            return false;
-        }
-        for &l in route {
+        for &l in self.flow.route_for(parcel.from.node, parcel.to.node) {
             latency += Duration::from_secs_f64(self.flow.link_latency(l));
         }
         self.flow.start(parcel, latency, cap);
-        true
     }
 
     /// Abort every flow whose endpoints are no longer mutually reachable
@@ -294,7 +269,6 @@ fn volume_loss(p: f64, bytes: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Addr, CompId};
 
     fn rng() -> SimRng {
         SimRng::new(11)
@@ -302,10 +276,8 @@ mod tests {
 
     #[test]
     fn loopback_is_fast_and_reliable() {
-        let mut net = Network::new(NetConfig {
-            loss_rate: 1.0,
-            ..NetConfig::default()
-        });
+        let mut net = Network::new();
+        net.set_global_loss(Some(1.0));
         let mut r = rng();
         for _ in 0..100 {
             let d = net
@@ -317,7 +289,7 @@ mod tests {
 
     #[test]
     fn partition_blocks_both_directions() {
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let mut r = rng();
         net.partition(&[NodeId(1)], &[NodeId(2), NodeId(3)]);
         assert!(net.route(&mut r, NodeId(1), NodeId(2), 0).is_none());
@@ -331,11 +303,7 @@ mod tests {
 
     #[test]
     fn loss_rate_approximated() {
-        let cfg = NetConfig {
-            loss_rate: 0.25,
-            ..NetConfig::default()
-        };
-        let mut net = Network::new(cfg);
+        let mut net = lossy(0.25);
         let mut r = rng();
         let n = 20_000;
         let delivered = (0..n)
@@ -347,7 +315,7 @@ mod tests {
 
     #[test]
     fn link_overrides_beat_defaults() {
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let mut r = rng();
         net.set_link_loss(NodeId(0), NodeId(1), 1.0);
         assert!(net.route(&mut r, NodeId(0), NodeId(1), 0).is_none());
@@ -360,10 +328,9 @@ mod tests {
 
     /// A network at loss `p` with a latency that is a real draw.
     fn lossy(p: f64) -> Network {
-        Network::new(NetConfig {
-            loss_rate: p,
-            ..NetConfig::default()
-        })
+        let mut net = Network::new();
+        net.set_global_loss(Some(p));
+        net
     }
 
     #[test]
@@ -417,7 +384,7 @@ mod tests {
 
     #[test]
     fn dynamic_loss_override() {
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let mut r = rng();
         net.set_global_loss(Some(1.0));
         assert!(net.route(&mut r, NodeId(0), NodeId(1), 0).is_none());
@@ -429,7 +396,7 @@ mod tests {
     fn dynamic_loss_is_not_shadowed_by_link_override() {
         // Regression: a perfect per-link override used to swallow a
         // fault-plan loss of 1.0 — the two must combine as the max.
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let mut r = rng();
         net.set_link_loss(NodeId(0), NodeId(1), 0.0);
         net.set_global_loss(Some(1.0));
@@ -445,7 +412,7 @@ mod tests {
 
     #[test]
     fn heal_of_never_installed_partition_is_a_noop() {
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let mut r = rng();
         net.partition(&[NodeId(1)], &[NodeId(2)]);
         // Healing a pair that was never partitioned must not disturb the
@@ -472,32 +439,21 @@ mod tests {
     }
 
     #[test]
-    fn flow_start_respects_partitions_and_down_links() {
-        let mut net = Network::new(NetConfig::default());
-        let mut r = rng();
+    fn a_down_link_refuses_what_crosses_it_without_a_draw() {
+        // Messages and bulk transfers alike, as a partition does; pairs
+        // whose route avoids the link are untouched.
+        let mut net = Network::new();
         let wan = net.add_flow_link("wan", 1e6, 0.0);
         net.set_flow_route(NodeId(1), NodeId(2), &[wan]);
-        let parcel = || Parcel {
-            from: Addr {
-                node: NodeId(1),
-                comp: CompId(0),
-            },
-            to: Addr {
-                node: NodeId(2),
-                comp: CompId(0),
-            },
-            bytes: 1_000,
-            msg: Box::new(1u8),
-            started: 0,
-        };
-        net.partition(&[NodeId(1)], &[NodeId(2)]);
-        assert!(net.route(&mut r, NodeId(1), NodeId(2), 1_000).is_none());
-        net.heal(&[NodeId(1)], &[NodeId(2)]);
-        let latency = net.route(&mut r, NodeId(1), NodeId(2), 1_000).unwrap();
-        assert!(net.flow.set_link_up("wan", false));
-        assert!(!net.flow_start(parcel(), latency));
-        assert!(net.flow.set_link_up("wan", true));
-        assert!(net.flow_start(parcel(), latency));
-        assert_eq!(net.flows_active(), 1);
+        let (mut r, mut fresh) = (rng(), rng());
+        assert!(net.flow.link_down("wan").expect("declared").is_empty());
+        assert!(net.route(&mut r, NodeId(1), NodeId(2), 0).is_none());
+        assert!(net.route(&mut r, NodeId(2), NodeId(1), 1_000).is_none());
+        assert!(net.route(&mut r, NodeId(1), NodeId(3), 0).is_some());
+        assert!(net.route(&mut fresh, NodeId(1), NodeId(3), 0).is_some());
+        assert_eq!(r.f64(), fresh.f64(), "a refusal draws nothing");
+        assert!(net.flow.link_up("wan"));
+        assert!(net.route(&mut r, NodeId(1), NodeId(2), 0).is_some());
+        assert!(!net.flow.link_up("lan"), "an undeclared link");
     }
 }

@@ -178,6 +178,9 @@ pub(crate) struct FlowNet {
     /// Looked up by name only at declaration and on fault events, so a
     /// scan does.
     links: Vec<Link>,
+    /// How many of `links` are down, so a world whose links are all up
+    /// asks [`FlowNet::crosses_down_link`] for one compare.
+    down: u32,
     /// Directed routes; [`FlowNet::set_route`] installs both directions.
     routes: HashMap<(NodeId, NodeId), Vec<LinkId>>,
     /// Every `(route, cap)` a flow has had; never shrinks (bounded by the
@@ -237,8 +240,13 @@ impl FlowNet {
         self.routes.get(&(from, to)).map_or(&[], Vec::as_slice)
     }
 
-    pub(crate) fn link_is_up(&self, id: LinkId) -> bool {
-        self.links[id.0 as usize].up
+    /// True if the route `from → to` crosses a link that is down.
+    pub(crate) fn crosses_down_link(&self, from: NodeId, to: NodeId) -> bool {
+        self.down > 0
+            && self
+                .route_for(from, to)
+                .iter()
+                .any(|l| !self.links[l.0 as usize].up)
     }
 
     /// A link's propagation latency in seconds.
@@ -246,22 +254,33 @@ impl FlowNet {
         self.links[id.0 as usize].latency
     }
 
-    /// Set a link's up/down state. Returns false for unknown names.
-    pub(crate) fn set_link_up(&mut self, name: &str, up: bool) -> bool {
-        match self.link_id(name) {
-            Some(id) => {
-                self.links[id.0 as usize].up = up;
-                true
+    /// Set link `id`'s up/down state, keeping the count of down links.
+    fn set_up(&mut self, id: LinkId, up: bool) {
+        let link = &mut self.links[id.0 as usize];
+        if link.up != up {
+            link.up = up;
+            if up {
+                self.down -= 1;
+            } else {
+                self.down += 1;
             }
-            None => false,
         }
+    }
+
+    /// Bring link `name` back up. Returns false for unknown names.
+    pub(crate) fn link_up(&mut self, name: &str) -> bool {
+        let Some(id) = self.link_id(name) else {
+            return false;
+        };
+        self.set_up(id, true);
+        true
     }
 
     /// Take link `name` down and abort the flows crossing it. `None` for
     /// unknown names.
     pub(crate) fn link_down(&mut self, name: &str) -> Option<Vec<Parcel>> {
         let id = self.link_id(name)?;
-        self.links[id.0 as usize].up = false;
+        self.set_up(id, false);
         Some(self.abort_where(|_, _, route| route.contains(&id)))
     }
 

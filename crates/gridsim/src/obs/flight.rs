@@ -517,39 +517,19 @@ impl TelemetryWriter<std::io::BufWriter<std::fs::File>> {
 
 // ---- anomaly detectors -------------------------------------------------
 
-/// Thresholds for the four detectors. Zeroing a threshold disables its
-/// detector (`quarantine_storm: 0` etc.).
-#[derive(Debug, Clone)]
-pub struct DetectorConfig {
-    /// Oldest in-flight job older than this is a stuck-job anomaly.
-    pub stuck_horizon: Duration,
-    /// Interval completions below this fraction of the trailing mean is a
-    /// throughput collapse.
-    pub collapse_fraction: f64,
-    /// Trailing mean must be at least this many completions/interval
-    /// before the collapse detector arms (quiet starts are not collapses).
-    pub collapse_min_mean: f64,
-    /// Intervals in the trailing window.
-    pub trailing_intervals: usize,
-    /// New quarantines within one interval that count as a storm.
-    pub quarantine_storm: u64,
-    /// Consecutive full-window zero-completion intervals that count as a
-    /// backpressure stall.
-    pub stall_intervals: u32,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> DetectorConfig {
-        DetectorConfig {
-            stuck_horizon: Duration::from_hours(4),
-            collapse_fraction: 0.2,
-            collapse_min_mean: 100.0,
-            trailing_intervals: 8,
-            quarantine_storm: 3,
-            stall_intervals: 3,
-        }
-    }
-}
+/// Oldest in-flight job older than this is a stuck-job anomaly.
+const STUCK_HORIZON: Duration = Duration::from_hours(4);
+/// Interval completions below this fraction of the trailing mean is a
+/// throughput collapse.
+const COLLAPSE_FRACTION: f64 = 0.2;
+/// Trailing mean must be at least this many completions/interval before
+/// the collapse detector arms (quiet starts are not collapses).
+const COLLAPSE_MIN_MEAN: f64 = 100.0;
+/// Intervals in the trailing window.
+const TRAILING_INTERVALS: usize = 8;
+/// Consecutive full-window zero-completion intervals that count as a
+/// backpressure stall.
+const STALL_INTERVALS: u32 = 3;
 
 /// What tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -593,7 +573,9 @@ pub struct Anomaly {
 /// it does not spam dumps while the incident persists.
 #[derive(Debug, Default)]
 pub struct AnomalyDetector {
-    config: DetectorConfig,
+    /// New quarantines within one interval that count as a storm; 0
+    /// disables the storm detector.
+    quarantine_storm: u64,
     history: VecDeque<u64>,
     prev_settled: u64,
     prev_quarantines: u64,
@@ -602,10 +584,11 @@ pub struct AnomalyDetector {
 }
 
 impl AnomalyDetector {
-    /// A detector with the given thresholds.
-    pub fn new(config: DetectorConfig) -> AnomalyDetector {
+    /// A detector that calls `quarantine_storm` new quarantines in one
+    /// interval a storm (0: never).
+    pub fn new(quarantine_storm: u64) -> AnomalyDetector {
         AnomalyDetector {
-            config,
+            quarantine_storm,
             ..AnomalyDetector::default()
         }
     }
@@ -639,8 +622,8 @@ impl AnomalyDetector {
         self.prev_settled = settled;
         self.prev_quarantines = s.quarantines;
 
-        let horizon = self.config.stuck_horizon.as_secs_f64();
-        if horizon > 0.0 && s.inflight > 0 && s.oldest_wait_secs > horizon {
+        let horizon = STUCK_HORIZON.as_secs_f64();
+        if s.inflight > 0 && s.oldest_wait_secs > horizon {
             self.fire(
                 &mut out,
                 AnomalyKind::StuckJob,
@@ -651,58 +634,51 @@ impl AnomalyDetector {
                 None,
             );
         }
-        if self.config.quarantine_storm > 0 && new_quarantines >= self.config.quarantine_storm {
+        if self.quarantine_storm > 0 && new_quarantines >= self.quarantine_storm {
             self.fire(
                 &mut out,
                 AnomalyKind::QuarantineStorm,
                 format!(
                     "{new_quarantines} quarantines in one interval (>= {})",
-                    self.config.quarantine_storm
+                    self.quarantine_storm
                 ),
                 quarantine_site.map(str::to_string),
             );
         }
-        if self.history.len() == self.config.trailing_intervals
-            && self.config.trailing_intervals > 0
-        {
-            let mean =
-                self.history.iter().sum::<u64>() as f64 / self.config.trailing_intervals as f64;
-            if mean >= self.config.collapse_min_mean
-                && (delta as f64) < self.config.collapse_fraction * mean
-            {
+        if self.history.len() == TRAILING_INTERVALS {
+            let mean = self.history.iter().sum::<u64>() as f64 / TRAILING_INTERVALS as f64;
+            if mean >= COLLAPSE_MIN_MEAN && (delta as f64) < COLLAPSE_FRACTION * mean {
                 self.fire(
                     &mut out,
                     AnomalyKind::ThroughputCollapse,
                     format!(
                         "{delta} completions this interval vs trailing mean {mean:.0} \
                          (< {:.0}%)",
-                        self.config.collapse_fraction * 100.0
+                        COLLAPSE_FRACTION * 100.0
                     ),
                     None,
                 );
             }
         }
         self.history.push_back(delta);
-        while self.history.len() > self.config.trailing_intervals {
+        while self.history.len() > TRAILING_INTERVALS {
             self.history.pop_front();
         }
-        if self.config.stall_intervals > 0 {
-            if s.window > 0 && s.inflight >= s.window && delta == 0 {
-                self.stall_run += 1;
-                if self.stall_run >= self.config.stall_intervals {
-                    self.fire(
-                        &mut out,
-                        AnomalyKind::BackpressureStall,
-                        format!(
-                            "in-flight window full ({}) with 0 completions for {} intervals",
-                            s.window, self.stall_run
-                        ),
-                        None,
-                    );
-                }
-            } else {
-                self.stall_run = 0;
+        if s.window > 0 && s.inflight >= s.window && delta == 0 {
+            self.stall_run += 1;
+            if self.stall_run >= STALL_INTERVALS {
+                self.fire(
+                    &mut out,
+                    AnomalyKind::BackpressureStall,
+                    format!(
+                        "in-flight window full ({}) with 0 completions for {} intervals",
+                        s.window, self.stall_run
+                    ),
+                    None,
+                );
             }
+        } else {
+            self.stall_run = 0;
         }
         out
     }
@@ -969,8 +945,8 @@ mod tests {
 
     #[test]
     fn stuck_job_detector_fires_once() {
-        let mut d = AnomalyDetector::new(DetectorConfig::default());
-        let horizon = DetectorConfig::default().stuck_horizon.as_secs_f64();
+        let mut d = AnomalyDetector::new(3);
+        let horizon = STUCK_HORIZON.as_secs_f64();
         assert!(d
             .observe(&sample(0, 1, 0, horizon - 1.0, 0), None)
             .is_empty());
@@ -985,10 +961,7 @@ mod tests {
 
     #[test]
     fn quarantine_storm_detector_anchors_on_site() {
-        let mut d = AnomalyDetector::new(DetectorConfig {
-            quarantine_storm: 2,
-            ..DetectorConfig::default()
-        });
+        let mut d = AnomalyDetector::new(2);
         assert!(d
             .observe(&sample(0, 0, 0, 0.0, 1), Some("alpha"))
             .is_empty());
@@ -1000,18 +973,14 @@ mod tests {
 
     #[test]
     fn throughput_collapse_needs_full_trailing_window() {
-        let config = DetectorConfig {
-            trailing_intervals: 3,
-            collapse_min_mean: 10.0,
-            ..DetectorConfig::default()
-        };
-        let mut d = AnomalyDetector::new(config);
+        let mut d = AnomalyDetector::new(3);
         let mut done = 0;
-        for _ in 0..3 {
+        for _ in 0..TRAILING_INTERVALS {
             done += 100;
             assert!(d.observe(&sample(done, 0, 0, 0.0, 0), None).is_empty());
         }
-        // Now the window is full with mean 100; one dead interval collapses.
+        // Now the window is full with mean 100 (at the arming minimum);
+        // one dead interval collapses.
         let fired = d.observe(&sample(done, 0, 0, 0.0, 0), None);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AnomalyKind::ThroughputCollapse);
@@ -1019,30 +988,38 @@ mod tests {
 
     #[test]
     fn collapse_does_not_arm_on_quiet_start() {
-        let mut d = AnomalyDetector::new(DetectorConfig {
-            trailing_intervals: 2,
-            ..DetectorConfig::default()
-        });
-        // Mean stays below collapse_min_mean: never fires.
+        let mut d = AnomalyDetector::new(3);
+        // The mean stays below the arming minimum: a fall from 99 a
+        // interval to 0 never fires.
+        let mut done = 0;
+        for _ in 0..TRAILING_INTERVALS {
+            done += 99;
+            assert!(d.observe(&sample(done, 0, 0, 0.0, 0), None).is_empty());
+        }
         for _ in 0..10 {
-            assert!(d.observe(&sample(0, 0, 0, 0.0, 0), None).is_empty());
+            assert!(d.observe(&sample(done, 0, 0, 0.0, 0), None).is_empty());
         }
     }
 
     #[test]
     fn backpressure_stall_needs_consecutive_full_window_zeroes() {
-        let mut d = AnomalyDetector::new(DetectorConfig {
-            stall_intervals: 2,
-            ..DetectorConfig::default()
-        });
-        assert!(d.observe(&sample(0, 8, 8, 0.0, 0), None).is_empty());
-        let fired = d.observe(&sample(0, 8, 8, 0.0, 0), None);
+        let mut d = AnomalyDetector::new(3);
+        // A completing interval breaks the run.
+        for done in [0, 0, 1] {
+            assert!(d.observe(&sample(done, 8, 8, 0.0, 0), None).is_empty());
+        }
+        for _ in 1..STALL_INTERVALS {
+            assert!(d.observe(&sample(1, 8, 8, 0.0, 0), None).is_empty());
+        }
+        let fired = d.observe(&sample(1, 8, 8, 0.0, 0), None);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AnomalyKind::BackpressureStall);
-        // A completing interval resets the run for other detectors, but
-        // this one already fired once and stays quiet.
+        // A completing interval starts a new run, which reaches the
+        // threshold again; the detector already fired and stays quiet.
         assert!(d.observe(&sample(5, 8, 8, 0.0, 0), None).is_empty());
-        assert!(d.observe(&sample(5, 8, 8, 0.0, 0), None).is_empty());
+        for _ in 0..STALL_INTERVALS {
+            assert!(d.observe(&sample(5, 8, 8, 0.0, 0), None).is_empty());
+        }
     }
 
     #[test]

@@ -45,13 +45,13 @@ pub mod weather;
 pub use causality::{CausalDag, DagNode};
 pub use export::{json_snapshot, json_string, prometheus_snapshot};
 pub use flight::{
-    site_aggregates, telemetry_line, Anomaly, AnomalyDetector, AnomalyKind, DetectorConfig,
-    FlightRecorder, TelemetrySample, TelemetryWriter,
+    site_aggregates, telemetry_line, Anomaly, AnomalyDetector, AnomalyKind, FlightRecorder,
+    TelemetrySample, TelemetryWriter,
 };
 pub use profiler::{CompProfile, Profiler};
 pub use span::{AttemptSpan, JobSpan, SpanCollector, SpanPhase, PHASES, SPAN_KIND};
 pub use subscriber::JsonlWriter;
 pub use weather::{
-    grid_weather, render_top, site_weather, weather_json, HealthAction, HealthEvent, HealthPolicy,
+    grid_weather, render_top, site_weather, weather_json, HealthAction, HealthEvent,
     SiteHealthTracker, SiteState, SiteWeather,
 };

@@ -178,52 +178,34 @@ pub fn weather_json(rows: &[SiteWeather]) -> String {
 
 // ---- site health: the quarantine state machine -------------------------
 
-/// Thresholds for demoting and recovering sites.
-#[derive(Debug, Clone)]
-pub struct HealthPolicy {
-    /// New attempt failures in one observation window that quarantine a
-    /// healthy site.
-    pub strike_failures: u64,
-    /// A rolling LRM success rate below this quarantines a healthy site.
-    pub min_success_rate: f64,
-    /// A commit-timeout rate above this quarantines a healthy site.
-    pub max_commit_timeout_rate: f64,
-    /// How long a quarantined site is avoided before it is re-probed.
-    pub quarantine_for: Duration,
-    /// Completions during probation that restore a site to healthy.
-    pub probation_successes: u64,
-}
+/// New attempt failures in one observation window that quarantine a
+/// healthy site.
+const STRIKE_FAILURES: u64 = 1;
+/// A rolling LRM success rate below this quarantines a healthy site.
+const MIN_SUCCESS_RATE: f64 = 0.25;
+/// A commit-timeout rate above this quarantines a healthy site.
+const MAX_COMMIT_TIMEOUT_RATE: f64 = 0.5;
+/// How long a quarantined site is avoided before it is re-probed.
+const QUARANTINE_FOR: Duration = Duration::from_mins(20);
+/// Completions during probation that restore a site to healthy.
+const PROBATION_SUCCESSES: u64 = 1;
 
-impl Default for HealthPolicy {
-    fn default() -> HealthPolicy {
-        HealthPolicy {
-            strike_failures: 1,
-            min_success_rate: 0.25,
-            max_commit_timeout_rate: 0.5,
-            quarantine_for: Duration::from_mins(20),
-            probation_successes: 1,
+/// Why a healthy site looks sick, if it does.
+fn sickness(m: &Metrics, h: &SiteMetrics, new_failures: u64) -> Option<String> {
+    if new_failures >= STRIKE_FAILURES {
+        return Some(format!("{new_failures} new attempt failures"));
+    }
+    if let Some(rate) = last(m, &h.success_rate) {
+        if rate < MIN_SUCCESS_RATE {
+            return Some(format!("success rate {:.0}%", rate * 100.0));
         }
     }
-}
-
-impl HealthPolicy {
-    /// Why a healthy site looks sick, if it does.
-    fn sickness(&self, m: &Metrics, h: &SiteMetrics, new_failures: u64) -> Option<String> {
-        if new_failures >= self.strike_failures.max(1) {
-            return Some(format!("{new_failures} new attempt failures"));
+    if let Some(rate) = commit_timeout_rate(m, h) {
+        if rate > MAX_COMMIT_TIMEOUT_RATE {
+            return Some(format!("commit-timeout rate {:.0}%", rate * 100.0));
         }
-        if let Some(rate) = last(m, &h.success_rate) {
-            if rate < self.min_success_rate {
-                return Some(format!("success rate {:.0}%", rate * 100.0));
-            }
-        }
-        if let Some(rate) = commit_timeout_rate(m, h) {
-            if rate > self.max_commit_timeout_rate {
-                return Some(format!("commit-timeout rate {:.0}%", rate * 100.0));
-            }
-        }
-        None
     }
+    None
 }
 
 /// Where a site is in the quarantine lifecycle.
@@ -292,19 +274,15 @@ struct SiteTrack {
 /// seed.
 #[derive(Debug, Clone, Default)]
 pub struct SiteHealthTracker {
-    policy: HealthPolicy,
     /// Every site observed, sorted by name like the registry, so each
     /// tick walks the two in step.
     sites: Vec<(String, SiteTrack)>,
 }
 
 impl SiteHealthTracker {
-    /// A tracker with the given thresholds.
-    pub fn new(policy: HealthPolicy) -> SiteHealthTracker {
-        SiteHealthTracker {
-            policy,
-            sites: Vec::new(),
-        }
+    /// A tracker that has seen no site yet.
+    pub fn new() -> SiteHealthTracker {
+        SiteHealthTracker::default()
     }
 
     /// Is the site currently excluded from brokering?
@@ -354,10 +332,10 @@ impl SiteHealthTracker {
             t.seen_completed = completed;
             let state = t.state.unwrap_or(SiteState::Healthy);
             let next = match state {
-                SiteState::Healthy => self.policy.sickness(m, h, new_failures).map(|why| {
+                SiteState::Healthy => sickness(m, h, new_failures).map(|why| {
                     events.push(ev(site, HealthAction::Quarantine, why));
                     SiteState::Quarantined {
-                        until: now + self.policy.quarantine_for,
+                        until: now + QUARANTINE_FOR,
                     }
                 }),
                 SiteState::Quarantined { until } => (now >= until).then(|| {
@@ -373,11 +351,11 @@ impl SiteHealthTracker {
                             format!("probe failed ({new_failures} new attempt failures)"),
                         ));
                         Some(SiteState::Quarantined {
-                            until: now + self.policy.quarantine_for,
+                            until: now + QUARANTINE_FOR,
                         })
                     } else {
                         t.probation_completed += new_completed;
-                        (t.probation_completed >= self.policy.probation_successes).then(|| {
+                        (t.probation_completed >= PROBATION_SUCCESSES).then(|| {
                             events.push(ev(
                                 site,
                                 HealthAction::Recover,
@@ -584,7 +562,7 @@ mod tests {
 
     #[test]
     fn quarantine_probe_recover_lifecycle() {
-        let mut t = SiteHealthTracker::new(HealthPolicy::default());
+        let mut t = SiteHealthTracker::new();
         // Healthy until a failure shows up.
         assert!(t.observe(&reading("anl", 0, 0), SimTime(0)).is_empty());
         assert!(!t.is_quarantined("anl"));
@@ -613,7 +591,7 @@ mod tests {
 
     #[test]
     fn failed_probe_requarantines() {
-        let mut t = SiteHealthTracker::new(HealthPolicy::default());
+        let mut t = SiteHealthTracker::new();
         t.observe(&reading("anl", 1, 0), SimTime(0));
         t.observe(&reading("anl", 1, 0), SimTime(21 * MIN)); // probe
         let evs = t.observe(&reading("anl", 2, 0), SimTime(25 * MIN));
@@ -624,7 +602,7 @@ mod tests {
 
     #[test]
     fn rate_thresholds_also_quarantine() {
-        let mut t = SiteHealthTracker::new(HealthPolicy::default());
+        let mut t = SiteHealthTracker::new();
         let mut bad = reading("lsf", 0, 5);
         let rate = bad.site("lsf").success_rate.clone();
         bad.gauge(&rate, SimTime(0), 0.1);
@@ -632,7 +610,7 @@ mod tests {
         assert_eq!(evs[0].action, HealthAction::Quarantine);
         assert!(evs[0].reason.contains("success rate"), "{}", evs[0].reason);
 
-        let mut t = SiteHealthTracker::new(HealthPolicy::default());
+        let mut t = SiteHealthTracker::new();
         let mut bad = reading("pbs", 0, 5);
         bump(&mut bad, "pbs", |h| h.commits, 5);
         bump(&mut bad, "pbs", |h| h.commit_timeouts, 4);

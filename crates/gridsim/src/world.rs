@@ -8,7 +8,7 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::hash::{IdMap, IdSet};
 use crate::metrics::{CounterId, Metrics};
 use crate::network::flow::{BulkAborted, Parcel};
-use crate::network::{NetConfig, Network};
+use crate::network::Network;
 use crate::obs::Profiler;
 use crate::rng::SimRng;
 use crate::store::StableStore;
@@ -29,12 +29,8 @@ pub const EXTERNAL: Addr = Addr {
 pub struct Config {
     /// Master RNG seed; fully determines a run given the same setup code.
     pub seed: u64,
-    /// Network model parameters.
-    pub net: NetConfig,
     /// Whether to collect trace events.
     pub trace: bool,
-    /// Hard stop: no event at or after this instant is processed.
-    pub max_time: Option<SimTime>,
     /// Hard stop: maximum number of events to process.
     pub max_events: Option<u64>,
     /// Retention: lean (campaign) runs drop each job's per-job state once
@@ -57,21 +53,9 @@ impl Config {
         self
     }
 
-    /// Set the network configuration.
-    pub fn net(mut self, net: NetConfig) -> Config {
-        self.net = net;
-        self
-    }
-
     /// Enable trace collection.
     pub fn with_trace(mut self) -> Config {
         self.trace = true;
-        self
-    }
-
-    /// Stop the run at this virtual instant.
-    pub fn max_time(mut self, t: SimTime) -> Config {
-        self.max_time = Some(t);
         self
     }
 
@@ -368,7 +352,6 @@ pub struct World {
     next_timer: u64,
     halted: bool,
     events_processed: u64,
-    max_time: Option<SimTime>,
     max_events: Option<u64>,
     /// Recycled effect buffers: dispatch is reentrant (spawn/kill effects
     /// dispatch nested handlers), so this is a small stack, not one slot.
@@ -427,7 +410,7 @@ impl World {
             cancelled: IdSet::default(),
             nodes: Vec::new(),
             comps: CompTable::new(config.lean),
-            network: Network::new(config.net),
+            network: Network::new(),
             store: StableStore::new(),
             rng: SimRng::new(config.seed),
             metrics,
@@ -436,7 +419,6 @@ impl World {
             next_timer: 0,
             halted: false,
             events_processed: 0,
-            max_time: config.max_time,
             max_events: config.max_events,
             effects_pool: Vec::new(),
             profiler: None,
@@ -666,13 +648,6 @@ impl World {
             }
             break event;
         };
-        if let Some(max) = self.max_time {
-            if event.time > max {
-                self.now = max;
-                self.halted = true;
-                return false;
-            }
-        }
         assert!(event.time >= self.now, "time went backwards");
         self.now = event.time;
         self.events_processed += 1;
@@ -706,7 +681,7 @@ impl World {
         self.run_until(target);
     }
 
-    /// True once `halt` was requested or a stop condition fired.
+    /// True once a component asked for a halt ([`Ctx::halt`]).
     pub fn halted(&self) -> bool {
         self.halted
     }
@@ -809,7 +784,7 @@ impl World {
             }
             EventKind::LinkUp { link } => {
                 self.trace_fault("fault.link_up", |_| format!("link={link}"));
-                if self.network.flow.set_link_up(&link, true) {
+                if self.network.flow.link_up(&link) {
                     self.flow_refresh();
                 }
             }
@@ -1010,12 +985,9 @@ impl World {
                         msg,
                         started: self.queue.next_seq(),
                     };
-                    if self.network.flow_start(parcel, latency) {
-                        self.metrics.add(self.net.flows_started, 1);
-                        self.flow_refresh();
-                    } else {
-                        self.metrics.add(self.net.lost, 1);
-                    }
+                    self.network.flow_start(parcel, latency);
+                    self.metrics.add(self.net.flows_started, 1);
+                    self.flow_refresh();
                 }
                 Effect::SendLocal { to, msg } => {
                     let latency = self
@@ -1100,6 +1072,7 @@ impl World {
 mod tests {
     use super::*;
     use crate::component::{AnyMsg, TimerId};
+    use crate::rng::Dist;
 
     /// A component that counts messages and echoes them back `echoes` times.
     struct Echo {
@@ -1122,6 +1095,19 @@ mod tests {
             }
             if n < self.echoes && from != EXTERNAL {
                 ctx.send(from, Hit(n + 1));
+            }
+        }
+    }
+
+    /// Give every ordered pair of `nodes` the one-way `latency` and, if
+    /// given, the `bandwidth` (bytes/s), in place of the network defaults.
+    fn set_pairs(w: &mut World, nodes: &[NodeId], latency: Dist, bandwidth: Option<f64>) {
+        for &from in nodes {
+            for &to in nodes.iter().filter(|&&to| to != from) {
+                w.network_mut().set_link_latency(from, to, latency);
+                if let Some(bw) = bandwidth {
+                    w.network_mut().set_link_bandwidth(from, to, bw);
+                }
             }
         }
     }
@@ -1266,13 +1252,9 @@ mod tests {
                 self.0.borrow_mut().push((ctx.now(), n));
             }
         }
-        let default_latency = crate::rng::Dist::Uniform { lo: 0.001, hi: 1.0 };
-        let net = NetConfig {
-            default_latency,
-            ..NetConfig::default()
-        };
-        let mut w = World::new(Config::default().seed(5).net(net));
+        let mut w = World::new(Config::default().seed(5));
         let (a, b) = (w.add_node("a"), w.add_node("b"));
+        set_pairs(&mut w, &[a, b], Dist::Uniform { lo: 0.001, hi: 1.0 }, None);
         let seen = Seen::default();
         let sink = w.add_component(b, "sink", Arrivals(seen.clone()));
         w.add_component(a, "burst", Burst(sink));
@@ -1409,29 +1391,6 @@ mod tests {
         w.run_until(SimTime::ZERO + Duration::from_secs(2));
         assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(2));
         assert_eq!((w.events_processed(), w.queue_len()), (0, 1));
-    }
-
-    #[test]
-    fn max_time_stops_the_run() {
-        struct Ticker;
-        impl Component for Ticker {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer(Duration::from_secs(1), 0);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
-                ctx.set_timer(Duration::from_secs(1), 0);
-            }
-        }
-        let mut w = World::new(
-            Config::default()
-                .seed(1)
-                .max_time(SimTime::ZERO + Duration::from_secs(5)),
-        );
-        let n = w.add_node("n");
-        w.add_component(n, "tick", Ticker);
-        w.run_until_quiescent();
-        assert!(w.halted());
-        assert_eq!(w.now(), SimTime::ZERO + Duration::from_secs(5));
     }
 
     #[test]
@@ -1626,12 +1585,9 @@ mod tests {
                 }
             }
         }
-        let net = NetConfig {
-            default_latency: crate::rng::Dist::Constant(10.0),
-            ..NetConfig::default()
-        };
-        let mut w = World::new(Config::default().seed(1).net(net).lean());
+        let mut w = World::new(Config::default().seed(1).lean());
         let (a, b) = (w.add_node("a"), w.add_node("b"));
+        set_pairs(&mut w, &[a, b], Dist::Constant(10.0), None);
         let wan = w.network_mut().add_flow_link("wan", 1e6, 0.0);
         w.network_mut().set_flow_route(a, b, &[wan]);
         let log = Log::default();
@@ -1714,13 +1670,9 @@ mod tests {
                 }
             }
         }
-        let net = NetConfig {
-            default_latency: crate::rng::Dist::Constant(0.0),
-            default_bandwidth: 1e6,
-            ..NetConfig::default()
-        };
-        let mut w = World::new(Config::default().seed(1).net(net).lean());
+        let mut w = World::new(Config::default().seed(1).lean());
         let (a, b, c) = (w.add_node("a"), w.add_node("b"), w.add_node("c"));
+        set_pairs(&mut w, &[a, b, c], Dist::Constant(0.0), Some(1e6));
         let wan = w.network_mut().add_flow_link("wan", 1e6, 0.0);
         w.network_mut().set_flow_route(a, b, &[wan]);
         let (asked, log) = (std::rc::Rc::default(), Log::default());
@@ -1800,12 +1752,9 @@ mod tests {
                 ctx.send(self.0, Hit(0));
             }
         }
-        let net = NetConfig {
-            default_latency: crate::rng::Dist::Constant(10.0),
-            ..NetConfig::default()
-        };
-        let mut w = World::new(Config::default().seed(1).net(net));
+        let mut w = World::new(Config::default().seed(1));
         let (a, b) = (w.add_node("a"), w.add_node("b"));
+        set_pairs(&mut w, &[a, b], Dist::Constant(10.0), None);
         let log = Log::default();
         let daemon = w.add_component(b, "daemon", Daemon(log.clone()));
         let relay = w.add_component(a, "relay", Relay(daemon));
@@ -1827,14 +1776,10 @@ mod tests {
     /// Two nodes joined by one 1 MB/s link, no sampled latency and no
     /// endpoint cap, so flow deadlines are exact: bytes / fair share.
     fn flow_world() -> (World, NodeId, NodeId) {
-        let net = NetConfig {
-            default_latency: crate::rng::Dist::Constant(0.0),
-            default_bandwidth: 1e12,
-            ..NetConfig::default()
-        };
-        let mut w = World::new(Config::default().seed(1).net(net));
+        let mut w = World::new(Config::default().seed(1));
         let src = w.add_node("src");
         let dst = w.add_node("dst");
+        set_pairs(&mut w, &[src, dst], Dist::Constant(0.0), Some(1e12));
         let wan = w.network_mut().add_flow_link("wan", 1e6, 0.0);
         w.network_mut().set_flow_route(src, dst, &[wan]);
         (w, src, dst)
@@ -1965,6 +1910,7 @@ mod tests {
         }
         let (mut w, src, dst) = flow_world();
         let other = w.add_node("other");
+        set_pairs(&mut w, &[src, other], Dist::Constant(0.0), Some(1e12));
         let lan = w.network_mut().add_flow_link("lan", 1e6, 0.0);
         w.network_mut().set_flow_route(src, other, &[lan]);
         w.enable_profiler();
@@ -1992,6 +1938,7 @@ mod tests {
         }
         let (mut w, src, dst) = flow_world();
         let other = w.add_node("other");
+        set_pairs(&mut w, &[src, other], Dist::Constant(0.0), Some(1e12));
         w.network_mut().set_link_bandwidth(src, other, 1e6);
         let log = Log::default();
         let a = w.add_component(dst, "sink", Sink(log.clone()));

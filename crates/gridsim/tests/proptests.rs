@@ -3,7 +3,7 @@
 
 use gridsim::codec::{from_bytes, to_bytes};
 use gridsim::event::{EventKind, EventQueue};
-use gridsim::network::{NetConfig, Network};
+use gridsim::network::Network;
 use gridsim::rng::SimRng;
 use gridsim::time::{Duration, SimTime};
 use gridsim::{Addr, CompId, NodeId, TimerId};
@@ -236,7 +236,7 @@ proptest! {
     ) {
         let group_a: Vec<NodeId> = a.iter().map(|&n| NodeId(n)).collect();
         let group_b: Vec<NodeId> = b.iter().map(|&n| NodeId(n)).collect();
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         net.partition(&group_a, &group_b);
         for &x in &group_a {
             for &y in &group_b {
@@ -258,12 +258,10 @@ proptest! {
     /// samples stay within the configured distribution's support.
     #[test]
     fn route_respects_loss_and_latency_bounds(p in 0.0f64..0.9) {
-        let cfg = NetConfig {
-            default_latency: gridsim::rng::Dist::Uniform { lo: 0.010, hi: 0.020 },
-            loss_rate: p,
-            ..NetConfig::default()
-        };
-        let mut net = Network::new(cfg);
+        let mut net = Network::new();
+        let latency = gridsim::rng::Dist::Uniform { lo: 0.010, hi: 0.020 };
+        net.set_link_latency(NodeId(0), NodeId(1), latency);
+        net.set_link_loss(NodeId(0), NodeId(1), p);
         let mut rng = SimRng::new(42);
         let n = 4000;
         let mut delivered = 0;
@@ -317,15 +315,8 @@ fn world_runs_are_reproducible() {
     }
 
     fn run() -> (u64, SimTime, usize) {
-        let mut w = gridsim::World::new(
-            gridsim::Config::default()
-                .seed(99)
-                .net(NetConfig {
-                    loss_rate: 0.05,
-                    ..NetConfig::default()
-                })
-                .with_trace(),
-        );
+        let mut w = gridsim::World::new(gridsim::Config::default().seed(99).with_trace());
+        w.network_mut().set_global_loss(Some(0.05));
         let a = w.add_node("a");
         let b = w.add_node("b");
         let pb = w.add_component(

@@ -171,30 +171,29 @@ pub struct Gris {
     lrm: Addr,
     /// The index to register with.
     giis: Addr,
-    /// Re-registration period.
-    period: Duration,
-    /// TTL stamped on registrations (normally 2–3 periods).
-    ttl: Duration,
 }
 
 const POLL_TAG: u64 = 1;
+/// How often a GRIS polls its LRM and re-registers.
+const REGISTER_PERIOD: Duration = Duration::from_mins(2);
+/// TTL stamped on registrations: three periods, so one lost
+/// re-registration does not drop the site from the index.
+const REGISTER_TTL: Duration = Duration::from_mins(6);
 
 impl Gris {
     /// A provider registering `base_ad` (plus live load) as `resource`.
-    pub fn new(resource: &str, base_ad: ClassAd, lrm: Addr, giis: Addr, period: Duration) -> Gris {
+    pub fn new(resource: &str, base_ad: ClassAd, lrm: Addr, giis: Addr) -> Gris {
         Gris {
             resource: resource.to_string(),
             base_ad,
             lrm,
             giis,
-            period,
-            ttl: period * 3,
         }
     }
 
     fn poll(&self, ctx: &mut Ctx<'_>) {
         ctx.send(self.lrm, LrmRequest::QueryInfo);
-        ctx.set_timer(self.period, POLL_TAG);
+        ctx.set_timer(REGISTER_PERIOD, POLL_TAG);
     }
 }
 
@@ -224,7 +223,7 @@ impl Component for Gris {
             GrrpRegister {
                 resource: self.resource.clone(),
                 ad,
-                ttl: self.ttl,
+                ttl: REGISTER_TTL,
             },
         );
     }
@@ -313,16 +312,8 @@ mod tests {
         let ad_b = ClassAd::new()
             .with("Arch", "SUN4u")
             .with("OpSys", "SOLARIS");
-        w.add_component(
-            n_a,
-            "gris",
-            Gris::new("siteA", ad_a, lrm_a, giis, Duration::from_mins(2)),
-        );
-        w.add_component(
-            n_b,
-            "gris",
-            Gris::new("siteB", ad_b, lrm_b, giis, Duration::from_mins(2)),
-        );
+        w.add_component(n_a, "gris", Gris::new("siteA", ad_a, lrm_a, giis));
+        w.add_component(n_b, "gris", Gris::new("siteB", ad_b, lrm_b, giis));
         // Optionally occupy siteB fully.
         if busy_site_jobs > 0 {
             struct Filler {

@@ -261,21 +261,21 @@ impl Iterator for CampaignStream {
 pub struct DriverConfig {
     /// Hard bound on jobs submitted but not yet terminal.
     pub max_inflight: u32,
-    /// Bound on arrivals buffered while the in-flight window is full; the
-    /// stream is not pulled past this (backpressure).
-    pub max_pending: u32,
 }
 
 impl Default for DriverConfig {
     fn default() -> DriverConfig {
         DriverConfig {
             max_inflight: 4_096,
-            max_pending: 1_024,
         }
     }
 }
 
 const TAG_ARRIVAL: u64 = 1;
+
+/// Bound on arrivals buffered while the in-flight window is full; the
+/// stream is not pulled past this (backpressure).
+const MAX_PENDING: usize = 1_024;
 
 /// FNV-1a, the same digest the golden-trace oracle uses.
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
@@ -286,7 +286,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// Streams a campaign through the Condor-G scheduler. Memory is bounded
-/// by `max_inflight + max_pending` jobs regardless of campaign size; the
+/// by `max_inflight + MAX_PENDING` jobs regardless of campaign size; the
 /// generator state is the only representation of the jobs still to come.
 pub struct CampaignDriver {
     scheduler: Addr,
@@ -420,8 +420,8 @@ impl CampaignDriver {
             ctx.send(self.scheduler, UserCmd::Submit { id, spec });
         }
         // While the window is full, buffer due arrivals — but never more
-        // than `max_pending`: past that the stream simply is not pulled.
-        while (self.pending.len() as u32) < self.config.max_pending {
+        // than `MAX_PENDING`: past that the stream simply is not pulled.
+        while self.pending.len() < MAX_PENDING {
             if self.head.is_none() {
                 self.head = self.stream.next();
             }

@@ -92,12 +92,7 @@ fn main() {
     let gcat = tb.world.add_component(
         exec_node,
         "gcat",
-        GCat::new(
-            mss,
-            "/mss/jane/g98.out",
-            tb.proxy.clone(),
-            Duration::from_secs(30),
-        ),
+        GCat::new(mss, "/mss/jane/g98.out", tb.proxy.clone()),
     );
     tb.world.add_component(
         exec_node,

@@ -7,8 +7,7 @@ use crate::harness::{build, SiteSpec, Testbed, TestbedConfig};
 use crate::report::{ReportDir, HEARTBEAT};
 use gridsim::obs::flight::DEFAULT_RING;
 use gridsim::obs::{
-    site_aggregates, AnomalyDetector, DetectorConfig, FlightRecorder, TelemetrySample,
-    TelemetryWriter,
+    site_aggregates, AnomalyDetector, FlightRecorder, TelemetrySample, TelemetryWriter,
 };
 use gridsim::prelude::*;
 use std::io;
@@ -28,7 +27,7 @@ pub struct CampaignRun {
     /// Crash this site's gatekeeper host 30 minutes in and never restart it.
     pub dead_site: Option<usize>,
     /// New quarantines within one heartbeat that count as a storm
-    /// ([`DetectorConfig::quarantine_storm`]).
+    /// ([`AnomalyDetector::new`]; 0 never).
     pub quarantine_storm: u64,
 }
 
@@ -40,7 +39,7 @@ impl CampaignRun {
             max_inflight: DriverConfig::default().max_inflight,
             adaptive: false,
             dead_site: None,
-            quarantine_storm: DetectorConfig::default().quarantine_storm,
+            quarantine_storm: 3,
         }
     }
 
@@ -82,7 +81,6 @@ impl CampaignRun {
             spec,
             DriverConfig {
                 max_inflight: self.max_inflight,
-                ..DriverConfig::default()
             },
         );
         tb.world.add_component(tb.submit, "campaign", driver);
@@ -134,10 +132,7 @@ impl CampaignRun {
             None => None,
         };
         let mut tb = self.testbed(flight.as_ref().map(|(_, rec, _)| rec));
-        let mut detector = AnomalyDetector::new(DetectorConfig {
-            quarantine_storm: self.quarantine_storm,
-            ..DetectorConfig::default()
-        });
+        let mut detector = AnomalyDetector::new(self.quarantine_storm);
         let mut dumped = false;
         let horizon = SimTime::ZERO + self.spec.duration * 20.0 + Duration::from_days(30);
         loop {

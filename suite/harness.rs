@@ -12,7 +12,6 @@ use condor_g::{
 };
 use gass::GassServer;
 use gram::Gatekeeper;
-use gridsim::obs::{HealthPolicy, SiteHealthTracker};
 use gridsim::prelude::*;
 use gridsim::rng::Dist;
 use gridsim::world::BootCtx;
@@ -209,8 +208,6 @@ pub struct TestbedConfig {
     /// [`AdaptiveBroker`], feed it grid weather each GridManager tick, and
     /// (with a personal pool) run the negotiator with weather annotation.
     pub adaptive: bool,
-    /// Stop the whole simulation at this virtual time (safety net).
-    pub max_time: Option<Duration>,
     /// Retention, forwarded to the world as `gridsim::Config::lean`: every
     /// layer reads it there and reclaims per-job state as jobs settle —
     /// the scheduler deletes terminal jobs' records (it drops the jobs
@@ -243,7 +240,6 @@ impl Default for TestbedConfig {
             gm: GmConfig::default(),
             mds_broker: false,
             adaptive: false,
-            max_time: None,
             lean: false,
             wan: None,
             exe_size: 0,
@@ -330,9 +326,6 @@ pub fn build(config: TestbedConfig) -> Testbed {
     if config.lean {
         wconf = wconf.lean();
     }
-    if let Some(mt) = config.max_time {
-        wconf = wconf.max_time(SimTime::ZERO + mt);
-    }
     let mut world = World::new(wconf);
 
     // Submit machine.
@@ -418,11 +411,7 @@ pub fn build(config: TestbedConfig) -> Testbed {
                 .with("Arch", spec.arch.as_str())
                 .with("OpSys", "LINUX")
                 .with("Gatekeeper", addr_to_attr(gatekeeper));
-            world.add_component(
-                cluster,
-                "gris",
-                Gris::new(&spec.name, ad, lrm, giis, Duration::from_mins(2)),
-            );
+            world.add_component(cluster, "gris", Gris::new(&spec.name, ad, lrm, giis));
         }
         sites.push(SiteHandles {
             name: spec.name.clone(),
@@ -466,9 +455,9 @@ pub fn build(config: TestbedConfig) -> Testbed {
     // "the originating location or a local checkpoint server").
     let (collector, pool_schedd, ckpt_server) = if config.with_personal_pool {
         let collector = world.add_component(submit, "collector", Collector::new());
-        let mut negotiator = Negotiator::new(collector, Duration::from_mins(1));
+        let mut negotiator = Negotiator::new(collector);
         if config.adaptive {
-            negotiator = negotiator.with_weather(HealthPolicy::default());
+            negotiator = negotiator.with_weather();
         }
         world.add_component(submit, "negotiator", negotiator);
         let schedd = world.add_component(
@@ -490,7 +479,7 @@ pub fn build(config: TestbedConfig) -> Testbed {
         gm.giis = giis;
     }
     let mut broker: Box<dyn Broker> = if config.mds_broker {
-        Box::new(MdsBroker::new(Duration::from_mins(30)))
+        Box::new(MdsBroker::new())
     } else {
         Box::new(StaticListBroker::new(
             sites
@@ -504,10 +493,7 @@ pub fn build(config: TestbedConfig) -> Testbed {
         ))
     };
     if config.adaptive {
-        broker = Box::new(AdaptiveBroker::new(
-            broker,
-            SiteHealthTracker::new(HealthPolicy::default()),
-        ));
+        broker = Box::new(AdaptiveBroker::new(broker));
     }
     let sched_config = SchedulerConfig {
         user: "jane".into(),
@@ -515,7 +501,6 @@ pub fn build(config: TestbedConfig) -> Testbed {
         gass,
         pool_schedd,
         mailer: Some(mailer),
-        user_addr: None,
         gm,
         email_on_termination: false,
     };

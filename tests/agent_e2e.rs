@@ -232,7 +232,6 @@ fn recover_submit_machine_on_boot(tb: &mut Testbed) {
             gass,
             pool_schedd: None,
             mailer: Some(mailer),
-            user_addr: None,
             gm: condor_g_suite::condor_g::gridmanager::GmConfig {
                 user: "jane".into(),
                 mailer: Some(mailer),
@@ -421,7 +420,6 @@ fn termination_emails_are_sent_when_enabled() {
         gass: tb.gass,
         pool_schedd: None,
         mailer: Some(tb.mailer),
-        user_addr: None,
         gm: condor_g_suite::condor_g::gridmanager::GmConfig {
             user: "jane".into(),
             ..Default::default()

@@ -9,7 +9,7 @@
 //! grid-weather tick, once every site is known, is held to none at all.
 
 use condor_g_suite::gridsim::metrics::Metrics;
-use condor_g_suite::gridsim::obs::{HealthPolicy, SiteHealthTracker};
+use condor_g_suite::gridsim::obs::SiteHealthTracker;
 use condor_g_suite::gridsim::prelude::*;
 use condor_g_suite::harness::{build, SiteSpec, TestbedConfig};
 use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
@@ -163,7 +163,7 @@ fn a_weather_tick_allocates_nothing_once_every_site_is_known() {
             m.observe(&site.queue_wait, wait);
         }
     }
-    let mut tracker = SiteHealthTracker::new(HealthPolicy::default());
+    let mut tracker = SiteHealthTracker::new();
     assert!(tracker.observe(&m, SimTime::ZERO).is_empty());
     let (calls, bytes) = counted(|| {
         for tick in 1..=100 {

@@ -1,11 +1,10 @@
-//! Campaign-scale tests: the streaming generator's determinism, the lean
-//! testbed's bounded memory bookkeeping, and the sweep farm's
-//! serial/parallel equivalence.
+//! Campaign-scale tests: the streaming generator's determinism and the
+//! lean testbed's bounded memory bookkeeping.
 
-use condor_g_suite::gridsim::prelude::*;
-use condor_g_suite::harness::{build, SiteSpec, Testbed, TestbedConfig, WanLinkSpec, WanTopology};
-use condor_g_suite::workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
-use condor_g_suite::workloads::farm::{run_cells, Cell, CellResult, FarmStats};
+use condor_g_suite::harness::{Testbed, WanLinkSpec, WanTopology};
+use condor_g_suite::workloads::campaign::CampaignSpec;
+use condor_g_suite::workloads::farm::CellResult;
+use support::cells::{run_campaign, run_cell};
 use support::{assert_golden, campaign};
 
 mod support;
@@ -18,12 +17,6 @@ fn field<'a>(result: &'a str, name: &str) -> &'a str {
         .unwrap_or_else(|| panic!("no {name}= in {result}"))
 }
 
-/// Run one small campaign cell end to end through the lean stack and
-/// return its merged outcome. Deterministic in `seed`.
-fn run_cell(seed: u64, jobs: u64) -> CellResult {
-    run_campaign(seed, jobs, true, None).0
-}
-
 /// Stable-store keys under `prefix`, summed over every node of the testbed.
 fn keys_under(tb: &Testbed, prefix: &str) -> usize {
     let store = tb.world.store();
@@ -31,60 +24,6 @@ fn keys_under(tb: &Testbed, prefix: &str) -> usize {
         .chain(tb.sites.iter().flat_map(|s| [s.interface, s.cluster]))
         .map(|node| store.keys_with_prefix(node, prefix).len())
         .sum()
-}
-
-/// [`run_cell`] at either retention and over an optional WAN topology, also
-/// handing back the settled testbed.
-fn run_campaign(
-    seed: u64,
-    jobs: u64,
-    lean: bool,
-    wan: Option<WanTopology>,
-) -> (CellResult, Testbed) {
-    let spec = CampaignSpec {
-        seed,
-        jobs,
-        sites: 4,
-        users: 20,
-        duration: Duration::from_hours(2),
-        mean_runtime_secs: 600.0,
-        ..CampaignSpec::default()
-    };
-    let sites = spec
-        .grid()
-        .iter()
-        .map(|s| SiteSpec::pbs(&s.name, s.cpus))
-        .collect();
-    let mut tb = build(TestbedConfig {
-        seed: spec.seed,
-        sites,
-        lean,
-        wan,
-        proxy_lifetime: Duration::from_days(30),
-        ..TestbedConfig::default()
-    });
-    let driver = CampaignDriver::new(tb.scheduler, &spec, DriverConfig::default());
-    tb.world.add_component(tb.submit, "campaign", driver);
-    let horizon = SimTime::ZERO + Duration::from_days(20);
-    loop {
-        let next = tb.world.now() + Duration::from_hours(6);
-        tb.world.run_until(next);
-        let settled = CampaignDriver::done(&tb.world, tb.submit)
-            + CampaignDriver::failed(&tb.world, tb.submit);
-        if settled >= spec.jobs || tb.world.now() >= horizon {
-            break;
-        }
-    }
-    let result = CellResult {
-        label: format!("seed={seed}"),
-        seed,
-        jobs_done: CampaignDriver::done(&tb.world, tb.submit),
-        jobs_failed: CampaignDriver::failed(&tb.world, tb.submit),
-        sim_secs: (tb.world.now() - SimTime::ZERO).as_secs_f64(),
-        wall_secs: 0.0, // fixed so results compare exactly across runs
-        digest: CampaignDriver::digest(&tb.world, tb.submit),
-    };
-    (result, tb)
 }
 
 #[test]
@@ -260,24 +199,4 @@ fn campaign_runs_are_reproducible() {
     let a = run_cell(23, 300);
     let b = run_cell(23, 300);
     assert_eq!(a, b, "same seed, different outcome");
-}
-
-#[test]
-fn sweep_farm_parallel_merges_identically_to_serial() {
-    let cells: Vec<Cell> = (0..4)
-        .map(|i| Cell {
-            label: format!("cell{i}"),
-            seed: 100 + i,
-        })
-        .collect();
-    let serial = run_cells(&cells, 1, |c| run_cell(c.seed, 200));
-    let parallel = run_cells(&cells, 4, |c| run_cell(c.seed, 200));
-    assert_eq!(serial, parallel, "parallel cells diverged from serial");
-    assert_eq!(
-        FarmStats::of(&serial),
-        FarmStats::of(&parallel),
-        "merged statistics diverged"
-    );
-    let total: u64 = serial.iter().map(|r| r.jobs_done + r.jobs_failed).sum();
-    assert_eq!(total, 800, "not every cell settled");
 }

@@ -318,7 +318,6 @@ fn restarted_gridmanager_moves_no_second_stdout_copy_on_update_gass() {
         gass: tb.gass,
         pool_schedd: None,
         mailer: Some(tb.mailer),
-        user_addr: None,
         gm: GmConfig {
             user: "jane".into(),
             mailer: Some(tb.mailer),

@@ -52,7 +52,6 @@ fn recover_on_boot(tb: &mut Testbed) {
             gass,
             pool_schedd: None,
             mailer: Some(mailer),
-            user_addr: None,
             gm: GmConfig {
                 user: "jane".into(),
                 ..GmConfig::default()

@@ -1,9 +1,10 @@
 //! Shared by the root integration tests (`mod support;`): the goldens
-//! table, and one way to run this package's binaries, each in a scratch
-//! dir of its own.
+//! table, one way to run this package's binaries, each in a scratch dir
+//! of its own, and small in-process campaign cells.
 // Each test binary uses a different part of this module.
 #![allow(dead_code)]
 
+pub mod cells;
 mod golden;
 
 pub use golden::*;
