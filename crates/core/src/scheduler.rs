@@ -343,6 +343,13 @@ impl Scheduler {
     fn set_status(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, status: JobStatus) {
         let now = ctx.now();
         let Some(rec) = self.jobs.get_mut(&job) else {
+            // An issued job is held until its terminal status retires it,
+            // so news of a retired one means it left that status.
+            assert!(
+                job.0 >= self.next_id,
+                "{}: {job} got {status:?} after it was retired",
+                self.config.user
+            );
             return;
         };
         if rec.status == status {
@@ -675,6 +682,54 @@ mod tests {
         let scheduler = w.add_component(home, "scheduler", Scheduler::new(config, broker));
         w.add_component(home, "squatter", Squatter { scheduler });
         w.run_until(SimTime::ZERO + Duration::from_mins(1));
+    }
+
+    /// Submits a job, then a minute later reports it done and, after
+    /// that, running again.
+    struct Reviver {
+        scheduler: Addr,
+    }
+
+    impl Component for Reviver {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30));
+            ctx.send(self.scheduler, UserCmd::Submit { id: 1, spec });
+            ctx.set_timer(Duration::from_mins(1), 0);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+            for status in [JobStatus::Done, JobStatus::Active] {
+                let job = GridJobId(0);
+                ctx.send_local(self.scheduler, GmUpdate { job, status });
+            }
+        }
+    }
+
+    /// A terminal status retires its job, and the job never leaves it: a
+    /// later status for it stops the run, naming the user, the job and
+    /// the status.
+    #[test]
+    #[should_panic(expected = "jane: gj0 got Active after it was retired")]
+    fn a_retired_job_that_leaves_its_terminal_status_stops_the_run() {
+        let mut ca = gsi::CertificateAuthority::new("/CN=CA", 5);
+        let proxy = ca
+            .issue_identity("/CN=jane", Duration::from_days(30))
+            .new_proxy(SimTime::ZERO, Duration::from_days(1));
+        let mut w = gridsim::World::new(gridsim::Config::default().seed(3));
+        let home = w.add_node("submit");
+        let config = SchedulerConfig {
+            user: "jane".into(),
+            credential: proxy,
+            gass: gridsim::world::EXTERNAL,
+            pool_schedd: None,
+            mailer: None,
+            gm: GmConfig::default(),
+            email_on_termination: false,
+        };
+        let broker = Box::new(crate::broker::StaticListBroker::new(Vec::new()));
+        let scheduler = w.add_component(home, "scheduler", Scheduler::new(config, broker));
+        w.add_component(home, "reviver", Reviver { scheduler });
+        w.run_until(SimTime::ZERO + Duration::from_mins(2));
     }
 
     proptest! {

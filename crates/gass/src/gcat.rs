@@ -164,22 +164,6 @@ impl Component for GCat {
             );
             return;
         }
-        if let Some(aborted) = msg.downcast_ref::<BulkAborted>() {
-            // Our in-flight chunk, a flow over a declared link, was cut
-            // mid-transfer by a partition or link failure. Resend
-            // immediately — WriteAt at a fixed offset is idempotent — and
-            // keep the deadline timer as the backstop if the route is
-            // still dead.
-            if self.in_flight.is_some() {
-                ctx.metrics().incr("gcat.retries", 1);
-                let bytes = aborted.bytes;
-                ctx.trace_with("gcat.retry", || {
-                    format!("aborted in flight ({bytes} bytes)")
-                });
-                self.transmit(ctx);
-            }
-            return;
-        }
         if let Ok(reply) = msg.downcast::<GassReply>() {
             match *reply {
                 GassReply::Ok { new_size, .. } => {
@@ -269,6 +253,47 @@ mod tests {
             w.store().get::<u64>(n_mss, "gass/size/mss/jane/g98.out"),
             Some(2_250_000)
         );
+    }
+
+    #[test]
+    fn a_chunk_cut_in_flight_is_resent_at_its_deadline() {
+        // The exec->MSS pair crosses a 100 KB/s link, which dies 10 s into
+        // a 2 MB chunk (20 s at full rate) and stays down for two minutes.
+        // The cut flow is dropped and nobody is told: only the poll that
+        // finds the chunk's deadline past resends it, once while the link
+        // is down (lost at send) and once after.
+        let mut ca = CertificateAuthority::new("/CN=CA", 1);
+        let id = ca.issue_identity("/CN=jane", Duration::from_days(30));
+        let cred = id.new_proxy(SimTime::ZERO, Duration::from_hours(48));
+        let mut w = World::new(Config::default().seed(3).with_trace());
+        let n_mss = w.add_node("mss");
+        let n_exec = w.add_node("exec");
+        let link = w.network_mut().add_flow_link("wan", 100_000.0, 0.030);
+        w.network_mut().set_flow_route(n_exec, n_mss, &[link]);
+        let mss = w.add_component(n_mss, "mss", GassServer::new(ca.trust_root()));
+        let gcat = w.add_component(n_exec, "gcat", GCat::new(mss, "/out", cred));
+        w.add_component(
+            n_exec,
+            "job",
+            Producer {
+                gcat,
+                bursts: vec![(Duration::from_secs(45), 2_000_000)],
+            },
+        );
+        let down = SimTime::ZERO + Duration::from_secs(70);
+        w.apply_fault_plan(&FaultPlan::new().link_down_window("wan", down, Duration::from_mins(2)));
+        w.run_until(SimTime::ZERO + Duration::from_mins(20));
+        let m = w.metrics();
+        assert_eq!(m.counter("net.flows_aborted"), 1, "the first chunk");
+        assert_eq!(m.counter("gcat.fed_bytes"), 2_000_000);
+        assert_eq!(m.counter("gcat.shipped_bytes"), 2_000_000);
+        assert_eq!(
+            w.store().get::<u64>(n_mss, "gass/size/out"),
+            Some(2_000_000)
+        );
+        assert_eq!(m.counter("gcat.retries"), 2);
+        // A refusal from MSS is the other retry; there was none.
+        assert_eq!(w.trace().of_kind("gcat.retry").count(), 0);
     }
 
     #[test]

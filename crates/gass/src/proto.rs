@@ -13,18 +13,6 @@ pub enum TransferError {
     AuthFailed(String),
     /// The server refused the operation (policy).
     Denied(String),
-    /// The transfer was cut mid-flight (network partition, link failure
-    /// or peer crash). Unlike the other variants this is *retryable*: the
-    /// file may well exist and the credential be fine — the route died.
-    Aborted(String),
-}
-
-impl TransferError {
-    /// True if the operation may succeed when simply retried later
-    /// (transient transport failure, not a protocol-level rejection).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, TransferError::Aborted(_))
-    }
 }
 
 impl fmt::Display for TransferError {
@@ -33,7 +21,6 @@ impl fmt::Display for TransferError {
             TransferError::NotFound(p) => write!(f, "no such file: {p}"),
             TransferError::AuthFailed(e) => write!(f, "authentication failed: {e}"),
             TransferError::Denied(e) => write!(f, "denied: {e}"),
-            TransferError::Aborted(e) => write!(f, "transfer aborted: {e}"),
         }
     }
 }

@@ -129,32 +129,6 @@ impl Component for GassServer {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
-        // A bulk reply we sent, a flow over a declared link, was cut
-        // mid-flight (partition, crash, link failure). Surface a
-        // *retryable* failure to the requester as a small control message
-        // — the file is fine, the route died.
-        let msg = match msg.downcast::<BulkAborted>() {
-            Ok(aborted) => {
-                ctx.metrics().incr("gass.aborted_transfers", 1);
-                if let Some(GassReply::Data { request_id, .. }) =
-                    aborted.msg.downcast_ref::<GassReply>()
-                {
-                    let request_id = *request_id;
-                    ctx.trace_with("gass.transfer_aborted", || {
-                        format!("request_id={request_id} bytes={}", aborted.bytes)
-                    });
-                    ctx.send(
-                        aborted.to,
-                        GassReply::Failed {
-                            request_id,
-                            error: TransferError::Aborted("transfer cut in flight".into()),
-                        },
-                    );
-                }
-                return;
-            }
-            Err(other) => other,
-        };
         let Ok(req) = msg.downcast::<GassRequest>() else {
             return;
         };

@@ -345,8 +345,8 @@ impl JobManager {
     /// Re-drive stage-in, unless a flow from a staging server is still
     /// arriving: a transfer whose flow is moving is slow, not lost, and a
     /// second copy would only crowd the link it is already short of.
-    /// Returns whether it re-drove; if not, the armed `TAG_STAGE_IN` timer
-    /// looks again.
+    /// Returns whether it re-drove; if not, the `TAG_STAGE_IN` timer is
+    /// re-armed to look again.
     fn retry_stage_in(&mut self, ctx: &mut Ctx<'_>) -> bool {
         if self.stage_in_arriving(ctx) {
             return false;
@@ -689,19 +689,6 @@ impl Component for JobManager {
             }
             return;
         }
-        // Our own bulk send (the stdout WriteAt), a flow over a declared
-        // link, was cut in flight. Resend immediately — the positioned
-        // write is idempotent — with the armed retry timer as the backstop
-        // if the route is still dead (the immediate resend is then dropped
-        // at send).
-        if let Some(aborted) = msg.downcast_ref::<BulkAborted>() {
-            if self.stdout_req.is_some() {
-                let bytes = aborted.bytes;
-                ctx.trace_with("jm.stage_out_aborted", || format!("bytes={bytes}"));
-                self.retry_stage_out(ctx);
-            }
-            return;
-        }
         // GASS staging replies.
         if let Ok(reply) = msg.downcast::<GassReply>() {
             match *reply {
@@ -729,22 +716,6 @@ impl Component for JobManager {
                         self.stdout_sent = self.rsl.stdout_size;
                         ctx.metrics().incr("gram.staged_out", 1);
                         self.callback(ctx, GramJobState::Done);
-                    }
-                }
-                GassReply::Failed { ref error, .. } if error.is_retryable() => {
-                    // An in-flight transfer was cut (partition, link
-                    // failure): the job is fine, the route died. Re-drive
-                    // whichever staging phase is active instead of failing
-                    // the job — if the network is still down the resent
-                    // requests are lost and the (backed-off) retry timer
-                    // takes over, as it does when another file's flow is
-                    // still arriving on a route that lived.
-                    ctx.metrics().incr("gram.staging_aborts", 1);
-                    ctx.trace_with("jm.staging_aborted", || error.to_string());
-                    if matches!(self.staging, Staging::Fetching { .. }) {
-                        self.retry_stage_in(ctx);
-                    } else if self.stdout_req.is_some() {
-                        self.retry_stage_out(ctx);
                     }
                 }
                 GassReply::Failed { ref error, .. } => {

@@ -663,9 +663,8 @@ fn a_cancel_during_the_lrm_submit_removes_the_site_job() {
 fn split_stage_in_waits_for_the_file_still_arriving() {
     // The executable and stdin come from two GASS servers, each behind
     // its own 100 KB/s link. Link `a` dies while both 64 MB files are
-    // crossing: the executable's flow is cut, and its server's abort
-    // notice is dropped at send on the same dead link. The stdin is
-    // still arriving over `b`. A re-drive fetches every file, so the
+    // crossing: the executable's flow is cut and its payload dropped,
+    // and nobody is told. The stdin is still arriving over `b`. A re-drive fetches every file, so the
     // JobManager's retry timer does not re-drive while the stdin
     // arrives, which would put a second copy of it on `b`; it re-drives
     // once nothing is arriving. Re-driving on every timer regardless of
@@ -696,8 +695,7 @@ fn split_stage_in_waits_for_the_file_still_arriving() {
     assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
     let m = w.metrics();
     assert_eq!(m.counter("net.flows_aborted"), 1, "the executable's");
-    assert_eq!(m.counter("net.lost"), 1, "the abort notice");
-    assert_eq!(m.counter("gram.staging_aborts"), 0);
+    assert_eq!(m.counter("net.lost"), 0);
     // The two first flows, then one re-drive of both files.
     assert_eq!(m.counter("gram.stage_retries"), 1);
     assert_eq!(m.counter("net.flows_started"), 4);
@@ -887,10 +885,10 @@ fn a_cancel_during_stage_in_submits_nothing() {
 #[test]
 fn a_stage_in_cut_by_a_dead_link_has_one_retry_chain() {
     // A 64 MB executable behind its own 100 KB/s link, which dies a
-    // minute into the transfer and stays down for two hours. A down link
-    // refuses messages as it refuses flows, at send: the server's abort
-    // notice and every GET re-driven while the link is down are dropped
-    // and counted lost, and none reaches the server. Only the retry
+    // minute into the transfer and stays down for two hours. The cut
+    // flow is dropped, and nobody is told. A down link refuses messages
+    // as it refuses flows, at send: every GET re-driven while the link is
+    // down is dropped and counted lost, and none reaches the server. Only the retry
     // timer re-drives, once per period, and each period doubles (68 s
     // for an RSL that declares no image size, x2 per retry, capped at
     // x16). A re-drive that left the timer it found armed would run a
@@ -926,9 +924,8 @@ fn a_stage_in_cut_by_a_dead_link_has_one_retry_chain() {
         "a GET crossed the dead link: {gets:?}"
     );
     assert_eq!(gets, [0, 7548]);
-    assert_eq!(w.metrics().counter("gram.staging_aborts"), 0);
     assert_eq!(w.metrics().counter("gram.stage_retries"), 10);
-    // Nine re-driven GETs and the abort notice.
-    assert_eq!(w.metrics().counter("net.lost"), 10);
+    // The nine GETs re-driven while the link was down.
+    assert_eq!(w.metrics().counter("net.lost"), 9);
     assert_eq!(w.metrics().counter("site.completed"), 1);
 }

@@ -252,9 +252,9 @@ impl<'w> Ctx<'w> {
     /// `bytes / bandwidth` of the pair. If it crosses one, the transfer is
     /// a *flow*: it shares routed link capacity max-min fairly with
     /// concurrent flows, and a partition, crash or link failure
-    /// mid-transfer aborts it — the *sender* then receives a
-    /// [`crate::network::flow::BulkAborted`] carrying the undelivered
-    /// payload, so protocols can retry.
+    /// mid-transfer aborts it: `msg` is dropped and nobody is told, as
+    /// when a message is lost. A protocol that needs the transfer keeps a
+    /// timer and resends.
     pub fn send_bulk<M: Message>(&mut self, to: Addr, bytes: u64, msg: M) {
         self.effects.push(Effect::SendBulk {
             to,

@@ -76,7 +76,7 @@ pub mod world;
 pub mod prelude {
     pub use crate::component::{Addr, AnyMsg, CompId, Component, Ctx, NodeId, TimerId};
     pub use crate::fault::FaultPlan;
-    pub use crate::network::flow::{BulkAborted, LinkId};
+    pub use crate::network::flow::LinkId;
     pub use crate::rng::SimRng;
     pub use crate::store::StableStore;
     pub use crate::time::{Duration, SimTime};

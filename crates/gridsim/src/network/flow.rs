@@ -43,24 +43,6 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
-/// Kernel notice delivered to the *sender* of a bulk transfer that was
-/// aborted in flight (network partition, link failure, or receiver crash).
-///
-/// The original payload is handed back so the sender can decide whether to
-/// retransmit (`gass::GcatClient` does), translate the abort into a
-/// protocol-level failure for the would-be receiver (`gass::GassServer`
-/// turns an aborted GET reply into a retryable `TransferError::Aborted`),
-/// or drop it.
-#[derive(Debug)]
-pub struct BulkAborted {
-    /// Where the transfer was headed.
-    pub to: Addr,
-    /// Size of the aborted transfer.
-    pub bytes: u64,
-    /// The undelivered payload.
-    pub msg: AnyMsg,
-}
-
 /// A capacitated topology link.
 #[derive(Debug)]
 struct Link {
@@ -126,9 +108,8 @@ struct Flow {
 const _: () = assert!(std::mem::size_of::<Flow>() == 64);
 
 /// What a flow carries and between whom: handed to `start`, surrendered
-/// on completion (the kernel delivers `msg` to `to`) or abort (the kernel
-/// wraps it in a [`BulkAborted`] delivered to `from`), never read by a
-/// refresh.
+/// on completion (the kernel delivers `msg` to `to`), dropped on abort,
+/// never read by a refresh.
 #[derive(Debug)]
 pub(crate) struct Parcel {
     pub(crate) from: Addr,
@@ -276,9 +257,9 @@ impl FlowNet {
         true
     }
 
-    /// Take link `name` down and abort the flows crossing it. `None` for
-    /// unknown names.
-    pub(crate) fn link_down(&mut self, name: &str) -> Option<Vec<Parcel>> {
+    /// Take link `name` down and abort the flows crossing it; returns how
+    /// many it aborted. `None` for unknown names.
+    pub(crate) fn link_down(&mut self, name: &str) -> Option<u64> {
         let id = self.link_id(name)?;
         self.set_up(id, false);
         Some(self.abort_where(|_, _, route| route.contains(&id)))
@@ -360,13 +341,14 @@ impl FlowNet {
         Some(self.parcels.remove(i))
     }
 
-    /// Remove and return, in id order, every flow matching
-    /// `pred(from_node, to_node, route)`. The caller is expected to
-    /// [`FlowNet::refresh`] afterwards.
+    /// Remove every flow matching `pred(from_node, to_node, route)`,
+    /// dropping what it carries, and return how many there were. The
+    /// caller is expected to [`FlowNet::refresh`] afterwards.
     pub(crate) fn abort_where(
         &mut self,
         mut pred: impl FnMut(NodeId, NodeId, &[LinkId]) -> bool,
-    ) -> Vec<Parcel> {
+    ) -> u64 {
+        let before = self.flows.len();
         let doomed: Vec<bool> = (self.flows.iter().zip(&self.parcels))
             .map(|(f, p)| {
                 pred(
@@ -381,8 +363,8 @@ impl FlowNet {
             .retain(|_| !verdict.next().expect("one per flow"));
         let mut verdict = doomed.iter();
         self.parcels
-            .extract_if(.., |_| *verdict.next().expect("one per flow"))
-            .collect()
+            .retain(|_| !verdict.next().expect("one per flow"));
+        (before - self.flows.len()) as u64
     }
 
     /// Settle progress up to `now` under the old rates, re-run the
@@ -779,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn abort_where_surrenders_payloads() {
+    fn abort_where_drops_only_the_matching_flows() {
         let (mut net, wan) = net_one_link(1_000_000.0);
         let mut q = EventQueue::new();
         let t0 = SimTime::ZERO;
@@ -787,11 +769,9 @@ mod tests {
         let b = start(&mut net, 3, 1_000_000);
         refresh(&mut net, &mut q, t0);
         let aborted = net.abort_where(|_, to, route| to == NodeId(2) && route.contains(&wan));
-        assert_eq!(aborted.len(), 1);
-        assert_eq!(aborted[0].to.node, NodeId(2));
-        assert_eq!(aborted[0].bytes, 1_000_000);
-        assert!(aborted[0].msg.downcast_ref::<u64>().is_some());
+        assert_eq!(aborted, 1);
         assert_eq!(net.active(), 1);
+        assert_eq!(net.parcels()[0].to.node, NodeId(3));
         // Survivor speeds up to full capacity.
         refresh(&mut net, &mut q, t0);
         assert_eq!(net.schedule(), vec![(b, t0 + Duration::from_secs(1))]);
@@ -1009,9 +989,10 @@ mod tests {
         /// After every start / complete / abort / override, every flow's
         /// rate, remaining bytes, deadline and stamp equal — bit for bit —
         /// what the per-flow allocator and its push-per-changed-deadline
-        /// numbering produce; and every flow that leaves, completed or
-        /// aborted, hands back the endpoints, size and payload it was
-        /// started with.
+        /// numbering produce; every flow that completes hands back the
+        /// endpoints, size and payload it was started with; and an abort
+        /// leaves exactly the flows off the cut link, each still carrying
+        /// its own.
         #[test]
         fn refresh_is_bit_identical_to_the_per_flow_waterfill(
             capacities in prop::collection::vec(50_000.0f64..3_000_000.0, 4..5),
@@ -1085,13 +1066,12 @@ mod tests {
                         let aborted = net.abort_where(|_, _, r| r.contains(&LinkId(link)));
                         let before = reference.flows.len();
                         reference.flows.retain(|_, f| !f.route.contains(&LinkId(link)));
-                        prop_assert_eq!(aborted.len(), before - reference.flows.len());
-                        let ids: Vec<u64> = aborted.iter().filter_map(|a| tag(&a.msg)).collect();
-                        prop_assert_eq!(ids.len(), aborted.len());
-                        prop_assert!(ids.is_sorted_by(|a, b| a < b), "abort order {:?}", ids);
-                        for (id, a) in ids.iter().zip(&aborted) {
-                            prop_assert!(!reference.flows.contains_key(id));
-                            prop_assert_eq!((a.from, a.to, a.bytes), sent[id]);
+                        prop_assert_eq!(aborted as usize, before - reference.flows.len());
+                        let left: Vec<u64> = net.flows.iter().map(|f| f.id).collect();
+                        let want: Vec<u64> = reference.flows.keys().copied().collect();
+                        prop_assert_eq!(left, want);
+                        for (f, p) in net.flows.iter().zip(&net.parcels) {
+                            prop_assert_eq!((p.from, p.to, p.bytes), sent[&f.id]);
                         }
                     }
                     Op::Override { dt, link, cap } => {

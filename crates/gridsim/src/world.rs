@@ -7,7 +7,7 @@ use crate::event::{EventKind, EventQueue, NO_CAUSE};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::hash::{IdMap, IdSet};
 use crate::metrics::{CounterId, Metrics};
-use crate::network::flow::{BulkAborted, Parcel};
+use crate::network::flow::Parcel;
 use crate::network::Network;
 use crate::obs::Profiler;
 use crate::rng::SimRng;
@@ -839,24 +839,16 @@ impl World {
         }
     }
 
-    /// Deliver a [`BulkAborted`] notice to the sender of every aborted
-    /// flow (at the current instant — the sender-side stack observes the
-    /// break immediately, like a TCP reset), then rescale the survivors.
-    /// Nothing aborted, nothing to rescale: a crash or partition that
-    /// touches no flow costs no refresh.
-    fn finish_flow_aborts(&mut self, aborted: Vec<Parcel>) {
-        if aborted.is_empty() {
+    /// Count `aborted` cut flows, whose payloads the flow network has
+    /// dropped, then rescale the survivors. Nobody is told: the waiting
+    /// side's own timer notices the missing transfer. Nothing aborted,
+    /// nothing to rescale: a crash or partition that touches no flow costs
+    /// no refresh.
+    fn finish_flow_aborts(&mut self, aborted: u64) {
+        if aborted == 0 {
             return;
         }
-        for a in aborted {
-            self.metrics.add(self.net.flows_aborted, 1);
-            let notice = Box::new(BulkAborted {
-                to: a.to,
-                bytes: a.bytes,
-                msg: a.msg,
-            });
-            self.send_at(self.now, a.to, a.from, notice, self.queue.next_seq());
-        }
+        self.metrics.add(self.net.flows_aborted, aborted);
         self.flow_refresh();
     }
 

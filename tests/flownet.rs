@@ -1,6 +1,6 @@
 //! End-to-end tests of the shared-bandwidth flow network: contention
-//! measurably slows stage-in, in-flight transfers survive partitions via
-//! abort-and-retry, and flows keep the kernel's determinism guarantee
+//! measurably slows stage-in, in-flight transfers cut by a partition or a
+//! link outage are resent on the waiting side's timer, and flows keep the kernel's determinism guarantee
 //! (same seed, same trace).
 
 use condor_g_suite::classads::ClassAd;
@@ -261,6 +261,33 @@ fn flows_to_finish(mut tb: Testbed) -> u64 {
     assert_eq!(m.counter("condor_g.jobs_failed"), 0);
     assert_eq!(m.counter("site.completed"), 1, "the job ran once");
     m.counter("net.flows_started")
+}
+
+#[test]
+fn a_stdout_cut_in_flight_is_resent_by_the_stage_out_timer() {
+    // The link dies for five minutes under the leaving stdout flow. The
+    // kernel drops the cut flow and tells nobody; the JobManager's
+    // stage-out timer finds no flow leaving and resends the stdout, a
+    // third flow over the link that is back up. Without that re-drive
+    // the job never leaves stage-out.
+    let mut tb = mid_stage_out();
+    let down = SimTime::ZERO + Duration::from_mins(16);
+    let plan = FaultPlan::new().link_down_window("wan", down, Duration::from_mins(5));
+    tb.world.apply_fault_plan(&plan);
+    tb.world.run_until(SimTime::ZERO + Duration::from_hours(6));
+    let m = tb.world.metrics();
+    assert_eq!(m.counter("net.flows_aborted"), 1, "the first stdout");
+    assert_eq!(m.counter("gram.stage_retries"), 1);
+    assert_eq!(m.counter("gram.jm_restarts"), 0);
+    assert_eq!(
+        m.counter("net.flows_started"),
+        3,
+        "stage-in and two stdouts"
+    );
+    assert_eq!(m.counter("net.flows_done"), 2);
+    assert_eq!(m.counter("condor_g.jobs_done"), 1);
+    assert_eq!(m.counter("condor_g.jobs_failed"), 0);
+    assert_eq!(m.counter("site.completed"), 1, "the job ran once");
 }
 
 #[test]
