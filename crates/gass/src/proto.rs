@@ -11,8 +11,6 @@ pub enum TransferError {
     NotFound(String),
     /// GSI verification of the supplied credential failed.
     AuthFailed(String),
-    /// The server refused the operation (policy).
-    Denied(String),
 }
 
 impl fmt::Display for TransferError {
@@ -20,7 +18,6 @@ impl fmt::Display for TransferError {
         match self {
             TransferError::NotFound(p) => write!(f, "no such file: {p}"),
             TransferError::AuthFailed(e) => write!(f, "authentication failed: {e}"),
-            TransferError::Denied(e) => write!(f, "denied: {e}"),
         }
     }
 }

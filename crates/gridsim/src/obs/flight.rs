@@ -19,28 +19,28 @@
 //!   the ring (bounded separately)
 //!   because they are the ground truth every post-mortem needs, however
 //!   long ago they happened.
-//! * [`TelemetrySample`] / [`TelemetryWriter`] — one JSONL heartbeat line
+//! * [`TelemetrySample`] / [`telemetry_line`] — one JSONL heartbeat line
 //!   per sim-time interval: throughput, inflight/pending backpressure,
 //!   event-queue depth, per-site weather aggregates, ring occupancy.
 //! * [`AnomalyDetector`] — stuck-job horizon, throughput collapse against
 //!   a trailing window, quarantine storm, and backpressure stall. Each
-//!   detector fires at most once; the driver dumps the causal window
-//!   around the offending job/site on the first trigger.
-//! * [`FlightRecorder::dump`] — the causal window as a
-//!   [`crate::trace::cgfr`] file, which `condor-g-trace flight` decodes
-//!   back into the same [`TraceEvent`]s, so critical-path blame, stuck-job
-//!   reports and root-cause attribution all work on dumps unchanged.
+//!   detector fires at most once, as one [`anomaly_line`]; the driver
+//!   dumps the causal window around the offending job/site on the first
+//!   trigger.
+//! * [`FlightRecorder::causal_window`] — the dump: [`TraceEvent`]s written
+//!   as [`crate::trace::jsonl`] lines, so a dump is a trace, and
+//!   critical-path blame, stuck-job reports, root-cause attribution and
+//!   the Perfetto export all read it unchanged. Its reason, anchor and
+//!   time are the first anomaly line of the run's telemetry.
 
 use crate::component::{Addr, CompId, NodeId};
 use crate::metrics::Metrics;
-use crate::obs::{span, CausalDag};
+use crate::obs::{json_string, span, CausalDag};
 use crate::time::{Duration, SimTime};
-use crate::trace::cgfr::{self, DumpMeta};
 use crate::trace::{TraceEvent, TraceSubscriber};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::Write;
 use std::rc::Rc;
 
 /// Default ring capacity (records).
@@ -201,12 +201,17 @@ impl Inner {
 /// into the [`crate::trace::TraceSink`]:
 ///
 /// ```
-/// use gridsim::obs::FlightRecorder;
+/// use gridsim::obs::{FlightRecorder, JsonlWriter};
+/// use gridsim::trace::{jsonl, TraceSubscriber};
 /// let rec = FlightRecorder::new(1024);
 /// let handle = rec.clone();
 /// // world.trace_mut().subscribe(Box::new(rec));
-/// // ... on anomaly: handle.dump("stuck job", "", now)
-/// # let _ = handle.len();
+/// // ... on anomaly, dump the window around the anchor as trace lines:
+/// let mut dump = JsonlWriter::new(Vec::new());
+/// for event in handle.causal_window("site000") {
+///     dump.line(&jsonl::encode_line(&event));
+/// }
+/// assert!(dump.flush().is_ok());
 /// ```
 #[derive(Clone)]
 pub struct FlightRecorder {
@@ -343,16 +348,6 @@ impl FlightRecorder {
         out.sort_by_key(|r| (r.time, r.id));
         out
     }
-
-    /// Encode the causal window around `anchor` as a binary dump.
-    pub fn dump(&self, reason: &str, anchor: &str, now: SimTime) -> Vec<u8> {
-        let meta = DumpMeta {
-            reason: reason.to_string(),
-            anchor: anchor.to_string(),
-            time: now,
-        };
-        cgfr::encode(&meta, &self.causal_window(anchor))
-    }
 }
 
 impl TraceSubscriber for FlightRecorder {
@@ -441,78 +436,16 @@ pub fn telemetry_line(s: &TelemetrySample) -> String {
     )
 }
 
-/// Streams heartbeat (and anomaly) lines to a writer, best-effort like the
-/// JSONL trace exporter: the simulation never aborts on telemetry I/O.
-pub struct TelemetryWriter<W: Write> {
-    writer: W,
-    lines: u64,
-    errored: bool,
-}
-
-impl<W: Write> TelemetryWriter<W> {
-    /// Stream heartbeats to `writer`.
-    pub fn new(writer: W) -> TelemetryWriter<W> {
-        TelemetryWriter {
-            writer,
-            lines: 0,
-            errored: false,
-        }
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// True if any write failed.
-    pub fn errored(&self) -> bool {
-        self.errored
-    }
-
-    fn line(&mut self, line: &str) {
-        if self.errored {
-            return;
-        }
-        if writeln!(self.writer, "{line}").is_err() {
-            self.errored = true;
-            return;
-        }
-        self.lines += 1;
-    }
-
-    /// Write one heartbeat line.
-    pub fn emit(&mut self, s: &TelemetrySample) {
-        self.line(&telemetry_line(s));
-    }
-
-    /// Write one anomaly line (interleaved with heartbeats, distinguished
-    /// by the `"anomaly"` key).
-    pub fn anomaly(&mut self, t_us: u64, a: &Anomaly) {
-        let line = format!(
-            "{{\"t\":{},\"anomaly\":{},\"reason\":{},\"anchor\":{}}}",
-            t_us,
-            crate::obs::export::json_string(a.kind.name()),
-            crate::obs::export::json_string(&a.reason),
-            crate::obs::export::json_string(a.anchor.as_deref().unwrap_or("")),
-        );
-        self.line(&line);
-    }
-
-    /// Flush buffered output.
-    pub fn flush(&mut self) {
-        if self.writer.flush().is_err() {
-            self.errored = true;
-        }
-    }
-}
-
-impl TelemetryWriter<std::io::BufWriter<std::fs::File>> {
-    /// Create (truncate) `path` and stream heartbeats through a buffer.
-    pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        Ok(TelemetryWriter::new(std::io::BufWriter::new(
-            std::fs::File::create(path)?,
-        )))
-    }
+/// Render one anomaly as a single JSONL line (no trailing newline); the
+/// `"anomaly"` key tells it from the heartbeats it is interleaved with.
+pub fn anomaly_line(t_us: u64, a: &Anomaly) -> String {
+    format!(
+        "{{\"t\":{},\"anomaly\":{},\"reason\":{},\"anchor\":{}}}",
+        t_us,
+        json_string(a.kind.name()),
+        json_string(&a.reason),
+        json_string(a.anchor.as_deref().unwrap_or("")),
+    )
 }
 
 // ---- anomaly detectors -------------------------------------------------
@@ -862,26 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn dump_is_the_causal_window_in_cgfr() {
-        let rec = FlightRecorder::new(4);
-        feed(
-            &rec,
-            &[
-                ev(1, "k.a", "job=42", 1, NO_CAUSE),
-                ev(2, "k.b", "unrelated", 2, NO_CAUSE),
-            ],
-        );
-        let (meta, events) = cgfr::decode(&rec.dump("test", "job=42", SimTime(9))).unwrap();
-        assert_eq!(
-            (meta.reason.as_str(), meta.anchor.as_str()),
-            ("test", "job=42")
-        );
-        assert_eq!(meta.time, SimTime(9));
-        assert_eq!(events, rec.causal_window("job=42"));
-        assert_eq!(events, rec.records()[..1]);
-    }
-
-    #[test]
     fn site_aggregates_sums_counters() {
         let mut m = Metrics::default();
         let alpha = m.site("alpha");
@@ -916,20 +829,18 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_writer_counts_lines() {
-        let mut w = TelemetryWriter::new(Vec::new());
-        w.emit(&TelemetrySample::default());
-        w.anomaly(
-            5,
-            &Anomaly {
-                kind: AnomalyKind::StuckJob,
-                reason: "r".into(),
-                anchor: Some("gj1".into()),
-            },
+    fn anomaly_line_is_stable_json() {
+        let a = Anomaly {
+            kind: AnomalyKind::QuarantineStorm,
+            reason: "2 quarantines in one interval (>= 1)".into(),
+            anchor: Some("site\"0".into()),
+        };
+        assert_eq!(
+            anomaly_line(5, &a),
+            r#"{"t":5,"anomaly":"quarantine_storm","reason":"2 quarantines in one interval (>= 1)","anchor":"site\"0"}"#
         );
-        w.flush();
-        assert_eq!(w.lines(), 2);
-        assert!(!w.errored());
+        let whole_ring = Anomaly { anchor: None, ..a };
+        assert!(anomaly_line(5, &whole_ring).ends_with(r#","anchor":""}"#));
     }
 
     fn sample(done: u64, inflight: u64, window: u64, oldest: f64, q: u64) -> TelemetrySample {

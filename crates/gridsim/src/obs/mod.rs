@@ -8,10 +8,10 @@
 //!
 //! * [`subscriber`] — the streaming [`JsonlWriter`], a
 //!   [`crate::trace::TraceSubscriber`] writing [`crate::trace::jsonl`]
-//!   lines; with the bounded [`FlightRecorder`] ring ([`flight`]), tracing
-//!   stays on for long campaigns with bounded memory. Everything here
-//!   consumes and produces the one record type,
-//!   [`crate::trace::TraceEvent`].
+//!   lines, and the one writer of every JSONL file a run leaves; with the
+//!   bounded [`FlightRecorder`] ring ([`flight`]), tracing stays on for
+//!   long campaigns with bounded memory. Everything here consumes and
+//!   produces the one record type, [`crate::trace::TraceEvent`].
 //! * [`span`] — the [`SpanCollector`] stitches `"span"` milestone events
 //!   into per-job submit → auth → commit → stage-in → queue → execute →
 //!   stage-out → terminal timelines, renders the generalized Figure-1
@@ -45,8 +45,8 @@ pub mod weather;
 pub use causality::{CausalDag, DagNode};
 pub use export::{json_snapshot, json_string, prometheus_snapshot};
 pub use flight::{
-    site_aggregates, telemetry_line, Anomaly, AnomalyDetector, AnomalyKind, FlightRecorder,
-    TelemetrySample, TelemetryWriter,
+    anomaly_line, site_aggregates, telemetry_line, Anomaly, AnomalyDetector, AnomalyKind,
+    FlightRecorder, TelemetrySample,
 };
 pub use profiler::{CompProfile, Profiler};
 pub use span::{AttemptSpan, JobSpan, SpanCollector, SpanPhase, PHASES, SPAN_KIND};

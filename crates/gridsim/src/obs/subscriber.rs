@@ -1,57 +1,59 @@
-//! The streaming JSONL exporter.
+//! The one JSONL line writer.
 //!
 //! [`JsonlWriter`] plugs into [`crate::trace::TraceSink::subscribe`] and
-//! writes every emitted [`TraceEvent`] as one [`crate::trace::jsonl`] line.
+//! writes every emitted [`TraceEvent`] as one [`crate::trace::jsonl`] line;
+//! the same writer carries a run's heartbeat and anomaly lines
+//! ([`crate::obs::telemetry_line`], [`crate::obs::anomaly_line`]) and the
+//! flight recorder's dump.
 
 use crate::trace::{jsonl, TraceEvent, TraceSubscriber};
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
-/// Streams every event as one JSON object per line (JSONL) to a writer.
+/// Writes one line at a time (JSONL) to a writer. A failed write never
+/// stops the simulation: the writer stops writing, keeps the error, and
+/// [`TraceSubscriber::flush`] hands it back at the end of the run.
 pub struct JsonlWriter<W: Write> {
     writer: W,
-    lines: u64,
-    errored: bool,
+    error: Option<io::Error>,
 }
 
 impl<W: Write> JsonlWriter<W> {
-    /// Export events to `writer`.
+    /// Write lines to `writer`.
     pub fn new(writer: W) -> JsonlWriter<W> {
         JsonlWriter {
             writer,
-            lines: 0,
-            errored: false,
+            error: None,
         }
     }
 
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
+    /// Write `line` and a newline; nothing once a write has failed.
+    pub fn line(&mut self, line: &str) {
+        if self.error.is_some() {
+            return;
+        }
+        if let Err(e) = writeln!(self.writer, "{line}") {
+            self.error = Some(e);
+        }
     }
+}
 
-    /// True if any write failed (export is best-effort; the simulation
-    /// never aborts on trace I/O errors).
-    pub fn errored(&self) -> bool {
-        self.errored
+impl JsonlWriter<BufWriter<File>> {
+    /// Create (truncate) `path` and write to it through a buffer.
+    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
+        Ok(JsonlWriter::new(BufWriter::new(File::create(path)?)))
     }
 }
 
 impl<W: Write> TraceSubscriber for JsonlWriter<W> {
     fn on_event(&mut self, event: &TraceEvent) {
-        if self.errored {
-            return;
-        }
-        let line = jsonl::encode_line(event);
-        if writeln!(self.writer, "{line}").is_err() {
-            self.errored = true;
-            return;
-        }
-        self.lines += 1;
+        self.line(&jsonl::encode_line(event));
     }
 
-    fn flush(&mut self) {
-        if self.writer.flush().is_err() {
-            self.errored = true;
-        }
+    fn flush(&mut self) -> io::Result<()> {
+        let flushed = self.writer.flush();
+        self.error.take().map_or(flushed, Err)
     }
 }
 
@@ -75,11 +77,20 @@ mod tests {
             let mut w = JsonlWriter::new(&mut out);
             w.on_event(&event);
             w.on_event(&event);
-            w.flush();
-            assert_eq!(w.lines(), 2);
-            assert!(!w.errored());
+            assert!(w.flush().is_ok());
         }
         let line = jsonl::encode_line(&event);
         assert_eq!(String::from_utf8(out).unwrap(), format!("{line}\n{line}\n"));
+    }
+
+    #[test]
+    fn a_failed_write_stops_the_writer_and_flush_returns_it() {
+        let mut out = [0u8; 4];
+        let mut w = JsonlWriter::new(&mut out[..]);
+        w.line("ab");
+        w.line("toolong");
+        w.line("c");
+        assert_eq!(w.flush().unwrap_err().kind(), io::ErrorKind::WriteZero);
+        assert_eq!(&out, b"ab\nt", "nothing after the failed line");
     }
 }

@@ -18,18 +18,17 @@
 //!
 //! [`TraceEvent`] is the only trace record in the workspace: what a
 //! component emits, what the flight ring hands back, and what the offline
-//! tools decode are the same type. Its two wire formats each live in one
-//! module beside it, encoder and decoder together: [`jsonl`] (the
-//! text stream a report dir's `trace.jsonl` holds) and [`cgfr`] (the flight recorder's binary
-//! dump).
+//! tools decode are the same type. Its one wire format lives in the module
+//! beside it, encoder and decoder together: [`jsonl`], the text a report
+//! dir's `trace.jsonl` and the flight recorder's `flight.jsonl` hold.
 
-pub mod cgfr;
 pub mod jsonl;
 
 use crate::component::Addr;
 use crate::time::SimTime;
 use std::borrow::Cow;
 use std::fmt;
+use std::io;
 
 /// One trace record.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,9 +77,12 @@ pub trait TraceSubscriber {
     /// Called once per emitted event, in emission order.
     fn on_event(&mut self, event: &TraceEvent);
 
-    /// Flush any buffered output (e.g. an underlying file). Called by
+    /// Flush any buffered output (e.g. an underlying file) and return the
+    /// first write that failed since the last flush. Called by
     /// [`TraceSink::flush`] at end of run; default is a no-op.
-    fn flush(&mut self) {}
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Collects trace events and fans them out to subscribers.
@@ -134,11 +136,17 @@ impl TraceSink {
         self.subscribers.push(sub);
     }
 
-    /// Flush all subscribers (call at end of run before reading exports).
-    pub fn flush(&mut self) {
+    /// Flush all subscribers (call at end of run before reading exports),
+    /// and return the first error one of them reports.
+    pub fn flush(&mut self) -> io::Result<()> {
+        let mut first = Ok(());
         for sub in &mut self.subscribers {
-            sub.flush();
+            let flushed = sub.flush();
+            if first.is_ok() {
+                first = flushed;
+            }
         }
+        first
     }
 
     /// Record an event (no-op when disabled and no subscriber is attached).
@@ -193,64 +201,6 @@ impl TraceSink {
     /// Drop all recorded events (subscribers keep what they already saw).
     pub fn clear(&mut self) {
         self.events.clear();
-    }
-}
-
-/// Arbitrary events for the codec proptests. The vendored `proptest` only
-/// generates printable-ASCII strings, so hostile text is built here from
-/// raw `u32` draws.
-#[cfg(test)]
-pub(crate) mod arb {
-    use super::TraceEvent;
-    use crate::component::{Addr, CompId, NodeId};
-    use crate::event::NO_CAUSE;
-    use crate::time::SimTime;
-    use crate::world::EXTERNAL;
-
-    /// One char per word (none for a surrogate): a quarter each from the
-    /// characters the encoders must escape or keep whole, ASCII, the BMP,
-    /// and every plane.
-    pub fn text(words: &[u32]) -> String {
-        const NASTY: [char; 12] = [
-            '"', '\\', '\n', '\r', '\t', '\0', '\u{1}', '\u{1f}', '/', 'é', '€', '🛰',
-        ];
-        words
-            .iter()
-            .filter_map(|&w| match w >> 30 {
-                0 => Some(NASTY[w as usize % NASTY.len()]),
-                1 => char::from_u32(w % 0x80),
-                2 => char::from_u32(w % 0x1_0000),
-                _ => char::from_u32(w % 0x11_0000),
-            })
-            .collect()
-    }
-
-    /// An event from raw draws; every fourth `id`, `cause` and address is
-    /// the sentinel (`NO_CAUSE`, `EXTERNAL`).
-    pub fn event(nums: (u64, u64, u64, u64), kind: &[u32], detail: &[u32]) -> TraceEvent {
-        let (time, addr, id, cause) = nums;
-        let sentinel = |v: u64| {
-            if v.is_multiple_of(4) {
-                NO_CAUSE
-            } else {
-                v >> 2
-            }
-        };
-        TraceEvent {
-            time: SimTime(time),
-            addr: if addr.is_multiple_of(4) {
-                EXTERNAL
-            } else {
-                Addr {
-                    node: NodeId((addr >> 2) as u32),
-                    comp: CompId((addr >> 34) as u32),
-                }
-            },
-            kind: text(kind).into(),
-            detail: text(detail),
-            id: sentinel(id),
-            cause: sentinel(cause),
-        }
     }
 }
 

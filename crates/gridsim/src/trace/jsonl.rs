@@ -244,10 +244,67 @@ impl Scan<'_> {
     }
 }
 
+/// Arbitrary events for the proptests. The vendored `proptest` only
+/// generates printable-ASCII strings, so hostile text is built here from
+/// raw `u32` draws.
+#[cfg(test)]
+mod arb {
+    use super::TraceEvent;
+    use crate::component::{Addr, CompId, NodeId};
+    use crate::event::NO_CAUSE;
+    use crate::time::SimTime;
+    use crate::world::EXTERNAL;
+
+    /// One char per word (none for a surrogate): a quarter each from the
+    /// characters the encoder must escape or keep whole, ASCII, the BMP,
+    /// and every plane.
+    pub fn text(words: &[u32]) -> String {
+        const NASTY: [char; 12] = [
+            '"', '\\', '\n', '\r', '\t', '\0', '\u{1}', '\u{1f}', '/', 'é', '€', '🛰',
+        ];
+        words
+            .iter()
+            .filter_map(|&w| match w >> 30 {
+                0 => Some(NASTY[w as usize % NASTY.len()]),
+                1 => char::from_u32(w % 0x80),
+                2 => char::from_u32(w % 0x1_0000),
+                _ => char::from_u32(w % 0x11_0000),
+            })
+            .collect()
+    }
+
+    /// An event from raw draws; every fourth `id`, `cause` and address is
+    /// the sentinel (`NO_CAUSE`, `EXTERNAL`).
+    pub fn event(nums: (u64, u64, u64, u64), kind: &[u32], detail: &[u32]) -> TraceEvent {
+        let (time, addr, id, cause) = nums;
+        let sentinel = |v: u64| {
+            if v.is_multiple_of(4) {
+                NO_CAUSE
+            } else {
+                v >> 2
+            }
+        };
+        TraceEvent {
+            time: SimTime(time),
+            addr: if addr.is_multiple_of(4) {
+                EXTERNAL
+            } else {
+                Addr {
+                    node: NodeId((addr >> 2) as u32),
+                    comp: CompId((addr >> 34) as u32),
+                }
+            },
+            kind: text(kind).into(),
+            detail: text(detail),
+            id: sentinel(id),
+            cause: sentinel(cause),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::arb;
     use proptest::prelude::*;
 
     const PLAIN: &str =

@@ -1,7 +1,7 @@
 //! `condor-g-trace`: offline forensics over the JSONL trace of a report dir
 //! (`condor-g-sim --report-dir DIR` writes `DIR/trace.jsonl`) or a
-//! flight-recorder dump (`condor-g-campaign --report-dir DIR` writes
-//! `DIR/flight.cgfr` on its first anomaly).
+//! flight-recorder dump, which is a trace too (`condor-g-campaign
+//! --report-dir DIR` writes `DIR/flight.jsonl` on its first anomaly).
 //!
 //! ```text
 //! condor-g-trace run.jsonl                    # summary + all reports
@@ -10,8 +10,7 @@
 //! condor-g-trace run.jsonl --stuck --horizon 30m
 //! condor-g-trace run.jsonl --root-cause
 //! condor-g-trace convert run.jsonl --perfetto-out run.perfetto
-//! condor-g-trace flight flight.cgfr              # decode a flight dump
-//! condor-g-trace flight flight.cgfr --root-cause
+//! condor-g-trace flight.jsonl --root-cause    # a flight dump, the same way
 //! ```
 //!
 //! Exit status: 0 on success, 1 on parse errors, an empty causal DAG
@@ -21,7 +20,7 @@
 
 use condor_g_trace::{perfetto, Forensics};
 use gridsim::time::Duration;
-use gridsim::trace::{cgfr, jsonl};
+use gridsim::trace::{jsonl, TraceEvent};
 use std::process::ExitCode;
 
 struct Options {
@@ -38,13 +37,25 @@ fn usage() -> ExitCode {
         "usage: condor-g-trace <trace.jsonl> [--critical-path [JOB]] [--stuck] \
          [--horizon DUR] [--root-cause]\n\
          \u{20}      condor-g-trace convert <trace.jsonl> --perfetto-out <file>\n\
-         \u{20}      condor-g-trace flight <dump.flight> [report flags as above]\n\
          DUR accepts 90s / 30m / 2h / 1d (default horizon: 1h).\n\
-         With no report flag, all reports are printed.\n\
-         `convert` writes a Perfetto TrackEvent trace (open at ui.perfetto.dev).\n\
-         `flight` decodes a binary flight-recorder dump and runs the same reports."
+         With no report flag, all reports are printed. A flight dump\n\
+         (flight.jsonl) is a trace and is read the same way.\n\
+         `convert` writes a Perfetto TrackEvent trace (open at ui.perfetto.dev)."
     );
     ExitCode::from(2)
+}
+
+/// Decode the trace (or flight dump) at `path`: exit 2 if it cannot be
+/// read, 1 if it does not parse.
+fn read(path: &str) -> Result<Vec<TraceEvent>, ExitCode> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("condor-g-trace: {path}: {e}");
+        ExitCode::from(2)
+    })?;
+    jsonl::decode(&text).map_err(|e| {
+        eprintln!("condor-g-trace: {path}: {e}");
+        ExitCode::from(1)
+    })
 }
 
 /// `convert <trace> --perfetto-out <file>`: encode, self-verify by decoding,
@@ -65,19 +76,9 @@ fn convert(args: &[String]) -> ExitCode {
     let (Some(path), Some(out)) = (path, out) else {
         return usage();
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("condor-g-trace: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let records = match jsonl::decode(&text) {
+    let records = match read(&path) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("condor-g-trace: {path}: {e}");
-            return ExitCode::from(1);
-        }
+        Err(code) => return code,
     };
     let (bytes, summary) = perfetto::encode(&records);
     if let Err(e) = perfetto::verify(&records, &bytes, &summary) {
@@ -251,69 +252,17 @@ fn run_reports(f: &Forensics, opts: &Options) {
     }
 }
 
-/// `flight <dump> [report flags]`: decode a binary flight-recorder dump
-/// and run the standard reports on its window.
-fn flight(args: &[String]) -> ExitCode {
-    let Ok(opts) = parse_args(args) else {
-        return usage();
-    };
-    let bytes = match std::fs::read(&opts.path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("condor-g-trace: {}: {e}", opts.path);
-            return ExitCode::from(2);
-        }
-    };
-    let (meta, records) = match cgfr::decode(&bytes) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("condor-g-trace: {}: {e}", opts.path);
-            return ExitCode::from(1);
-        }
-    };
-    println!(
-        "{}: flight dump at {} — {} ({})",
-        opts.path,
-        meta.time,
-        meta.reason,
-        if meta.anchor.is_empty() {
-            "whole ring".to_string()
-        } else {
-            format!("anchored on {}", meta.anchor)
-        },
-    );
-    // A dump is a window, not a whole trace: causes may point outside it,
-    // so an empty DAG is reported but not fatal.
-    let f = Forensics::build(records);
-    print_summary(&f, &opts.path);
-    run_reports(&f, &opts);
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("convert") {
         return convert(&args[1..]);
     }
-    if args.first().map(String::as_str) == Some("flight") {
-        return flight(&args[1..]);
-    }
     let Ok(opts) = parse_args(&args) else {
         return usage();
     };
-    let text = match std::fs::read_to_string(&opts.path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("condor-g-trace: {}: {e}", opts.path);
-            return ExitCode::from(2);
-        }
-    };
-    let records = match jsonl::decode(&text) {
+    let records = match read(&opts.path) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("condor-g-trace: {}: {e}", opts.path);
-            return ExitCode::from(1);
-        }
+        Err(code) => return code,
     };
     let f = Forensics::build(records);
     if f.dag.is_empty() {

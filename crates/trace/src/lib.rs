@@ -2,9 +2,9 @@
 //!
 //! Every trace record carries the `(id, cause)` provenance pair the kernel
 //! stamps on it. This crate takes such records — [`gridsim::trace::TraceEvent`]s
-//! decoded by [`gridsim::trace::jsonl`] from a report dir's `trace.jsonl`, or by
-//! [`gridsim::trace::cgfr`] from a flight-recorder dump; it has no record
-//! type or file format of its own — and answers the questions an operator
+//! decoded by [`gridsim::trace::jsonl`] from a report dir's `trace.jsonl` or
+//! from a flight-recorder dump, `flight.jsonl`; it has no record type or
+//! file format of its own — and answers the questions an operator
 //! of the real Condor-G would ask after a bad week:
 //!
 //! * [`forensics`] — puts the happens-before DAG

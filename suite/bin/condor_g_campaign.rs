@@ -68,7 +68,7 @@ fn usage() -> ! {
          telemetry.jsonl, metrics.json, metrics.prom and weather.json into DIR.\n\
          Anomaly detectors (stuck job, throughput collapse, a storm of N quarantines\n\
          in one heartbeat, backpressure stall) dump the recorder's causal window to\n\
-         DIR/flight.cgfr on first trigger (decode with `condor-g-trace flight`).\n\
+         DIR/flight.jsonl on first trigger, as trace lines `condor-g-trace` reads.\n\
          --report-dir is for a single campaign: it is refused with --sweep."
     );
     std::process::exit(2);

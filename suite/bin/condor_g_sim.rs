@@ -41,18 +41,16 @@
 
 use condor_g_suite::condor_g::api::{GridJobSpec, Universe};
 use condor_g_suite::gridsim::obs::{
-    grid_weather, render_top, site_aggregates, JsonlWriter, SpanCollector, TelemetrySample,
-    TelemetryWriter,
+    grid_weather, render_top, site_aggregates, telemetry_line, SpanCollector, TelemetrySample,
 };
 use condor_g_suite::gridsim::prelude::*;
+use condor_g_suite::gridsim::trace::TraceSubscriber;
 use condor_g_suite::harness::{
     build, SiteSpec, Testbed, TestbedConfig, UserConsole, WanLinkSpec, WanTopology,
 };
 use condor_g_suite::report::{ReportDir, HEARTBEAT};
 use condor_g_suite::workloads::stats::Table;
 use std::fmt;
-use std::io::BufWriter;
-use std::path::Path;
 
 /// A parsed scenario.
 #[derive(Debug, Default)]
@@ -320,9 +318,9 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScnError> {
     Ok(scn)
 }
 
-/// Exit 2 after naming the file that could not be written.
-fn io_error(path: &Path, e: std::io::Error) -> ! {
-    eprintln!("cannot write {}: {e}", path.display());
+/// Exit 2 on an error that names the file that could not be written.
+fn fail<T>(e: std::io::Error) -> T {
+    eprintln!("cannot write {e}");
     std::process::exit(2);
 }
 
@@ -353,14 +351,10 @@ pub fn run_scenario(scn: Scenario, report: Option<&ReportDir>) {
     });
     let mut telemetry = None;
     if let Some(dir) = report {
-        let path = dir.file("trace.jsonl");
-        let trace = std::fs::File::create(&path).unwrap_or_else(|e| io_error(&path, e));
-        tb.world
-            .trace_mut()
-            .subscribe(Box::new(JsonlWriter::new(BufWriter::new(trace))));
+        let trace = dir.jsonl("trace.jsonl").unwrap_or_else(fail);
+        tb.world.trace_mut().subscribe(Box::new(trace));
         tb.world.enable_profiler();
-        let path = dir.file("telemetry.jsonl");
-        telemetry = Some(TelemetryWriter::create(&path).unwrap_or_else(|e| io_error(&path, e)));
+        telemetry = Some(dir.jsonl("telemetry.jsonl").unwrap_or_else(fail));
     }
     // Stage every referenced executable on the submit-side GASS server is
     // handled by the harness preloads; unknown paths still stage as the
@@ -426,7 +420,7 @@ pub fn run_scenario(scn: Scenario, report: Option<&ReportDir>) {
                 m.counter("condor_g.submitted"),
             );
             let (sites, site_submits, site_attempt_failures) = site_aggregates(m);
-            w.emit(&TelemetrySample {
+            w.line(&telemetry_line(&TelemetrySample {
                 t_us: tb.world.now().micros(),
                 events: tb.world.events_processed(),
                 queue_depth: tb.world.queue_len() as u64,
@@ -438,7 +432,7 @@ pub fn run_scenario(scn: Scenario, report: Option<&ReportDir>) {
                 site_submits,
                 site_attempt_failures,
                 ..TelemetrySample::default()
-            });
+            }));
         }
         if next >= end {
             break;
@@ -520,7 +514,8 @@ pub fn run_scenario(scn: Scenario, report: Option<&ReportDir>) {
 
     // Observability epilogue: flush exporters, reconstruct job spans, report
     // per-phase durations into the metrics sink, then snapshot it.
-    tb.world.trace_mut().flush();
+    // The trace writer is the sink's one subscriber that writes a file.
+    let trace_flushed = tb.world.trace_mut().flush();
     let spans = SpanCollector::from_events(tb.world.trace().events());
     spans.report_metrics(tb.world.metrics_mut());
     println!(
@@ -546,12 +541,12 @@ pub fn run_scenario(scn: Scenario, report: Option<&ReportDir>) {
         println!("\ngrid weather:\n{}", render_top(&weather, WEATHER_TOP));
     }
     if let (Some(dir), Some(mut telemetry)) = (report, telemetry) {
-        telemetry.flush();
-        dir.write_snapshots(&tb.world)
-            .unwrap_or_else(|e| io_error(dir.dir(), e));
+        dir.check("trace.jsonl", trace_flushed)
+            .and_then(|()| dir.check("telemetry.jsonl", telemetry.flush()))
+            .unwrap_or_else(fail);
+        dir.write_snapshots(&tb.world).unwrap_or_else(fail);
         if let Some(p) = tb.world.profiler() {
-            let path = dir.file("profile.txt");
-            std::fs::write(&path, p.summary()).unwrap_or_else(|e| io_error(&path, e));
+            dir.write("profile.txt", p.summary()).unwrap_or_else(fail);
         }
         println!("report written to {}", dir.dir().display());
     }

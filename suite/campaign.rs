@@ -7,9 +7,10 @@ use crate::harness::{build, SiteSpec, Testbed, TestbedConfig};
 use crate::report::{ReportDir, HEARTBEAT};
 use gridsim::obs::flight::DEFAULT_RING;
 use gridsim::obs::{
-    site_aggregates, AnomalyDetector, FlightRecorder, TelemetrySample, TelemetryWriter,
+    anomaly_line, site_aggregates, telemetry_line, AnomalyDetector, FlightRecorder, TelemetrySample,
 };
 use gridsim::prelude::*;
+use gridsim::trace::{jsonl, TraceSubscriber};
 use std::io;
 use std::time::Instant;
 use workloads::campaign::{CampaignDriver, CampaignSpec, DriverConfig};
@@ -118,16 +119,17 @@ impl CampaignRun {
     /// arrival window. With a report dir the flight recorder flies
     /// ([`DEFAULT_RING`] records), every heartbeat goes to
     /// `telemetry.jsonl` and through the anomaly detectors, the first
-    /// anomaly dumps the recorder's causal window to `flight.cgfr`, and the
+    /// anomaly dumps the recorder's causal window to `flight.jsonl` (trace
+    /// lines; that anomaly's line in `telemetry.jsonl` says why), and the
     /// metrics and weather snapshots are written at the end. A file that
-    /// cannot be written ends the run with its error.
+    /// cannot be written ends the run with an error naming it.
     pub fn run(&self, label: &str, report: Option<&ReportDir>) -> io::Result<CellResult> {
         let started = Instant::now();
         let mut flight = match report {
             Some(dir) => Some((
                 dir,
                 FlightRecorder::new(DEFAULT_RING),
-                TelemetryWriter::create(dir.file("telemetry.jsonl"))?,
+                dir.jsonl("telemetry.jsonl")?,
             )),
             None => None,
         };
@@ -140,7 +142,7 @@ impl CampaignRun {
             tb.world.run_until(next);
             if let Some((dir, recorder, telemetry)) = flight.as_mut() {
                 let sample = self.sample(&tb, recorder);
-                telemetry.emit(&sample);
+                telemetry.line(&telemetry_line(&sample));
                 let site = recorder.last_quarantine_site();
                 let now = tb.world.now();
                 for anomaly in detector.observe(&sample, site.as_deref()) {
@@ -149,21 +151,23 @@ impl CampaignRun {
                         anomaly.kind.name(),
                         anomaly.reason
                     );
-                    telemetry.anomaly(now.micros(), &anomaly);
+                    telemetry.line(&anomaly_line(now.micros(), &anomaly));
                     // First anomaly wins: one incident, one dump.
                     if dumped {
                         continue;
                     }
                     let anchor = anomaly.anchor.as_deref().unwrap_or("");
-                    let reason = format!("{}: {}", anomaly.kind.name(), anomaly.reason);
-                    let bytes = recorder.dump(&reason, anchor, now);
-                    let path = dir.file("flight.cgfr");
-                    std::fs::write(&path, &bytes)?;
+                    let window = recorder.causal_window(anchor);
+                    let mut dump = dir.jsonl("flight.jsonl")?;
+                    for event in &window {
+                        dump.line(&jsonl::encode_line(event));
+                    }
+                    dir.check("flight.jsonl", dump.flush())?;
                     dumped = true;
                     println!(
-                        "flight dump written to {} ({} bytes, anchor {anchor:?})",
-                        path.display(),
-                        bytes.len()
+                        "flight dump written to {} ({} records, anchor {anchor:?})",
+                        dir.file("flight.jsonl").display(),
+                        window.len()
                     );
                 }
             }
@@ -174,7 +178,7 @@ impl CampaignRun {
             }
         }
         if let Some((dir, _, telemetry)) = flight.as_mut() {
-            telemetry.flush();
+            dir.check("telemetry.jsonl", telemetry.flush())?;
             dir.write_snapshots(&tb.world)?;
         }
         Ok(CellResult {

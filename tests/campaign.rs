@@ -5,7 +5,7 @@ use condor_g_suite::harness::{Testbed, WanLinkSpec, WanTopology};
 use condor_g_suite::workloads::campaign::CampaignSpec;
 use condor_g_suite::workloads::farm::CellResult;
 use support::cells::{run_campaign, run_cell};
-use support::{assert_golden, campaign};
+use support::{assert_golden, campaign, Scratch};
 
 mod support;
 
@@ -199,4 +199,25 @@ fn campaign_runs_are_reproducible() {
     let a = run_cell(23, 300);
     let b = run_cell(23, 300);
     assert_eq!(a, b, "same seed, different outcome");
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn telemetry_that_cannot_be_written_fails_the_run() {
+    // Every write to /dev/full fails with ENOSPC: the run must name the
+    // file it lost and exit 2.
+    let dir = Scratch::new();
+    let telemetry = dir.path().join("telemetry.jsonl");
+    std::os::unix::fs::symlink("/dev/full", &telemetry).expect("symlink");
+    let run = campaign(&format!(
+        "--jobs 400 --sites 4 --users 20 --quiet --report-dir {}",
+        dir.path().display()
+    ));
+    assert_eq!(run.code, Some(2), "stdout: {}", run.stdout);
+    assert!(
+        run.stderr.contains(&telemetry.display().to_string()),
+        "{}",
+        run.stderr
+    );
+    assert!(!run.stdout.contains("RESULT"), "{}", run.stdout);
 }

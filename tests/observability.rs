@@ -55,7 +55,7 @@ fn jsonl_export_is_byte_identical_across_same_seed_runs() {
             .subscribe(Box::new(JsonlWriter::new(buf.clone())));
         submit_jobs(&mut tb, 4);
         tb.world.run_until(SimTime::ZERO + Duration::from_hours(4));
-        tb.world.trace_mut().flush();
+        tb.world.trace_mut().flush().expect("trace flushed");
         let bytes = buf.0.borrow().clone();
         bytes
     }

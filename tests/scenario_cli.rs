@@ -1,7 +1,7 @@
 //! End-to-end tests of the `condor-g-sim` binary: every shipped scenario
 //! file runs to completion and delivers all of its jobs.
 
-use support::{metric, scenario, sim, sim_text};
+use support::{metric, scenario, sim, sim_text, Scratch};
 
 mod support;
 
@@ -96,4 +96,18 @@ fn missing_file_is_a_usage_error() {
         assert_eq!(run.code, Some(2), "{args:?}");
         assert!(run.stdout.is_empty(), "{args:?} simulated");
     }
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_trace_that_cannot_be_written_fails_the_run() {
+    // Every write to /dev/full fails with ENOSPC: the run must say which
+    // file it lost and exit 2, not report a bundle it did not write.
+    let dir = Scratch::new();
+    std::os::unix::fs::symlink("/dev/full", dir.path().join("trace.jsonl")).expect("symlink");
+    let report = dir.path().to_str().expect("utf8 temp dir");
+    let run = sim(["--report-dir", report, &scenario("demo.scn")]);
+    assert_eq!(run.code, Some(2), "stdout: {}", run.stdout);
+    assert!(run.stderr.contains("trace.jsonl"), "{}", run.stderr);
+    assert!(!run.stdout.contains("report written"), "{}", run.stdout);
 }
