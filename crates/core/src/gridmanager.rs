@@ -13,6 +13,13 @@
 //! > new JobManager to resume watching the job. Otherwise, the GridManager
 //! > waits until it can reestablish contact with the remote machine."
 //!
+//! It asks both questions once per site, not once per job: every probe
+//! interval it sends each gatekeeper holding its jobs one `SiteProbe`
+//! listing them, and the gatekeeper answers for its JobManagers with the
+//! jobs whose JobManager is gone or whose state moved. An answer shows the
+//! machine is up; a site silent for two rounds has its jobs wait to
+//! reattach, and the next answer restarts each one's JobManager.
+//!
 //! It also owns credential management (§4.3): periodic proxy analysis,
 //! alarms, hold-and-email on expiry, automatic MyProxy refresh, and
 //! re-forwarding refreshed proxies to remote JobManagers.
@@ -29,6 +36,7 @@ use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::{MyProxyReply, MyProxyRequest, ProxyCredential};
 use mds::{attr_to_addr, GripQuery, GripReply};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// MyProxy auto-refresh settings (§4.3's proposed enhancement).
@@ -67,8 +75,8 @@ pub struct GmConfig {
     /// another candidate site ("Monitoring of actual queuing and execution
     /// times allows... to migrate queued jobs"). `None` disables.
     pub migrate_pending_after: Option<Duration>,
-    /// The §4.2 failure-detection machinery (probing, gatekeeper pings,
-    /// JobManager restarts). Disable for the fault-tolerance ablation.
+    /// The §4.2 failure-detection machinery (site probes and JobManager
+    /// restarts). Disable for the fault-tolerance ablation.
     pub recovery: bool,
 }
 
@@ -179,17 +187,15 @@ enum Phase {
     /// JobManager known and believed alive.
     Live {
         jm: Addr,
-        probe_sent: Option<SimTime>,
-        last_contact: SimTime,
-        missed: u32,
         gram_state: GramJobState,
         /// The commit has been acknowledged (stop retransmitting it).
         commit_acked: bool,
         /// When the job entered the site queue (for migration decisions).
         pending_since: Option<SimTime>,
     },
-    /// JobManager unresponsive: pinging the gatekeeper.
-    PingingGk { last_ping: SimTime },
+    /// Its JobManager is restarted on the site's next answer: the site
+    /// missed two probes, or the agent itself restarted.
+    Reattach,
     /// Restart request sent; waiting for the new JobManager.
     AwaitRestart { since: SimTime },
     /// Nothing more to do.
@@ -203,9 +209,6 @@ impl Phase {
     fn live(jm: Addr, now: SimTime, committed: bool) -> Phase {
         Phase::Live {
             jm,
-            probe_sent: None,
-            last_contact: now,
-            missed: 0,
             gram_state: if committed {
                 GramJobState::Pending
             } else {
@@ -261,15 +264,17 @@ impl GmJob {
             Phase::Submitting { session, last_send } if session.awaiting_reply() => {
                 *last_send + config.submit_retry
             }
-            Phase::Submitting { .. } | Phase::Terminal => SimTime::MAX,
+            // The site probe round looks after the restarts.
+            Phase::Submitting { .. }
+            | Phase::Reattach
+            | Phase::AwaitRestart { .. }
+            | Phase::Terminal => SimTime::MAX,
             // The commit is retransmitted on every tick until acknowledged.
             Phase::Live {
                 commit_acked: false,
                 ..
             } => SimTime::ZERO,
             Phase::Live {
-                probe_sent,
-                last_contact,
                 gram_state,
                 pending_since,
                 ..
@@ -278,19 +283,11 @@ impl GmJob {
                     gram_state,
                     GramJobState::Pending | GramJobState::PendingCommit
                 );
-                let migrate = match (config.migrate_pending_after, pending_since) {
+                match (config.migrate_pending_after, pending_since) {
                     (Some(patience), Some(since)) if queued && !self.migrating => *since + patience,
                     _ => SimTime::MAX,
-                };
-                let probe = if config.recovery {
-                    probe_sent.unwrap_or(*last_contact) + PROBE_INTERVAL
-                } else {
-                    SimTime::MAX
-                };
-                migrate.min(probe)
+                }
             }
-            Phase::PingingGk { last_ping } => *last_ping + PROBE_INTERVAL,
-            Phase::AwaitRestart { since } => *since + PROBE_INTERVAL * 2,
         }
     }
 
@@ -316,9 +313,9 @@ const TAG_TICK: u64 = 1;
 /// The GridManager's bookkeeping period: every job's due work, the
 /// credential check and the weather are looked at this often.
 const TICK: Duration = Duration::from_secs(30);
-/// §4.2's probe period: a JobManager unheard-of this long is probed, an
-/// unanswered probe sends a gatekeeper ping after as long again, and a
-/// restart is given twice as long before the next ping.
+/// §4.2's probe period: each site holding jobs gets one `SiteProbe` this
+/// often, a site that leaves two unanswered has its jobs reattach, and a
+/// restart is given twice as long before it is asked for again.
 const PROBE_INTERVAL: Duration = Duration::from_mins(5);
 /// Resubmissions per job before it fails for good.
 const MAX_RETRIES: u32 = 5;
@@ -364,6 +361,12 @@ pub struct GridManager {
     /// Correlation ids for lean-mode GASS cache cleanup requests.
     gass_req: u64,
     recovering: bool,
+    /// The site probe channel, by gatekeeper: when its last `SiteProbe`
+    /// went out, while unanswered, and how many rounds in a row found it
+    /// so. Sites drop out once they hold none of our jobs.
+    sites: BTreeMap<Addr, (Option<SimTime>, u32)>,
+    /// When the next probe round is due.
+    next_round: SimTime,
 }
 
 impl GridManager {
@@ -399,6 +402,8 @@ impl GridManager {
             mds_req: 0,
             gass_req: 0,
             recovering,
+            sites: BTreeMap::new(),
+            next_round: SimTime::ZERO,
         }
     }
 
@@ -750,9 +755,7 @@ impl GridManager {
                         let status = gram_state_to_status(gram_state);
                         self.report(ctx, job, status);
                     }
-                    Phase::Submitting { .. }
-                    | Phase::PingingGk { .. }
-                    | Phase::AwaitRestart { .. } => {
+                    Phase::Submitting { .. } | Phase::Reattach | Phase::AwaitRestart { .. } => {
                         self.report(ctx, job, JobStatus::Pending);
                     }
                     Phase::Terminal => {}
@@ -806,9 +809,6 @@ impl GridManager {
             }
             Phase::Live {
                 jm,
-                probe_sent,
-                last_contact,
-                missed,
                 commit_acked,
                 gram_state,
                 pending_since,
@@ -845,51 +845,125 @@ impl GridManager {
                         }
                     }
                 }
-                if !self.config.recovery {
-                    return; // ablation: no probing, no failure detection
-                }
-                match probe_sent {
-                    Some(sent) if now - *sent >= PROBE_INTERVAL => {
-                        // Probe timed out unanswered.
-                        *missed += 1;
-                        *probe_sent = None;
-                        ctx.metrics().incr("gm.probes_missed", 1);
-                        if *missed >= 2 {
-                            // "the GridManager then probes the GateKeeper"
-                            ctx.trace_with("gm.jm_lost", || format!("{job}"));
-                            let gk = j.gatekeeper.expect("live job has a gatekeeper");
-                            ctx.send(gk, GramRequest::Ping { nonce: job.0 });
-                            j.phase = Phase::PingingGk { last_ping: now };
-                        }
-                    }
-                    None if now - *last_contact >= PROBE_INTERVAL => {
-                        let nonce = now.micros();
-                        ctx.metrics().incr("gm.probes", 1);
-                        ctx.send(*jm, JmMsg::Probe { nonce });
-                        *probe_sent = Some(now);
-                    }
-                    _ => {}
-                }
             }
-            Phase::PingingGk { last_ping } => {
-                if now - *last_ping >= PROBE_INTERVAL {
-                    // "the GridManager waits until it can reestablish
-                    // contact with the remote machine" — keep pinging.
-                    let gk = j.gatekeeper.expect("pinging job has a gatekeeper");
-                    ctx.send(gk, GramRequest::Ping { nonce: job.0 });
-                    *last_ping = now;
-                }
-            }
-            Phase::AwaitRestart { since } => {
-                if now - *since >= PROBE_INTERVAL * 2 {
-                    // The restart request was lost: ping again.
-                    let gk = j.gatekeeper.expect("job has a gatekeeper");
-                    ctx.send(gk, GramRequest::Ping { nonce: job.0 });
-                    j.phase = Phase::PingingGk { last_ping: now };
-                }
-            }
-            Phase::Terminal => {}
+            Phase::Reattach | Phase::AwaitRestart { .. } | Phase::Terminal => {}
         }
+    }
+
+    /// The probe round, once per [`PROBE_INTERVAL`]: one `SiteProbe` to
+    /// each gatekeeper holding jobs, listing them in ascending id order,
+    /// a live job with the state it is believed in and a job waiting to
+    /// reattach with `None` ("answer regardless"). A site whose previous
+    /// probe is still unanswered misses a round; at two its live jobs wait
+    /// to reattach: "the GridManager waits until it can reestablish
+    /// contact with the remote machine". Without `recovery` only jobs
+    /// waiting to reattach are asked about.
+    fn probe_round(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        if now < self.next_round {
+            return;
+        }
+        self.next_round = now + PROBE_INTERVAL;
+        let mut silent = Vec::new();
+        for (&gk, (sent, missed)) in &mut self.sites {
+            if sent.is_some() {
+                *missed += 1;
+                ctx.metrics().incr("gm.probes_missed", 1);
+                if *missed == 2 {
+                    ctx.trace_with("gm.site_lost", || format!("gatekeeper={gk}"));
+                    silent.push(gk);
+                }
+            }
+        }
+        let recovery = self.config.recovery;
+        let listed = self.jobs.sorted_ids(|j| match j.phase {
+            Phase::Live { .. } => recovery,
+            Phase::Reattach | Phase::AwaitRestart { .. } => true,
+            _ => false,
+        });
+        let mut probes: BTreeMap<Addr, Vec<(JobContact, Option<GramJobState>)>> = BTreeMap::new();
+        for job in listed {
+            let j = self.jobs.get_mut(&job).expect("listed job");
+            let (Some(gk), Some(contact)) = (j.gatekeeper, j.contact) else {
+                continue;
+            };
+            let believed = match j.phase {
+                Phase::Live { .. } if silent.contains(&gk) => {
+                    j.phase = Phase::Reattach;
+                    None
+                }
+                Phase::Live { gram_state, .. } => Some(gram_state),
+                _ => None,
+            };
+            probes.entry(gk).or_default().push((contact, believed));
+        }
+        self.sites.retain(|gk, _| probes.contains_key(gk));
+        for (gk, jobs) in probes {
+            self.sites.entry(gk).or_default().0 = Some(now);
+            ctx.metrics().incr("gm.probes", 1);
+            ctx.send(gk, GramRequest::SiteProbe { jobs });
+        }
+    }
+
+    /// `gk` answered its probe: `changed` lists the jobs whose JobManager
+    /// is gone (`None`) or in a state other than the one believed, and
+    /// every job that was asked about with `None`.
+    fn on_site_status(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        gk: Addr,
+        changed: &[(JobContact, Option<GramJobState>)],
+    ) {
+        if let Some(site) = self.sites.get_mut(&gk) {
+            *site = (None, 0);
+        }
+        let now = ctx.now();
+        for &(contact, state) in changed {
+            let Some(&job) = self.by_contact.get(&contact) else {
+                continue;
+            };
+            match (&self.jobs[&job].phase, state) {
+                (Phase::Live { .. }, Some(state)) => self.observe_jm(ctx, job, state),
+                // "If the GateKeeper responds, then the GridManager knows
+                // that the individual JobManager crashed... attempts to
+                // start a new JobManager to resume watching the job."
+                (Phase::Live { .. }, None) => {
+                    ctx.trace_with("gm.jm_lost", || format!("{job}"));
+                    self.restart_jobmanager(ctx, job);
+                }
+                (Phase::Reattach, _) => self.restart_jobmanager(ctx, job),
+                // The restart request or its answer was lost: ask again.
+                (Phase::AwaitRestart { since }, _) if now - *since >= PROBE_INTERVAL * 2 => {
+                    self.restart_jobmanager(ctx, job);
+                }
+                _ => {}
+            }
+            self.refresh_due(job);
+        }
+    }
+
+    /// Ask `job`'s gatekeeper for a fresh JobManager.
+    fn restart_jobmanager(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
+        let j = &self.jobs[&job];
+        let (Some(contact), Some(gk)) = (j.contact, j.gatekeeper) else {
+            return;
+        };
+        let me = ctx.self_addr();
+        let have = self.stdout_have(ctx, job);
+        ctx.metrics().incr("gm.jm_restarts_requested", 1);
+        ctx.send(
+            gk,
+            GramRequest::RestartJobManager {
+                contact,
+                credential: self.credential.clone(),
+                callback: me,
+                gass: GassUrl::gass(self.gass, ""),
+                stdout_have: have,
+                capability: None,
+            },
+        );
+        let j = self.jobs.get_mut(&job).expect("job exists");
+        j.phase = Phase::AwaitRestart { since: ctx.now() };
     }
 
     /// Take responsibility for `rec`: into `jobs`, with its slot's entry in
@@ -976,9 +1050,10 @@ impl GridManager {
                     rec.stdout_path = d.stdout_path;
                     rec.excluded = d.excluded;
                 }
-                // Re-establish contact: if we know the job's contact,
-                // ping the gatekeeper and restart its JobManager; else
-                // the submission never stuck, so submit afresh.
+                // Re-establish contact: if we know the job's contact, its
+                // JobManager is restarted once the gatekeeper answers the
+                // next probe round, which is due now; else the submission
+                // never stuck, so submit afresh.
                 if let Some(seq) = rec.seq {
                     self.by_seq.insert(seq, job);
                 }
@@ -986,12 +1061,10 @@ impl GridManager {
                     self.by_contact.insert(contact, job);
                 }
                 match (rec.contact, rec.gatekeeper) {
-                    (Some(_), Some(gk)) => {
+                    (Some(_), Some(_)) => {
                         ctx.metrics().incr("gm.job_recoveries", 1);
-                        ctx.send(gk, GramRequest::Ping { nonce: job.0 });
-                        rec.phase = Phase::PingingGk {
-                            last_ping: ctx.now(),
-                        };
+                        rec.phase = Phase::Reattach;
+                        self.next_round = ctx.now();
                         self.adopt(job, rec);
                     }
                     _ => {
@@ -1038,10 +1111,7 @@ impl GridManager {
                         }
                         SubmitAction::GiveUp(_) | SubmitAction::Ignore => {}
                     }
-                } else if matches!(
-                    j.phase,
-                    Phase::PingingGk { .. } | Phase::AwaitRestart { .. }
-                ) {
+                } else if matches!(j.phase, Phase::Reattach | Phase::AwaitRestart { .. }) {
                     // A duplicate submit answer can double as recovery.
                     j.contact = Some(*contact);
                     j.phase = Phase::live(*jobmanager, ctx.now(), true);
@@ -1059,33 +1129,9 @@ impl GridManager {
             GramReply::SubmitFailed { error, .. } => {
                 self.attempt_failed(ctx, job, &format!("submit failed: {error}"));
             }
-            GramReply::Pong { .. } => {
-                let j = self.jobs.get_mut(&job).expect("job exists");
-                if let Phase::PingingGk { .. } = j.phase {
-                    // "If the GateKeeper responds... attempts to start a
-                    // new JobManager to resume watching the job."
-                    let (Some(contact), Some(gk)) = (j.contact, j.gatekeeper) else {
-                        return;
-                    };
-                    let me = ctx.self_addr();
-                    let have = self.stdout_have(ctx, job);
-                    ctx.metrics().incr("gm.jm_restarts_requested", 1);
-                    ctx.send(
-                        gk,
-                        GramRequest::RestartJobManager {
-                            contact,
-                            credential: self.credential.clone(),
-                            callback: me,
-                            gass: GassUrl::gass(self.gass, ""),
-                            stdout_have: have,
-                            capability: None,
-                        },
-                    );
-                    let j = self.jobs.get_mut(&job).expect("job exists");
-                    j.phase = Phase::AwaitRestart { since: ctx.now() };
-                }
-            }
-            GramReply::Restarted { jobmanager, .. } => {
+            GramReply::Restarted {
+                jobmanager, state, ..
+            } => {
                 let have = self.stdout_have(ctx, job);
                 // Re-point the JobManager at our (possibly new) GASS
                 // server and re-forward the current credential.
@@ -1106,10 +1152,17 @@ impl GridManager {
                 let j = self.jobs.get_mut(&job).expect("job exists");
                 j.phase = Phase::live(*jobmanager, ctx.now(), true);
                 self.persist_job(ctx, job);
+                // The JobManager resumes in its logged state, which is news
+                // like any other; a terminal one it announces itself.
+                if !state.is_terminal() {
+                    self.observe_jm(ctx, job, *state);
+                }
             }
             GramReply::RestartFailed { error, .. } => {
                 self.attempt_failed(ctx, job, &format!("restart failed: {error}"));
             }
+            // Answered per site, by `on_site_status`.
+            GramReply::SiteStatus { .. } => {}
         }
     }
 
@@ -1119,41 +1172,23 @@ impl GridManager {
             JmMsg::Callback { state, .. } => self.observe_jm(ctx, job, *state),
             JmMsg::CommitAck { .. } => {
                 let j = self.jobs.get_mut(&job).expect("job exists");
-                if let Phase::Live {
-                    commit_acked,
-                    last_contact,
-                    ..
-                } = &mut j.phase
-                {
+                if let Phase::Live { commit_acked, .. } = &mut j.phase {
                     *commit_acked = true;
-                    *last_contact = ctx.now();
                 }
-            }
-            JmMsg::ProbeReply { state, .. } => {
-                let j = self.jobs.get_mut(&job).expect("job exists");
-                if let Phase::Live {
-                    probe_sent, missed, ..
-                } = &mut j.phase
-                {
-                    *probe_sent = None;
-                    *missed = 0;
-                }
-                self.observe_jm(ctx, job, *state);
             }
             _ => {}
         }
     }
 
     /// The JobManager says `job` (which is in the map) is in `state`,
-    /// pushed (`Callback`) or polled (`ProbeReply`, whose state is what a
-    /// lost callback carried): both take this one path to the protocol's
-    /// actions.
+    /// pushed (`Callback`), polled (a `SiteStatus` entry, whose state is
+    /// what a lost callback carried) or read from a restarted JobManager's
+    /// log (`Restarted`): all take this one path to the protocol's actions.
     fn observe_jm(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, state: GramJobState) {
         let now = ctx.now();
         let j = self.jobs.get_mut(&job).expect("job exists");
         if let Phase::Live {
             jm,
-            last_contact,
             gram_state,
             commit_acked,
             pending_since,
@@ -1164,7 +1199,6 @@ impl GridManager {
                 // The outcome is the GridManager's now: the JobManager may go.
                 ctx.send(*jm, JmMsg::DoneAck);
             }
-            *last_contact = now;
             // Progress implies the commit landed.
             *commit_acked |= state != GramJobState::PendingCommit;
             // Track time-in-queue for migration decisions.
@@ -1257,12 +1291,13 @@ impl Component for GridManager {
             self.observe_weather(ctx);
             self.poll_mds(ctx);
             self.tick_due_jobs(ctx);
+            self.probe_round(ctx);
         }
         self.maybe_exit(ctx);
         ctx.set_timer(TICK, TAG_TICK);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
         // Commands hand their payload over: take the message by value.
         let msg = match msg.downcast::<GmCmd>() {
             Ok(cmd) => {
@@ -1276,8 +1311,9 @@ impl Component for GridManager {
                 GramReply::Submitted { seq, .. } | GramReply::SubmitFailed { seq, .. } => {
                     self.by_seq.get(seq).copied()
                 }
-                GramReply::Pong { nonce } => {
-                    Some(GridJobId(*nonce)).filter(|job| self.jobs.contains_key(job))
+                GramReply::SiteStatus { changed } => {
+                    self.on_site_status(ctx, from, changed);
+                    return;
                 }
                 GramReply::Restarted { contact, .. } | GramReply::RestartFailed { contact, .. } => {
                     self.by_contact.get(contact).copied()
@@ -1290,10 +1326,7 @@ impl Component for GridManager {
             return;
         }
         if let Some(jm_msg) = msg.downcast_ref::<JmMsg>() {
-            let (JmMsg::Callback { contact, .. }
-            | JmMsg::CommitAck { contact }
-            | JmMsg::ProbeReply { contact, .. }) = jm_msg
-            else {
+            let (JmMsg::Callback { contact, .. } | JmMsg::CommitAck { contact }) = jm_msg else {
                 return;
             };
             if let Some(&job) = self.by_contact.get(contact) {
@@ -1346,37 +1379,76 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// What the sinks were sent, one line a message.
+    type Log = Rc<RefCell<Vec<String>>>;
+
+    /// How a [`Sink`] standing for a gatekeeper answers a `SiteProbe`.
+    #[derive(Clone, Copy, Debug)]
+    enum Answer {
+        /// Every JobManager asked about is alive in the state believed, and
+        /// `Active` where none was believed.
+        Alive,
+        /// Every JobManager asked about is gone.
+        Dead,
+        /// Not at all, for this many more probes; then as `Alive`.
+        SilentFor(u32),
+    }
+
     /// Stands where the Scheduler, the gatekeepers and the JobManagers
-    /// would: writes down everything it is sent, answers what a gatekeeper
-    /// answers (so jobs change phase on replies as well as on ticks), and
-    /// as a JobManager stays silent (so probes time out).
+    /// would: writes down everything it is sent and answers what a
+    /// gatekeeper answers (so jobs change phase on replies as well as on
+    /// ticks); as a JobManager it stays silent, and a restarted one
+    /// resumes `Active`.
     struct Sink {
-        log: Rc<RefCell<Vec<String>>>,
+        log: Log,
+        answer: Answer,
+    }
+
+    impl Sink {
+        fn new(log: &Log, answer: Answer) -> Sink {
+            Sink {
+                log: log.clone(),
+                answer,
+            }
+        }
     }
 
     impl Component for Sink {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
+            let me = ctx.self_addr();
             self.log
                 .borrow_mut()
-                .push(format!("{} {from:?} {msg:?}", ctx.now()));
-            let jobmanager = ctx.self_addr();
+                .push(format!("{} {from:?} -> {me:?} {msg:?}", ctx.now()));
             match msg.downcast_ref::<GramRequest>() {
                 Some(GramRequest::Submit { seq, .. }) => ctx.send(
                     from,
                     GramReply::Submitted {
                         seq: *seq,
                         contact: JobContact(5000 + seq),
-                        jobmanager,
+                        jobmanager: me,
                     },
                 ),
-                Some(GramRequest::Ping { nonce }) => {
-                    ctx.send(from, GramReply::Pong { nonce: *nonce })
+                Some(GramRequest::SiteProbe { jobs }) => {
+                    let changed = match &mut self.answer {
+                        Answer::SilentFor(n) if *n > 0 => {
+                            *n -= 1;
+                            return;
+                        }
+                        Answer::Dead => jobs.iter().map(|&(c, _)| (c, None)).collect(),
+                        Answer::Alive | Answer::SilentFor(_) => jobs
+                            .iter()
+                            .filter(|(_, believed)| believed.is_none())
+                            .map(|&(c, _)| (c, Some(GramJobState::Active)))
+                            .collect(),
+                    };
+                    ctx.send(from, GramReply::SiteStatus { changed });
                 }
                 Some(GramRequest::RestartJobManager { contact, .. }) => ctx.send(
                     from,
                     GramReply::Restarted {
                         contact: *contact,
-                        jobmanager,
+                        jobmanager: me,
+                        state: GramJobState::Active,
                     },
                 ),
                 None => {}
@@ -1412,6 +1484,7 @@ mod tests {
                     self.gm.tick_job(ctx, job, slot);
                     self.gm.refresh_slot(slot);
                 }
+                self.gm.probe_round(ctx);
             }
             self.gm.maybe_exit(ctx);
             ctx.set_timer(TICK, TAG_TICK);
@@ -1421,13 +1494,28 @@ mod tests {
     fn live(jm: Addr) -> Phase {
         Phase::Live {
             jm,
-            probe_sent: None,
-            last_contact: SimTime::ZERO,
-            missed: 0,
             gram_state: GramJobState::Active,
             commit_acked: true,
             pending_since: None,
         }
+    }
+
+    fn proxy(life: Duration) -> ProxyCredential {
+        let mut ca = CertificateAuthority::new("/CN=CA", 5);
+        ca.issue_identity("/CN=jane", Duration::from_days(30))
+            .new_proxy(SimTime::ZERO, life)
+    }
+
+    /// Hand `gm` a job at `gk` under `contact`, in `phase`.
+    fn place(gm: &mut GridManager, job: GridJobId, gk: Addr, contact: u64, phase: Phase) {
+        let spec = GridJobSpec::grid("t", "/bin/t", Duration::from_hours(1));
+        let mut rec = GmJob::new(job, spec);
+        rec.site = Some("east".into());
+        rec.gatekeeper = Some(gk);
+        rec.contact = Some(JobContact(contact));
+        rec.phase = phase;
+        gm.by_contact.insert(JobContact(contact), job);
+        gm.adopt(job, rec);
     }
 
     /// A GridManager holding a job in every phase, and in every state of
@@ -1495,13 +1583,7 @@ mod tests {
                 false,
             ),
             (live(peer), &[], false),
-            (
-                Phase::PingingGk {
-                    last_ping: SimTime::ZERO,
-                },
-                &[],
-                false,
-            ),
+            (Phase::Reattach, &[], false),
             (
                 Phase::AwaitRestart {
                     since: SimTime::ZERO,
@@ -1511,18 +1593,15 @@ mod tests {
             ),
             (Phase::Terminal, &[], false),
         ];
-        // The commit never acknowledged; a probe in flight that already
-        // missed once; queued long enough to move, and the same mid-move.
-        for (unacked, probing, queued, migrating) in [
-            (true, false, false, false),
-            (false, true, false, false),
-            (false, false, true, false),
-            (false, false, true, true),
+        // The commit never acknowledged; queued long enough to move, and
+        // the same mid-move.
+        for (unacked, queued, migrating) in [
+            (true, false, false),
+            (false, true, false),
+            (false, true, true),
         ] {
             let mut phase = live(peer);
             if let Phase::Live {
-                probe_sent,
-                missed,
                 gram_state,
                 commit_acked,
                 pending_since,
@@ -1530,9 +1609,6 @@ mod tests {
             } = &mut phase
             {
                 *commit_acked = !unacked;
-                if probing {
-                    (*probe_sent, *missed) = (Some(SimTime::ZERO), 1);
-                }
                 if queued {
                     (*gram_state, *pending_since) = (GramJobState::Pending, Some(SimTime::ZERO));
                 }
@@ -1541,37 +1617,40 @@ mod tests {
         }
         for (i, (phase, excluded, migrating)) in phases.into_iter().enumerate() {
             let job = GridJobId(100 - i as u64);
-            let spec = GridJobSpec::grid("t", "/bin/t", Duration::from_hours(1));
-            let mut rec = GmJob::new(job, spec);
-            if !matches!(phase, Phase::NeedSite) {
-                rec.site = Some("east".into());
-                rec.gatekeeper = Some(peer);
-                rec.seq = Some(900 + i as u64);
-                rec.contact = Some(JobContact(70 + i as u64));
-                gm.by_seq.insert(900 + i as u64, job);
-                gm.by_contact.insert(JobContact(70 + i as u64), job);
+            if matches!(phase, Phase::NeedSite) {
+                let spec = GridJobSpec::grid("t", "/bin/t", Duration::from_hours(1));
+                let mut rec = GmJob::new(job, spec);
+                rec.excluded = excluded.iter().map(|s| s.to_string()).collect();
+                gm.adopt(job, rec);
+                continue;
             }
-            rec.phase = phase;
-            rec.excluded = excluded.iter().map(|s| s.to_string()).collect();
-            rec.migrating = migrating;
-            gm.adopt(job, rec);
+            place(&mut gm, job, peer, 70 + i as u64, phase);
+            let j = gm.jobs.get_mut(&job).expect("placed");
+            j.seq = Some(900 + i as u64);
+            gm.by_seq.insert(900 + i as u64, job);
+            j.excluded = excluded.iter().map(|s| s.to_string()).collect();
+            j.migrating = migrating;
+            gm.refresh_due(job);
         }
         gm.next_seq = 1000;
         gm
     }
 
-    /// Forty ticks of `seeded`, as seen from outside: every message sent,
-    /// every record left in the store, and how many events it took.
-    fn forty_ticks(config: &GmConfig, proxy_life: Duration, every_job: bool) -> Vec<String> {
-        let mut ca = CertificateAuthority::new("/CN=CA", 5);
-        let proxy = ca
-            .issue_identity("/CN=jane", Duration::from_days(30))
-            .new_proxy(SimTime::ZERO, proxy_life);
+    /// Forty ticks of `seeded`, its gatekeeper answering probes as
+    /// `answer`, as seen from outside: every message sent, every record
+    /// left in the store, and how many events it took.
+    fn forty_ticks(
+        config: &GmConfig,
+        proxy_life: Duration,
+        answer: Answer,
+        every_job: bool,
+    ) -> Vec<String> {
+        let proxy = proxy(proxy_life);
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut w = World::new(Config::default().seed(9));
         let (home, away) = (w.add_node("submit"), w.add_node("site"));
-        let peer = w.add_component(away, "peer", Sink { log: log.clone() });
-        let scheduler = w.add_component(home, "scheduler", Sink { log: log.clone() });
+        let peer = w.add_component(away, "peer", Sink::new(&log, answer));
+        let scheduler = w.add_component(home, "scheduler", Sink::new(&log, Answer::Alive));
         let gm = seeded(config.clone(), &proxy, scheduler, peer);
         w.add_component(home, "gm", Ticker { gm, every_job });
         w.run_until(SimTime::ZERO + TICK * 40 + Duration::from_secs(1));
@@ -1587,13 +1666,18 @@ mod tests {
     fn a_job_the_due_table_skips_had_nothing_to_do() {
         let day = Duration::from_days(1);
         let configs = [
-            (GmConfig::default(), day),
+            (GmConfig::default(), day, Answer::Alive),
+            // Every JobManager found dead, every round.
+            (GmConfig::default(), day, Answer::Dead),
+            // The site goes silent for two rounds and is declared lost.
+            (GmConfig::default(), day, Answer::SilentFor(2)),
             (
                 GmConfig {
                     recovery: false,
                     ..GmConfig::default()
                 },
                 day,
+                Answer::Dead,
             ),
             (
                 GmConfig {
@@ -1601,6 +1685,7 @@ mod tests {
                     ..GmConfig::default()
                 },
                 day,
+                Answer::Alive,
             ),
             // A reply that makes a job due sooner than its table entry said
             // (the commit goes out every tick, the retransmit every fourth).
@@ -1610,17 +1695,18 @@ mod tests {
                     ..GmConfig::default()
                 },
                 day,
+                Answer::Alive,
             ),
             // The proxy runs down to `hold_before` mid-run: jobs are held
             // and the ticks stop.
-            (GmConfig::default(), Duration::from_mins(25)),
+            (GmConfig::default(), Duration::from_mins(25), Answer::Alive),
         ];
-        for (config, proxy_life) in configs {
-            let by_table = forty_ticks(&config, proxy_life, false);
-            let every_job = forty_ticks(&config, proxy_life, true);
+        for (config, proxy_life, answer) in configs {
+            let by_table = forty_ticks(&config, proxy_life, answer, false);
+            let every_job = forty_ticks(&config, proxy_life, answer, true);
             assert!(by_table.len() > 60, "{} lines: too quiet", by_table.len());
             for (i, (a, b)) in by_table.iter().zip(&every_job).enumerate() {
-                assert_eq!(a, b, "line {i} under {config:?}");
+                assert_eq!(a, b, "line {i} under {config:?}, {answer:?}");
             }
             assert_eq!(by_table.len(), every_job.len());
         }
@@ -1630,78 +1716,242 @@ mod tests {
     struct Shared(Rc<RefCell<GridManager>>);
 
     impl Component for Shared {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.borrow_mut().on_start(ctx);
+        }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
             self.0.borrow_mut().on_message(ctx, from, msg);
         }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: TimerId, tag: u64) {
+            self.0.borrow_mut().on_timer(ctx, id, tag);
+        }
     }
 
-    /// `seeded`'s job with `contact` (queued at east since time zero) has
-    /// west back on offer, and its JobManager answers a probe with
-    /// `state`. The sink never calls back, so the probe stands in for a
-    /// lost callback. Returns what the sinks were sent and the
-    /// GridManager one second on.
-    fn probe_says(contact: u64, state: GramJobState) -> (Vec<String>, Rc<RefCell<GridManager>>) {
-        let mut ca = CertificateAuthority::new("/CN=CA", 5);
-        let proxy = ca
-            .issue_identity("/CN=jane", Duration::from_days(30))
-            .new_proxy(SimTime::ZERO, Duration::from_days(1));
+    /// A GridManager with `counts[i]` live `Active` jobs at gatekeeper
+    /// `i`, job ids and contacts counting up from 1 and 501 across the
+    /// sites; each gatekeeper is a [`Sink`] answering as `answer`. Returns
+    /// the world, not yet run, what the sinks are sent, the gatekeepers
+    /// and the GridManager.
+    fn per_site(
+        counts: &[u64],
+        answer: Answer,
+    ) -> (World, Log, Vec<Addr>, Rc<RefCell<GridManager>>) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut w = World::new(Config::default().seed(9));
+        let home = w.add_node("submit");
+        let scheduler = w.add_component(home, "scheduler", Sink::new(&log, Answer::Alive));
+        let gks: Vec<Addr> = (0..counts.len())
+            .map(|i| {
+                let node = w.add_node(&format!("site{i}"));
+                w.add_component(node, "gk", Sink::new(&log, answer))
+            })
+            .collect();
+        let broker = StaticListBroker::new(Vec::new());
+        let mut gm = GridManager::new(
+            GmConfig::default(),
+            proxy(Duration::from_days(1)),
+            scheduler,
+            scheduler,
+            Box::new(broker),
+            false,
+        );
+        let mut id = 0;
+        for (&gk, &n) in gks.iter().zip(counts) {
+            for _ in 0..n {
+                id += 1;
+                place(&mut gm, GridJobId(id), gk, 500 + id, live(gk));
+            }
+        }
+        let gm = Rc::new(RefCell::new(gm));
+        w.add_component(home, "gm", Shared(gm.clone()));
+        (w, log, gks, gm)
+    }
+
+    /// The lines of `log` holding a `kind` message sent to `to`.
+    fn sent(log: &Log, to: Addr, kind: &str) -> Vec<String> {
+        let to = format!("-> {to:?} {kind}");
+        log.borrow()
+            .iter()
+            .filter(|l| l.contains(&to))
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn one_site_probe_per_gatekeeper_per_interval() {
+        let (mut w, log, gks, _) = per_site(&[1, 40], Answer::Alive);
+        // Rounds at 30 s, 5 min 30 s and 10 min 30 s.
+        w.run_until(SimTime::ZERO + Duration::from_mins(12));
+        for (gk, contacts) in gks.iter().zip([501..502, 502..542]) {
+            let probes = sent(&log, *gk, "SiteProbe");
+            assert_eq!(probes.len(), 3, "{probes:#?}");
+            // Every job at the site, in id order, with its believed state.
+            let jobs = contacts
+                .map(|c| (JobContact(c), Some(GramJobState::Active)))
+                .collect();
+            let listed = format!("{:?}", GramRequest::SiteProbe { jobs });
+            assert!(probes.iter().all(|p| p.ends_with(&listed)), "{probes:#?}");
+            assert!(sent(&log, *gk, "RestartJobManager").is_empty());
+        }
+        assert_eq!(w.metrics().counter("gm.probes"), 6);
+        assert_eq!(w.metrics().counter("gm.probes_missed"), 0);
+    }
+
+    #[test]
+    fn a_none_answer_restarts_the_jobmanager() {
+        let (mut w, log, gks, gm) = per_site(&[2], Answer::Dead);
+        // One round, at 30 s: both JobManagers are found gone.
+        w.run_until(SimTime::ZERO + Duration::from_mins(1));
+        let restarts = sent(&log, gks[0], "RestartJobManager");
+        assert_eq!(restarts.len(), 2, "{restarts:#?}");
+        for (restart, contact) in restarts.iter().zip([501, 502]) {
+            assert!(restart.contains(&format!("contact: JobContact({contact})")));
+        }
+        assert_eq!(w.metrics().counter("gm.jm_restarted"), 2);
+        let gm = gm.borrow();
+        for job in [GridJobId(1), GridJobId(2)] {
+            assert!(matches!(gm.jobs[&job].phase, Phase::Live { .. }));
+        }
+    }
+
+    #[test]
+    fn two_silent_rounds_put_the_site_in_reattach_and_the_next_answer_restarts_each_once() {
+        let (mut w, log, gks, gm) = per_site(&[3], Answer::SilentFor(2));
+        // Rounds at 30 s and 5 min 30 s go unanswered; the one at 10 min
+        // 30 s finds the second still so.
+        w.run_until(SimTime::ZERO + Duration::from_secs(630));
+        assert_eq!(w.metrics().counter("gm.probes_missed"), 2);
+        for job in 1..=3 {
+            assert!(matches!(
+                gm.borrow().jobs[&GridJobId(job)].phase,
+                Phase::Reattach
+            ));
+        }
+        assert!(sent(&log, gks[0], "RestartJobManager").is_empty());
+        // The site answers that round, which asked after each job
+        // regardless, and each JobManager is restarted once.
+        w.run_until(SimTime::ZERO + Duration::from_mins(15));
+        let probes = sent(&log, gks[0], "SiteProbe");
+        let jobs = (501..504).map(|c| (JobContact(c), None)).collect();
+        let listed = format!("{:?}", GramRequest::SiteProbe { jobs });
+        assert!(probes[2].ends_with(&listed), "{probes:#?}");
+        let restarts = sent(&log, gks[0], "RestartJobManager");
+        assert_eq!(restarts.len(), 3, "{restarts:#?}");
+        for (restart, contact) in restarts.iter().zip(501..504) {
+            assert!(restart.contains(&format!("contact: JobContact({contact})")));
+        }
+        assert_eq!(w.metrics().counter("gm.probes_missed"), 2);
+        for job in 1..=3 {
+            assert!(matches!(
+                gm.borrow().jobs[&GridJobId(job)].phase,
+                Phase::Live { .. }
+            ));
+        }
+    }
+
+    /// `seeded`'s GridManager, with `msg` posted to it and one second run:
+    /// what the sinks were sent, and the GridManager. Job 91 (contact 79)
+    /// is queued at east since time zero and 90 (contact 80) is the same
+    /// mid-move; both have west back on offer. The sink never calls back,
+    /// so a state learned here stands in for a lost callback.
+    fn after_post(msg: GramReply) -> (Vec<String>, Rc<RefCell<GridManager>>) {
+        let proxy = proxy(Duration::from_days(1));
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut w = World::new(Config::default().seed(9));
         let (home, away) = (w.add_node("submit"), w.add_node("site"));
-        let peer = w.add_component(away, "peer", Sink { log: log.clone() });
-        let scheduler = w.add_component(home, "scheduler", Sink { log: log.clone() });
+        let peer = w.add_component(away, "peer", Sink::new(&log, Answer::Alive));
+        let scheduler = w.add_component(home, "scheduler", Sink::new(&log, Answer::Alive));
         let mut gm = seeded(GmConfig::default(), &proxy, scheduler, peer);
-        let job = gm.by_contact[&JobContact(contact)];
-        gm.jobs.get_mut(&job).expect("seeded").excluded.clear();
+        for job in [90, 91] {
+            gm.jobs
+                .get_mut(&GridJobId(job))
+                .expect("seeded")
+                .excluded
+                .clear();
+        }
         let gm = Rc::new(RefCell::new(gm));
         let at = w.add_component(home, "gm", Shared(gm.clone()));
-        let contact = JobContact(contact);
-        w.post(
-            at,
-            JmMsg::ProbeReply {
-                nonce: 0,
-                contact,
-                state,
-            },
-        );
+        w.post(at, msg);
         w.run_until(SimTime::ZERO + Duration::from_secs(1));
         let seen = log.borrow().clone();
         (seen, gm)
     }
 
+    fn site_says(contact: u64, state: GramJobState) -> GramReply {
+        GramReply::SiteStatus {
+            changed: vec![(JobContact(contact), Some(state))],
+        }
+    }
+
     #[test]
     fn a_probe_learned_removed_moves_a_migrating_job() {
-        // Contact 81 is mid-move: the probe's Removed is the GridManager's
+        // Contact 80 is mid-move: the site's Removed is the GridManager's
         // own cancel, so the job goes to west instead of ending removed.
-        let (seen, gm) = probe_says(81, GramJobState::Removed);
+        let (seen, gm) = after_post(site_says(80, GramJobState::Removed));
         assert!(seen.iter().any(|l| l.ends_with("DoneAck")), "{seen:#?}");
         assert!(!seen.iter().any(|l| l.contains("Removed")), "{seen:#?}");
         let gm = gm.borrow();
-        let j = &gm.jobs[&GridJobId(89)];
+        let j = &gm.jobs[&GridJobId(90)];
         // The sink answers the new submission (seq 1000) as contact 6000.
         assert_eq!(j.contact, Some(JobContact(6000)));
         assert_eq!(j.site.as_deref(), Some("west"));
         assert_eq!(j.excluded, ["east"]);
         assert!(!j.migrating);
-        assert!(!gm.by_contact.contains_key(&JobContact(81)));
+        assert!(!gm.by_contact.contains_key(&JobContact(80)));
     }
 
-    #[test]
-    fn a_probe_learned_active_is_reported_and_ends_the_queue_wait() {
-        let (seen, gm) = probe_says(80, GramJobState::Active);
-        let updates: Vec<_> = seen.iter().filter(|l| l.contains("GmUpdate")).collect();
-        assert_eq!(updates.len(), 1, "{seen:#?}");
-        assert!(updates[0].ends_with("status: Active }"), "{seen:#?}");
+    /// The job's reports to the Scheduler, and its phase's state and
+    /// queue clock.
+    fn reported(
+        seen: &[String],
+        gm: &Rc<RefCell<GridManager>>,
+        job: u64,
+    ) -> (Vec<String>, GramJobState, Option<SimTime>) {
+        let updates = seen.iter().filter(|l| l.contains("GmUpdate")).cloned();
         let Phase::Live {
             gram_state,
             pending_since,
             ..
-        } = gm.borrow().jobs[&GridJobId(90)].phase
+        } = gm.borrow().jobs[&GridJobId(job)].phase
         else {
-            panic!("the job left Live");
+            panic!("the job is not Live");
         };
-        assert_eq!(gram_state, GramJobState::Active);
+        (updates.collect(), gram_state, pending_since)
+    }
+
+    #[test]
+    fn a_probe_learned_active_is_reported_and_ends_the_queue_wait() {
+        let (seen, gm) = after_post(site_says(79, GramJobState::Active));
+        let (updates, state, pending_since) = reported(&seen, &gm, 91);
+        assert_eq!(updates.len(), 1, "{seen:#?}");
+        assert!(updates[0].ends_with("status: Active }"), "{seen:#?}");
+        assert_eq!(state, GramJobState::Active);
         assert_eq!(pending_since, None);
+    }
+
+    #[test]
+    fn a_restarted_jobmanager_resumes_in_its_logged_state() {
+        // Job 94 (contact 76) awaits its restart; the log says Active.
+        let restarted = |state| GramReply::Restarted {
+            contact: JobContact(76),
+            jobmanager: Addr {
+                node: gridsim::NodeId(1),
+                comp: gridsim::CompId(0),
+            },
+            state,
+        };
+        let (seen, gm) = after_post(restarted(GramJobState::Active));
+        let (updates, state, pending_since) = reported(&seen, &gm, 94);
+        assert_eq!(updates.len(), 1, "{seen:#?}");
+        assert!(updates[0].ends_with("status: Active }"), "{seen:#?}");
+        assert_eq!(state, GramJobState::Active);
+        assert_eq!(pending_since, None);
+        // A terminal state is the JobManager's to announce: until it does,
+        // the job waits as queued.
+        let (seen, gm) = after_post(restarted(GramJobState::Done));
+        let (updates, state, _) = reported(&seen, &gm, 94);
+        assert!(updates.is_empty(), "{seen:#?}");
+        assert_eq!(state, GramJobState::Pending);
     }
 
     #[test]

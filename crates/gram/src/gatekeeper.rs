@@ -3,12 +3,13 @@
 //! One gatekeeper fronts each site. It authenticates every request with
 //! GSI, authorizes through the site gridmap, deduplicates submissions by
 //! `(DN, sequence number)` for exactly-once semantics, and spawns one
-//! JobManager daemon per job. It also answers liveness pings — the probe
-//! the GridManager uses to distinguish "JobManager crashed" from "whole
-//! machine or network down" (§4.2).
+//! JobManager daemon per job. It also answers each client's site probe
+//! with the jobs whose JobManager died or whose state moved: an answer
+//! tells the GridManager the machine is up, and names the JobManagers that
+//! crashed (§4.2).
 
 use crate::jobmanager::{JmLog, JobManager};
-use crate::proto::{GramError, GramReply, GramRequest, JmMsg, JobContact};
+use crate::proto::{GramError, GramJobState, GramReply, GramRequest, JmMsg, JobContact};
 use gass::GassUrl;
 use gridsim::hash::IdMap;
 use gridsim::metrics::SiteMetrics;
@@ -16,8 +17,9 @@ use gridsim::prelude::*;
 use gridsim::store::KeyBuf;
 use gridsim::AnyMsg;
 use gsi::{Capability, GridMap, ProxyCredential, PublicKey, TrustRoot};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// One dedup record persisted to stable storage so exactly-once survives
 /// gatekeeper machine restarts. Each record lives under its own key
@@ -40,7 +42,10 @@ pub struct Gatekeeper {
     /// `(DN, seq)` -> contact, one inner map per DN so a lookup borrows
     /// the DN it was handed instead of building an owned key.
     dedup: HashMap<Rc<str>, IdMap<u64, JobContact>>,
-    jobmanagers: IdMap<JobContact, Addr>,
+    /// Each JobManager this gatekeeper forked: its address and a weak
+    /// handle on its announced state, which fails to upgrade once the
+    /// JobManager is gone (killed, lost with its machine, or exited).
+    jobmanagers: IdMap<JobContact, (Addr, Weak<Cell<GramJobState>>)>,
     next_contact: u64,
     /// Store keys: `gram/gk/<site>/dedup/<contact>`, `…/next_contact`, and
     /// a scratch for the `gram/jm/<contact>` log keys this gatekeeper reads
@@ -161,15 +166,36 @@ impl Gatekeeper {
         } else {
             jm
         };
+        let state = jm.state_handle();
         let addr = ctx.spawn(ctx.node(), &format!("jm-{contact}"), jm);
-        self.jobmanagers.insert(contact, addr);
+        self.jobmanagers.insert(contact, (addr, state));
         addr
     }
 
+    /// The answer to a site probe of `jobs`: each job whose JobManager is
+    /// gone (`None`) or in a state other than the believed one, and each
+    /// job believed in no state, with its JobManager's state.
+    fn site_status(
+        &self,
+        jobs: Vec<(JobContact, Option<GramJobState>)>,
+    ) -> Vec<(JobContact, Option<GramJobState>)> {
+        jobs.into_iter()
+            .filter_map(|(contact, believed)| {
+                let state = self
+                    .jobmanagers
+                    .get(&contact)
+                    .and_then(|(_, state)| state.upgrade())
+                    .map(|cell| cell.get());
+                (believed.is_none() || state != believed).then_some((contact, state))
+            })
+            .collect()
+    }
+
     /// Rebuild the JobManager for `contact` from its stable log, as
-    /// forking a fresh jobmanager process would, and return its address;
-    /// `None` if the site holds no log for it. Both a retransmitted submit
-    /// whose JobManager is gone and a `RestartJobManager` come here.
+    /// forking a fresh jobmanager process would, and return its address
+    /// and the state it resumes in; `None` if the site holds no log for
+    /// it. Both a retransmitted submit whose JobManager is gone and a
+    /// `RestartJobManager` come here.
     fn respawn(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -178,9 +204,10 @@ impl Gatekeeper {
         gass: GassUrl,
         credential: ProxyCredential,
         stdout_have: u64,
-    ) -> Option<Addr> {
+    ) -> Option<(Addr, GramJobState)> {
         let node = ctx.node();
         let log = ctx.store().get::<JmLog>(node, self.jm_key.key(contact))?;
+        let state = log.state;
         let weather = self.weather(ctx);
         let jm = JobManager::recover(
             log,
@@ -191,7 +218,7 @@ impl Gatekeeper {
             stdout_have,
             weather,
         );
-        Some(self.spawn_jobmanager(ctx, contact, jm))
+        Some((self.spawn_jobmanager(ctx, contact, jm), state))
     }
 
     /// Reclamation on a JobManager's exit notice: every per-job record this
@@ -221,8 +248,9 @@ impl Component for Gatekeeper {
             return;
         };
         match *req {
-            GramRequest::Ping { nonce } => {
-                ctx.send(from, GramReply::Pong { nonce });
+            GramRequest::SiteProbe { jobs } => {
+                let changed = self.site_status(jobs);
+                ctx.send(from, GramReply::SiteStatus { changed });
             }
             GramRequest::Submit {
                 seq,
@@ -250,11 +278,14 @@ impl Component for Gatekeeper {
                     if let Some(&contact) = known {
                         ctx.metrics().incr("gram.duplicate_submits", 1);
                         ctx.trace_with("gram.dedup", || format!("dn={dn} seq={seq} -> {contact}"));
-                        // A JobManager that is gone (e.g. its machine
+                        // A JobManager that is gone (killed, or its machine
                         // restarted) is restarted from its log.
-                        let jm = match self.jobmanagers.get(&contact) {
-                            Some(&jm) => Some(jm),
-                            None => self.respawn(ctx, contact, callback, gass, credential, 0),
+                        let live = self.jobmanagers.get(&contact);
+                        let jm = match live.filter(|(_, state)| state.strong_count() > 0) {
+                            Some(&(jm, _)) => Some(jm),
+                            None => self
+                                .respawn(ctx, contact, callback, gass, credential, 0)
+                                .map(|(jm, _)| jm),
                         };
                         let reply = match jm {
                             Some(jobmanager) => GramReply::Submitted {
@@ -337,17 +368,18 @@ impl Component for Gatekeeper {
                 // may be a zombie the client can no longer reach) and start
                 // a fresh one from the stable log — like forking a new
                 // jobmanager process.
-                if let Some(jm) = self.jobmanagers.remove(&contact) {
+                if let Some((jm, _)) = self.jobmanagers.remove(&contact) {
                     ctx.kill(jm);
                 }
                 let reply =
                     match self.respawn(ctx, contact, callback, gass, credential, stdout_have) {
-                        Some(jobmanager) => {
+                        Some((jobmanager, state)) => {
                             ctx.metrics().incr("gram.jm_restarts", 1);
                             ctx.trace_with("gram.jm_restart", || format!("{contact}"));
                             GramReply::Restarted {
                                 contact,
                                 jobmanager,
+                                state,
                             }
                         }
                         None => GramReply::RestartFailed {
@@ -365,6 +397,56 @@ impl Component for Gatekeeper {
 mod tests {
     use super::*;
     use gridsim::codec::{from_bytes, to_bytes};
+    use gridsim::{CompId, NodeId};
+    use GramJobState::{Active, Pending, StageOut};
+
+    #[test]
+    fn a_site_probe_is_answered_with_the_jobs_that_have_news() {
+        let addr = Addr {
+            node: NodeId(1),
+            comp: CompId(2),
+        };
+        let mut gk = Gatekeeper::new("wisc", TrustRoot::new(), GridMap::new(), addr);
+        let cells: Vec<_> = [Active, Pending, StageOut, Active, Active]
+            .into_iter()
+            .map(|state| Rc::new(Cell::new(state)))
+            .collect();
+        for (i, cell) in cells.iter().enumerate() {
+            let handle = Rc::downgrade(cell);
+            gk.jobmanagers.insert(JobContact(i as u64), (addr, handle));
+        }
+        // The JobManager of contact 3 is killed: its cell is dropped.
+        let mut cells = cells;
+        cells.remove(3);
+        let asked = vec![
+            // Alive in the believed state: omitted.
+            (JobContact(0), Some(Active)),
+            // Alive in another state: listed with it.
+            (JobContact(1), Some(Active)),
+            // Believed nothing: listed, whatever its state, gone or not.
+            (JobContact(2), None),
+            (JobContact(8), None),
+            // Killed: listed as gone.
+            (JobContact(3), Some(Active)),
+            // Never forked here (a gatekeeper that lost its table): gone.
+            (JobContact(9), Some(Active)),
+            (JobContact(4), Some(Active)),
+        ];
+        assert_eq!(
+            gk.site_status(asked),
+            [
+                (JobContact(1), Some(Pending)),
+                (JobContact(2), Some(StageOut)),
+                (JobContact(8), None),
+                (JobContact(3), None),
+                (JobContact(9), None),
+            ]
+        );
+        // A state moves the moment its JobManager announces it.
+        cells[0].set(StageOut);
+        let asked = vec![(JobContact(0), Some(Active))];
+        assert_eq!(gk.site_status(asked), [(JobContact(0), Some(StageOut))]);
+    }
 
     /// The dedup record, written from a borrowed DN, byte for byte in
     /// the varint layout.

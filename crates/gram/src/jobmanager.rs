@@ -15,7 +15,8 @@ use gridsim::prelude::*;
 use gridsim::AnyMsg;
 use gsi::ProxyCredential;
 use site::{JobSpec, LrmEvent, LrmJobState, LrmReply, LrmRequest};
-use std::rc::Rc;
+use std::cell::Cell;
+use std::rc::{Rc, Weak};
 
 /// What the JobManager persists (and what a restarted JobManager resumes
 /// from).
@@ -79,7 +80,10 @@ pub struct JobManager {
     gass: GassUrl,
     lrm: Addr,
     local_user: String,
-    state: GramJobState,
+    /// The last announced state, shared with the gatekeeper that spawned
+    /// this JobManager: it holds the cell weakly and answers a site probe
+    /// from it, and a cell that no longer upgrades is a JobManager gone.
+    state: Rc<Cell<GramJobState>>,
     local_id: Option<u64>,
     stdout_sent: u64,
     auto_commit: bool,
@@ -158,7 +162,7 @@ impl JobManager {
             gass,
             lrm,
             local_user: local_user.to_string(),
-            state: GramJobState::PendingCommit,
+            state: Rc::new(Cell::new(GramJobState::PendingCommit)),
             local_id: None,
             stdout_sent: 0,
             auto_commit,
@@ -197,7 +201,7 @@ impl JobManager {
         let rsl = crate::rsl::parse(&log.rsl).expect("logged RSL re-parses");
         let (contact, user) = (log.contact, &log.local_user);
         JobManager {
-            state: log.state,
+            state: Rc::new(Cell::new(log.state)),
             local_id: log.local_id,
             stdout_sent: stdout_have.min(log.stdout_sent),
             recovering: true,
@@ -209,6 +213,17 @@ impl JobManager {
         }
     }
 
+    /// The last announced state.
+    fn state(&self) -> GramJobState {
+        self.state.get()
+    }
+
+    /// The gatekeeper's handle on [`Self::state`]: it reads the state while
+    /// this JobManager lives and fails to upgrade once it is dropped.
+    pub(crate) fn state_handle(&self) -> Weak<Cell<GramJobState>> {
+        Rc::downgrade(&self.state)
+    }
+
     /// The [`JmLog`] this JobManager would write now, field for field,
     /// borrowing its strings (the codec is positional, so the tuple's
     /// bytes are the struct's).
@@ -218,7 +233,7 @@ impl JobManager {
             self.rsl_text.as_str(),
             self.local_user.as_str(),
             self.local_id,
-            self.state,
+            self.state(),
             self.stdout_sent,
         )
     }
@@ -251,12 +266,12 @@ impl JobManager {
     /// JobManager announces; a restarted one may only repeat it.
     fn callback(&mut self, ctx: &mut Ctx<'_>, state: GramJobState) {
         assert!(
-            !self.state.is_terminal() || self.state == state,
+            !self.state().is_terminal() || self.state() == state,
             "{}: announced {state:?} after terminal {:?}",
             self.contact,
-            self.state
+            self.state()
         );
-        self.state = state;
+        self.state.set(state);
         if state.is_terminal() {
             // A terminal job neither polls nor stages any more.
             if let Some(poll) = self.poll_timer.take() {
@@ -485,11 +500,11 @@ impl JobManager {
     /// so each transition is announced and counted once however it was
     /// learned.
     fn observe_lrm(&mut self, ctx: &mut Ctx<'_>, state: Option<LrmJobState>) {
-        if self.state.is_terminal() {
+        if self.state().is_terminal() {
             return;
         }
         match state {
-            Some(LrmJobState::Running) if self.state != GramJobState::Active => {
+            Some(LrmJobState::Running) if self.state() != GramJobState::Active => {
                 ctx.metrics().incr("gram.jobs_started", 1);
                 ctx.trace_with("span", || {
                     format!("contact={} phase=active", self.contact.0)
@@ -497,10 +512,10 @@ impl JobManager {
                 self.callback(ctx, GramJobState::Active);
             }
             // Submitted, or vacated and requeued by the site.
-            Some(LrmJobState::Queued) if self.state != GramJobState::Pending => {
+            Some(LrmJobState::Queued) if self.state() != GramJobState::Pending => {
                 self.callback(ctx, GramJobState::Pending);
             }
-            Some(LrmJobState::Completed) if self.state != GramJobState::StageOut => {
+            Some(LrmJobState::Completed) if self.state() != GramJobState::StageOut => {
                 ctx.metrics().incr("gram.jobs_completed", 1);
                 self.begin_stage_out(ctx);
             }
@@ -521,10 +536,10 @@ impl Component for JobManager {
         self.persist(ctx);
         self.arm_poll(ctx);
         if self.recovering {
-            match (self.state, self.local_id) {
+            match (self.state(), self.local_id) {
                 // Terminal already: re-announce it so the client learns.
                 (s, _) if s.is_terminal() => {
-                    let state = self.state;
+                    let state = self.state();
                     self.callback(ctx, state);
                 }
                 // Mid-stage-out: resume shipping stdout.
@@ -589,7 +604,7 @@ impl Component for JobManager {
                             contact: self.contact,
                         },
                     );
-                    if self.state == GramJobState::PendingCommit && !self.committed {
+                    if self.state() == GramJobState::PendingCommit && !self.committed {
                         ctx.metrics().incr("gram.commits", 1);
                         ctx.metrics().add(self.weather.commits, 1);
                         self.begin_stage_in(ctx);
@@ -601,19 +616,9 @@ impl Component for JobManager {
                         ctx.metrics().add(self.weather.commit_timeouts, 1);
                     }
                 }
-                JmMsg::Probe { nonce } => {
-                    ctx.send(
-                        from,
-                        JmMsg::ProbeReply {
-                            nonce: *nonce,
-                            contact: self.contact,
-                            state: self.state,
-                        },
-                    );
-                }
                 // Too late: the client learns the outcome from its callback
-                // or its next probe.
-                JmMsg::Cancel if self.state.is_terminal() => {}
+                // or its next site probe.
+                JmMsg::Cancel if self.state().is_terminal() => {}
                 // Once the LRM `Submit` is sent, the LRM's own `Removed`
                 // event announces the cancel; while the `Submit` is in
                 // flight there is no job to cancel yet, so the cancel waits
@@ -628,7 +633,7 @@ impl Component for JobManager {
                     self.stdout_sent = *stdout_have;
                     self.client = from;
                     self.persist(ctx);
-                    if self.state == GramJobState::StageOut {
+                    if self.state() == GramJobState::StageOut {
                         self.begin_stage_out(ctx);
                     }
                 }
@@ -653,10 +658,7 @@ impl Component for JobManager {
                     // so die without retiring the address.
                     ctx.kill_transient(ctx.self_addr());
                 }
-                JmMsg::Exited { .. }
-                | JmMsg::Callback { .. }
-                | JmMsg::ProbeReply { .. }
-                | JmMsg::CommitAck { .. } => {}
+                JmMsg::Exited { .. } | JmMsg::Callback { .. } | JmMsg::CommitAck { .. } => {}
             }
             return;
         }
@@ -693,7 +695,7 @@ impl Component for JobManager {
         if let Ok(reply) = msg.downcast::<GassReply>() {
             match *reply {
                 // A job removed or failed during stage-in submits nothing.
-                GassReply::Data { .. } if !self.state.is_terminal() => {
+                GassReply::Data { .. } if !self.state().is_terminal() => {
                     if let Staging::Fetching { outstanding } = &mut self.staging {
                         *outstanding -= 1;
                         if *outstanding == 0 {
@@ -772,7 +774,7 @@ mod tests {
             (Some(12), GramJobState::StageOut),
         ] {
             jm.local_id = local_id;
-            jm.state = state;
+            jm.state.set(state);
             jm.stdout_sent = 17;
             let owned = JmLog {
                 contact: jm.contact,
@@ -798,7 +800,7 @@ mod tests {
     fn job_log_bytes_are_pinned() {
         let (mut jm, rsl) = fixture();
         jm.local_id = Some(12);
-        jm.state = GramJobState::StageOut;
+        jm.state.set(GramJobState::StageOut);
         jm.stdout_sent = 17;
         let owned = JmLog {
             contact: jm.contact,

@@ -113,10 +113,13 @@ pub enum GramRequest {
         /// work-in-progress authorization mode).
         capability: Option<gsi::Capability>,
     },
-    /// Liveness probe ("the GridManager then probes the GateKeeper").
-    Ping {
-        /// Echoed in the reply.
-        nonce: u64,
+    /// One client's status poll of this site, once per probe interval:
+    /// each of its jobs here with the state the client believes it in, or
+    /// `None` to have it answered regardless. It doubles as §4.2's
+    /// gatekeeper probe: any answer shows the gatekeeper is up.
+    SiteProbe {
+        /// The jobs asked about.
+        jobs: Vec<(JobContact, Option<GramJobState>)>,
     },
     /// Ask the gatekeeper to start a fresh JobManager for a job whose
     /// JobManager died (recovery path, §4.2).
@@ -156,10 +159,12 @@ pub enum GramReply {
         /// Why.
         error: GramError,
     },
-    /// Ping answer.
-    Pong {
-        /// Echo of the nonce.
-        nonce: u64,
+    /// `SiteProbe` answer: only the asked-about jobs whose JobManager is
+    /// gone (`None`) or whose state is not the believed one (or was not
+    /// given), so a quiet site answers with an empty list.
+    SiteStatus {
+        /// The jobs with news, and their JobManager's state.
+        changed: Vec<(JobContact, Option<GramJobState>)>,
     },
     /// RestartJobManager answer: new JobManager address.
     Restarted {
@@ -167,6 +172,8 @@ pub enum GramReply {
         contact: JobContact,
         /// The fresh JobManager.
         jobmanager: Addr,
+        /// The state it resumes in, from the job's log.
+        state: GramJobState,
     },
     /// RestartJobManager refusal.
     RestartFailed {
@@ -188,21 +195,6 @@ pub enum JmMsg {
     CommitAck {
         /// The job.
         contact: JobContact,
-    },
-    /// Liveness probe ("periodically probing the JobManagers of all the
-    /// jobs it manages").
-    Probe {
-        /// Echoed in `ProbeReply`.
-        nonce: u64,
-    },
-    /// Probe answer, with current state (a probe doubles as a status poll).
-    ProbeReply {
-        /// Echo of the nonce.
-        nonce: u64,
-        /// The job.
-        contact: JobContact,
-        /// Current state.
-        state: GramJobState,
     },
     /// Cancel the job.
     Cancel,

@@ -33,6 +33,8 @@ struct TestClient {
     /// (when, contact_seq) — send RestartJobManager for that job.
     restart_at: Option<Duration>,
     cancel_at: Option<(Duration, u64)>,
+    /// When to retransmit job 0's submit once more, answered or not.
+    resubmit_at: Option<Duration>,
     jobmanagers: BTreeMap<u64, Addr>,
 }
 
@@ -49,6 +51,7 @@ impl TestClient {
             retransmit: Some(Duration::from_secs(10)),
             restart_at: None,
             cancel_at: None,
+            resubmit_at: None,
             jobmanagers: BTreeMap::new(),
         }
     }
@@ -67,6 +70,7 @@ impl TestClient {
 const RETRY_BASE: u64 = 1_000_000;
 const RESTART_TAG: u64 = 9_000_000;
 const CANCEL_TAG: u64 = 9_000_001;
+const RESUBMIT_TAG: u64 = 9_000_002;
 
 impl Component for TestClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -90,6 +94,9 @@ impl Component for TestClient {
         }
         if let Some((at, _)) = self.cancel_at {
             ctx.set_timer(at, CANCEL_TAG);
+        }
+        if let Some(at) = self.resubmit_at {
+            ctx.set_timer(at, RESUBMIT_TAG);
         }
     }
 
@@ -120,6 +127,10 @@ impl Component for TestClient {
                     },
                 );
             }
+        } else if tag == RESUBMIT_TAG {
+            if let Some(s) = self.sessions.get_mut(&0) {
+                ctx.send(self.gatekeeper, s.request());
+            }
         } else if tag == CANCEL_TAG {
             if let Some((_, seq)) = self.cancel_at {
                 if let Some(&jm) = self.jobmanagers.get(&seq) {
@@ -139,6 +150,10 @@ impl Component for TestClient {
                 } => {
                     self.contacts.insert(contact.0, *seq);
                     self.jobmanagers.insert(*seq, *jobmanager);
+                    // The latest answer, for tests to read back.
+                    let node = ctx.node();
+                    ctx.store()
+                        .put(node, &format!("submitted/{seq}"), &(contact.0, *jobmanager));
                     if let Some(s) = self.sessions.get_mut(seq) {
                         use gram::client::SubmitAction;
                         if let SubmitAction::SendCommit { jobmanager, .. } = s.on_reply(reply) {
@@ -156,6 +171,7 @@ impl Component for TestClient {
                 GramReply::Restarted {
                     contact,
                     jobmanager,
+                    ..
                 } => {
                     if let Some(&seq) = self.contacts.get(&contact.0) {
                         self.jobmanagers.insert(seq, *jobmanager);
@@ -478,6 +494,33 @@ fn exactly_once_when_retransmits_cross_a_gatekeeper_crash() {
     assert!(w.metrics().counter("gram.duplicate_submits") >= 1);
     assert_eq!(w.metrics().counter("site.completed"), 1);
     let _ = (r.client, r.gatekeeper);
+}
+
+#[test]
+fn a_retransmitted_submit_whose_jobmanager_died_respawns_it() {
+    let r = rig(12, vec![], |client, _| {
+        client.jobs = vec![job_rsl(&client.gass_url, 600, 0)];
+        client.resubmit_at = Some(Duration::from_secs(180));
+    });
+    let mut w = r.world;
+    w.run_until(SimTime::ZERO + Duration::from_secs(120));
+    let (contact, first): (u64, Addr) = w.store().get(r.client_node, "submitted/0").unwrap();
+    let name = format!("jm-{}", JobContact(contact));
+    assert_eq!(w.lookup(r.gk_node, &name), Some(first));
+    // Its JobManager dies mid-run; then the same (DN, seq) comes again.
+    w.kill_component_now(first);
+    assert_eq!(w.lookup(r.gk_node, &name), None);
+    w.run_until(SimTime::ZERO + Duration::from_secs(240));
+    assert_eq!(w.metrics().counter("gram.duplicate_submits"), 1);
+    let (again, jobmanager): (u64, Addr) = w.store().get(r.client_node, "submitted/0").unwrap();
+    assert_eq!(again, contact);
+    assert_eq!(w.lookup(r.gk_node, &name), Some(jobmanager));
+    // The respawned JobManager sees the job through, once.
+    w.run_until_quiescent();
+    let cbs = callbacks_of(&w, r.client_node, 0);
+    assert_eq!(cbs.last().map(String::as_str), Some("Done"), "{cbs:?}");
+    assert_eq!(w.metrics().counter("gram.submits"), 1);
+    assert_eq!(w.metrics().counter("site.completed"), 1);
 }
 
 #[test]

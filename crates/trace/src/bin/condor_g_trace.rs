@@ -15,12 +15,14 @@
 //!
 //! Exit status: 0 on success, 1 on parse errors, an empty causal DAG
 //! (a trace with no provenance is useless for forensics, and usually means
-//! the file is not a simulator trace), or a Perfetto self-verification
-//! failure, 2 on usage errors.
+//! the file is not a simulator trace), a Perfetto self-verification
+//! failure, or a failed write to stdout, 2 on usage errors. A reader that
+//! closes stdout early (`| head`) ends the reports quietly, exit 0.
 
 use condor_g_trace::{perfetto, Forensics};
 use gridsim::time::Duration;
 use gridsim::trace::{jsonl, TraceEvent};
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 struct Options {
@@ -89,20 +91,39 @@ fn convert(args: &[String]) -> ExitCode {
         eprintln!("condor-g-trace: {out}: {e}");
         return ExitCode::from(2);
     }
-    println!(
-        "{out}: {} bytes, {} packets ({} events, {} phase slices) | tracks: {} jobs, \
-         {} sites, {} components | {} flow edges, {} critical-path events",
-        bytes.len(),
-        summary.packets,
-        summary.instants,
-        summary.slices,
-        summary.job_tracks,
-        summary.site_tracks,
-        summary.component_tracks,
-        summary.flow_edges,
-        summary.critical_instants,
-    );
-    ExitCode::SUCCESS
+    emit(|w| {
+        writeln!(
+            w,
+            "{out}: {} bytes, {} packets ({} events, {} phase slices) | tracks: {} jobs, \
+             {} sites, {} components | {} flow edges, {} critical-path events",
+            bytes.len(),
+            summary.packets,
+            summary.instants,
+            summary.slices,
+            summary.job_tracks,
+            summary.site_tracks,
+            summary.component_tracks,
+            summary.flow_edges,
+            summary.critical_instants,
+        )
+    })
+}
+
+/// Write a report to stdout, locked and buffered. A closed stdout (the
+/// reader is gone, as with `| head`) is an ordinary end: exit 0, nothing
+/// printed; any other write error exits 1 naming stdout.
+fn emit(
+    report: impl FnOnce(&mut BufWriter<io::StdoutLock<'static>>) -> io::Result<()>,
+) -> ExitCode {
+    let mut w = BufWriter::new(io::stdout().lock());
+    match report(&mut w).and_then(|()| w.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("condor-g-trace: stdout: {e}");
+            ExitCode::from(1)
+        }
+    }
 }
 
 fn parse_args(args: &[String]) -> Result<Options, ()> {
@@ -144,8 +165,8 @@ fn parse_args(args: &[String]) -> Result<Options, ()> {
     Ok(opts)
 }
 
-fn print_critical_paths(f: &Forensics, only: Option<u64>) {
-    println!("== critical paths ==");
+fn print_critical_paths(w: &mut impl Write, f: &Forensics, only: Option<u64>) -> io::Result<()> {
+    writeln!(w, "== critical paths ==")?;
     for job in f.jobs.keys().copied().collect::<Vec<_>>() {
         if only.is_some_and(|j| j != job) {
             continue;
@@ -163,71 +184,81 @@ fn print_critical_paths(f: &Forensics, only: Option<u64>) {
                 )
             })
             .collect();
-        println!(
+        writeln!(
+            w,
             "gj{job}: {} in {:.1}s over {} steps | {}",
             cp.outcome,
             cp.total.as_secs_f64(),
             cp.steps.len(),
             blame.join(", ")
-        );
+        )?;
         // Full step listing only for a single selected job.
         if only.is_some() {
             for s in &cp.steps {
-                println!(
+                writeln!(
+                    w,
                     "  [{:>12}] +{:>9.3}s {:<13} {}",
                     s.time,
                     s.elapsed.as_secs_f64(),
                     s.category,
                     s.label
-                );
+                )?;
             }
         }
     }
+    Ok(())
 }
 
-fn print_stuck(f: &Forensics, horizon: Duration) {
-    println!("== stuck jobs (horizon {:.0}s) ==", horizon.as_secs_f64());
+fn print_stuck(w: &mut impl Write, f: &Forensics, horizon: Duration) -> io::Result<()> {
+    writeln!(
+        w,
+        "== stuck jobs (horizon {:.0}s) ==",
+        horizon.as_secs_f64()
+    )?;
     let stuck = f.stuck_jobs(horizon);
     if stuck.is_empty() {
-        println!("none");
-        return;
+        return writeln!(w, "none");
     }
     for s in stuck {
-        println!(
+        writeln!(
+            w,
             "gj{}: stuck in {} since {} (site {})",
             s.job,
             s.last_phase,
             s.since,
             s.site.as_deref().unwrap_or("-")
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn print_root_causes(f: &Forensics) {
-    println!("== failure attribution ==");
+fn print_root_causes(w: &mut impl Write, f: &Forensics) -> io::Result<()> {
+    writeln!(w, "== failure attribution ==")?;
     let causes = f.root_causes();
     if causes.is_empty() {
-        println!("no attempt failures");
-        return;
+        return writeln!(w, "no attempt failures");
     }
     for a in causes {
         let verdict = match &a.cause {
             Some((kind, detail, t)) => format!("{kind} {detail} at {t} [{}]", a.via),
             None => "unattributed".to_string(),
         };
-        println!(
+        writeln!(
+            w,
             "gj{} failed at {} ({}, site {}): {}",
             a.job,
             a.time,
             a.why,
             a.site.as_deref().unwrap_or("-"),
             verdict
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn print_summary(f: &Forensics, path: &str) {
-    println!(
+fn print_summary(w: &mut impl Write, f: &Forensics, path: &str) -> io::Result<()> {
+    writeln!(
+        w,
         "{}: {} records, {} observable events, {} roots, {} jobs ({} terminal, {} resubmitted)",
         path,
         f.records.len(),
@@ -236,20 +267,22 @@ fn print_summary(f: &Forensics, path: &str) {
         f.jobs.len(),
         f.jobs.values().filter(|j| j.terminal.is_some()).count(),
         f.resubmitted_jobs().count(),
-    );
+    )
 }
 
-fn run_reports(f: &Forensics, opts: &Options) {
+fn run_reports(w: &mut impl Write, f: &Forensics, opts: &Options) -> io::Result<()> {
+    print_summary(w, f, &opts.path)?;
     let all = !opts.critical_path && !opts.stuck && !opts.root_cause;
     if opts.critical_path || all {
-        print_critical_paths(f, opts.job);
+        print_critical_paths(w, f, opts.job)?;
     }
     if opts.stuck || all {
-        print_stuck(f, opts.horizon);
+        print_stuck(w, f, opts.horizon)?;
     }
     if opts.root_cause || all {
-        print_root_causes(f);
+        print_root_causes(w, f)?;
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -272,7 +305,5 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    print_summary(&f, &opts.path);
-    run_reports(&f, &opts);
-    ExitCode::SUCCESS
+    emit(|w| run_reports(w, &f, &opts))
 }

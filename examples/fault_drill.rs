@@ -59,8 +59,8 @@ fn main() {
     println!("  jobs submitted     {}", m.counter("condor_g.submitted"));
     println!("  site executions    {}", m.counter("site.completed"));
     println!("  jobs done          {}", m.counter("condor_g.jobs_done"));
-    println!("  probes sent        {}", m.counter("gm.probes"));
-    println!("  probes missed      {}", m.counter("gm.probes_missed"));
+    println!("  site probes sent   {}", m.counter("gm.probes"));
+    println!("  site probes missed {}", m.counter("gm.probes_missed"));
     println!("  JobManager restarts {}", m.counter("gram.jm_restarts"));
     println!(
         "  duplicate submits deduped {}",
@@ -78,7 +78,7 @@ fn main() {
     for e in tb.world.trace().events().iter().filter(|e| {
         matches!(
             &*e.kind,
-            "gm.jm_lost" | "gram.jm_restart" | "gram.dedup" | "gm.attempt_failed"
+            "gm.jm_lost" | "gm.site_lost" | "gram.jm_restart" | "gram.dedup" | "gm.attempt_failed"
         )
     }) {
         println!("  {e}");
