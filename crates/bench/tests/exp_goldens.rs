@@ -48,6 +48,58 @@ fn experiment_tables_are_golden() {
     for (bin, child, _dir) in runs {
         let out = child.wait_with_output().expect("child runs");
         assert!(out.status.success(), "{bin}: {}", out.status);
+        if bin == "exp_glidein" {
+            assert_x4_shape(&String::from_utf8_lossy(&out.stdout));
+        }
         assert_golden(&format!("exp.{bin}.stdout"), fnv1a(&out.stdout));
+    }
+}
+
+/// X4's verdict, whatever the exact table: behind a backlog, a GlideIn
+/// job waits the same at every backlog and less than direct GRAM's, and
+/// the 90th percentile waits at least a job length (30 minutes), because
+/// 24 jobs share the idle site's 16 CPUs and 8 of them must wait for one.
+fn assert_x4_shape(stdout: &str) {
+    // `(backlog, strategy) -> (mean, p90)` wait in minutes, from the rows
+    // of a table whose columns are two or more spaces apart.
+    let rows: Vec<(u64, &str, f64, f64)> = stdout
+        .lines()
+        .filter_map(|line| {
+            let cols: Vec<&str> = line
+                .split("  ")
+                .map(str::trim)
+                .filter(|c| !c.is_empty())
+                .collect();
+            match cols[..] {
+                [backlog, strategy, _done, mean, p90, _last] => Some((
+                    backlog.parse().ok()?,
+                    strategy,
+                    mean.parse().ok()?,
+                    p90.parse().ok()?,
+                )),
+                _ => None,
+            }
+        })
+        .collect();
+    let wait = |backlog: u64, strategy: &str| {
+        rows.iter()
+            .find(|r| r.0 == backlog && r.1 == strategy)
+            .map(|r| (r.2, r.3))
+            .unwrap_or_else(|| panic!("X4 has no row {backlog} {strategy}:\n{stdout}"))
+    };
+    let glidein = "GlideIn (late binding)";
+    let (mean4, _) = wait(4, glidein);
+    for backlog in [4, 8, 16] {
+        let (mean, p90) = wait(backlog, glidein);
+        let (direct, _) = wait(backlog, "direct GRAM");
+        assert_eq!(mean, mean4, "X4 GlideIn mean wait at backlog {backlog}");
+        assert!(
+            mean < direct,
+            "X4 backlog {backlog}: GlideIn {mean} min, direct {direct} min"
+        );
+        assert!(
+            p90 >= 30.0,
+            "X4 backlog {backlog}: GlideIn p90 {p90} min < one job length"
+        );
     }
 }

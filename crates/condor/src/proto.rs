@@ -222,9 +222,14 @@ pub struct VacateNotice {
     pub checkpointed_work: Duration,
 }
 
-/// Shadow → schedd: terminal outcomes.
+/// Shadow → schedd: the claim activated, and what ended the execution.
 #[derive(Debug)]
 pub enum ShadowReport {
+    /// The startd accepted the claim and the job is starting on it.
+    Activated {
+        /// The job.
+        job: JobId,
+    },
     /// Job finished.
     Done {
         /// The job.
@@ -241,7 +246,8 @@ pub enum ShadowReport {
         /// Checkpointed progress to resume from.
         done_work: Duration,
     },
-    /// The claim never activated (rejected); job back to idle.
+    /// The claim never activated (rejected or unanswered); job back to
+    /// idle, and the attempt does not count.
     MatchFailed {
         /// The job.
         job: JobId,

@@ -14,6 +14,7 @@ use crate::proto::{
     PoolJobState, PoolRemove, PoolSubmit, PoolSubmitted, ShadowReport,
 };
 use crate::shadow::Shadow;
+use crate::startd::{AD_LIFETIME, UPDATE_INTERVAL};
 use classads::ClassAd;
 use gridsim::prelude::*;
 use gridsim::AnyMsg;
@@ -80,7 +81,6 @@ pub struct Schedd {
     collectors: Vec<Addr>,
     jobs: BTreeMap<JobId, JobRec>,
     next_id: u64,
-    advertise_period: Duration,
     /// Jobs vacated more than this many times go on Hold.
     max_attempts: u32,
 }
@@ -93,7 +93,6 @@ impl Schedd {
             collectors,
             jobs: BTreeMap::new(),
             next_id: 0,
-            advertise_period: Duration::from_mins(2),
             max_attempts: 50,
         }
     }
@@ -194,7 +193,7 @@ impl Schedd {
                     kind: AdKind::Submitter,
                     name: self.name.clone(),
                     ad: Rc::clone(&ad),
-                    ttl: self.advertise_period * 3,
+                    ttl: AD_LIFETIME,
                     contact: me,
                 },
             );
@@ -205,13 +204,13 @@ impl Schedd {
 impl Component for Schedd {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.advertise(ctx);
-        ctx.set_timer(self.advertise_period, TAG_ADVERTISE);
+        ctx.set_timer(UPDATE_INTERVAL, TAG_ADVERTISE);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
         if tag == TAG_ADVERTISE {
             self.advertise(ctx);
-            ctx.set_timer(self.advertise_period, TAG_ADVERTISE);
+            ctx.set_timer(UPDATE_INTERVAL, TAG_ADVERTISE);
         }
     }
 
@@ -258,8 +257,9 @@ impl Component for Schedd {
             if rec.state != PoolJobState::Idle {
                 return; // raced with another pool's negotiator (flocking)
             }
+            // Running to the negotiator from here on; to the submitter,
+            // and toward `max_attempts`, only once the claim activates.
             rec.state = PoolJobState::Running;
-            rec.attempts += 1;
             let shadow = Shadow::new(
                 me,
                 &name,
@@ -271,12 +271,17 @@ impl Component for Schedd {
             let node = ctx.node();
             ctx.spawn(node, &format!("shadow-{}", m.job), shadow);
             ctx.metrics().incr("schedd.matches", 1);
-            self.persist_job(ctx, m.job);
-            self.notify(ctx, m.job);
             return;
         }
         if let Some(report) = msg.downcast_ref::<ShadowReport>() {
             match report {
+                ShadowReport::Activated { job } => {
+                    if let Some(rec) = self.jobs.get_mut(job) {
+                        rec.attempts += 1;
+                        self.persist_job(ctx, *job);
+                        self.notify(ctx, *job);
+                    }
+                }
                 ShadowReport::Done { job, ok, cpu_time } => {
                     if let Some(rec) = self.jobs.get_mut(job) {
                         rec.state = if *ok {
@@ -309,10 +314,10 @@ impl Component for Schedd {
                     }
                 }
                 ShadowReport::MatchFailed { job } => {
+                    // Nothing was persisted or announced at the match.
                     if let Some(rec) = self.jobs.get_mut(job) {
                         if rec.state == PoolJobState::Running {
                             rec.state = PoolJobState::Idle;
-                            self.persist_job(ctx, *job);
                         }
                     }
                 }
@@ -507,6 +512,87 @@ mod tests {
         assert_eq!(w.metrics().counter("schedd.completed"), 6);
         // 6 jobs × 30 min on 3 machines ≥ 1 hour; matches took ≥2 cycles.
         assert!(w.metrics().counter("negotiator.matches") >= 6);
+    }
+
+    /// A pool with a node `exec0` for its one startd, which the caller
+    /// adds, and one user submitting `jobs`: `(exec0, collector, submit)`.
+    fn one_machine_pool(w: &mut World, jobs: Vec<ClassAd>) -> (NodeId, Addr, NodeId) {
+        let (collector, _) = pool(w, 0, None);
+        let exec = w.add_node("exec0");
+        let ns = w.add_node("submit");
+        let schedd = w.add_component(ns, "schedd", Schedd::new("schedd1", vec![collector]));
+        w.add_component(
+            ns,
+            "user",
+            User {
+                schedd,
+                jobs,
+                events: Map::new(),
+                ids: Map::new(),
+            },
+        );
+        (exec, collector, ns)
+    }
+
+    #[test]
+    fn a_job_is_running_to_its_submitter_only_once_a_claim_activates() {
+        // The startd advertises at boot and dies without an Invalidate
+        // before any claim can reach it (a claim arrives six WAN hops of
+        // at least 20 ms after a cycle opens): its ad lingers, the
+        // negotiator matches the job to it, and each such claim times out.
+        // Only the live startd added at 30 minutes activates the job.
+        let mut w = World::new(Config::default().seed(26));
+        let (exec, collector, ns) = one_machine_pool(&mut w, vec![job_ad(600)]);
+        let dead = w.add_component(
+            exec,
+            "startd",
+            Startd::new("exec0", machine_ad(), collector),
+        );
+        w.run_until(SimTime::ZERO + Duration::from_millis(50));
+        w.kill_component_now(dead);
+        w.run_until(SimTime::ZERO + Duration::from_mins(30));
+        assert!(w.metrics().counter("shadow.claim_timeouts") >= 1);
+        assert_eq!(events_for(&w, ns, 0), ["Idle"]);
+        w.add_component(
+            exec,
+            "startd2",
+            Startd::new("exec0", machine_ad(), collector),
+        );
+        w.run_until(SimTime::ZERO + Duration::from_hours(2));
+        assert_eq!(events_for(&w, ns, 0), ["Idle", "Running", "Completed"]);
+    }
+
+    #[test]
+    fn a_released_machine_is_matched_again_without_a_rejected_claim() {
+        // Two 10-minute jobs on one machine. The first claim takes the
+        // machine out of the negotiator's view at once, so the second job
+        // is never matched to it while it is busy, and is matched within a
+        // cycle of the release: the release (two hops after the job ends),
+        // the advert (one), then at most one cycle and its four hops.
+        let mut w = World::new(Config::default().seed(27).with_trace());
+        let (exec, collector, _) = one_machine_pool(&mut w, vec![job_ad(600), job_ad(600)]);
+        w.add_component(
+            exec,
+            "startd",
+            Startd::new("exec0", machine_ad(), collector),
+        );
+        w.run_until(SimTime::ZERO + Duration::from_hours(2));
+        assert_eq!(w.metrics().counter("schedd.completed"), 2);
+        assert_eq!(w.metrics().counter("condor.claims_rejected"), 0);
+        let first_done = w.trace().of_kind("startd.done").next().expect("done").time;
+        let matches: Vec<_> = w
+            .trace()
+            .of_kind("negotiator.match")
+            .map(|e| e.time)
+            .collect();
+        assert_eq!(matches.len(), 2);
+        let wan_hop = Duration::from_millis(40);
+        assert!(matches[1] > first_done);
+        assert!(
+            matches[1] - first_done <= Duration::from_mins(1) + wan_hop * 7,
+            "second match {:?} after the first job ended",
+            matches[1] - first_done
+        );
     }
 
     #[test]

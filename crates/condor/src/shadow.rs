@@ -149,6 +149,7 @@ impl Component for Shadow {
                         },
                     );
                     ctx.set_timer(self.watchdog, TAG_WATCHDOG);
+                    ctx.send(self.schedd, ShadowReport::Activated { job: self.job });
                 }
                 ClaimReply::Rejected { reason } => {
                     ctx.trace_with("shadow.claim_rejected", || reason.clone());

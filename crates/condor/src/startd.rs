@@ -103,6 +103,13 @@ const STATE_TIMER_NAMES: [&str; 6] = ["end", "ckpt", "io", "keepalive", "idle", 
 /// Busy startds ping their shadow this often.
 const KEEPALIVE: Duration = Duration::from_mins(10);
 const CLAIM_LEASE: Duration = Duration::from_mins(20);
+/// A startd or schedd re-sends its ad this often as a heartbeat (Condor's
+/// `UPDATE_INTERVAL`); a startd also advertises each change of state at
+/// once.
+pub(crate) const UPDATE_INTERVAL: Duration = Duration::from_mins(5);
+/// The collector keeps an ad this long past its last refresh (Condor's
+/// `CLASSAD_LIFETIME`): three missed heartbeats.
+pub(crate) const AD_LIFETIME: Duration = Duration::from_mins(15);
 
 /// The startd component.
 pub struct Startd {
@@ -113,7 +120,6 @@ pub struct Startd {
     collector: Addr,
     /// Optional checkpoint server; checkpoints also always reach the shadow.
     ckpt_server: Option<Addr>,
-    advertise_period: Duration,
     ckpt_interval: Option<Duration>,
     owner_model: Option<OwnerModel>,
     /// Remaining allocation (glideins); at expiry the daemon exits.
@@ -122,7 +128,7 @@ pub struct Startd {
     idle_timeout: Option<Duration>,
     state: State,
     /// The ad last sent to the collector and the state name in it. Every
-    /// period re-sends this handle; only a state change builds a new ad.
+    /// heartbeat re-sends this handle; only a state change builds a new ad.
     advertised: Option<(&'static str, Rc<ClassAd>)>,
 }
 
@@ -134,7 +140,6 @@ impl Startd {
             base_ad,
             collector,
             ckpt_server: None,
-            advertise_period: Duration::from_mins(2),
             ckpt_interval: Some(Duration::from_mins(10)),
             owner_model: None,
             lease: None,
@@ -176,8 +181,9 @@ impl Startd {
     }
 
     /// Leave the current state for `next`: arm `next`'s entry timers,
-    /// cancel whatever the old state still holds, and hand the old state
-    /// back. Every state change goes through here.
+    /// cancel whatever the old state still holds, advertise if the kind of
+    /// state changed, and hand the old state back. Every state change goes
+    /// through here.
     fn enter(&mut self, ctx: &mut Ctx<'_>, mut next: State) -> State {
         match &mut next {
             State::Owner => {}
@@ -202,6 +208,9 @@ impl Startd {
             if let Some(id) = old.slot(tag).and_then(Option::take) {
                 ctx.cancel_timer(id);
             }
+        }
+        if std::mem::discriminant(&old) != std::mem::discriminant(&self.state) {
+            self.advertise(ctx);
         }
         old
     }
@@ -234,7 +243,7 @@ impl Startd {
                 kind: AdKind::Machine,
                 name: self.name.clone(),
                 ad,
-                ttl: self.advertise_period * 3,
+                ttl: AD_LIFETIME,
                 contact: me,
             },
         );
@@ -285,7 +294,7 @@ impl Startd {
 impl Component for Startd {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.advertise(ctx);
-        ctx.set_timer(self.advertise_period, TAG_ADVERTISE);
+        ctx.set_timer(UPDATE_INTERVAL, TAG_ADVERTISE);
         if let Some(model) = &self.owner_model {
             let first = ctx.rng().duration(&model.available_for);
             ctx.set_timer(first, TAG_OWNER);
@@ -313,7 +322,7 @@ impl Component for Startd {
         match (tag, &mut self.state) {
             (TAG_ADVERTISE, _) => {
                 self.advertise(ctx);
-                ctx.set_timer(self.advertise_period, TAG_ADVERTISE);
+                ctx.set_timer(UPDATE_INTERVAL, TAG_ADVERTISE);
             }
             (TAG_OWNER, _) => {
                 let Some(model) = self.owner_model.clone() else {
@@ -330,7 +339,6 @@ impl Component for Startd {
                 };
                 let next = ctx.rng().duration(next);
                 ctx.set_timer(next, TAG_OWNER);
-                self.advertise(ctx);
             }
             (TAG_END, State::Busy(run)) => {
                 let now = ctx.now();
@@ -396,7 +404,6 @@ impl Component for Startd {
                 // The shadow went silent on an idle claim: release it.
                 ctx.metrics().incr("condor.claim_leases_expired", 1);
                 self.enter(ctx, State::Unclaimed { idle: None });
-                self.advertise(ctx);
             }
             (TAG_IDLE, _) => self.shutdown(ctx, "idle timeout"),
             _ => {}
@@ -503,12 +510,14 @@ mod tests {
     const IDLE: Duration = Duration::from_mins(30);
 
     /// What the shadow saw: keepalives per activation, and when it sent
-    /// its `ReleaseClaim`.
+    /// its `ReleaseClaim`; and what the collector saw: each advert's
+    /// arrival, `State` and TTL.
     #[derive(Default)]
     struct Seen {
         keepalives: Vec<u32>,
         exits: u32,
         released: Option<SimTime>,
+        adverts: Vec<(SimTime, String, Duration)>,
     }
 
     /// A shadow that claims the startd once and runs `jobs` on the claim
@@ -574,21 +583,28 @@ mod tests {
         }
     }
 
-    /// Swallows the startd's adverts.
-    struct Collector;
-    impl Component for Collector {}
+    /// Records the startd's adverts.
+    struct Collector(Rc<RefCell<Seen>>);
+    impl Component for Collector {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+            if let Some(ad) = msg.downcast_ref::<Advertise>() {
+                let state = ad.ad.get_str("State").expect("a machine ad has a State");
+                self.0.borrow_mut().adverts.push((ctx.now(), state, ad.ttl));
+            }
+        }
+    }
 
     /// A glidein startd (idle timeout `IDLE`) and one shadow, run for a
     /// day: the trace and what the shadow saw.
     fn run(jobs: Vec<Duration>, think: Duration) -> (World, Seen) {
         let mut w = World::new(Config::default().seed(5).with_trace());
         let node = w.add_node("glidein");
-        let collector = w.add_component(node, "collector", Collector);
+        let seen = Rc::new(RefCell::new(Seen::default()));
+        let collector = w.add_component(node, "collector", Collector(Rc::clone(&seen)));
         let startd = Startd::new("glidein", ClassAd::new(), collector)
             .with_lease(Duration::from_days(2))
             .with_idle_timeout(IDLE);
         let startd = w.add_component(node, "startd", startd);
-        let seen = Rc::new(RefCell::new(Seen::default()));
         let shadow = Shadow {
             startd,
             jobs,
@@ -616,6 +632,52 @@ mod tests {
         assert_eq!(seen.exits, 3);
         assert_eq!(seen.keepalives, [3, 3, 3]);
         assert_eq!(w.metrics().counter("condor.startd_exits"), 1);
+    }
+
+    #[test]
+    fn a_startd_advertises_each_change_and_heartbeats_between() {
+        // One 35-minute job. The claim reaches the startd at HOP, the
+        // activation at 3 HOP (reply, then a zero think time), the end at
+        // 3 HOP + 35 min and the release a round trip later. A heartbeat
+        // leaves every UPDATE_INTERVAL from boot; the glidein exits idle
+        // IDLE after the release and is Owner for its last instant.
+        // Times are when each advert leaves the startd.
+        let (w, seen) = run(vec![Duration::from_mins(35)], Duration::ZERO);
+        let t0 = SimTime::ZERO;
+        let end = t0 + HOP * 3 + Duration::from_mins(35);
+        let released = seen.released.expect("released") + HOP;
+        assert_eq!(released, end + HOP * 2);
+        let exit = exited_at(&w);
+        assert_eq!(exit, released + IDLE);
+        let mut want = vec![
+            (t0, "Unclaimed"),
+            (t0 + HOP, "Claimed"),
+            (t0 + HOP * 3, "Busy"),
+            (end, "Claimed"),
+            (released, "Unclaimed"),
+            (exit, "Owner"),
+        ];
+        let mut beat = t0 + UPDATE_INTERVAL;
+        while beat < exit {
+            let state = match beat {
+                t if t < t0 + HOP * 3 => "Claimed",
+                t if t < end => "Busy",
+                t if t < released => "Claimed",
+                _ => "Unclaimed",
+            };
+            want.push((beat, state));
+            beat += UPDATE_INTERVAL;
+        }
+        want.sort();
+        // Each advert reaches the collector a hop after it leaves.
+        let want: Vec<_> = want.into_iter().map(|(t, s)| (t + HOP, s)).collect();
+        let got: Vec<_> = seen
+            .adverts
+            .iter()
+            .map(|(t, s, _)| (*t, s.as_str()))
+            .collect();
+        assert_eq!(got, want);
+        assert!(seen.adverts.iter().all(|&(_, _, ttl)| ttl == AD_LIFETIME));
     }
 
     #[test]

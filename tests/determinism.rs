@@ -105,9 +105,10 @@ fn stagein_storm_trace_is_golden_and_cheap() {
 /// The glidein campaign is the only shipped scenario that walks startd →
 /// collector → negotiator → schedd → shadow, so its trace pins the pool
 /// path: which machine each job matches in which cycle, and every claim,
-/// vacate and lease expiry after it. The event count pins that no advert,
-/// keepalive or poll was elided or merged — each WAN send draws a latency
-/// from the one kernel RNG, so a skipped message re-keys the whole run.
+/// vacate and lease expiry after it. The event count pins the traffic
+/// (adverts, keepalives, polls): each WAN send draws a latency from the
+/// one kernel RNG, so a message added, skipped or merged re-keys the
+/// whole run.
 #[test]
 fn glidein_campaign_trace_is_golden() {
     let run = bundle("glidein_campaign");
@@ -171,7 +172,7 @@ fn identical_seeds_identical_campaigns() {
     let b = campaign(2024);
     assert_eq!(a, b, "same seed diverged");
     // And everything actually happened (this is not a trivially-empty run).
-    // The run takes 8,664 events; the floor sits about 40% below that, so
+    // The run takes 8,036 events; the floor sits about 40% below that, so
     // it catches an empty run, not a cheaper one.
     assert_eq!(a.1, 12, "jobs done");
     assert!(a.0 > 5_000, "suspiciously few events: {}", a.0);
