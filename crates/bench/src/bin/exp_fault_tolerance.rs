@@ -44,6 +44,7 @@ struct Outcome {
     done: u64,
     executions: u64,
     restarts: u64,
+    reconnects: u64,
     recoveries: u64,
 }
 
@@ -177,6 +178,7 @@ fn run(failure: Failure, recovery: bool, seed: u64) -> Outcome {
         done: m.counter("condor_g.jobs_done"),
         executions: m.counter("site.completed"),
         restarts: m.counter("gram.jm_restarts"),
+        reconnects: m.counter("gm.jm_reconnects"),
         recoveries: m.counter("gm.job_recoveries") + m.counter("condor_g.recoveries"),
     }
 }
@@ -188,6 +190,7 @@ fn main() {
         "jobs done",
         "site executions",
         "JM restarts",
+        "JM reconnects",
         "recoveries",
         "verdict",
     ]);
@@ -216,6 +219,7 @@ fn main() {
                 format!("{}/{JOBS}", o.done),
                 format!("{}", o.executions),
                 format!("{}", o.restarts),
+                format!("{}", o.reconnects),
                 format!("{}", o.recoveries),
                 verdict.into(),
             ]);

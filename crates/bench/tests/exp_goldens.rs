@@ -48,10 +48,64 @@ fn experiment_tables_are_golden() {
     for (bin, child, _dir) in runs {
         let out = child.wait_with_output().expect("child runs");
         assert!(out.status.success(), "{bin}: {}", out.status);
-        if bin == "exp_glidein" {
-            assert_x4_shape(&String::from_utf8_lossy(&out.stdout));
+        match bin {
+            "exp_fault_tolerance" => assert_x2_shape(&String::from_utf8_lossy(&out.stdout)),
+            "exp_glidein" => assert_x4_shape(&String::from_utf8_lossy(&out.stdout)),
+            _ => {}
         }
         assert_golden(&format!("exp.{bin}.stdout"), fnv1a(&out.stdout));
+    }
+}
+
+/// The cells of a table's row: its columns are two or more spaces apart.
+fn cells(line: &str) -> Vec<&str> {
+    line.split("  ")
+        .map(str::trim)
+        .filter(|c| !c.is_empty())
+        .collect()
+}
+
+/// X2's verdict, whatever the exact table. With recovery on, the control
+/// and each of §4.2's four failure classes run all 8 jobs exactly once;
+/// with it off, each class strands all 8. A JobManager that died (its own
+/// crash or its machine's) is restarted, and one that only lost touch
+/// with the agent (the submit machine crashed, or the network split) is
+/// reconnected, not restarted.
+fn assert_x2_shape(stdout: &str) {
+    let mut lines = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("failure class"));
+    let header = cells(lines.next().expect("X2 prints a table"));
+    let rows: Vec<Vec<&str>> = lines
+        .map(cells)
+        .filter(|row| row.len() == header.len())
+        .collect();
+    let cell = |class: &str, recovery: &str, column: &str| -> &str {
+        let row = rows
+            .iter()
+            .find(|r| r[0] == class && r[1] == recovery)
+            .unwrap_or_else(|| panic!("X2 has no row {class} {recovery}:\n{stdout}"));
+        let at = header
+            .iter()
+            .position(|h| *h == column)
+            .unwrap_or_else(|| panic!("X2 has no column {column}:\n{stdout}"));
+        row[at]
+    };
+    let control = "no failure (control)";
+    assert_eq!(cell(control, "on", "jobs done"), "8/8", "X2 control");
+    assert_eq!(cell(control, "on", "JM restarts"), "0", "X2 control");
+    for (class, restarts, reconnects) in [
+        ("JobManager crash", "8", "0"),
+        ("resource machine crash", "8", "0"),
+        ("submit machine crash", "0", "8"),
+        ("network partition", "0", "8"),
+    ] {
+        assert_eq!(cell(class, "on", "jobs done"), "8/8", "X2 {class}");
+        assert_eq!(cell(class, "on", "site executions"), "8", "X2 {class}");
+        assert_eq!(cell(class, "OFF", "jobs done"), "0/8", "X2 {class} off");
+        assert_eq!(cell(class, "OFF", "verdict"), "JOBS STRANDED", "X2 {class}");
+        assert_eq!(cell(class, "on", "JM restarts"), restarts, "X2 {class}");
+        assert_eq!(cell(class, "on", "JM reconnects"), reconnects, "X2 {class}");
     }
 }
 
@@ -60,16 +114,11 @@ fn experiment_tables_are_golden() {
 /// the 90th percentile waits at least a job length (30 minutes), because
 /// 24 jobs share the idle site's 16 CPUs and 8 of them must wait for one.
 fn assert_x4_shape(stdout: &str) {
-    // `(backlog, strategy) -> (mean, p90)` wait in minutes, from the rows
-    // of a table whose columns are two or more spaces apart.
+    // `(backlog, strategy) -> (mean, p90)` wait in minutes.
     let rows: Vec<(u64, &str, f64, f64)> = stdout
         .lines()
         .filter_map(|line| {
-            let cols: Vec<&str> = line
-                .split("  ")
-                .map(str::trim)
-                .filter(|c| !c.is_empty())
-                .collect();
+            let cols = cells(line);
             match cols[..] {
                 [backlog, strategy, _done, mean, p90, _last] => Some((
                     backlog.parse().ok()?,

@@ -17,8 +17,10 @@
 //! interval it sends each gatekeeper holding its jobs one `SiteProbe`
 //! listing them, and the gatekeeper answers for its JobManagers with the
 //! jobs whose JobManager is gone or whose state moved. An answer shows the
-//! machine is up; a site silent for two rounds has its jobs wait to
-//! reattach, and the next answer restarts each one's JobManager.
+//! machine is up. A site silent for two rounds, or any site after the
+//! agent's own restart, has its jobs wait to reattach; the next answer
+//! reconnects each JobManager that survived and restarts each one that
+//! is gone.
 //!
 //! It also owns credential management (§4.3): periodic proxy analysis,
 //! alarms, hold-and-email on expiry, automatic MyProxy refresh, and
@@ -193,11 +195,10 @@ enum Phase {
         /// When the job entered the site queue (for migration decisions).
         pending_since: Option<SimTime>,
     },
-    /// Its JobManager is restarted on the site's next answer: the site
-    /// missed two probes, or the agent itself restarted.
+    /// The site's next answer reconnects its JobManager, or restarts it
+    /// if it is gone: the site missed two probes, the agent itself
+    /// restarted, or a restart is under way.
     Reattach,
-    /// Restart request sent; waiting for the new JobManager.
-    AwaitRestart { since: SimTime },
     /// Nothing more to do.
     Terminal,
 }
@@ -265,10 +266,7 @@ impl GmJob {
                 *last_send + config.submit_retry
             }
             // The site probe round looks after the restarts.
-            Phase::Submitting { .. }
-            | Phase::Reattach
-            | Phase::AwaitRestart { .. }
-            | Phase::Terminal => SimTime::MAX,
+            Phase::Submitting { .. } | Phase::Reattach | Phase::Terminal => SimTime::MAX,
             // The commit is retransmitted on every tick until acknowledged.
             Phase::Live {
                 commit_acked: false,
@@ -314,8 +312,7 @@ const TAG_TICK: u64 = 1;
 /// credential check and the weather are looked at this often.
 const TICK: Duration = Duration::from_secs(30);
 /// §4.2's probe period: each site holding jobs gets one `SiteProbe` this
-/// often, a site that leaves two unanswered has its jobs reattach, and a
-/// restart is given twice as long before it is asked for again.
+/// often, and a site that leaves two unanswered has its jobs reattach.
 const PROBE_INTERVAL: Duration = Duration::from_mins(5);
 /// Resubmissions per job before it fails for good.
 const MAX_RETRIES: u32 = 5;
@@ -361,10 +358,10 @@ pub struct GridManager {
     /// Correlation ids for lean-mode GASS cache cleanup requests.
     gass_req: u64,
     recovering: bool,
-    /// The site probe channel, by gatekeeper: when its last `SiteProbe`
-    /// went out, while unanswered, and how many rounds in a row found it
-    /// so. Sites drop out once they hold none of our jobs.
-    sites: BTreeMap<Addr, (Option<SimTime>, u32)>,
+    /// The site probe channel, by gatekeeper: how many `SiteProbe`s went
+    /// out since its last answer. Sites drop out once they hold none of
+    /// our jobs.
+    sites: BTreeMap<Addr, u32>,
     /// When the next probe round is due.
     next_round: SimTime,
 }
@@ -755,7 +752,7 @@ impl GridManager {
                         let status = gram_state_to_status(gram_state);
                         self.report(ctx, job, status);
                     }
-                    Phase::Submitting { .. } | Phase::Reattach | Phase::AwaitRestart { .. } => {
+                    Phase::Submitting { .. } | Phase::Reattach => {
                         self.report(ctx, job, JobStatus::Pending);
                     }
                     Phase::Terminal => {}
@@ -846,7 +843,7 @@ impl GridManager {
                     }
                 }
             }
-            Phase::Reattach | Phase::AwaitRestart { .. } | Phase::Terminal => {}
+            Phase::Reattach | Phase::Terminal => {}
         }
     }
 
@@ -865,11 +862,10 @@ impl GridManager {
         }
         self.next_round = now + PROBE_INTERVAL;
         let mut silent = Vec::new();
-        for (&gk, (sent, missed)) in &mut self.sites {
-            if sent.is_some() {
-                *missed += 1;
+        for (&gk, &unanswered) in &self.sites {
+            if unanswered > 0 {
                 ctx.metrics().incr("gm.probes_missed", 1);
-                if *missed == 2 {
+                if unanswered == 2 {
                     ctx.trace_with("gm.site_lost", || format!("gatekeeper={gk}"));
                     silent.push(gk);
                 }
@@ -878,7 +874,7 @@ impl GridManager {
         let recovery = self.config.recovery;
         let listed = self.jobs.sorted_ids(|j| match j.phase {
             Phase::Live { .. } => recovery,
-            Phase::Reattach | Phase::AwaitRestart { .. } => true,
+            Phase::Reattach => true,
             _ => false,
         });
         let mut probes: BTreeMap<Addr, Vec<(JobContact, Option<GramJobState>)>> = BTreeMap::new();
@@ -899,31 +895,38 @@ impl GridManager {
         }
         self.sites.retain(|gk, _| probes.contains_key(gk));
         for (gk, jobs) in probes {
-            self.sites.entry(gk).or_default().0 = Some(now);
+            *self.sites.entry(gk).or_default() += 1;
             ctx.metrics().incr("gm.probes", 1);
             ctx.send(gk, GramRequest::SiteProbe { jobs });
         }
     }
 
     /// `gk` answered its probe: `changed` lists the jobs whose JobManager
-    /// is gone (`None`) or in a state other than the one believed, and
-    /// every job that was asked about with `None`.
+    /// is gone (`None`) or in a state other than the believed one, and
+    /// every job that was asked about with `None`, each live one with its
+    /// JobManager's address.
     fn on_site_status(
         &mut self,
         ctx: &mut Ctx<'_>,
         gk: Addr,
-        changed: &[(JobContact, Option<GramJobState>)],
+        changed: &[(JobContact, Option<(Addr, GramJobState)>)],
     ) {
-        if let Some(site) = self.sites.get_mut(&gk) {
-            *site = (None, 0);
+        if let Some(unanswered) = self.sites.get_mut(&gk) {
+            *unanswered = 0;
         }
-        let now = ctx.now();
-        for &(contact, state) in changed {
+        for &(contact, live) in changed {
             let Some(&job) = self.by_contact.get(&contact) else {
                 continue;
             };
-            match (&self.jobs[&job].phase, state) {
-                (Phase::Live { .. }, Some(state)) => self.observe_jm(ctx, job, state),
+            match (&self.jobs[&job].phase, live) {
+                (Phase::Live { .. }, Some((_, state))) => self.observe_jm(ctx, job, state),
+                // "The GridManager waits until it can reestablish contact
+                // with the remote machine", and then the JobManager is
+                // still there.
+                (Phase::Reattach, Some((jm, state))) => {
+                    ctx.metrics().incr("gm.jm_reconnects", 1);
+                    self.reconnect(ctx, job, jm, state);
+                }
                 // "If the GateKeeper responds, then the GridManager knows
                 // that the individual JobManager crashed... attempts to
                 // start a new JobManager to resume watching the job."
@@ -931,18 +934,41 @@ impl GridManager {
                     ctx.trace_with("gm.jm_lost", || format!("{job}"));
                     self.restart_jobmanager(ctx, job);
                 }
-                (Phase::Reattach, _) => self.restart_jobmanager(ctx, job),
-                // The restart request or its answer was lost: ask again.
-                (Phase::AwaitRestart { since }, _) if now - *since >= PROBE_INTERVAL * 2 => {
-                    self.restart_jobmanager(ctx, job);
-                }
+                (Phase::Reattach, None) => self.restart_jobmanager(ctx, job),
                 _ => {}
             }
             self.refresh_due(job);
         }
     }
 
-    /// Ask `job`'s gatekeeper for a fresh JobManager.
+    /// Pick `job` up again through `jm`, a JobManager that survived or was
+    /// just restarted, which says the job is in `state`: re-point it at our
+    /// (possibly new) GASS server, re-forward the current credential, and
+    /// take the state as news, a terminal one included.
+    fn reconnect(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, jm: Addr, state: GramJobState) {
+        let have = self.stdout_have(ctx, job);
+        ctx.send(
+            jm,
+            JmMsg::UpdateGass {
+                gass: GassUrl::gass(self.gass, ""),
+                stdout_have: have,
+            },
+        );
+        ctx.send(
+            jm,
+            JmMsg::RefreshCredential {
+                credential: self.credential.clone(),
+            },
+        );
+        let j = self.jobs.get_mut(&job).expect("job exists");
+        j.phase = Phase::live(jm, ctx.now(), state != GramJobState::PendingCommit);
+        self.persist_job(ctx, job);
+        self.observe_jm(ctx, job, state);
+    }
+
+    /// Ask `job`'s gatekeeper for a fresh JobManager. The job waits in
+    /// `Reattach`, so if the request or its answer is lost the site's next
+    /// answer reconnects or restarts it.
     fn restart_jobmanager(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
         let j = &self.jobs[&job];
         let (Some(contact), Some(gk)) = (j.contact, j.gatekeeper) else {
@@ -962,8 +988,7 @@ impl GridManager {
                 capability: None,
             },
         );
-        let j = self.jobs.get_mut(&job).expect("job exists");
-        j.phase = Phase::AwaitRestart { since: ctx.now() };
+        self.jobs.get_mut(&job).expect("job exists").phase = Phase::Reattach;
     }
 
     /// Take responsibility for `rec`: into `jobs`, with its slot's entry in
@@ -1051,9 +1076,9 @@ impl GridManager {
                     rec.excluded = d.excluded;
                 }
                 // Re-establish contact: if we know the job's contact, its
-                // JobManager is restarted once the gatekeeper answers the
-                // next probe round, which is due now; else the submission
-                // never stuck, so submit afresh.
+                // JobManager is reconnected, or restarted if gone, once the
+                // gatekeeper answers the next probe round, which is due
+                // now; else the submission never stuck, so submit afresh.
                 if let Some(seq) = rec.seq {
                     self.by_seq.insert(seq, job);
                 }
@@ -1094,36 +1119,21 @@ impl GridManager {
     /// A gatekeeper's answer about `job` (which is in the map).
     fn on_gram_reply(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, reply: &GramReply) {
         match reply {
-            GramReply::Submitted {
-                contact,
-                jobmanager,
-                ..
-            } => {
+            GramReply::Submitted { contact, .. } => {
                 let j = self.jobs.get_mut(&job).expect("job exists");
-                if let Phase::Submitting { session, .. } = &mut j.phase {
-                    use gram::client::SubmitAction;
-                    match session.on_reply(reply) {
-                        SubmitAction::SendCommit { jobmanager, .. } => {
-                            ctx.send(jobmanager, JmMsg::Commit);
-                            j.contact = Some(*contact);
-                            j.phase = Phase::live(jobmanager, ctx.now(), false);
-                            self.persist_job(ctx, job);
-                        }
-                        SubmitAction::GiveUp(_) | SubmitAction::Ignore => {}
+                let Phase::Submitting { session, .. } = &mut j.phase else {
+                    return;
+                };
+                use gram::client::SubmitAction;
+                match session.on_reply(reply) {
+                    SubmitAction::SendCommit { jobmanager, .. } => {
+                        ctx.send(jobmanager, JmMsg::Commit);
+                        j.contact = Some(*contact);
+                        j.phase = Phase::live(jobmanager, ctx.now(), false);
+                        self.by_contact.insert(*contact, job);
+                        self.persist_job(ctx, job);
                     }
-                } else if matches!(j.phase, Phase::Reattach | Phase::AwaitRestart { .. }) {
-                    // A duplicate submit answer can double as recovery.
-                    j.contact = Some(*contact);
-                    j.phase = Phase::live(*jobmanager, ctx.now(), true);
-                    self.persist_job(ctx, job);
-                }
-                // Either branch may have learned the contact just now.
-                if self
-                    .jobs
-                    .get(&job)
-                    .is_some_and(|j| j.contact == Some(*contact))
-                {
-                    self.by_contact.insert(*contact, job);
+                    SubmitAction::GiveUp(_) | SubmitAction::Ignore => {}
                 }
             }
             GramReply::SubmitFailed { error, .. } => {
@@ -1132,31 +1142,8 @@ impl GridManager {
             GramReply::Restarted {
                 jobmanager, state, ..
             } => {
-                let have = self.stdout_have(ctx, job);
-                // Re-point the JobManager at our (possibly new) GASS
-                // server and re-forward the current credential.
-                ctx.send(
-                    *jobmanager,
-                    JmMsg::UpdateGass {
-                        gass: GassUrl::gass(self.gass, ""),
-                        stdout_have: have,
-                    },
-                );
-                ctx.send(
-                    *jobmanager,
-                    JmMsg::RefreshCredential {
-                        credential: self.credential.clone(),
-                    },
-                );
                 ctx.metrics().incr("gm.jm_restarted", 1);
-                let j = self.jobs.get_mut(&job).expect("job exists");
-                j.phase = Phase::live(*jobmanager, ctx.now(), true);
-                self.persist_job(ctx, job);
-                // The JobManager resumes in its logged state, which is news
-                // like any other; a terminal one it announces itself.
-                if !state.is_terminal() {
-                    self.observe_jm(ctx, job, *state);
-                }
+                self.reconnect(ctx, job, *jobmanager, *state);
             }
             GramReply::RestartFailed { error, .. } => {
                 self.attempt_failed(ctx, job, &format!("restart failed: {error}"));
@@ -1182,8 +1169,9 @@ impl GridManager {
 
     /// The JobManager says `job` (which is in the map) is in `state`,
     /// pushed (`Callback`), polled (a `SiteStatus` entry, whose state is
-    /// what a lost callback carried) or read from a restarted JobManager's
-    /// log (`Restarted`): all take this one path to the protocol's actions.
+    /// what a lost callback carried) or learned on reconnecting (a live
+    /// JobManager's `SiteStatus` entry, or a restarted one's log in
+    /// `Restarted`): all take this one path to the protocol's actions.
     fn observe_jm(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, state: GramJobState) {
         let now = ctx.now();
         let j = self.jobs.get_mut(&job).expect("job exists");
@@ -1392,16 +1380,21 @@ mod tests {
         Dead,
         /// Not at all, for this many more probes; then as `Alive`.
         SilentFor(u32),
+        /// Every JobManager asked about is gone until it is restarted, and
+        /// then as `Alive`; the answer to each restart is lost.
+        RestartsSilently,
     }
 
     /// Stands where the Scheduler, the gatekeepers and the JobManagers
     /// would: writes down everything it is sent and answers what a
     /// gatekeeper answers (so jobs change phase on replies as well as on
-    /// ticks); as a JobManager it stays silent, and a restarted one
-    /// resumes `Active`.
+    /// ticks), a live JobManager being the sink itself; as a JobManager it
+    /// stays silent, and a restarted one resumes `Active`.
     struct Sink {
         log: Log,
         answer: Answer,
+        /// The jobs whose JobManager it restarted.
+        restarted: Vec<JobContact>,
     }
 
     impl Sink {
@@ -1409,6 +1402,7 @@ mod tests {
             Sink {
                 log: log.clone(),
                 answer,
+                restarted: Vec::new(),
             }
         }
     }
@@ -1429,28 +1423,46 @@ mod tests {
                     },
                 ),
                 Some(GramRequest::SiteProbe { jobs }) => {
+                    let alive = |(c, believed): &(JobContact, Option<GramJobState>)| {
+                        believed
+                            .is_none()
+                            .then_some((*c, Some((me, GramJobState::Active))))
+                    };
                     let changed = match &mut self.answer {
                         Answer::SilentFor(n) if *n > 0 => {
                             *n -= 1;
                             return;
                         }
                         Answer::Dead => jobs.iter().map(|&(c, _)| (c, None)).collect(),
-                        Answer::Alive | Answer::SilentFor(_) => jobs
+                        Answer::RestartsSilently => jobs
                             .iter()
-                            .filter(|(_, believed)| believed.is_none())
-                            .map(|&(c, _)| (c, Some(GramJobState::Active)))
+                            .filter_map(|job| {
+                                if self.restarted.contains(&job.0) {
+                                    alive(job)
+                                } else {
+                                    Some((job.0, None))
+                                }
+                            })
                             .collect(),
+                        Answer::Alive | Answer::SilentFor(_) => {
+                            jobs.iter().filter_map(alive).collect()
+                        }
                     };
                     ctx.send(from, GramReply::SiteStatus { changed });
                 }
-                Some(GramRequest::RestartJobManager { contact, .. }) => ctx.send(
-                    from,
-                    GramReply::Restarted {
-                        contact: *contact,
-                        jobmanager: me,
-                        state: GramJobState::Active,
-                    },
-                ),
+                Some(GramRequest::RestartJobManager { contact, .. }) => {
+                    self.restarted.push(*contact);
+                    if !matches!(self.answer, Answer::RestartsSilently) {
+                        ctx.send(
+                            from,
+                            GramReply::Restarted {
+                                contact: *contact,
+                                jobmanager: me,
+                                state: GramJobState::Active,
+                            },
+                        );
+                    }
+                }
                 None => {}
             }
         }
@@ -1584,13 +1596,6 @@ mod tests {
             ),
             (live(peer), &[], false),
             (Phase::Reattach, &[], false),
-            (
-                Phase::AwaitRestart {
-                    since: SimTime::ZERO,
-                },
-                &[],
-                false,
-            ),
             (Phase::Terminal, &[], false),
         ];
         // The commit never acknowledged; queued long enough to move, and
@@ -1671,6 +1676,8 @@ mod tests {
             (GmConfig::default(), day, Answer::Dead),
             // The site goes silent for two rounds and is declared lost.
             (GmConfig::default(), day, Answer::SilentFor(2)),
+            // Restarts that are never answered, then reconnects.
+            (GmConfig::default(), day, Answer::RestartsSilently),
             (
                 GmConfig {
                     recovery: false,
@@ -1815,7 +1822,8 @@ mod tests {
     }
 
     #[test]
-    fn two_silent_rounds_put_the_site_in_reattach_and_the_next_answer_restarts_each_once() {
+    fn two_silent_rounds_put_the_site_in_reattach_and_the_next_answer_restarts_none_and_reconnects_each(
+    ) {
         let (mut w, log, gks, gm) = per_site(&[3], Answer::SilentFor(2));
         // Rounds at 30 s and 5 min 30 s go unanswered; the one at 10 min
         // 30 s finds the second still so.
@@ -1827,31 +1835,66 @@ mod tests {
                 Phase::Reattach
             ));
         }
-        assert!(sent(&log, gks[0], "RestartJobManager").is_empty());
         // The site answers that round, which asked after each job
-        // regardless, and each JobManager is restarted once.
+        // regardless, with each JobManager alive: each is reconnected, so
+        // re-pointed at the GASS server and handed the credential once,
+        // and none is restarted.
         w.run_until(SimTime::ZERO + Duration::from_mins(15));
         let probes = sent(&log, gks[0], "SiteProbe");
         let jobs = (501..504).map(|c| (JobContact(c), None)).collect();
         let listed = format!("{:?}", GramRequest::SiteProbe { jobs });
         assert!(probes[2].ends_with(&listed), "{probes:#?}");
-        let restarts = sent(&log, gks[0], "RestartJobManager");
-        assert_eq!(restarts.len(), 3, "{restarts:#?}");
-        for (restart, contact) in restarts.iter().zip(501..504) {
-            assert!(restart.contains(&format!("contact: JobContact({contact})")));
-        }
+        assert!(sent(&log, gks[0], "RestartJobManager").is_empty());
+        assert_eq!(sent(&log, gks[0], "UpdateGass").len(), 3);
+        assert_eq!(sent(&log, gks[0], "RefreshCredential").len(), 3);
+        assert_eq!(w.metrics().counter("gm.jm_reconnects"), 3);
         assert_eq!(w.metrics().counter("gm.probes_missed"), 2);
         for job in 1..=3 {
             assert!(matches!(
                 gm.borrow().jobs[&GridJobId(job)].phase,
-                Phase::Live { .. }
+                Phase::Live { jm, .. } if jm == gks[0]
             ));
         }
     }
 
+    #[test]
+    fn a_reattaching_job_found_gone_is_restarted_and_a_lost_restart_answer_reconnects_it() {
+        let (mut w, log, gks, gm) = per_site(&[1], Answer::RestartsSilently);
+        {
+            let mut gm = gm.borrow_mut();
+            gm.jobs.get_mut(&GridJobId(1)).expect("placed").phase = Phase::Reattach;
+            gm.refresh_due(GridJobId(1));
+        }
+        // The round at 30 s finds the JobManager gone and restarts it; the
+        // answer to the restart is lost, so the job still waits.
+        w.run_until(SimTime::ZERO + Duration::from_mins(1));
+        assert_eq!(sent(&log, gks[0], "RestartJobManager").len(), 1);
+        assert!(matches!(
+            gm.borrow().jobs[&GridJobId(1)].phase,
+            Phase::Reattach
+        ));
+        // The round at 5 min 30 s asks again and finds the new JobManager
+        // alive: it is reconnected, not restarted a second time.
+        w.run_until(SimTime::ZERO + Duration::from_mins(6));
+        assert_eq!(sent(&log, gks[0], "RestartJobManager").len(), 1);
+        assert_eq!(sent(&log, gks[0], "UpdateGass").len(), 1);
+        assert_eq!(sent(&log, gks[0], "RefreshCredential").len(), 1);
+        let m = w.metrics();
+        assert_eq!(m.counter("gm.jm_restarts_requested"), 1);
+        assert_eq!(m.counter("gm.jm_restarted"), 0);
+        assert_eq!(m.counter("gm.jm_reconnects"), 1);
+        assert!(matches!(
+            gm.borrow().jobs[&GridJobId(1)].phase,
+            Phase::Live {
+                gram_state: GramJobState::Active,
+                ..
+            }
+        ));
+    }
+
     /// `seeded`'s GridManager, with `msg` posted to it and one second run:
-    /// what the sinks were sent, and the GridManager. Job 91 (contact 79)
-    /// is queued at east since time zero and 90 (contact 80) is the same
+    /// what the sinks were sent, and the GridManager. Job 92 (contact 78)
+    /// is queued at east since time zero and 91 (contact 79) is the same
     /// mid-move; both have west back on offer. The sink never calls back,
     /// so a state learned here stands in for a lost callback.
     fn after_post(msg: GramReply) -> (Vec<String>, Rc<RefCell<GridManager>>) {
@@ -1862,7 +1905,7 @@ mod tests {
         let peer = w.add_component(away, "peer", Sink::new(&log, Answer::Alive));
         let scheduler = w.add_component(home, "scheduler", Sink::new(&log, Answer::Alive));
         let mut gm = seeded(GmConfig::default(), &proxy, scheduler, peer);
-        for job in [90, 91] {
+        for job in [91, 92] {
             gm.jobs
                 .get_mut(&GridJobId(job))
                 .expect("seeded")
@@ -1878,26 +1921,30 @@ mod tests {
     }
 
     fn site_says(contact: u64, state: GramJobState) -> GramReply {
+        let jm = Addr {
+            node: gridsim::NodeId(1),
+            comp: gridsim::CompId(0),
+        };
         GramReply::SiteStatus {
-            changed: vec![(JobContact(contact), Some(state))],
+            changed: vec![(JobContact(contact), Some((jm, state)))],
         }
     }
 
     #[test]
     fn a_probe_learned_removed_moves_a_migrating_job() {
-        // Contact 80 is mid-move: the site's Removed is the GridManager's
+        // Contact 79 is mid-move: the site's Removed is the GridManager's
         // own cancel, so the job goes to west instead of ending removed.
-        let (seen, gm) = after_post(site_says(80, GramJobState::Removed));
+        let (seen, gm) = after_post(site_says(79, GramJobState::Removed));
         assert!(seen.iter().any(|l| l.ends_with("DoneAck")), "{seen:#?}");
         assert!(!seen.iter().any(|l| l.contains("Removed")), "{seen:#?}");
         let gm = gm.borrow();
-        let j = &gm.jobs[&GridJobId(90)];
+        let j = &gm.jobs[&GridJobId(91)];
         // The sink answers the new submission (seq 1000) as contact 6000.
         assert_eq!(j.contact, Some(JobContact(6000)));
         assert_eq!(j.site.as_deref(), Some("west"));
         assert_eq!(j.excluded, ["east"]);
         assert!(!j.migrating);
-        assert!(!gm.by_contact.contains_key(&JobContact(80)));
+        assert!(!gm.by_contact.contains_key(&JobContact(79)));
     }
 
     /// The job's reports to the Scheduler, and its phase's state and
@@ -1921,8 +1968,8 @@ mod tests {
 
     #[test]
     fn a_probe_learned_active_is_reported_and_ends_the_queue_wait() {
-        let (seen, gm) = after_post(site_says(79, GramJobState::Active));
-        let (updates, state, pending_since) = reported(&seen, &gm, 91);
+        let (seen, gm) = after_post(site_says(78, GramJobState::Active));
+        let (updates, state, pending_since) = reported(&seen, &gm, 92);
         assert_eq!(updates.len(), 1, "{seen:#?}");
         assert!(updates[0].ends_with("status: Active }"), "{seen:#?}");
         assert_eq!(state, GramJobState::Active);
@@ -1931,9 +1978,9 @@ mod tests {
 
     #[test]
     fn a_restarted_jobmanager_resumes_in_its_logged_state() {
-        // Job 94 (contact 76) awaits its restart; the log says Active.
+        // Job 95 (contact 75) waits to reattach; the log says Active.
         let restarted = |state| GramReply::Restarted {
-            contact: JobContact(76),
+            contact: JobContact(75),
             jobmanager: Addr {
                 node: gridsim::NodeId(1),
                 comp: gridsim::CompId(0),
@@ -1941,17 +1988,60 @@ mod tests {
             state,
         };
         let (seen, gm) = after_post(restarted(GramJobState::Active));
-        let (updates, state, pending_since) = reported(&seen, &gm, 94);
+        let (updates, state, pending_since) = reported(&seen, &gm, 95);
         assert_eq!(updates.len(), 1, "{seen:#?}");
         assert!(updates[0].ends_with("status: Active }"), "{seen:#?}");
         assert_eq!(state, GramJobState::Active);
         assert_eq!(pending_since, None);
-        // A terminal state is the JobManager's to announce: until it does,
-        // the job waits as queued.
+        // A terminal state is news too: the JobManager gets its DoneAck at
+        // once and the job is done.
         let (seen, gm) = after_post(restarted(GramJobState::Done));
-        let (updates, state, _) = reported(&seen, &gm, 94);
-        assert!(updates.is_empty(), "{seen:#?}");
-        assert_eq!(state, GramJobState::Pending);
+        assert!(seen.iter().any(|l| l.ends_with("DoneAck")), "{seen:#?}");
+        let updates: Vec<_> = seen.iter().filter(|l| l.contains("GmUpdate")).collect();
+        assert_eq!(updates.len(), 1, "{seen:#?}");
+        assert!(updates[0].ends_with("status: Done }"), "{seen:#?}");
+        assert!(!gm.borrow().jobs.contains_key(&GridJobId(95)));
+    }
+
+    #[test]
+    fn a_job_reconnected_before_its_commit_landed_is_committed() {
+        let (mut w, log, gks, gm) = per_site(&[1], Answer::Alive);
+        {
+            let mut gm = gm.borrow_mut();
+            gm.jobs.get_mut(&GridJobId(1)).expect("placed").phase = Phase::Reattach;
+            gm.refresh_due(GridJobId(1));
+        }
+        // The site answers that the job's JobManager is alive and still
+        // waiting for the commit.
+        let at = w.lookup(NodeId(0), "gm").expect("the GridManager");
+        w.post(
+            at,
+            GramReply::SiteStatus {
+                changed: vec![(JobContact(501), Some((gks[0], GramJobState::PendingCommit)))],
+            },
+        );
+        // So the commit is owed: it goes out on every tick, 30 s apart,
+        // until the JobManager acknowledges it.
+        w.run_until(SimTime::ZERO + Duration::from_secs(100));
+        assert_eq!(w.metrics().counter("gm.jm_reconnects"), 1);
+        assert_eq!(sent(&log, gks[0], "Commit").len(), 3);
+        w.post(
+            at,
+            JmMsg::CommitAck {
+                contact: JobContact(501),
+            },
+        );
+        w.run_until(SimTime::ZERO + Duration::from_mins(4));
+        assert_eq!(sent(&log, gks[0], "Commit").len(), 3);
+        assert!(sent(&log, gks[0], "RestartJobManager").is_empty());
+        assert!(matches!(
+            gm.borrow().jobs[&GridJobId(1)].phase,
+            Phase::Live {
+                gram_state: GramJobState::PendingCommit,
+                commit_acked: true,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`gridmanager`] — submits and manages jobs through the revised
 //!   two-phase-commit GRAM protocol, probes JobManagers, distinguishes
 //!   the paper's four failure classes and recovers from each, resubmits
-//!   failed jobs, and re-forwards refreshed credentials.
-//! * [`credentials`] — §4.3: periodic proxy analysis, hold-and-email on
-//!   expiry, alarms, and the MyProxy auto-refresh enhancement.
+//!   failed jobs, and manages credential lifetimes (§4.3): periodic proxy
+//!   analysis, alarms, hold-and-email on expiry, the MyProxy auto-refresh
+//!   enhancement, and re-forwarding refreshed credentials.
 //! * [`broker`] — §4.4 resource discovery and scheduling: the initial
 //!   user-supplied list strategy and the MDS + matchmaking personal
 //!   resource broker. The GridManager also implements §4.4's queued-job
@@ -35,7 +35,6 @@
 
 pub mod api;
 pub mod broker;
-pub mod credentials;
 pub mod dagman;
 pub mod email;
 pub mod glidein;

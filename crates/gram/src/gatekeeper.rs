@@ -174,19 +174,19 @@ impl Gatekeeper {
 
     /// The answer to a site probe of `jobs`: each job whose JobManager is
     /// gone (`None`) or in a state other than the believed one, and each
-    /// job believed in no state, with its JobManager's state.
+    /// job believed in no state, with its JobManager's address and state.
     fn site_status(
         &self,
         jobs: Vec<(JobContact, Option<GramJobState>)>,
-    ) -> Vec<(JobContact, Option<GramJobState>)> {
+    ) -> Vec<(JobContact, Option<(Addr, GramJobState)>)> {
         jobs.into_iter()
             .filter_map(|(contact, believed)| {
-                let state = self
+                let live = self
                     .jobmanagers
                     .get(&contact)
-                    .and_then(|(_, state)| state.upgrade())
-                    .map(|cell| cell.get());
-                (believed.is_none() || state != believed).then_some((contact, state))
+                    .and_then(|(jm, state)| Some((*jm, state.upgrade()?.get())));
+                let state = live.map(|(_, state)| state);
+                (believed.is_none() || state != believed).then_some((contact, live))
             })
             .collect()
     }
@@ -402,18 +402,20 @@ mod tests {
 
     #[test]
     fn a_site_probe_is_answered_with_the_jobs_that_have_news() {
-        let addr = Addr {
+        let addr = |comp| Addr {
             node: NodeId(1),
-            comp: CompId(2),
+            comp: CompId(comp),
         };
-        let mut gk = Gatekeeper::new("wisc", TrustRoot::new(), GridMap::new(), addr);
+        let mut gk = Gatekeeper::new("wisc", TrustRoot::new(), GridMap::new(), addr(0));
         let cells: Vec<_> = [Active, Pending, StageOut, Active, Active]
             .into_iter()
             .map(|state| Rc::new(Cell::new(state)))
             .collect();
+        // The JobManager of contact `i` lives at component `10 + i`.
         for (i, cell) in cells.iter().enumerate() {
             let handle = Rc::downgrade(cell);
-            gk.jobmanagers.insert(JobContact(i as u64), (addr, handle));
+            gk.jobmanagers
+                .insert(JobContact(i as u64), (addr(10 + i as u32), handle));
         }
         // The JobManager of contact 3 is killed: its cell is dropped.
         let mut cells = cells;
@@ -421,7 +423,7 @@ mod tests {
         let asked = vec![
             // Alive in the believed state: omitted.
             (JobContact(0), Some(Active)),
-            // Alive in another state: listed with it.
+            // Alive in another state: listed with its address and state.
             (JobContact(1), Some(Active)),
             // Believed nothing: listed, whatever its state, gone or not.
             (JobContact(2), None),
@@ -435,8 +437,8 @@ mod tests {
         assert_eq!(
             gk.site_status(asked),
             [
-                (JobContact(1), Some(Pending)),
-                (JobContact(2), Some(StageOut)),
+                (JobContact(1), Some((addr(11), Pending))),
+                (JobContact(2), Some((addr(12), StageOut))),
                 (JobContact(8), None),
                 (JobContact(3), None),
                 (JobContact(9), None),
@@ -445,7 +447,10 @@ mod tests {
         // A state moves the moment its JobManager announces it.
         cells[0].set(StageOut);
         let asked = vec![(JobContact(0), Some(Active))];
-        assert_eq!(gk.site_status(asked), [(JobContact(0), Some(StageOut))]);
+        assert_eq!(
+            gk.site_status(asked),
+            [(JobContact(0), Some((addr(10), StageOut)))]
+        );
     }
 
     /// The dedup record, written from a borrowed DN, byte for byte in

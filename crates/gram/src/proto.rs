@@ -163,8 +163,9 @@ pub enum GramReply {
     /// gone (`None`) or whose state is not the believed one (or was not
     /// given), so a quiet site answers with an empty list.
     SiteStatus {
-        /// The jobs with news, and their JobManager's state.
-        changed: Vec<(JobContact, Option<GramJobState>)>,
+        /// The jobs with news, and their live JobManager's address and
+        /// state.
+        changed: Vec<(JobContact, Option<(Addr, GramJobState)>)>,
     },
     /// RestartJobManager answer: new JobManager address.
     Restarted {

@@ -197,6 +197,44 @@ fn network_partition_is_survived() {
     assert_eq!(tb.world.metrics().counter("site.completed"), 2);
 }
 
+#[test]
+fn a_partition_that_cuts_off_the_commit_ends_in_a_reconnect_that_commits() {
+    // The site accepts the job, and the submit machine is cut off from
+    // it before the Commit can cross: the JobManager waits for it. After
+    // two silent probe rounds the job waits to reattach; once the network
+    // heals, the site answers that the JobManager is alive and still
+    // uncommitted, so the GridManager reconnects to it and sends the
+    // Commit it still owes. The job runs once, and no JobManager is
+    // restarted.
+    let mut tb = build(TestbedConfig {
+        sites: vec![SiteSpec::pbs("solo", 4)],
+        ..TestbedConfig::default()
+    });
+    let console = UserConsole::new(tb.scheduler).submit_many(1, quick_jobs(1, 600, 0));
+    let node = tb.submit;
+    tb.world.add_component(node, "console", console);
+    // The gatekeeper's `Submitted` answer is on the wire the moment it
+    // counts the submit; whatever the agent sends after it is cut.
+    while tb.world.metrics().counter("gram.submits") == 0 {
+        assert!(tb.world.step(), "the job reaches the gatekeeper");
+    }
+    let site_nodes = vec![tb.sites[0].interface, tb.sites[0].cluster];
+    tb.world.network_mut().partition(&[node], &site_nodes);
+    tb.world.run_until(SimTime::ZERO + Duration::from_mins(20));
+    let m = tb.world.metrics();
+    assert_eq!(m.counter("gram.commits"), 0);
+    assert!(m.counter("gm.probes_missed") >= 2, "the site was lost");
+    tb.world.network_mut().heal(&[node], &site_nodes);
+    tb.world.run_until(SimTime::ZERO + Duration::from_hours(6));
+    let h = UserConsole::history_of(&tb.world, node, 0);
+    assert_eq!(h.last().map(String::as_str), Some("Done"), "{h:?}");
+    let m = tb.world.metrics();
+    assert_eq!(m.counter("gm.jm_reconnects"), 1);
+    assert_eq!(m.counter("gram.jm_restarts"), 0);
+    assert_eq!(m.counter("gram.commits"), 1);
+    assert_eq!(m.counter("site.completed"), 1, "the job ran once");
+}
+
 /// Boot hook for the submit machine: recover the GASS server, the mailer
 /// and the Scheduler (which re-creates the GridManager) from stable storage.
 fn recover_submit_machine_on_boot(tb: &mut Testbed) {
