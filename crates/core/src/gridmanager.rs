@@ -158,7 +158,6 @@ struct GmJobDisk {
     site: Option<String>,
     gatekeeper: Option<Addr>,
     contact: Option<u64>,
-    stdout_path: String,
     excluded: Vec<String>,
     terminal: bool,
 }
@@ -171,7 +170,6 @@ gridsim::codec! {
         site,
         gatekeeper,
         contact,
-        stdout_path,
         excluded,
         terminal,
     }
@@ -228,7 +226,6 @@ struct GmJob {
     site: Option<String>,
     gatekeeper: Option<Addr>,
     contact: Option<JobContact>,
-    stdout_path: String,
     excluded: Vec<String>,
     phase: Phase,
     reported: JobStatus,
@@ -239,7 +236,7 @@ struct GmJob {
 
 impl GmJob {
     /// A job the GridManager has just been handed.
-    fn new(job: GridJobId, spec: GridJobSpec) -> GmJob {
+    fn new(spec: GridJobSpec) -> GmJob {
         GmJob {
             spec,
             attempts: 0,
@@ -247,7 +244,6 @@ impl GmJob {
             site: None,
             gatekeeper: None,
             contact: None,
-            stdout_path: format!("/condor_g/out/{job}"),
             excluded: Vec::new(),
             phase: Phase::NeedSite,
             reported: JobStatus::Unsubmitted,
@@ -255,37 +251,29 @@ impl GmJob {
         }
     }
 
-    /// The earliest instant at which [`GridManager::tick_job`] does
-    /// anything for this job, as of its current phase: `ZERO` means every
-    /// tick, `MAX` never.
-    fn due(&self, config: &GmConfig) -> SimTime {
+    /// Whether [`GridManager::tick_job`] may have work for this job in its
+    /// current phase (`migrate`: queued jobs may move). It may say yes to a
+    /// job whose time has not come, never no to one with work.
+    fn ticks(&self, migrate: bool) -> bool {
         match &self.phase {
             // Asks the broker again on every tick.
-            Phase::NeedSite => SimTime::ZERO,
-            Phase::Submitting { session, last_send } if session.awaiting_reply() => {
-                *last_send + config.submit_retry
-            }
-            // The site probe round looks after the restarts.
-            Phase::Submitting { .. } | Phase::Reattach | Phase::Terminal => SimTime::MAX,
+            Phase::NeedSite => true,
+            Phase::Submitting { session, .. } => session.awaiting_reply(),
             // The commit is retransmitted on every tick until acknowledged.
             Phase::Live {
                 commit_acked: false,
                 ..
-            } => SimTime::ZERO,
-            Phase::Live {
-                gram_state,
-                pending_since,
-                ..
-            } => {
-                let queued = matches!(
-                    gram_state,
-                    GramJobState::Pending | GramJobState::PendingCommit
-                );
-                match (config.migrate_pending_after, pending_since) {
-                    (Some(patience), Some(since)) if queued && !self.migrating => *since + patience,
-                    _ => SimTime::MAX,
-                }
+            } => true,
+            Phase::Live { gram_state, .. } => {
+                migrate
+                    && !self.migrating
+                    && matches!(
+                        gram_state,
+                        GramJobState::Pending | GramJobState::PendingCommit
+                    )
             }
+            // The site probe round looks after the restarts.
+            Phase::Reattach | Phase::Terminal => false,
         }
     }
 
@@ -300,7 +288,6 @@ impl GmJob {
             self.site.as_deref(),
             self.gatekeeper,
             self.contact.map(|c| c.0),
-            self.stdout_path.as_str(),
             &self.excluded,
             false,
         )
@@ -337,14 +324,6 @@ pub struct GridManager {
     /// Store keys: `gm/<user>/job/<id>` built in place, `gm/<user>/next_seq`.
     job_key: KeyBuf,
     seq_key: String,
-    /// The tick's side table, by the slot a job holds in `jobs`: the
-    /// earliest instant at which `tick_job` does anything for the job
-    /// ([`GmJob::due`]), refreshed after every handler that touched the job
-    /// — so it may be early, never late — and `SimTime::MAX` in a free
-    /// slot. Sixteen bytes a job, scanned once per tick instead of the jobs.
-    due: Vec<(SimTime, GridJobId)>,
-    /// The `(id, slot)` pairs a tick found due, reused from tick to tick.
-    due_now: Vec<(GridJobId, usize)>,
     /// Jobs that reached a terminal state and were evicted from `jobs`
     /// (their persisted record shrinks to a tombstone). Keeps the hot map
     /// proportional to *live* jobs, not campaign size.
@@ -380,8 +359,6 @@ impl GridManager {
         GridManager {
             job_key: KeyBuf::new(format!("gm/{}/job/", config.user)),
             seq_key: format!("gm/{}/next_seq", config.user),
-            due: Vec::new(),
-            due_now: Vec::new(),
             config,
             credential,
             scheduler,
@@ -420,7 +397,6 @@ impl GridManager {
                 site: None,
                 gatekeeper: None,
                 contact: None,
-                stdout_path: String::new(),
                 excluded: Vec::new(),
                 terminal: true,
             };
@@ -433,27 +409,19 @@ impl GridManager {
     /// Evict a terminal job from the hot map (its tombstone is already on
     /// disk). Must run *after* the final `report`, which needs the record.
     fn retire(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
-        let Some(slot) = self.jobs.slot(&job) else {
-            return;
-        };
-        if !matches!(self.jobs[&job].phase, Phase::Terminal) {
+        if !self
+            .jobs
+            .get(&job)
+            .is_some_and(|j| matches!(j.phase, Phase::Terminal))
+        {
             return;
         }
-        let j = self.jobs.remove(&job).expect("job has a slot");
+        let j = self.jobs.remove(&job).expect("a terminal job");
         if let Some(seq) = j.seq {
             self.by_seq.remove(&seq);
         }
         if let Some(contact) = j.contact {
             self.by_contact.remove(&contact);
-        }
-        let staged_out =
-            (j.spec.stdout_size > 0 && !j.stdout_path.is_empty()).then_some(j.stdout_path);
-        // The due table follows `jobs`: a vacated slot is never due, and a
-        // drained table gives its memory back.
-        if self.jobs.is_empty() {
-            self.due = Vec::new();
-        } else {
-            self.due[slot].0 = SimTime::MAX;
         }
         self.retired += 1;
         if ctx.lean() {
@@ -467,14 +435,14 @@ impl GridManager {
             // weight (a million-job campaign would otherwise keep a
             // million stdout files). Fire-and-forget — deletion is
             // idempotent and losing one costs only memory.
-            if let Some(path) = staged_out {
+            if j.spec.stdout_size > 0 {
                 self.gass_req += 1;
                 ctx.send(
                     self.gass,
                     gass::GassRequest::Delete {
                         request_id: self.gass_req,
                         credential: self.credential.clone(),
-                        path,
+                        path: out_path(job),
                     },
                 );
             }
@@ -490,6 +458,12 @@ impl GridManager {
         let Some(j) = self.jobs.get_mut(&job) else {
             return;
         };
+        // A terminal status is the last word the Scheduler hears of a job.
+        assert!(
+            !j.reported.is_terminal(),
+            "GridManager: {job} reported {status:?} after its terminal {:?}",
+            j.reported
+        );
         if j.reported == status {
             return;
         }
@@ -510,11 +484,10 @@ impl GridManager {
 
     fn rsl_for(&self, job: GridJobId, spec: &GridJobSpec) -> RslSpec {
         let exe_url = GassUrl::gass(self.gass, &spec.executable);
-        let stdout_path = format!("/condor_g/out/{job}");
         let mut rsl = RslSpec::job(&exe_url.to_string(), spec.runtime).with_count(spec.count);
         rsl.arguments = spec.arguments.clone();
         if spec.stdout_size > 0 {
-            let out_url = GassUrl::gass(self.gass, &stdout_path);
+            let out_url = GassUrl::gass(self.gass, &out_path(job));
             rsl = rsl.with_stdout(&out_url.to_string(), spec.stdout_size);
         }
         if let Some(mins) = spec.wall_minutes {
@@ -565,7 +538,6 @@ impl GridManager {
         j.seq = Some(seq);
         j.site = Some(target.site);
         j.gatekeeper = Some(target.addr);
-        j.stdout_path = format!("/condor_g/out/{job}");
         j.phase = Phase::Submitting {
             session: Box::new(session),
             last_send: ctx.now(),
@@ -662,10 +634,7 @@ impl GridManager {
     /// Bytes of this job's stdout already present on the local GASS server
     /// (used to resume output staging after a restart, §3.2).
     fn stdout_have(&self, ctx: &mut Ctx<'_>, job: GridJobId) -> u64 {
-        let Some(j) = self.jobs.get(&job) else {
-            return 0;
-        };
-        let key = format!("gass/size{}", j.stdout_path);
+        let key = format!("gass/size{}", out_path(job));
         ctx.store().get::<u64>(self.gass.node, &key).unwrap_or(0)
     }
 
@@ -758,7 +727,6 @@ impl GridManager {
                     Phase::Terminal => {}
                 }
             }
-            self.refresh_all_due();
         }
     }
 
@@ -777,11 +745,11 @@ impl GridManager {
 
     // ---- failure detection & recovery (§4.2) ---------------------------
 
-    /// Whatever is due for `job`, which sits in `slot` of `jobs`.
-    fn tick_job(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, slot: usize) {
+    /// Whatever is due for `job`.
+    fn tick_job(&mut self, ctx: &mut Ctx<'_>, job: GridJobId) {
         let now = ctx.now();
         let submit_retry = self.config.submit_retry;
-        let Some(j) = self.jobs.at_mut(slot) else {
+        let Some(j) = self.jobs.get_mut(&job) else {
             return;
         };
         match &mut j.phase {
@@ -937,7 +905,6 @@ impl GridManager {
                 (Phase::Reattach, None) => self.restart_jobmanager(ctx, job),
                 _ => {}
             }
-            self.refresh_due(job);
         }
     }
 
@@ -991,75 +958,17 @@ impl GridManager {
         self.jobs.get_mut(&job).expect("job exists").phase = Phase::Reattach;
     }
 
-    /// Take responsibility for `rec`: into `jobs`, with its slot's entry in
-    /// `due`.
-    fn adopt(&mut self, job: GridJobId, rec: GmJob) {
-        let due = rec.due(&self.config);
-        let slot = self.jobs.insert(job, rec);
-        if slot == self.due.len() {
-            self.due.push((due, job));
-        } else {
-            self.due[slot] = (due, job);
-        }
-    }
-
-    /// Bring the `due` entry of the job in `slot` up to date with its
-    /// phase. Every handler that may have touched a job ends with this.
-    fn refresh_slot(&mut self, slot: usize) {
-        if let Some(j) = self.jobs.at(slot) {
-            self.due[slot].0 = j.due(&self.config);
-        }
-    }
-
-    /// [`Self::refresh_slot`] for `job`, wherever it sits.
-    fn refresh_due(&mut self, job: GridJobId) {
-        if let Some(slot) = self.jobs.slot(&job) {
-            self.refresh_slot(slot);
-        }
-    }
-
-    /// The same for every job, after an event that concerns them all.
-    fn refresh_all_due(&mut self) {
-        for slot in 0..self.due.len() {
-            self.refresh_slot(slot);
-        }
-    }
-
-    /// One scan of the `due` table picks out the jobs with something due;
-    /// only those re-enter `tick_job`, in ascending id order, so their sends
-    /// and RNG draws keep the order a tick of every job would give them.
-    /// No `tick_job` touches another job, so the pick holds for the tick.
-    fn tick_due_jobs(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let mut due_now = std::mem::take(&mut self.due_now);
-        due_now.clear();
-        due_now.extend(
-            self.due
-                .iter()
-                .enumerate()
-                .filter(|(_, (at, _))| *at <= now)
-                .map(|(slot, &(_, job))| (job, slot)),
-        );
-        due_now.sort_unstable();
-        for &(job, slot) in &due_now {
-            self.tick_job(ctx, job, slot);
-            self.refresh_slot(slot);
-        }
-        self.due_now = due_now;
-    }
-
     fn on_command(&mut self, ctx: &mut Ctx<'_>, cmd: GmCmd) {
         match cmd {
             GmCmd::Manage { job, spec } => {
-                self.adopt(job, GmJob::new(job, spec));
+                self.jobs.insert(job, GmJob::new(spec));
                 self.persist_job(ctx, job);
                 self.begin_submit(ctx, job);
-                self.refresh_due(job);
             }
             GmCmd::Recover { job, spec } => {
                 let node = ctx.node();
                 let disk = ctx.store().get::<GmJobDisk>(node, self.job_key.key(job.0));
-                let mut rec = GmJob::new(job, spec);
+                let mut rec = GmJob::new(spec);
                 if let Some(d) = disk {
                     if d.terminal {
                         // Already finished in a previous life: count it
@@ -1072,7 +981,6 @@ impl GridManager {
                     rec.site = d.site;
                     rec.gatekeeper = d.gatekeeper;
                     rec.contact = d.contact.map(JobContact);
-                    rec.stdout_path = d.stdout_path;
                     rec.excluded = d.excluded;
                 }
                 // Re-establish contact: if we know the job's contact, its
@@ -1090,12 +998,11 @@ impl GridManager {
                         ctx.metrics().incr("gm.job_recoveries", 1);
                         rec.phase = Phase::Reattach;
                         self.next_round = ctx.now();
-                        self.adopt(job, rec);
+                        self.jobs.insert(job, rec);
                     }
                     _ => {
-                        self.adopt(job, rec);
+                        self.jobs.insert(job, rec);
                         self.begin_submit(ctx, job);
-                        self.refresh_due(job);
                     }
                 }
             }
@@ -1110,7 +1017,6 @@ impl GridManager {
                     Phase::Terminal => {}
                     _ => self.finish(ctx, job, JobStatus::Removed),
                 }
-                self.refresh_due(job);
             }
             GmCmd::RefreshProxy { credential } => self.adopt_credential(ctx, credential),
         }
@@ -1153,9 +1059,16 @@ impl GridManager {
         }
     }
 
-    /// A JobManager's word about `job` (which is in the map).
-    fn on_jm_msg(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, jm_msg: &JmMsg) {
+    /// The word of `from`, `job`'s JobManager, about `job` (which is in
+    /// the map).
+    fn on_jm_msg(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, from: Addr, jm_msg: &JmMsg) {
         match jm_msg {
+            // A JobManager waiting to be reattached has called back first:
+            // it survived, so it is reconnected as the site's answer would.
+            JmMsg::Callback { state, .. } if matches!(self.jobs[&job].phase, Phase::Reattach) => {
+                ctx.metrics().incr("gm.jm_reconnects", 1);
+                self.reconnect(ctx, job, from, *state);
+            }
             JmMsg::Callback { state, .. } => self.observe_jm(ctx, job, *state),
             JmMsg::CommitAck { .. } => {
                 let j = self.jobs.get_mut(&job).expect("job exists");
@@ -1170,8 +1083,9 @@ impl GridManager {
     /// The JobManager says `job` (which is in the map) is in `state`,
     /// pushed (`Callback`), polled (a `SiteStatus` entry, whose state is
     /// what a lost callback carried) or learned on reconnecting (a live
-    /// JobManager's `SiteStatus` entry, or a restarted one's log in
-    /// `Restarted`): all take this one path to the protocol's actions.
+    /// JobManager's `SiteStatus` entry or first `Callback`, or a restarted
+    /// one's log in `Restarted`): all take this one path to the protocol's
+    /// actions.
     fn observe_jm(&mut self, ctx: &mut Ctx<'_>, job: GridJobId, state: GramJobState) {
         let now = ctx.now();
         let j = self.jobs.get_mut(&job).expect("job exists");
@@ -1247,6 +1161,12 @@ impl GridManager {
     }
 }
 
+/// The path on the GridManager's GASS server that `job`'s stdout is
+/// staged to.
+fn out_path(job: GridJobId) -> String {
+    format!("/condor_g/out/{job}")
+}
+
 fn gram_state_to_status(state: GramJobState) -> JobStatus {
     match state {
         GramJobState::PendingCommit | GramJobState::Pending => JobStatus::Pending,
@@ -1278,7 +1198,10 @@ impl Component for GridManager {
         if !self.held {
             self.observe_weather(ctx);
             self.poll_mds(ctx);
-            self.tick_due_jobs(ctx);
+            let migrate = self.config.migrate_pending_after.is_some();
+            for job in self.jobs.sorted_ids(|j| j.ticks(migrate)) {
+                self.tick_job(ctx, job);
+            }
             self.probe_round(ctx);
         }
         self.maybe_exit(ctx);
@@ -1309,7 +1232,6 @@ impl Component for GridManager {
             };
             if let Some(job) = job {
                 self.on_gram_reply(ctx, job, reply);
-                self.refresh_due(job);
             }
             return;
         }
@@ -1318,8 +1240,7 @@ impl Component for GridManager {
                 return;
             };
             if let Some(&job) = self.by_contact.get(contact) {
-                self.on_jm_msg(ctx, job, jm_msg);
-                self.refresh_due(job);
+                self.on_jm_msg(ctx, job, from, jm_msg);
             }
             return;
         }
@@ -1350,7 +1271,6 @@ impl Component for GridManager {
                 for job in waiting {
                     self.begin_submit(ctx, job);
                 }
-                self.refresh_all_due();
             }
         }
     }
@@ -1468,8 +1388,9 @@ mod tests {
         }
     }
 
-    /// A GridManager whose tick either reads the `due` table (the real
-    /// `on_timer`) or calls `tick_job` on every job it holds.
+    /// A GridManager whose tick either visits the jobs [`GmJob::ticks`]
+    /// picks (the real `on_timer`) or calls `tick_job` on every job it
+    /// holds.
     struct Ticker {
         gm: GridManager,
         every_job: bool,
@@ -1492,9 +1413,7 @@ mod tests {
                 self.gm.observe_weather(ctx);
                 self.gm.poll_mds(ctx);
                 for job in self.gm.jobs.sorted_ids(|_| true) {
-                    let slot = self.gm.jobs.slot(&job).expect("a live job");
-                    self.gm.tick_job(ctx, job, slot);
-                    self.gm.refresh_slot(slot);
+                    self.gm.tick_job(ctx, job);
                 }
                 self.gm.probe_round(ctx);
             }
@@ -1521,13 +1440,13 @@ mod tests {
     /// Hand `gm` a job at `gk` under `contact`, in `phase`.
     fn place(gm: &mut GridManager, job: GridJobId, gk: Addr, contact: u64, phase: Phase) {
         let spec = GridJobSpec::grid("t", "/bin/t", Duration::from_hours(1));
-        let mut rec = GmJob::new(job, spec);
+        let mut rec = GmJob::new(spec);
         rec.site = Some("east".into());
         rec.gatekeeper = Some(gk);
         rec.contact = Some(JobContact(contact));
         rec.phase = phase;
         gm.by_contact.insert(JobContact(contact), job);
-        gm.adopt(job, rec);
+        gm.jobs.insert(job, rec);
     }
 
     /// A GridManager holding a job in every phase, and in every state of
@@ -1624,9 +1543,9 @@ mod tests {
             let job = GridJobId(100 - i as u64);
             if matches!(phase, Phase::NeedSite) {
                 let spec = GridJobSpec::grid("t", "/bin/t", Duration::from_hours(1));
-                let mut rec = GmJob::new(job, spec);
+                let mut rec = GmJob::new(spec);
                 rec.excluded = excluded.iter().map(|s| s.to_string()).collect();
-                gm.adopt(job, rec);
+                gm.jobs.insert(job, rec);
                 continue;
             }
             place(&mut gm, job, peer, 70 + i as u64, phase);
@@ -1635,7 +1554,6 @@ mod tests {
             gm.by_seq.insert(900 + i as u64, job);
             j.excluded = excluded.iter().map(|s| s.to_string()).collect();
             j.migrating = migrating;
-            gm.refresh_due(job);
         }
         gm.next_seq = 1000;
         gm
@@ -1667,8 +1585,10 @@ mod tests {
         seen
     }
 
+    /// The filtered tick against a tick of every job: the same messages,
+    /// store records and event count under each configuration.
     #[test]
-    fn a_job_the_due_table_skips_had_nothing_to_do() {
+    fn a_job_the_tick_skips_had_nothing_to_do() {
         let day = Duration::from_days(1);
         let configs = [
             (GmConfig::default(), day, Answer::Alive),
@@ -1694,8 +1614,9 @@ mod tests {
                 day,
                 Answer::Alive,
             ),
-            // A reply that makes a job due sooner than its table entry said
-            // (the commit goes out every tick, the retransmit every fourth).
+            // A retransmit period of four ticks, so a job awaiting a submit
+            // answer is visited on ticks with nothing yet due (the commit
+            // goes out every tick).
             (
                 GmConfig {
                     submit_retry: Duration::from_mins(2),
@@ -1709,13 +1630,13 @@ mod tests {
             (GmConfig::default(), Duration::from_mins(25), Answer::Alive),
         ];
         for (config, proxy_life, answer) in configs {
-            let by_table = forty_ticks(&config, proxy_life, answer, false);
+            let filtered = forty_ticks(&config, proxy_life, answer, false);
             let every_job = forty_ticks(&config, proxy_life, answer, true);
-            assert!(by_table.len() > 60, "{} lines: too quiet", by_table.len());
-            for (i, (a, b)) in by_table.iter().zip(&every_job).enumerate() {
+            assert!(filtered.len() > 60, "{} lines: too quiet", filtered.len());
+            for (i, (a, b)) in filtered.iter().zip(&every_job).enumerate() {
                 assert_eq!(a, b, "line {i} under {config:?}, {answer:?}");
             }
-            assert_eq!(by_table.len(), every_job.len());
+            assert_eq!(filtered.len(), every_job.len());
         }
     }
 
@@ -1863,7 +1784,6 @@ mod tests {
         {
             let mut gm = gm.borrow_mut();
             gm.jobs.get_mut(&GridJobId(1)).expect("placed").phase = Phase::Reattach;
-            gm.refresh_due(GridJobId(1));
         }
         // The round at 30 s finds the JobManager gone and restarts it; the
         // answer to the restart is lost, so the job still waits.
@@ -2009,7 +1929,6 @@ mod tests {
         {
             let mut gm = gm.borrow_mut();
             gm.jobs.get_mut(&GridJobId(1)).expect("placed").phase = Phase::Reattach;
-            gm.refresh_due(GridJobId(1));
         }
         // The site answers that the job's JobManager is alive and still
         // waiting for the commit.
@@ -2044,6 +1963,68 @@ mod tests {
         ));
     }
 
+    /// A JobManager that calls its GridManager back once, in `state`, as
+    /// it starts, and is otherwise a [`Sink`].
+    struct CallsBack {
+        sink: Sink,
+        gm: Addr,
+        contact: JobContact,
+        state: GramJobState,
+    }
+
+    impl Component for CallsBack {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let callback = JmMsg::Callback {
+                contact: self.contact,
+                state: self.state,
+                at: ctx.now(),
+            };
+            ctx.send(self.gm, callback);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AnyMsg) {
+            self.sink.on_message(ctx, from, msg);
+        }
+    }
+
+    #[test]
+    fn a_reattaching_job_whose_jobmanager_calls_back_done_acknowledges_it() {
+        let (mut w, log, gks, gm) = per_site(&[1], Answer::Alive);
+        gm.borrow_mut()
+            .jobs
+            .get_mut(&GridJobId(1))
+            .expect("placed")
+            .phase = Phase::Reattach;
+        let at = w.lookup(NodeId(0), "gm").expect("the GridManager");
+        let callback = CallsBack {
+            sink: Sink::new(&log, Answer::Alive),
+            gm: at,
+            contact: JobContact(501),
+            state: GramJobState::Done,
+        };
+        let jm = w.add_component(gks[0].node, "jm", callback);
+        // The callback beats the first probe round, at 30 s: the JobManager
+        // is reconnected and its terminal state acknowledged, so it may go.
+        w.run_until(SimTime::ZERO + Duration::from_secs(10));
+        assert_eq!(sent(&log, jm, "DoneAck").len(), 1);
+        assert_eq!(sent(&log, jm, "UpdateGass").len(), 1);
+        assert_eq!(w.metrics().counter("gm.jm_reconnects"), 1);
+        assert!(!gm.borrow().jobs.contains_key(&GridJobId(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "GridManager: gj1 reported Staging after its terminal Done")]
+    fn a_job_reported_terminal_is_never_reported_again() {
+        let (mut w, _, _, gm) = per_site(&[1], Answer::Alive);
+        gm.borrow_mut()
+            .jobs
+            .get_mut(&GridJobId(1))
+            .expect("placed")
+            .reported = JobStatus::Done;
+        let at = w.lookup(NodeId(0), "gm").expect("the GridManager");
+        w.post(at, site_says(501, GramJobState::StageOut));
+        w.run_until(SimTime::ZERO + Duration::from_secs(10));
+    }
+
     #[test]
     fn borrowed_disk_view_encodes_as_the_owned_record() {
         let peer = Addr {
@@ -2053,7 +2034,7 @@ mod tests {
         let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30))
             .with_stdout(4096)
             .with_args(&["--events", "500"]);
-        let mut j = GmJob::new(GridJobId(7), spec);
+        let mut j = GmJob::new(spec);
         for placed in [false, true] {
             if placed {
                 j.attempts = 2;
@@ -2070,7 +2051,6 @@ mod tests {
                 site: j.site.clone(),
                 gatekeeper: j.gatekeeper,
                 contact: j.contact.map(|c| c.0),
-                stdout_path: j.stdout_path.clone(),
                 excluded: j.excluded.clone(),
                 terminal: false,
             };
@@ -2092,7 +2072,7 @@ mod tests {
         let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30))
             .with_stdout(4096)
             .with_args(&["--events", "500"]);
-        let mut j = GmJob::new(GridJobId(7), spec);
+        let mut j = GmJob::new(spec);
         j.attempts = 2;
         j.seq = Some(41);
         j.site = Some("east".into());
@@ -2109,11 +2089,10 @@ mod tests {
             site: j.site.clone(),
             gatekeeper: j.gatekeeper,
             contact: j.contact.map(|c| c.0),
-            stdout_path: j.stdout_path.clone(),
             excluded: j.excluded.clone(),
             terminal: false,
         };
-        let pinned = "03617070122f686f6d652f6a616e652f6170702e65786502082d2d6576656e7473033530300080a4a7da060180200000000000000201290104656173740102050181808080f0dd2f112f636f6e646f725f672f6f75742f676a37020477657374056e6f72746800";
+        let pinned = "03617070122f686f6d652f6a616e652f6170702e65786502082d2d6576656e7473033530300080a4a7da060180200000000000000201290104656173740102050181808080f0dd2f020477657374056e6f72746800";
         assert_eq!(hex(&to_bytes(&owned)), pinned);
         assert_eq!(hex(&to_bytes(&j.disk_view())), pinned);
         let back = from_bytes::<GmJobDisk>(&to_bytes(&owned)).unwrap();
@@ -2130,7 +2109,7 @@ mod tests {
         ) {
             let _ = from_bytes::<GmJobDisk>(&noise);
             let spec = GridJobSpec::grid("app", "/home/jane/app.exe", Duration::from_mins(30));
-            let mut j = GmJob::new(GridJobId(7), spec);
+            let mut j = GmJob::new(spec);
             j.site = Some("east".into());
             j.excluded = vec!["west".into()];
             let mut bytes = to_bytes(&j.disk_view());

@@ -56,10 +56,8 @@ pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Values by slot in a `Vec`, found through an [`IdMap`] from id to slot.
 ///
-/// A value keeps its slot for as long as it is in the table, so a caller may
-/// keep side tables indexed by slot and reach a value by [`IdTable::at`]
-/// with no lookup. A removed value's slot goes on a free list for the next
-/// insert, and a table that drains gives back all its memory.
+/// A removed value's slot goes on a free list for the next insert, and a
+/// table that drains gives back all its memory.
 ///
 /// Iteration goes in slot order, not id order: a loop whose effects depend
 /// on order goes over [`IdTable::sorted_ids`] instead.
@@ -86,41 +84,28 @@ impl<K: Copy + Eq + Hash, V> IdTable<K, V> {
         self.index.is_empty()
     }
 
-    /// The slot `id`'s value sits in.
-    pub fn slot(&self, id: &K) -> Option<usize> {
-        self.index.get(id).map(|&slot| slot as usize)
-    }
-
     /// Whether `id` has a value.
     pub fn contains_key(&self, id: &K) -> bool {
         self.index.contains_key(id)
     }
 
-    /// The value in `slot`, if the slot is occupied.
-    pub fn at(&self, slot: usize) -> Option<&V> {
-        self.slots.get(slot)?.as_ref().map(|(_, v)| v)
-    }
-
-    /// The value in `slot`, mutably.
-    pub fn at_mut(&mut self, slot: usize) -> Option<&mut V> {
-        self.slots.get_mut(slot)?.as_mut().map(|(_, v)| v)
-    }
-
     /// `id`'s value.
     pub fn get(&self, id: &K) -> Option<&V> {
-        self.at(self.slot(id)?)
+        let slot = *self.index.get(id)?;
+        self.slots[slot as usize].as_ref().map(|(_, v)| v)
     }
 
     /// `id`'s value, mutably.
     pub fn get_mut(&mut self, id: &K) -> Option<&mut V> {
-        self.at_mut(self.slot(id)?)
+        let slot = *self.index.get(id)?;
+        self.slots[slot as usize].as_mut().map(|(_, v)| v)
     }
 
-    /// Store `value` under `id` and return its slot: a value already under
-    /// `id` is replaced in place, a new one takes a vacated slot if any.
-    pub fn insert(&mut self, id: K, value: V) -> usize {
-        let slot = match self.slot(&id) {
-            Some(slot) => slot,
+    /// Store `value` under `id`: a value already under `id` is replaced in
+    /// place, a new one takes a vacated slot if any.
+    pub fn insert(&mut self, id: K, value: V) {
+        let slot = match self.index.get(&id) {
+            Some(&slot) => slot as usize,
             None => {
                 let slot = self.free.pop().map_or(self.slots.len(), |s| s as usize);
                 if slot == self.slots.len() {
@@ -132,7 +117,6 @@ impl<K: Copy + Eq + Hash, V> IdTable<K, V> {
             }
         };
         self.slots[slot] = Some((id, value));
-        slot
     }
 
     /// Take `id`'s value out, vacating its slot.
@@ -219,47 +203,35 @@ mod tests {
         assert_eq!(t.index.capacity(), 0);
         assert_eq!(t.free.capacity(), 0);
         // And it fills again from slot 0.
-        assert_eq!(t.insert(7, [0; 8]), 0);
+        t.insert(7, [0; 8]);
+        assert_eq!(t.slots.len(), 1);
     }
 
     proptest! {
         /// Against a `BTreeMap`: the same values under the same ids after
-        /// every step, a value keeps its slot until removed, a vacated slot
-        /// is reused before the table grows, and `iter` yields each id once.
+        /// every step, a vacated slot is reused before the table grows, and
+        /// `iter` yields each id once.
         #[test]
         fn id_table_matches_a_btree_map(
             ops in proptest::collection::vec((any::<bool>(), 0u64..40, any::<u32>()), 0..300),
         ) {
             let mut t = IdTable::default();
             let mut model = BTreeMap::new();
-            let mut slot_of = BTreeMap::new();
+            // The most values held at once since the table last drained.
+            let mut peak = 0;
             for (insert, id, value) in ops {
                 if insert {
-                    let vacated = t.free.last().map(|&s| s as usize);
-                    let slot = t.insert(id, value);
-                    match slot_of.get(&id) {
-                        Some(&kept) => prop_assert_eq!(slot, kept),
-                        None => {
-                            if let Some(vacated) = vacated {
-                                prop_assert_eq!(slot, vacated);
-                            }
-                            prop_assert!(!slot_of.values().any(|&s| s == slot));
-                        }
-                    }
-                    slot_of.insert(id, slot);
+                    t.insert(id, value);
                     model.insert(id, value);
                 } else {
                     prop_assert_eq!(t.remove(&id), model.remove(&id));
-                    slot_of.remove(&id);
                 }
+                peak = if model.is_empty() { 0 } else { peak.max(model.len()) };
+                prop_assert_eq!(t.slots.len(), peak);
                 prop_assert_eq!(t.is_empty(), model.is_empty());
                 for id in 0..40 {
                     prop_assert_eq!(t.get(&id), model.get(&id));
                     prop_assert_eq!(t.contains_key(&id), model.contains_key(&id));
-                    prop_assert_eq!(t.slot(&id), slot_of.get(&id).copied());
-                }
-                for (&id, &slot) in &slot_of {
-                    prop_assert_eq!(t.at(slot), model.get(&id));
                 }
                 let mut ids: Vec<u64> = t.iter().map(|(id, _)| id).collect();
                 ids.sort_unstable();
