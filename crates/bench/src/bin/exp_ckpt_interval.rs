@@ -84,7 +84,8 @@ fn run(interval: Option<Duration>) -> Outcome {
             .unwrap_or(0.0),
         makespan_h: m
             .series("condor_g.done_over_time")
-            .and_then(|ts| ts.points().last().map(|&(t, _)| t.as_hours_f64()))
+            .and_then(|ts| ts.last_at())
+            .map(|t| t.as_hours_f64())
             .unwrap_or(f64::NAN),
     }
 }

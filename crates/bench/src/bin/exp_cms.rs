@@ -44,7 +44,8 @@ fn main() {
     let success: bool = tb.world.store().get(node, "dag/success").unwrap_or(false);
     let makespan = m
         .series("condor_g.done_over_time")
-        .and_then(|ts| ts.points().last().map(|&(t, _)| t.as_hours_f64()))
+        .and_then(|ts| ts.last_at())
+        .map(|t| t.as_hours_f64())
         .unwrap_or(f64::NAN);
     let cpu_hours: f64 = ["wisc", "ncsa"]
         .iter()

@@ -122,7 +122,8 @@ fn run(policy: Policy) -> Outcome {
         .unwrap_or_default();
     let makespan = m
         .series("condor_g.done_over_time")
-        .and_then(|ts| ts.points().last().map(|&(t, _)| t.as_hours_f64()))
+        .and_then(|ts| ts.last_at())
+        .map(|t| t.as_hours_f64())
         .unwrap_or(f64::NAN);
     Outcome {
         done: m.counter("condor_g.jobs_done"),

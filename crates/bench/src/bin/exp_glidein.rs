@@ -99,12 +99,7 @@ fn run(glidein: bool, congestion_hours: u64, seed: u64) -> Outcome {
     // Makespan: last Done.
     let makespan = m
         .series("condor_g.done_over_time")
-        .map(|ts| {
-            ts.points()
-                .last()
-                .map(|&(t, _)| t.as_hours_f64())
-                .unwrap_or(0.0)
-        })
+        .map(|ts| ts.last_at().map_or(0.0, |t| t.as_hours_f64()))
         .unwrap_or(tb.world.now().as_hours_f64());
     Outcome {
         mean_wait_mins: s.mean / 60.0,

@@ -54,8 +54,6 @@ pub mod expr;
 pub mod funcs;
 pub mod lexer;
 pub mod parser;
-#[cfg(test)]
-mod prefilter;
 pub mod value;
 
 pub use ad::ClassAd;

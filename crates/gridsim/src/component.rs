@@ -87,8 +87,6 @@ pub trait Message: Any + fmt::Debug {
     fn as_any(self: Box<Self>) -> Box<dyn Any>;
     /// Borrowed upcast for type tests.
     fn as_any_ref(&self) -> &dyn Any;
-    /// The payload's type name (for traces).
-    fn type_name(&self) -> &'static str;
 }
 
 impl<T: Any + fmt::Debug> Message for T {
@@ -97,9 +95,6 @@ impl<T: Any + fmt::Debug> Message for T {
     }
     fn as_any_ref(&self) -> &dyn Any {
         self
-    }
-    fn type_name(&self) -> &'static str {
-        std::any::type_name::<T>()
     }
 }
 

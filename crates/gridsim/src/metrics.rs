@@ -9,6 +9,14 @@
 //! [`Metrics::sites`] walks the sites that have written any of them. That
 //! resolver is the only code that spells the `site.<name>.<suffix>` names
 //! the exporters render.
+//!
+//! A [`TimeSeries`] keeps its points only where someone reads the curve.
+//! [`Metrics::gauge`] and [`Metrics::gauge_delta`] write series that keep
+//! them (experiment tables, makespans and the bench ledger's windowed
+//! means read them). [`Metrics::level`] writes a level, which keeps none:
+//! the weather's per-site series are read only as a latest value (the
+//! weather report) and as a mean or integral from zero (the exporters,
+//! `exp_qap`), and a running area answers those exactly in O(1) memory.
 
 use crate::time::{Duration, SimTime};
 use std::collections::BTreeMap;
@@ -155,13 +163,28 @@ impl Histogram {
 /// time-weighted statistics like the paper's "average of 653 processors
 /// active" are computed.
 ///
-/// Memory is bounded: up to [`METRIC_RETAIN_CAP`] points are kept verbatim
+/// Every series keeps its latest record, its maximum, its record count
+/// and its area — value·seconds from `ZERO` to the latest record's time —
+/// exactly. The area is summed on each record, `last_v * (t - last_t)`,
+/// which are the additions a walk over the points makes in the order it
+/// makes them, so a mean or integral from `ZERO` to at or after the
+/// latest record reads the area in O(1) time and gets the walk's result
+/// bit for bit.
+///
+/// A series made with [`TimeSeries::default`] (what [`Metrics::gauge`]
+/// and [`Metrics::gauge_delta`] write) also keeps its points, for the
+/// readers that want the curve: experiment tables, makespans, windowed
+/// means. Up to [`METRIC_RETAIN_CAP`] points are kept verbatim
 /// (experiments stay under this and see exact statistics); beyond it the
 /// series decimates deterministically by doubling its record stride, so a
 /// week-long million-job campaign keeps an evenly thinned step function
-/// instead of every transition. [`TimeSeries::last`] and
-/// [`TimeSeries::max`] stay exact throughout, and time-weighted statistics
-/// always account for the true latest value.
+/// instead of every transition, and its statistics are walked over the
+/// thinned points.
+///
+/// A level, made with [`TimeSeries::level`] (what [`Metrics::level`]
+/// writes: the weather's per-site series), keeps no points at all. Only
+/// its latest value, its maximum and its mean or integral from `ZERO` can
+/// be read; a windowed query panics.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
@@ -169,6 +192,12 @@ pub struct TimeSeries {
     last: Option<(SimTime, f64)>,
     /// Exact running maximum.
     max: f64,
+    /// Value·seconds from `ZERO` to the most recent sample's time.
+    area: f64,
+    /// Samples recorded (exact; the points kept may be fewer).
+    records: u64,
+    /// Whether samples are kept as points; `false` for a level.
+    keeps_points: bool,
     /// Keep every `stride`-th point (1 = keep all).
     stride: u64,
     skipped: u64,
@@ -180,6 +209,9 @@ impl Default for TimeSeries {
             points: Vec::new(),
             last: None,
             max: f64::NEG_INFINITY,
+            area: 0.0,
+            records: 0,
+            keeps_points: true,
             stride: 1,
             skipped: 0,
         }
@@ -187,15 +219,26 @@ impl Default for TimeSeries {
 }
 
 impl TimeSeries {
+    /// An empty level: a series that keeps no points.
+    pub fn level() -> TimeSeries {
+        TimeSeries {
+            keeps_points: false,
+            ..TimeSeries::default()
+        }
+    }
+
     /// Record the series value from `t` onwards.
     pub fn record(&mut self, t: SimTime, v: f64) {
-        debug_assert!(
-            self.last.is_none_or(|(pt, _)| pt <= t),
-            "time series must be appended in order"
-        );
+        let (last_t, last_v) = self.last.unwrap_or((SimTime::ZERO, 0.0));
+        debug_assert!(last_t <= t, "time series must be appended in order");
+        self.area += last_v * (t - last_t).as_secs_f64();
+        self.records += 1;
         self.last = Some((t, v));
         if v > self.max {
             self.max = v;
+        }
+        if !self.keeps_points {
+            return;
         }
         if self.stride > 1 {
             self.skipped += 1;
@@ -217,14 +260,31 @@ impl TimeSeries {
         }
     }
 
-    /// The retained points (all of them until the retain cap).
+    /// The retained points (all of them until the retain cap; none for a
+    /// level).
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
+    }
+
+    /// Whether the series keeps points (`false` for a level).
+    pub fn keeps_points(&self) -> bool {
+        self.keeps_points
+    }
+
+    /// Samples recorded (exact, whatever was kept).
+    pub fn records(&self) -> u64 {
+        self.records
     }
 
     /// Latest value (0 when empty; exact even after decimation).
     pub fn last(&self) -> f64 {
         self.last.map_or(0.0, |(_, v)| v)
+    }
+
+    /// Time of the latest sample (`None` when empty; exact even after
+    /// decimation).
+    pub fn last_at(&self) -> Option<SimTime> {
+        self.last.map(|(t, _)| t)
     }
 
     /// Maximum recorded value (exact). Empty series report 0 by convention
@@ -242,10 +302,35 @@ impl TimeSeries {
     /// step function that holds each value until the next point. The true
     /// latest sample participates even if decimation dropped it from the
     /// retained set.
+    ///
+    /// From `ZERO` to at or after the latest sample, an undecimated series
+    /// reads its area in O(1); any other window walks the points.
+    ///
+    /// # Panics
+    ///
+    /// On a level, for any window but that one: its points were never kept.
     pub fn time_weighted_mean(&self, start: SimTime, end: SimTime) -> f64 {
-        if end <= start || self.last.is_none() {
+        let Some((last_t, last_v)) = self.last else {
+            return 0.0;
+        };
+        if end <= start {
             return 0.0;
         }
+        if start == SimTime::ZERO && end >= last_t && self.stride == 1 {
+            let tail = last_v * (end - last_t).as_secs_f64();
+            return (self.area + tail) / (end - start).as_secs_f64();
+        }
+        assert!(
+            self.keeps_points,
+            "a level keeps no points: its mean over [{start}, {end}] is unknown, \
+             only from 0 to at or after its latest sample ({last_t})"
+        );
+        self.walk_mean(start, end)
+    }
+
+    /// The time-weighted mean over `[start, end]` walked over the kept
+    /// points and the true latest sample. Needs `end > start`.
+    fn walk_mean(&self, start: SimTime, end: SimTime) -> f64 {
         let total = (end - start).as_secs_f64();
         let mut acc = 0.0;
         // Value in effect at `start`: last point at or before it (0 if none).
@@ -271,7 +356,9 @@ impl TimeSeries {
     }
 
     /// Integral of the series over `[start, end]` in value·seconds (e.g.
-    /// CPU-seconds when the series counts busy CPUs).
+    /// CPU-seconds when the series counts busy CPUs). Reads like
+    /// [`time_weighted_mean`](Self::time_weighted_mean), and panics where
+    /// it does.
     pub fn integral(&self, start: SimTime, end: SimTime) -> f64 {
         self.time_weighted_mean(start, end) * (end - start).as_secs_f64()
     }
@@ -298,11 +385,11 @@ pub struct SiteMetrics {
     pub commit_timeouts: CounterId,
     /// Attempts at the site the GridManager gave up on.
     pub attempt_failures: CounterId,
-    /// Series: processors the LRM has busy.
+    /// Level: processors the LRM has busy.
     pub busy: String,
-    /// Series: jobs queued at the LRM, not yet running.
+    /// Level: jobs queued at the LRM, not yet running.
     pub queue_depth: String,
-    /// Series: rolling success rate over the LRM's recent outcomes.
+    /// Level: rolling success rate over the LRM's recent outcomes.
     pub success_rate: String,
     /// Histogram: LRM queue wait per job, seconds.
     pub queue_wait: String,
@@ -446,12 +533,24 @@ impl Metrics {
 
     /// Record a time-series point.
     pub fn gauge(&mut self, name: &str, t: SimTime, v: f64) {
+        self.record(name, t, v, TimeSeries::default);
+    }
+
+    /// Record a level: a series that keeps no points, read only through
+    /// its latest value, its maximum and its mean or integral from `ZERO`
+    /// (see [`TimeSeries::level`]). Each record costs O(1) memory.
+    pub fn level(&mut self, name: &str, t: SimTime, v: f64) {
+        self.record(name, t, v, TimeSeries::level);
+    }
+
+    /// Record `v` from `t` in the named series, made by `new` on first use.
+    fn record(&mut self, name: &str, t: SimTime, v: f64, new: fn() -> TimeSeries) {
         if let Some(s) = self.series.get_mut(name) {
             s.record(t, v);
         } else {
             self.series
                 .entry(name.to_string())
-                .or_default()
+                .or_insert_with(new)
                 .record(t, v);
         }
     }
@@ -494,6 +593,8 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::export::{json_snapshot, prometheus_snapshot};
+    use proptest::prelude::*;
 
     #[test]
     fn counters() {
@@ -642,6 +743,84 @@ mod tests {
         // The sawtooth's time-weighted mean is ~49.5 whatever the thinning.
         let mean = s.time_weighted_mean(SimTime::ZERO, SimTime(n * 1_000_000));
         assert!((mean - 49.5).abs() < 2.0, "{mean}");
+    }
+
+    proptest! {
+        /// A level reads as a series that keeps its points does, bit for
+        /// bit: latest value, maximum, the walk's mean and integral from 0
+        /// to any end at or after the latest sample, and the exported
+        /// point count (below the cap, every record is a kept point).
+        #[test]
+        fn a_level_reads_bit_for_bit_as_its_history(
+            steps in proptest::collection::vec((any::<bool>(), 0u64..5_000_000, -1e3f64..1e3), 1..200),
+            ends in proptest::collection::vec(0u64..5_000_000, 1..4),
+        ) {
+            let (mut history, mut level) = (Metrics::new(), Metrics::new());
+            let mut t = SimTime::ZERO;
+            for (same_time, dt, v) in steps {
+                if !same_time {
+                    t += Duration::from_micros(dt);
+                }
+                history.gauge("s", t, v);
+                level.level("s", t, v);
+            }
+            let (h, l) = (&history.series["s"], &level.series["s"]);
+            prop_assert!(l.points().is_empty());
+            prop_assert_eq!(l.last().to_bits(), h.last().to_bits());
+            prop_assert_eq!(l.max().to_bits(), h.max().to_bits());
+            for end in std::iter::once(0).chain(ends).map(|dt| t + Duration::from_micros(dt)) {
+                if end == SimTime::ZERO {
+                    continue;
+                }
+                let walked = h.walk_mean(SimTime::ZERO, end);
+                let secs = (end - SimTime::ZERO).as_secs_f64();
+                for s in [h, l] {
+                    prop_assert_eq!(s.time_weighted_mean(SimTime::ZERO, end).to_bits(), walked.to_bits());
+                    prop_assert_eq!(s.integral(SimTime::ZERO, end).to_bits(), (walked * secs).to_bits());
+                }
+                prop_assert_eq!(json_snapshot(&level, end), json_snapshot(&history, end));
+                prop_assert_eq!(prometheus_snapshot(&level, end), prometheus_snapshot(&history, end));
+            }
+        }
+    }
+
+    #[test]
+    fn a_level_keeps_no_points_however_often_it_is_written() {
+        let mut m = Metrics::new();
+        for i in 0..100_000u64 {
+            // One sample per simulated second, sawtooth values.
+            m.level("busy", SimTime(i * 1_000_000), (i % 100) as f64);
+        }
+        let s = m.series("busy").unwrap();
+        assert!(s.points().is_empty());
+        assert_eq!(s.points.capacity(), 0, "the point vector never allocated");
+        assert_eq!(s.records(), 100_000);
+        assert_eq!((s.last(), s.max()), (99.0, 99.0));
+        // 1,000 whole teeth of mean 49.5, summed exactly.
+        let end = SimTime(100_000 * 1_000_000);
+        assert_eq!(s.time_weighted_mean(SimTime::ZERO, end), 49.5);
+        assert!(json_snapshot(&m, end).contains("\"points\": 100000,"));
+    }
+
+    #[test]
+    #[should_panic(expected = "a level keeps no points")]
+    fn a_windowed_mean_of_a_level_panics() {
+        let mut s = TimeSeries::level();
+        s.record(SimTime(1_000_000), 2.0);
+        s.record(SimTime(3_000_000), 4.0);
+        s.time_weighted_mean(SimTime(2_000_000), SimTime(4_000_000));
+    }
+
+    #[test]
+    fn last_at_is_exact_after_decimation() {
+        let mut s = TimeSeries::default();
+        assert_eq!(s.last_at(), None);
+        let n = (METRIC_RETAIN_CAP * 2 + 1) as u64;
+        for i in 0..n {
+            s.record(SimTime(i), 1.0);
+        }
+        assert_ne!(s.points().last().map(|p| p.0), s.last_at(), "dropped");
+        assert_eq!(s.last_at(), Some(SimTime(n - 1)));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! so same-seed runs export byte-identical snapshots. Counters export as
 //! Prometheus counters; histograms as summaries (quantiles, sum, count);
 //! time series as gauges (last value) plus their time integral over
-//! `[0, now]` — the paper's "CPU-hours delivered" style numbers.
+//! `[0, now]` — the paper's "CPU-hours delivered" style numbers. A JSON
+//! series' `"points"` counts the points it keeps, or, for a level (which
+//! keeps none), the samples recorded.
 
 use crate::metrics::Metrics;
 use crate::time::SimTime;
@@ -185,7 +187,11 @@ pub fn json_snapshot(metrics: &Metrics, now: SimTime) -> String {
             "\n    {}: {{\"points\": {}, \"last\": {}, \"max\": {}, \
              \"time_weighted_mean\": {}, \"integral\": {}}}",
             json_string(name),
-            series.points().len(),
+            if series.keeps_points() {
+                series.points().len() as u64
+            } else {
+                series.records()
+            },
             json_num(series.last()),
             json_num(series.max()),
             json_num(series.time_weighted_mean(SimTime::ZERO, now)),

@@ -101,7 +101,7 @@ pub struct Lrm {
     /// This site's weather handles, resolved on first use.
     weather: Option<Rc<SiteMetrics>>,
     /// Rolling window of recent terminal outcomes (`true` = completed),
-    /// feeding the per-site success-rate gauge in the grid-weather report.
+    /// feeding the per-site success-rate level in the grid-weather report.
     outcomes: std::collections::VecDeque<bool>,
 }
 
@@ -221,7 +221,7 @@ impl Lrm {
         let t = ctx.now();
         let used = self.used_cpus() as f64;
         let weather = self.weather(ctx);
-        ctx.metrics().gauge(&weather.busy, t, used);
+        ctx.metrics().level(&weather.busy, t, used);
         // A grid-wide busy-CPU series: every site contributes deltas, so
         // the sum is exact across sites (used by the E1 concurrency plot).
         let delta = used - self.last_busy;
@@ -236,11 +236,11 @@ impl Lrm {
     fn record_queue_depth(&mut self, ctx: &mut Ctx<'_>) {
         let (t, weather) = (ctx.now(), self.weather(ctx));
         ctx.metrics()
-            .gauge(&weather.queue_depth, t, self.queue.len() as f64);
+            .level(&weather.queue_depth, t, self.queue.len() as f64);
     }
 
     /// Record one terminal outcome in the rolling window and republish the
-    /// per-site success-rate gauge.
+    /// per-site success-rate level.
     fn note_outcome(&mut self, ctx: &mut Ctx<'_>, ok: bool) {
         if self.outcomes.len() == OUTCOME_WINDOW {
             self.outcomes.pop_front();
@@ -248,7 +248,7 @@ impl Lrm {
         self.outcomes.push_back(ok);
         let rate = self.outcomes.iter().filter(|&&b| b).count() as f64 / self.outcomes.len() as f64;
         let (t, weather) = (ctx.now(), self.weather(ctx));
-        ctx.metrics().gauge(&weather.success_rate, t, rate);
+        ctx.metrics().level(&weather.success_rate, t, rate);
     }
 
     /// Put a job in the queue: at the back, or at the front for a vacated
