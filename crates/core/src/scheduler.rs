@@ -364,7 +364,7 @@ impl Scheduler {
         }
         if status == JobStatus::Done {
             ctx.metrics()
-                .gauge_delta("condor_g.done_over_time", now, 1.0);
+                .level_delta("condor_g.done_over_time", now, 1.0);
         }
         self.log_event(ctx, job, format!("status -> {status:?}"));
         self.persist_job(ctx, job);

@@ -12,11 +12,13 @@
 //!
 //! A [`TimeSeries`] keeps its points only where someone reads the curve.
 //! [`Metrics::gauge`] and [`Metrics::gauge_delta`] write series that keep
-//! them (experiment tables, makespans and the bench ledger's windowed
-//! means read them). [`Metrics::level`] writes a level, which keeps none:
-//! the weather's per-site series are read only as a latest value (the
-//! weather report) and as a mean or integral from zero (the exporters,
-//! `exp_qap`), and a running area answers those exactly in O(1) memory.
+//! them (experiment tables and the bench ledger's windowed means read
+//! them). [`Metrics::level`] and [`Metrics::level_delta`] write a level,
+//! which keeps none: the weather's per-site series, the grid's busy
+//! processors and the jobs done are read only as a latest value or its
+//! time (the weather report, makespans) and as a mean or integral from
+//! zero (the exporters, `exp_qap`), and a running area answers those
+//! exactly in O(1) memory.
 
 use crate::time::{Duration, SimTime};
 use std::collections::BTreeMap;
@@ -173,16 +175,17 @@ impl Histogram {
 ///
 /// A series made with [`TimeSeries::default`] (what [`Metrics::gauge`]
 /// and [`Metrics::gauge_delta`] write) also keeps its points, for the
-/// readers that want the curve: experiment tables, makespans, windowed
-/// means. Up to [`METRIC_RETAIN_CAP`] points are kept verbatim
+/// readers that want the curve: experiment tables and windowed means.
+/// Up to [`METRIC_RETAIN_CAP`] points are kept verbatim
 /// (experiments stay under this and see exact statistics); beyond it the
 /// series decimates deterministically by doubling its record stride, so a
 /// week-long million-job campaign keeps an evenly thinned step function
 /// instead of every transition, and its statistics are walked over the
 /// thinned points.
 ///
-/// A level, made with [`TimeSeries::level`] (what [`Metrics::level`]
-/// writes: the weather's per-site series), keeps no points at all. Only
+/// A level, made with [`TimeSeries::level`] (what [`Metrics::level`] and
+/// [`Metrics::level_delta`] write: the weather's per-site series, the
+/// grid's busy processors and the jobs done), keeps no points at all. Only
 /// its latest value, its maximum and its mean or integral from `ZERO` can
 /// be read; a windowed query panics.
 #[derive(Debug, Clone)]
@@ -533,38 +536,43 @@ impl Metrics {
 
     /// Record a time-series point.
     pub fn gauge(&mut self, name: &str, t: SimTime, v: f64) {
-        self.record(name, t, v, TimeSeries::default);
+        self.record(name, t, |_| v, TimeSeries::default);
     }
 
     /// Record a level: a series that keeps no points, read only through
     /// its latest value, its maximum and its mean or integral from `ZERO`
     /// (see [`TimeSeries::level`]). Each record costs O(1) memory.
     pub fn level(&mut self, name: &str, t: SimTime, v: f64) {
-        self.record(name, t, v, TimeSeries::level);
+        self.record(name, t, |_| v, TimeSeries::level);
     }
 
-    /// Record `v` from `t` in the named series, made by `new` on first use.
-    fn record(&mut self, name: &str, t: SimTime, v: f64, new: fn() -> TimeSeries) {
-        if let Some(s) = self.series.get_mut(name) {
-            s.record(t, v);
+    /// Record, from `t`, the value `v` computes from the named series'
+    /// latest one (0 for a new series, made by `new` on first use).
+    fn record(
+        &mut self,
+        name: &str,
+        t: SimTime,
+        v: impl FnOnce(f64) -> f64,
+        new: fn() -> TimeSeries,
+    ) {
+        let s = if let Some(s) = self.series.get_mut(name) {
+            s
         } else {
-            self.series
-                .entry(name.to_string())
-                .or_insert_with(new)
-                .record(t, v);
-        }
+            self.series.entry(name.to_string()).or_insert_with(new)
+        };
+        s.record(t, v(s.last()));
     }
 
     /// Adjust a time-series by a delta relative to its last value — handy
     /// for "currently running jobs" style gauges.
     pub fn gauge_delta(&mut self, name: &str, t: SimTime, delta: f64) {
-        let s = if self.series.contains_key(name) {
-            self.series.get_mut(name).expect("just checked")
-        } else {
-            self.series.entry(name.to_string()).or_default()
-        };
-        let v = s.last() + delta;
-        s.record(t, v);
+        self.record(name, t, |last| last + delta, TimeSeries::default);
+    }
+
+    /// Adjust a level by a delta relative to its last value: a
+    /// [`gauge_delta`](Self::gauge_delta) that keeps no points.
+    pub fn level_delta(&mut self, name: &str, t: SimTime, delta: f64) {
+        self.record(name, t, |last| last + delta, TimeSeries::level);
     }
 
     /// Access a time series.
@@ -800,6 +808,28 @@ mod tests {
         let end = SimTime(100_000 * 1_000_000);
         assert_eq!(s.time_weighted_mean(SimTime::ZERO, end), 49.5);
         assert!(json_snapshot(&m, end).contains("\"points\": 100000,"));
+    }
+
+    #[test]
+    fn a_delta_level_reads_as_the_delta_gauge_it_replaces() {
+        let (mut m, mut t) = (Metrics::new(), SimTime::ZERO);
+        for i in 1..1_000u64 {
+            // Up two, down one, level; steps of one to two and a half seconds.
+            let delta = [2.0, -1.0, 0.0][(i % 3) as usize];
+            t += Duration::from_millis(1_000 + (i % 7) * 250);
+            m.gauge_delta("gauge", t, delta);
+            m.level_delta("level", t, delta);
+        }
+        let (g, l) = (m.series("gauge").unwrap(), m.series("level").unwrap());
+        assert!(l.points().is_empty());
+        assert_eq!(l.records(), g.records());
+        assert_eq!(
+            (l.last(), l.max(), l.last_at()),
+            (g.last(), g.max(), g.last_at())
+        );
+        let end = SimTime(2_000 * 1_000_000);
+        let mean = |s: &TimeSeries| s.time_weighted_mean(SimTime::ZERO, end).to_bits();
+        assert_eq!(mean(l), mean(g));
     }
 
     #[test]

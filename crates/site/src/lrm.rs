@@ -57,6 +57,8 @@ struct Running {
     timer: TimerId,
     /// Where this job's [`RunningView`] sits in `Lrm::running_view`.
     view: usize,
+    /// Whether `timer` is the wall limit rather than the job's own end.
+    wall_killed: bool,
 }
 
 const CHURN_TAG: u64 = u64::MAX;
@@ -86,17 +88,12 @@ pub struct Lrm {
     /// Processors held by `running`, maintained incrementally so busy
     /// accounting stays O(1) with ten thousand concurrent jobs.
     used: u32,
-    /// Terminal outcomes kept for late `Status` polls. Bounded: entries are
-    /// evicted FIFO past [`TERMINAL_RETAIN`], since a poll for a job that
-    /// finished tens of thousands of completions ago no longer has a
-    /// JobManager waiting on it — and a campaign would otherwise grow this
-    /// map with every job that ever ran here. Values carry an insertion
-    /// generation so a re-inserted id is not evicted by its stale entry in
-    /// the order queue.
-    terminal: IdMap<u64, (LrmJobState, u64)>,
-    terminal_order: std::collections::VecDeque<(u64, u64)>,
-    terminal_gen: u64,
-    next_local: u64,
+    /// How each job this site ever accepted ended, by local id: `None`
+    /// while it is queued or running. Local ids are dense (a new job's id
+    /// is this record's length), so the record is one byte a job and is
+    /// never evicted: a `Status` poll for any job, however long ago it
+    /// ended, gets its true answer.
+    ended: Vec<Option<LrmJobState>>,
     last_busy: f64,
     /// This site's weather handles, resolved on first use.
     weather: Option<Rc<SiteMetrics>>,
@@ -107,9 +104,6 @@ pub struct Lrm {
 
 /// Terminal outcomes in the rolling success-rate window.
 const OUTCOME_WINDOW: usize = 32;
-
-/// Terminal-state entries retained for late status polls.
-const TERMINAL_RETAIN: usize = 16_384;
 
 impl Lrm {
     /// A scheduler for `total_cpus` processors under `policy`.
@@ -128,10 +122,7 @@ impl Lrm {
             running_view: Vec::new(),
             running_ids: Vec::new(),
             used: 0,
-            terminal: IdMap::default(),
-            terminal_order: std::collections::VecDeque::new(),
-            terminal_gen: 0,
-            next_local: 0,
+            ended: Vec::new(),
             last_busy: 0.0,
             weather: None,
             outcomes: std::collections::VecDeque::with_capacity(OUTCOME_WINDOW),
@@ -172,34 +163,9 @@ impl Lrm {
         self.used
     }
 
-    /// Record a terminal outcome, evicting the oldest entries past the cap.
+    /// Record how an accepted job ended.
     fn note_terminal(&mut self, local_id: u64, state: LrmJobState) {
-        self.terminal_gen += 1;
-        let gen = self.terminal_gen;
-        self.terminal.insert(local_id, (state, gen));
-        self.terminal_order.push_back((local_id, gen));
-        while self.terminal_order.len() > TERMINAL_RETAIN {
-            let Some((old_id, old_gen)) = self.terminal_order.pop_front() else {
-                break;
-            };
-            // Only drop the map entry if it is the one this queue slot
-            // registered (not a newer re-insertion under the same id).
-            if self
-                .terminal
-                .get(&old_id)
-                .is_some_and(|&(_, g)| g == old_gen)
-            {
-                self.terminal.remove(&old_id);
-            }
-        }
-    }
-
-    fn take_terminal(&mut self, local_id: u64) -> Option<LrmJobState> {
-        self.terminal.remove(&local_id).map(|(s, _)| s)
-    }
-
-    fn get_terminal(&self, local_id: u64) -> Option<LrmJobState> {
-        self.terminal.get(&local_id).map(|&(s, _)| s)
+        self.ended[local_id as usize] = Some(state);
     }
 
     fn free_cpus(&self) -> u32 {
@@ -222,12 +188,12 @@ impl Lrm {
         let used = self.used_cpus() as f64;
         let weather = self.weather(ctx);
         ctx.metrics().level(&weather.busy, t, used);
-        // A grid-wide busy-CPU series: every site contributes deltas, so
-        // the sum is exact across sites (used by the E1 concurrency plot).
+        // A grid-wide busy-CPU level: every site contributes deltas, so
+        // the sum is exact across sites.
         let delta = used - self.last_busy;
         self.last_busy = used;
         if delta != 0.0 {
-            ctx.metrics().gauge_delta("grid.busy_cpus", t, delta);
+            ctx.metrics().level_delta("grid.busy_cpus", t, delta);
         }
     }
 
@@ -305,7 +271,9 @@ impl Lrm {
         } else if self.queued.contains_key(&local_id) {
             Some(LrmJobState::Queued)
         } else {
-            self.get_terminal(local_id)
+            usize::try_from(local_id)
+                .ok()
+                .and_then(|i| self.ended.get(i).copied().flatten())
         }
     }
 
@@ -433,12 +401,9 @@ impl Lrm {
                 started: now,
                 timer,
                 view: self.running_view.len() - 1,
+                wall_killed: exceeded,
             },
         );
-        // Remember whether this run will exceed the wall limit.
-        if exceeded {
-            self.note_terminal(job.local_id, LrmJobState::WallTimeExceeded);
-        }
         self.record_busy(ctx);
     }
 
@@ -447,10 +412,10 @@ impl Lrm {
             return;
         };
         let now = ctx.now();
-        // Was this completion actually a wall-limit kill?
-        let state = match self.take_terminal(local_id) {
-            Some(LrmJobState::WallTimeExceeded) => LrmJobState::WallTimeExceeded,
-            _ => LrmJobState::Completed,
+        let state = if run.wall_killed {
+            LrmJobState::WallTimeExceeded
+        } else {
+            LrmJobState::Completed
         };
         let elapsed = now - run.started;
         self.policy
@@ -524,7 +489,6 @@ impl Lrm {
                 &run.spec.owner,
                 (now - run.started) * u64::from(run.spec.cpus),
             );
-            self.take_terminal(victim);
             ctx.send(
                 run.submitter,
                 LrmEvent {
@@ -560,8 +524,8 @@ impl Component for Lrm {
         };
         match *req {
             LrmRequest::Submit { client_job, spec } => {
-                let local_id = self.next_local;
-                self.next_local += 1;
+                let local_id = self.ended.len() as u64;
+                self.ended.push(None);
                 ctx.metrics().incr("site.submitted", 1);
                 // A binary built for another architecture dies on exec.
                 if let Some(arch) = &spec.required_arch {
@@ -656,6 +620,7 @@ mod tests {
     use super::*;
     use crate::policy::Fifo;
     use gridsim::{Config, World};
+    use std::cell::RefCell;
     use std::collections::BTreeMap;
 
     /// Test submitter that records every event and reply to stable storage.
@@ -916,6 +881,157 @@ mod tests {
             "total=4 free=3 queued=0 running=1"
         );
     }
+
+    #[test]
+    fn a_status_poll_long_after_the_end_gets_the_true_answer() {
+        /// Submits one job at a time, each when the last completes, then
+        /// asks after the first and after an id never issued.
+        struct Chain {
+            lrm: Addr,
+            left: u32,
+            answers: Rc<RefCell<Vec<Option<LrmJobState>>>>,
+        }
+        impl Chain {
+            fn submit(&mut self, ctx: &mut Ctx<'_>) {
+                self.left -= 1;
+                let spec = JobSpec::simple(Duration::from_mins(1), "a");
+                let req = LrmRequest::Submit {
+                    client_job: 0,
+                    spec,
+                };
+                ctx.send(self.lrm, req);
+            }
+        }
+        impl Component for Chain {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                self.submit(ctx);
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+                if let Some(LrmReply::StatusIs { state, .. }) = msg.downcast_ref::<LrmReply>() {
+                    self.answers.borrow_mut().push(*state);
+                } else if let Some(ev) = msg
+                    .downcast_ref::<LrmEvent>()
+                    .filter(|ev| ev.state == LrmJobState::Completed)
+                {
+                    if self.left > 0 {
+                        self.submit(ctx);
+                    } else {
+                        for local_id in [0, ev.local_id + 1] {
+                            ctx.send(self.lrm, LrmRequest::Status { local_id });
+                        }
+                    }
+                }
+            }
+        }
+        // The first job, then 16,400 more completions before the poll.
+        let answers = Rc::new(RefCell::new(Vec::new()));
+        let mut w = World::new(Config::default().seed(4));
+        let site = w.add_node("site");
+        let subn = w.add_node("submit");
+        let lrm = w.add_component(site, "lrm", Lrm::new("pbs", 1, Fifo));
+        let chain = Chain {
+            lrm,
+            left: 16_401,
+            answers: answers.clone(),
+        };
+        w.add_component(subn, "chain", chain);
+        w.run_until_quiescent();
+        assert_eq!(w.metrics().counter("site.completed"), 16_401);
+        assert_eq!(
+            *answers.borrow(),
+            [Some(LrmJobState::Completed), None],
+            "the first job's answer, and a never-issued id's"
+        );
+    }
+
+    #[test]
+    fn a_vacated_job_over_the_wall_limit_is_killed_once_and_one_under_it_completes() {
+        const SCRIPT: u64 = u64::MAX - 1;
+        /// A job's ending: its id, what a poll answers right after, and when.
+        type Ending = (u64, Option<LrmJobState>, SimTime);
+        /// Owns an [`Lrm`], submits `jobs` to it at once and reclaims its
+        /// processors on `script`; keeps every event, and the time of each
+        /// terminal one with what a `Status` poll answers right after it.
+        struct Owners {
+            lrm: Lrm,
+            jobs: Vec<JobSpec>,
+            script: Vec<(SimTime, u32)>,
+            events: Rc<RefCell<Vec<(u64, LrmJobState)>>>,
+            answers: Rc<RefCell<Vec<Ending>>>,
+        }
+        impl Component for Owners {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                let me = ctx.self_addr();
+                for spec in self.jobs.drain(..) {
+                    let req = LrmRequest::Submit {
+                        client_job: 0,
+                        spec,
+                    };
+                    self.lrm.on_message(ctx, me, Box::new(req));
+                }
+                for &(at, _) in &self.script {
+                    ctx.set_timer(at - ctx.now(), SCRIPT);
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: TimerId, tag: u64) {
+                if tag != SCRIPT {
+                    return self.lrm.on_timer(ctx, id, tag);
+                }
+                let (_, reclaimed) = self.script.remove(0);
+                self.lrm.reclaimed = reclaimed;
+                self.lrm.vacate_over_capacity(ctx);
+                self.lrm.schedule(ctx);
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: Addr, msg: AnyMsg) {
+                if let Some(ev) = msg.downcast_ref::<LrmEvent>() {
+                    self.events.borrow_mut().push((ev.local_id, ev.state));
+                    if ev.state.is_terminal() {
+                        let answer = self.lrm.status_of(ev.local_id);
+                        self.answers.borrow_mut().push((ev.local_id, answer, ev.at));
+                    }
+                }
+            }
+        }
+        let at = |mins| SimTime::ZERO + Duration::from_mins(mins);
+        let events = Rc::new(RefCell::new(Vec::new()));
+        let answers = Rc::new(RefCell::new(Vec::new()));
+        let mut w = World::new(Config::default().seed(4));
+        let site = w.add_node("site");
+        let owners = Owners {
+            lrm: Lrm::new("pool", 2, Fifo).with_wall_limit(Duration::from_hours(1)),
+            // Job 0 needs 10 hours against the 1-hour limit, job 1 half an hour.
+            jobs: vec![
+                JobSpec::simple(Duration::from_hours(10), "a"),
+                JobSpec::simple(Duration::from_mins(30), "a"),
+            ],
+            // The owners take both processors at 10 minutes and give them
+            // back at 20: both jobs are vacated, requeued and restarted.
+            script: vec![(at(10), 2), (at(20), 0)],
+            events: events.clone(),
+            answers: answers.clone(),
+        };
+        w.add_component(site, "owners", owners);
+        w.run_until_quiescent();
+        let of = |job| {
+            let events = events.borrow();
+            let states = events.iter().filter(|&&(id, _)| id == job);
+            states.map(|&(_, state)| state).collect::<Vec<_>>()
+        };
+        use LrmJobState::*;
+        assert_eq!(of(0), [Running, Queued, Running, WallTimeExceeded]);
+        assert_eq!(of(1), [Running, Queued, Running, Completed]);
+        // The limit runs from the restart: job 0 is killed at 80 minutes.
+        assert_eq!(
+            *answers.borrow(),
+            [
+                (1, Some(Completed), at(50)),
+                (0, Some(WallTimeExceeded), at(80))
+            ]
+        );
+        assert_eq!(w.metrics().counter("site.vacated"), 2);
+        assert_eq!(w.metrics().counter("site.wall_killed"), 1);
+        assert_eq!(w.metrics().counter("site.completed"), 1);
+    }
 }
 
 /// The scheduling pass against the algorithm it replaced: random
@@ -943,7 +1059,7 @@ mod equivalence {
         },
         /// Finish the k-th running job (by id, modulo how many run).
         Finish(usize),
-        /// Cancel an id in `0..next_local + 2` (queued, running, gone or never issued).
+        /// Cancel an id in `0..issued + 2` (queued, running, gone or never issued).
         Cancel(u64),
         /// Owners reclaim this many processors: youngest jobs are vacated
         /// and requeued at the front.
@@ -1040,7 +1156,8 @@ mod equivalence {
         queue: Vec<OldQueued>,
         running: BTreeMap<u64, OldRunning>,
         terminal: HashMap<u64, LrmJobState>,
-        next_local: u64,
+        /// Local ids handed out so far.
+        issued: u64,
         started: Vec<u64>,
     }
 
@@ -1124,11 +1241,11 @@ mod equivalence {
                     est_mins,
                 } => {
                     self.queue.push(OldQueued {
-                        local_id: self.next_local,
+                        local_id: self.issued,
                         spec: spec(cpus, owner, est_mins),
                         submitted: now,
                     });
-                    self.next_local += 1;
+                    self.issued += 1;
                     self.schedule(now);
                 }
                 Op::Finish(k) => {
@@ -1143,7 +1260,7 @@ mod equivalence {
                     }
                 }
                 Op::Cancel(pick) => {
-                    let id = pick % (self.next_local + 2);
+                    let id = pick % (self.issued + 2);
                     if let Some(pos) = self.queue.iter().position(|j| j.local_id == id) {
                         self.queue.remove(pos);
                         self.terminal.insert(id, LrmJobState::Removed);
@@ -1180,7 +1297,7 @@ mod equivalence {
                     self.schedule(now);
                 }
                 Op::Status(pick) => {
-                    let id = pick % (self.next_local + 2);
+                    let id = pick % (self.issued + 2);
                     status = Some(if self.running.contains_key(&id) {
                         Some(LrmJobState::Running)
                     } else if self.queue.iter().any(|j| j.local_id == id) {
@@ -1233,7 +1350,7 @@ mod equivalence {
                     }
                 }
                 Op::Cancel(pick) => {
-                    let local_id = pick % (self.lrm.next_local + 2);
+                    let local_id = pick % (self.lrm.ended.len() as u64 + 2);
                     self.lrm
                         .on_message(ctx, me, Box::new(LrmRequest::Cancel { local_id }));
                 }
@@ -1243,7 +1360,8 @@ mod equivalence {
                     self.lrm.schedule(ctx);
                 }
                 Op::Status(pick) => {
-                    status = Some(self.lrm.status_of(pick % (self.lrm.next_local + 2)));
+                    let local_id = pick % (self.lrm.ended.len() as u64 + 2);
+                    status = Some(self.lrm.status_of(local_id));
                 }
             }
             // Timer ids are handed out in order, so they give the order in
@@ -1331,7 +1449,7 @@ mod equivalence {
                 queue: Vec::new(),
                 running: BTreeMap::new(),
                 terminal: HashMap::new(),
-                next_local: 0,
+                issued: 0,
                 started: Vec::new(),
             };
             let expected: Vec<Outcome> = ops

@@ -56,17 +56,10 @@ fn main() {
     let done: u64 = tb.world.store().get(node, "dag/done_nodes").unwrap_or(0);
     let success: bool = tb.world.store().get(node, "dag/success").unwrap_or(false);
     // Makespan: when the last DAG node finished (busy gauge back to zero).
-    let busy = m.series("grid.busy_cpus");
-    let makespan = busy
-        .map(|s| {
-            s.points()
-                .iter()
-                .rev()
-                .find(|&&(_, v)| v > 0.0)
-                .map(|&(t, _)| t.as_hours_f64())
-                .unwrap_or(0.0)
-        })
-        .unwrap_or(0.0);
+    let makespan = m
+        .series("grid.busy_cpus")
+        .and_then(|s| s.last_at())
+        .map_or(0.0, |t| t.as_hours_f64());
     let cpu_hours: f64 = ["wisc", "ncsa"]
         .iter()
         .filter_map(|s| m.histogram(&format!("site.{s}.cpu_seconds")))
